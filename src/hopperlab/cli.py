@@ -25,6 +25,7 @@ from . import io
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, HopperlabError, MissingInputError
 from .experiments import (
+    decimated_truth,
     estimate_from_frames,
     identify_outputs,
     run_sweep,
@@ -87,13 +88,7 @@ def cmd_estimate(config: ExperimentConfig, args) -> int:
         truth_path = Path(str(path).replace("_frames.csv", "_truth.csv"))
         truth_dec = None
         if truth_path.exists():
-            truth = io.read_truth_csv(truth_path)
-            decim = config.sim.decimation
-            n = len(est)
-            truth_dec = {
-                name: getattr(truth, name)[::decim][:n]
-                for name in ("x_b", "v_b", "x_f", "v_f", "f_total")
-            }
+            truth_dec = decimated_truth(io.read_truth_csv(truth_path), config.sim.decimation, len(est))
         est_path = Path(str(path).replace("_frames.csv", "_estimation.csv"))
         io.write_estimation_csv(est_path, est, truth_dec)
     print(f"estimated {len(frame_files)} trials in {out}")

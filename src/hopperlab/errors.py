@@ -18,7 +18,7 @@ class ConfigError(HopperlabError):
 
 
 class MissingInputError(HopperlabError):
-    """A required input artifact (log file, directory) does not exist."""
+    """A required input artifact (log file, directory) is missing or unreadable."""
 
 
 class SimulationError(HopperlabError):

@@ -17,8 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GRAVITY, JACOBIAN_EPSILON
-from .errors import ConfigError
-from .linkage import LinkageParams, leg_length, leg_jacobian, reduced_dynamics_coeffs
+from .errors import ConfigError, WorkspaceError
+from .linkage import (
+    LinkageParams,
+    _foot_channel_coeffs,
+    _geometry,
+    leg_jacobian,
+    leg_length,
+    reduced_dynamics_coeffs,
+)
 from .signals import smoothed_backward_difference
 from .simulator import Frames, NoiseConfig
 
@@ -108,6 +115,84 @@ class ObserverState:
             raise ValueError("observer gain must be positive")
 
 
+def _transition(dt: float) -> np.ndarray:
+    """State transition of the two constant-acceleration (height, rate) pairs."""
+    return np.array(
+        [
+            [1.0, dt, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, dt],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+
+
+def _gain_step(P: np.ndarray, A: np.ndarray, config: KalmanConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One covariance predict/update: returns (gain K, posterior P).
+
+    The covariance is propagated in Joseph form and symmetrized, so it
+    stays PSD.  Nothing here depends on the measurements.
+    """
+    P_pred = A @ P @ A.T + config.Q
+    S = _H @ P_pred @ _H.T + config.R
+    K = np.linalg.solve(S.T, (_H @ P_pred.T)).T  # P_pred H^T S^-1
+    ikh = np.eye(4) - K @ _H
+    P_new = ikh @ P_pred @ ikh.T + K @ config.R @ K.T
+    return K, 0.5 * (P_new + P_new.T)
+
+
+_GAIN_CACHE: dict[tuple, tuple[list, np.ndarray]] = {}
+_GAIN_CACHE_SIZE = 8
+
+
+def _gain_sequence(n: int, dt: float, config: KalmanConfig) -> list[tuple]:
+    """The first n gains of the filter started at P0, as row-major 12-tuples.
+
+    The covariance recursion does not see the data, so the gains depend
+    only on (dt, Q, R, P0); they are computed once per process and
+    extended on demand to the longest trial seen.
+    """
+    key = (dt, config.Q.tobytes(), config.R.tobytes(), config.P0.tobytes())
+    # pop and re-insert keeps the dict in least-recently-used order
+    gains, P = _GAIN_CACHE.pop(key, ([], config.P0))
+    if len(gains) < n:
+        A = _transition(dt)
+        while len(gains) < n:
+            K, P = _gain_step(P, A, config)
+            gains.append(tuple(K.ravel().tolist()))
+    if len(_GAIN_CACHE) >= _GAIN_CACHE_SIZE:
+        del _GAIN_CACHE[next(iter(_GAIN_CACHE))]
+    _GAIN_CACHE[key] = (gains, P)
+    return gains
+
+
+def _kf_filter(x, u_body, u_foot, z_tof, z_disp, z_rate, gains, dt: float) -> list[tuple]:
+    """The `kf_step` state update written out in scalars, over aligned
+    inputs and precomputed gains.
+
+    x is the prior state; returns the posterior state after each sample.
+    """
+    h2 = 0.5 * dt * dt
+    x0, x1, x2, x3 = x
+    out = []
+    for ub, uf, z0, z1, z2, (k00, k01, k02, k10, k11, k12, k20, k21, k22, k30, k31, k32) in zip(
+        u_body, u_foot, z_tof, z_disp, z_rate, gains
+    ):
+        p0 = x0 + dt * x1 + h2 * ub
+        p1 = x1 + dt * ub
+        p2 = x2 + dt * x3 + h2 * uf
+        p3 = x3 + dt * uf
+        e0 = z0 - p0
+        e1 = z1 - (p0 - p2)
+        e2 = z2 - (p1 - p3)
+        x0 = p0 + k00 * e0 + k01 * e1 + k02 * e2
+        x1 = p1 + k10 * e0 + k11 * e1 + k12 * e2
+        x2 = p2 + k20 * e0 + k21 * e1 + k22 * e2
+        x3 = p3 + k30 * e0 + k31 * e1 + k32 * e2
+        out.append((x0, x1, x2, x3))
+    return out
+
+
 def kf_step(state: KalmanState, u_k, z_k, dt: float, config: KalmanConfig) -> KalmanState:
     """One predict/update cycle of the kinematic Kalman filter.
 
@@ -119,14 +204,7 @@ def kf_step(state: KalmanState, u_k, z_k, dt: float, config: KalmanConfig) -> Ka
         raise ValueError("dt must be positive")
     u = np.asarray(u_k, dtype=float).reshape(2)
     z = np.asarray(z_k, dtype=float).reshape(3)
-    A = np.array(
-        [
-            [1.0, dt, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, dt],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
+    A = _transition(dt)
     B = np.array(
         [
             [0.5 * dt * dt, 0.0],
@@ -136,15 +214,14 @@ def kf_step(state: KalmanState, u_k, z_k, dt: float, config: KalmanConfig) -> Ka
         ]
     )
     x_pred = A @ state.x_hat + B @ u
-    P_pred = A @ state.P @ A.T + config.Q
-
-    S = _H @ P_pred @ _H.T + config.R
-    K = np.linalg.solve(S.T, (_H @ P_pred.T)).T  # P_pred H^T S^-1
+    K, P_new = _gain_step(state.P, A, config)
     x_new = x_pred + K @ (z - _H @ x_pred)
-    ikh = np.eye(4) - K @ _H
-    P_new = ikh @ P_pred @ ikh.T + K @ config.R @ K.T
-    P_new = 0.5 * (P_new + P_new.T)
     return KalmanState(x_hat=x_new, P=P_new, t=state.t + dt)
+
+
+def _drift(m_f, d_mf, beta, c_coef, theta_dot, v_f, tau):
+    """psi from the foot-channel coefficients; floats or numpy arrays."""
+    return d_mf * theta_dot * v_f - m_f * GRAVITY - beta * tau - c_coef * theta_dot * theta_dot
 
 
 def psi(theta: float, theta_dot: float, v_f: float, tau: float, linkage_params: LinkageParams) -> float:
@@ -154,12 +231,29 @@ def psi(theta: float, theta_dot: float, v_f: float, tau: float, linkage_params: 
     gravity, torque and centrifugal contributions.
     """
     co = reduced_dynamics_coeffs(theta, linkage_params)
-    return (
-        co.dMf_dtheta * theta_dot * v_f
-        - co.M_f * GRAVITY
-        - co.beta * tau
-        - co.C_coef * theta_dot * theta_dot
-    )
+    return _drift(co.M_f, co.dMf_dtheta, co.beta, co.C_coef, theta_dot, v_f, tau)
+
+
+def _check_observer_step(dt, k_obs: float) -> None:
+    if np.any(dt <= 0.0):
+        raise ValueError("dt must be positive")
+    if np.any(dt * k_obs >= 1.0):
+        raise ConfigError(
+            f"unstable observer discretization: dt*k_obs = {np.max(dt) * k_obs:.3g} >= 1"
+        )
+
+
+def _observer_recursion(p_hat: float, r: float, dt, drift, gain, momentum) -> tuple[float, list]:
+    """Momentum-observer updates over aligned per-sample sequences.
+
+    Returns the final momentum estimate and the residual after each sample.
+    """
+    residuals = []
+    for h, d, g, m in zip(dt, drift, gain, momentum):
+        p_hat = p_hat + h * (d + r)
+        r = g * (m - p_hat)
+        residuals.append(r)
+    return p_hat, residuals
 
 
 def mo_step(
@@ -178,14 +272,11 @@ def mo_step(
     (1 - exp(-k_obs*dt))/dt, which makes the sampled step response match
     the continuous first-order filter 1 - exp(-k_obs*t) exactly.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if dt * obs.k_obs >= 1.0:
-        raise ConfigError(f"unstable observer discretization: dt*k_obs = {dt * obs.k_obs:.3g} >= 1")
-    p_hat = obs.p_hat + dt * (psi(theta, theta_dot, v_f, tau, linkage_params) + obs.r)
-    gain = (1.0 - math.exp(-obs.k_obs * dt)) / dt
+    _check_observer_step(dt, obs.k_obs)
     co = reduced_dynamics_coeffs(theta, linkage_params)
-    r = gain * (co.M_f * v_f - p_hat)
+    drift = _drift(co.M_f, co.dMf_dtheta, co.beta, co.C_coef, theta_dot, v_f, tau)
+    gain = (1.0 - math.exp(-obs.k_obs * dt)) / dt
+    p_hat, (r,) = _observer_recursion(obs.p_hat, obs.r, [dt], [drift], [gain], [co.M_f * v_f])
     return ObserverState(p_hat=p_hat, r=r, k_obs=obs.k_obs)
 
 
@@ -198,17 +289,33 @@ def run_momentum_observer(
     linkage_params: LinkageParams,
     k_obs: float = 800.0,
 ) -> np.ndarray:
-    """Run the observer over aligned signal arrays; returns the force residual [N]."""
+    """Run the observer over aligned signal arrays; returns the force residual [N].
+
+    Same recursion as repeated `mo_step` calls, with the coefficients,
+    the drift and the per-sample gain evaluated as arrays up front.
+    """
+    theta = np.asarray(theta, dtype=float)
     n = len(t)
-    r_series = np.zeros(n)
-    co0 = reduced_dynamics_coeffs(float(theta[0]), linkage_params)
-    obs = ObserverState(p_hat=co0.M_f * float(v_f[0]), r=0.0, k_obs=k_obs)
-    for k in range(1, n):
-        dt = float(t[k] - t[k - 1])
-        obs = mo_step(
-            obs, float(theta[k]), float(theta_dot[k]), float(v_f[k]), float(tau[k]), dt, linkage_params
+    lk = linkage_params
+    outside = ~((theta >= lk.theta_min) & (theta <= lk.theta_max))
+    if np.any(outside):
+        raise WorkspaceError(
+            f"theta={theta[outside][0]:.6g} outside workspace [{lk.theta_min:.6g}, {lk.theta_max:.6g}]"
         )
-        r_series[k] = obs.r
+    ObserverState(p_hat=0.0, r=0.0, k_obs=k_obs)  # validates k_obs
+    dt = np.diff(t)
+    _check_observer_step(dt, k_obs)
+    _, jac, curv = _geometry(theta, lk.l_upper, lk.l_lower**2, xp=np)
+    m_f, d_mf, beta, c_coef = _foot_channel_coeffs(jac, curv, lk)
+    drift = _drift(m_f, d_mf, beta, c_coef, theta_dot, v_f, tau)
+    momentum = m_f * v_f
+    gain = (1.0 - np.exp(-k_obs * dt)) / dt
+
+    r_series = np.zeros(n)
+    if n > 1:
+        _, r_series[1:] = _observer_recursion(
+            float(momentum[0]), 0.0, dt.tolist(), drift[1:].tolist(), gain.tolist(), momentum[1:].tolist()
+        )
     return r_series
 
 
@@ -220,17 +327,13 @@ def quasi_static_series(frames: Frames, linkage_params: LinkageParams) -> tuple[
     """
     if len(frames) == 0:
         raise ValueError("frames must be nonempty")
-    theta = np.clip(frames.encoder_theta, linkage_params.theta_min, linkage_params.theta_max)
-    tau = linkage_params.torque_constant * frames.motor_current
-    force = np.empty(len(frames))
-    singular = np.zeros(len(frames), dtype=bool)
-    for i, (th, tq) in enumerate(zip(theta, tau)):
-        jac = leg_jacobian(float(th), linkage_params)
-        if abs(jac) < JACOBIAN_EPSILON:
-            force[i] = np.nan
-            singular[i] = True
-        else:
-            force[i] = 2.0 * tq / abs(jac)
+    lk = linkage_params
+    theta = np.clip(frames.encoder_theta, lk.theta_min, lk.theta_max)
+    tau = lk.torque_constant * frames.motor_current
+    jac_abs = np.abs(_geometry(theta, lk.l_upper, lk.l_lower**2, xp=np)[1])
+    singular = jac_abs < JACOBIAN_EPSILON
+    with np.errstate(divide="ignore", invalid="ignore"):
+        force = np.where(singular, np.nan, 2.0 * tau / jac_abs)
     return force, singular
 
 
@@ -251,6 +354,15 @@ class EstimationSeries:
         return self.t.size
 
 
+def kalman_x0(frames: Frames, linkage_params: LinkageParams) -> np.ndarray:
+    """KF x0: body at the first ToF height, foot below it by the encoder
+    leg length, both at rest."""
+    lk = linkage_params
+    theta0 = float(np.clip(frames.encoder_theta[0], lk.theta_min, lk.theta_max))
+    x_b0 = float(frames.tof_height[0])
+    return np.array([x_b0, 0.0, x_b0 - (leg_length(theta0, lk) + lk.mount_offset), 0.0])
+
+
 def run_estimation(
     frames: Frames,
     linkage_params: LinkageParams,
@@ -261,40 +373,44 @@ def run_estimation(
     """Full onboard pipeline over one trial's frames.
 
     The encoder rate is a 5-sample smoothed backward difference of the
-    encoder angle; the Kalman filter runs at the frame rate; the momentum
-    observer consumes raw encoder kinematics plus the filtered foot
-    velocity.
+    encoder angle; the Kalman filter runs at the frame rate over the
+    cached gain sequence (see `_gain_sequence`); the momentum observer
+    consumes raw encoder kinematics plus the filtered foot velocity.
     """
     if len(frames) < 2:
         raise ValueError("need at least two frames")
     dt = float(frames.t[1] - frames.t[0])
-    theta = np.clip(frames.encoder_theta, linkage_params.theta_min, linkage_params.theta_max)
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    lk = linkage_params
+    theta = np.clip(frames.encoder_theta, lk.theta_min, lk.theta_max)
     theta_dot = smoothed_backward_difference(theta, dt, window=5)
 
-    lengths = np.array([leg_length(float(th), linkage_params) for th in theta])
-    jacs = np.array([leg_jacobian(float(th), linkage_params) for th in theta])
-    disp = lengths + linkage_params.mount_offset
-    rate = jacs * theta_dot
+    length, jac, _ = _geometry(theta, lk.l_upper, lk.l_lower**2, xp=np)
+    disp = length + lk.mount_offset
+    rate = jac * theta_dot
 
     if kalman_config is None:
-        x0 = np.array([frames.tof_height[0], 0.0, frames.tof_height[0] - disp[0], 0.0])
         kalman_config = KalmanConfig.from_noise(
-            noise if noise is not None else NoiseConfig(), linkage_params, dt=dt, x0=x0
+            noise if noise is not None else NoiseConfig(), lk, dt=dt, x0=kalman_x0(frames, lk)
         )
-    state = KalmanState(x_hat=kalman_config.x0.copy(), P=kalman_config.P0.copy(), t=float(frames.t[0]))
-
     n = len(frames)
-    x_hat = np.zeros((n, 4))
-    x_hat[0] = state.x_hat
-    for k in range(1, n):
-        u = (frames.imu_body_acc[k], frames.imu_foot_acc[k])
-        z = (frames.tof_height[k], disp[k], rate[k])
-        state = kf_step(state, u, z, dt, kalman_config)
-        x_hat[k] = state.x_hat
+    x_hat = np.empty((n, 4))
+    x_hat[0] = kalman_config.x0
+    x_hat[1:] = _kf_filter(
+        kalman_config.x0.tolist(),
+        frames.imu_body_acc[1:].tolist(),
+        frames.imu_foot_acc[1:].tolist(),
+        frames.tof_height[1:].tolist(),
+        disp[1:].tolist(),
+        rate[1:].tolist(),
+        _gain_sequence(n - 1, dt, kalman_config),
+        dt,
+    )
 
-    tau = linkage_params.torque_constant * frames.motor_current
-    f_mo = run_momentum_observer(frames.t, theta, theta_dot, x_hat[:, 3], tau, linkage_params, k_obs)
-    f_qs, singular = quasi_static_series(frames, linkage_params)
+    tau = lk.torque_constant * frames.motor_current
+    f_mo = run_momentum_observer(frames.t, theta, theta_dot, x_hat[:, 3], tau, lk, k_obs)
+    f_qs, singular = quasi_static_series(frames, lk)
     return EstimationSeries(
         t=frames.t.copy(),
         x_b_hat=x_hat[:, 0],

@@ -17,7 +17,7 @@ import numpy as np
 from . import io
 from .config import ExperimentConfig
 from .errors import MissingInputError, InsufficientDataError
-from .estimation import run_estimation, KalmanConfig
+from .estimation import KalmanConfig, kalman_x0, run_estimation
 from .identification import (
     DepthSpeedFit,
     TrialSamples,
@@ -31,6 +31,7 @@ from .identification import (
 from .simulator import (
     Frames,
     NoiseConfig,
+    TruthSeries,
     run_constant_speed_intrusion,
     run_hop_trial,
 )
@@ -72,14 +73,13 @@ def run_single_hop(
 
 def estimate_from_frames(config: ExperimentConfig, frames: Frames):
     """Run the onboard pipeline with the config's estimation settings."""
-    x0 = np.array([frames.tof_height[0], 0.0, 0.0, 0.0])
     dt = float(frames.t[1] - frames.t[0])
-    from .linkage import leg_length
-
-    theta0 = float(np.clip(frames.encoder_theta[0], config.linkage.theta_min, config.linkage.theta_max))
-    x0[2] = x0[0] - (leg_length(theta0, config.linkage) + config.linkage.mount_offset)
     kconf = KalmanConfig.from_noise(
-        config.noise, config.linkage, dt=dt, x0=x0, p0_scale=config.estimation.p0_scale
+        config.noise,
+        config.linkage,
+        dt=dt,
+        x0=kalman_x0(frames, config.linkage),
+        p0_scale=config.estimation.p0_scale,
     )
     return run_estimation(
         frames, config.linkage, kalman_config=kconf, k_obs=config.estimation.k_obs
@@ -93,14 +93,18 @@ def write_hop_artifacts(config: ExperimentConfig, log, trial_id: str, out_dir: P
     io.write_events_json(paths["events"], log.events, extra={"trial_id": trial_id, "seed": log.seed})
     frames = Frames.from_list(log.frames)
     est = estimate_from_frames(config, frames)
-    decim = config.sim.decimation
-    n = len(est)
-    truth_dec = {
-        name: getattr(log.truth, name)[::decim][:n]
+    io.write_estimation_csv(
+        paths["estimation"], est, decimated_truth(log.truth, config.sim.decimation, len(est))
+    )
+    return paths
+
+
+def decimated_truth(truth: TruthSeries, decimation: int, n: int) -> dict[str, np.ndarray]:
+    """The truth columns the estimation CSV carries, at the sensor rate."""
+    return {
+        name: getattr(truth, name)[::decimation][:n]
         for name in ("x_b", "v_b", "x_f", "v_f", "f_total")
     }
-    io.write_estimation_csv(paths["estimation"], est, truth_dec)
-    return paths
 
 
 def _run_hop_job(args) -> tuple[str, str]:

@@ -43,6 +43,8 @@ ESTIMATION_COLUMNS = (
     "x_b_true", "v_b_true", "x_f_true", "v_f_true", "f_true",
 )
 
+INTRUSION_COLUMNS = ("t", "depth", "speed", "force")
+
 
 def fmt_float(x) -> str:
     return repr(float(x))
@@ -56,14 +58,28 @@ def write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
+def _read_csv(path: Path, columns: tuple[str, ...], kind: str) -> np.ndarray:
+    """Numeric body of a CSV whose header must equal `columns`.
+
+    A missing, empty, header-only, ragged or non-numeric file raises
+    MissingInputError, so the CLI reports it as bad input.
+    """
     if not Path(path).exists():
         raise MissingInputError(f"missing input file: {path}")
-    with open(path, "r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        data = np.array([[float(v) for v in row] for row in reader])
-    return header, data
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or tuple(header) != columns:
+                raise MissingInputError(f"unexpected {kind} header in {path}")
+            data = np.array([[float(v) for v in row] for row in reader], dtype=float)
+    except (OSError, ValueError, csv.Error) as exc:
+        raise MissingInputError(f"malformed {kind} file {path}: {exc}") from exc
+    if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] != len(columns):
+        raise MissingInputError(
+            f"malformed {kind} file {path}: expected at least one row of {len(columns)} numbers"
+        )
+    return data
 
 
 def write_frames_csv(path, frames: list[SensorFrame]) -> None:
@@ -75,9 +91,7 @@ def write_frames_csv(path, frames: list[SensorFrame]) -> None:
 
 
 def read_frames_csv(path) -> Frames:
-    header, data = _read_csv(Path(path))
-    if tuple(header) != FRAME_COLUMNS:
-        raise MissingInputError(f"unexpected frames header in {path}")
+    data = _read_csv(Path(path), FRAME_COLUMNS, "frames")
     return Frames(**{col: data[:, i] for i, col in enumerate(FRAME_COLUMNS)})
 
 
@@ -88,9 +102,7 @@ def write_truth_csv(path, truth: TruthSeries) -> None:
 
 
 def read_truth_csv(path) -> TruthSeries:
-    header, data = _read_csv(Path(path))
-    if tuple(header) != TRUTH_COLUMNS:
-        raise MissingInputError(f"unexpected truth header in {path}")
+    data = _read_csv(Path(path), TRUTH_COLUMNS, "truth")
     kwargs = {col: data[:, i] for i, col in enumerate(TRUTH_COLUMNS)}
     truth = TruthSeries(**kwargs)
     truth.phase_id = truth.phase_id.astype(int)
@@ -112,13 +124,13 @@ def write_events_json(path, events: TrialEvents, extra: dict | None = None) -> N
 
 
 def read_events_json(path) -> TrialEvents:
-    path = Path(path)
-    if not path.exists():
-        raise MissingInputError(f"missing input file: {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    return TrialEvents(
-        t_td=payload["t_td"], t_ce=payload["t_ce"], t_lo=payload["t_lo"], v_td=payload["v_td"]
-    )
+    payload = read_json(path)
+    try:
+        return TrialEvents(
+            t_td=payload["t_td"], t_ce=payload["t_ce"], t_lo=payload["t_lo"], v_td=payload["v_td"]
+        )
+    except (KeyError, TypeError) as exc:
+        raise MissingInputError(f"malformed events file {path}: {exc!r}") from exc
 
 
 def write_estimation_csv(path, est, truth_decimated: dict | None = None) -> None:
@@ -139,9 +151,7 @@ def write_estimation_csv(path, est, truth_decimated: dict | None = None) -> None
 def read_estimation_csv(path):
     from .estimation import EstimationSeries
 
-    header, data = _read_csv(Path(path))
-    if tuple(header) != ESTIMATION_COLUMNS:
-        raise MissingInputError(f"unexpected estimation header in {path}")
+    data = _read_csv(Path(path), ESTIMATION_COLUMNS, "estimation")
     return (
         EstimationSeries(
             t=data[:, 0],
@@ -168,13 +178,11 @@ def write_intrusion_csv(path, log: IntrusionLog) -> None:
         [fmt_float(log.t[i]), fmt_float(log.depth[i]), fmt_float(log.speed), fmt_float(log.force[i])]
         for i in range(log.t.size)
     )
-    write_csv(Path(path), ("t", "depth", "speed", "force"), rows)
+    write_csv(Path(path), INTRUSION_COLUMNS, rows)
 
 
 def read_intrusion_csv(path) -> IntrusionLog:
-    header, data = _read_csv(Path(path))
-    if tuple(header) != ("t", "depth", "speed", "force"):
-        raise MissingInputError(f"unexpected intrusion header in {path}")
+    data = _read_csv(Path(path), INTRUSION_COLUMNS, "intrusion")
     return IntrusionLog(
         speed=float(data[0, 2]), t=data[:, 0], depth=data[:, 1], force=data[:, 3]
     )
@@ -200,4 +208,7 @@ def read_json(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"missing input file: {path}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise MissingInputError(f"malformed JSON file {path}: {exc}") from exc

@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import GRAVITY, JACOBIAN_EPSILON
 from .errors import WorkspaceError, SingularityError
 
@@ -84,16 +86,17 @@ def _check_theta(theta: float, params: LinkageParams) -> None:
         )
 
 
-def _geometry(theta: float, l1: float, l2_sq: float) -> tuple[float, float, float]:
+def _geometry(theta, l1: float, l2_sq: float, xp=math):
     """Leg length, Jacobian dL/dtheta and its derivative d2L/dtheta2.
 
     No bounds check; callers guarantee theta is inside the workspace
-    (the square root stays real for l_lower > l_upper).
+    (the square root stays real for l_lower > l_upper).  `xp` is the math
+    module for a scalar angle or numpy for an array of angles.
     """
-    s = math.sin(theta)
-    c = math.cos(theta)
+    s = xp.sin(theta)
+    c = xp.cos(theta)
     l1_sq = l1 * l1
-    root = math.sqrt(l2_sq - l1_sq * s * s)
+    root = xp.sqrt(l2_sq - l1_sq * s * s)
     length = l1 * c + root
     jac = -l1 * s - l1_sq * s * c / root
     curv = -l1 * c - l1_sq * ((c * c - s * s) / root + l1_sq * s * s * c * c / root**3)
@@ -137,9 +140,17 @@ def reduced_dynamics_coeffs(theta: float, params: LinkageParams) -> DynamicsCoef
     """
     _check_theta(theta, params)
     _, jac, curv = _geometry(theta, params.l_upper, params.l_lower**2)
+    return DynamicsCoeffs(*_foot_channel_coeffs(jac, curv, params))
+
+
+def _foot_channel_coeffs(jac, curv, params: LinkageParams):
+    """(M_f, dMf_dtheta, beta, C_coef) from the leg Jacobian and curvature.
+
+    Plain arithmetic, so `jac` and `curv` may be floats or numpy arrays.
+    """
     m00, m01, m11 = _mass_matrix_entries(jac, params)
     # m11 >= 2*rotor_inertia > 0 by construction; guard anyway.
-    assert m11 > 0.0, "singular joint-channel inertia"
+    assert np.all(m11 > 0.0), "singular joint-channel inertia"
     mb = params.m_body
     m_f = m00 - m01 * m01 / m11
     beta = -2.0 * m01 / m11
@@ -148,7 +159,7 @@ def reduced_dynamics_coeffs(theta: float, params: LinkageParams) -> DynamicsCoef
     d_m01 = mb * curv
     d_m11 = 2.0 * mb * jac * curv
     d_mf = -(2.0 * m01 * d_m01 * m11 - m01 * m01 * d_m11) / (m11 * m11)
-    return DynamicsCoeffs(M_f=m_f, dMf_dtheta=d_mf, beta=beta, C_coef=c_coef)
+    return m_f, d_mf, beta, c_coef
 
 
 def quasi_static_force(tau_per_motor: float, theta: float, params: LinkageParams) -> float:

@@ -16,9 +16,10 @@ def smoothed_backward_difference(x: np.ndarray, dt: float, window: int = 5) -> n
     x = np.asarray(x, dtype=float)
     n = x.size
     out = np.zeros(n)
-    for k in range(1, n):
-        w = min(window, k)
-        out[k] = (x[k] - x[k - w]) / (w * dt)
+    for k in range(1, min(window, n)):
+        out[k] = (x[k] - x[0]) / (k * dt)
+    if n > window:
+        out[window:] = (x[window:] - x[:-window]) / (window * dt)
     return out
 
 

@@ -13,7 +13,7 @@ applying quantization, bias and white noise per channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .controller import ControllerConfig, Phase, PhaseName, next_phase
 from .errors import SimulationError, TrialMalformedError, ConfigError
 from .linkage import LinkageParams, _geometry, solve_theta_for_length
 from .signals import OnlineSmoothedDiff
-from .terrain import TerrainParams, ForceDecomposition, added_mass_profile
+from .terrain import TerrainParams, ForceDecomposition
 
 
 @dataclass(frozen=True)
@@ -213,6 +213,90 @@ class IntrusionLog:
     seed: object = None
 
 
+def plant_kernel(lk: LinkageParams, tr: TerrainParams):
+    """The truth plant of one trial, with its constants bound once.
+
+    Returns `stage(x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr, tau=None)`,
+    which evaluates the leg geometry once and solves the 2x2 system for
+    (a_f, theta_ddot).  The per-motor torque comes from the virtual spring
+    (k_spr, l0_spr, b_spr) unless `tau` is given, in which case the spring
+    is bypassed and f_leg is NaN.  Returns (a_f, theta_ddot, a_b, f_static,
+    f_drag, f_added, f_total, clamped, tau, f_leg, length, jac).
+    """
+    l1 = lk.l_upper
+    l2_sq = lk.l_lower * lk.l_lower
+    mb = lk.m_body
+    m_free = mb + lk.m_foot
+    two_ir = 2.0 * lk.rotor_inertia
+    weight_free = -m_free * GRAVITY
+    weight_body = mb * GRAVITY
+    surface = tr.surface_height
+    k_stiff = tr.k_stiff
+    m_a_inf = tr.m_a_inf
+    z_c = tr.z_c
+    dm_a_scale = tr.m_a_inf / tr.z_c
+    exp = math.exp
+    nan = math.nan
+
+    def stage(x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr, tau=None):
+        length, jac, curv = _geometry(theta, l1, l2_sq)
+        if tau is None:
+            f_leg = k_spr * (l0_spr - length) - b_spr * (jac * theta_dot)
+            tau = 0.5 * f_leg * abs(jac)
+        else:
+            f_leg = nan
+        m01 = mb * jac
+        m11 = m01 * jac + two_ir
+        thd_sq = theta_dot * theta_dot
+        rhs_free = weight_free - mb * curv * thd_sq
+        rhs_t = -2.0 * tau - m01 * curv * thd_sq - weight_body * jac
+
+        z = surface - x_f
+        z_dot = -v_f
+        penetrating = z > 0.0 and z_dot >= 0.0
+        m00 = m_free
+        rhs_f = rhs_free
+        if penetrating:
+            decay = exp(-z / z_c)
+            m_a = m_a_inf * (1.0 - decay)
+            f_static = k_stiff * z
+            f_drag = dm_a_scale * decay * z_dot * z_dot
+            m00 = m_free + m_a
+            rhs_f = rhs_free + (f_static + f_drag)
+        elif z > 0.0:
+            # withdrawing: the grains are abandoned, only the depth term acts
+            f_static = f_total = k_stiff * z
+            f_drag = f_added = 0.0
+            rhs_f = rhs_free + f_static
+        else:
+            f_static = f_drag = f_added = f_total = 0.0
+
+        det = m00 * m11 - m01 * m01
+        a_f = (rhs_f * m11 - m01 * rhs_t) / det
+        theta_ddot = (m00 * rhs_t - m01 * rhs_f) / det
+
+        clamped = False
+        if penetrating:
+            f_added = m_a * (-a_f)
+            f_total = f_static + f_drag + f_added
+            if f_total < 0.0:
+                # Grains cannot pull the foot down: drop all terrain coupling
+                # and re-solve as if detached (rare complementarity corner).
+                clamped = True
+                det = m_free * m11 - m01 * m01
+                a_f = (rhs_free * m11 - m01 * rhs_t) / det
+                theta_ddot = (m_free * rhs_t - m01 * rhs_free) / det
+                f_static = f_drag = f_added = f_total = 0.0
+
+        a_b = a_f + jac * theta_ddot + curv * thd_sq
+        return (
+            a_f, theta_ddot, a_b, f_static, f_drag, f_added, f_total, clamped,
+            tau, f_leg, length, jac,
+        )
+
+    return stage
+
+
 def _accelerations(
     x_f: float,
     v_f: float,
@@ -221,62 +305,12 @@ def _accelerations(
     tau: float,
     lk: LinkageParams,
     tr: TerrainParams,
-) -> tuple[float, float, float, float, float, float, float, bool]:
-    """Solve the 2x2 system for (a_f, theta_ddot); returns contact diagnostics.
+) -> tuple:
+    """Plant accelerations at one instant for a given per-motor torque.
 
     Returns (a_f, theta_ddot, a_b, f_static, f_drag, f_added, f_total, clamped).
     """
-    _, jac, curv = _geometry(theta, lk.l_upper, lk.l_lower * lk.l_lower)
-    mb = lk.m_body
-    mf = lk.m_foot
-    m00 = mb + mf
-    m01 = mb * jac
-    m11 = mb * jac * jac + 2.0 * lk.rotor_inertia
-    thd_sq = theta_dot * theta_dot
-    rhs_f = -(mb + mf) * GRAVITY - mb * curv * thd_sq
-    rhs_t = -2.0 * tau - mb * jac * curv * thd_sq - mb * GRAVITY * jac
-
-    z = tr.surface_height - x_f
-    z_dot = -v_f
-    penetrating = z > 0.0 and z_dot >= 0.0
-    withdrawing = z > 0.0 and z_dot < 0.0
-    m_a = dm_a = 0.0
-    if penetrating:
-        m_a, dm_a = added_mass_profile(z, tr)
-        m00 += m_a
-        rhs_f += tr.k_stiff * z + dm_a * z_dot * z_dot
-    elif withdrawing:
-        rhs_f += tr.k_stiff * z
-
-    det = m00 * m11 - m01 * m01
-    a_f = (rhs_f * m11 - m01 * rhs_t) / det
-    theta_ddot = (m00 * rhs_t - m01 * rhs_f) / det
-
-    clamped = False
-    if penetrating:
-        f_static = tr.k_stiff * z
-        f_drag = dm_a * z_dot * z_dot
-        f_added = m_a * (-a_f)
-        f_total = f_static + f_drag + f_added
-        if f_total < 0.0:
-            # Grains cannot pull the foot down: drop all terrain coupling
-            # and re-solve as if detached (rare complementarity corner).
-            clamped = True
-            m00 = mb + mf
-            rhs_f = -(mb + mf) * GRAVITY - mb * curv * thd_sq
-            det = m00 * m11 - m01 * m01
-            a_f = (rhs_f * m11 - m01 * rhs_t) / det
-            theta_ddot = (m00 * rhs_t - m01 * rhs_f) / det
-            f_static = f_drag = f_added = f_total = 0.0
-    elif withdrawing:
-        f_static = tr.k_stiff * z
-        f_drag = f_added = 0.0
-        f_total = f_static
-    else:
-        f_static = f_drag = f_added = f_total = 0.0
-
-    a_b = a_f + jac * theta_ddot + curv * thd_sq
-    return a_f, theta_ddot, a_b, f_static, f_drag, f_added, f_total, clamped
+    return plant_kernel(lk, tr)(x_f, v_f, theta, theta_dot, 0.0, 0.0, 0.0, tau)[:8]
 
 
 def dynamics_derivative(
@@ -488,66 +522,57 @@ def run_hop_trial(
     phase = Phase(PhaseName.FLIGHT, 0.0)
 
     sampler = SensorSampler(noise, lk, rng, sim_config.sensor_period)
-    l1 = lk.l_upper
-    l2_sq = lk.l_lower * lk.l_lower
+    stage = plant_kernel(lk, tr)
     th_lo, th_hi = lk.theta_min, lk.theta_max
+    surface = tr.surface_height
+    mount = lk.mount_offset
+    half_dt = 0.5 * dt
+    sixth_dt = dt / 6.0
 
     # spring selection per phase: (k, l0, damping)
-    spring = {
-        int(PhaseName.FLIGHT): (cc.k_compress, cc.l0_compress, cc.b_flight),
-        int(PhaseName.COMPRESSION): (cc.k_compress, cc.l0_compress, cc.b_stance),
-        int(PhaseName.EXTENSION): (cc.k_extend, cc.l0_extend, cc.b_stance),
+    springs = {
+        PhaseName.FLIGHT: (cc.k_compress, cc.l0_compress, cc.b_flight),
+        PhaseName.COMPRESSION: (cc.k_compress, cc.l0_compress, cc.b_stance),
+        PhaseName.EXTENSION: (cc.k_extend, cc.l0_extend, cc.b_stance),
     }
+    k_spr, l0_spr, b_spr = springs[phase.name]
+    phase_id = float(int(phase.name))
 
-    cols: dict[str, list[float]] = {
-        name: []
-        for name in (
-            "t", "x_b", "v_b", "x_f", "v_f", "theta", "theta_dot", "acc_b", "acc_f",
-            "f_static", "f_drag", "f_added", "f_total", "tau", "f_leg", "phase_id",
-        )
-    }
+    rows: list[tuple] = []
     frames: list[SensorFrame] = []
     clamp_events = 0
     f_prev = 0.0
     t = 0.0
     t_stop = sim_config.t_max
 
-    def stage(xf, vf, th, thd, k_spr, l0_spr, b_spr):
-        length, jac, _ = _geometry(th, l1, l2_sq)
-        l_rate = jac * thd
-        f_leg = k_spr * (l0_spr - length) - b_spr * l_rate
-        tau = 0.5 * f_leg * abs(jac)
-        out = _accelerations(xf, vf, th, thd, tau, lk, tr)
-        return out, tau, f_leg, length, l_rate
-
     for step in range(n_max):
-        length, jac, _ = _geometry(theta, l1, l2_sq)
-        l_rate = jac * theta_dot
+        # stage 1 under the current spring also yields the geometry the
+        # phase machine needs; a phase switch re-evaluates it
+        a_f, thdd, a_b, fs, fd, fa, ft, clamped, tau, f_leg, length, jac = stage(
+            x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr
+        )
         new_phase = next_phase(
-            phase, length, l_rate, x_f, v_f, f_prev, t, cc, tr.surface_height
+            phase, length, jac * theta_dot, x_f, v_f, f_prev, t, cc, surface
         )
         if new_phase.name != phase.name:
             phase = new_phase
             if phase.name == PhaseName.FLIGHT:
                 t_stop = min(t_stop, t + sim_config.post_liftoff_time)
-        k_spr, l0_spr, b_spr = spring[int(phase.name)]
-
-        (a_f, thdd, a_b, fs, fd, fa, ft, clamped), tau, f_leg, length, l_rate = stage(
-            x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr
-        )
+            k_spr, l0_spr, b_spr = springs[phase.name]
+            phase_id = float(int(phase.name))
+            a_f, thdd, a_b, fs, fd, fa, ft, clamped, tau, f_leg, length, jac = stage(
+                x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr
+            )
         if clamped:
             clamp_events += 1
         f_prev = ft
 
         v_b = v_f + jac * theta_dot
-        x_b = x_f + length + lk.mount_offset
-        for name, val in (
-            ("t", t), ("x_b", x_b), ("v_b", v_b), ("x_f", x_f), ("v_f", v_f),
-            ("theta", theta), ("theta_dot", theta_dot), ("acc_b", a_b), ("acc_f", a_f),
-            ("f_static", fs), ("f_drag", fd), ("f_added", fa), ("f_total", ft),
-            ("tau", tau), ("f_leg", f_leg), ("phase_id", float(int(phase.name))),
-        ):
-            cols[name].append(val)
+        x_b = x_f + length + mount
+        rows.append((
+            t, x_b, v_b, x_f, v_f, theta, theta_dot, a_b, a_f,
+            fs, fd, fa, ft, tau, f_leg, phase_id,
+        ))
 
         if step % decim == 0:
             frames.append(
@@ -558,30 +583,26 @@ def run_hop_trial(
             )
 
         # RK4 with the phase (and spring law) frozen across the step
-        k1 = (v_f, a_f, theta_dot, thdd)
-        (a2, tdd2, *_), _, _, _, _ = stage(
-            x_f + 0.5 * dt * k1[0], v_f + 0.5 * dt * k1[1],
-            theta + 0.5 * dt * k1[2], theta_dot + 0.5 * dt * k1[3],
-            k_spr, l0_spr, b_spr,
-        )
-        k2 = (v_f + 0.5 * dt * k1[1], a2, theta_dot + 0.5 * dt * k1[3], tdd2)
-        (a3, tdd3, *_), _, _, _, _ = stage(
-            x_f + 0.5 * dt * k2[0], v_f + 0.5 * dt * k2[1],
-            theta + 0.5 * dt * k2[2], theta_dot + 0.5 * dt * k2[3],
-            k_spr, l0_spr, b_spr,
-        )
-        k3 = (v_f + 0.5 * dt * k2[1], a3, theta_dot + 0.5 * dt * k2[3], tdd3)
-        (a4, tdd4, *_), _, _, _, _ = stage(
-            x_f + dt * k3[0], v_f + dt * k3[1],
-            theta + dt * k3[2], theta_dot + dt * k3[3],
-            k_spr, l0_spr, b_spr,
-        )
-        k4 = (v_f + dt * k3[1], a4, theta_dot + dt * k3[3], tdd4)
+        x2 = x_f + half_dt * v_f
+        v2 = v_f + half_dt * a_f
+        th2 = theta + half_dt * theta_dot
+        thd2 = theta_dot + half_dt * thdd
+        a2, tdd2 = stage(x2, v2, th2, thd2, k_spr, l0_spr, b_spr)[:2]
+        x3 = x_f + half_dt * v2
+        v3 = v_f + half_dt * a2
+        th3 = theta + half_dt * thd2
+        thd3 = theta_dot + half_dt * tdd2
+        a3, tdd3 = stage(x3, v3, th3, thd3, k_spr, l0_spr, b_spr)[:2]
+        x4 = x_f + dt * v3
+        v4 = v_f + dt * a3
+        th4 = theta + dt * thd3
+        thd4 = theta_dot + dt * tdd3
+        a4, tdd4 = stage(x4, v4, th4, thd4, k_spr, l0_spr, b_spr)[:2]
 
-        x_f += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        v_f += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        theta += dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        theta_dot += dt / 6.0 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+        x_f += sixth_dt * (v_f + 2.0 * v2 + 2.0 * v3 + v4)
+        v_f += sixth_dt * (a_f + 2.0 * a2 + 2.0 * a3 + a4)
+        theta += sixth_dt * (theta_dot + 2.0 * thd2 + 2.0 * thd3 + thd4)
+        theta_dot += sixth_dt * (thdd + 2.0 * tdd2 + 2.0 * tdd3 + tdd4)
         t = (step + 1) * dt
 
         if not (math.isfinite(x_f) and math.isfinite(v_f) and math.isfinite(theta) and math.isfinite(theta_dot)):
@@ -593,8 +614,8 @@ def run_hop_trial(
         if t >= t_stop:
             break
 
-    truth = TruthSeries(**{name: np.asarray(vals, dtype=float) for name, vals in cols.items()})
-    truth.phase_id = truth.phase_id.astype(int)
+    *columns, phase_col = np.array(rows, dtype=float).reshape(len(rows), len(fields(TruthSeries))).T
+    truth = TruthSeries(*columns, phase_id=phase_col.astype(int))
     events = detect_events(truth, tr.surface_height)
     return TrialLog(
         frames=frames,

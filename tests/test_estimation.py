@@ -313,3 +313,101 @@ def test_pipeline_requires_two_frames(noiseless_frames, linkage):
         "tof_height", "motor_current", "loadcell_force")})
     with pytest.raises(ValueError):
         run_estimation(short, linkage)
+
+
+# ------------------------------------------- cached gains, array observer
+
+
+def _reference_estimation(frames, linkage, kconf, k_obs):
+    """The pipeline one sample at a time through kf_step and mo_step."""
+    from hopperlab.linkage import leg_jacobian, leg_length, quasi_static_force
+
+    n = len(frames)
+    dt = float(frames.t[1] - frames.t[0])
+    theta = [
+        float(np.clip(th, linkage.theta_min, linkage.theta_max)) for th in frames.encoder_theta
+    ]
+    theta_dot = [0.0] + [
+        (theta[k] - theta[k - min(5, k)]) / (min(5, k) * dt) for k in range(1, n)
+    ]
+    state = KalmanState(x_hat=kconf.x0.copy(), P=kconf.P0.copy(), t=float(frames.t[0]))
+    x_hat = [state.x_hat]
+    for k in range(1, n):
+        z = (
+            frames.tof_height[k],
+            leg_length(theta[k], linkage) + linkage.mount_offset,
+            leg_jacobian(theta[k], linkage) * theta_dot[k],
+        )
+        state = kf_step(state, (frames.imu_body_acc[k], frames.imu_foot_acc[k]), z, dt, kconf)
+        x_hat.append(state.x_hat)
+    x_hat = np.array(x_hat)
+    tau = linkage.torque_constant * frames.motor_current
+    obs = ObserverState(
+        p_hat=reduced_dynamics_coeffs(theta[0], linkage).M_f * x_hat[0, 3], r=0.0, k_obs=k_obs
+    )
+    f_mo = [0.0]
+    for k in range(1, n):
+        h = float(frames.t[k] - frames.t[k - 1])
+        obs = mo_step(obs, theta[k], theta_dot[k], x_hat[k, 3], tau[k], h, linkage)
+        f_mo.append(obs.r)
+    f_qs = [quasi_static_force(tq, th, linkage) for tq, th in zip(tau, theta)]
+    return x_hat, np.array(f_mo), np.array(f_qs)
+
+
+def test_run_estimation_matches_per_sample_reference(noisy_frames, linkage):
+    from hopperlab.estimation import kalman_x0
+
+    kconf = KalmanConfig.from_noise(NoiseConfig(), linkage, dt=1e-3, x0=kalman_x0(noisy_frames, linkage))
+    est = run_estimation(noisy_frames, linkage, kalman_config=kconf, k_obs=800.0)
+    x_ref, f_mo_ref, f_qs_ref = _reference_estimation(noisy_frames, linkage, kconf, 800.0)
+    got = np.column_stack([est.x_b_hat, est.v_b_hat, est.x_f_hat, est.v_f_hat])
+    for col in range(4):
+        scale = np.abs(x_ref[:, col]).max()
+        assert np.abs(got[:, col] - x_ref[:, col]).max() <= 1e-12 * scale
+    assert np.abs(est.f_mo - f_mo_ref).max() <= 1e-12 * np.abs(f_mo_ref).max()
+    assert np.abs(est.f_qs - f_qs_ref).max() <= 1e-12 * np.abs(f_qs_ref).max()
+    assert not est.qs_singular.any()
+
+
+def _estimation_arrays(est):
+    return np.column_stack([est.x_b_hat, est.v_b_hat, est.x_f_hat, est.v_f_hat, est.f_qs, est.f_mo])
+
+
+def test_gain_cache_cold_and_warm_runs_are_bit_identical(noisy_frames, noiseless_frames, linkage):
+    from hopperlab import estimation
+
+    n_short = len(noisy_frames) // 3
+    short = Frames(**{k: v[:n_short] for k, v in vars(noisy_frames).items()})
+    estimation._GAIN_CACHE.clear()
+    cold = _estimation_arrays(run_estimation(noisy_frames, linkage))
+    warm = _estimation_arrays(run_estimation(noisy_frames, linkage))
+    assert cold.tobytes() == warm.tobytes()
+    # a cache first filled by a shorter trial is extended, not restarted
+    estimation._GAIN_CACHE.clear()
+    run_estimation(short, linkage)
+    extended = _estimation_arrays(run_estimation(noisy_frames, linkage))
+    assert cold.tobytes() == extended.tobytes()
+    # a different noise model keys a different gain sequence
+    ideal = run_estimation(noiseless_frames, linkage, noise=NoiseConfig.noiseless())
+    assert len(estimation._GAIN_CACHE) == 2
+    assert np.isfinite(ideal.x_b_hat).all()
+
+
+def test_unstable_observer_gain_rejected_by_pipeline(noisy_frames, noiseless_trial, linkage):
+    with pytest.raises(ConfigError):
+        run_estimation(noisy_frames, linkage, k_obs=1000.0)
+    truth = decimate_truth(noiseless_trial)
+    with pytest.raises(ConfigError):
+        run_momentum_observer(
+            truth["t"], truth["theta"], truth["theta_dot"], truth["v_f"], truth["tau"], linkage, k_obs=1500.0
+        )
+
+
+def test_observer_rejects_out_of_workspace_angle(noiseless_trial, linkage):
+    from hopperlab.errors import WorkspaceError
+
+    truth = decimate_truth(noiseless_trial)
+    theta = truth["theta"].copy()
+    theta[10] = linkage.theta_max + 0.1
+    with pytest.raises(WorkspaceError):
+        run_momentum_observer(truth["t"], theta, truth["theta_dot"], truth["v_f"], truth["tau"], linkage)

@@ -335,3 +335,161 @@ def test_blowup_reported_with_time(linkage, terrain, controller):
 
     with pytest.raises(SimulationError, match=r"t="):
         run_hop_trial(SimConfig(drop_speed=3.0), controller, terrain, linkage, seed=0)
+
+
+# ------------------------------------------------- fused plant kernel
+
+from hypothesis import example, given, settings, strategies as st
+
+from hopperlab.linkage import _geometry
+from hopperlab.simulator import plant_kernel
+from hopperlab.terrain import added_mass_profile
+
+_LK = LinkageParams()
+_TR = TerrainParams()
+
+
+def _reference_accelerations(x_f, v_f, theta, theta_dot, tau, lk, tr):
+    """The plant equations written out term by term, one geometry call per use."""
+    _, jac, curv = _geometry(theta, lk.l_upper, lk.l_lower * lk.l_lower)
+    mb = lk.m_body
+    mf = lk.m_foot
+    m00 = mb + mf
+    m01 = mb * jac
+    m11 = mb * jac * jac + 2.0 * lk.rotor_inertia
+    thd_sq = theta_dot * theta_dot
+    rhs_f = -(mb + mf) * GRAVITY - mb * curv * thd_sq
+    rhs_t = -2.0 * tau - mb * jac * curv * thd_sq - mb * GRAVITY * jac
+
+    z = tr.surface_height - x_f
+    z_dot = -v_f
+    penetrating = z > 0.0 and z_dot >= 0.0
+    withdrawing = z > 0.0 and z_dot < 0.0
+    m_a = dm_a = 0.0
+    if penetrating:
+        m_a, dm_a = added_mass_profile(z, tr)
+        m00 += m_a
+        rhs_f += tr.k_stiff * z + dm_a * z_dot * z_dot
+    elif withdrawing:
+        rhs_f += tr.k_stiff * z
+
+    det = m00 * m11 - m01 * m01
+    a_f = (rhs_f * m11 - m01 * rhs_t) / det
+    theta_ddot = (m00 * rhs_t - m01 * rhs_f) / det
+
+    clamped = False
+    if penetrating:
+        f_static = tr.k_stiff * z
+        f_drag = dm_a * z_dot * z_dot
+        f_added = m_a * (-a_f)
+        f_total = f_static + f_drag + f_added
+        if f_total < 0.0:
+            clamped = True
+            m00 = mb + mf
+            rhs_f = -(mb + mf) * GRAVITY - mb * curv * thd_sq
+            det = m00 * m11 - m01 * m01
+            a_f = (rhs_f * m11 - m01 * rhs_t) / det
+            theta_ddot = (m00 * rhs_t - m01 * rhs_f) / det
+            f_static = f_drag = f_added = f_total = 0.0
+    elif withdrawing:
+        f_static = tr.k_stiff * z
+        f_drag = f_added = 0.0
+        f_total = f_static
+    else:
+        f_static = f_drag = f_added = f_total = 0.0
+
+    a_b = a_f + jac * theta_ddot + curv * thd_sq
+    return a_f, theta_ddot, a_b, f_static, f_drag, f_added, f_total, clamped
+
+
+def _reference_stage(x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr, lk, tr):
+    length, jac, _ = _geometry(theta, lk.l_upper, lk.l_lower * lk.l_lower)
+    f_leg = k_spr * (l0_spr - length) - b_spr * (jac * theta_dot)
+    tau = 0.5 * f_leg * abs(jac)
+    return _reference_accelerations(x_f, v_f, theta, theta_dot, tau, lk, tr) + (tau, f_leg, length, jac)
+
+
+def _branch(x_f, v_f, theta, theta_dot, tau):
+    z = _TR.surface_height - x_f
+    if z <= 0.0:
+        return "free"
+    if v_f > 0.0:
+        return "withdrawing"
+    clamped = _reference_accelerations(x_f, v_f, theta, theta_dot, tau, _LK, _TR)[7]
+    return "clamped" if clamped else "penetrating"
+
+
+# (x_f, v_f, theta, theta_dot, tau), one per branch of the contact law
+_BRANCH_EXAMPLES = {
+    "free": (0.02, -0.5, 0.8, 3.0, 0.4),
+    "penetrating": (-0.01, -0.8, 0.9, -4.0, 1.2),
+    "withdrawing": (-0.01, 0.6, 0.7, 5.0, 0.9),
+    "clamped": (-0.00849720533105161, -1.099321266701426, 1.2250377648878472, -16.161467460375153, -8.959573978711807),
+}
+
+
+def _bits(values):
+    return [repr(v) for v in values]
+
+
+def test_branch_examples_cover_every_contact_branch():
+    assert {name: _branch(*args) for name, args in _BRANCH_EXAMPLES.items()} == {
+        name: name for name in _BRANCH_EXAMPLES
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    x_f=st.floats(-0.08, 0.05),
+    v_f=st.floats(-3.0, 3.0),
+    theta=st.floats(_LK.theta_min, _LK.theta_max),
+    theta_dot=st.floats(-30.0, 30.0),
+    tau=st.floats(-10.0, 10.0),
+)
+@example(*_BRANCH_EXAMPLES["free"])
+@example(*_BRANCH_EXAMPLES["penetrating"])
+@example(*_BRANCH_EXAMPLES["withdrawing"])
+@example(*_BRANCH_EXAMPLES["clamped"])
+@example(x_f=-0.01, v_f=0.0, theta=0.8, theta_dot=0.0, tau=0.5)
+@example(x_f=0.0, v_f=-1.0, theta=0.8, theta_dot=0.0, tau=0.5)
+def test_plant_kernel_matches_reference_bit_for_bit(x_f, v_f, theta, theta_dot, tau):
+    stage = plant_kernel(_LK, _TR)
+    got = stage(x_f, v_f, theta, theta_dot, 0.0, 0.0, 0.0, tau)
+    assert _bits(got[:8]) == _bits(_reference_accelerations(x_f, v_f, theta, theta_dot, tau, _LK, _TR))
+    assert got[8] == tau and math.isnan(got[9])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x_f=st.floats(-0.08, 0.05),
+    v_f=st.floats(-3.0, 3.0),
+    theta=st.floats(_LK.theta_min, _LK.theta_max),
+    theta_dot=st.floats(-30.0, 30.0),
+    k_spr=st.floats(100.0, 800.0),
+    l0_spr=st.floats(0.3, 0.44),
+    b_spr=st.floats(0.0, 30.0),
+)
+def test_plant_kernel_spring_stage_matches_reference(x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr):
+    stage = plant_kernel(_LK, _TR)
+    got = stage(x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr)
+    want = _reference_stage(x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr, _LK, _TR)
+    assert _bits(got) == _bits(want)
+
+
+def test_truth_log_matches_kernel_at_logged_states(noisy_trial, linkage, terrain, controller):
+    # every logged row is the kernel evaluated at that row's state and phase spring
+    stage = plant_kernel(linkage, terrain)
+    truth = noisy_trial.truth
+    springs = {
+        int(PhaseName.FLIGHT): (controller.k_compress, controller.l0_compress, controller.b_flight),
+        int(PhaseName.COMPRESSION): (controller.k_compress, controller.l0_compress, controller.b_stance),
+        int(PhaseName.EXTENSION): (controller.k_extend, controller.l0_extend, controller.b_stance),
+    }
+    for i in range(0, len(truth), 97):
+        out = stage(truth.x_f[i], truth.v_f[i], truth.theta[i], truth.theta_dot[i], *springs[truth.phase_id[i]])
+        a_f, thdd, a_b, fs, fd, fa, ft, _, tau, f_leg, length, jac = out
+        assert (a_f, a_b, fs, fd, fa, ft, tau, f_leg) == (
+            truth.acc_f[i], truth.acc_b[i], truth.f_static[i], truth.f_drag[i],
+            truth.f_added[i], truth.f_total[i], truth.tau[i], truth.f_leg[i],
+        )
+        assert truth.x_b[i] == truth.x_f[i] + length + linkage.mount_offset
