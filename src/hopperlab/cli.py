@@ -3,7 +3,8 @@
 Commands
     simulate   one hop trial (frames/truth/events + estimation CSVs)
     intrude    constant-speed intrusion grid
-    estimate   estimation CSVs from existing frame CSVs
+    estimate   estimation CSVs from existing frame CSVs (truth columns from
+               `_truth.csv`, else from the previous estimation CSV, else NaN)
     identify   treatment report + intrusion-model fit from existing logs
     sweep      full grid: hops + intrusions + estimation + identification
     report     summary JSON + plot-ready CSVs
@@ -20,6 +21,8 @@ import dataclasses
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import io
 from .config import ExperimentConfig, load_config
@@ -52,6 +55,7 @@ def cmd_simulate(config: ExperimentConfig, args) -> int:
     for seed in seeds:
         log, trial_id = run_single_hop(config, config.sim.drop_speed, kc_ncm, seed)
         write_hop_artifacts(config, log, trial_id, out)
+        io.write_truth_csv(out / f"{trial_id}_truth.csv", log.truth)
         print(f"wrote trial {trial_id} to {out}")
     return 0
 
@@ -77,6 +81,24 @@ def cmd_intrude(config: ExperimentConfig, args) -> int:
     return 0
 
 
+def _truth_for(config: ExperimentConfig, frames_path: Path, est_path: Path, est) -> dict | None:
+    """Ground truth at the sensor rate for a re-estimated trial: from its
+    `_truth.csv` (written by `simulate`), else from the truth columns of its
+    existing `_estimation.csv` (a sweep trial), else None (NaN columns)."""
+    truth_path = Path(str(frames_path).replace("_frames.csv", "_truth.csv"))
+    if truth_path.exists():
+        return decimated_truth(io.read_truth_csv(truth_path), config.sim.decimation, len(est))
+    if not est_path.exists():
+        return None
+    previous, truth = io.read_estimation_csv(est_path)
+    if not np.array_equal(previous.t, est.t):
+        raise MissingInputError(
+            f"{est_path} does not match the time base of {frames_path}; "
+            "delete it to re-estimate without ground truth"
+        )
+    return truth
+
+
 def cmd_estimate(config: ExperimentConfig, args) -> int:
     out = _resolve_out(config, args)
     frame_files = sorted(out.glob("*_frames.csv"))
@@ -85,12 +107,8 @@ def cmd_estimate(config: ExperimentConfig, args) -> int:
     for path in frame_files:
         frames = io.read_frames_csv(path)
         est = estimate_from_frames(config, frames)
-        truth_path = Path(str(path).replace("_frames.csv", "_truth.csv"))
-        truth_dec = None
-        if truth_path.exists():
-            truth_dec = decimated_truth(io.read_truth_csv(truth_path), config.sim.decimation, len(est))
         est_path = Path(str(path).replace("_frames.csv", "_estimation.csv"))
-        io.write_estimation_csv(est_path, est, truth_dec)
+        io.write_estimation_csv(est_path, est, _truth_for(config, path, est_path, est))
     print(f"estimated {len(frame_files)} trials in {out}")
     return 0
 

@@ -4,6 +4,12 @@ A sweep writes its manifest before any trial runs, so an interrupted run
 can be resumed; completed trials (all output files present) are skipped
 and the final artifacts are identical to an uninterrupted run.  Trials
 are independent, so the hop grid can be dispatched to a process pool.
+
+A hop trial's artifacts are its sensor frames, events and estimation CSV;
+the estimation CSV carries the ground truth at the sensor rate, which is
+all that identification and reporting read.  The 10 kHz truth log is not
+written by a sweep: `hopperlab simulate` at the trial's speed, stiffness
+and seed rebuilds the trial bit for bit and writes it as `<id>_truth.csv`.
 """
 
 from __future__ import annotations
@@ -49,7 +55,6 @@ def intrusion_trial_id(speed: float, repeat: int) -> str:
 def _hop_paths(out_dir: Path, trial_id: str) -> dict[str, Path]:
     return {
         "frames": out_dir / f"{trial_id}_frames.csv",
-        "truth": out_dir / f"{trial_id}_truth.csv",
         "events": out_dir / f"{trial_id}_events.json",
         "estimation": out_dir / f"{trial_id}_estimation.csv",
     }
@@ -89,7 +94,6 @@ def estimate_from_frames(config: ExperimentConfig, frames: Frames):
 def write_hop_artifacts(config: ExperimentConfig, log, trial_id: str, out_dir: Path) -> dict[str, Path]:
     paths = _hop_paths(out_dir, trial_id)
     io.write_frames_csv(paths["frames"], log.frames)
-    io.write_truth_csv(paths["truth"], log.truth)
     io.write_events_json(paths["events"], log.events, extra={"trial_id": trial_id, "seed": log.seed})
     frames = Frames.from_list(log.frames)
     est = estimate_from_frames(config, frames)
@@ -320,14 +324,10 @@ def _write_representative_trial_figs(config: ExperimentConfig, out_dir: Path) ->
     frames = io.read_frames_csv(entry["paths"]["frames"])
     mask = (est.t >= events.t_td) & (est.t <= events.t_lo)
     z_hat = np.maximum(0.0, -est.x_f_hat)
-    rows = [
-        [io.fmt_float(est.t[i]), io.fmt_float(z_hat[i]), io.fmt_float(frames.loadcell_force[i]), io.fmt_float(est.f_qs[i]), io.fmt_float(est.f_mo[i])]
-        for i in np.flatnonzero(mask)
-    ]
-    io.write_csv(
+    io.write_columns_csv(
         out_dir / "force_depth_trial.csv",
         ("t", "depth", "f_loadcell", "f_qs", "f_mo"),
-        rows,
+        [est.t[mask], z_hat[mask], frames.loadcell_force[mask], est.f_qs[mask], est.f_mo[mask]],
     )
 
     fit_path = out_dir / "depth_speed_fit.json"
@@ -347,8 +347,6 @@ def _write_representative_trial_figs(config: ExperimentConfig, out_dir: Path) ->
     predicted, residual = added_mass_reconstruction(
         fit, z_t[mask], zd_t[mask], zdd[mask], frames.loadcell_force[mask]
     )
-    rows = [
-        [io.fmt_float(t), io.fmt_float(r), io.fmt_float(p)]
-        for t, r, p in zip(est.t[mask], residual, predicted)
-    ]
-    io.write_csv(out_dir / "added_mass_residual.csv", ("t", "residual", "predicted"), rows)
+    io.write_columns_csv(
+        out_dir / "added_mass_residual.csv", ("t", "residual", "predicted"), [est.t[mask], residual, predicted]
+    )

@@ -2,13 +2,17 @@
 
 All CSVs carry a one-line header and shortest-round-trip float formatting
 (repr), so identical runs produce byte-identical bodies.  No timestamps
-or environment data are ever written into data files.
+or environment data are ever written into data files.  Every writer
+fills a temporary file beside its target and renames it into place, so
+a crash mid-write leaves the previous file (or none), never a partial one.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +54,37 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
-def write_csv(path: Path, header, rows) -> None:
+@contextmanager
+def _replacing(path: Path, newline=None):
+    """A text handle on a temporary file beside `path` that replaces `path`
+    only once the block completes; if the block raises, the temporary file
+    is removed and `path` is left as it was."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path: Path, header, rows) -> None:
+    with _replacing(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_columns_csv(path, header, columns) -> None:
+    """A CSV whose i-th column holds `columns[i]`, each value written as the
+    shortest repr that round-trips its float64 value (ints as `1.0`)."""
+    cells = [list(map(repr, np.asarray(col, dtype=float).tolist())) for col in columns]
+    if len({len(col) for col in cells}) > 1:
+        raise ValueError(f"columns of {path} differ in length: {[len(col) for col in cells]}")
+    write_csv(path, header, zip(*cells))
 
 
 def _read_csv(path: Path, columns: tuple[str, ...], kind: str) -> np.ndarray:
@@ -83,11 +112,8 @@ def _read_csv(path: Path, columns: tuple[str, ...], kind: str) -> np.ndarray:
 
 
 def write_frames_csv(path, frames: list[SensorFrame]) -> None:
-    rows = (
-        [fmt_float(getattr(f, col)) for col in FRAME_COLUMNS]
-        for f in frames
-    )
-    write_csv(Path(path), FRAME_COLUMNS, rows)
+    columns = [[getattr(f, col) for f in frames] for col in FRAME_COLUMNS]
+    write_columns_csv(path, FRAME_COLUMNS, columns)
 
 
 def read_frames_csv(path) -> Frames:
@@ -96,9 +122,7 @@ def read_frames_csv(path) -> Frames:
 
 
 def write_truth_csv(path, truth: TruthSeries) -> None:
-    cols = [getattr(truth, name) for name in TRUTH_COLUMNS]
-    rows = ([fmt_float(col[i]) for col in cols] for i in range(len(truth)))
-    write_csv(Path(path), TRUTH_COLUMNS, rows)
+    write_columns_csv(path, TRUTH_COLUMNS, [getattr(truth, name) for name in TRUTH_COLUMNS])
 
 
 def read_truth_csv(path) -> TruthSeries:
@@ -118,9 +142,7 @@ def write_events_json(path, events: TrialEvents, extra: dict | None = None) -> N
     }
     if extra:
         payload.update(extra)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, payload)
 
 
 def read_events_json(path) -> TrialEvents:
@@ -144,8 +166,7 @@ def write_estimation_csv(path, est, truth_decimated: dict | None = None) -> None
         truth_decimated.get("x_f", nan), truth_decimated.get("v_f", nan),
         truth_decimated.get("f_total", nan),
     ]
-    rows = ([fmt_float(col[i]) for col in cols] for i in range(n))
-    write_csv(Path(path), ESTIMATION_COLUMNS, rows)
+    write_columns_csv(path, ESTIMATION_COLUMNS, cols)
 
 
 def read_estimation_csv(path):
@@ -174,11 +195,8 @@ def read_estimation_csv(path):
 
 
 def write_intrusion_csv(path, log: IntrusionLog) -> None:
-    rows = (
-        [fmt_float(log.t[i]), fmt_float(log.depth[i]), fmt_float(log.speed), fmt_float(log.force[i])]
-        for i in range(log.t.size)
-    )
-    write_csv(Path(path), INTRUSION_COLUMNS, rows)
+    speed = np.full(log.t.size, log.speed, dtype=float)
+    write_columns_csv(path, INTRUSION_COLUMNS, [log.t, log.depth, speed, log.force])
 
 
 def read_intrusion_csv(path) -> IntrusionLog:
@@ -189,19 +207,15 @@ def read_intrusion_csv(path) -> IntrusionLog:
 
 
 def write_force_map_csv(path, depths, speeds, surface) -> None:
-    surface = np.asarray(surface)
-    rows = (
-        [fmt_float(depths[i]), fmt_float(speeds[j]), fmt_float(surface[i, j])]
-        for i in range(len(depths))
-        for j in range(len(speeds))
-    )
-    write_csv(Path(path), ("depth", "speed", "force"), rows)
+    """One row per (depth, speed) grid point, depth-major."""
+    columns = [np.repeat(depths, len(speeds)), np.tile(speeds, len(depths)), np.ravel(surface)]
+    write_columns_csv(path, ("depth", "speed", "force"), columns)
 
 
 def write_json(path, payload: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with _replacing(path) as handle:
+        handle.write(text)
 
 
 def read_json(path) -> dict:

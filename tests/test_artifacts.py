@@ -1,0 +1,127 @@
+"""Which artifacts sweep and simulate write, and where `estimate` finds truth.
+
+A sweep writes frames, events and estimation files per hop; the 10 kHz
+truth log comes only from `simulate`, which rebuilds any sweep trial
+bit for bit.  `estimate` takes the truth columns of the estimation CSV
+from `_truth.csv`, else from the trial's previous estimation CSV, else NaN.
+"""
+
+import json
+import shutil
+
+import numpy as np
+import pytest
+
+from hopperlab import io
+from hopperlab.cli import main
+
+TINY_SWEEP = """
+[sweep]
+speeds = 0.8
+stiffnesses = 3.75
+seeds = 0, 1
+intrusion_speed_count = 3
+intrusion_repeats = 1
+"""
+
+TRIAL = "hop_v0.80_kc3.75_s1"
+TRUTH_KEYS = ("x_b", "v_b", "x_f", "v_f", "f_total")
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "config.ini"
+    path.write_text(TINY_SWEEP + "[sim]\ndrop_speed = 0.8\nseed = 1\n")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory, config_path):
+    out = tmp_path_factory.mktemp("sweep")
+    assert main(["sweep", "--config", config_path, "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def simulate_dir(tmp_path_factory, config_path):
+    out = tmp_path_factory.mktemp("simulate")
+    assert main(["simulate", "--config", config_path, "--out", str(out)]) == 0
+    return out
+
+
+def _copy(src, tmp_path):
+    dst = tmp_path / "copy"
+    shutil.copytree(src, dst)
+    return dst
+
+
+def _estimate(config_path, out):
+    return main(["estimate", "--config", config_path, "--out", str(out)])
+
+
+def test_sweep_writes_no_truth_log(sweep_dir):
+    assert not list(sweep_dir.glob("*_truth.csv"))
+    manifest = json.loads((sweep_dir / "manifest.json").read_text())
+    hops = [e for e in manifest["entries"] if e["kind"] == "hop"]
+    assert len(hops) == 2
+    for entry in hops:
+        assert set(entry["paths"]) == {"frames", "events", "estimation"}
+        assert not any(p.endswith("_truth.csv") for p in entry["paths"].values())
+
+
+def test_estimate_rewrites_sweep_estimation_byte_identical(sweep_dir, config_path, tmp_path):
+    out = _copy(sweep_dir, tmp_path)
+    before = {p.name: p.read_bytes() for p in out.glob("*_estimation.csv")}
+    assert len(before) == 2
+    assert _estimate(config_path, out) == 0
+    after = {p.name: p.read_bytes() for p in out.glob("*_estimation.csv")}
+    assert after == before
+    for path in out.glob("*_estimation.csv"):
+        _, truth = io.read_estimation_csv(path)
+        assert all(np.isfinite(truth[key]).all() for key in TRUTH_KEYS)
+    assert not list(out.glob(".*.tmp"))
+
+
+def test_estimate_without_any_truth_writes_nan(sweep_dir, config_path, tmp_path):
+    out = _copy(sweep_dir, tmp_path)
+    path = out / f"{TRIAL}_estimation.csv"
+    original, _ = io.read_estimation_csv(path)
+    path.unlink()
+    assert _estimate(config_path, out) == 0
+    est, truth = io.read_estimation_csv(path)
+    assert all(np.isnan(truth[key]).all() for key in TRUTH_KEYS)
+    for name in ("t", "x_b_hat", "v_b_hat", "x_f_hat", "v_f_hat", "f_qs", "f_mo"):
+        np.testing.assert_array_equal(getattr(est, name), getattr(original, name))
+
+
+def test_estimate_rejects_estimation_file_of_other_frames(sweep_dir, config_path, tmp_path):
+    out = _copy(sweep_dir, tmp_path)
+    shutil.copy(out / "hop_v0.80_kc3.75_s0_frames.csv", out / f"{TRIAL}_frames.csv")
+    lines = (out / f"{TRIAL}_estimation.csv").read_text().splitlines(keepends=True)
+    (out / f"{TRIAL}_estimation.csv").write_text("".join(lines[:-1]))
+    assert _estimate(config_path, out) == 4
+
+
+def test_simulate_reproduces_sweep_trial(sweep_dir, simulate_dir):
+    for suffix in ("frames.csv", "events.json", "estimation.csv"):
+        name = f"{TRIAL}_{suffix}"
+        assert (simulate_dir / name).read_bytes() == (sweep_dir / name).read_bytes(), name
+    truth = io.read_truth_csv(simulate_dir / f"{TRIAL}_truth.csv")
+    _, decimated = io.read_estimation_csv(sweep_dir / f"{TRIAL}_estimation.csv")
+    n = decimated["x_b"].size
+    for key in TRUTH_KEYS:
+        np.testing.assert_array_equal(getattr(truth, key)[::10][:n], decimated[key])
+
+
+def test_estimate_on_simulate_dir_takes_truth_from_truth_csv(simulate_dir, config_path, tmp_path):
+    out = _copy(simulate_dir, tmp_path)
+    path = out / f"{TRIAL}_estimation.csv"
+    original = path.read_bytes()
+    est, truth = io.read_estimation_csv(path)
+    # truth columns that disagree with _truth.csv: the truth log wins
+    io.write_estimation_csv(path, est, {key: np.zeros_like(v) for key, v in truth.items()})
+    assert _estimate(config_path, out) == 0
+    assert path.read_bytes() == original
+    path.unlink()
+    assert _estimate(config_path, out) == 0
+    assert path.read_bytes() == original

@@ -1,8 +1,12 @@
-"""Artifact readers: malformed files are bad input, never a crash."""
+"""Artifact readers: malformed files are bad input, never a crash.
+Artifact writers: byte-identical to per-row formatting, and never leave a
+partial file behind."""
 
+import csv
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -138,3 +142,73 @@ def test_cli_estimate_malformed_frames_exit_code(tmp_path, body):
     cfg.write_text("", encoding="utf-8")
     assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 4
 
+
+
+def _rowwise_csv(path, header, rows):
+    """The per-row formatting the column writers must reproduce byte for byte."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([io.fmt_float(v) for v in row] for row in rows)
+
+
+def test_column_writers_match_rowwise_formatting(tmp_path, noisy_trial, terrain):
+    from hopperlab.simulator import run_constant_speed_intrusion
+    from hopperlab.terrain import force_map
+
+    truth = noisy_trial.truth
+    cols = [getattr(truth, name) for name in io.TRUTH_COLUMNS]
+    assert truth.phase_id.dtype.kind == "i"
+    cases = [
+        (io.write_truth_csv, truth, io.TRUTH_COLUMNS,
+         [[col[i] for col in cols] for i in range(len(truth))]),
+        (io.write_frames_csv, noisy_trial.frames, io.FRAME_COLUMNS,
+         [[getattr(f, c) for c in io.FRAME_COLUMNS] for f in noisy_trial.frames]),
+    ]
+    log = run_constant_speed_intrusion(0.3, 0.02, terrain, seed=0)
+    cases.append((io.write_intrusion_csv, log, io.INTRUSION_COLUMNS,
+                  [[log.t[i], log.depth[i], log.speed, log.force[i]] for i in range(log.t.size)]))
+    for writer, data, header, rows in cases:
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        writer(new, data)
+        _rowwise_csv(ref, header, rows)
+        assert new.read_bytes() == ref.read_bytes(), writer.__name__
+
+    depths, speeds = np.linspace(0.0, 0.05, 7), np.array([0.1, 0.5, 1.1])
+    surface = force_map(terrain, depths, speeds)
+    io.write_force_map_csv(tmp_path / "new.csv", depths, speeds, surface)
+    _rowwise_csv(tmp_path / "ref.csv", ("depth", "speed", "force"),
+                 [[d, s, surface[i, j]] for i, d in enumerate(depths) for j, s in enumerate(speeds)])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_column_writer_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="differ in length"):
+        io.write_columns_csv(tmp_path / "x.csv", ("a", "b"), [[1.0, 2.0], [1.0]])
+    assert list(tmp_path.iterdir()) == []
+
+
+def _rows_failing_after(n):
+    for i in range(n):
+        yield [str(float(i))]
+    raise RuntimeError("writer died midway")
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    path = tmp_path / "out" / "data.csv"
+    with pytest.raises(RuntimeError, match="midway"):
+        io.write_csv(path, ("x",), _rows_failing_after(10_000))
+    assert list(path.parent.iterdir()) == []
+    with pytest.raises(TypeError):
+        io.write_json(tmp_path / "out" / "payload.json", {"x": object()})
+    assert list(path.parent.iterdir()) == []
+
+
+def test_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "data.csv"
+    io.write_csv(path, ("x",), [["1.0"]])
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        io.write_csv(path, ("x",), _rows_failing_after(10_000))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
