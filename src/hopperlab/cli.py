@@ -28,15 +28,16 @@ from . import io
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, HopperlabError, MissingInputError
 from .experiments import (
+    build_manifest,
     decimated_truth,
     estimate_from_frames,
     identify_outputs,
     run_sweep,
     run_single_hop,
     write_hop_artifacts,
+    write_intrusion_trials,
     write_report,
 )
-from .simulator import run_constant_speed_intrusion
 
 
 def _resolve_out(config: ExperimentConfig, args) -> Path:
@@ -63,21 +64,9 @@ def cmd_simulate(config: ExperimentConfig, args) -> int:
 def cmd_intrude(config: ExperimentConfig, args) -> int:
     out = _resolve_out(config, args)
     out.mkdir(parents=True, exist_ok=True)
-    from .experiments import intrusion_trial_id
-
-    count = 0
-    for speed in config.sweep.intrusion_speeds():
-        for repeat in range(config.sweep.intrusion_repeats):
-            log = run_constant_speed_intrusion(
-                speed,
-                config.sweep.intrusion_z_max,
-                config.terrain,
-                noise_config=config.noise,
-                seed=[repeat, int(round(speed * 1e6))],
-            )
-            io.write_intrusion_csv(out / f"{intrusion_trial_id(speed, repeat)}.csv", log)
-            count += 1
-    print(f"wrote {count} intrusion logs to {out}")
+    entries = [e for e in build_manifest(config, out)["entries"] if e["kind"] == "intrusion"]
+    write_intrusion_trials(config, entries)
+    print(f"wrote {len(entries)} intrusion logs to {out}")
     return 0
 
 

@@ -97,13 +97,19 @@ def next_phase(
     return phase
 
 
+def spring_gains(phase: PhaseName, config: ControllerConfig) -> tuple[float, float, float]:
+    """Virtual spring (stiffness, neutral length, damping) in force during a phase."""
+    if phase == PhaseName.COMPRESSION:
+        return config.k_compress, config.l0_compress, config.b_stance
+    if phase == PhaseName.EXTENSION:
+        return config.k_extend, config.l0_extend, config.b_stance
+    return config.k_compress, config.l0_compress, config.b_flight
+
+
 def virtual_leg_force(phase: Phase, leg_len: float, leg_rate: float, config: ControllerConfig) -> float:
     """Axial spring-damper force [N]; positive pushes body and foot apart."""
-    if phase.name == PhaseName.COMPRESSION:
-        return config.k_compress * (config.l0_compress - leg_len) - config.b_stance * leg_rate
-    if phase.name == PhaseName.EXTENSION:
-        return config.k_extend * (config.l0_extend - leg_len) - config.b_stance * leg_rate
-    return config.k_compress * (config.l0_compress - leg_len) - config.b_flight * leg_rate
+    k, l0, b = spring_gains(phase.name, config)
+    return k * (l0 - leg_len) - b * leg_rate
 
 
 def motor_torque(f_leg: float, theta: float, linkage: LinkageParams) -> float:

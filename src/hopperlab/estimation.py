@@ -26,7 +26,6 @@ from .linkage import (
     leg_length,
     reduced_dynamics_coeffs,
 )
-from .signals import smoothed_backward_difference
 from .simulator import Frames, NoiseConfig
 
 _H = np.array(
@@ -372,10 +371,10 @@ def run_estimation(
 ) -> EstimationSeries:
     """Full onboard pipeline over one trial's frames.
 
-    The encoder rate is a 5-sample smoothed backward difference of the
-    encoder angle; the Kalman filter runs at the frame rate over the
-    cached gain sequence (see `_gain_sequence`); the momentum observer
-    consumes raw encoder kinematics plus the filtered foot velocity.
+    The encoder angle and rate are taken as the frames report them; the
+    Kalman filter runs at the frame rate over the cached gain sequence
+    (see `_gain_sequence`); the momentum observer consumes raw encoder
+    kinematics plus the filtered foot velocity.
     """
     if len(frames) < 2:
         raise ValueError("need at least two frames")
@@ -384,7 +383,7 @@ def run_estimation(
         raise ValueError("dt must be positive")
     lk = linkage_params
     theta = np.clip(frames.encoder_theta, lk.theta_min, lk.theta_max)
-    theta_dot = smoothed_backward_difference(theta, dt, window=5)
+    theta_dot = frames.encoder_theta_dot
 
     length, jac, _ = _geometry(theta, lk.l_upper, lk.l_lower**2, xp=np)
     disp = length + lk.mount_offset

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io
 from .config import ExperimentConfig
-from .errors import MissingInputError, InsufficientDataError
+from .errors import ConfigError, MissingInputError, InsufficientDataError
 from .estimation import KalmanConfig, kalman_x0, run_estimation
 from .identification import (
     DepthSpeedFit,
@@ -153,39 +153,53 @@ def build_manifest(config: ExperimentConfig, out_dir: Path) -> dict:
     return {"entries": entries}
 
 
+def write_intrusion_trials(config: ExperimentConfig, entries: list[dict]) -> None:
+    """Run and write each intrusion manifest entry, marking it done.
+
+    The seed key [repeat, round(speed * 1e6)] makes every (speed, repeat)
+    pair reproducible on its own.
+    """
+    for entry in entries:
+        log = run_constant_speed_intrusion(
+            entry["speed"],
+            config.sweep.intrusion_z_max,
+            config.terrain,
+            noise_config=config.noise,
+            seed=[entry["repeat"], int(round(entry["speed"] * 1e6))],
+        )
+        io.write_intrusion_csv(entry["paths"]["log"], log)
+        entry["status"] = "done"
+
+
 def _outputs_exist(entry: dict) -> bool:
     return all(Path(p).exists() for p in entry["paths"].values())
 
 
 def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bool = False) -> dict:
     """Hop grid + intrusion grid + estimation + identification."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = build_manifest(config, out_dir)
     io.write_json(out_dir / "manifest.json", manifest)
 
     hop_jobs = []
+    intrusions = []
     for entry in manifest["entries"]:
         if resume and _outputs_exist(entry):
             entry["status"] = "skipped"
-            continue
-        if entry["kind"] == "hop":
+        elif entry["kind"] == "hop":
             hop_jobs.append(
                 (config, entry["speed"], entry["k_c_n_per_cm"], entry["seed"], str(out_dir))
             )
         else:
-            log = run_constant_speed_intrusion(
-                entry["speed"],
-                config.sweep.intrusion_z_max,
-                config.terrain,
-                noise_config=config.noise,
-                seed=[entry["repeat"], int(round(entry["speed"] * 1e6))],
-            )
-            io.write_intrusion_csv(entry["paths"]["log"], log)
-            entry["status"] = "done"
+            intrusions.append(entry)
+    write_intrusion_trials(config, intrusions)
 
     if jobs > 1 and len(hop_jobs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the executor forks all max_workers processes at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(hop_jobs))) as pool:
             for _ in pool.map(_run_hop_job, hop_jobs):
                 pass
     else:

@@ -1,4 +1,4 @@
-"""Small signal-conditioning helpers shared by the sensor model and estimators."""
+"""Small signal-conditioning helpers for the sensor model and identification."""
 
 from __future__ import annotations
 
@@ -32,19 +32,3 @@ def smoothed_derivative(x: np.ndarray, dt: float, window: int = 11, polyorder: i
             return np.gradient(x, dt)
     return savgol_filter(x, window, polyorder, deriv=1, delta=dt, mode="interp")
 
-
-class OnlineSmoothedDiff:
-    """Streaming version of `smoothed_backward_difference` for the sensor model."""
-
-    def __init__(self, dt: float, window: int = 5):
-        self.dt = float(dt)
-        self.window = int(window)
-        self._hist: list[float] = []
-
-    def update(self, x: float) -> float:
-        self._hist.append(float(x))
-        k = len(self._hist) - 1
-        if k == 0:
-            return 0.0
-        w = min(self.window, k)
-        return (self._hist[-1] - self._hist[-1 - w]) / (w * self.dt)

@@ -18,11 +18,11 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .constants import GRAVITY
-from .controller import ControllerConfig, Phase, PhaseName, next_phase
+from .controller import ControllerConfig, Phase, PhaseName, next_phase, spring_gains
 from .errors import SimulationError, TrialMalformedError, ConfigError
 from .linkage import LinkageParams, _geometry, solve_theta_for_length
-from .signals import OnlineSmoothedDiff
-from .terrain import TerrainParams, ForceDecomposition
+from .signals import smoothed_backward_difference
+from .terrain import TerrainParams, ForceDecomposition, constant_speed_force
 
 
 @dataclass(frozen=True)
@@ -368,67 +368,58 @@ def mechanical_energy(state: HopperState, linkage: LinkageParams) -> float:
     return kinetic + potential
 
 
-class SensorSampler:
-    """Stateful 1 kHz sensor model: quantization, per-trial bias, white noise.
+def sensor_frames(
+    t,
+    theta,
+    theta_dot,
+    acc_body,
+    acc_foot,
+    x_b,
+    tau,
+    contact_force,
+    noise: NoiseConfig,
+    linkage: LinkageParams,
+    rng: np.random.Generator,
+    dt: float,
+) -> list[SensorFrame]:
+    """The 1 kHz sensor model over aligned float arrays of truth samples.
 
     With `enabled=False` every channel reports truth exactly (ideal
-    sensors); otherwise the encoder rate is a 5-sample smoothed backward
-    difference of the quantized angle, matching what a motor driver
-    reports.
+    sensors).  Otherwise the angle is quantized, the two per-trial IMU
+    biases are drawn, then one standard-normal row per frame (encoder
+    unless `encoder_sigma == 0`, body IMU, foot IMU, ToF, current, load
+    cell) is scaled per channel, and the encoder rate is a 5-sample
+    smoothed backward difference of the encoder angle, matching what a
+    motor driver reports.
     """
-
-    def __init__(self, noise: NoiseConfig, linkage: LinkageParams, rng: np.random.Generator, dt: float):
-        self.noise = noise
-        self.linkage = linkage
-        self.rng = rng
-        if noise.enabled:
-            self.bias_body = rng.uniform(-noise.imu_bias_max, noise.imu_bias_max)
-            self.bias_foot = rng.uniform(-noise.imu_bias_max, noise.imu_bias_max)
-        else:
-            self.bias_body = 0.0
-            self.bias_foot = 0.0
-        self._rate = OnlineSmoothedDiff(dt=dt, window=5)
-
-    def sample(
-        self,
-        t: float,
-        theta: float,
-        theta_dot: float,
-        acc_body: float,
-        acc_foot: float,
-        x_b: float,
-        tau: float,
-        contact_force: float,
-    ) -> SensorFrame:
-        n = self.noise
-        if not n.enabled:
-            return SensorFrame(
-                t=t,
-                encoder_theta=theta,
-                encoder_theta_dot=theta_dot,
-                imu_body_acc=acc_body,
-                imu_foot_acc=acc_foot,
-                tof_height=x_b,
-                motor_current=tau / self.linkage.torque_constant,
-                loadcell_force=contact_force,
-            )
-        rng = self.rng
+    current = tau / linkage.torque_constant
+    if not noise.enabled:
+        columns = (t, theta, theta_dot, acc_body, acc_foot, x_b, current, contact_force)
+    else:
+        n = noise
+        bias_body = rng.uniform(-n.imu_bias_max, n.imu_bias_max)
+        bias_foot = rng.uniform(-n.imu_bias_max, n.imu_bias_max)
+        enc = theta
         if n.encoder_resolution > 0.0:
-            enc = round(theta / n.encoder_resolution) * n.encoder_resolution
-        else:
-            enc = theta
-        enc += rng.normal(0.0, n.encoder_sigma) if n.encoder_sigma > 0.0 else 0.0
-        enc_rate = self._rate.update(enc)
-        return SensorFrame(
-            t=t,
-            encoder_theta=enc,
-            encoder_theta_dot=enc_rate,
-            imu_body_acc=acc_body + self.bias_body + rng.normal(0.0, n.imu_sigma),
-            imu_foot_acc=acc_foot + self.bias_foot + rng.normal(0.0, n.imu_sigma),
-            tof_height=x_b + rng.normal(0.0, n.tof_sigma),
-            motor_current=tau / self.linkage.torque_constant + rng.normal(0.0, n.current_sigma),
-            loadcell_force=contact_force + rng.normal(0.0, n.loadcell_sigma),
+            enc = np.round(enc / n.encoder_resolution) * n.encoder_resolution
+        sigmas = [n.imu_sigma, n.imu_sigma, n.tof_sigma, n.current_sigma, n.loadcell_sigma]
+        if n.encoder_sigma > 0.0:
+            sigmas.insert(0, n.encoder_sigma)
+        draws = rng.standard_normal((enc.size, len(sigmas))) * sigmas
+        if n.encoder_sigma > 0.0:
+            enc = enc + draws[:, 0]
+        e_body, e_foot, e_tof, e_current, e_load = draws[:, -5:].T
+        columns = (
+            t,
+            enc,
+            smoothed_backward_difference(enc, dt, window=5),
+            acc_body + bias_body + e_body,
+            acc_foot + bias_foot + e_foot,
+            x_b + e_tof,
+            current + e_current,
+            contact_force + e_load,
         )
+    return [SensorFrame(*row) for row in zip(*(col.tolist() for col in columns))]
 
 
 def sample_sensors(
@@ -442,11 +433,9 @@ def sample_sensors(
     linkage: LinkageParams,
     dt: float = 1e-3,
 ) -> SensorFrame:
-    """One-shot sensor sample (fresh sampler; no rate/bias history)."""
-    sampler = SensorSampler(noise_config, linkage, rng, dt)
-    return sampler.sample(
-        state.t, state.theta, state.theta_dot, acc_body, acc_foot, state.x_b, tau, contact_force
-    )
+    """One-shot sensor sample (fresh biases; no rate history)."""
+    columns = (state.t, state.theta, state.theta_dot, acc_body, acc_foot, state.x_b, tau, contact_force)
+    return sensor_frames(*(np.array([c], dtype=float) for c in columns), noise_config, linkage, rng, dt)[0]
 
 
 def detect_events(truth: TruthSeries, surface_height: float = 0.0) -> TrialEvents:
@@ -495,7 +484,8 @@ def run_hop_trial(
     seed=None,
     noise_config: NoiseConfig | None = None,
 ) -> TrialLog:
-    """Integrate one drop-release hop and synthesize its sensor frames.
+    """Integrate one drop-release hop, then synthesize its sensor frames
+    from the decimated truth in one pass (`sensor_frames`).
 
     The hopper is released from rest with the leg at its compression
     neutral length, at the height that yields the configured touchdown
@@ -510,7 +500,6 @@ def run_hop_trial(
     tr = terrain_params
     cc = controller_config
     dt = sim_config.dt_truth
-    decim = sim_config.decimation
     n_max = int(round(sim_config.t_max / dt))
 
     theta0 = solve_theta_for_length(cc.l0_compress, lk)
@@ -521,7 +510,6 @@ def run_hop_trial(
     theta_dot = 0.0
     phase = Phase(PhaseName.FLIGHT, 0.0)
 
-    sampler = SensorSampler(noise, lk, rng, sim_config.sensor_period)
     stage = plant_kernel(lk, tr)
     th_lo, th_hi = lk.theta_min, lk.theta_max
     surface = tr.surface_height
@@ -529,17 +517,10 @@ def run_hop_trial(
     half_dt = 0.5 * dt
     sixth_dt = dt / 6.0
 
-    # spring selection per phase: (k, l0, damping)
-    springs = {
-        PhaseName.FLIGHT: (cc.k_compress, cc.l0_compress, cc.b_flight),
-        PhaseName.COMPRESSION: (cc.k_compress, cc.l0_compress, cc.b_stance),
-        PhaseName.EXTENSION: (cc.k_extend, cc.l0_extend, cc.b_stance),
-    }
-    k_spr, l0_spr, b_spr = springs[phase.name]
+    k_spr, l0_spr, b_spr = spring_gains(phase.name, cc)
     phase_id = float(int(phase.name))
 
     rows: list[tuple] = []
-    frames: list[SensorFrame] = []
     clamp_events = 0
     f_prev = 0.0
     t = 0.0
@@ -558,7 +539,7 @@ def run_hop_trial(
             phase = new_phase
             if phase.name == PhaseName.FLIGHT:
                 t_stop = min(t_stop, t + sim_config.post_liftoff_time)
-            k_spr, l0_spr, b_spr = springs[phase.name]
+            k_spr, l0_spr, b_spr = spring_gains(phase.name, cc)
             phase_id = float(int(phase.name))
             a_f, thdd, a_b, fs, fd, fa, ft, clamped, tau, f_leg, length, jac = stage(
                 x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr
@@ -573,14 +554,6 @@ def run_hop_trial(
             t, x_b, v_b, x_f, v_f, theta, theta_dot, a_b, a_f,
             fs, fd, fa, ft, tau, f_leg, phase_id,
         ))
-
-        if step % decim == 0:
-            frames.append(
-                sampler.sample(
-                    (step // decim) * sim_config.sensor_period,
-                    theta, theta_dot, a_b, a_f, x_b, tau, ft,
-                )
-            )
 
         # RK4 with the phase (and spring law) frozen across the step
         x2 = x_f + half_dt * v_f
@@ -617,6 +590,13 @@ def run_hop_trial(
     *columns, phase_col = np.array(rows, dtype=float).reshape(len(rows), len(fields(TruthSeries))).T
     truth = TruthSeries(*columns, phase_id=phase_col.astype(int))
     events = detect_events(truth, tr.surface_height)
+    d = slice(None, None, sim_config.decimation)
+    frames = sensor_frames(
+        np.arange(truth.t[d].size) * sim_config.sensor_period,
+        truth.theta[d], truth.theta_dot[d], truth.acc_b[d], truth.acc_f[d],
+        truth.x_b[d], truth.tau[d], truth.f_total[d],
+        noise, lk, rng, sim_config.sensor_period,
+    )
     return TrialLog(
         frames=frames,
         truth=truth,
@@ -656,8 +636,7 @@ def run_constant_speed_intrusion(
     n = int(math.floor(z_max / (speed * dt))) + 1
     t = np.arange(n) * dt
     depth = np.minimum(speed * t, z_max)
-    grad = terrain_params.m_a_inf / terrain_params.z_c * np.exp(-depth / terrain_params.z_c)
-    force = np.where(depth > 0.0, terrain_params.k_stiff * depth + grad * speed * speed, 0.0)
+    force = constant_speed_force(depth, speed, terrain_params)
     if noise.enabled and noise.loadcell_sigma > 0.0:
         force = force + rng.normal(0.0, noise.loadcell_sigma, size=n)
     return IntrusionLog(speed=float(speed), t=t, depth=depth, force=force, seed=seed)

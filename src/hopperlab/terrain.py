@@ -92,6 +92,13 @@ def terrain_force(z: float, z_dot: float, z_ddot: float, params: TerrainParams) 
     )
 
 
+def constant_speed_force(z, v, params: TerrainParams) -> np.ndarray:
+    """Total reaction at depths z >= 0 under constant penetration rates
+    v >= 0 (zdd = 0), broadcast over numpy arrays; zero out of contact."""
+    grad = params.m_a_inf / params.z_c * np.exp(-z / params.z_c)
+    return np.where(z > 0.0, params.k_stiff * z + grad * v * v, 0.0)
+
+
 def inertial_threshold(d_grain: float) -> float:
     """Intrusion speed sqrt(2*d_grain*g) above which grain inertia matters [m/s]."""
     if d_grain <= 0.0:
@@ -113,8 +120,4 @@ def force_map(params: TerrainParams, depth_grid, speed_grid) -> np.ndarray:
         raise ValueError("grids must be sorted ascending")
     if depths[0] < 0.0 or speeds[0] < 0.0:
         raise ValueError("depths and speeds must be nonnegative")
-    z = depths[:, None]
-    v = speeds[None, :]
-    grad = params.m_a_inf / params.z_c * np.exp(-z / params.z_c)
-    surface = params.k_stiff * z + grad * v * v
-    return np.where(z > 0.0, surface, 0.0)
+    return constant_speed_force(depths[:, None], speeds[None, :], params)

@@ -208,3 +208,69 @@ def test_io_round_trips(tmp_path, noiseless_trial):
     io.write_events_json(events_path, noiseless_trial.events)
     events = io.read_events_json(events_path)
     assert events == noiseless_trial.events
+
+
+# ------------------------------------------------------------- --jobs
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        _FakePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_sweep_pool_sized_to_hop_jobs(tmp_path, monkeypatch):
+    from hopperlab import experiments
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(_FakePool, "sizes", [])
+    config = load_config(_write(tmp_path, TINY_SWEEP))
+    experiments.run_sweep(config, tmp_path / "a", jobs=64)
+    assert _FakePool.sizes == [2]
+    experiments.run_sweep(config, tmp_path / "b", jobs=1)
+    assert _FakePool.sizes == [2]
+
+
+def test_sweep_rejects_jobs_below_one(tmp_path):
+    out = tmp_path / "runs"
+    cfg = _write(tmp_path, TINY_SWEEP)
+    for jobs in ("0", "-3"):
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
+    assert not out.exists()
+
+
+def test_sweep_with_two_jobs_matches_serial_bytes(tmp_path):
+    cfg = _write(tmp_path, TINY_SWEEP)
+    runs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+        assert main(["report", "--config", cfg, "--out", str(out)]) == 0
+        runs[jobs] = {
+            p.name: p.read_bytes().replace(str(out).encode(), b"<out>") for p in out.iterdir()
+        }
+    assert len(runs["1"]) > 10
+    assert runs["2"] == runs["1"]
+
+
+def test_intrude_writes_the_sweep_intrusion_logs(tmp_path):
+    cfg = _write(tmp_path, TINY_SWEEP)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
+    assert main(["intrude", "--config", cfg, "--out", str(tmp_path / "intrude")]) == 0
+    written = sorted((tmp_path / "intrude").iterdir())
+    assert [p.name for p in written] == sorted(p.name for p in (tmp_path / "sweep").glob("intr_*.csv"))
+    assert len(written) == 3
+    for path in written:
+        assert path.read_bytes() == (tmp_path / "sweep" / path.name).read_bytes()

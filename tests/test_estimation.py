@@ -307,6 +307,16 @@ def test_pipeline_noiseless_tracks_truth(noiseless_frames, noiseless_trial, link
     assert np.abs(est.v_f_hat[50:] - truth["v_f"][50:]).max() < 0.05
 
 
+def test_pipeline_takes_encoder_rate_from_frames(noisy_frames, linkage):
+    # the reported rate drives the KF rate channel and the observer; the
+    # estimator does not re-derive it from the encoder angle
+    still = Frames(**{**vars(noisy_frames), "encoder_theta_dot": np.zeros(len(noisy_frames))})
+    est = run_estimation(noisy_frames, linkage)
+    est_still = run_estimation(still, linkage)
+    assert not np.allclose(est.v_b_hat, est_still.v_b_hat)
+    assert not np.allclose(est.f_mo, est_still.f_mo)
+
+
 def test_pipeline_requires_two_frames(noiseless_frames, linkage):
     short = Frames(**{k: getattr(noiseless_frames, k)[:1] for k in (
         "t", "encoder_theta", "encoder_theta_dot", "imu_body_acc", "imu_foot_acc",

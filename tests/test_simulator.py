@@ -18,8 +18,8 @@ from hopperlab.simulator import (
     run_constant_speed_intrusion,
     run_hop_trial,
     sample_sensors,
+    sensor_frames,
     state_from_foot_channel,
-    SensorSampler,
 )
 from hopperlab.terrain import TerrainParams, terrain_force
 
@@ -229,17 +229,16 @@ def test_noiseless_sensors_equal_truth(noiseless_trial, linkage):
 def test_sensor_noise_statistics(linkage):
     # generated ToF noise has the configured spread; IMU bias shows as a mean
     noise = NoiseConfig(tof_sigma=5e-3)
-    rng = np.random.default_rng(0)
-    sampler = SensorSampler(noise, linkage, rng, dt=1e-3)
     n = 10000
-    tof_err = np.empty(n)
-    imu_err = np.empty(n)
-    for k in range(n):
-        frame = sampler.sample(k * 1e-3, 0.8, 0.0, 1.5, -2.0, 0.55, 0.1, 5.0)
-        tof_err[k] = frame.tof_height - 0.55
-        imu_err[k] = frame.imu_body_acc - 1.5
+    const = [np.full(n, v) for v in (0.8, 0.0, 1.5, -2.0, 0.55, 0.1, 5.0)]
+    frames = Frames.from_list(
+        sensor_frames(np.arange(n) * 1e-3, *const, noise, linkage, np.random.default_rng(0), 1e-3)
+    )
+    bias_body = np.random.default_rng(0).uniform(-noise.imu_bias_max, noise.imu_bias_max)
+    tof_err = frames.tof_height - 0.55
+    imu_err = frames.imu_body_acc - 1.5
     assert abs(np.std(tof_err) - 5e-3) / 5e-3 < 0.1
-    assert abs(np.mean(imu_err) - sampler.bias_body) < 0.01
+    assert abs(np.mean(imu_err) - bias_body) < 0.01
 
 
 def test_sample_sensors_one_shot(linkage):
@@ -493,3 +492,98 @@ def test_truth_log_matches_kernel_at_logged_states(noisy_trial, linkage, terrain
             truth.f_added[i], truth.f_total[i], truth.tau[i], truth.f_leg[i],
         )
         assert truth.x_b[i] == truth.x_f[i] + length + linkage.mount_offset
+
+
+# ------------------------------------------------- one-pass sensor model
+
+from hopperlab.simulator import HopperState, SensorFrame
+
+
+class _ReferenceSampler:
+    """The per-frame sensor model, one scalar draw per channel per frame,
+    with a streaming 5-sample encoder differentiator."""
+
+    def __init__(self, noise, linkage, rng, dt):
+        self.noise, self.linkage, self.rng, self.dt = noise, linkage, rng, dt
+        self.bias_body = self.bias_foot = 0.0
+        if noise.enabled:
+            self.bias_body = rng.uniform(-noise.imu_bias_max, noise.imu_bias_max)
+            self.bias_foot = rng.uniform(-noise.imu_bias_max, noise.imu_bias_max)
+        self.history = []
+
+    def sample(self, t, theta, theta_dot, acc_body, acc_foot, x_b, tau, contact_force):
+        n, rng = self.noise, self.rng
+        current = tau / self.linkage.torque_constant
+        if not n.enabled:
+            return SensorFrame(t, theta, theta_dot, acc_body, acc_foot, x_b, current, contact_force)
+        enc = theta
+        if n.encoder_resolution > 0.0:
+            enc = round(theta / n.encoder_resolution) * n.encoder_resolution
+        enc += rng.normal(0.0, n.encoder_sigma) if n.encoder_sigma > 0.0 else 0.0
+        self.history.append(enc)
+        k = len(self.history) - 1
+        w = min(5, k)
+        rate = (self.history[-1] - self.history[-1 - w]) / (w * self.dt) if k else 0.0
+        return SensorFrame(
+            t,
+            enc,
+            rate,
+            acc_body + self.bias_body + rng.normal(0.0, n.imu_sigma),
+            acc_foot + self.bias_foot + rng.normal(0.0, n.imu_sigma),
+            x_b + rng.normal(0.0, n.tof_sigma),
+            current + rng.normal(0.0, n.current_sigma),
+            contact_force + rng.normal(0.0, n.loadcell_sigma),
+        )
+
+
+def _reference_frames(log, sim, noise, linkage, seed):
+    sampler = _ReferenceSampler(noise, linkage, np.random.default_rng(seed), sim.sensor_period)
+    tr = log.truth
+    rows = zip(*(col.tolist() for col in (
+        tr.theta, tr.theta_dot, tr.acc_b, tr.acc_f, tr.x_b, tr.tau, tr.f_total,
+    )))
+    return [
+        sampler.sample((step // sim.decimation) * sim.sensor_period, *row)
+        for step, row in enumerate(rows)
+        if step % sim.decimation == 0
+    ]
+
+
+_NOISE_MODES = {
+    "noisy": NoiseConfig(),
+    "noiseless": NoiseConfig.noiseless(),
+    "encoder_sigma_0": NoiseConfig(encoder_sigma=0.0),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_NOISE_MODES))
+@pytest.mark.parametrize("speed, seed", [(0.5, 7), (1.2, [3, 1200, 375])])
+def test_trial_frames_match_per_frame_reference(mode, speed, seed, linkage, terrain, controller):
+    noise = _NOISE_MODES[mode]
+    sim = SimConfig(drop_speed=speed)
+    log = run_hop_trial(sim, controller, terrain, linkage, seed=seed, noise_config=noise)
+    assert [repr(f) for f in log.frames] == [
+        repr(f) for f in _reference_frames(log, sim, noise, linkage, seed)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    resolution=st.sampled_from([0.0, 2.0 * math.pi / 4096.0]),
+    encoder_sigma=st.sampled_from([0.0, 1e-3]),
+    enabled=st.booleans(),
+)
+def test_sensor_frames_match_per_frame_reference(n, seed, resolution, encoder_sigma, enabled):
+    noise = NoiseConfig(enabled=enabled, encoder_resolution=resolution, encoder_sigma=encoder_sigma)
+    inputs = np.random.default_rng(seed + 1).uniform(0.5, 1.2, size=(7, n))
+    t = np.arange(n) * 1e-3
+    got = sensor_frames(t, *inputs, noise, _LK, np.random.default_rng(seed), 1e-3)
+    ref = _ReferenceSampler(noise, _LK, np.random.default_rng(seed), 1e-3)
+    want = [ref.sample(k * 1e-3, *inputs[:, k].tolist()) for k in range(n)]
+    assert [repr(f) for f in got] == [repr(f) for f in want]
+    theta, theta_dot, acc_body, acc_foot, x_b, tau, force = inputs[:, 0].tolist()
+    state = HopperState(x_b, 0.0, 0.0, 0.0, theta, theta_dot, Phase(PhaseName.FLIGHT), 0.0)
+    one = sample_sensors(state, acc_body, acc_foot, force, tau, noise, np.random.default_rng(seed), _LK)
+    assert repr(one) == repr(got[0])
