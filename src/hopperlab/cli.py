@@ -9,9 +9,10 @@ Commands
     sweep      full grid: hops + intrusions + estimation + identification
     report     summary JSON + plot-ready CSVs
 
-Exit codes: 0 success, 2 config error, 3 runtime/integration error,
-4 missing-input error.  Output directory precedence: --out, then
-HOPPERLAB_OUT, then the config's [output] dir.
+`--seeds` is accepted by simulate and sweep, `--jobs` and `--resume` by
+sweep only.  Exit codes: 0 success, 2 config or usage error, 3
+runtime/integration error, 4 missing-input error.  Output directory
+precedence: --out, then HOPPERLAB_OUT, then the config's [output] dir.
 """
 
 from __future__ import annotations
@@ -154,9 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seeds", type=_parse_seeds, default=None, help="comma-separated seed list")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
-        p.add_argument("--resume", action="store_true", help="skip trials whose outputs exist")
+        if name in ("simulate", "sweep"):
+            p.add_argument("--seeds", type=_parse_seeds, default=None, help="comma-separated seed list")
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=1, help="parallel workers for the hop grid")
+            p.add_argument("--resume", action="store_true", help="skip trials whose outputs exist")
     return parser
 
 

@@ -15,6 +15,7 @@ and seed rebuilds the trial bit for bit and writes it as `<id>_truth.csv`.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import io
 from .config import ExperimentConfig
-from .errors import ConfigError, MissingInputError, InsufficientDataError
+from .errors import ConfigError, DegenerateFitError, InsufficientDataError, MissingInputError
 from .estimation import KalmanConfig, kalman_x0, run_estimation
 from .identification import (
     DepthSpeedFit,
@@ -261,21 +262,25 @@ def identify_outputs(config: ExperimentConfig, out_dir: Path) -> None:
         for entry in manifest["entries"]
         if entry["kind"] == "intrusion"
     ]
-    if intrusion_logs:
-        try:
-            fit = fit_depth_speed_model(intrusion_logs)
-        except InsufficientDataError:
-            return
-        io.write_json(
-            out_dir / "depth_speed_fit.json",
-            {
-                "k_fit": fit.k_fit,
-                "m_a_inf_fit": fit.m_a_inf_fit,
-                "z_c_fit": fit.z_c_fit,
-                "rmse": fit.rmse,
-                "n_samples": fit.n_samples,
-            },
-        )
+    fit_path = out_dir / "depth_speed_fit.json"
+    try:
+        fit = fit_depth_speed_model(intrusion_logs)
+    except (InsufficientDataError, DegenerateFitError) as exc:
+        # a fit left by an earlier run would describe other intrusion logs
+        note = f"; removed the stale {fit_path}" if fit_path.exists() else ""
+        fit_path.unlink(missing_ok=True)
+        print(f"intrusion-model fit skipped: {exc}{note}", file=sys.stderr)
+        return
+    io.write_json(
+        fit_path,
+        {
+            "k_fit": fit.k_fit,
+            "m_a_inf_fit": fit.m_a_inf_fit,
+            "z_c_fit": fit.z_c_fit,
+            "rmse": fit.rmse,
+            "n_samples": fit.n_samples,
+        },
+    )
 
 
 def write_report(config: ExperimentConfig, out_dir: Path) -> None:
@@ -346,6 +351,7 @@ def _write_representative_trial_figs(config: ExperimentConfig, out_dir: Path) ->
 
     fit_path = out_dir / "depth_speed_fit.json"
     if not fit_path.exists():
+        (out_dir / "added_mass_residual.csv").unlink(missing_ok=True)
         return
     payload = io.read_json(fit_path)
     fit = DepthSpeedFit(

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DegenerateFitError, InsufficientDataError
 from .estimation import EstimationSeries
@@ -202,6 +201,72 @@ def wls_linear_fit(
     )
 
 
+_FIT_LOWER = np.array([0.0, 0.0, 1e-5])       # k, m_a_inf, z_c
+_FIT_UPPER = np.array([np.inf, np.inf, 1.0])
+_FIT_TOL = 1e-14
+_FIT_MAX_ITER = 300
+
+
+def _bounded_levenberg_marquardt(
+    z: np.ndarray, v2: np.ndarray, f: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares of F = k*z + (m_a_inf/z_c)*exp(-z/z_c)*v^2 in the box.
+
+    Levenberg-Marquardt (More, 1978) on column-scaled normal equations with
+    the analytic Jacobian; a parameter held at a bound by the gradient is
+    left out of the step, and each trial point is clipped to the box.  Stops
+    when the scaled gradient, the relative cost reduction or the scaled step
+    falls below _FIT_TOL; returns the parameters and their residuals.  Only
+    steps that lower a finite cost are taken, so a finite start stays finite.
+    """
+
+    def residuals(p):
+        k, ma, zc = p
+        e = np.exp(-z / zc) * v2
+        return k * z + ma / zc * e - f, e
+
+    def jacobian(p, e):
+        _, ma, zc = p
+        return np.column_stack([z, e / zc, ma * e * (z - zc) / zc**3])
+
+    r, e = residuals(p)
+    cost = float(r @ r)
+    if not np.isfinite(cost):
+        raise DegenerateFitError("intrusion model is not finite at the initial guess")
+    jac = jacobian(p, e)
+    damping = 1e-3
+    for _ in range(_FIT_MAX_ITER):
+        scale = np.linalg.norm(jac, axis=0)
+        scale[scale == 0.0] = 1.0  # m_a_inf = 0 zeroes the z_c column
+        jac_s = jac / scale
+        grad = jac_s.T @ r
+        # a parameter on the box edge whose descent direction leaves the box stays put
+        free = ~(((p <= _FIT_LOWER) & (grad > 0.0)) | ((p >= _FIT_UPPER) & (grad < 0.0)))
+        if np.max(np.abs(grad[free]), initial=0.0) <= _FIT_TOL * math.sqrt(cost):
+            return p, r
+        jac_free = jac_s[:, free]
+        step = np.zeros(3)
+        step[free] = np.linalg.solve(
+            jac_free.T @ jac_free + damping * np.eye(jac_free.shape[1]), -grad[free]
+        ) / scale[free]
+        trial = np.clip(p + step, _FIT_LOWER, _FIT_UPPER)
+        small_step = np.linalg.norm((trial - p) * scale) <= _FIT_TOL * (_FIT_TOL + np.linalg.norm(p * scale))
+        r_trial, e_trial = residuals(trial)
+        cost_trial = float(r_trial @ r_trial)
+        if cost_trial < cost:
+            converged = small_step or cost - cost_trial <= _FIT_TOL * cost
+            p, r, e, cost = trial, r_trial, e_trial, cost_trial
+            if converged:
+                return p, r
+            jac = jacobian(p, e)
+            damping = max(damping / 10.0, 1e-12)  # keeps the damped system positive definite
+        elif small_step:
+            return p, r
+        else:
+            damping *= 10.0
+    raise DegenerateFitError(f"intrusion model fit did not converge in {_FIT_MAX_ITER} iterations")
+
+
 def fit_depth_speed_model(logs: list[IntrusionLog]) -> DepthSpeedFit:
     """Fit the parametric terrain model to constant-speed intrusion sweeps.
 
@@ -232,20 +297,9 @@ def fit_depth_speed_model(logs: list[IntrusionLog]) -> DepthSpeedFit:
         g_samples = resid0 / np.maximum(v * v, 1e-12)
     ma0 = max(float(np.median(g_samples)) * zc0, 1e-3)
 
-    def residuals(p):
-        k, ma, zc = p
-        return k * z + ma / zc * np.exp(-z / zc) * v * v - f
-
-    sol = least_squares(
-        residuals,
-        x0=[max(k0, 1.0), ma0, zc0],
-        bounds=([0.0, 0.0, 1e-5], [np.inf, np.inf, 1.0]),
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-14,
-    )
-    k_fit, ma_fit, zc_fit = (float(x) for x in sol.x)
-    rmse = float(np.sqrt(np.mean(sol.fun**2)))
+    p, resid = _bounded_levenberg_marquardt(z, v * v, f, np.array([max(k0, 1.0), ma0, zc0]))
+    k_fit, ma_fit, zc_fit = (float(x) for x in p)
+    rmse = float(np.sqrt(np.mean(resid**2)))
     return DepthSpeedFit(
         k_fit=k_fit, m_a_inf_fit=ma_fit, z_c_fit=zc_fit, rmse=rmse, n_samples=int(z.size)
     )

@@ -16,6 +16,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily: load it here, not in the first trial)
 
 from .constants import GRAVITY
 from .controller import ControllerConfig, Phase, PhaseName, next_phase, spring_gains

@@ -4,16 +4,19 @@ A sweep writes frames, events and estimation files per hop; the 10 kHz
 truth log comes only from `simulate`, which rebuilds any sweep trial
 bit for bit.  `estimate` takes the truth columns of the estimation CSV
 from `_truth.csv`, else from the trial's previous estimation CSV, else NaN.
+When the intrusion fit cannot run, the fit an earlier run left is removed.
 """
 
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hopperlab import io
+from hopperlab import experiments, io
 from hopperlab.cli import main
+from hopperlab.errors import DegenerateFitError
 
 TINY_SWEEP = """
 [sweep]
@@ -125,3 +128,28 @@ def test_estimate_on_simulate_dir_takes_truth_from_truth_csv(simulate_dir, confi
     path.unlink()
     assert _estimate(config_path, out) == 0
     assert path.read_bytes() == original
+
+
+@pytest.mark.parametrize("failure", ["one intrusion speed", "degenerate fit"])
+def test_intrusion_fit_of_an_earlier_run_is_removed(sweep_dir, config_path, tmp_path, monkeypatch, capsys, failure):
+    out = _copy(sweep_dir, tmp_path)
+    assert main(["report", "--config", config_path, "--out", str(out)]) == 0
+    assert (out / "depth_speed_fit.json").exists() and (out / "added_mass_residual.csv").exists()
+    capsys.readouterr()
+    if failure == "one intrusion speed":
+        one_speed = tmp_path / "one_speed.ini"
+        text = Path(config_path).read_text()
+        one_speed.write_text(text.replace("intrusion_speed_count = 3", "intrusion_speed_count = 1"))
+        assert main(["sweep", "--config", str(one_speed), "--out", str(out)]) == 0
+    else:
+
+        def degenerate(logs):
+            raise DegenerateFitError("no convergence")
+
+        monkeypatch.setattr(experiments, "fit_depth_speed_model", degenerate)
+        assert main(["identify", "--config", config_path, "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "intrusion-model fit skipped" in err and "removed the stale" in err
+    assert not (out / "depth_speed_fit.json").exists()
+    assert main(["report", "--config", config_path, "--out", str(out)]) == 0
+    assert not (out / "added_mass_residual.csv").exists()

@@ -251,6 +251,26 @@ def test_sweep_rejects_jobs_below_one(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--jobs", "0"],
+        ["simulate", "--resume"],
+        ["intrude", "--seeds", "1"],
+        ["estimate", "--jobs", "2"],
+        ["identify", "--resume"],
+        ["report", "--seeds", "1"],
+    ],
+)
+def test_flags_belong_to_the_commands_that_read_them(tmp_path, argv):
+    out = tmp_path / "runs"
+    cfg = _write(tmp_path, TINY_SWEEP)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", cfg, "--out", str(out), *argv[1:]])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_sweep_with_two_jobs_matches_serial_bytes(tmp_path):
     cfg = _write(tmp_path, TINY_SWEEP)
     runs = {}
