@@ -37,12 +37,11 @@ from .simulator import (
     SimConfig,
     NoiseConfig,
     HopperState,
-    SensorFrame,
+    Frames,
     TrialLog,
     dynamics_derivative,
     run_hop_trial,
     run_constant_speed_intrusion,
-    sample_sensors,
     detect_events,
 )
 from .estimation import (
@@ -56,7 +55,7 @@ from .estimation import (
     run_estimation,
 )
 from .identification import (
-    RegressionSample,
+    StanceSamples,
     WeightConfig,
     FitResult,
     DepthSpeedFit,

@@ -65,8 +65,8 @@ def cmd_simulate(config: ExperimentConfig, args) -> int:
 def cmd_intrude(config: ExperimentConfig, args) -> int:
     out = _resolve_out(config, args)
     out.mkdir(parents=True, exist_ok=True)
-    entries = [e for e in build_manifest(config, out)["entries"] if e["kind"] == "intrusion"]
-    write_intrusion_trials(config, entries)
+    entries = [e for e in build_manifest(config)["entries"] if e["kind"] == "intrusion"]
+    write_intrusion_trials(config, entries, out)
     print(f"wrote {len(entries)} intrusion logs to {out}")
     return 0
 

@@ -6,10 +6,15 @@ and the final artifacts are identical to an uninterrupted run.  Trials
 are independent, so the hop grid can be dispatched to a process pool.
 
 A hop trial's artifacts are its sensor frames, events and estimation CSV;
-the estimation CSV carries the ground truth at the sensor rate, which is
-all that identification and reporting read.  The 10 kHz truth log is not
-written by a sweep: `hopperlab simulate` at the trial's speed, stiffness
-and seed rebuilds the trial bit for bit and writes it as `<id>_truth.csv`.
+the estimation CSV carries the ground truth at the sensor rate.
+Identification reads the events and estimation files; the report also
+reads one trial's frames.  The 10 kHz truth log is not written by a
+sweep: `hopperlab simulate` at the trial's speed, stiffness and seed
+rebuilds the trial bit for bit and writes it as `<id>_truth.csv`.
+
+The manifest lists each trial's files by name; `trial_paths` resolves
+them against the output directory, so a sweep directory can be copied
+or moved.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, DegenerateFitError, InsufficientDataError, MissingInputError
 from .estimation import KalmanConfig, kalman_x0, run_estimation
 from .identification import (
+    ConditionStats,
     DepthSpeedFit,
     TrialSamples,
     WeightConfig,
@@ -44,6 +50,13 @@ from .simulator import (
 )
 from .terrain import force_map
 
+# kind of manifest entry: (its fields besides trial_id, the keys of its files)
+_ENTRY_SCHEMA = {
+    "hop": (("speed", "k_c_n_per_cm", "seed"), ("frames", "events", "estimation")),
+    "intrusion": (("speed", "repeat"), ("log",)),
+}
+_CONDITION_NUMBERS = [f.name for f in dataclasses.fields(ConditionStats) if f.name != "treatment"]
+
 
 def hop_trial_id(speed: float, kc_n_per_cm: float, seed: int) -> str:
     return f"hop_v{speed:.2f}_kc{kc_n_per_cm:.2f}_s{seed}"
@@ -53,12 +66,45 @@ def intrusion_trial_id(speed: float, repeat: int) -> str:
     return f"intr_v{speed:.4f}_r{repeat}"
 
 
-def _hop_paths(out_dir: Path, trial_id: str) -> dict[str, Path]:
+def _hop_files(trial_id: str) -> dict[str, str]:
     return {
-        "frames": out_dir / f"{trial_id}_frames.csv",
-        "events": out_dir / f"{trial_id}_events.json",
-        "estimation": out_dir / f"{trial_id}_estimation.csv",
+        "frames": f"{trial_id}_frames.csv",
+        "events": f"{trial_id}_events.json",
+        "estimation": f"{trial_id}_estimation.csv",
     }
+
+
+def trial_paths(entry: dict, out_dir: Path) -> dict[str, Path]:
+    """A manifest entry's files, resolved against the output directory.
+
+    An entry without a known kind, its fields, or bare file names for each
+    of its outputs is bad input (MissingInputError).
+    """
+    try:
+        fields, keys = _ENTRY_SCHEMA[entry["kind"]]
+        names = entry["paths"]
+        valid = (
+            sorted(names) == sorted(keys)
+            and all(isinstance(name, str) and Path(name).name == name for name in names.values())
+            and all(field in entry for field in ("trial_id", *fields))
+        )
+    except (KeyError, TypeError, AttributeError):
+        valid = False
+    if not valid:
+        raise MissingInputError(f"malformed manifest entry: {entry!r}")
+    return {key: Path(out_dir) / names[key] for key in keys}
+
+
+def _manifest_trials(out_dir: Path) -> list[tuple[dict, dict[str, Path]]]:
+    """(entry, resolved files) of every trial in the sweep's manifest."""
+    manifest_path = out_dir / "manifest.json"
+    if not manifest_path.exists():
+        raise MissingInputError(f"no manifest at {manifest_path}; run sweep first")
+    manifest = io.read_json(manifest_path)
+    entries = manifest.get("entries") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise MissingInputError(f"malformed manifest {manifest_path}: no list of entries")
+    return [(entry, trial_paths(entry, out_dir)) for entry in entries]
 
 
 def run_single_hop(
@@ -93,11 +139,10 @@ def estimate_from_frames(config: ExperimentConfig, frames: Frames):
 
 
 def write_hop_artifacts(config: ExperimentConfig, log, trial_id: str, out_dir: Path) -> dict[str, Path]:
-    paths = _hop_paths(out_dir, trial_id)
+    paths = {key: Path(out_dir) / name for key, name in _hop_files(trial_id).items()}
     io.write_frames_csv(paths["frames"], log.frames)
     io.write_events_json(paths["events"], log.events, extra={"trial_id": trial_id, "seed": log.seed})
-    frames = Frames.from_list(log.frames)
-    est = estimate_from_frames(config, frames)
+    est = estimate_from_frames(config, log.frames)
     io.write_estimation_csv(
         paths["estimation"], est, decimated_truth(log.truth, config.sim.decimation, len(est))
     )
@@ -120,8 +165,8 @@ def _run_hop_job(args) -> tuple[str, str]:
     return trial_id, "done"
 
 
-def build_manifest(config: ExperimentConfig, out_dir: Path) -> dict:
-    """Every hop and intrusion trial of the sweep, with output paths."""
+def build_manifest(config: ExperimentConfig) -> dict:
+    """Every hop and intrusion trial of the sweep, with its output file names."""
     entries = []
     for kc in config.sweep.stiffnesses_n_per_cm:
         for speed in config.sweep.speeds:
@@ -134,7 +179,7 @@ def build_manifest(config: ExperimentConfig, out_dir: Path) -> dict:
                         "speed": speed,
                         "k_c_n_per_cm": kc,
                         "seed": seed,
-                        "paths": {k: str(p) for k, p in _hop_paths(out_dir, trial_id).items()},
+                        "paths": _hop_files(trial_id),
                         "status": "pending",
                     }
                 )
@@ -147,14 +192,14 @@ def build_manifest(config: ExperimentConfig, out_dir: Path) -> dict:
                     "kind": "intrusion",
                     "speed": speed,
                     "repeat": repeat,
-                    "paths": {"log": str(out_dir / f"{trial_id}.csv")},
+                    "paths": {"log": f"{trial_id}.csv"},
                     "status": "pending",
                 }
             )
     return {"entries": entries}
 
 
-def write_intrusion_trials(config: ExperimentConfig, entries: list[dict]) -> None:
+def write_intrusion_trials(config: ExperimentConfig, entries: list[dict], out_dir: Path) -> None:
     """Run and write each intrusion manifest entry, marking it done.
 
     The seed key [repeat, round(speed * 1e6)] makes every (speed, repeat)
@@ -168,12 +213,12 @@ def write_intrusion_trials(config: ExperimentConfig, entries: list[dict]) -> Non
             noise_config=config.noise,
             seed=[entry["repeat"], int(round(entry["speed"] * 1e6))],
         )
-        io.write_intrusion_csv(entry["paths"]["log"], log)
+        io.write_intrusion_csv(trial_paths(entry, out_dir)["log"], log)
         entry["status"] = "done"
 
 
-def _outputs_exist(entry: dict) -> bool:
-    return all(Path(p).exists() for p in entry["paths"].values())
+def _outputs_exist(entry: dict, out_dir: Path) -> bool:
+    return all(p.exists() for p in trial_paths(entry, out_dir).values())
 
 
 def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bool = False) -> dict:
@@ -182,13 +227,13 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bo
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = build_manifest(config, out_dir)
+    manifest = build_manifest(config)
     io.write_json(out_dir / "manifest.json", manifest)
 
     hop_jobs = []
     intrusions = []
     for entry in manifest["entries"]:
-        if resume and _outputs_exist(entry):
+        if resume and _outputs_exist(entry, out_dir):
             entry["status"] = "skipped"
         elif entry["kind"] == "hop":
             hop_jobs.append(
@@ -196,7 +241,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bo
             )
         else:
             intrusions.append(entry)
-    write_intrusion_trials(config, intrusions)
+    write_intrusion_trials(config, intrusions, out_dir)
 
     if jobs > 1 and len(hop_jobs) > 1:
         # the executor forks all max_workers processes at the first submit
@@ -215,32 +260,23 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bo
     return manifest
 
 
-def _load_trial_samples(config: ExperimentConfig, entry: dict) -> TrialSamples:
-    est, _ = io.read_estimation_csv(entry["paths"]["estimation"])
-    events = io.read_events_json(entry["paths"]["events"])
-    frames = io.read_frames_csv(entry["paths"]["frames"])
+def _load_trial_samples(entry: dict, paths: dict[str, Path]) -> TrialSamples:
+    est, _ = io.read_estimation_csv(paths["estimation"])
+    events = io.read_events_json(paths["events"])
     return TrialSamples(
         v_td=entry["speed"],
         k_c_n_per_cm=entry["k_c_n_per_cm"],
         seed=entry["seed"],
-        samples_qs=extract_samples(est, events, "qs", frames=frames),
-        samples_mo=extract_samples(est, events, "mo", frames=frames),
+        samples_qs=extract_samples(est, events, "qs"),
+        samples_mo=extract_samples(est, events, "mo"),
     )
 
 
 def identify_outputs(config: ExperimentConfig, out_dir: Path) -> None:
     """Treatment report from hop trials plus the intrusion-model fit."""
     out_dir = Path(out_dir)
-    manifest_path = out_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise MissingInputError(f"no manifest at {manifest_path}; run sweep first")
-    manifest = io.read_json(manifest_path)
-
-    trials = []
-    for entry in manifest["entries"]:
-        if entry["kind"] != "hop":
-            continue
-        trials.append(_load_trial_samples(config, entry))
+    entries = _manifest_trials(out_dir)
+    trials = [_load_trial_samples(entry, paths) for entry, paths in entries if entry["kind"] == "hop"]
     if not trials:
         raise InsufficientDataError("no hop trials in manifest")
     report = treatment_comparison(trials, k_gt=config.terrain.k_stiff, weights=config.weight)
@@ -258,9 +294,7 @@ def identify_outputs(config: ExperimentConfig, out_dir: Path) -> None:
     io.write_csv(out_dir / "fits.csv", ("v_td", "k_c", "treatment", "k_est", "seed"), rows)
 
     intrusion_logs = [
-        io.read_intrusion_csv(entry["paths"]["log"])
-        for entry in manifest["entries"]
-        if entry["kind"] == "intrusion"
+        io.read_intrusion_csv(paths["log"]) for entry, paths in entries if entry["kind"] == "intrusion"
     ]
     fit_path = out_dir / "depth_speed_fit.json"
     try:
@@ -291,7 +325,20 @@ def write_report(config: ExperimentConfig, out_dir: Path) -> None:
     if not treatment_path.exists():
         raise MissingInputError(f"no treatment report at {treatment_path}; run identify first")
     report = io.read_json(treatment_path)
-    conditions = report["conditions"]
+    conditions = report.get("conditions") if isinstance(report, dict) else None
+    if not (
+        isinstance(conditions, list)
+        and isinstance(report.get("k_gt"), (int, float))
+        and all(
+            isinstance(c, dict)
+            and isinstance(c.get("treatment"), str)
+            and all(isinstance(c.get(name), (int, float)) for name in _CONDITION_NUMBERS)
+            for c in conditions
+        )
+    ):
+        raise MissingInputError(
+            f"malformed treatment report {treatment_path}: need a number k_gt and a list of condition objects"
+        )
     if not conditions:
         raise InsufficientDataError("treatment report is empty")
 
@@ -332,15 +379,15 @@ def write_report(config: ExperimentConfig, out_dir: Path) -> None:
 
 def _write_representative_trial_figs(config: ExperimentConfig, out_dir: Path) -> None:
     """Force-depth scatter and added-mass residual series for one trial."""
-    manifest = io.read_json(out_dir / "manifest.json")
-    hops = [e for e in manifest["entries"] if e["kind"] == "hop"]
+    hops = [e for e, _ in _manifest_trials(out_dir) if e["kind"] == "hop"]
     if not hops:
         return
     # fastest condition, first seed: the regime where dynamics matter most
     entry = max(hops, key=lambda e: (e["speed"], -e["seed"] if isinstance(e["seed"], int) else 0))
-    est, truth = io.read_estimation_csv(entry["paths"]["estimation"])
-    events = io.read_events_json(entry["paths"]["events"])
-    frames = io.read_frames_csv(entry["paths"]["frames"])
+    paths = trial_paths(entry, out_dir)
+    est, truth = io.read_estimation_csv(paths["estimation"])
+    events = io.read_events_json(paths["events"])
+    frames = io.read_frames_csv(paths["frames"])
     mask = (est.t >= events.t_td) & (est.t <= events.t_lo)
     z_hat = np.maximum(0.0, -est.x_f_hat)
     io.write_columns_csv(

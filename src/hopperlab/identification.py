@@ -30,15 +30,18 @@ TREATMENTS = ("noMO_noGD", "MO_noGD", "MO_GD")
 
 
 @dataclass(frozen=True)
-class RegressionSample:
-    """One stance sample: depth kinematics plus a force reading."""
+class StanceSamples:
+    """One trial's stance samples: aligned depth kinematics and force readings."""
 
-    z: float
-    z_dot: float
-    z_ddot: float
-    f: float
-    t: float
+    z: np.ndarray
+    z_dot: np.ndarray
+    z_ddot: np.ndarray
+    f: np.ndarray
+    t: np.ndarray
     source: str  # one of {"qs", "mo", "loadcell"}
+
+    def __len__(self) -> int:
+        return self.t.size
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,7 @@ def extract_samples(
     source: str = "mo",
     frames: Frames | None = None,
     diff_window: int = 11,
-) -> list[RegressionSample]:
+) -> StanceSamples:
     """Stance-window regression samples from one trial's estimates.
 
     Depth comes from the filtered foot height, its rate from the filtered
@@ -127,28 +130,19 @@ def extract_samples(
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         raise InsufficientDataError("empty stance window: no contact samples")
-    return [
-        RegressionSample(
-            z=float(z[i]),
-            z_dot=float(z_dot[i]),
-            z_ddot=float(z_ddot[i]),
-            f=float(force[i]),
-            t=float(est.t[i]),
-            source=source,
-        )
-        for i in idx
-    ]
+    return StanceSamples(
+        z=z[idx], z_dot=z_dot[idx], z_ddot=z_ddot[idx], f=force[idx], t=est.t[idx], source=source
+    )
 
 
-def _design(samples: list[RegressionSample]) -> tuple[np.ndarray, np.ndarray]:
-    z = np.array([s.z for s in samples])
-    f = np.array([s.f for s in samples])
+def _design(samples: StanceSamples) -> tuple[np.ndarray, np.ndarray]:
+    z = samples.z
     if z.size < 2 or np.ptp(z) <= 0.0:
         raise DegenerateFitError("need at least two samples with distinct depths")
-    return np.column_stack([z, np.ones_like(z)]), f
+    return np.column_stack([z, np.ones_like(z)]), samples.f
 
 
-def ols_linear_fit(samples: list[RegressionSample], treatment: str = "") -> FitResult:
+def ols_linear_fit(samples: StanceSamples, treatment: str = "") -> FitResult:
     """Ordinary least squares of force on depth with intercept."""
     X, f = _design(samples)
     coef, *_ = np.linalg.lstsq(X, f, rcond=None)
@@ -170,7 +164,7 @@ def acceleration_weight(z_ddot: float, config: WeightConfig) -> float:
 
 
 def wls_linear_fit(
-    samples: list[RegressionSample],
+    samples: StanceSamples,
     config: WeightConfig,
     treatment: str = "",
     drag_model=None,
@@ -183,10 +177,9 @@ def wls_linear_fit(
     """
     X, f = _design(samples)
     if drag_model is not None:
-        z = X[:, 0]
-        zd = np.array([s.z_dot for s in samples])
-        f = f - drag_model(z) * np.maximum(zd, 0.0) ** 2
-    w = np.array([acceleration_weight(s.z_ddot, config) for s in samples])
+        f = f - drag_model(samples.z) * np.maximum(samples.z_dot, 0.0) ** 2
+    # the scalar law (math.exp) per sample: numpy's exp may differ in the last bit
+    w = np.array([acceleration_weight(a, config) for a in samples.z_ddot.tolist()])
     if not np.all(np.isfinite(w)) or w.sum() <= 0.0:
         raise DegenerateFitError("degenerate weights")
     sw = np.sqrt(w)
@@ -334,8 +327,8 @@ class TrialSamples:
     v_td: float             # nominal touchdown speed [m/s]
     k_c_n_per_cm: float     # compression stiffness in the sweep's native unit
     seed: object
-    samples_qs: list[RegressionSample]
-    samples_mo: list[RegressionSample]
+    samples_qs: StanceSamples
+    samples_mo: StanceSamples
 
 
 @dataclass(frozen=True)

@@ -11,31 +11,18 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MissingInputError
-from .simulator import (
-    Frames,
-    IntrusionLog,
-    SensorFrame,
-    TrialEvents,
-    TruthSeries,
-)
+from .simulator import Frames, IntrusionLog, TrialEvents, TruthSeries
 
-FRAME_COLUMNS = (
-    "t",
-    "encoder_theta",
-    "encoder_theta_dot",
-    "imu_body_acc",
-    "imu_foot_acc",
-    "tof_height",
-    "motor_current",
-    "loadcell_force",
-)
+FRAME_COLUMNS = tuple(f.name for f in fields(Frames))
 
 TRUTH_COLUMNS = (
     "t", "x_b", "v_b", "x_f", "v_f", "theta", "theta_dot", "acc_b", "acc_f",
@@ -111,14 +98,23 @@ def _read_csv(path: Path, columns: tuple[str, ...], kind: str) -> np.ndarray:
     return data
 
 
-def write_frames_csv(path, frames: list[SensorFrame]) -> None:
-    columns = [[getattr(f, col) for f in frames] for col in FRAME_COLUMNS]
-    write_columns_csv(path, FRAME_COLUMNS, columns)
+def _check_time_base(t: np.ndarray, path, kind: str) -> None:
+    """A sampled series needs two samples and a strictly increasing time
+    column: its period is t[1] - t[0]."""
+    if t.size < 2 or not np.all(np.diff(t) > 0.0):
+        raise MissingInputError(
+            f"malformed {kind} file {path}: need at least two rows with strictly increasing t"
+        )
+
+
+def write_frames_csv(path, frames: Frames) -> None:
+    write_columns_csv(path, FRAME_COLUMNS, [getattr(frames, col) for col in FRAME_COLUMNS])
 
 
 def read_frames_csv(path) -> Frames:
     data = _read_csv(Path(path), FRAME_COLUMNS, "frames")
-    return Frames(**{col: data[:, i] for i, col in enumerate(FRAME_COLUMNS)})
+    _check_time_base(data[:, 0], path, "frames")
+    return Frames(*data.T)
 
 
 def write_truth_csv(path, truth: TruthSeries) -> None:
@@ -148,11 +144,13 @@ def write_events_json(path, events: TrialEvents, extra: dict | None = None) -> N
 def read_events_json(path) -> TrialEvents:
     payload = read_json(path)
     try:
-        return TrialEvents(
-            t_td=payload["t_td"], t_ce=payload["t_ce"], t_lo=payload["t_lo"], v_td=payload["v_td"]
-        )
+        values = {name: payload[name] for name in ("t_td", "t_ce", "t_lo", "v_td")}
     except (KeyError, TypeError) as exc:
         raise MissingInputError(f"malformed events file {path}: {exc!r}") from exc
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise MissingInputError(f"malformed events file {path}: {name} = {value!r} is not a finite number")
+    return TrialEvents(**values)
 
 
 def write_estimation_csv(path, est, truth_decimated: dict | None = None) -> None:
@@ -173,6 +171,7 @@ def read_estimation_csv(path):
     from .estimation import EstimationSeries
 
     data = _read_csv(Path(path), ESTIMATION_COLUMNS, "estimation")
+    _check_time_base(data[:, 0], path, "estimation")
     return (
         EstimationSeries(
             t=data[:, 0],

@@ -101,20 +101,6 @@ class HopperState:
 
 
 @dataclass(frozen=True)
-class SensorFrame:
-    """One 1 kHz proprioceptive sample."""
-
-    t: float
-    encoder_theta: float
-    encoder_theta_dot: float
-    imu_body_acc: float
-    imu_foot_acc: float
-    tof_height: float
-    motor_current: float
-    loadcell_force: float
-
-
-@dataclass(frozen=True)
 class Derivative:
     """Time derivative of the truth state plus contact diagnostics."""
 
@@ -160,18 +146,8 @@ class TrialEvents:
 
 
 @dataclass
-class TrialLog:
-    frames: list[SensorFrame]
-    truth: TruthSeries
-    events: TrialEvents
-    config: dict
-    seed: object
-    clamp_events: int = 0  # steps where the no-tension clamp changed the dynamics
-
-
-@dataclass
 class Frames:
-    """Columnar view of a frame sequence (what the estimators consume)."""
+    """A trial's 1 kHz proprioceptive samples, one aligned array per channel."""
 
     t: np.ndarray
     encoder_theta: np.ndarray
@@ -183,24 +159,23 @@ class Frames:
     loadcell_force: np.ndarray
 
     @classmethod
-    def from_list(cls, frames: list[SensorFrame]) -> "Frames":
-        cols = {
-            name: np.array([getattr(f, name) for f in frames], dtype=float)
-            for name in (
-                "t",
-                "encoder_theta",
-                "encoder_theta_dot",
-                "imu_body_acc",
-                "imu_foot_acc",
-                "tof_height",
-                "motor_current",
-                "loadcell_force",
-            )
-        }
-        return cls(**cols)
+    def from_list(cls, frames: "Frames") -> "Frames":
+        """`frames` unchanged: a trial's frames are already columns (the
+        benchmark's closed-loop workload still calls this)."""
+        return frames
 
     def __len__(self) -> int:
         return self.t.size
+
+
+@dataclass
+class TrialLog:
+    frames: Frames
+    truth: TruthSeries
+    events: TrialEvents
+    config: dict
+    seed: object
+    clamp_events: int = 0  # steps where the no-tension clamp changed the dynamics
 
 
 @dataclass
@@ -382,7 +357,7 @@ def sensor_frames(
     linkage: LinkageParams,
     rng: np.random.Generator,
     dt: float,
-) -> list[SensorFrame]:
+) -> Frames:
     """The 1 kHz sensor model over aligned float arrays of truth samples.
 
     With `enabled=False` every channel reports truth exactly (ideal
@@ -420,23 +395,7 @@ def sensor_frames(
             current + e_current,
             contact_force + e_load,
         )
-    return [SensorFrame(*row) for row in zip(*(col.tolist() for col in columns))]
-
-
-def sample_sensors(
-    state: HopperState,
-    acc_body: float,
-    acc_foot: float,
-    contact_force: float,
-    tau: float,
-    noise_config: NoiseConfig,
-    rng: np.random.Generator,
-    linkage: LinkageParams,
-    dt: float = 1e-3,
-) -> SensorFrame:
-    """One-shot sensor sample (fresh biases; no rate history)."""
-    columns = (state.t, state.theta, state.theta_dot, acc_body, acc_foot, state.x_b, tau, contact_force)
-    return sensor_frames(*(np.array([c], dtype=float) for c in columns), noise_config, linkage, rng, dt)[0]
+    return Frames(*(np.array(col, dtype=float) for col in columns))
 
 
 def detect_events(truth: TruthSeries, surface_height: float = 0.0) -> TrialEvents:

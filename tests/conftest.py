@@ -9,7 +9,6 @@ from hopperlab import (
     TerrainParams,
     run_hop_trial,
 )
-from hopperlab.simulator import Frames
 
 
 @pytest.fixture(scope="session")
@@ -48,12 +47,12 @@ def noisy_trial(linkage, terrain, controller):
 
 @pytest.fixture(scope="session")
 def noisy_frames(noisy_trial):
-    return Frames.from_list(noisy_trial.frames)
+    return noisy_trial.frames
 
 
 @pytest.fixture(scope="session")
 def noiseless_frames(noiseless_trial):
-    return Frames.from_list(noiseless_trial.frames)
+    return noiseless_trial.frames
 
 
 def decimate_truth(trial, n=None):

@@ -30,7 +30,7 @@ from hopperlab.estimation import (
     run_momentum_observer,
 )
 from hopperlab.identification import (
-    RegressionSample,
+    StanceSamples,
     TrialSamples,
     WeightConfig,
     acceleration_weight,
@@ -42,7 +42,7 @@ from hopperlab.identification import (
     wls_linear_fit,
 )
 from hopperlab.linkage import leg_jacobian, leg_length, reduced_dynamics_coeffs
-from hopperlab.simulator import Frames, run_constant_speed_intrusion
+from hopperlab.simulator import run_constant_speed_intrusion
 from hopperlab.terrain import inertial_threshold
 
 SPEEDS = (0.2, 0.5, 0.8, 1.0, 1.2)
@@ -71,7 +71,7 @@ def sweep(linkage, terrain):
                 linkage,
                 seed=[seed, int(v * 1000), int(kc * 100)],
             )
-            est = run_estimation(Frames.from_list(log.frames), linkage)
+            est = run_estimation(log.frames, linkage)
             trials.append(
                 TrialSamples(
                     v_td=v,
@@ -167,7 +167,7 @@ def test_criterion_05_added_mass_residual(intrusion_fit, linkage, terrain, contr
     cors = []
     for seed in SEEDS:
         log = run_hop_trial(SimConfig(drop_speed=1.2), controller, terrain, linkage, seed=seed)
-        frames = Frames.from_list(log.frames)
+        frames = log.frames
         n = len(frames.t)
         dec = 10
         z = -log.truth.x_f[::dec][:n]
@@ -245,7 +245,7 @@ def test_criterion_07_kalman_filter(linkage, terrain, controller):
     sq = []
     for seed in SEEDS:
         log = run_hop_trial(SimConfig(drop_speed=0.8), controller, terrain, linkage, seed=seed)
-        frames = Frames.from_list(log.frames)
+        frames = log.frames
         est = run_estimation(frames, linkage, noise=noise)
         dec = 10
         xb_true = log.truth.x_b[::dec][: len(est)]
@@ -337,10 +337,8 @@ def test_criterion_09_regression_oracles():
     z = rng.uniform(0.005, 0.06, 250)
     f = 800.0 * z + 1.2 + rng.normal(0.0, 0.9, z.size)
     zdd_uniform = np.full(z.size, 3.0)
-    samples_uniform = [
-        RegressionSample(z=zi, z_dot=0.0, z_ddot=ai, f=fi, t=0.0, source="mo")
-        for zi, ai, fi in zip(z, zdd_uniform, f)
-    ]
+    zeros = np.zeros_like(z)
+    samples_uniform = StanceSamples(z=z, z_dot=zeros, z_ddot=zdd_uniform, f=f, t=zeros, source="mo")
     ols = ols_linear_fit(samples_uniform)
     wls = wls_linear_fit(samples_uniform, WeightConfig())
     eq_err = max(abs(wls.k_est - ols.k_est), abs(wls.intercept - ols.intercept))
@@ -352,10 +350,7 @@ def test_criterion_09_regression_oracles():
 
     # WLS argmin vs brute-force grid search
     zdd = rng.uniform(0.0, 40.0, z.size)
-    samples = [
-        RegressionSample(z=zi, z_dot=0.0, z_ddot=ai, f=fi, t=0.0, source="mo")
-        for zi, ai, fi in zip(z, zdd, f)
-    ]
+    samples = StanceSamples(z=z, z_dot=zeros, z_ddot=zdd, f=f, t=zeros, source="mo")
     cfg = WeightConfig()
     fit = wls_linear_fit(samples, cfg)
     w = np.array([acceleration_weight(a, cfg) for a in zdd])

@@ -5,6 +5,8 @@ truth log comes only from `simulate`, which rebuilds any sweep trial
 bit for bit.  `estimate` takes the truth columns of the estimation CSV
 from `_truth.csv`, else from the trial's previous estimation CSV, else NaN.
 When the intrusion fit cannot run, the fit an earlier run left is removed.
+`identify` reads no frames files, and the manifest lists file names, so a
+sweep directory still works after it is copied or moved.
 """
 
 import json
@@ -153,3 +155,43 @@ def test_intrusion_fit_of_an_earlier_run_is_removed(sweep_dir, config_path, tmp_
     assert not (out / "depth_speed_fit.json").exists()
     assert main(["report", "--config", config_path, "--out", str(out)]) == 0
     assert not (out / "added_mass_residual.csv").exists()
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_identify_reads_no_frames(sweep_dir, config_path, tmp_path):
+    out = _copy(sweep_dir, tmp_path)
+    frames = sorted(out.glob("*_frames.csv"))
+    assert len(frames) == 2
+    for path in frames:
+        path.unlink()
+    assert main(["identify", "--config", config_path, "--out", str(out)]) == 0
+    for name in ("treatment_report.json", "fits.csv", "depth_speed_fit.json"):
+        assert (out / name).read_bytes() == (sweep_dir / name).read_bytes(), name
+    # the report's representative trial still needs its frames
+    assert main(["report", "--config", config_path, "--out", str(out)]) == 4
+
+
+def test_sweep_directory_works_after_a_move(sweep_dir, config_path, tmp_path, monkeypatch):
+    first = tmp_path / "first"
+    assert main(["sweep", "--config", config_path, "--out", str(first)]) == 0
+    assert (first / "manifest.json").read_bytes() == (sweep_dir / "manifest.json").read_bytes()
+    assert main(["report", "--config", config_path, "--out", str(first)]) == 0
+    expected = _files(first)
+    shutil.copytree(first, tmp_path / "second")
+    shutil.rmtree(first)
+
+    monkeypatch.chdir(tmp_path)  # a relative --out
+    for command in ("identify", "report"):
+        assert main([command, "--config", config_path, "--out", "second"]) == 0
+    assert _files(tmp_path / "second") == expected
+
+    victim = tmp_path / "second" / f"{TRIAL}_estimation.csv"
+    victim.unlink()
+    assert main(["sweep", "--config", config_path, "--out", "second", "--resume"]) == 0
+    manifest = json.loads((tmp_path / "second" / "manifest.json").read_text())
+    assert {e["trial_id"]: e["status"] for e in manifest["entries"]}[TRIAL] == "done"
+    assert victim.read_bytes() == expected[victim.name]
+    assert not first.exists()

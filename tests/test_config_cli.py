@@ -140,8 +140,8 @@ def test_cli_sweep_manifest_and_resume(tmp_path):
 
     # delete one trial's outputs, resume, and expect identical reports
     victim = hop_entries[0]
-    for path in victim["paths"].values():
-        os.remove(path)
+    for name in victim["paths"].values():
+        os.remove(out / name)
     assert main(["sweep", "--config", cfg, "--resume"]) == 0
     manifest2 = json.loads((out / "manifest.json").read_text())
     statuses = {e["trial_id"]: e["status"] for e in manifest2["entries"]}
@@ -196,7 +196,7 @@ def test_io_round_trips(tmp_path, noiseless_trial):
     io.write_frames_csv(frames_path, noiseless_trial.frames)
     frames = io.read_frames_csv(frames_path)
     assert frames.t.size == len(noiseless_trial.frames)
-    assert frames.loadcell_force[5] == noiseless_trial.frames[5].loadcell_force
+    assert frames.loadcell_force[5] == noiseless_trial.frames.loadcell_force[5]
 
     truth_path = tmp_path / "t.csv"
     io.write_truth_csv(truth_path, noiseless_trial.truth)

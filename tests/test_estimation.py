@@ -80,7 +80,7 @@ def test_kf_noisy_hop_accuracy(linkage, terrain, controller):
     noise = NoiseConfig()
     for seed in range(3):
         log = run_hop_trial(SimConfig(drop_speed=0.8), controller, terrain, linkage, seed=seed)
-        frames = Frames.from_list(log.frames)
+        frames = log.frames
         est = run_estimation(frames, linkage, noise=noise)
         truth = decimate_truth(log, n=len(est))
         skip = 100
@@ -260,7 +260,7 @@ def test_qs_worse_than_mo_at_touchdown(linkage, terrain, controller):
     )
     truth = decimate_truth(log)
     ev = log.events
-    frames = Frames.from_list(log.frames)
+    frames = log.frames
     n = len(frames.t)
     stance = (truth["t"][:n] >= ev.t_td) & (truth["t"][:n] <= ev.t_lo)
     f_qs, _ = quasi_static_series(frames, linkage)
@@ -286,7 +286,7 @@ def test_mo_beats_qs_on_every_noiseless_sweep_speed(linkage, terrain, controller
             SimConfig(drop_speed=speed), controller, terrain, linkage, seed=0, noise_config=NoiseConfig.noiseless()
         )
         truth = decimate_truth(log)
-        frames = Frames.from_list(log.frames)
+        frames = log.frames
         n = len(frames.t)
         ev = log.events
         stance = (truth["t"][:n] >= ev.t_td) & (truth["t"][:n] <= ev.t_lo)

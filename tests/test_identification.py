@@ -7,7 +7,7 @@ from hopperlab.errors import DegenerateFitError, InsufficientDataError
 from hopperlab.estimation import run_estimation
 from hopperlab.identification import (
     DepthSpeedFit,
-    RegressionSample,
+    StanceSamples,
     TrialSamples,
     WeightConfig,
     acceleration_weight,
@@ -20,17 +20,17 @@ from hopperlab.identification import (
     treatment_comparison,
     wls_linear_fit,
 )
+from hopperlab.signals import smoothed_derivative
 from hopperlab.simulator import Frames, NoiseConfig, run_constant_speed_intrusion
 from hopperlab.terrain import TerrainParams, added_mass_profile
 
 
 def _samples(z, f, zdd=None, zd=None):
-    zdd = np.zeros_like(z) if zdd is None else zdd
-    zd = np.zeros_like(z) if zd is None else zd
-    return [
-        RegressionSample(z=float(zi), z_dot=float(zdi), z_ddot=float(zddi), f=float(fi), t=0.001 * i, source="mo")
-        for i, (zi, zdi, zddi, fi) in enumerate(zip(z, zd, zdd, f))
-    ]
+    z = np.asarray(z, dtype=float)
+    zdd = np.zeros_like(z) if zdd is None else np.asarray(zdd, dtype=float)
+    zd = np.zeros_like(z) if zd is None else np.asarray(zd, dtype=float)
+    t = 0.001 * np.arange(z.size)
+    return StanceSamples(z=z, z_dot=zd, z_ddot=zdd, f=np.asarray(f, dtype=float), t=t, source="mo")
 
 
 # ----------------------------------------------------------------- extract
@@ -40,20 +40,48 @@ def test_extract_samples_stance_window(noiseless_trial, noiseless_frames, linkag
     est = run_estimation(noiseless_frames, linkage, noise=NoiseConfig.noiseless())
     samples = extract_samples(est, noiseless_trial.events, "loadcell", frames=noiseless_frames)
     ev = noiseless_trial.events
-    assert all(ev.t_td <= s.t <= ev.t_lo for s in samples)
-    assert all(s.z > 0.0 for s in samples)
+    assert all(ev.t_td <= t <= ev.t_lo for t in samples.t.tolist())
+    assert all(z > 0.0 for z in samples.z.tolist())
     # sample count ~ stance duration x 1 kHz
     expected = (ev.t_lo - ev.t_td) * 1000.0
     assert abs(len(samples) - expected) <= 3
     # noiseless loadcell samples lie on the reaction-law surface
     terrain = TerrainParams()
-    for s in samples[::25]:
-        m_a, grad = added_mass_profile(s.z, terrain)
-        if s.z_dot >= 0.0:
-            expected_f = terrain.k_stiff * s.z + grad * s.z_dot**2 + m_a * s.z_ddot
+    rows = zip(samples.z.tolist(), samples.z_dot.tolist(), samples.z_ddot.tolist(), samples.f.tolist())
+    for z, z_dot, z_ddot, f in list(rows)[::25]:
+        m_a, grad = added_mass_profile(z, terrain)
+        if z_dot >= 0.0:
+            expected_f = terrain.k_stiff * z + grad * z_dot**2 + m_a * z_ddot
         else:
-            expected_f = terrain.k_stiff * s.z
-        assert s.f == pytest.approx(expected_f, abs=1.5)
+            expected_f = terrain.k_stiff * z
+        assert f == pytest.approx(expected_f, abs=1.5)
+
+
+def _per_index_samples(est, events, force):
+    """Stance samples built one index at a time, as (z, z_dot, z_ddot, f, t) rows."""
+    dt = float(est.t[1] - est.t[0])
+    z = np.maximum(0.0, -est.x_f_hat)
+    z_dot = -est.v_f_hat
+    z_ddot = -smoothed_derivative(est.v_f_hat, dt, window=11)
+    return [
+        (float(z[i]), float(z_dot[i]), float(z_ddot[i]), float(force[i]), float(est.t[i]))
+        for i in range(len(est))
+        if events.t_td <= est.t[i] <= events.t_lo and z[i] > 0.0 and math.isfinite(force[i])
+    ]
+
+
+@pytest.mark.parametrize("source", ["qs", "mo", "loadcell"])
+@pytest.mark.parametrize("trial", ["noisy", "noiseless"])
+def test_extract_samples_columns_match_per_index_reference(request, trial, source, linkage):
+    log = request.getfixturevalue(f"{trial}_trial")
+    est = run_estimation(log.frames, linkage)
+    force = {"qs": est.f_qs, "mo": est.f_mo, "loadcell": log.frames.loadcell_force}[source]
+    samples = extract_samples(est, log.events, source, frames=log.frames)
+    rows = _per_index_samples(est, log.events, force)
+    assert samples.source == source
+    assert len(samples) == len(rows) > 100
+    for name, want in zip(("z", "z_dot", "z_ddot", "f", "t"), zip(*rows)):
+        assert getattr(samples, name).tobytes() == np.array(want, dtype=float).tobytes(), name
 
 
 def test_extract_samples_empty_window(noiseless_frames, noiseless_trial, linkage):

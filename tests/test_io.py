@@ -3,6 +3,7 @@ Artifact writers: byte-identical to per-row formatting, and never leave a
 partial file behind."""
 
 import csv
+import json
 import tempfile
 from pathlib import Path
 
@@ -54,7 +55,9 @@ def _read(reader, text):
         return reader(path)
 
 
-def _well_formed(text, columns):
+def _well_formed(text, columns, time_base):
+    """A right header and numeric rows of the right width; with `time_base`,
+    at least two rows and a strictly increasing first column."""
     lines = text.splitlines()
     if not lines or lines[0] != ",".join(columns) or len(lines) < 2:
         return False
@@ -62,17 +65,21 @@ def _well_formed(text, columns):
         rows = [[float(v) for v in line.split(",")] if line else [] for line in lines[1:]]
     except ValueError:
         return False
-    return all(len(row) == len(columns) for row in rows)
+    if not all(len(row) == len(columns) for row in rows):
+        return False
+    t = [row[0] for row in rows]
+    return not time_base or (len(t) >= 2 and all(b > a for a, b in zip(t, t[1:])))
 
 
 def _fuzz(kind, text):
     reader, columns = READERS[kind]
+    time_base = kind in ("frames", "estimation")
     try:
         result = _read(reader, text)
     except MissingInputError:
-        assert not _well_formed(text, columns)
+        assert not _well_formed(text, columns, time_base)
         return
-    assert _well_formed(text, columns)
+    assert _well_formed(text, columns, time_base)
     n_rows = len(text.splitlines()) - 1
     first = result[0] if isinstance(result, tuple) else result
     assert len(first.t) == n_rows
@@ -143,6 +150,68 @@ def test_cli_estimate_malformed_frames_exit_code(tmp_path, body):
     assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 4
 
 
+_HOP = "hop_v0.80_kc3.75_s0"
+_HOP_FILES = {"frames": f"{_HOP}_frames.csv", "events": f"{_HOP}_events.json", "estimation": f"{_HOP}_estimation.csv"}
+_HOP_ENTRY = {"trial_id": _HOP, "kind": "hop", "speed": 0.8, "k_c_n_per_cm": 3.75, "seed": 0, "paths": _HOP_FILES}
+_EVENTS = {"t_td": 0.001, "t_ce": 0.002, "t_lo": 0.003, "v_td": 0.8}
+
+
+def _series(columns, times):
+    """A CSV with the given time column and 0.5 in every other cell."""
+    rows = [",".join([repr(t)] + ["0.5"] * (len(columns) - 1)) for t in times]
+    return "\n".join([",".join(columns), *rows]) + "\n"
+
+
+def _manifest(**changes):
+    entry = {key: value for key, value in {**_HOP_ENTRY, **changes}.items() if value is not None}
+    return {"manifest.json": json.dumps({"entries": [entry]})}
+
+
+def _hop_trial(estimation_times=(0.0, 0.001, 0.002, 0.003), **events):
+    return {
+        **_manifest(),
+        _HOP_FILES["events"]: json.dumps({**_EVENTS, **events}),
+        _HOP_FILES["estimation"]: _series(io.ESTIMATION_COLUMNS, estimation_times),
+    }
+
+
+# parseable artifacts whose content cannot be used: (command, files)
+_DEGENERATE = {
+    "one-row frames": ("estimate", {_HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0])}),
+    "repeated frame time": ("estimate", {_HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.0])}),
+    "one-row estimation": ("identify", _hop_trial(estimation_times=[0.0])),
+    "non-numeric event time": ("identify", _hop_trial(t_td="x")),
+    "infinite event time": ("identify", _hop_trial(t_lo=float("inf"))),
+    "conditions not objects": (
+        "report", {"treatment_report.json": json.dumps({"k_gt": 800.0, "conditions": [1, 2]})}
+    ),
+    "condition value not a number": ("report", {"treatment_report.json": json.dumps({"k_gt": 800.0, "conditions": [
+        {"v_td": 0.8, "k_c_n_per_cm": 3.75, "treatment": "MO_GD", "mean_k": "x", "sem_k": 1.0, "rel_err": 0.1, "n": 2}
+    ]})}),
+    "entry without kind": ("identify", _manifest(kind=None)),
+    "entry with a list for kind": ("identify", _manifest(kind=["hop"])),
+    "entry without paths": ("identify", _manifest(paths=None)),
+    "entry without speed": ("identify", _manifest(speed=None)),
+    "entry path with a directory": ("identify", {
+        **_hop_trial(),
+        **_manifest(paths={**_HOP_FILES, "events": f"../{_HOP}_events.json"}),
+        f"../{_HOP}_events.json": json.dumps(_EVENTS),
+    }),
+}
+
+
+@pytest.mark.parametrize("case", list(_DEGENERATE))
+def test_cli_degenerate_artifact_exit_code(tmp_path, case):
+    command, files = _DEGENERATE[case]
+    out = tmp_path / "out"
+    out.mkdir()
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("", encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+
+
 
 def _rowwise_csv(path, header, rows):
     """The per-row formatting the column writers must reproduce byte for byte."""
@@ -163,7 +232,7 @@ def test_column_writers_match_rowwise_formatting(tmp_path, noisy_trial, terrain)
         (io.write_truth_csv, truth, io.TRUTH_COLUMNS,
          [[col[i] for col in cols] for i in range(len(truth))]),
         (io.write_frames_csv, noisy_trial.frames, io.FRAME_COLUMNS,
-         [[getattr(f, c) for c in io.FRAME_COLUMNS] for f in noisy_trial.frames]),
+         [[getattr(noisy_trial.frames, c)[i] for c in io.FRAME_COLUMNS] for i in range(len(noisy_trial.frames))]),
     ]
     log = run_constant_speed_intrusion(0.3, 0.02, terrain, seed=0)
     cases.append((io.write_intrusion_csv, log, io.INTRUSION_COLUMNS,

@@ -8,7 +8,6 @@ from hopperlab.controller import ControllerConfig, Phase, PhaseName
 from hopperlab.errors import ConfigError, TrialMalformedError
 from hopperlab.linkage import LinkageParams, reduced_dynamics_coeffs, solve_theta_for_length
 from hopperlab.simulator import (
-    Frames,
     NoiseConfig,
     SimConfig,
     TruthSeries,
@@ -17,7 +16,6 @@ from hopperlab.simulator import (
     mechanical_energy,
     run_constant_speed_intrusion,
     run_hop_trial,
-    sample_sensors,
     sensor_frames,
     state_from_foot_channel,
 )
@@ -118,8 +116,8 @@ def test_trial_determinism(linkage, terrain, controller):
     b = run_hop_trial(SimConfig(drop_speed=0.8), controller, terrain, linkage, seed=42)
     assert np.array_equal(a.truth.x_f, b.truth.x_f)
     assert np.array_equal(a.truth.f_total, b.truth.f_total)
-    fa = Frames.from_list(a.frames)
-    fb = Frames.from_list(b.frames)
+    fa = a.frames
+    fb = b.frames
     for col in ("encoder_theta", "tof_height", "loadcell_force", "imu_foot_acc"):
         assert np.array_equal(getattr(fa, col), getattr(fb, col))
 
@@ -210,13 +208,13 @@ def test_stride_phenomenology(noiseless_trial):
 def test_sensor_frame_timing(noiseless_trial):
     frames = noiseless_trial.frames
     period = 1e-3
-    for k, frame in enumerate(frames):
-        assert frame.t == k * period
+    for k, t in enumerate(frames.t.tolist()):
+        assert t == k * period
 
 
 def test_noiseless_sensors_equal_truth(noiseless_trial, linkage):
     truth_dec = decimate_truth(noiseless_trial, n=len(noiseless_trial.frames))
-    frames = Frames.from_list(noiseless_trial.frames)
+    frames = noiseless_trial.frames
     assert np.array_equal(frames.encoder_theta, truth_dec["theta"])
     assert np.array_equal(frames.encoder_theta_dot, truth_dec["theta_dot"])
     assert np.array_equal(frames.tof_height, truth_dec["x_b"])
@@ -231,9 +229,7 @@ def test_sensor_noise_statistics(linkage):
     noise = NoiseConfig(tof_sigma=5e-3)
     n = 10000
     const = [np.full(n, v) for v in (0.8, 0.0, 1.5, -2.0, 0.55, 0.1, 5.0)]
-    frames = Frames.from_list(
-        sensor_frames(np.arange(n) * 1e-3, *const, noise, linkage, np.random.default_rng(0), 1e-3)
-    )
+    frames = sensor_frames(np.arange(n) * 1e-3, *const, noise, linkage, np.random.default_rng(0), 1e-3)
     bias_body = np.random.default_rng(0).uniform(-noise.imu_bias_max, noise.imu_bias_max)
     tof_err = frames.tof_height - 0.55
     imu_err = frames.imu_body_acc - 1.5
@@ -241,12 +237,15 @@ def test_sensor_noise_statistics(linkage):
     assert abs(np.mean(imu_err) - bias_body) < 0.01
 
 
-def test_sample_sensors_one_shot(linkage):
+def test_sensor_frames_one_row(linkage):
     state = state_from_foot_channel(0.0, -0.5, 0.8, 0.1, Phase(PhaseName.FLIGHT, 0.0), 0.25, linkage)
-    frame = sample_sensors(state, -9.81, -9.81, 0.0, 0.05, NoiseConfig.noiseless(), np.random.default_rng(0), linkage)
-    assert frame.encoder_theta == state.theta
-    assert frame.loadcell_force == 0.0
-    assert frame.motor_current == pytest.approx(0.05 / linkage.torque_constant)
+    frame = sensor_frames(
+        *_one_row(state.t, state.theta, state.theta_dot, -9.81, -9.81, state.x_b, 0.05, 0.0),
+        NoiseConfig.noiseless(), linkage, np.random.default_rng(0), 1e-3,
+    )
+    assert frame.encoder_theta[0] == state.theta
+    assert frame.loadcell_force[0] == 0.0
+    assert frame.motor_current[0] == pytest.approx(0.05 / linkage.torque_constant)
 
 
 def test_detect_events_ordering(noiseless_trial):
@@ -496,12 +495,28 @@ def test_truth_log_matches_kernel_at_logged_states(noisy_trial, linkage, terrain
 
 # ------------------------------------------------- one-pass sensor model
 
-from hopperlab.simulator import HopperState, SensorFrame
+FRAME_COLUMNS = (
+    "t", "encoder_theta", "encoder_theta_dot", "imu_body_acc",
+    "imu_foot_acc", "tof_height", "motor_current", "loadcell_force",
+)
+
+
+def _one_row(*values):
+    """One-sample truth arrays for `sensor_frames`."""
+    return tuple(np.array([v], dtype=float) for v in values)
+
+
+def _assert_frames_equal(frames, rows):
+    """Columnar frames equal per-frame row tuples bit for bit, column by column
+    (`.tobytes()` tells -0.0 from 0.0 and matches NaN with NaN)."""
+    assert len(frames) == len(rows)
+    for name, want in zip(FRAME_COLUMNS, zip(*rows)):
+        assert getattr(frames, name).tobytes() == np.array(want, dtype=float).tobytes(), name
 
 
 class _ReferenceSampler:
     """The per-frame sensor model, one scalar draw per channel per frame,
-    with a streaming 5-sample encoder differentiator."""
+    with a streaming 5-sample encoder differentiator; one row tuple per frame."""
 
     def __init__(self, noise, linkage, rng, dt):
         self.noise, self.linkage, self.rng, self.dt = noise, linkage, rng, dt
@@ -515,7 +530,7 @@ class _ReferenceSampler:
         n, rng = self.noise, self.rng
         current = tau / self.linkage.torque_constant
         if not n.enabled:
-            return SensorFrame(t, theta, theta_dot, acc_body, acc_foot, x_b, current, contact_force)
+            return (t, theta, theta_dot, acc_body, acc_foot, x_b, current, contact_force)
         enc = theta
         if n.encoder_resolution > 0.0:
             enc = round(theta / n.encoder_resolution) * n.encoder_resolution
@@ -524,7 +539,7 @@ class _ReferenceSampler:
         k = len(self.history) - 1
         w = min(5, k)
         rate = (self.history[-1] - self.history[-1 - w]) / (w * self.dt) if k else 0.0
-        return SensorFrame(
+        return (
             t,
             enc,
             rate,
@@ -562,9 +577,7 @@ def test_trial_frames_match_per_frame_reference(mode, speed, seed, linkage, terr
     noise = _NOISE_MODES[mode]
     sim = SimConfig(drop_speed=speed)
     log = run_hop_trial(sim, controller, terrain, linkage, seed=seed, noise_config=noise)
-    assert [repr(f) for f in log.frames] == [
-        repr(f) for f in _reference_frames(log, sim, noise, linkage, seed)
-    ]
+    _assert_frames_equal(log.frames, _reference_frames(log, sim, noise, linkage, seed))
 
 
 @settings(max_examples=60, deadline=None)
@@ -582,8 +595,10 @@ def test_sensor_frames_match_per_frame_reference(n, seed, resolution, encoder_si
     got = sensor_frames(t, *inputs, noise, _LK, np.random.default_rng(seed), 1e-3)
     ref = _ReferenceSampler(noise, _LK, np.random.default_rng(seed), 1e-3)
     want = [ref.sample(k * 1e-3, *inputs[:, k].tolist()) for k in range(n)]
-    assert [repr(f) for f in got] == [repr(f) for f in want]
+    _assert_frames_equal(got, want)
     theta, theta_dot, acc_body, acc_foot, x_b, tau, force = inputs[:, 0].tolist()
-    state = HopperState(x_b, 0.0, 0.0, 0.0, theta, theta_dot, Phase(PhaseName.FLIGHT), 0.0)
-    one = sample_sensors(state, acc_body, acc_foot, force, tau, noise, np.random.default_rng(seed), _LK)
-    assert repr(one) == repr(got[0])
+    one = sensor_frames(
+        *_one_row(0.0, theta, theta_dot, acc_body, acc_foot, x_b, tau, force),
+        noise, _LK, np.random.default_rng(seed), 1e-3,
+    )
+    _assert_frames_equal(one, want[:1])
