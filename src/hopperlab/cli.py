@@ -77,7 +77,10 @@ def _truth_for(config: ExperimentConfig, frames_path: Path, est_path: Path, est)
     existing `_estimation.csv` (a sweep trial), else None (NaN columns)."""
     truth_path = Path(str(frames_path).replace("_frames.csv", "_truth.csv"))
     if truth_path.exists():
-        return decimated_truth(io.read_truth_csv(truth_path), config.sim.decimation, len(est))
+        truth = decimated_truth(io.read_truth_csv(truth_path), config.sim.decimation, len(est))
+        if any(column.size != len(est) for column in truth.values()):
+            raise MissingInputError(f"{truth_path} is too short for the frames in {frames_path}")
+        return truth
     if not est_path.exists():
         return None
     previous, truth = io.read_estimation_csv(est_path)

@@ -1,10 +1,11 @@
 """Experiment configuration: INI-style sections of key = value pairs.
 
-Every key has a documented default, so an empty file is a valid config.
-Unknown sections or keys are rejected.  Controller and sweep stiffnesses
-are given in N/cm (the convention of the hardware protocol this mirrors)
-and converted to N/m at parse time; everything stored on the config
-object is SI.
+Each section fills one dataclass and its keys are that dataclass's
+fields, so every key has a documented default and an empty file is a
+valid config.  Unknown sections or keys are rejected.  Stiffnesses are
+given in N/cm (the convention of the hardware protocol this mirrors): the
+controller's are converted to N/m at parse time, and the sweep grid is
+kept in N/cm as `stiffnesses_n_per_cm`.
 """
 
 from __future__ import annotations
@@ -74,11 +75,8 @@ class ExperimentConfig:
     estimation: EstimationConfig = field(default_factory=EstimationConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     output_dir: str = "runs"
-    unit_conversions: list = field(default_factory=list)
 
 
-# Section -> {key: (target dataclass field, parser)}.  Controller
-# stiffnesses carry the N/cm unit; everything else is SI.
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -88,77 +86,35 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_float_list(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
-
-
-def _parse_int_list(text: str) -> tuple:
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
-
-
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "linkage": {
-        name: (name, float)
-        for name in (
-            "l_upper", "l_lower", "theta_min", "theta_max", "rotor_inertia",
-            "torque_constant", "m_body", "m_foot", "mount_offset",
+def _codec(section: str, name: str, default) -> tuple:
+    """(parse, render) of a key: N/cm in the file for the controller's
+    spring stiffnesses, else by the type of the field's default."""
+    if section == "controller" and name in ("k_compress", "k_extend"):
+        return (lambda text: float(text) * 100.0), (lambda value: str(value / 100.0))
+    if isinstance(default, tuple):
+        kind = type(default[0])
+        return (
+            lambda text: tuple(kind(tok) for tok in text.replace(",", " ").split()),
+            lambda value: ", ".join(str(v) for v in value),
         )
-    },
-    "terrain": {
-        name: (name, float)
-        for name in ("k_stiff", "m_a_inf", "z_c", "d_grain", "surface_height")
-    },
-    "controller": {
-        "k_compress": ("k_compress", "n_per_cm"),
-        "k_extend": ("k_extend", "n_per_cm"),
-        "l0_compress": ("l0_compress", float),
-        "l0_extend": ("l0_extend", float),
-        "b_stance": ("b_stance", float),
-        "b_flight": ("b_flight", float),
-        "contact_force_threshold": ("contact_force_threshold", float),
-    },
-    "sim": {
-        "dt_truth": ("dt_truth", float),
-        "sensor_rate_hz": ("sensor_rate_hz", float),
-        "t_max": ("t_max", float),
-        "post_liftoff_time": ("post_liftoff_time", float),
-        "drop_speed": ("drop_speed", float),
-        "seed": ("seed", int),
-    },
-    "noise": {
-        "enabled": ("enabled", _parse_bool),
-        "encoder_resolution": ("encoder_resolution", float),
-        "encoder_sigma": ("encoder_sigma", float),
-        "imu_sigma": ("imu_sigma", float),
-        "imu_bias_max": ("imu_bias_max", float),
-        "tof_sigma": ("tof_sigma", float),
-        "current_sigma": ("current_sigma", float),
-        "loadcell_sigma": ("loadcell_sigma", float),
-    },
-    "weight": {
-        "sigma_good": ("sigma_good", float),
-        "sigma_bad": ("sigma_bad", float),
-        "k_w": ("k_w", float),
-        "a0": ("a0", float),
-    },
-    "estimation": {
-        "k_obs": ("k_obs", float),
-        "p0_scale": ("p0_scale", float),
-    },
-    "sweep": {
-        "speeds": ("speeds", _parse_float_list),
-        "stiffnesses": ("stiffnesses_n_per_cm", "n_per_cm_list"),
-        "seeds": ("seeds", _parse_int_list),
-        "intrusion_speed_min": ("intrusion_speed_min", float),
-        "intrusion_speed_max": ("intrusion_speed_max", float),
-        "intrusion_speed_count": ("intrusion_speed_count", int),
-        "intrusion_repeats": ("intrusion_repeats", int),
-        "intrusion_z_max": ("intrusion_z_max", float),
-    },
-    "output": {
-        "dir": ("output_dir", str),
-    },
+    return (_parse_bool if isinstance(default, bool) else type(default)), str
+
+
+# Section -> key -> (field, parse, render), in file order.  Each key is the
+# name of a field of its section's dataclass; the sweep's stiffness grid is
+# the one key renamed.
+_SCHEMA: dict[str, dict[str, tuple]] = {
+    section.name: {
+        ("stiffnesses" if f.name == "stiffnesses_n_per_cm" else f.name): (
+            f.name, *_codec(section.name, f.name, f.default)
+        )
+        for f in fields(section.default_factory)
+    }
+    for section in fields(ExperimentConfig)
+    if section.name != "output_dir"
 }
+_SCHEMA["output"] = {"dir": ("output_dir", str, str)}
+
 
 def default_config() -> ExperimentConfig:
     """All documented defaults (what an empty config file yields)."""
@@ -184,7 +140,6 @@ def load_config(path: str) -> ExperimentConfig:
 
     config = ExperimentConfig()
     overrides: dict[str, dict] = {}
-    conversions: list[str] = []
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
@@ -192,30 +147,19 @@ def load_config(path: str) -> ExperimentConfig:
         for key, raw in parser.items(section):
             if key not in schema:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            target, kind = schema[key]
+            target, parse, _ = schema[key]
             try:
-                if kind == "n_per_cm":
-                    value = float(raw) * 100.0
-                    conversions.append(f"{section}.{key}: {raw} N/cm -> {value:g} N/m")
-                elif kind == "n_per_cm_list":
-                    value = _parse_float_list(raw)
-                    conversions.append(
-                        f"{section}.{key}: {raw} N/cm (converted per condition)"
-                    )
-                else:
-                    value = kind(raw)
+                overrides.setdefault(section, {})[target] = parse(raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}")
-            overrides.setdefault(section, {})[target] = value
 
     try:
         for section, values in overrides.items():
             if section == "output":
-                config.output_dir = values["output_dir"]
-                continue
-            setattr(config, section, replace(getattr(config, section), **values))
+                config = replace(config, **values)
+            else:
+                setattr(config, section, replace(getattr(config, section), **values))
         config.controller.validate_workspace(config.linkage)
-        config.unit_conversions = conversions
     except (ValueError, ConfigError) as exc:
         raise ConfigError(str(exc))
     return config
@@ -224,39 +168,10 @@ def load_config(path: str) -> ExperimentConfig:
 def config_to_text(config: ExperimentConfig) -> str:
     """Render a config back to the file format (SI values; stiffness in N/cm)."""
     lines: list[str] = []
-
-    def emit(section: str, obj, skip=()) -> None:
+    for section, schema in _SCHEMA.items():
+        values = config if section == "output" else getattr(config, section)
         lines.append(f"[{section}]")
-        for f in fields(obj):
-            if f.name in skip:
-                continue
-            value = getattr(obj, f.name)
-            if f.name in ("k_compress", "k_extend") and section == "controller":
-                value = value / 100.0
-            if isinstance(value, tuple):
-                value = ", ".join(str(v) for v in value)
-            lines.append(f"{f.name} = {value}")
+        for key, (target, _, render) in schema.items():
+            lines.append(f"{key} = {render(getattr(values, target))}")
         lines.append("")
-
-    emit("linkage", config.linkage)
-    emit("terrain", config.terrain)
-    emit("controller", config.controller)
-    emit("sim", config.sim)
-    emit("noise", config.noise)
-    emit("weight", config.weight)
-    emit("estimation", config.estimation)
-    sweep = config.sweep
-    lines.append("[sweep]")
-    lines.append("speeds = " + ", ".join(str(v) for v in sweep.speeds))
-    lines.append("stiffnesses = " + ", ".join(str(v) for v in sweep.stiffnesses_n_per_cm))
-    lines.append("seeds = " + ", ".join(str(v) for v in sweep.seeds))
-    for name in (
-        "intrusion_speed_min", "intrusion_speed_max", "intrusion_speed_count",
-        "intrusion_repeats", "intrusion_z_max",
-    ):
-        lines.append(f"{name} = {getattr(sweep, name)}")
-    lines.append("")
-    lines.append("[output]")
-    lines.append(f"dir = {config.output_dir}")
-    lines.append("")
     return "\n".join(lines)

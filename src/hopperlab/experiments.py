@@ -151,10 +151,7 @@ def write_hop_artifacts(config: ExperimentConfig, log, trial_id: str, out_dir: P
 
 def decimated_truth(truth: TruthSeries, decimation: int, n: int) -> dict[str, np.ndarray]:
     """The truth columns the estimation CSV carries, at the sensor rate."""
-    return {
-        name: getattr(truth, name)[::decimation][:n]
-        for name in ("x_b", "v_b", "x_f", "v_f", "f_total")
-    }
+    return {name: getattr(truth, name)[::decimation][:n] for name in io.CARRIED_TRUTH}
 
 
 def _run_hop_job(args) -> tuple[str, str]:
@@ -305,16 +302,7 @@ def identify_outputs(config: ExperimentConfig, out_dir: Path) -> None:
         fit_path.unlink(missing_ok=True)
         print(f"intrusion-model fit skipped: {exc}{note}", file=sys.stderr)
         return
-    io.write_json(
-        fit_path,
-        {
-            "k_fit": fit.k_fit,
-            "m_a_inf_fit": fit.m_a_inf_fit,
-            "z_c_fit": fit.z_c_fit,
-            "rmse": fit.rmse,
-            "n_samples": fit.n_samples,
-        },
-    )
+    io.write_json(fit_path, dataclasses.asdict(fit))
 
 
 def write_report(config: ExperimentConfig, out_dir: Path) -> None:
@@ -400,14 +388,7 @@ def _write_representative_trial_figs(config: ExperimentConfig, out_dir: Path) ->
     if not fit_path.exists():
         (out_dir / "added_mass_residual.csv").unlink(missing_ok=True)
         return
-    payload = io.read_json(fit_path)
-    fit = DepthSpeedFit(
-        k_fit=payload["k_fit"],
-        m_a_inf_fit=payload["m_a_inf_fit"],
-        z_c_fit=payload["z_c_fit"],
-        rmse=payload["rmse"],
-        n_samples=payload["n_samples"],
-    )
+    fit = io.read_record(fit_path, DepthSpeedFit, "depth-speed fit")
     z_t = np.maximum(0.0, -truth["x_f"])
     zd_t = -truth["v_f"]
     zdd = -frames.imu_foot_acc

@@ -14,25 +14,25 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MissingInputError
+from .estimation import EstimationSeries
 from .simulator import Frames, IntrusionLog, TrialEvents, TruthSeries
 
 FRAME_COLUMNS = tuple(f.name for f in fields(Frames))
 
-TRUTH_COLUMNS = (
-    "t", "x_b", "v_b", "x_f", "v_f", "theta", "theta_dot", "acc_b", "acc_f",
-    "f_static", "f_drag", "f_added", "f_total", "tau", "f_leg", "phase_id",
-)
+TRUTH_COLUMNS = tuple(f.name for f in fields(TruthSeries))
 
-ESTIMATION_COLUMNS = (
-    "t", "x_b_hat", "v_b_hat", "x_f_hat", "v_f_hat", "f_qs", "f_mo",
-    "x_b_true", "v_b_true", "x_f_true", "v_f_true", "f_true",
-)
+# The estimation CSV: the estimator outputs (`qs_singular` is where f_qs
+# is not finite), then the truth series it carries at the sensor rate,
+# each as `<name>_true` (`f_total` as `f_true`).
+ESTIMATOR_OUTPUTS = tuple(f.name for f in fields(EstimationSeries) if f.name != "qs_singular")
+CARRIED_TRUTH = ("x_b", "v_b", "x_f", "v_f", "f_total")
+ESTIMATION_COLUMNS = ESTIMATOR_OUTPUTS + tuple(f"{name.removesuffix('_total')}_true" for name in CARRIED_TRUTH)
 
 INTRUSION_COLUMNS = ("t", "depth", "speed", "force")
 
@@ -123,74 +123,48 @@ def write_truth_csv(path, truth: TruthSeries) -> None:
 
 def read_truth_csv(path) -> TruthSeries:
     data = _read_csv(Path(path), TRUTH_COLUMNS, "truth")
-    kwargs = {col: data[:, i] for i, col in enumerate(TRUTH_COLUMNS)}
-    truth = TruthSeries(**kwargs)
+    truth = TruthSeries(*data.T)
     truth.phase_id = truth.phase_id.astype(int)
     return truth
 
 
+def read_record(path, cls, kind: str):
+    """A `cls` built from the same-named keys of a JSON object whose values
+    must all be finite numbers; anything else is bad input."""
+    payload = read_json(path)
+    try:
+        values = {f.name: payload[f.name] for f in fields(cls)}
+    except (KeyError, TypeError) as exc:
+        raise MissingInputError(f"malformed {kind} file {path}: {exc!r}") from exc
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise MissingInputError(f"malformed {kind} file {path}: {name} = {value!r} is not a finite number")
+    return cls(**values)
+
+
 def write_events_json(path, events: TrialEvents, extra: dict | None = None) -> None:
-    payload = {
-        "t_td": events.t_td,
-        "t_ce": events.t_ce,
-        "t_lo": events.t_lo,
-        "v_td": events.v_td,
-    }
-    if extra:
-        payload.update(extra)
-    write_json(path, payload)
+    write_json(path, {**asdict(events), **(extra or {})})
 
 
 def read_events_json(path) -> TrialEvents:
-    payload = read_json(path)
-    try:
-        values = {name: payload[name] for name in ("t_td", "t_ce", "t_lo", "v_td")}
-    except (KeyError, TypeError) as exc:
-        raise MissingInputError(f"malformed events file {path}: {exc!r}") from exc
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise MissingInputError(f"malformed events file {path}: {name} = {value!r} is not a finite number")
-    return TrialEvents(**values)
+    return read_record(path, TrialEvents, "events")
 
 
-def write_estimation_csv(path, est, truth_decimated: dict | None = None) -> None:
-    n = len(est)
-    if truth_decimated is None:
-        truth_decimated = {}
-    nan = np.full(n, np.nan)
-    cols = [
-        est.t, est.x_b_hat, est.v_b_hat, est.x_f_hat, est.v_f_hat, est.f_qs, est.f_mo,
-        truth_decimated.get("x_b", nan), truth_decimated.get("v_b", nan),
-        truth_decimated.get("x_f", nan), truth_decimated.get("v_f", nan),
-        truth_decimated.get("f_total", nan),
-    ]
+def write_estimation_csv(path, est: EstimationSeries, truth_decimated: dict | None = None) -> None:
+    """Estimator outputs plus the carried truth columns (NaN where absent)."""
+    truth_decimated = truth_decimated or {}
+    nan = np.full(len(est), np.nan)
+    cols = [getattr(est, name) for name in ESTIMATOR_OUTPUTS]
+    cols += [truth_decimated.get(name, nan) for name in CARRIED_TRUTH]
     write_columns_csv(path, ESTIMATION_COLUMNS, cols)
 
 
-def read_estimation_csv(path):
-    from .estimation import EstimationSeries
-
+def read_estimation_csv(path) -> tuple[EstimationSeries, dict[str, np.ndarray]]:
     data = _read_csv(Path(path), ESTIMATION_COLUMNS, "estimation")
     _check_time_base(data[:, 0], path, "estimation")
-    return (
-        EstimationSeries(
-            t=data[:, 0],
-            x_b_hat=data[:, 1],
-            v_b_hat=data[:, 2],
-            x_f_hat=data[:, 3],
-            v_f_hat=data[:, 4],
-            f_qs=data[:, 5],
-            f_mo=data[:, 6],
-            qs_singular=~np.isfinite(data[:, 5]),
-        ),
-        {
-            "x_b": data[:, 7],
-            "v_b": data[:, 8],
-            "x_f": data[:, 9],
-            "v_f": data[:, 10],
-            "f_total": data[:, 11],
-        },
-    )
+    outputs = dict(zip(ESTIMATOR_OUTPUTS, data.T))
+    truth = dict(zip(CARRIED_TRUTH, data[:, len(ESTIMATOR_OUTPUTS):].T))
+    return EstimationSeries(**outputs, qs_singular=~np.isfinite(outputs["f_qs"])), truth
 
 
 def write_intrusion_csv(path, log: IntrusionLog) -> None:

@@ -13,7 +13,7 @@ applying quantization, bias and white noise per channel.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily: load it here, not in the first trial)
@@ -173,7 +173,6 @@ class TrialLog:
     frames: Frames
     truth: TruthSeries
     events: TrialEvents
-    config: dict
     seed: object
     clamp_events: int = 0  # steps where the no-tension clamp changed the dynamics
 
@@ -561,13 +560,6 @@ def run_hop_trial(
         frames=frames,
         truth=truth,
         events=events,
-        config={
-            "sim": asdict(sim_config),
-            "controller": asdict(cc),
-            "terrain": asdict(tr),
-            "linkage": asdict(lk),
-            "noise": asdict(noise),
-        },
         seed=seed,
         clamp_events=clamp_events,
     )

@@ -64,6 +64,20 @@ def _estimate(config_path, out):
     return main(["estimate", "--config", config_path, "--out", str(out)])
 
 
+def test_csv_headers(sweep_dir, simulate_dir):
+    headers = {
+        simulate_dir / f"{TRIAL}_truth.csv":
+            "t,x_b,v_b,x_f,v_f,theta,theta_dot,acc_b,acc_f,f_static,f_drag,f_added,f_total,tau,f_leg,phase_id",
+        simulate_dir / f"{TRIAL}_estimation.csv":
+            "t,x_b_hat,v_b_hat,x_f_hat,v_f_hat,f_qs,f_mo,x_b_true,v_b_true,x_f_true,v_f_true,f_true",
+        simulate_dir / f"{TRIAL}_frames.csv":
+            "t,encoder_theta,encoder_theta_dot,imu_body_acc,imu_foot_acc,tof_height,motor_current,loadcell_force",
+        sorted(sweep_dir.glob("intr_*.csv"))[0]: "t,depth,speed,force",
+    }
+    for path, header in headers.items():
+        assert path.read_text(encoding="utf-8").splitlines()[0] == header, path.name
+
+
 def test_sweep_writes_no_truth_log(sweep_dir):
     assert not list(sweep_dir.glob("*_truth.csv"))
     manifest = json.loads((sweep_dir / "manifest.json").read_text())

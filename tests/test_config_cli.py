@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from hopperlab import io
 from hopperlab.cli import main
-from hopperlab.config import config_to_text, default_config, load_config
+from hopperlab.config import ExperimentConfig, config_to_text, default_config, load_config
 from hopperlab.errors import ConfigError
 
 TINY_SWEEP = """
@@ -38,7 +39,6 @@ def test_empty_config_gives_defaults(tmp_path):
 def test_stiffness_unit_conversion(tmp_path):
     cfg = load_config(_write(tmp_path, "[controller]\nk_compress = 3.75\n"))
     assert cfg.controller.k_compress == 375.0
-    assert any("3.75 N/cm" in note for note in cfg.unit_conversions)
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -74,6 +74,53 @@ def test_config_round_trip(tmp_path):
     assert cfg.controller.k_compress == d.controller.k_compress
     assert cfg.noise.tof_sigma == d.noise.tof_sigma
     assert cfg.sweep.seeds == d.sweep.seeds
+
+
+def test_default_ini_is_the_rendered_default_config():
+    path = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
+    assert path.read_bytes() == config_to_text(default_config()).encode()
+
+
+# where 0.9 x the default breaks a constraint between fields
+_OTHER = {"l_lower": 0.32, "dt_truth": 5e-5, "sensor_rate_hz": 500.0}
+
+
+def _other_value(value):
+    """A value of the same type that differs from the default `value`."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, tuple):
+        return tuple(_other_value(v) for v in value[:2])
+    if isinstance(value, int):
+        return value + 1
+    return value * 0.9 if value else 0.001
+
+
+_SECTION_FIELDS = [
+    (section.name, f.name)
+    for section in fields(ExperimentConfig)
+    if section.name != "output_dir"
+    for f in fields(section.default_factory)
+]
+
+
+@pytest.mark.parametrize("section,name", _SECTION_FIELDS)
+def test_every_section_field_is_a_config_key(tmp_path, section, name):
+    value = _OTHER.get(name) or _other_value(getattr(getattr(default_config(), section), name))
+    if isinstance(value, tuple):
+        text = ", ".join(str(v) for v in value)
+    else:
+        text = str(value / 100.0 if name in ("k_compress", "k_extend") else value)
+    key = "stiffnesses" if name == "stiffnesses_n_per_cm" else name
+    cfg = load_config(_write(tmp_path, f"[{section}]\n{key} = {text}\n"))
+    assert repr(getattr(getattr(cfg, section), name)) == repr(value)
+    assert load_config(_write(tmp_path, config_to_text(cfg), "again.ini")) == cfg
+
+
+def test_output_dir_is_a_config_key(tmp_path):
+    cfg = load_config(_write(tmp_path, "[output]\ndir = elsewhere/runs\n"))
+    assert cfg.output_dir == "elsewhere/runs"
+    assert load_config(_write(tmp_path, config_to_text(cfg), "again.ini")) == cfg
 
 
 def test_default_sweep_matches_protocol():

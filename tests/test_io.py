@@ -175,6 +175,21 @@ def _hop_trial(estimation_times=(0.0, 0.001, 0.002, 0.003), **events):
     }
 
 
+_CONDITION = {"v_td": 0.8, "k_c_n_per_cm": 3.75, "treatment": "MO_GD", "mean_k": 1.0, "sem_k": 1.0, "rel_err": 0.1, "n": 2}
+_FIT = {"k_fit": 800.0, "m_a_inf_fit": 0.15, "z_c_fit": 0.015, "rmse": 0.1, "n_samples": 10}
+
+
+def _report_inputs(fit):
+    """A hop trial and a treatment report that `report` can use, and `fit`
+    as its depth_speed_fit.json."""
+    return {
+        **_hop_trial(),
+        _HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002, 0.003]),
+        "treatment_report.json": json.dumps({"k_gt": 800.0, "conditions": [_CONDITION]}),
+        "depth_speed_fit.json": json.dumps(fit),
+    }
+
+
 # parseable artifacts whose content cannot be used: (command, files)
 _DEGENERATE = {
     "one-row frames": ("estimate", {_HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0])}),
@@ -186,12 +201,19 @@ _DEGENERATE = {
         "report", {"treatment_report.json": json.dumps({"k_gt": 800.0, "conditions": [1, 2]})}
     ),
     "condition value not a number": ("report", {"treatment_report.json": json.dumps({"k_gt": 800.0, "conditions": [
-        {"v_td": 0.8, "k_c_n_per_cm": 3.75, "treatment": "MO_GD", "mean_k": "x", "sem_k": 1.0, "rel_err": 0.1, "n": 2}
+        {**_CONDITION, "mean_k": "x"}
     ]})}),
     "entry without kind": ("identify", _manifest(kind=None)),
     "entry with a list for kind": ("identify", _manifest(kind=["hop"])),
     "entry without paths": ("identify", _manifest(paths=None)),
     "entry without speed": ("identify", _manifest(speed=None)),
+    "fit without m_a_inf_fit": ("report", _report_inputs({k: v for k, v in _FIT.items() if k != "m_a_inf_fit"})),
+    "fit a JSON list": ("report", _report_inputs(list(_FIT.values()))),
+    "fit value not a number": ("report", _report_inputs({**_FIT, "z_c_fit": "0.015"})),
+    "truth shorter than frames": ("estimate", {
+        _HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002]),
+        f"{_HOP}_truth.csv": _series(io.TRUTH_COLUMNS, [0.0]),
+    }),
     "entry path with a directory": ("identify", {
         **_hop_trial(),
         **_manifest(paths={**_HOP_FILES, "events": f"../{_HOP}_events.json"}),
