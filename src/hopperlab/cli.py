@@ -32,7 +32,9 @@ from .experiments import (
     build_manifest,
     decimated_truth,
     estimate_from_frames,
+    identify_inputs,
     identify_outputs,
+    manifest_trials,
     run_sweep,
     run_single_hop,
     write_hop_artifacts,
@@ -108,7 +110,7 @@ def cmd_estimate(config: ExperimentConfig, args) -> int:
 
 def cmd_identify(config: ExperimentConfig, args) -> int:
     out = _resolve_out(config, args)
-    identify_outputs(config, out)
+    identify_outputs(config, out, *identify_inputs(manifest_trials(out)))
     print(f"wrote treatment_report.json and fits.csv to {out}")
     return 0
 

@@ -6,11 +6,19 @@ and the final artifacts are identical to an uninterrupted run.  Trials
 are independent, so the hop grid can be dispatched to a process pool.
 
 A hop trial's artifacts are its sensor frames, events and estimation CSV;
-the estimation CSV carries the ground truth at the sensor rate.
-Identification reads the events and estimation files; the report also
-reads one trial's frames.  The 10 kHz truth log is not written by a
-sweep: `hopperlab simulate` at the trial's speed, stiffness and seed
-rebuilds the trial bit for bit and writes it as `<id>_truth.csv`.
+the estimation CSV carries the ground truth at the sensor rate.  The
+10 kHz truth log is not written by a sweep: `hopperlab simulate` at the
+trial's speed, stiffness and seed rebuilds the trial bit for bit and
+writes it as `<id>_truth.csv`.  What each command reads:
+
+    sweep     identifies from the stance samples and intrusion logs of the
+              trials it ran, held in memory; it reads back only the events,
+              estimation and intrusion files of trials `--resume` skipped.
+    identify  the manifest, every hop's events and estimation files and
+              every intrusion log; it writes what a sweep writes, byte for
+              byte, through the same `identify_outputs`.
+    report    the treatment report, the manifest, `depth_speed_fit.json`,
+              and one hop's frames, events and estimation files.
 
 The manifest lists each trial's files by name; `trial_paths` resolves
 them against the output directory, so a sweep directory can be copied
@@ -29,7 +37,7 @@ import numpy as np
 from . import io
 from .config import ExperimentConfig
 from .errors import ConfigError, DegenerateFitError, InsufficientDataError, MissingInputError
-from .estimation import KalmanConfig, kalman_x0, run_estimation
+from .estimation import EstimationSeries, KalmanConfig, kalman_x0, run_estimation
 from .identification import (
     ConditionStats,
     DepthSpeedFit,
@@ -43,7 +51,9 @@ from .identification import (
 )
 from .simulator import (
     Frames,
+    IntrusionLog,
     NoiseConfig,
+    TrialEvents,
     TruthSeries,
     run_constant_speed_intrusion,
     run_hop_trial,
@@ -95,7 +105,7 @@ def trial_paths(entry: dict, out_dir: Path) -> dict[str, Path]:
     return {key: Path(out_dir) / names[key] for key in keys}
 
 
-def _manifest_trials(out_dir: Path) -> list[tuple[dict, dict[str, Path]]]:
+def manifest_trials(out_dir: Path) -> list[tuple[dict, dict[str, Path]]]:
     """(entry, resolved files) of every trial in the sweep's manifest."""
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
@@ -138,7 +148,8 @@ def estimate_from_frames(config: ExperimentConfig, frames: Frames):
     )
 
 
-def write_hop_artifacts(config: ExperimentConfig, log, trial_id: str, out_dir: Path) -> dict[str, Path]:
+def write_hop_artifacts(config: ExperimentConfig, log, trial_id: str, out_dir: Path) -> EstimationSeries:
+    """Write a hop's frames, events and estimation files; returns its estimates."""
     paths = {key: Path(out_dir) / name for key, name in _hop_files(trial_id).items()}
     io.write_frames_csv(paths["frames"], log.frames)
     io.write_events_json(paths["events"], log.events, extra={"trial_id": trial_id, "seed": log.seed})
@@ -146,7 +157,7 @@ def write_hop_artifacts(config: ExperimentConfig, log, trial_id: str, out_dir: P
     io.write_estimation_csv(
         paths["estimation"], est, decimated_truth(log.truth, config.sim.decimation, len(est))
     )
-    return paths
+    return est
 
 
 def decimated_truth(truth: TruthSeries, decimation: int, n: int) -> dict[str, np.ndarray]:
@@ -154,12 +165,24 @@ def decimated_truth(truth: TruthSeries, decimation: int, n: int) -> dict[str, np
     return {name: getattr(truth, name)[::decimation][:n] for name in io.CARRIED_TRUTH}
 
 
-def _run_hop_job(args) -> tuple[str, str]:
-    """Worker: simulate + estimate + write one hop trial (picklable)."""
-    config, speed, kc, seed, out_dir = args
-    log, trial_id = run_single_hop(config, speed, kc, seed)
-    write_hop_artifacts(config, log, trial_id, Path(out_dir))
-    return trial_id, "done"
+def _trial_samples(entry: dict, est: EstimationSeries, events: TrialEvents) -> TrialSamples:
+    """A hop's stance samples, keyed by its manifest entry's condition."""
+    return TrialSamples(
+        v_td=entry["speed"],
+        k_c_n_per_cm=entry["k_c_n_per_cm"],
+        seed=entry["seed"],
+        samples_qs=extract_samples(est, events, "qs"),
+        samples_mo=extract_samples(est, events, "mo"),
+    )
+
+
+def _run_hop_job(args) -> TrialSamples:
+    """Worker: simulate, estimate and write one hop trial; returns its
+    stance samples (picklable)."""
+    config, entry, out_dir = args
+    log, trial_id = run_single_hop(config, entry["speed"], entry["k_c_n_per_cm"], entry["seed"])
+    est = write_hop_artifacts(config, log, trial_id, Path(out_dir))
+    return _trial_samples(entry, est, log.events)
 
 
 def build_manifest(config: ExperimentConfig) -> dict:
@@ -196,12 +219,14 @@ def build_manifest(config: ExperimentConfig) -> dict:
     return {"entries": entries}
 
 
-def write_intrusion_trials(config: ExperimentConfig, entries: list[dict], out_dir: Path) -> None:
-    """Run and write each intrusion manifest entry, marking it done.
+def write_intrusion_trials(config: ExperimentConfig, entries: list[dict], out_dir: Path) -> list[IntrusionLog]:
+    """Run and write each intrusion manifest entry, marking it done; returns
+    the logs in the order of `entries`.
 
     The seed key [repeat, round(speed * 1e6)] makes every (speed, repeat)
     pair reproducible on its own.
     """
+    logs = []
     for entry in entries:
         log = run_constant_speed_intrusion(
             entry["speed"],
@@ -212,6 +237,8 @@ def write_intrusion_trials(config: ExperimentConfig, entries: list[dict], out_di
         )
         io.write_intrusion_csv(trial_paths(entry, out_dir)["log"], log)
         entry["status"] = "done"
+        logs.append(log)
+    return logs
 
 
 def _outputs_exist(entry: dict, out_dir: Path) -> bool:
@@ -227,53 +254,59 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bo
     manifest = build_manifest(config)
     io.write_json(out_dir / "manifest.json", manifest)
 
-    hop_jobs = []
-    intrusions = []
+    hops, intrusions = [], []
     for entry in manifest["entries"]:
         if resume and _outputs_exist(entry, out_dir):
             entry["status"] = "skipped"
-        elif entry["kind"] == "hop":
-            hop_jobs.append(
-                (config, entry["speed"], entry["k_c_n_per_cm"], entry["seed"], str(out_dir))
-            )
         else:
-            intrusions.append(entry)
-    write_intrusion_trials(config, intrusions, out_dir)
+            (hops if entry["kind"] == "hop" else intrusions).append(entry)
+    # trial id -> its identification input, kept in memory for every trial run here
+    ready = dict(zip((e["trial_id"] for e in intrusions), write_intrusion_trials(config, intrusions, out_dir)))
 
+    hop_jobs = [(config, entry, str(out_dir)) for entry in hops]
     if jobs > 1 and len(hop_jobs) > 1:
         # the executor forks all max_workers processes at the first submit
         with ProcessPoolExecutor(max_workers=min(jobs, len(hop_jobs))) as pool:
-            for _ in pool.map(_run_hop_job, hop_jobs):
-                pass
+            samples = list(pool.map(_run_hop_job, hop_jobs))
     else:
-        for job in hop_jobs:
-            _run_hop_job(job)
+        samples = [_run_hop_job(job) for job in hop_jobs]
+    ready.update(zip((e["trial_id"] for e in hops), samples))
     for entry in manifest["entries"]:
         if entry["status"] == "pending":
             entry["status"] = "done"
     io.write_json(out_dir / "manifest.json", manifest)
 
-    identify_outputs(config, out_dir)
+    trials = [(entry, trial_paths(entry, out_dir)) for entry in manifest["entries"]]
+    identify_outputs(config, out_dir, *identify_inputs(trials, ready))
     return manifest
 
 
-def _load_trial_samples(entry: dict, paths: dict[str, Path]) -> TrialSamples:
-    est, _ = io.read_estimation_csv(paths["estimation"])
-    events = io.read_events_json(paths["events"])
-    return TrialSamples(
-        v_td=entry["speed"],
-        k_c_n_per_cm=entry["k_c_n_per_cm"],
-        seed=entry["seed"],
-        samples_qs=extract_samples(est, events, "qs"),
-        samples_mo=extract_samples(est, events, "mo"),
-    )
+def identify_inputs(
+    trials: list[tuple[dict, dict[str, Path]]], ready: dict | None = None
+) -> tuple[list[TrialSamples], list[IntrusionLog]]:
+    """The hops' stance samples and the intrusion logs of `trials` ((manifest
+    entry, files) pairs), in their order.  A trial's input is taken from
+    `ready` (trial id -> stance samples or log) when there, else read back
+    from its files."""
+    ready = ready or {}
+    hops, logs = [], []
+    for entry, paths in trials:
+        result = ready.get(entry["trial_id"])
+        if result is None and entry["kind"] == "hop":
+            est, _ = io.read_estimation_csv(paths["estimation"])
+            result = _trial_samples(entry, est, io.read_events_json(paths["events"]))
+        elif result is None:
+            result = io.read_intrusion_csv(paths["log"])
+        (hops if entry["kind"] == "hop" else logs).append(result)
+    return hops, logs
 
 
-def identify_outputs(config: ExperimentConfig, out_dir: Path) -> None:
-    """Treatment report from hop trials plus the intrusion-model fit."""
+def identify_outputs(
+    config: ExperimentConfig, out_dir: Path, trials: list[TrialSamples], intrusion_logs: list[IntrusionLog]
+) -> None:
+    """Treatment report from the hops' stance samples plus the intrusion-model
+    fit of the intrusion logs."""
     out_dir = Path(out_dir)
-    entries = _manifest_trials(out_dir)
-    trials = [_load_trial_samples(entry, paths) for entry, paths in entries if entry["kind"] == "hop"]
     if not trials:
         raise InsufficientDataError("no hop trials in manifest")
     report = treatment_comparison(trials, k_gt=config.terrain.k_stiff, weights=config.weight)
@@ -290,9 +323,6 @@ def identify_outputs(config: ExperimentConfig, out_dir: Path) -> None:
     ]
     io.write_csv(out_dir / "fits.csv", ("v_td", "k_c", "treatment", "k_est", "seed"), rows)
 
-    intrusion_logs = [
-        io.read_intrusion_csv(paths["log"]) for entry, paths in entries if entry["kind"] == "intrusion"
-    ]
     fit_path = out_dir / "depth_speed_fit.json"
     try:
         fit = fit_depth_speed_model(intrusion_logs)
@@ -367,7 +397,7 @@ def write_report(config: ExperimentConfig, out_dir: Path) -> None:
 
 def _write_representative_trial_figs(config: ExperimentConfig, out_dir: Path) -> None:
     """Force-depth scatter and added-mass residual series for one trial."""
-    hops = [e for e, _ in _manifest_trials(out_dir) if e["kind"] == "hop"]
+    hops = [e for e, _ in manifest_trials(out_dir) if e["kind"] == "hop"]
     if not hops:
         return
     # fastest condition, first seed: the regime where dynamics matter most
@@ -385,16 +415,17 @@ def _write_representative_trial_figs(config: ExperimentConfig, out_dir: Path) ->
     )
 
     fit_path = out_dir / "depth_speed_fit.json"
+    residual_path = out_dir / "added_mass_residual.csv"
+    residual_path.unlink(missing_ok=True)  # it was built from an earlier fit
     if not fit_path.exists():
-        (out_dir / "added_mass_residual.csv").unlink(missing_ok=True)
         return
     fit = io.read_record(fit_path, DepthSpeedFit, "depth-speed fit")
+    if not fit.in_box():
+        raise MissingInputError(f"{fit_path} holds parameters outside the fit's box: {fit}")
     z_t = np.maximum(0.0, -truth["x_f"])
     zd_t = -truth["v_f"]
     zdd = -frames.imu_foot_acc
     predicted, residual = added_mass_reconstruction(
         fit, z_t[mask], zd_t[mask], zdd[mask], frames.loadcell_force[mask]
     )
-    io.write_columns_csv(
-        out_dir / "added_mass_residual.csv", ("t", "residual", "predicted"), [est.t[mask], residual, predicted]
-    )
+    io.write_columns_csv(residual_path, ("t", "residual", "predicted"), [est.t[mask], residual, predicted])

@@ -95,6 +95,11 @@ class DepthSpeedFit:
         )
         return np.interp(z, grid, cumulative)
 
+    def in_box(self) -> bool:
+        """Whether (k, m_a_inf, z_c) lie in the box the fit searches."""
+        p = np.array([self.k_fit, self.m_a_inf_fit, self.z_c_fit])
+        return bool(np.all((_FIT_LOWER <= p) & (p <= _FIT_UPPER)))
+
 
 def extract_samples(
     est: EstimationSeries,
@@ -194,6 +199,17 @@ def wls_linear_fit(
     )
 
 
+def _median(a: np.ndarray) -> float:
+    """`np.median` of a 1-d array, without the `numpy.ma` import that numpy's
+    first median pays: NaN if any value is NaN, else the mean of the middle
+    value, or of the two middle values when the count is even."""
+    s = np.sort(a)
+    if np.isnan(s[-1]):  # the sort puts NaN last
+        return math.nan
+    mid = s.size // 2
+    return float(np.mean(s[mid - 1 + s.size % 2 : mid + 1]))
+
+
 _FIT_LOWER = np.array([0.0, 0.0, 1e-5])       # k, m_a_inf, z_c
 _FIT_UPPER = np.array([np.inf, np.inf, 1.0])
 _FIT_TOL = 1e-14
@@ -220,32 +236,34 @@ def _bounded_levenberg_marquardt(
 
     def jacobian(p, e):
         _, ma, zc = p
-        return np.column_stack([z, e / zc, ma * e * (z - zc) / zc**3])
+        return np.stack([z, e / zc, ma * e * (z - zc) / zc**3])  # one row per parameter
 
+    # every n-long reduction is an einsum without `optimize`, which sums in
+    # numpy's own loops: a BLAS product this long would wake its worker threads
     r, e = residuals(p)
-    cost = float(r @ r)
+    cost = float(np.einsum("i,i", r, r))
     if not np.isfinite(cost):
         raise DegenerateFitError("intrusion model is not finite at the initial guess")
     jac = jacobian(p, e)
     damping = 1e-3
     for _ in range(_FIT_MAX_ITER):
-        scale = np.linalg.norm(jac, axis=0)
-        scale[scale == 0.0] = 1.0  # m_a_inf = 0 zeroes the z_c column
-        jac_s = jac / scale
-        grad = jac_s.T @ r
+        scale = np.sqrt(np.einsum("ij,ij->i", jac, jac))
+        scale[scale == 0.0] = 1.0  # m_a_inf = 0 zeroes the z_c row
+        jac_s = jac / scale[:, None]
+        grad = np.einsum("ij,j->i", jac_s, r)
         # a parameter on the box edge whose descent direction leaves the box stays put
         free = ~(((p <= _FIT_LOWER) & (grad > 0.0)) | ((p >= _FIT_UPPER) & (grad < 0.0)))
         if np.max(np.abs(grad[free]), initial=0.0) <= _FIT_TOL * math.sqrt(cost):
             return p, r
-        jac_free = jac_s[:, free]
+        jac_free = jac_s[free]
         step = np.zeros(3)
         step[free] = np.linalg.solve(
-            jac_free.T @ jac_free + damping * np.eye(jac_free.shape[1]), -grad[free]
+            np.einsum("ij,kj->ik", jac_free, jac_free) + damping * np.eye(jac_free.shape[0]), -grad[free]
         ) / scale[free]
         trial = np.clip(p + step, _FIT_LOWER, _FIT_UPPER)
         small_step = np.linalg.norm((trial - p) * scale) <= _FIT_TOL * (_FIT_TOL + np.linalg.norm(p * scale))
         r_trial, e_trial = residuals(trial)
-        cost_trial = float(r_trial @ r_trial)
+        cost_trial = float(np.einsum("i,i", r_trial, r_trial))
         if cost_trial < cost:
             converged = small_step or cost - cost_trial <= _FIT_TOL * cost
             p, r, e, cost = trial, r_trial, e_trial, cost_trial
@@ -284,11 +302,11 @@ def fit_depth_speed_model(logs: list[IntrusionLog]) -> DepthSpeedFit:
     slow = min(logs, key=lambda lg: lg.speed)
     zs, fs = slow.depth[slow.depth > 0.0], slow.force[slow.depth > 0.0]
     k0 = float(np.polyfit(zs, fs, 1)[0])
-    zc0 = max(float(np.median(z)) / 2.0, 1e-3)
+    zc0 = max(_median(z) / 2.0, 1e-3)
     resid0 = f - k0 * z
     with np.errstate(divide="ignore", invalid="ignore"):
         g_samples = resid0 / np.maximum(v * v, 1e-12)
-    ma0 = max(float(np.median(g_samples)) * zc0, 1e-3)
+    ma0 = max(_median(g_samples) * zc0, 1e-3)
 
     p, resid = _bounded_levenberg_marquardt(z, v * v, f, np.array([max(k0, 1.0), ma0, zc0]))
     k_fit, ma_fit, zc_fit = (float(x) for x in p)

@@ -6,7 +6,9 @@ bit for bit.  `estimate` takes the truth columns of the estimation CSV
 from `_truth.csv`, else from the trial's previous estimation CSV, else NaN.
 When the intrusion fit cannot run, the fit an earlier run left is removed.
 `identify` reads no frames files, and the manifest lists file names, so a
-sweep directory still works after it is copied or moved.
+sweep directory still works after it is copied or moved.  A sweep
+identifies from the results it holds in memory and reads back only the
+trials `--resume` skipped; `identify` on its directory writes the same bytes.
 """
 
 import json
@@ -18,6 +20,7 @@ import pytest
 
 from hopperlab import experiments, io
 from hopperlab.cli import main
+from hopperlab.config import load_config
 from hopperlab.errors import DegenerateFitError
 
 TINY_SWEEP = """
@@ -209,3 +212,37 @@ def test_sweep_directory_works_after_a_move(sweep_dir, config_path, tmp_path, mo
     assert {e["trial_id"]: e["status"] for e in manifest["entries"]}[TRIAL] == "done"
     assert victim.read_bytes() == expected[victim.name]
     assert not first.exists()
+
+
+IDENTIFY_FILES = ("treatment_report.json", "fits.csv", "depth_speed_fit.json")
+
+
+def _no_read(path, *args, **kwargs):
+    raise RuntimeError(f"the sweep read back {path}")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_identifies_from_memory(sweep_dir, config_path, tmp_path, monkeypatch, jobs):
+    out = tmp_path / "sweep"
+    with monkeypatch.context() as patch:
+        for reader in ("read_intrusion_csv", "read_estimation_csv", "read_events_json"):
+            patch.setattr(io, reader, _no_read)
+        experiments.run_sweep(load_config(config_path), out, jobs=jobs)
+    swept = _files(out)
+    assert swept == _files(sweep_dir)
+    for name in IDENTIFY_FILES:
+        (out / name).unlink()
+    assert main(["identify", "--config", config_path, "--out", str(out)]) == 0
+    assert _files(out) == swept
+
+
+def test_resume_mixing_memory_and_disk_matches_a_clean_sweep(sweep_dir, config_path, tmp_path):
+    out = _copy(sweep_dir, tmp_path)
+    (out / f"{TRIAL}_estimation.csv").unlink()
+    sorted(out.glob("intr_*.csv"))[1].unlink()
+    assert main(["sweep", "--config", config_path, "--out", str(out), "--resume"]) == 0
+    statuses = [e["status"] for e in json.loads((out / "manifest.json").read_text())["entries"]]
+    assert statuses.count("done") == 2 and statuses.count("skipped") == len(statuses) - 2
+    resumed, clean = _files(out), _files(sweep_dir)
+    del resumed["manifest.json"], clean["manifest.json"]
+    assert resumed == clean

@@ -210,6 +210,11 @@ _DEGENERATE = {
     "fit without m_a_inf_fit": ("report", _report_inputs({k: v for k, v in _FIT.items() if k != "m_a_inf_fit"})),
     "fit a JSON list": ("report", _report_inputs(list(_FIT.values()))),
     "fit value not a number": ("report", _report_inputs({**_FIT, "z_c_fit": "0.015"})),
+    "fit z_c zero": ("report", _report_inputs({**_FIT, "z_c_fit": 0.0})),
+    "fit z_c negative": ("report", _report_inputs({**_FIT, "z_c_fit": -0.01})),
+    "fit z_c above the box": ("report", _report_inputs({**_FIT, "z_c_fit": 1.5})),
+    "fit k negative": ("report", _report_inputs({**_FIT, "k_fit": -800.0})),
+    "fit m_a_inf negative": ("report", _report_inputs({**_FIT, "m_a_inf_fit": -0.15})),
     "truth shorter than frames": ("estimate", {
         _HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002]),
         f"{_HOP}_truth.csv": _series(io.TRUTH_COLUMNS, [0.0]),
@@ -233,6 +238,16 @@ def test_cli_degenerate_artifact_exit_code(tmp_path, case):
     cfg.write_text("", encoding="utf-8")
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
 
+
+@pytest.mark.parametrize("case", [case for case in _DEGENERATE if case.startswith("fit ")])
+def test_report_on_unusable_fit_leaves_no_stale_residual(tmp_path, case):
+    _, files = _DEGENERATE[case]
+    for name, text in {**files, "added_mass_residual.csv": "t,residual,predicted\n0.0,1.0,1.0\n"}.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("", encoding="utf-8")
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+    assert not (tmp_path / "added_mass_residual.csv").exists()
 
 
 def _rowwise_csv(path, header, rows):
