@@ -19,7 +19,6 @@ from .linkage import (
 from .terrain import (
     TerrainParams,
     ForceDecomposition,
-    penetration_depth,
     added_mass_profile,
     terrain_force,
     inertial_threshold,
@@ -36,10 +35,8 @@ from .controller import (
 from .simulator import (
     SimConfig,
     NoiseConfig,
-    HopperState,
     Frames,
     TrialLog,
-    dynamics_derivative,
     run_hop_trial,
     run_constant_speed_intrusion,
     detect_events,

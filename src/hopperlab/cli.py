@@ -76,13 +76,15 @@ def cmd_intrude(config: ExperimentConfig, args) -> int:
 def _truth_for(config: ExperimentConfig, frames_path: Path, est_path: Path, est) -> dict | None:
     """Ground truth at the sensor rate for a re-estimated trial: from its
     `_truth.csv` (written by `simulate`), else from the truth columns of its
-    existing `_estimation.csv` (a sweep trial), else None (NaN columns)."""
+    existing `_estimation.csv` (a sweep trial), else None (NaN columns).
+    The frames are the decimated truth, so a `_truth.csv` must decimate to
+    exactly as many rows as there are frames."""
     truth_path = Path(str(frames_path).replace("_frames.csv", "_truth.csv"))
     if truth_path.exists():
-        truth = decimated_truth(io.read_truth_csv(truth_path), config.sim.decimation, len(est))
-        if any(column.size != len(est) for column in truth.values()):
-            raise MissingInputError(f"{truth_path} is too short for the frames in {frames_path}")
-        return truth
+        truth = io.read_truth_csv(truth_path)
+        if truth.t[:: config.sim.decimation].size != len(est):
+            raise MissingInputError(f"{truth_path} does not decimate to the {len(est)} frames in {frames_path}")
+        return decimated_truth(truth, config.sim.decimation, len(est))
     if not est_path.exists():
         return None
     previous, truth = io.read_estimation_csv(est_path)

@@ -73,7 +73,6 @@ def next_phase(
     contact_force: float,
     t: float,
     config: ControllerConfig,
-    surface_height: float = 0.0,
 ) -> Phase:
     """Advance the state machine by one sample; total (never raises).
 
@@ -84,7 +83,7 @@ def next_phase(
     """
     if phase.name == PhaseName.FLIGHT:
         contact = contact_force > config.contact_force_threshold or (
-            x_f < surface_height and v_f < 0.0
+            x_f < 0.0 and v_f < 0.0
         )
         if contact:
             return Phase(PhaseName.COMPRESSION, t)

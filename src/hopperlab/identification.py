@@ -10,8 +10,8 @@ are retained but barely influence the depth-stiffness slope.
 
 The constant-speed intrusion sweeps feed a separate parametric fit
 F = k*z + g_a(z)*v^2 with g_a the exponential added-mass gradient; its
-integral reconstructs the added-mass profile used to explain the
-residual force transients during hopping.
+closed-form integral m_a(z) is the added-mass profile used to explain
+the residual force transients during hopping.
 """
 
 from __future__ import annotations
@@ -85,15 +85,10 @@ class DepthSpeedFit:
         """Fitted added-mass depth gradient g_a(z) [kg/m]."""
         return self.m_a_inf_fit / self.z_c_fit * np.exp(-np.asarray(z, dtype=float) / self.z_c_fit)
 
-    def added_mass(self, z, n_grid: int = 2000) -> np.ndarray:
-        """m_a(z) by trapezoid integration of the fitted gradient."""
-        z = np.asarray(z, dtype=float)
-        z_hi = max(float(np.max(z)), 1e-9)
-        grid = np.linspace(0.0, z_hi, n_grid)
-        cumulative = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (self.gradient(grid[1:]) + self.gradient(grid[:-1])) * np.diff(grid)))
-        )
-        return np.interp(z, grid, cumulative)
+    def added_mass(self, z) -> np.ndarray:
+        """Fitted added mass m_a(z) = m_a_inf*(1 - exp(-z/z_c)) [kg], the
+        integral of `gradient` from the surface."""
+        return self.m_a_inf_fit * (1.0 - np.exp(-np.asarray(z, dtype=float) / self.z_c_fit))
 
     def in_box(self) -> bool:
         """Whether (k, m_a_inf, z_c) lie in the box the fit searches."""
@@ -106,14 +101,13 @@ def extract_samples(
     events: TrialEvents,
     source: str = "mo",
     frames: Frames | None = None,
-    diff_window: int = 11,
 ) -> StanceSamples:
     """Stance-window regression samples from one trial's estimates.
 
     Depth comes from the filtered foot height, its rate from the filtered
-    foot velocity, and the acceleration from a local-quadratic slope of
-    that velocity.  Force source: "qs", "mo", or "loadcell" (the latter
-    requires the trial's frames).
+    foot velocity, and the acceleration from an 11-tap local-quadratic
+    slope of that velocity.  Force source: "qs", "mo", or "loadcell" (the
+    latter requires the trial's frames).
     """
     if source not in ("qs", "mo", "loadcell"):
         raise ValueError(f"unknown sample source {source!r}")
@@ -129,7 +123,7 @@ def extract_samples(
     dt = float(est.t[1] - est.t[0])
     z = np.maximum(0.0, -est.x_f_hat)
     z_dot = -est.v_f_hat
-    z_ddot = -smoothed_derivative(est.v_f_hat, dt, window=diff_window)
+    z_ddot = -smoothed_derivative(est.v_f_hat, dt, window=11)
 
     mask = (est.t >= events.t_td) & (est.t <= events.t_lo) & (z > 0.0) & np.isfinite(force)
     idx = np.flatnonzero(mask)

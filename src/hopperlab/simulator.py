@@ -1,11 +1,15 @@
 """Coupled body-foot-terrain dynamics, the intrusion rig, and the sensor model.
 
 The truth plant integrates the two-coordinate (foot height, joint angle)
-dynamics with fixed-step RK4 at 10 kHz.  While the foot penetrates, the
-entrained grain mass is folded into the foot-channel inertia so the
-acceleration-proportional part of the reaction never appears as a force
-of unknown acceleration; the logged contact force is then algebraically
-identical to the reaction law evaluated at the logged (z, zd, zdd).
+dynamics with fixed-step RK4 at 10 kHz.  Heights are measured from the
+undisturbed bed surface, so the foot penetrates while x_f < 0.
+`plant_kernel` is the one way to evaluate the plant: the RK4 loop calls
+it under the phase's virtual spring, and tests call it at a fixed
+per-motor torque.  While the foot penetrates, the entrained grain mass is folded
+into the foot-channel inertia so the acceleration-proportional part of
+the reaction never appears as a force of unknown acceleration; the
+logged contact force is then algebraically identical to the reaction law
+evaluated at the logged (z, zd, zdd).
 Sensors are synthesized at 1 kHz by decimating the truth trajectory and
 applying quantization, bias and white noise per channel.
 """
@@ -23,7 +27,7 @@ from .controller import ControllerConfig, Phase, PhaseName, next_phase, spring_g
 from .errors import SimulationError, TrialMalformedError, ConfigError
 from .linkage import LinkageParams, _geometry, solve_theta_for_length
 from .signals import smoothed_backward_difference
-from .terrain import TerrainParams, ForceDecomposition, constant_speed_force
+from .terrain import TerrainParams, constant_speed_force
 
 
 @dataclass(frozen=True)
@@ -84,30 +88,6 @@ class NoiseConfig:
             current_sigma=0.0,
             loadcell_sigma=0.0,
         )
-
-
-@dataclass(frozen=True)
-class HopperState:
-    """Truth state at one instant; body coordinates follow the closure."""
-
-    x_b: float
-    v_b: float
-    x_f: float
-    v_f: float
-    theta: float
-    theta_dot: float
-    phase: Phase
-    t: float
-
-
-@dataclass(frozen=True)
-class Derivative:
-    """Time derivative of the truth state plus contact diagnostics."""
-
-    a_b: float
-    a_f: float
-    theta_ddot: float
-    force: ForceDecomposition
 
 
 @dataclass
@@ -205,7 +185,6 @@ def plant_kernel(lk: LinkageParams, tr: TerrainParams):
     two_ir = 2.0 * lk.rotor_inertia
     weight_free = -m_free * GRAVITY
     weight_body = mb * GRAVITY
-    surface = tr.surface_height
     k_stiff = tr.k_stiff
     m_a_inf = tr.m_a_inf
     z_c = tr.z_c
@@ -226,7 +205,7 @@ def plant_kernel(lk: LinkageParams, tr: TerrainParams):
         rhs_free = weight_free - mb * curv * thd_sq
         rhs_t = -2.0 * tau - m01 * curv * thd_sq - weight_body * jac
 
-        z = surface - x_f
+        z = -x_f
         z_dot = -v_f
         penetrating = z > 0.0 and z_dot >= 0.0
         m00 = m_free
@@ -272,75 +251,15 @@ def plant_kernel(lk: LinkageParams, tr: TerrainParams):
     return stage
 
 
-def _accelerations(
-    x_f: float,
-    v_f: float,
-    theta: float,
-    theta_dot: float,
-    tau: float,
-    lk: LinkageParams,
-    tr: TerrainParams,
-) -> tuple:
-    """Plant accelerations at one instant for a given per-motor torque.
-
-    Returns (a_f, theta_ddot, a_b, f_static, f_drag, f_added, f_total, clamped).
-    """
-    return plant_kernel(lk, tr)(x_f, v_f, theta, theta_dot, 0.0, 0.0, 0.0, tau)[:8]
-
-
-def dynamics_derivative(
-    state: HopperState,
-    tau: float,
-    terrain_params: TerrainParams,
-    linkage_params: LinkageParams,
-) -> Derivative:
-    """Exact state derivative at one instant for a given per-motor torque."""
-    a_f, thdd, a_b, fs, fd, fa, ft, _ = _accelerations(
-        state.x_f, state.v_f, state.theta, state.theta_dot, tau, linkage_params, terrain_params
-    )
-    return Derivative(
-        a_b=a_b,
-        a_f=a_f,
-        theta_ddot=thdd,
-        force=ForceDecomposition(fs, fd, fa, ft),
-    )
-
-
-def state_from_foot_channel(
-    x_f: float,
-    v_f: float,
-    theta: float,
-    theta_dot: float,
-    phase: Phase,
-    t: float,
-    linkage: LinkageParams,
-) -> HopperState:
-    """Build a full state honoring the kinematic closure."""
-    length, jac, _ = _geometry(theta, linkage.l_upper, linkage.l_lower**2)
-    return HopperState(
-        x_b=x_f + length + linkage.mount_offset,
-        v_b=v_f + jac * theta_dot,
-        x_f=x_f,
-        v_f=v_f,
-        theta=theta,
-        theta_dot=theta_dot,
-        phase=phase,
-        t=t,
-    )
-
-
-def mechanical_energy(state: HopperState, linkage: LinkageParams) -> float:
-    """Kinetic plus gravitational energy of the body-foot-rotor system [J]."""
-    _, jac, _ = _geometry(state.theta, linkage.l_upper, linkage.l_lower**2)
+def mechanical_energy(x_f, v_f, theta, theta_dot, linkage: LinkageParams):
+    """Kinetic plus gravitational energy of the body-foot-rotor system [J]
+    at foot-channel coordinates, given as floats or aligned arrays."""
+    length, jac, _ = _geometry(theta, linkage.l_upper, linkage.l_lower**2, xp=np)
     mb, mf = linkage.m_body, linkage.m_foot
-    v_b = state.v_f + jac * state.theta_dot
-    kinetic = (
-        0.5 * mb * v_b * v_b
-        + 0.5 * mf * state.v_f * state.v_f
-        + linkage.rotor_inertia * state.theta_dot * state.theta_dot
-    )
-    potential = mb * GRAVITY * state.x_b + mf * GRAVITY * state.x_f
-    return kinetic + potential
+    v_b = v_f + jac * theta_dot
+    x_b = x_f + length + linkage.mount_offset
+    kinetic = 0.5 * mb * v_b * v_b + 0.5 * mf * v_f * v_f + linkage.rotor_inertia * theta_dot * theta_dot
+    return kinetic + mb * GRAVITY * x_b + mf * GRAVITY * x_f
 
 
 def sensor_frames(
@@ -397,15 +316,14 @@ def sensor_frames(
     return Frames(*(np.array(col, dtype=float) for col in columns))
 
 
-def detect_events(truth: TruthSeries, surface_height: float = 0.0) -> TrialEvents:
+def detect_events(truth: TruthSeries) -> TrialEvents:
     """Locate touchdown, compression-extension transition and liftoff.
 
     TD is the first sample with positive penetration; CE the controller's
     compression-to-extension switch; LO the last sample with positive
     contact force before the controller returns to flight.
     """
-    z = surface_height - truth.x_f
-    contact_idx = np.flatnonzero(z > 0.0)
+    contact_idx = np.flatnonzero(truth.x_f < 0.0)
     if contact_idx.size == 0:
         raise TrialMalformedError("no touchdown: foot never penetrated the surface")
     i_td = int(contact_idx[0])
@@ -463,7 +381,7 @@ def run_hop_trial(
 
     theta0 = solve_theta_for_length(cc.l0_compress, lk)
     drop_h = sim_config.drop_speed**2 / (2.0 * GRAVITY)
-    x_f = tr.surface_height + drop_h
+    x_f = drop_h
     v_f = 0.0
     theta = theta0
     theta_dot = 0.0
@@ -471,7 +389,6 @@ def run_hop_trial(
 
     stage = plant_kernel(lk, tr)
     th_lo, th_hi = lk.theta_min, lk.theta_max
-    surface = tr.surface_height
     mount = lk.mount_offset
     half_dt = 0.5 * dt
     sixth_dt = dt / 6.0
@@ -492,7 +409,7 @@ def run_hop_trial(
             x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr
         )
         new_phase = next_phase(
-            phase, length, jac * theta_dot, x_f, v_f, f_prev, t, cc, surface
+            phase, length, jac * theta_dot, x_f, v_f, f_prev, t, cc
         )
         if new_phase.name != phase.name:
             phase = new_phase
@@ -548,7 +465,7 @@ def run_hop_trial(
 
     *columns, phase_col = np.array(rows, dtype=float).reshape(len(rows), len(fields(TruthSeries))).T
     truth = TruthSeries(*columns, phase_id=phase_col.astype(int))
-    events = detect_events(truth, tr.surface_height)
+    events = detect_events(truth)
     d = slice(None, None, sim_config.decimation)
     frames = sensor_frames(
         np.arange(truth.t[d].size) * sim_config.sensor_period,

@@ -6,10 +6,12 @@ momentum flux of grains entrained under the foot:
     F(z, zd, zdd) = k_stiff * z + dm_a/dz * zd^2 + m_a(z) * zdd
 
 with the entrained (added) mass saturating exponentially,
-m_a(z) = m_a_inf * (1 - exp(-z / z_c)).  Penetration depth z is positive
-downward.  The momentum-flux terms act only while the foot penetrates
-(zd >= 0): grains are abandoned on withdrawal, and the bed can never pull
-the foot down, so the total is clamped at zero from below.
+m_a(z) = m_a_inf * (1 - exp(-z / z_c)).  The undisturbed bed surface is
+the height datum x_f = 0, so a foot at height x_f has penetrated to
+z = -x_f, positive downward; no setting moves the surface.  The
+momentum-flux terms act only while the foot penetrates (zd >= 0): grains
+are abandoned on withdrawal, and the bed can never pull the foot down, so
+the total is clamped at zero from below.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ class TerrainParams:
     m_a_inf: float = 0.15       # saturated added mass [kg]
     z_c: float = 0.015          # added-mass saturation depth [m]
     d_grain: float = 300e-6     # grain diameter [m]
-    surface_height: float = 0.0  # undisturbed surface datum [m]
 
     def __post_init__(self):
         if self.k_stiff <= 0.0:
@@ -54,11 +55,6 @@ class ForceDecomposition:
 
 
 _ZERO_FORCE = ForceDecomposition(0.0, 0.0, 0.0, 0.0)
-
-
-def penetration_depth(x_f: float, params: TerrainParams) -> float:
-    """Depth of the foot below the undisturbed surface, clamped at zero."""
-    return max(0.0, params.surface_height - x_f)
 
 
 def added_mass_profile(z: float, params: TerrainParams) -> tuple[float, float]:

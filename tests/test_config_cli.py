@@ -140,6 +140,10 @@ def test_cli_config_error_exit_code(tmp_path):
     assert rc == 2
     rc = main(["simulate", "--config", _write(tmp_path, "[controller]\nbogus = 1\n")])
     assert rc == 2
+    # the bed surface is the height datum, not a setting
+    cfg = _write(tmp_path, "[terrain]\nsurface_height = 0.1\n")
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "runs")])
+    assert rc == 2
 
 
 def test_cli_missing_input_exit_code(tmp_path):

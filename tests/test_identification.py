@@ -317,7 +317,7 @@ def test_added_mass_integral_matches_profile(terrain):
     )
     zs = np.linspace(0.0, 0.06, 30)
     m_true = np.array([added_mass_profile(z, terrain)[0] for z in zs])
-    assert np.allclose(fit.added_mass(zs), m_true, atol=1e-6)
+    np.testing.assert_allclose(fit.added_mass(zs), m_true, rtol=1e-14, atol=0.0)
 
 
 # ------------------------------------------------------------- treatments

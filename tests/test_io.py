@@ -219,6 +219,11 @@ _DEGENERATE = {
         _HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002]),
         f"{_HOP}_truth.csv": _series(io.TRUTH_COLUMNS, [0.0]),
     }),
+    # a longer truth (another condition's): 31 rows decimate (by 10) to 4, not the 3 frames
+    "truth longer than frames": ("estimate", {
+        _HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002]),
+        f"{_HOP}_truth.csv": _series(io.TRUTH_COLUMNS, [1e-4 * i for i in range(31)]),
+    }),
     "entry path with a directory": ("identify", {
         **_hop_trial(),
         **_manifest(paths={**_HOP_FILES, "events": f"../{_HOP}_events.json"}),

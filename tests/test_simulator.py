@@ -4,36 +4,30 @@ import numpy as np
 import pytest
 
 from hopperlab.constants import GRAVITY
-from hopperlab.controller import ControllerConfig, Phase, PhaseName
+from hopperlab.controller import PhaseName
 from hopperlab.errors import ConfigError, TrialMalformedError
-from hopperlab.linkage import LinkageParams, reduced_dynamics_coeffs, solve_theta_for_length
+from hopperlab.linkage import LinkageParams, leg_length, reduced_dynamics_coeffs
 from hopperlab.simulator import (
     NoiseConfig,
     SimConfig,
     TruthSeries,
     detect_events,
-    dynamics_derivative,
     mechanical_energy,
+    plant_kernel,
     run_constant_speed_intrusion,
     run_hop_trial,
     sensor_frames,
-    state_from_foot_channel,
 )
 from hopperlab.terrain import TerrainParams, terrain_force
 
 from conftest import decimate_truth
 
 
-def _flight_state(x_f, v_f, theta, theta_dot, linkage, t=0.0):
-    return state_from_foot_channel(x_f, v_f, theta, theta_dot, Phase(PhaseName.FLIGHT, 0.0), t, linkage)
-
-
 def test_ballistic_free_fall(linkage, terrain):
-    state = _flight_state(0.05, 0.0, 0.7, 0.0, linkage)
-    deriv = dynamics_derivative(state, 0.0, terrain, linkage)
-    assert deriv.a_b == pytest.approx(-GRAVITY, rel=1e-12)
-    assert deriv.a_f == pytest.approx(-GRAVITY, rel=1e-12)
-    assert deriv.force.f_total == 0.0
+    a_f, _, a_b, _, _, _, f_total, *_ = plant_kernel(linkage, terrain)(0.05, 0.0, 0.7, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert a_b == pytest.approx(-GRAVITY, rel=1e-12)
+    assert a_f == pytest.approx(-GRAVITY, rel=1e-12)
+    assert f_total == 0.0
 
 
 def test_static_balance(linkage, terrain):
@@ -44,10 +38,9 @@ def test_static_balance(linkage, terrain):
     z_eq = (linkage.m_body + linkage.m_foot) * GRAVITY / terrain.k_stiff
     theta = 0.8
     tau = weight_holding_torque(theta, linkage)
-    state = _flight_state(-z_eq, 0.0, theta, 0.0, linkage)
-    deriv = dynamics_derivative(state, tau, terrain, linkage)
-    assert deriv.a_f == pytest.approx(0.0, abs=1e-10)
-    assert deriv.theta_ddot == pytest.approx(0.0, abs=1e-9)
+    a_f, theta_ddot, *_ = plant_kernel(linkage, terrain)(-z_eq, 0.0, theta, 0.0, 0.0, 0.0, 0.0, tau)
+    assert a_f == pytest.approx(0.0, abs=1e-10)
+    assert theta_ddot == pytest.approx(0.0, abs=1e-9)
     f_leg = linkage.m_body * GRAVITY
     assert terrain.k_stiff * z_eq == pytest.approx(linkage.m_foot * GRAVITY + f_leg, rel=1e-12)
 
@@ -55,43 +48,55 @@ def test_static_balance(linkage, terrain):
 def test_derivative_force_matches_terrain_law(linkage, terrain):
     # the returned decomposition must be the reaction law at (z, zd, -a_f)
     rng = np.random.default_rng(3)
+    stage = plant_kernel(linkage, terrain)
     for _ in range(50):
-        state = _flight_state(
-            rng.uniform(-0.05, 0.01),
-            rng.uniform(-1.5, 0.5),
-            rng.uniform(0.5, 1.2),
-            rng.uniform(-5.0, 5.0),
-            linkage,
-        )
-        deriv = dynamics_derivative(state, rng.uniform(-0.5, 2.0), terrain, linkage)
-        z = max(0.0, -state.x_f)
-        law = terrain_force(z, -state.v_f, -deriv.a_f, terrain)
-        assert deriv.force.f_total == pytest.approx(law.f_total, abs=1e-9)
-        assert deriv.force.f_added == pytest.approx(law.f_added, abs=1e-9)
+        x_f = rng.uniform(-0.05, 0.01)
+        v_f = rng.uniform(-1.5, 0.5)
+        theta = rng.uniform(0.5, 1.2)
+        theta_dot = rng.uniform(-5.0, 5.0)
+        tau = rng.uniform(-0.5, 2.0)
+        a_f, _, _, _, _, f_added, f_total, *_ = stage(x_f, v_f, theta, theta_dot, 0.0, 0.0, 0.0, tau)
+        law = terrain_force(max(0.0, -x_f), -v_f, -a_f, terrain)
+        assert f_total == pytest.approx(law.f_total, abs=1e-9)
+        assert f_added == pytest.approx(law.f_added, abs=1e-9)
 
 
-def test_ballistic_energy_conservation(linkage):
-    # contact and actuation disabled: RK4 drift < 1e-8 over 1 s at dt = 1e-4
-    import hopperlab.simulator as sim
-
-    terrain_off = TerrainParams(surface_height=-10.0)
+def test_ballistic_energy_conservation(linkage, terrain):
+    # contact and actuation disabled: RK4 drift < 1e-8 over 1 s at dt = 1e-4;
+    # the hopper flies 10 m above the bed, and its energy is evaluated at
+    # the heights it would have without that lift
+    lift = 10.0
+    stage = plant_kernel(linkage, terrain)
     x_f, v_f, theta, theta_dot = 0.5, 0.2, 0.7, 0.4
     dt = 1e-4
-    e0 = mechanical_energy(_flight_state(x_f, v_f, theta, theta_dot, linkage), linkage)
+    e0 = mechanical_energy(x_f, v_f, theta, theta_dot, linkage)
 
     def f(y):
-        a = sim._accelerations(y[0], y[1], y[2], y[3], 0.0, linkage, terrain_off)
+        a = stage(y[0], y[1], y[2], y[3], 0.0, 0.0, 0.0, 0.0)
         return np.array([y[1], a[0], y[3], a[1]])
 
-    y = np.array([x_f, v_f, theta, theta_dot])
+    y = np.array([x_f + lift, v_f, theta, theta_dot])
     for _ in range(10000):
         k1 = f(y)
         k2 = f(y + 0.5 * dt * k1)
         k3 = f(y + 0.5 * dt * k2)
         k4 = f(y + dt * k3)
         y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    e1 = mechanical_energy(_flight_state(*y, linkage), linkage)
+    e1 = mechanical_energy(y[0] - lift, y[1], y[2], y[3], linkage)
     assert abs(e1 - e0) / abs(e0) < 1e-8
+
+
+def test_mechanical_energy_on_arrays_matches_floats(noiseless_trial, linkage):
+    truth = noiseless_trial.truth
+    cols = (truth.x_f, truth.v_f, truth.theta, truth.theta_dot)
+    energy = mechanical_energy(*cols, linkage)
+    assert energy.shape == truth.t.shape
+    each = [mechanical_energy(*row, linkage) for row in zip(*(c.tolist() for c in cols))]
+    np.testing.assert_allclose(energy, each, rtol=1e-14, atol=0.0)
+    # body height from the closure, as the truth log has it
+    mb, mf = linkage.m_body, linkage.m_foot
+    kinetic = 0.5 * mb * truth.v_b**2 + 0.5 * mf * truth.v_f**2 + linkage.rotor_inertia * truth.theta_dot**2
+    np.testing.assert_allclose(energy, kinetic + GRAVITY * (mb * truth.x_b + mf * truth.x_f), rtol=1e-12)
 
 
 def test_touchdown_speed_matches_projectile(linkage, terrain, controller):
@@ -123,8 +128,6 @@ def test_trial_determinism(linkage, terrain, controller):
 
 
 def test_kinematic_closure(noiseless_trial, linkage):
-    from hopperlab.linkage import leg_length
-
     truth = noiseless_trial.truth
     for i in range(0, len(truth.t), 500):
         expected = truth.x_f[i] + leg_length(truth.theta[i], linkage) + linkage.mount_offset
@@ -238,12 +241,12 @@ def test_sensor_noise_statistics(linkage):
 
 
 def test_sensor_frames_one_row(linkage):
-    state = state_from_foot_channel(0.0, -0.5, 0.8, 0.1, Phase(PhaseName.FLIGHT, 0.0), 0.25, linkage)
+    theta = 0.8
     frame = sensor_frames(
-        *_one_row(state.t, state.theta, state.theta_dot, -9.81, -9.81, state.x_b, 0.05, 0.0),
+        *_one_row(0.25, theta, 0.1, -9.81, -9.81, leg_length(theta, linkage), 0.05, 0.0),
         NoiseConfig.noiseless(), linkage, np.random.default_rng(0), 1e-3,
     )
-    assert frame.encoder_theta[0] == state.theta
+    assert frame.encoder_theta[0] == theta
     assert frame.loadcell_force[0] == 0.0
     assert frame.motor_current[0] == pytest.approx(0.05 / linkage.torque_constant)
 
@@ -340,7 +343,6 @@ def test_blowup_reported_with_time(linkage, terrain, controller):
 from hypothesis import example, given, settings, strategies as st
 
 from hopperlab.linkage import _geometry
-from hopperlab.simulator import plant_kernel
 from hopperlab.terrain import added_mass_profile
 
 _LK = LinkageParams()
@@ -359,7 +361,7 @@ def _reference_accelerations(x_f, v_f, theta, theta_dot, tau, lk, tr):
     rhs_f = -(mb + mf) * GRAVITY - mb * curv * thd_sq
     rhs_t = -2.0 * tau - mb * jac * curv * thd_sq - mb * GRAVITY * jac
 
-    z = tr.surface_height - x_f
+    z = -x_f
     z_dot = -v_f
     penetrating = z > 0.0 and z_dot >= 0.0
     withdrawing = z > 0.0 and z_dot < 0.0
@@ -408,7 +410,7 @@ def _reference_stage(x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr, lk, tr):
 
 
 def _branch(x_f, v_f, theta, theta_dot, tau):
-    z = _TR.surface_height - x_f
+    z = -x_f
     if z <= 0.0:
         return "free"
     if v_f > 0.0:

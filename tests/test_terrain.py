@@ -8,26 +8,8 @@ from hopperlab.terrain import (
     added_mass_profile,
     force_map,
     inertial_threshold,
-    penetration_depth,
     terrain_force,
 )
-
-
-def test_penetration_depth_above_surface():
-    assert penetration_depth(0.05, TerrainParams()) == 0.0
-
-
-def test_penetration_depth_below_surface():
-    assert penetration_depth(-0.03, TerrainParams()) == pytest.approx(0.03)
-
-
-def test_penetration_depth_boundary():
-    assert penetration_depth(0.0, TerrainParams()) == 0.0
-
-
-def test_penetration_depth_respects_datum():
-    params = TerrainParams(surface_height=0.1)
-    assert penetration_depth(0.08, params) == pytest.approx(0.02)
 
 
 def test_added_mass_at_origin():
