@@ -65,10 +65,14 @@ def write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _cells(column) -> list[str]:
+    """The shortest repr that round-trips each float64 value (ints as `1.0`)."""
+    return list(map(repr, np.asarray(column, dtype=float).tolist()))
+
+
 def write_columns_csv(path, header, columns) -> None:
-    """A CSV whose i-th column holds `columns[i]`, each value written as the
-    shortest repr that round-trips its float64 value (ints as `1.0`)."""
-    cells = [list(map(repr, np.asarray(col, dtype=float).tolist())) for col in columns]
+    """A CSV whose i-th column holds `columns[i]`, each value written by `_cells`."""
+    cells = [_cells(col) for col in columns]
     if len({len(col) for col in cells}) > 1:
         raise ValueError(f"columns of {path} differ in length: {[len(col) for col in cells]}")
     write_csv(path, header, zip(*cells))
@@ -168,15 +172,22 @@ def read_estimation_csv(path) -> tuple[EstimationSeries, dict[str, np.ndarray]]:
 
 
 def write_intrusion_csv(path, log: IntrusionLog) -> None:
-    speed = np.full(log.t.size, log.speed, dtype=float)
-    write_columns_csv(path, INTRUSION_COLUMNS, [log.t, log.depth, speed, log.force])
+    """The trial's one speed is formatted once and repeated on every row."""
+    t, depth, force = map(_cells, (log.t, log.depth, log.force))
+    speed = [fmt_float(log.speed)] * len(t)
+    write_csv(path, INTRUSION_COLUMNS, zip(t, depth, speed, force, strict=True))
 
 
 def read_intrusion_csv(path) -> IntrusionLog:
+    """An intrusion log; a non-finite value or a speed that varies between
+    rows is bad input."""
     data = _read_csv(Path(path), INTRUSION_COLUMNS, "intrusion")
-    return IntrusionLog(
-        speed=float(data[0, 2]), t=data[:, 0], depth=data[:, 1], force=data[:, 3]
-    )
+    speed = data[:, 2]
+    if not np.isfinite(data).all():
+        raise MissingInputError(f"malformed intrusion file {path}: non-finite value")
+    if (speed != speed[0]).any():
+        raise MissingInputError(f"malformed intrusion file {path}: speed is not the same on every row")
+    return IntrusionLog(speed=float(speed[0]), t=data[:, 0], depth=data[:, 1], force=data[:, 3])
 
 
 def write_force_map_csv(path, depths, speeds, surface) -> None:

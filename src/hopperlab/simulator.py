@@ -2,7 +2,9 @@
 
 The truth plant integrates the two-coordinate (foot height, joint angle)
 dynamics with fixed-step RK4 at 10 kHz.  Heights are measured from the
-undisturbed bed surface, so the foot penetrates while x_f < 0.
+undisturbed bed surface, so the foot penetrates while x_f < 0.  The drop
+before touchdown is exact free fall, so its rows are written in closed
+form and RK4 starts at the last step above the bed.
 `plant_kernel` is the one way to evaluate the plant: the RK4 loop calls
 it under the phase's virtual spring, and tests call it at a fixed
 per-motor torque.  While the foot penetrates, the entrained grain mass is folded
@@ -17,7 +19,7 @@ applying quantization, bias and white noise per channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily: load it here, not in the first trial)
@@ -42,6 +44,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        settings = (self.dt_truth, self.sensor_rate_hz, self.t_max, self.post_liftoff_time, self.drop_speed)
+        if not all(map(math.isfinite, settings)):
+            raise ValueError("sim settings must be finite numbers")
         if self.dt_truth <= 0.0 or self.sensor_rate_hz <= 0.0:
             raise ValueError("dt_truth and sensor_rate_hz must be positive")
         ratio = 1.0 / (self.sensor_rate_hz * self.dt_truth)
@@ -365,8 +370,12 @@ def run_hop_trial(
     from the decimated truth in one pass (`sensor_frames`).
 
     The hopper is released from rest with the leg at its compression
-    neutral length, at the height that yields the configured touchdown
-    speed.  Deterministic for a fixed seed.
+    neutral length, at the height h that yields the configured touchdown
+    speed.  Until the foot reaches the bed the leg force is zero and the
+    joint does not move, so the rows before the last step with
+    h - g*t^2/2 >= 0 are written in closed form (x_f = h - g*t^2/2,
+    v_f = -g*t, theta = theta0, the rest from one kernel evaluation), and
+    RK4 runs from that step on.  Deterministic for a fixed seed.
     """
     noise = noise_config if noise_config is not None else NoiseConfig()
     if seed is None:
@@ -381,10 +390,6 @@ def run_hop_trial(
 
     theta0 = solve_theta_for_length(cc.l0_compress, lk)
     drop_h = sim_config.drop_speed**2 / (2.0 * GRAVITY)
-    x_f = drop_h
-    v_f = 0.0
-    theta = theta0
-    theta_dot = 0.0
     phase = Phase(PhaseName.FLIGHT, 0.0)
 
     stage = plant_kernel(lk, tr)
@@ -396,13 +401,35 @@ def run_hop_trial(
     k_spr, l0_spr, b_spr = spring_gains(phase.name, cc)
     phase_id = float(int(phase.name))
 
+    # Free fall: rows 0..k0-1 in closed form, k0 the last step above the
+    # bed, which the foot is below by step (fall time)/dt + 2.  Above the
+    # bed the kernel's outputs do not depend on (x_f, v_f).
+    n_fall = min(n_max, int(sim_config.drop_speed / GRAVITY / dt) + 2)
+    t_fall = np.arange(n_fall + 1) * dt
+    x_fall = drop_h - 0.5 * GRAVITY * t_fall * t_fall
+    below = np.flatnonzero(x_fall < 0.0)
+    k0 = int(below[0]) - 1 if below.size else n_fall
+    a_f, _, a_b, fs, fd, fa, ft, _, tau, f_leg, length, _ = stage(
+        drop_h, 0.0, theta0, 0.0, k_spr, l0_spr, b_spr
+    )
+    t_pre, x_pre = t_fall[:k0], x_fall[:k0]
+    v_pre = 0.0 - GRAVITY * t_pre  # +0.0 at t = 0
+    prefix = (
+        t_pre, x_pre + length + mount, v_pre, x_pre, v_pre, theta0, 0.0, a_b, a_f,
+        fs, fd, fa, ft, tau, f_leg, phase_id,
+    )
+
+    t = float(t_fall[k0])
+    x_f = float(x_fall[k0])
+    v_f = 0.0 - GRAVITY * t
+    theta = theta0
+    theta_dot = 0.0
     rows: list[tuple] = []
     clamp_events = 0
     f_prev = 0.0
-    t = 0.0
     t_stop = sim_config.t_max
 
-    for step in range(n_max):
+    for step in range(k0, n_max):
         # stage 1 under the current spring also yields the geometry the
         # phase machine needs; a phase switch re-evaluates it
         a_f, thdd, a_b, fs, fd, fa, ft, clamped, tau, f_leg, length, jac = stage(
@@ -463,7 +490,12 @@ def run_hop_trial(
         if t >= t_stop:
             break
 
-    *columns, phase_col = np.array(rows, dtype=float).reshape(len(rows), len(fields(TruthSeries))).T
+    table = np.empty((k0 + len(rows), len(prefix)))
+    for column, values in zip(table[:k0].T, prefix):
+        column[:] = values
+    if rows:  # filled from the tuples in place, no second copy; [] does not broadcast
+        table[k0:] = rows
+    *columns, phase_col = table.T
     truth = TruthSeries(*columns, phase_id=phase_col.astype(int))
     events = detect_events(truth)
     d = slice(None, None, sim_config.decimation)

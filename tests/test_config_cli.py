@@ -144,6 +144,10 @@ def test_cli_config_error_exit_code(tmp_path):
     cfg = _write(tmp_path, "[terrain]\nsurface_height = 0.1\n")
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "runs")])
     assert rc == 2
+    # a non-finite drop speed or duration is a config error, not a failed trial
+    for text in ("[sim]\ndrop_speed = nan\n", "[sim]\ndrop_speed = inf\n", "[sim]\nt_max = nan\n"):
+        rc = main(["simulate", "--config", _write(tmp_path, text), "--out", str(tmp_path / "runs")])
+        assert rc == 2, text
 
 
 def test_cli_missing_input_exit_code(tmp_path):

@@ -4,6 +4,8 @@ partial file behind."""
 
 import csv
 import json
+import math
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -55,9 +57,10 @@ def _read(reader, text):
         return reader(path)
 
 
-def _well_formed(text, columns, time_base):
-    """A right header and numeric rows of the right width; with `time_base`,
-    at least two rows and a strictly increasing first column."""
+def _well_formed(text, columns, kind):
+    """A right header and numeric rows of the right width; for a sampled
+    series, at least two rows and a strictly increasing first column; for
+    an intrusion log, finite cells and one speed on every row."""
     lines = text.splitlines()
     if not lines or lines[0] != ",".join(columns) or len(lines) < 2:
         return False
@@ -67,19 +70,20 @@ def _well_formed(text, columns, time_base):
         return False
     if not all(len(row) == len(columns) for row in rows):
         return False
+    if kind == "intrusion":
+        return all(math.isfinite(v) for row in rows for v in row) and all(row[2] == rows[0][2] for row in rows)
     t = [row[0] for row in rows]
-    return not time_base or (len(t) >= 2 and all(b > a for a, b in zip(t, t[1:])))
+    return kind not in ("frames", "estimation") or (len(t) >= 2 and all(b > a for a, b in zip(t, t[1:])))
 
 
 def _fuzz(kind, text):
     reader, columns = READERS[kind]
-    time_base = kind in ("frames", "estimation")
     try:
         result = _read(reader, text)
     except MissingInputError:
-        assert not _well_formed(text, columns, time_base)
+        assert not _well_formed(text, columns, kind)
         return
-    assert _well_formed(text, columns, time_base)
+    assert _well_formed(text, columns, kind)
     n_rows = len(text.splitlines()) - 1
     first = result[0] if isinstance(result, tuple) else result
     assert len(first.t) == n_rows
@@ -297,6 +301,54 @@ def test_column_writer_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
         io.write_columns_csv(tmp_path / "x.csv", ("a", "b"), [[1.0, 2.0], [1.0]])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_intrusion_writer_rejects_ragged_log(tmp_path):
+    from hopperlab.simulator import IntrusionLog
+
+    log = IntrusionLog(speed=0.5, t=np.arange(3) * 1e-3, depth=np.zeros(3), force=np.zeros(2))
+    with pytest.raises(ValueError):
+        io.write_intrusion_csv(tmp_path / "x.csv", log)
+    assert list(tmp_path.iterdir()) == []
+
+
+_TINY_SWEEP = "[sweep]\nspeeds = 0.5\nstiffnesses = 3.75\nseeds = 0\nintrusion_speed_count = 2\nintrusion_repeats = 1\n"
+
+
+@pytest.fixture(scope="module")
+def tiny_sweep(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    cfg = root / "tiny.ini"
+    cfg.write_text(_TINY_SWEEP, encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--out", str(root / "out")]) == 0
+    return cfg, root / "out"
+
+
+def _speed_of_row_5(rows):
+    rows[6][2] = "0.9"
+
+
+def _nan_force(rows):
+    rows[3][3] = "nan"
+
+
+@pytest.mark.parametrize("edit", [_speed_of_row_5, _nan_force], ids=["speed varies", "nan force"])
+def test_identify_rejects_inconsistent_intrusion_log(tiny_sweep, tmp_path, edit):
+    # the fit used row 0's speed for every row, and a nan made the fit
+    # "skip" and delete depth_speed_fit.json: both are bad input
+    cfg, sweep = tiny_sweep
+    out = tmp_path / "out"
+    shutil.copytree(sweep, out)
+    fit_before = (out / "depth_speed_fit.json").read_bytes()
+    log = sorted(out.glob("intr_*.csv"))[0]
+    with open(log, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    edit(rows)
+    io.write_csv(log, rows[0], rows[1:])
+    with pytest.raises(MissingInputError):
+        io.read_intrusion_csv(log)
+    assert main(["identify", "--config", str(cfg), "--out", str(out)]) == 4
+    assert (out / "depth_speed_fit.json").read_bytes() == fit_before
 
 
 def _rows_failing_after(n):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -493,6 +494,141 @@ def test_truth_log_matches_kernel_at_logged_states(noisy_trial, linkage, terrain
             truth.f_added[i], truth.f_total[i], truth.tau[i], truth.f_leg[i],
         )
         assert truth.x_b[i] == truth.x_f[i] + length + linkage.mount_offset
+
+
+# ------------------------------------------------- closed-form free fall
+
+from hopperlab import simulator
+from hopperlab.controller import Phase, next_phase, spring_gains
+from hopperlab.linkage import solve_theta_for_length
+
+TRUTH_COLUMNS = tuple(f.name for f in dataclasses.fields(TruthSeries))
+# rows before the last step above the bed: first k with h - g*(k*dt)^2/2 < 0, minus one
+_PREFIX_ROWS = {0.0: 0, 0.2: 203, 0.8: 815, 1.2: 1223}
+
+
+def _reference_truth(sim, controller, linkage, terrain):
+    """The truth table of the RK4 loop run from the release (t = 0), the
+    free fall included, one row per step in `TruthSeries` column order."""
+    stage = plant_kernel(linkage, terrain)
+    dt = sim.dt_truth
+    y = np.array([sim.drop_speed**2 / (2.0 * GRAVITY), 0.0, solve_theta_for_length(controller.l0_compress, linkage), 0.0])
+    phase = Phase(PhaseName.FLIGHT, 0.0)
+    spring = spring_gains(phase.name, controller)
+
+    def derivative(y):
+        a = stage(*y.tolist(), *spring)
+        return np.array([y[1], a[0], y[3], a[1]])
+
+    rows, f_prev, t, t_stop = [], 0.0, 0.0, sim.t_max
+    for step in range(int(round(sim.t_max / dt))):
+        x_f, v_f, theta, theta_dot = y.tolist()
+        out = stage(x_f, v_f, theta, theta_dot, *spring)
+        new = next_phase(phase, out[10], out[11] * theta_dot, x_f, v_f, f_prev, t, controller)
+        if new.name != phase.name:
+            phase = new
+            if phase.name == PhaseName.FLIGHT:
+                t_stop = min(t_stop, t + sim.post_liftoff_time)
+            spring = spring_gains(phase.name, controller)
+            out = stage(x_f, v_f, theta, theta_dot, *spring)
+        a_f, thdd, a_b, fs, fd, fa, ft, _, tau, f_leg, length, jac = out
+        f_prev = ft
+        rows.append((
+            t, x_f + length + linkage.mount_offset, v_f + jac * theta_dot, x_f, v_f, theta, theta_dot,
+            a_b, a_f, fs, fd, fa, ft, tau, f_leg, float(int(phase.name)),
+        ))
+        k1 = np.array([v_f, a_f, theta_dot, thdd])
+        k2 = derivative(y + 0.5 * dt * k1)
+        k3 = derivative(y + 0.5 * dt * k2)
+        k4 = derivative(y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = (step + 1) * dt
+        if t >= t_stop:
+            break
+    return np.array(rows)
+
+
+def _table(truth):
+    return np.column_stack([getattr(truth, name).astype(float) for name in TRUTH_COLUMNS])
+
+
+def _noiseless_hop(drop_speed, linkage, terrain, controller, **sim):
+    return run_hop_trial(
+        SimConfig(drop_speed=drop_speed, **sim), controller, terrain, linkage, seed=0,
+        noise_config=NoiseConfig.noiseless(),
+    )
+
+
+@pytest.mark.parametrize("drop_speed", [0.2, 0.8, 1.2])
+def test_free_fall_rows_match_rk4_reference(drop_speed, linkage, terrain, controller):
+    log = _noiseless_hop(drop_speed, linkage, terrain, controller)
+    got = _table(log.truth)
+    want = _reference_truth(SimConfig(drop_speed=drop_speed), controller, linkage, terrain)
+    assert got.shape == want.shape
+    k0 = _PREFIX_ROWS[drop_speed]
+    # the loop starts at the last row above the bed; the next row touches down
+    assert log.truth.x_f[k0] >= 0.0 > log.truth.x_f[k0 + 1]
+    assert log.events.t_td == log.truth.t[k0 + 1] == want[k0 + 1, 0]
+    assert np.array_equal(got[:, -1], want[:, -1]), "phase_id"
+    # the release row is bit for bit the kernel at rest (v_f +0.0, not -0.0)
+    assert got[0].tobytes() == want[0].tobytes()
+    # the closed form rounds differently from RK4, in the last bits, and
+    # the loop carries that on from row k0
+    scale = np.abs(want).max(axis=0)
+    for j, name in enumerate(TRUTH_COLUMNS):
+        assert np.abs(got[:, j] - want[:, j]).max() <= 1e-12 * scale[j], name
+
+
+def _counting_kernel(monkeypatch):
+    """Patch `plant_kernel` so that every stage call is counted."""
+    calls = [0]
+    kernel = simulator.plant_kernel
+
+    def counting(lk, tr):
+        stage = kernel(lk, tr)
+
+        def counted(*args):
+            calls[0] += 1
+            return stage(*args)
+
+        return counted
+
+    monkeypatch.setattr(simulator, "plant_kernel", counting)
+    return calls
+
+
+@pytest.mark.parametrize("drop_speed", [0.0, 1.2])
+def test_free_fall_is_not_integrated(drop_speed, monkeypatch, linkage, terrain, controller):
+    # one kernel evaluation for the closed-form rows, then four stages per
+    # RK4 row and one more at each phase switch
+    calls = _counting_kernel(monkeypatch)
+    truth = _noiseless_hop(drop_speed, linkage, terrain, controller).truth
+    switches = np.count_nonzero(np.diff(truth.phase_id))
+    assert calls[0] == 1 + 4 * (len(truth) - _PREFIX_ROWS[drop_speed]) + switches
+
+
+def test_zero_drop_speed_truth_is_the_rk4_loop_bit_for_bit(linkage, terrain, controller):
+    # released at the surface there are no closed-form rows: every row
+    # comes from the RK4 loop, byte for byte
+    truth = _noiseless_hop(0.0, linkage, terrain, controller).truth
+    want = _reference_truth(SimConfig(drop_speed=0.0), controller, linkage, terrain)
+    assert _table(truth).tobytes() == want.tobytes()
+    assert truth.x_f[1] < 0.0
+
+
+@pytest.mark.parametrize("t_max", [0.05, 0.1224])
+def test_run_shorter_than_the_fall_has_no_touchdown(t_max, linkage, terrain, controller):
+    # 1.2 m/s needs 1,224 steps to reach the bed: at t_max = 0.05 s every
+    # row is closed-form, at 0.1224 s the loop runs the last row only
+    with pytest.raises(TrialMalformedError, match="no touchdown"):
+        _noiseless_hop(1.2, linkage, terrain, controller, t_max=t_max)
+
+
+def test_sim_config_rejects_non_finite_settings():
+    for name in ("drop_speed", "t_max", "post_liftoff_time", "dt_truth", "sensor_rate_hz"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SimConfig(**{name: value})
 
 
 # ------------------------------------------------- one-pass sensor model
