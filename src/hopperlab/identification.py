@@ -162,21 +162,12 @@ def acceleration_weight(z_ddot: float, config: WeightConfig) -> float:
     return 1.0 / (sigma * sigma)
 
 
-def wls_linear_fit(
-    samples: StanceSamples,
-    config: WeightConfig,
-    treatment: str = "",
-    drag_model=None,
-) -> FitResult:
+def wls_linear_fit(samples: StanceSamples, config: WeightConfig, treatment: str = "") -> FitResult:
     """Acceleration-aware weighted least squares of force on depth.
 
-    Every sample is retained with a positive weight.  `drag_model`, if
-    given, is a callable g_a(z) whose zd^2 contribution is subtracted
-    from the force before fitting (off by default: weighting alone).
+    Every sample is retained with a positive weight.
     """
     X, f = _design(samples)
-    if drag_model is not None:
-        f = f - drag_model(samples.z) * np.maximum(samples.z_dot, 0.0) ** 2
     # the scalar law (math.exp) per sample: numpy's exp may differ in the last bit
     w = np.array([acceleration_weight(a, config) for a in samples.z_ddot.tolist()])
     if not np.all(np.isfinite(w)) or w.sum() <= 0.0:

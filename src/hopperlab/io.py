@@ -1,10 +1,14 @@
-"""Deterministic readers/writers for trial artifacts.
+r"""Deterministic readers/writers for trial artifacts.
 
 All CSVs carry a one-line header and shortest-round-trip float formatting
-(repr), so identical runs produce byte-identical bodies.  No timestamps
-or environment data are ever written into data files.  Every writer
-fills a temporary file beside its target and renames it into place, so
-a crash mid-write leaves the previous file (or none), never a partial one.
+(repr), so identical runs produce byte-identical bodies.  Numeric rows are
+joined by commas and ended by "\r\n", as `csv.writer` would write them (a
+repr never needs quoting), and numeric bodies are parsed by numpy's text
+reader, so a quoted or underscored cell, or a blank line, is bad input.
+No timestamps or environment data are ever written into data files.
+Every writer fills a temporary file beside its target and renames it into
+place, so a crash mid-write leaves the previous file (or none), never a
+partial one.
 """
 
 from __future__ import annotations
@@ -59,10 +63,19 @@ def _replacing(path: Path, newline=None):
 
 
 def write_csv(path: Path, header, rows) -> None:
+    """Rows whose cells may need quoting (the string tables), through `csv.writer`."""
     with _replacing(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_lines(path: Path, header, rows) -> None:
+    r"""`header` and `rows`, cells that need no quoting, as `csv.writer`
+    would write them: joined by commas, each line ended by "\r\n"."""
+    lines = [",".join(header), *map(",".join, rows), ""]
+    with _replacing(path, newline="") as handle:
+        handle.write("\r\n".join(lines))
 
 
 def _cells(column) -> list[str]:
@@ -75,27 +88,31 @@ def write_columns_csv(path, header, columns) -> None:
     cells = [_cells(col) for col in columns]
     if len({len(col) for col in cells}) > 1:
         raise ValueError(f"columns of {path} differ in length: {[len(col) for col in cells]}")
-    write_csv(path, header, zip(*cells))
+    _write_lines(path, header, zip(*cells))
 
 
 def _read_csv(path: Path, columns: tuple[str, ...], kind: str) -> np.ndarray:
-    """Numeric body of a CSV whose header must equal `columns`.
+    r"""Numeric body of a CSV whose header must equal `columns`.
 
-    A missing, empty, header-only, ragged or non-numeric file raises
+    Lines end at "\n", "\r\n" or "\r".  A missing, empty, header-only,
+    ragged or non-numeric file, or one with a blank line, raises
     MissingInputError, so the CLI reports it as bad input.
     """
     if not Path(path).exists():
         raise MissingInputError(f"missing input file: {path}")
     try:
-        with open(path, "r", newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or tuple(header) != columns:
-                raise MissingInputError(f"unexpected {kind} header in {path}")
-            data = np.array([[float(v) for v in row] for row in reader], dtype=float)
-    except (OSError, ValueError, csv.Error) as exc:
+        with open(path, "r", encoding="utf-8") as handle:
+            header, *lines = handle.read().split("\n")
+        if header != ",".join(columns):
+            raise MissingInputError(f"unexpected {kind} header in {path}")
+        if lines and not lines[-1]:
+            lines.pop()
+        if "" in lines:
+            raise ValueError("blank line")
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2) if lines else np.empty((0, 0))
+    except (OSError, ValueError) as exc:
         raise MissingInputError(f"malformed {kind} file {path}: {exc}") from exc
-    if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] != len(columns):
+    if data.shape[0] == 0 or data.shape[1] != len(columns):
         raise MissingInputError(
             f"malformed {kind} file {path}: expected at least one row of {len(columns)} numbers"
         )
@@ -175,7 +192,7 @@ def write_intrusion_csv(path, log: IntrusionLog) -> None:
     """The trial's one speed is formatted once and repeated on every row."""
     t, depth, force = map(_cells, (log.t, log.depth, log.force))
     speed = [fmt_float(log.speed)] * len(t)
-    write_csv(path, INTRUSION_COLUMNS, zip(t, depth, speed, force, strict=True))
+    _write_lines(path, INTRUSION_COLUMNS, zip(t, depth, speed, force, strict=True))
 
 
 def read_intrusion_csv(path) -> IntrusionLog:

@@ -248,11 +248,10 @@ def test_wls_drag_subtraction_flag():
     zd = rng.uniform(0.2, 1.0, 200)
     grad = np.array([added_mass_profile(zi, terrain)[1] for zi in z])
     f = 800.0 * z + grad * zd**2
-    samples = _samples(z, f, zd=zd)
-    biased = wls_linear_fit(samples, WeightConfig())
-    corrected = wls_linear_fit(
-        samples, WeightConfig(), drag_model=lambda zz: terrain.m_a_inf / terrain.z_c * np.exp(-zz / terrain.z_c)
-    )
+    biased = wls_linear_fit(_samples(z, f, zd=zd), WeightConfig())
+    # the caller subtracts the zd^2 drag g_a(z) zd^2 from the force before fitting
+    drag = terrain.m_a_inf / terrain.z_c * np.exp(-z / terrain.z_c) * np.maximum(zd, 0.0) ** 2
+    corrected = wls_linear_fit(_samples(z, f - drag, zd=zd), WeightConfig())
     assert abs(corrected.k_est - 800.0) < abs(biased.k_est - 800.0)
     assert corrected.k_est == pytest.approx(800.0, rel=1e-9)
 

@@ -1,6 +1,7 @@
-"""Artifact readers: malformed files are bad input, never a crash.
-Artifact writers: byte-identical to per-row formatting, and never leave a
-partial file behind."""
+"""Artifact readers: malformed files are bad input, never a crash, and a
+numeric body parses to the floats `csv.reader` + `float()` gave.
+Artifact writers: byte-identical to per-row formatting through
+`csv.writer`, and never leave a partial file behind."""
 
 import csv
 import json
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from hopperlab import io
 from hopperlab.cli import main
 from hopperlab.errors import MissingInputError
@@ -25,7 +27,7 @@ READERS = {
 }
 
 _number = st.floats(allow_nan=True, allow_infinity=True).map(repr)
-_junk = st.sampled_from(["", "abc", "1.0.0", "--1", "0x1p3", "1e", "é", ' "1" ', "nan?"])
+_junk = st.sampled_from(["", "abc", "1.0.0", "--1", "0x1p3", "1e", "é", ' "1" ', "nan?", '"1"', "1_0", "\u0663"])
 _cell = st.one_of(_number, _number, _number, _junk)
 
 
@@ -57,6 +59,13 @@ def _read(reader, text):
         return reader(path)
 
 
+def _number_cell(cell):
+    """An ASCII cell without `_` that `float()` reads."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(cell)
+    return float(cell)
+
+
 def _well_formed(text, columns, kind):
     """A right header and numeric rows of the right width; for a sampled
     series, at least two rows and a strictly increasing first column; for
@@ -65,7 +74,7 @@ def _well_formed(text, columns, kind):
     if not lines or lines[0] != ",".join(columns) or len(lines) < 2:
         return False
     try:
-        rows = [[float(v) for v in line.split(",")] if line else [] for line in lines[1:]]
+        rows = [[_number_cell(v) for v in line.split(",")] if line else [] for line in lines[1:]]
     except ValueError:
         return False
     if not all(len(row) == len(columns) for row in rows):
@@ -119,6 +128,159 @@ def test_reader_rejects_binary_garbage(tmp_path, kind):
     path.write_bytes(b"\xff\xfe\x00garbage\x00")
     with pytest.raises(MissingInputError):
         READERS[kind][0](path)
+
+
+def _rows(columns, n=3):
+    """Rows every reader accepts: t = 0, 1, 2 ms, then one value per column
+    (0.1 in the second; an integer phase_id)."""
+    values = [("0.1", "-2.5e-07", "1e+16", "3.0")[j % 4] for j in range(len(columns) - 1)]
+    values = ["2.0" if name == "phase_id" else v for name, v in zip(columns[1:], values)]
+    return [[repr(i * 1e-3)] + values for i in range(n)]
+
+
+def _text(columns, rows, end="\n", sep=","):
+    return end.join([",".join(columns), *(sep.join(row) for row in rows)]) + end
+
+
+def _with_cell(cell):
+    """Rows whose second cell of the first row is `cell`."""
+    def body(columns):
+        rows = _rows(columns)
+        rows[0][1] = cell
+        return _text(columns, rows)
+    return body
+
+
+def _with_line(line, at):
+    def body(columns):
+        lines = _text(columns, _rows(columns)).split("\n")
+        lines.insert(at, line)
+        return "\n".join(lines)
+    return body
+
+
+# bodies that were bad input with csv.reader + float() and still are
+_BAD_BODIES = {
+    "blank line in the middle": _with_line("", 2),
+    "blank line at the end": lambda columns: _text(columns, _rows(columns)) + "\n",
+    "trailing comma": lambda columns: _text(columns, [row + [""] for row in _rows(columns)]),
+    "empty cell": _with_cell(""),
+    "comment line": _with_line("# a comment", 2),
+    "# in a cell": _with_cell("0.1#"),
+    "hex cell": _with_cell("0x10"),
+    "NUL byte": _with_cell("0.1\x00"),
+    "non-UTF-8 byte": _with_cell("0.1\udcff"),
+    "header only": lambda columns: ",".join(columns) + "\n",
+    "empty file": lambda columns: "",
+    "short row": lambda columns: _text(columns, [row[:-1] for row in _rows(columns)]),
+    "; delimiter": lambda columns: _text(columns, _rows(columns), sep=";"),
+}
+
+# bodies that parse to the same floats as with csv.reader + float()
+_SAME_BODIES = {
+    "LF": lambda columns: _text(columns, _rows(columns)),
+    "CR": lambda columns: _text(columns, _rows(columns), end="\r"),
+    "CRLF": lambda columns: _text(columns, _rows(columns), end="\r\n"),
+    "spaces and tabs around a cell": lambda columns: _text(columns, [[f" {c}\t " for c in row] for row in _rows(columns)]),
+}
+
+# bodies csv.reader + float() read that numpy's parser rejects: (body, the value read at row 0, column 1)
+_NOW_BAD_BODIES = {
+    "quoted cell": (_with_cell('"0.0"'), 0.0),
+    "underscore in a cell": (_with_cell("1_0"), 10.0),
+    "non-ASCII digit": (_with_cell("\u0663"), 3.0),
+    "quoted header cell": (lambda columns: '"t"' + _text(columns, _rows(columns))[1:], 0.1),
+}
+
+
+def _write_body(path, text):
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+
+
+def _as_table(kind, result):
+    """A reader's result as the CSV's columns, in file order."""
+    if kind == "estimation":
+        est, truth = result
+        cols = [getattr(est, name) for name in io.ESTIMATOR_OUTPUTS] + [truth[name] for name in io.CARRIED_TRUTH]
+    elif kind == "intrusion":
+        cols = [result.t, result.depth, np.full(result.t.size, result.speed), result.force]
+    else:
+        cols = [getattr(result, name) for name in READERS[kind][1]]
+    return np.column_stack([np.asarray(col, dtype=float) for col in cols])
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize("case", list(_BAD_BODIES))
+def test_reader_contract_bad_input(tmp_path, kind, case):
+    reader, columns = READERS[kind]
+    path = tmp_path / "artifact.csv"
+    _write_body(path, _BAD_BODIES[case](columns))
+    with pytest.raises(MissingInputError):
+        reference.read_csv(path, columns)
+    with pytest.raises(MissingInputError):
+        reader(path)
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize("case", list(_SAME_BODIES))
+def test_reader_contract_same_floats(tmp_path, kind, case):
+    reader, columns = READERS[kind]
+    path = tmp_path / "artifact.csv"
+    _write_body(path, _SAME_BODIES[case](columns))
+    expected = reference.read_csv(path, columns)
+    assert expected.shape == (3, len(columns))
+    assert np.array_equal(_as_table(kind, reader(path)).view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize("case", list(_NOW_BAD_BODIES))
+def test_reader_contract_changes(tmp_path, kind, case):
+    # csv.reader unquoted cells and float() reads "1_0" as 10.0 and any
+    # Unicode digit; numpy's parser takes none of them: they are bad input
+    reader, columns = READERS[kind]
+    body, value = _NOW_BAD_BODIES[case]
+    path = tmp_path / "artifact.csv"
+    _write_body(path, body(columns))
+    assert reference.read_csv(path, columns)[0, 1] == value
+    with pytest.raises(MissingInputError):
+        reader(path)
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_reader_takes_ascii_separators_as_whitespace(tmp_path, kind):
+    # numpy strips \x1c-\x1f around a cell as whitespace; float() did not
+    reader, columns = READERS[kind]
+    path = tmp_path / "artifact.csv"
+    _write_body(path, _with_cell("0.1\x1c")(columns))
+    with pytest.raises(MissingInputError):
+        reference.read_csv(path, columns)
+    assert _as_table(kind, reader(path))[0, 1] == 0.1
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e16, -1e16,
+                   1.7976931348623157e308, math.inf, -math.inf, math.nan]
+_float64 = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_numeric_csv_matches_csv_writer_and_reads_back_bit_for_bit(data):
+    n_rows = data.draw(st.integers(0, 30))
+    columns = [np.array(data.draw(st.lists(_float64, min_size=n_rows, max_size=n_rows)), dtype=float)
+               for _ in range(data.draw(st.integers(1, 5)))]
+    header = tuple("abcde"[: len(columns)])
+    with tempfile.TemporaryDirectory() as tmp:
+        new, ref = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
+        io.write_columns_csv(new, header, columns)
+        reference.write_columns_csv(ref, header, columns)
+        assert new.read_bytes() == ref.read_bytes()
+        if n_rows == 0:
+            return
+        back = io._read_csv(new, header, "test")
+    written = np.column_stack(columns)
+    nan = np.isnan(written)
+    assert np.array_equal(np.isnan(back), nan)
+    assert np.array_equal(back.view(np.int64)[~nan], written.view(np.int64)[~nan])
 
 
 def test_intrusion_header_only_is_missing_input(tmp_path):
@@ -261,10 +423,7 @@ def test_report_on_unusable_fit_leaves_no_stale_residual(tmp_path, case):
 
 def _rowwise_csv(path, header, rows):
     """The per-row formatting the column writers must reproduce byte for byte."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows([io.fmt_float(v) for v in row] for row in rows)
+    reference.write_rows(path, header, ([io.fmt_float(v) for v in row] for row in rows))
 
 
 def test_column_writers_match_rowwise_formatting(tmp_path, noisy_trial, terrain):
@@ -332,10 +491,17 @@ def _nan_force(rows):
     rows[3][3] = "nan"
 
 
-@pytest.mark.parametrize("edit", [_speed_of_row_5, _nan_force], ids=["speed varies", "nan force"])
+def _blank_last_line(rows):
+    rows.append([])
+
+
+@pytest.mark.parametrize(
+    "edit", [_speed_of_row_5, _nan_force, _blank_last_line], ids=["speed varies", "nan force", "blank line"]
+)
 def test_identify_rejects_inconsistent_intrusion_log(tiny_sweep, tmp_path, edit):
     # the fit used row 0's speed for every row, and a nan made the fit
-    # "skip" and delete depth_speed_fit.json: both are bad input
+    # "skip" and delete depth_speed_fit.json: both are bad input; numpy's
+    # parser skips a blank line, which must stay bad input too
     cfg, sweep = tiny_sweep
     out = tmp_path / "out"
     shutil.copytree(sweep, out)
