@@ -64,4 +64,4 @@ from .identification import (
     added_mass_reconstruction,
     treatment_comparison,
 )
-from .config import ExperimentConfig, default_config, load_config
+from .config import ExperimentConfig, load_config

@@ -18,7 +18,6 @@ precedence: --out, then HOPPERLAB_OUT, then the config's [output] dir.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, with_values
 from .errors import ConfigError, HopperlabError, MissingInputError
 from .experiments import (
     build_manifest,
@@ -54,10 +53,10 @@ def _resolve_out(config: ExperimentConfig, args) -> Path:
 
 def cmd_simulate(config: ExperimentConfig, args) -> int:
     out = _resolve_out(config, args)
-    seeds = args.seeds if args.seeds else [config.sim.seed]
+    configs = [with_values(config, "sim", seed=seed) for seed in args.seeds or [config.sim.seed]]
     kc_ncm = config.controller.k_compress / 100.0
-    for seed in seeds:
-        log, trial_id = run_single_hop(config, config.sim.drop_speed, kc_ncm, seed)
+    for config in configs:
+        log, trial_id = run_single_hop(config, config.sim.drop_speed, kc_ncm, config.sim.seed)
         write_hop_artifacts(config, log, trial_id, out)
         io.write_truth_csv(out / f"{trial_id}_truth.csv", log.truth)
         print(f"wrote trial {trial_id} to {out}")
@@ -120,7 +119,7 @@ def cmd_identify(config: ExperimentConfig, args) -> int:
 def cmd_sweep(config: ExperimentConfig, args) -> int:
     out = _resolve_out(config, args)
     if args.seeds:
-        config.sweep = dataclasses.replace(config.sweep, seeds=tuple(args.seeds))
+        config = with_values(config, "sweep", seeds=tuple(args.seeds))
     manifest = run_sweep(config, out, jobs=args.jobs, resume=args.resume)
     n_hop = sum(1 for e in manifest["entries"] if e["kind"] == "hop")
     n_intr = len(manifest["entries"]) - n_hop

@@ -6,6 +6,11 @@ valid config.  Unknown sections or keys are rejected.  Stiffnesses are
 given in N/cm (the convention of the hardware protocol this mirrors): the
 controller's are converted to N/m at parse time, and the sweep grid is
 kept in N/cm as `stiffnesses_n_per_cm`.
+
+Each key's domain is declared once, on its dataclass field, and checked
+whenever the dataclass is built: a NaN, +-inf or out-of-range value, or
+one that breaks a check across keys, is a ConfigError (exit 2) naming
+`[section] key`.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import configparser
 from dataclasses import dataclass, field, fields, replace
 
 from .controller import ControllerConfig
-from .errors import ConfigError
+from .errors import NONNEGATIVE, POSITIVE, ConfigError, check_domains, domain
 from .linkage import LinkageParams
 from .terrain import TerrainParams
 from .simulator import NoiseConfig, SimConfig
@@ -25,38 +30,33 @@ from .identification import WeightConfig
 class EstimationConfig:
     """Observer gain and filter scaling knobs."""
 
-    k_obs: float = 800.0     # momentum-observer bandwidth [1/s]
-    p0_scale: float = 1e-2   # initial KF covariance diagonal
+    k_obs: float = field(default=800.0, metadata=POSITIVE)     # momentum-observer bandwidth [1/s]
+    p0_scale: float = field(default=1e-2, metadata=POSITIVE)   # initial KF covariance diagonal
 
-    def __post_init__(self):
-        if self.k_obs <= 0.0 or self.p0_scale <= 0.0:
-            raise ValueError("k_obs and p0_scale must be positive")
+    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     """Hop and intrusion grids for the full experiment sweep."""
 
-    speeds: tuple = (0.5, 0.8, 1.0, 1.2)                 # touchdown speeds [m/s]
-    stiffnesses_n_per_cm: tuple = (2.50, 3.75, 5.00)     # compression stiffness grid
-    seeds: tuple = (0, 1, 2, 3, 4)
-    intrusion_speed_min: float = 0.022
-    intrusion_speed_max: float = 1.1
-    intrusion_speed_count: int = 50
-    intrusion_repeats: int = 3
-    intrusion_z_max: float = 0.05
+    speeds: tuple = field(default=(0.5, 0.8, 1.0, 1.2), metadata=NONNEGATIVE)          # touchdown speeds [m/s]
+    stiffnesses_n_per_cm: tuple = field(default=(2.50, 3.75, 5.00), metadata=POSITIVE)  # compression stiffness grid
+    seeds: tuple = field(default=(0, 1, 2, 3, 4), metadata=NONNEGATIVE)
+    intrusion_speed_min: float = field(default=0.022, metadata=POSITIVE)
+    intrusion_speed_max: float = field(default=1.1, metadata=POSITIVE)
+    intrusion_speed_count: int = field(default=50, metadata=domain(1, closed=True))
+    intrusion_repeats: int = field(default=3, metadata=domain(1, closed=True))
+    intrusion_z_max: float = field(default=0.05, metadata=POSITIVE)
 
     def __post_init__(self):
+        check_domains(self)
         if not self.speeds or not self.stiffnesses_n_per_cm or not self.seeds:
-            raise ValueError("sweep grids must be nonempty")
+            raise ValueError("speeds, stiffnesses and seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("sweep seeds must be distinct")
-        if not (0.0 < self.intrusion_speed_min < self.intrusion_speed_max):
-            raise ValueError("intrusion speed range invalid")
-        if self.intrusion_speed_count < 1 or self.intrusion_repeats < 1:
-            raise ValueError("intrusion counts must be >= 1")
-        if self.intrusion_z_max <= 0.0:
-            raise ValueError("intrusion_z_max must be positive")
+            raise ValueError("seeds must be distinct")
+        if not self.intrusion_speed_min < self.intrusion_speed_max:
+            raise ValueError("intrusion_speed_min must be below intrusion_speed_max")
 
     def intrusion_speeds(self) -> list[float]:
         import numpy as np
@@ -116,11 +116,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 _SCHEMA["output"] = {"dir": ("output_dir", str, str)}
 
 
-def default_config() -> ExperimentConfig:
-    """All documented defaults (what an empty config file yields)."""
-    return ExperimentConfig()
-
-
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an experiment config file.
 
@@ -139,30 +134,34 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config parse error: {exc}")
 
     config = ExperimentConfig()
-    overrides: dict[str, dict] = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        schema = _SCHEMA[section]
+        schema, values = _SCHEMA[section], {}
         for key, raw in parser.items(section):
             if key not in schema:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
             target, parse, _ = schema[key]
             try:
-                overrides.setdefault(section, {})[target] = parse(raw)
+                values[target] = parse(raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}")
-
+        config = with_values(config, section, **values)
     try:
-        for section, values in overrides.items():
-            if section == "output":
-                config = replace(config, **values)
-            else:
-                setattr(config, section, replace(getattr(config, section), **values))
         config.controller.validate_workspace(config.linkage)
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(str(exc))
+    except ValueError as exc:
+        raise ConfigError(f"[controller] {exc}")
     return config
+
+
+def with_values(config: ExperimentConfig, section: str, **values) -> ExperimentConfig:
+    """`config` with fields of one section replaced; a value it rejects is a ConfigError naming the section."""
+    try:
+        if section == "output":
+            return replace(config, **values)
+        return replace(config, **{section: replace(getattr(config, section), **values)})
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"[{section}] {exc}")
 
 
 def config_to_text(config: ExperimentConfig) -> str:

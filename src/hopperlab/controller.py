@@ -10,10 +10,10 @@ pulls the leg back to its compression neutral length under heavy damping.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .constants import JACOBIAN_EPSILON
-from .errors import SingularityError
+from .errors import NONNEGATIVE, POSITIVE, SingularityError, check_domains
 from .linkage import LinkageParams, leg_jacobian
 
 
@@ -35,21 +35,18 @@ class Phase:
 class ControllerConfig:
     """Virtual spring gains (SI: N/m, N*s/m, m, N)."""
 
-    k_compress: float = 375.0
-    k_extend: float = 500.0
-    l0_compress: float = 0.42
-    l0_extend: float = 0.42
-    b_stance: float = 3.0
-    b_flight: float = 20.0
-    contact_force_threshold: float = 3.0
+    k_compress: float = field(default=375.0, metadata=POSITIVE)
+    k_extend: float = field(default=500.0, metadata=POSITIVE)
+    l0_compress: float = field(default=0.42, metadata=POSITIVE)
+    l0_extend: float = field(default=0.42, metadata=POSITIVE)
+    b_stance: float = field(default=3.0, metadata=NONNEGATIVE)
+    b_flight: float = field(default=20.0, metadata=NONNEGATIVE)
+    contact_force_threshold: float = field(default=3.0, metadata=POSITIVE)
 
     def __post_init__(self):
-        if not (self.k_extend >= self.k_compress > 0.0):
-            raise ValueError("stiffnesses must satisfy k_extend >= k_compress > 0")
-        if self.b_stance < 0.0 or self.b_flight < 0.0:
-            raise ValueError("damping must be nonnegative")
-        if self.contact_force_threshold <= 0.0:
-            raise ValueError("contact_force_threshold must be positive")
+        check_domains(self)
+        if not self.k_extend >= self.k_compress:
+            raise ValueError("k_extend must be at least k_compress")
 
     def validate_workspace(self, linkage: LinkageParams) -> None:
         """Neutral lengths must be reachable by the leg."""

@@ -12,12 +12,12 @@ estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import GRAVITY, JACOBIAN_EPSILON
-from .errors import ConfigError, WorkspaceError
+from .errors import POSITIVE, ConfigError, WorkspaceError, check_domains
 from .linkage import (
     LinkageParams,
     _foot_channel_coeffs,
@@ -107,11 +107,9 @@ class ObserverState:
 
     p_hat: float
     r: float
-    k_obs: float
+    k_obs: float = field(metadata=POSITIVE)
 
-    def __post_init__(self):
-        if self.k_obs <= 0.0:
-            raise ValueError("observer gain must be positive")
+    __post_init__ = check_domains
 
 
 def _transition(dt: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFitError, InsufficientDataError
+from .errors import POSITIVE, DegenerateFitError, InsufficientDataError, check_domains
 from .estimation import EstimationSeries
 from .signals import smoothed_derivative
 from .simulator import Frames, IntrusionLog, TrialEvents
@@ -48,16 +48,15 @@ class StanceSamples:
 class WeightConfig:
     """Sigmoid inverse-variance weighting in |zdd| (SI units)."""
 
-    sigma_good: float = 1.0   # [N]
-    sigma_bad: float = 20.0   # [N]
-    k_w: float = 0.8          # sigmoid slope [s^2/m]
-    a0: float = 8.0           # acceleration threshold [m/s^2]
+    sigma_good: float = field(default=1.0, metadata=POSITIVE)   # [N]
+    sigma_bad: float = field(default=20.0, metadata=POSITIVE)   # [N]
+    k_w: float = field(default=0.8, metadata=POSITIVE)          # sigmoid slope [s^2/m]
+    a0: float = field(default=8.0, metadata=POSITIVE)           # acceleration threshold [m/s^2]
 
     def __post_init__(self):
-        if not (0.0 < self.sigma_good <= self.sigma_bad):
-            raise ValueError("need 0 < sigma_good <= sigma_bad")
-        if self.k_w <= 0.0 or self.a0 <= 0.0:
-            raise ValueError("k_w and a0 must be positive")
+        check_domains(self)
+        if not self.sigma_good <= self.sigma_bad:
+            raise ValueError("sigma_good must not exceed sigma_bad")
 
 
 @dataclass(frozen=True)

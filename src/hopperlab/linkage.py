@@ -26,12 +26,12 @@ positive upward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import GRAVITY, JACOBIAN_EPSILON
-from .errors import WorkspaceError, SingularityError
+from .errors import NONNEGATIVE, POSITIVE, SingularityError, WorkspaceError, check_domains, domain
 
 
 @dataclass(frozen=True)
@@ -42,25 +42,22 @@ class LinkageParams:
     (reflected, per motor), torque_constant in N*m/A.
     """
 
-    l_upper: float = 0.15
-    l_lower: float = 0.30
-    theta_min: float = 0.15
-    theta_max: float = 1.50
-    rotor_inertia: float = 5e-4
-    torque_constant: float = 0.14
-    m_body: float = 1.0
-    m_foot: float = 0.3
-    mount_offset: float = 0.0  # body height above the hip joint
+    l_upper: float = field(default=0.15, metadata=POSITIVE)
+    l_lower: float = field(default=0.30, metadata=POSITIVE)
+    theta_min: float = field(default=0.15, metadata=domain(0.0, math.pi / 2))
+    theta_max: float = field(default=1.50, metadata=domain(0.0, math.pi / 2))
+    rotor_inertia: float = field(default=5e-4, metadata=POSITIVE)
+    torque_constant: float = field(default=0.14, metadata=POSITIVE)
+    m_body: float = field(default=1.0, metadata=POSITIVE)
+    m_foot: float = field(default=0.3, metadata=POSITIVE)
+    mount_offset: float = field(default=0.0, metadata=NONNEGATIVE)  # body height above the hip joint
 
     def __post_init__(self):
-        if not (self.l_lower > self.l_upper > 0.0):
-            raise ValueError("linkage requires l_lower > l_upper > 0")
-        if not (0.0 < self.theta_min < self.theta_max < math.pi / 2):
-            raise ValueError("joint bounds must satisfy 0 < theta_min < theta_max < pi/2")
-        if self.rotor_inertia <= 0.0 or self.m_body <= 0.0 or self.m_foot <= 0.0:
-            raise ValueError("masses and rotor inertia must be positive")
-        if self.torque_constant <= 0.0:
-            raise ValueError("torque_constant must be positive")
+        check_domains(self)
+        if not self.l_lower > self.l_upper:
+            raise ValueError("l_lower must exceed l_upper")
+        if not self.theta_min < self.theta_max:
+            raise ValueError("theta_min must be below theta_max")
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,14 @@ applying quantization, bias and white noise per channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily: load it here, not in the first trial)
 
 from .constants import GRAVITY
 from .controller import ControllerConfig, Phase, PhaseName, next_phase, spring_gains
-from .errors import SimulationError, TrialMalformedError, ConfigError
+from .errors import NONNEGATIVE, POSITIVE, ConfigError, SimulationError, TrialMalformedError, check_domains
 from .linkage import LinkageParams, _geometry, solve_theta_for_length
 from .signals import smoothed_backward_difference
 from .terrain import TerrainParams, constant_speed_force
@@ -36,28 +36,20 @@ from .terrain import TerrainParams, constant_speed_force
 class SimConfig:
     """Truth-integration and trial protocol settings."""
 
-    dt_truth: float = 1e-4          # RK4 step [s]
-    sensor_rate_hz: float = 1000.0  # proprioceptive sampling rate
-    t_max: float = 2.0              # hard stop [s]
-    post_liftoff_time: float = 0.1  # keep integrating this long after liftoff [s]
-    drop_speed: float = 0.8         # target touchdown speed [m/s]
-    seed: int = 0
+    dt_truth: float = field(default=1e-4, metadata=POSITIVE)              # RK4 step [s]
+    sensor_rate_hz: float = field(default=1000.0, metadata=POSITIVE)      # proprioceptive sampling rate
+    t_max: float = field(default=2.0, metadata=POSITIVE)                  # hard stop [s]
+    post_liftoff_time: float = field(default=0.1, metadata=NONNEGATIVE)   # keep integrating this long after liftoff [s]
+    drop_speed: float = field(default=0.8, metadata=NONNEGATIVE)          # target touchdown speed [m/s]
+    seed: int = field(default=0, metadata=NONNEGATIVE)
 
     def __post_init__(self):
-        settings = (self.dt_truth, self.sensor_rate_hz, self.t_max, self.post_liftoff_time, self.drop_speed)
-        if not all(map(math.isfinite, settings)):
-            raise ValueError("sim settings must be finite numbers")
-        if self.dt_truth <= 0.0 or self.sensor_rate_hz <= 0.0:
-            raise ValueError("dt_truth and sensor_rate_hz must be positive")
+        check_domains(self)
         ratio = 1.0 / (self.sensor_rate_hz * self.dt_truth)
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigError(
                 f"sensor period must be an integer multiple of dt_truth (ratio {ratio:.6g})"
             )
-        if self.t_max <= 0.0 or self.post_liftoff_time < 0.0:
-            raise ValueError("t_max must be positive and post_liftoff_time nonnegative")
-        if self.drop_speed < 0.0:
-            raise ValueError("drop_speed must be nonnegative")
 
     @property
     def decimation(self) -> int:
@@ -73,13 +65,15 @@ class NoiseConfig:
     """Sensor corruption levels; `enabled=False` gives ideal sensors."""
 
     enabled: bool = True
-    encoder_resolution: float = 2.0 * math.pi / 4096.0  # [rad]
-    encoder_sigma: float = 1e-3    # [rad]
-    imu_sigma: float = 0.2         # [m/s^2]
-    imu_bias_max: float = 0.05     # [m/s^2], per-trial uniform bias
-    tof_sigma: float = 5e-3        # [m]
-    current_sigma: float = 0.05    # [A]
-    loadcell_sigma: float = 0.5    # [N]
+    encoder_resolution: float = field(default=2.0 * math.pi / 4096.0, metadata=NONNEGATIVE)  # [rad]
+    encoder_sigma: float = field(default=1e-3, metadata=NONNEGATIVE)    # [rad]
+    imu_sigma: float = field(default=0.2, metadata=NONNEGATIVE)         # [m/s^2]
+    imu_bias_max: float = field(default=0.05, metadata=NONNEGATIVE)     # [m/s^2], per-trial uniform bias
+    tof_sigma: float = field(default=5e-3, metadata=NONNEGATIVE)        # [m]
+    current_sigma: float = field(default=0.05, metadata=NONNEGATIVE)    # [A]
+    loadcell_sigma: float = field(default=0.5, metadata=NONNEGATIVE)    # [N]
+
+    __post_init__ = check_domains
 
     @classmethod
     def noiseless(cls) -> "NoiseConfig":

@@ -17,31 +17,24 @@ the total is clamped at zero from below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import GRAVITY
+from .errors import NONNEGATIVE, POSITIVE, check_domains, domain
 
 
 @dataclass(frozen=True)
 class TerrainParams:
     """Granular bed parameters (SI units)."""
 
-    k_stiff: float = 800.0      # depth stiffness [N/m]
-    m_a_inf: float = 0.15       # saturated added mass [kg]
-    z_c: float = 0.015          # added-mass saturation depth [m]
-    d_grain: float = 300e-6     # grain diameter [m]
+    k_stiff: float = field(default=800.0, metadata=POSITIVE)             # depth stiffness [N/m]
+    m_a_inf: float = field(default=0.15, metadata=NONNEGATIVE)           # saturated added mass [kg]
+    z_c: float = field(default=0.015, metadata=POSITIVE)                 # added-mass saturation depth [m]
+    d_grain: float = field(default=300e-6, metadata=domain(0.0, 0.01))   # grain diameter [m]
 
-    def __post_init__(self):
-        if self.k_stiff <= 0.0:
-            raise ValueError("k_stiff must be positive")
-        if self.m_a_inf < 0.0:
-            raise ValueError("m_a_inf must be nonnegative")
-        if self.z_c <= 0.0:
-            raise ValueError("z_c must be positive")
-        if not (0.0 < self.d_grain < 0.01):
-            raise ValueError("d_grain must lie in (0, 0.01) m")
+    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)

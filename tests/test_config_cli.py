@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from dataclasses import fields
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 from hopperlab import io
 from hopperlab.cli import main
-from hopperlab.config import ExperimentConfig, config_to_text, default_config, load_config
+from hopperlab.config import _SCHEMA, ExperimentConfig, config_to_text, load_config
 from hopperlab.errors import ConfigError
 
 TINY_SWEEP = """
@@ -29,7 +30,7 @@ def _write(tmp_path, text, name="config.ini"):
 
 def test_empty_config_gives_defaults(tmp_path):
     cfg = load_config(_write(tmp_path, ""))
-    d = default_config()
+    d = ExperimentConfig()
     assert cfg.terrain.k_stiff == d.terrain.k_stiff
     assert cfg.controller.k_compress == d.controller.k_compress
     assert cfg.sweep.speeds == d.sweep.speeds
@@ -69,7 +70,7 @@ def test_missing_file_is_config_error(tmp_path):
 
 
 def test_config_round_trip(tmp_path):
-    d = default_config()
+    d = ExperimentConfig()
     cfg = load_config(_write(tmp_path, config_to_text(d)))
     assert cfg.controller.k_compress == d.controller.k_compress
     assert cfg.noise.tof_sigma == d.noise.tof_sigma
@@ -78,7 +79,7 @@ def test_config_round_trip(tmp_path):
 
 def test_default_ini_is_the_rendered_default_config():
     path = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
-    assert path.read_bytes() == config_to_text(default_config()).encode()
+    assert path.read_bytes() == config_to_text(ExperimentConfig()).encode()
 
 
 # where 0.9 x the default breaks a constraint between fields
@@ -106,7 +107,7 @@ _SECTION_FIELDS = [
 
 @pytest.mark.parametrize("section,name", _SECTION_FIELDS)
 def test_every_section_field_is_a_config_key(tmp_path, section, name):
-    value = _OTHER.get(name) or _other_value(getattr(getattr(default_config(), section), name))
+    value = _OTHER.get(name) or _other_value(getattr(getattr(ExperimentConfig(), section), name))
     if isinstance(value, tuple):
         text = ", ".join(str(v) for v in value)
     else:
@@ -126,7 +127,7 @@ def test_output_dir_is_a_config_key(tmp_path):
 def test_default_sweep_matches_protocol():
     # 4 nonzero-drop speeds x 3 stiffnesses x 5 seeds = 60 hop trials,
     # 50 intrusion speeds x 3 repeats = 150 intrusion trials
-    d = default_config()
+    d = ExperimentConfig()
     n_hops = len(d.sweep.speeds) * len(d.sweep.stiffnesses_n_per_cm) * len(d.sweep.seeds)
     assert n_hops == 60
     assert d.sweep.intrusion_speed_count * d.sweep.intrusion_repeats == 150
@@ -349,3 +350,87 @@ def test_intrude_writes_the_sweep_intrusion_logs(tmp_path):
     assert len(written) == 3
     for path in written:
         assert path.read_bytes() == (tmp_path / "sweep" / path.name).read_bytes()
+
+
+# ------------------------------------------------- domains of the config keys
+
+# a one-condition sweep, the base of every [sweep] input
+_ONE_CONDITION = {"speeds": "0.8", "stiffnesses": "3.75", "seeds": "0",
+                  "intrusion_speed_count": "2", "intrusion_repeats": "1"}
+
+
+def _schema_defaults():
+    """(section, key, field name, default) of every numeric key, from the schema."""
+    defaults = ExperimentConfig()
+    for section, schema in _SCHEMA.items():
+        if section == "output":
+            continue
+        for key, (target, _, _) in schema.items():
+            value = getattr(getattr(defaults, section), target)
+            if not isinstance(value, bool):
+                yield section, key, target, value
+
+
+def _outside_values(default):
+    if isinstance(default, tuple):
+        return ("nan", "inf", "-1", "0")
+    if isinstance(default, int):
+        return ("-1", "0")
+    return ("nan", "inf", "-inf", "-1", "0")
+
+
+_FUZZ = [
+    pytest.param(section, key, text, id=f"{section}-{key}={text}")
+    for section, key, _, default in _schema_defaults()
+    for text in _outside_values(default)
+]
+
+
+@pytest.mark.parametrize("section,key,text", _FUZZ)
+def test_any_key_value_keeps_the_exit_code_contract(tmp_path, capsys, section, key, text):
+    # every numeric key x {nan, +-inf, -1, 0}: a config error names the key,
+    # and a run that succeeds writes finite estimates
+    out = tmp_path / "runs"
+    if section == "sweep":
+        command, keys = "sweep", {**_ONE_CONDITION, key: text}
+    else:
+        command, keys = "simulate", {key: text}
+    body = "".join(f"{name} = {value}\n" for name, value in keys.items())
+    rc = main([command, "--config", _write(tmp_path, f"[{section}]\n{body}"), "--out", str(out)])
+    assert rc in (0, 2, 3, 4)
+    if rc == 2:
+        assert f"[{section}] {key}" in capsys.readouterr().err
+    if rc == 0:
+        paths = sorted(out.glob("*_estimation.csv"))
+        assert paths
+        for path in paths:
+            est, _ = io.read_estimation_csv(path)
+            for column in (est.f_mo, est.x_f_hat, est.x_b_hat):
+                assert np.all(np.isfinite(column)), path.name
+
+
+@pytest.mark.parametrize(
+    "section,name,default", [pytest.param(s, t, d, id=f"{s}-{t}") for s, _, t, d in _schema_defaults()]
+)
+def test_direct_construction_rejects_a_value_outside_the_domain(section, name, default):
+    if isinstance(default, tuple):
+        bad = (-1,) + default[1:]
+    else:
+        bad = -1 if isinstance(default, int) else math.nan
+    record = getattr(ExperimentConfig(), section)
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        type(record)(**{name: bad})
+
+
+@pytest.mark.parametrize(
+    "command,seeds,names",
+    [("sweep", "1,1", "[sweep] seeds"), ("sweep", "-1", "[sweep] seeds"),
+     ("simulate", "-1", "[sim] seed"), ("simulate", "0,-1", "[sim] seed")],
+)
+def test_seeds_flag_outside_the_domain_is_a_config_error(tmp_path, capsys, command, seeds, names):
+    # --seeds goes through the domain of [sweep] seeds / [sim] seed, before any trial runs
+    out = tmp_path / "runs"
+    cfg = _write(tmp_path, TINY_SWEEP)
+    assert main([command, "--config", cfg, "--out", str(out), "--seeds", seeds]) == 2
+    assert names in capsys.readouterr().err
+    assert not out.exists()

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hopperlab import identification
-from hopperlab.config import default_config
+from hopperlab.config import ExperimentConfig
 from hopperlab.errors import DegenerateFitError
 from hopperlab.identification import _FIT_LOWER, _FIT_MAX_ITER, _FIT_TOL, _median, fit_depth_speed_model
 from hopperlab.simulator import NoiseConfig, run_constant_speed_intrusion
@@ -98,7 +98,7 @@ def _assert_step_matches_matmul_step(logs):
 
 
 def test_einsum_step_matches_matmul_step_on_default_corpus():
-    config = default_config()
+    config = ExperimentConfig()
     logs = [
         run_constant_speed_intrusion(
             speed,

@@ -20,7 +20,7 @@ from scipy.optimize import least_squares
 from scipy.signal import savgol_filter
 
 from hopperlab import identification
-from hopperlab.config import default_config
+from hopperlab.config import ExperimentConfig
 from hopperlab.errors import DegenerateFitError
 from hopperlab.identification import fit_depth_speed_model
 from hopperlab.signals import smoothed_derivative
@@ -106,7 +106,7 @@ def _assert_fit_matches_reference(logs):
 
 def _default_intrusion_corpus():
     """The default sweep's intrusion logs, with the sweep's seed keys."""
-    config = default_config()
+    config = ExperimentConfig()
     return [
         run_constant_speed_intrusion(
             speed,
