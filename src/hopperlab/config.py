@@ -10,7 +10,9 @@ kept in N/cm as `stiffnesses_n_per_cm`.
 Each key's domain is declared once, on its dataclass field, and checked
 whenever the dataclass is built: a NaN, +-inf or out-of-range value, or
 one that breaks a check across keys, is a ConfigError (exit 2) naming
-`[section] key`.
+`[section] key`.  Two checks cross sections and run once the file is
+read: the controller's neutral lengths must lie in the leg's workspace,
+and no `[sweep] stiffnesses` value may exceed `[controller] k_extend`.
 """
 
 from __future__ import annotations
@@ -151,6 +153,14 @@ def load_config(path: str) -> ExperimentConfig:
         config.controller.validate_workspace(config.linkage)
     except ValueError as exc:
         raise ConfigError(f"[controller] {exc}")
+    for kc in config.sweep.stiffnesses_n_per_cm:
+        try:  # the controller each sweep condition runs, as `experiments.run_single_hop` builds it
+            replace(config.controller, k_compress=kc * 100.0)
+        except ValueError as exc:
+            raise ConfigError(
+                f"[sweep] stiffnesses = {kc!r} N/cm does not fit [controller] "
+                f"k_extend = {config.controller.k_extend / 100.0!r} N/cm: {exc}"
+            )
     return config
 
 

@@ -23,6 +23,11 @@ class PhaseName(enum.IntEnum):
     EXTENSION = 2
 
 
+# the members bound once: a lookup on the class costs ~0.1 us, and the
+# phase machine runs at every RK4 step
+FLIGHT, COMPRESSION, EXTENSION = PhaseName
+
+
 @dataclass(frozen=True)
 class Phase:
     """Controller phase plus the time it was entered [s]."""
@@ -72,32 +77,34 @@ def next_phase(
     config: ControllerConfig,
 ) -> Phase:
     """Advance the state machine by one sample; total (never raises).
+    Returns `phase` itself unless the phase switches.
 
     Touchdown fires on either detector: contact force above threshold, or
     geometric penetration while the foot still moves downward (the motion
     gate stops retriggering right after liftoff, when the foot is still
     below the original surface).
     """
-    if phase.name == PhaseName.FLIGHT:
+    name = phase.name
+    if name == FLIGHT:
         contact = contact_force > config.contact_force_threshold or (
             x_f < 0.0 and v_f < 0.0
         )
         if contact:
-            return Phase(PhaseName.COMPRESSION, t)
-    elif phase.name == PhaseName.COMPRESSION:
+            return Phase(COMPRESSION, t)
+    elif name == COMPRESSION:
         if leg_rate >= 0.0:
-            return Phase(PhaseName.EXTENSION, t)
-    elif phase.name == PhaseName.EXTENSION:
+            return Phase(EXTENSION, t)
+    elif name == EXTENSION:
         if contact_force < config.contact_force_threshold and v_f > 0.0:
-            return Phase(PhaseName.FLIGHT, t)
+            return Phase(FLIGHT, t)
     return phase
 
 
 def spring_gains(phase: PhaseName, config: ControllerConfig) -> tuple[float, float, float]:
     """Virtual spring (stiffness, neutral length, damping) in force during a phase."""
-    if phase == PhaseName.COMPRESSION:
+    if phase == COMPRESSION:
         return config.k_compress, config.l0_compress, config.b_stance
-    if phase == PhaseName.EXTENSION:
+    if phase == EXTENSION:
         return config.k_extend, config.l0_extend, config.b_stance
     return config.k_compress, config.l0_compress, config.b_flight
 

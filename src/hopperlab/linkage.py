@@ -174,7 +174,12 @@ def quasi_static_force(tau_per_motor: float, theta: float, params: LinkageParams
 
 
 def solve_theta_for_length(length: float, params: LinkageParams) -> float:
-    """Invert L(theta) = length by bisection; L is monotone on the workspace."""
+    """Invert L(theta) = length by bisection; L is monotone on the workspace.
+
+    Stops once the midpoint rounds onto an end of the bracket: from then on
+    the bracket can only shrink onto that double, which is what any number
+    of further halvings returns.
+    """
     lo, hi = params.theta_min, params.theta_max
     l_lo = leg_length(lo, params)
     l_hi = leg_length(hi, params)
@@ -184,6 +189,8 @@ def solve_theta_for_length(length: float, params: LinkageParams) -> float:
         )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         if leg_length(mid, params) > length:
             lo = mid
         else:

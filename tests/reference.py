@@ -1,5 +1,6 @@
 """Oracles outside `src/` that the program's own code is pinned against:
-the numeric-CSV writer and reader as they were with the `csv` module."""
+the numeric-CSV writer and reader as they were with the `csv` module, and
+the leg-length inversion as a fixed 200-step bisection."""
 
 import csv
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from hopperlab.errors import MissingInputError
+from hopperlab.linkage import leg_length
 
 
 def write_rows(path, header, rows) -> None:
@@ -38,3 +40,16 @@ def read_csv(path, columns) -> np.ndarray:
     if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] != len(columns):
         raise MissingInputError(f"malformed file {path}: expected at least one row of {len(columns)} numbers")
     return data
+
+
+def solve_theta_for_length(length, params) -> float:
+    """L(theta) = length inverted by 200 halvings of the workspace, with no
+    convergence test; `length` must be reachable."""
+    lo, hi = params.theta_min, params.theta_max
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if leg_length(mid, params) > length:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

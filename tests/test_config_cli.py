@@ -82,8 +82,9 @@ def test_default_ini_is_the_rendered_default_config():
     assert path.read_bytes() == config_to_text(ExperimentConfig()).encode()
 
 
-# where 0.9 x the default breaks a constraint between fields
-_OTHER = {"l_lower": 0.32, "dt_truth": 5e-5, "sensor_rate_hz": 500.0}
+# where 0.9 x the default breaks a constraint between fields (k_extend:
+# the 5 N/cm of the default sweep grid)
+_OTHER = {"l_lower": 0.32, "dt_truth": 5e-5, "sensor_rate_hz": 500.0, "k_extend": 550.0}
 
 
 def _other_value(value):
@@ -149,6 +150,20 @@ def test_cli_config_error_exit_code(tmp_path):
     for text in ("[sim]\ndrop_speed = nan\n", "[sim]\ndrop_speed = inf\n", "[sim]\nt_max = nan\n"):
         rc = main(["simulate", "--config", _write(tmp_path, text), "--out", str(tmp_path / "runs")])
         assert rc == 2, text
+
+
+def test_sweep_stiffness_above_k_extend_is_a_config_error(tmp_path, capsys):
+    # the grid's compression stiffness must fit under the controller's
+    # extension stiffness, checked when the file is read, before any output
+    out = tmp_path / "runs"
+    cfg = _write(tmp_path, TINY_SWEEP.replace("stiffnesses = 3.75", "stiffnesses = 3.75, 7"))
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[sweep] stiffnesses = 7.0" in err and "[controller] k_extend = 5.0" in err
+    assert not out.exists()
+    # at k_extend itself the grid runs
+    cfg = _write(tmp_path, TINY_SWEEP.replace("stiffnesses = 3.75", "stiffnesses = 5.0") + "\n[controller]\nk_extend = 5.0\n")
+    assert load_config(cfg).sweep.stiffnesses_n_per_cm == (5.0,)
 
 
 def test_cli_missing_input_exit_code(tmp_path):

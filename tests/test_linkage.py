@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference
 from hopperlab.errors import SingularityError, WorkspaceError
 from hopperlab.linkage import (
     DynamicsCoeffs,
@@ -155,6 +157,40 @@ def test_solve_theta_for_length_round_trip():
     for length in (0.30, 0.38, 0.42):
         theta = solve_theta_for_length(length, params)
         assert leg_length(theta, params) == pytest.approx(length, abs=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    l_upper=st.floats(0.05, 0.3),
+    ratio=st.floats(1.05, 3.0),
+    theta_min=st.floats(1e-6, 0.7),
+    theta_max=st.floats(0.8, math.pi / 2 - 1e-6),
+    u=st.floats(0.0, 1.0),
+)
+@example(l_upper=0.15, ratio=2.0, theta_min=0.15, theta_max=1.5, u=0.0)
+@example(l_upper=0.15, ratio=2.0, theta_min=0.15, theta_max=1.5, u=1.0)
+@example(l_upper=0.15, ratio=2.0, theta_min=0.15, theta_max=1.5, u=0.5)
+def test_solve_theta_for_length_is_the_200_step_bisection_bit_for_bit(l_upper, ratio, theta_min, theta_max, u):
+    # stopping once the bracket has converged returns the double that all
+    # 200 halvings return, over the whole reachable range
+    params = LinkageParams(l_upper=l_upper, l_lower=l_upper * ratio, theta_min=theta_min, theta_max=theta_max)
+    l_short, l_long = leg_length(theta_max, params), leg_length(theta_min, params)
+    length = min(max(l_short + u * (l_long - l_short), l_short), l_long)
+    got = solve_theta_for_length(length, params)
+    assert repr(got) == repr(reference.solve_theta_for_length(length, params))
+
+
+def test_solve_theta_for_length_stops_once_converged(monkeypatch):
+    calls = [0]
+
+    def counting(theta, params):
+        calls[0] += 1
+        return leg_length(theta, params)
+
+    monkeypatch.setattr("hopperlab.linkage.leg_length", counting)
+    solve_theta_for_length(0.42, LinkageParams())
+    # two range checks, then one call per halving until adjacent doubles
+    assert calls[0] < 2 + 64
 
 
 def test_params_validation():

@@ -410,6 +410,16 @@ def _reference_stage(x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr, lk, tr):
     return _reference_accelerations(x_f, v_f, theta, theta_dot, tau, lk, tr) + (tau, f_leg, length, jac)
 
 
+def test_plant_kernel_geometry_is_linkage_geometry_bit_for_bit():
+    # the stage's inline geometry against `_geometry` on a dense grid of
+    # angles: a reordered product changes the curvature at ~1 % of them,
+    # which random draws rarely hit; at 20 rad/s the curvature reaches a_b
+    stage = plant_kernel(_LK, _TR)
+    for theta in np.linspace(_LK.theta_min, _LK.theta_max, 4001).tolist():
+        args = (-0.01, -0.8, theta, 20.0, 375.0, 0.42, 3.0)
+        assert _bits(stage(*args)) == _bits(_reference_stage(*args, _LK, _TR)), theta
+
+
 def _branch(x_f, v_f, theta, theta_dot, tau):
     z = -x_f
     if z <= 0.0:
@@ -475,6 +485,48 @@ def test_plant_kernel_spring_stage_matches_reference(x_f, v_f, theta, theta_dot,
     got = stage(x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr)
     want = _reference_stage(x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr, _LK, _TR)
     assert _bits(got) == _bits(want)
+
+
+def _stage_args(x_f, v_f, theta, theta_dot, tau, spring):
+    """Stage arguments at a state: the fixed torque `tau`, or a unit spring
+    whose torque there is `tau` to rounding."""
+    if not spring:
+        return x_f, v_f, theta, theta_dot, 0.0, 0.0, 0.0, tau
+    length, jac, _ = _geometry(theta, _LK.l_upper, _LK.l_lower * _LK.l_lower)
+    return x_f, v_f, theta, theta_dot, 1.0, length + 2.0 * tau / abs(jac), 0.0
+
+
+@pytest.mark.parametrize("name", list(_BRANCH_EXAMPLES))
+def test_branch_examples_take_their_branch_under_a_spring(name):
+    x_f, v_f = _BRANCH_EXAMPLES[name][:2]
+    clamped = plant_kernel(_LK, _TR)(*_stage_args(*_BRANCH_EXAMPLES[name], spring=True))[7]
+    taken = "free" if x_f >= 0.0 else "withdrawing" if v_f > 0.0 else "clamped" if clamped else "penetrating"
+    assert taken == name
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    x_f=st.floats(-0.08, 0.05),
+    v_f=st.floats(-3.0, 3.0),
+    theta=st.floats(_LK.theta_min, _LK.theta_max),
+    theta_dot=st.floats(-30.0, 30.0),
+    tau=st.floats(-10.0, 10.0),
+    spring=st.booleans(),
+)
+@example(*_BRANCH_EXAMPLES["free"], False)
+@example(*_BRANCH_EXAMPLES["penetrating"], False)
+@example(*_BRANCH_EXAMPLES["withdrawing"], False)
+@example(*_BRANCH_EXAMPLES["clamped"], False)
+@example(*_BRANCH_EXAMPLES["free"], True)
+@example(*_BRANCH_EXAMPLES["penetrating"], True)
+@example(*_BRANCH_EXAMPLES["withdrawing"], True)
+@example(*_BRANCH_EXAMPLES["clamped"], True)
+def test_rates_only_stage_is_the_full_stage_rates_bit_for_bit(x_f, v_f, theta, theta_dot, tau, spring):
+    # RK4 stages 2-4 take (a_f, theta_ddot) from the short return
+    stage = plant_kernel(_LK, _TR)
+    args = _stage_args(x_f, v_f, theta, theta_dot, tau, spring)
+    rates = stage(*args, rates_only=True)
+    assert type(rates) is tuple and _bits(rates) == _bits(stage(*args)[:2])
 
 
 def test_truth_log_matches_kernel_at_logged_states(noisy_trial, linkage, terrain, controller):
@@ -587,9 +639,9 @@ def _counting_kernel(monkeypatch):
     def counting(lk, tr):
         stage = kernel(lk, tr)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[0] += 1
-            return stage(*args)
+            return stage(*args, **kwargs)
 
         return counted
 
