@@ -10,17 +10,11 @@ __version__ = "0.1.0"
 
 from .linkage import (
     LinkageParams,
-    DynamicsCoeffs,
     leg_length,
     leg_jacobian,
-    reduced_dynamics_coeffs,
-    quasi_static_force,
 )
 from .terrain import (
     TerrainParams,
-    ForceDecomposition,
-    added_mass_profile,
-    terrain_force,
     inertial_threshold,
     force_map,
 )
@@ -29,8 +23,6 @@ from .controller import (
     Phase,
     PhaseName,
     next_phase,
-    virtual_leg_force,
-    motor_torque,
 )
 from .simulator import (
     SimConfig,
@@ -42,12 +34,8 @@ from .simulator import (
     detect_events,
 )
 from .estimation import (
+    EstimationConfig,
     KalmanConfig,
-    KalmanState,
-    ObserverState,
-    kf_step,
-    psi,
-    mo_step,
     quasi_static_series,
     run_estimation,
 )

@@ -183,6 +183,10 @@ def main(argv=None) -> int:
     except HopperlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OverflowError as exc:
+        # an in-domain but extreme config value (say 1e300) squared
+        print(f"error: numeric overflow, a config value is too large: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

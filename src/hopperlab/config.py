@@ -10,32 +10,26 @@ kept in N/cm as `stiffnesses_n_per_cm`.
 Each key's domain is declared once, on its dataclass field, and checked
 whenever the dataclass is built: a NaN, +-inf or out-of-range value, or
 one that breaks a check across keys, is a ConfigError (exit 2) naming
-`[section] key`.  Two checks cross sections and run once the file is
+`[section] key`.  Three checks cross sections and run once the file is
 read: the controller's neutral lengths must lie in the leg's workspace,
-and no `[sweep] stiffnesses` value may exceed `[controller] k_extend`.
+`[estimation] k_obs` must be below `[sim] sensor_rate_hz` (the momentum
+observer's discretization is stable only for dt*k_obs < 1), and no
+`[sweep] stiffnesses` value may exceed `[controller] k_extend`.
 """
 
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import dataclass, field, fields, replace
 
 from .controller import ControllerConfig
 from .errors import NONNEGATIVE, POSITIVE, ConfigError, check_domains, domain
+from .estimation import EstimationConfig
 from .linkage import LinkageParams
 from .terrain import TerrainParams
 from .simulator import NoiseConfig, SimConfig
 from .identification import WeightConfig
-
-
-@dataclass(frozen=True)
-class EstimationConfig:
-    """Observer gain and filter scaling knobs."""
-
-    k_obs: float = field(default=800.0, metadata=POSITIVE)     # momentum-observer bandwidth [1/s]
-    p0_scale: float = field(default=1e-2, metadata=POSITIVE)   # initial KF covariance diagonal
-
-    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)
@@ -152,7 +146,15 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         config.controller.validate_workspace(config.linkage)
     except ValueError as exc:
-        raise ConfigError(f"[controller] {exc}")
+        raise ConfigError(
+            f"[controller] {exc}, which [linkage] l_upper, [linkage] l_lower, "
+            "[linkage] theta_min and [linkage] theta_max set"
+        )
+    if not config.estimation.k_obs * config.sim.sensor_period < 1.0:
+        raise ConfigError(
+            f"[estimation] k_obs = {config.estimation.k_obs!r} is not below [sim] sensor_rate_hz = "
+            f"{config.sim.sensor_rate_hz!r}: the momentum observer's discretization is unstable"
+        )
     for kc in config.sweep.stiffnesses_n_per_cm:
         try:  # the controller each sweep condition runs, as `experiments.run_single_hop` builds it
             replace(config.controller, k_compress=kc * 100.0)
@@ -165,13 +167,18 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def with_values(config: ExperimentConfig, section: str, **values) -> ExperimentConfig:
-    """`config` with fields of one section replaced; a value it rejects is a ConfigError naming the section."""
+    """`config` with fields of one section replaced.  A value it rejects is a
+    ConfigError in which each key of the section that the message names
+    reads `[section] key`, so a rule across two keys names both."""
     try:
         if section == "output":
             return replace(config, **values)
         return replace(config, **{section: replace(getattr(config, section), **values)})
     except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"[{section}] {exc}")
+        keys = {name: key for key, (target, _, _) in _SCHEMA[section].items() for name in (key, target)}
+        pattern = r"\b(" + "|".join(sorted(keys, key=len, reverse=True)) + r")\b"
+        message = re.sub(pattern, lambda m: f"[{section}] {keys[m[1]]}", str(exc))
+        raise ConfigError(message if message != str(exc) else f"[{section}] {exc}")
 
 
 def config_to_text(config: ExperimentConfig) -> str:

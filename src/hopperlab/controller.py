@@ -12,9 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .constants import JACOBIAN_EPSILON
-from .errors import NONNEGATIVE, POSITIVE, SingularityError, check_domains
-from .linkage import LinkageParams, leg_jacobian
+from .errors import NONNEGATIVE, POSITIVE, check_domains
+from .linkage import LinkageParams
 
 
 class PhaseName(enum.IntEnum):
@@ -108,18 +107,3 @@ def spring_gains(phase: PhaseName, config: ControllerConfig) -> tuple[float, flo
         return config.k_extend, config.l0_extend, config.b_stance
     return config.k_compress, config.l0_compress, config.b_flight
 
-
-def virtual_leg_force(phase: Phase, leg_len: float, leg_rate: float, config: ControllerConfig) -> float:
-    """Axial spring-damper force [N]; positive pushes body and foot apart."""
-    k, l0, b = spring_gains(phase.name, config)
-    return k * (l0 - leg_len) - b * leg_rate
-
-
-def motor_torque(f_leg: float, theta: float, linkage: LinkageParams) -> float:
-    """Per-motor torque realizing an axial leg force; inverse of the quasi-static map."""
-    jac = leg_jacobian(theta, linkage)
-    if abs(jac) < JACOBIAN_EPSILON:
-        raise SingularityError(
-            f"|dL/dtheta|={abs(jac):.3g} below {JACOBIAN_EPSILON:g} at theta={theta:.6g}"
-        )
-    return 0.5 * f_leg * abs(jac)

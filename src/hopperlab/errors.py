@@ -32,10 +32,6 @@ class WorkspaceError(HopperlabError):
     """Joint angle outside the configured linkage workspace."""
 
 
-class SingularityError(HopperlabError):
-    """Leg Jacobian too close to the full-extension singularity."""
-
-
 class ConfigError(HopperlabError):
     """Invalid or unparseable configuration."""
 

@@ -17,16 +17,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import GRAVITY, JACOBIAN_EPSILON
-from .errors import POSITIVE, ConfigError, WorkspaceError, check_domains
-from .linkage import (
-    LinkageParams,
-    _foot_channel_coeffs,
-    _geometry,
-    leg_jacobian,
-    leg_length,
-    reduced_dynamics_coeffs,
-)
+from .errors import POSITIVE, ConfigError, InsufficientDataError, WorkspaceError, check_domains
+from .linkage import LinkageParams, _foot_channel_coeffs, _geometry, leg_jacobian, leg_length
 from .simulator import Frames, NoiseConfig
+
+
+@dataclass(frozen=True)
+class EstimationConfig:
+    """Observer gain and filter scaling knobs."""
+
+    k_obs: float = field(default=800.0, metadata=POSITIVE)     # momentum-observer bandwidth [1/s]
+    p0_scale: float = field(default=1e-2, metadata=POSITIVE)   # initial KF covariance diagonal
+
+    __post_init__ = check_domains
+
 
 _H = np.array(
     [
@@ -68,12 +72,12 @@ class KalmanConfig:
         cls,
         noise: NoiseConfig,
         linkage: LinkageParams,
-        dt: float = 1e-3,
-        x0: np.ndarray | None = None,
-        p0_scale: float = 1e-2,
+        dt: float,
+        x0: np.ndarray,
+        p0_scale: float,
     ) -> "KalmanConfig":
-        """Defaults: white-acceleration discretization of the IMU noise for Q,
-        per-channel sensor variances for R."""
+        """White-acceleration discretization of the IMU noise for Q,
+        per-channel sensor variances for R, and P0 = p0_scale * I."""
         sig_a = max(noise.imu_sigma, 1e-4)
         q_block = sig_a**2 * np.array(
             [[dt**4 / 4.0, dt**3 / 2.0], [dt**3 / 2.0, dt**2]]
@@ -89,27 +93,7 @@ class KalmanConfig:
         sig_disp = max(jac_mid * sig_theta, 1e-6)
         sig_rate = max(math.sqrt(2.0) * sig_disp / (5.0 * dt), 1e-5)
         R = np.diag([max(noise.tof_sigma, 1e-5) ** 2, sig_disp**2, sig_rate**2])
-        if x0 is None:
-            x0 = np.zeros(4)
-        return cls(Q=Q, R=R, P0=np.eye(4) * p0_scale, x0=np.asarray(x0, dtype=float))
-
-
-@dataclass
-class KalmanState:
-    x_hat: np.ndarray
-    P: np.ndarray
-    t: float
-
-
-@dataclass(frozen=True)
-class ObserverState:
-    """Momentum-observer internal state: momentum estimate and force residual."""
-
-    p_hat: float
-    r: float
-    k_obs: float = field(metadata=POSITIVE)
-
-    __post_init__ = check_domains
+        return cls(Q=Q, R=R, P0=np.eye(4) * p0_scale, x0=x0)
 
 
 def _transition(dt: float) -> np.ndarray:
@@ -164,8 +148,9 @@ def _gain_sequence(n: int, dt: float, config: KalmanConfig) -> list[tuple]:
 
 
 def _kf_filter(x, u_body, u_foot, z_tof, z_disp, z_rate, gains, dt: float) -> list[tuple]:
-    """The `kf_step` state update written out in scalars, over aligned
-    inputs and precomputed gains.
+    """The state update of the one-sample oracle `kf_step` in
+    `tests/reference.py`, written out in scalars over aligned inputs and
+    precomputed gains.
 
     x is the prior state; returns the posterior state after each sample.
     """
@@ -190,93 +175,6 @@ def _kf_filter(x, u_body, u_foot, z_tof, z_disp, z_rate, gains, dt: float) -> li
     return out
 
 
-def kf_step(state: KalmanState, u_k, z_k, dt: float, config: KalmanConfig) -> KalmanState:
-    """One predict/update cycle of the kinematic Kalman filter.
-
-    u_k = (body, foot) IMU accelerations; z_k = (ToF body height,
-    body-foot displacement, body-foot rate).  Covariance is propagated
-    in Joseph form and symmetrized, so it stays PSD.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    u = np.asarray(u_k, dtype=float).reshape(2)
-    z = np.asarray(z_k, dtype=float).reshape(3)
-    A = _transition(dt)
-    B = np.array(
-        [
-            [0.5 * dt * dt, 0.0],
-            [dt, 0.0],
-            [0.0, 0.5 * dt * dt],
-            [0.0, dt],
-        ]
-    )
-    x_pred = A @ state.x_hat + B @ u
-    K, P_new = _gain_step(state.P, A, config)
-    x_new = x_pred + K @ (z - _H @ x_pred)
-    return KalmanState(x_hat=x_new, P=P_new, t=state.t + dt)
-
-
-def _drift(m_f, d_mf, beta, c_coef, theta_dot, v_f, tau):
-    """psi from the foot-channel coefficients; floats or numpy arrays."""
-    return d_mf * theta_dot * v_f - m_f * GRAVITY - beta * tau - c_coef * theta_dot * theta_dot
-
-
-def psi(theta: float, theta_dot: float, v_f: float, tau: float, linkage_params: LinkageParams) -> float:
-    """Drift term of the foot-momentum dynamics (everything except contact force).
-
-    d(M_f * v_f)/dt = F_c + psi, so psi collects the inertia-gradient,
-    gravity, torque and centrifugal contributions.
-    """
-    co = reduced_dynamics_coeffs(theta, linkage_params)
-    return _drift(co.M_f, co.dMf_dtheta, co.beta, co.C_coef, theta_dot, v_f, tau)
-
-
-def _check_observer_step(dt, k_obs: float) -> None:
-    if np.any(dt <= 0.0):
-        raise ValueError("dt must be positive")
-    if np.any(dt * k_obs >= 1.0):
-        raise ConfigError(
-            f"unstable observer discretization: dt*k_obs = {np.max(dt) * k_obs:.3g} >= 1"
-        )
-
-
-def _observer_recursion(p_hat: float, r: float, dt, drift, gain, momentum) -> tuple[float, list]:
-    """Momentum-observer updates over aligned per-sample sequences.
-
-    Returns the final momentum estimate and the residual after each sample.
-    """
-    residuals = []
-    for h, d, g, m in zip(dt, drift, gain, momentum):
-        p_hat = p_hat + h * (d + r)
-        r = g * (m - p_hat)
-        residuals.append(r)
-    return p_hat, residuals
-
-
-def mo_step(
-    obs: ObserverState,
-    theta: float,
-    theta_dot: float,
-    v_f: float,
-    tau: float,
-    dt: float,
-    linkage_params: LinkageParams,
-) -> ObserverState:
-    """Advance the momentum observer by one sample.
-
-    The internal momentum integrates the drift plus the residual; the
-    residual is the momentum mismatch scaled by the discrete gain
-    (1 - exp(-k_obs*dt))/dt, which makes the sampled step response match
-    the continuous first-order filter 1 - exp(-k_obs*t) exactly.
-    """
-    _check_observer_step(dt, obs.k_obs)
-    co = reduced_dynamics_coeffs(theta, linkage_params)
-    drift = _drift(co.M_f, co.dMf_dtheta, co.beta, co.C_coef, theta_dot, v_f, tau)
-    gain = (1.0 - math.exp(-obs.k_obs * dt)) / dt
-    p_hat, (r,) = _observer_recursion(obs.p_hat, obs.r, [dt], [drift], [gain], [co.M_f * v_f])
-    return ObserverState(p_hat=p_hat, r=r, k_obs=obs.k_obs)
-
-
 def run_momentum_observer(
     t: np.ndarray,
     theta: np.ndarray,
@@ -284,12 +182,20 @@ def run_momentum_observer(
     v_f: np.ndarray,
     tau: np.ndarray,
     linkage_params: LinkageParams,
-    k_obs: float = 800.0,
+    k_obs: float,
 ) -> np.ndarray:
-    """Run the observer over aligned signal arrays; returns the force residual [N].
+    """Run the momentum observer over aligned signal arrays; returns the
+    force residual [N].
 
-    Same recursion as repeated `mo_step` calls, with the coefficients,
-    the drift and the per-sample gain evaluated as arrays up front.
+    The foot momentum obeys d(M_f * v_f)/dt = F_c + psi, where the drift
+    psi collects the inertia-gradient, gravity, torque and centrifugal
+    terms.  The internal momentum estimate integrates psi plus the
+    residual, and the residual is the momentum mismatch scaled by the
+    discrete gain (1 - exp(-k_obs*dt))/dt, which makes the sampled step
+    response match the continuous first-order filter 1 - exp(-k_obs*t)
+    exactly.  The coefficients, the drift and the gain are evaluated as
+    arrays up front; the oracle `mo_step` in `tests/reference.py` is the
+    same recursion one sample at a time.
     """
     theta = np.asarray(theta, dtype=float)
     n = len(t)
@@ -299,20 +205,29 @@ def run_momentum_observer(
         raise WorkspaceError(
             f"theta={theta[outside][0]:.6g} outside workspace [{lk.theta_min:.6g}, {lk.theta_max:.6g}]"
         )
-    ObserverState(p_hat=0.0, r=0.0, k_obs=k_obs)  # validates k_obs
+    if not 0.0 < k_obs < math.inf:
+        raise ValueError(f"k_obs = {k_obs!r} is outside (0, inf)")
     dt = np.diff(t)
-    _check_observer_step(dt, k_obs)
+    if np.any(dt <= 0.0):
+        raise ValueError("dt must be positive")
+    if np.any(dt * k_obs >= 1.0):
+        raise ConfigError(
+            f"unstable observer discretization: dt*k_obs = {np.max(dt) * k_obs:.3g} >= 1"
+        )
     _, jac, curv = _geometry(theta, lk.l_upper, lk.l_lower**2, xp=np)
     m_f, d_mf, beta, c_coef = _foot_channel_coeffs(jac, curv, lk)
-    drift = _drift(m_f, d_mf, beta, c_coef, theta_dot, v_f, tau)
+    drift = d_mf * theta_dot * v_f - m_f * GRAVITY - beta * tau - c_coef * theta_dot * theta_dot
     momentum = m_f * v_f
     gain = (1.0 - np.exp(-k_obs * dt)) / dt
 
     r_series = np.zeros(n)
     if n > 1:
-        _, r_series[1:] = _observer_recursion(
-            float(momentum[0]), 0.0, dt.tolist(), drift[1:].tolist(), gain.tolist(), momentum[1:].tolist()
-        )
+        p_hat, r, residuals = float(momentum[0]), 0.0, []
+        for h, d, g, m in zip(dt.tolist(), drift[1:].tolist(), gain.tolist(), momentum[1:].tolist()):
+            p_hat = p_hat + h * (d + r)
+            r = g * (m - p_hat)
+            residuals.append(r)
+        r_series[1:] = residuals
     return r_series
 
 
@@ -364,18 +279,19 @@ def run_estimation(
     frames: Frames,
     linkage_params: LinkageParams,
     noise: NoiseConfig | None = None,
-    kalman_config: KalmanConfig | None = None,
-    k_obs: float = 800.0,
+    settings: EstimationConfig = EstimationConfig(),
 ) -> EstimationSeries:
     """Full onboard pipeline over one trial's frames.
 
     The encoder angle and rate are taken as the frames report them; the
-    Kalman filter runs at the frame rate over the cached gain sequence
-    (see `_gain_sequence`); the momentum observer consumes raw encoder
-    kinematics plus the filtered foot velocity.
+    Kalman filter, with covariances from the sensor model `noise` (default
+    `NoiseConfig()`) and `settings.p0_scale`, runs at the frame rate over
+    the cached gain sequence (see `_gain_sequence`); the momentum observer
+    (bandwidth `settings.k_obs`) consumes raw encoder kinematics plus the
+    filtered foot velocity.
     """
     if len(frames) < 2:
-        raise ValueError("need at least two frames")
+        raise InsufficientDataError(f"need at least two frames, got {len(frames)}")
     dt = float(frames.t[1] - frames.t[0])
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -387,10 +303,13 @@ def run_estimation(
     disp = length + lk.mount_offset
     rate = jac * theta_dot
 
-    if kalman_config is None:
-        kalman_config = KalmanConfig.from_noise(
-            noise if noise is not None else NoiseConfig(), lk, dt=dt, x0=kalman_x0(frames, lk)
-        )
+    kalman_config = KalmanConfig.from_noise(
+        noise if noise is not None else NoiseConfig(),
+        lk,
+        dt=dt,
+        x0=kalman_x0(frames, lk),
+        p0_scale=settings.p0_scale,
+    )
     n = len(frames)
     x_hat = np.empty((n, 4))
     x_hat[0] = kalman_config.x0
@@ -406,7 +325,7 @@ def run_estimation(
     )
 
     tau = lk.torque_constant * frames.motor_current
-    f_mo = run_momentum_observer(frames.t, theta, theta_dot, x_hat[:, 3], tau, lk, k_obs)
+    f_mo = run_momentum_observer(frames.t, theta, theta_dot, x_hat[:, 3], tau, lk, settings.k_obs)
     f_qs, singular = quasi_static_series(frames, lk)
     return EstimationSeries(
         t=frames.t.copy(),

@@ -37,22 +37,19 @@ import numpy as np
 from . import io
 from .config import ExperimentConfig
 from .errors import ConfigError, DegenerateFitError, InsufficientDataError, MissingInputError
-from .estimation import EstimationSeries, KalmanConfig, kalman_x0, run_estimation
+from .estimation import EstimationSeries, run_estimation
 from .identification import (
     ConditionStats,
     DepthSpeedFit,
     TrialSamples,
-    WeightConfig,
     added_mass_reconstruction,
     extract_samples,
     fit_depth_speed_model,
-    sem,
     treatment_comparison,
 )
 from .simulator import (
     Frames,
     IntrusionLog,
-    NoiseConfig,
     TrialEvents,
     TruthSeries,
     run_constant_speed_intrusion,
@@ -117,35 +114,18 @@ def manifest_trials(out_dir: Path) -> list[tuple[dict, dict[str, Path]]]:
     return [(entry, trial_paths(entry, out_dir)) for entry in entries]
 
 
-def run_single_hop(
-    config: ExperimentConfig,
-    speed: float,
-    kc_n_per_cm: float,
-    seed: int,
-    noiseless: bool = False,
-):
+def run_single_hop(config: ExperimentConfig, speed: float, kc_n_per_cm: float, seed: int):
     """Simulate one hop at a sweep condition; returns (TrialLog, trial_id)."""
     controller = dataclasses.replace(config.controller, k_compress=kc_n_per_cm * 100.0)
     sim = dataclasses.replace(config.sim, drop_speed=speed)
-    noise = NoiseConfig.noiseless() if noiseless else config.noise
     seed_key = [int(seed), int(round(speed * 1000)), int(round(kc_n_per_cm * 100))]
-    log = run_hop_trial(sim, controller, config.terrain, config.linkage, seed=seed_key, noise_config=noise)
+    log = run_hop_trial(sim, controller, config.terrain, config.linkage, seed=seed_key, noise_config=config.noise)
     return log, hop_trial_id(speed, kc_n_per_cm, seed)
 
 
-def estimate_from_frames(config: ExperimentConfig, frames: Frames):
-    """Run the onboard pipeline with the config's estimation settings."""
-    dt = float(frames.t[1] - frames.t[0])
-    kconf = KalmanConfig.from_noise(
-        config.noise,
-        config.linkage,
-        dt=dt,
-        x0=kalman_x0(frames, config.linkage),
-        p0_scale=config.estimation.p0_scale,
-    )
-    return run_estimation(
-        frames, config.linkage, kalman_config=kconf, k_obs=config.estimation.k_obs
-    )
+def estimate_from_frames(config: ExperimentConfig, frames: Frames) -> EstimationSeries:
+    """Run the onboard pipeline with the config's sensor model and estimation settings."""
+    return run_estimation(frames, config.linkage, config.noise, config.estimation)
 
 
 def write_hop_artifacts(config: ExperimentConfig, log, trial_id: str, out_dir: Path) -> EstimationSeries:

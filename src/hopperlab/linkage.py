@@ -17,10 +17,16 @@ the plant onto a single foot channel
 
     M_f(theta) * xdd_f + M_f(theta) * g = F_c - beta(theta) * tau - C(theta) * thetadot^2
 
-whose coefficients this module computes numerically per call.  `tau` is
-the per-motor torque, positive when driving the foot toward the ground
-(leg extension); `F_c` is the vertical terrain contact force on the foot,
-positive upward.
+whose coefficients `_foot_channel_coeffs` computes from the leg Jacobian
+and curvature, over the arrays of a trial for the momentum observer.
+`tau` is the per-motor torque, positive when driving the foot toward the
+ground (leg extension); `F_c` is the vertical terrain contact force on
+the foot, positive upward.
+
+The truth plant (`simulator.plant_kernel`) keeps its own inline copy of
+the geometry and the mass matrix.  Scalar reference versions of these
+laws, which the tests pin the program against, live in
+`tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -30,8 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import GRAVITY, JACOBIAN_EPSILON
-from .errors import NONNEGATIVE, POSITIVE, SingularityError, WorkspaceError, check_domains, domain
+from .errors import NONNEGATIVE, POSITIVE, WorkspaceError, check_domains, domain
 
 
 @dataclass(frozen=True)
@@ -58,22 +63,6 @@ class LinkageParams:
             raise ValueError("l_lower must exceed l_upper")
         if not self.theta_min < self.theta_max:
             raise ValueError("theta_min must be below theta_max")
-
-
-@dataclass(frozen=True)
-class DynamicsCoeffs:
-    """Coefficients of the single-channel foot dynamics at one joint angle.
-
-    M_f: effective foot-channel mass [kg]
-    dMf_dtheta: its angle derivative [kg/rad]
-    beta: torque-to-force coefficient [1/m]
-    C_coef: centrifugal coefficient [kg*m/rad^2]
-    """
-
-    M_f: float
-    dMf_dtheta: float
-    beta: float
-    C_coef: float
 
 
 def _check_theta(theta: float, params: LinkageParams) -> None:
@@ -112,43 +101,22 @@ def leg_jacobian(theta: float, params: LinkageParams) -> float:
     return _geometry(theta, params.l_upper, params.l_lower**2)[1]
 
 
-def leg_curvature(theta: float, params: LinkageParams) -> float:
-    """d2L/dtheta2 [m/rad^2]."""
-    _check_theta(theta, params)
-    return _geometry(theta, params.l_upper, params.l_lower**2)[2]
+def _foot_channel_coeffs(jac, curv, params: LinkageParams):
+    """Foot-channel coefficients from the leg Jacobian and curvature:
+    M_f [kg], dM_f/dtheta [kg/rad], beta [1/m] and C [kg*m/rad^2].
 
-
-def _mass_matrix_entries(jac: float, params: LinkageParams) -> tuple[float, float, float]:
-    """Entries of the symmetric 2x2 mass matrix in (x_f, theta) coordinates."""
+    The entries m00, m01, m11 of the symmetric 2x2 mass matrix in (x_f,
+    theta) coordinates are eliminated by their Schur complement, so the
+    coefficients satisfy M_f*xdd_f + M_f*g + beta*tau + C*thetadot^2 = F_c
+    exactly for any trajectory of the plant.  Plain arithmetic, so `jac`
+    and `curv` may be floats or numpy arrays.
+    """
     mb = params.m_body
     m00 = mb + params.m_foot
     m01 = mb * jac
     m11 = mb * jac * jac + 2.0 * params.rotor_inertia
-    return m00, m01, m11
-
-
-def reduced_dynamics_coeffs(theta: float, params: LinkageParams) -> DynamicsCoeffs:
-    """Foot-channel coefficients at one joint angle.
-
-    Obtained by eliminating the joint equation from the two-coordinate
-    dynamics, so they satisfy
-    M_f*xdd_f + M_f*g + beta*tau + C*thetadot^2 = F_c exactly for any
-    trajectory of the simulated plant.
-    """
-    _check_theta(theta, params)
-    _, jac, curv = _geometry(theta, params.l_upper, params.l_lower**2)
-    return DynamicsCoeffs(*_foot_channel_coeffs(jac, curv, params))
-
-
-def _foot_channel_coeffs(jac, curv, params: LinkageParams):
-    """(M_f, dMf_dtheta, beta, C_coef) from the leg Jacobian and curvature.
-
-    Plain arithmetic, so `jac` and `curv` may be floats or numpy arrays.
-    """
-    m00, m01, m11 = _mass_matrix_entries(jac, params)
     # m11 >= 2*rotor_inertia > 0 by construction; guard anyway.
     assert np.all(m11 > 0.0), "singular joint-channel inertia"
-    mb = params.m_body
     m_f = m00 - m01 * m01 / m11
     beta = -2.0 * m01 / m11
     c_coef = mb * curv * (1.0 - mb * jac * jac / m11)
@@ -157,20 +125,6 @@ def _foot_channel_coeffs(jac, curv, params: LinkageParams):
     d_m11 = 2.0 * mb * jac * curv
     d_mf = -(2.0 * m01 * d_m01 * m11 - m01 * m01 * d_m11) / (m11 * m11)
     return m_f, d_mf, beta, c_coef
-
-
-def quasi_static_force(tau_per_motor: float, theta: float, params: LinkageParams) -> float:
-    """Jacobian-transpose map from per-motor torque to vertical foot force.
-
-    F = 2*tau/|dL/dtheta|; positive pushes the foot into the ground.
-    Valid only when inertial and centrifugal terms are negligible.
-    """
-    jac = leg_jacobian(theta, params)
-    if abs(jac) < JACOBIAN_EPSILON:
-        raise SingularityError(
-            f"|dL/dtheta|={abs(jac):.3g} below {JACOBIAN_EPSILON:g} at theta={theta:.6g}"
-        )
-    return 2.0 * tau_per_motor / abs(jac)
 
 
 def solve_theta_for_length(length: float, params: LinkageParams) -> float:
@@ -197,7 +151,3 @@ def solve_theta_for_length(length: float, params: LinkageParams) -> float:
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def weight_holding_torque(theta: float, params: LinkageParams) -> float:
-    """Per-motor torque that statically supports the body weight at theta."""
-    return 0.5 * params.m_body * GRAVITY * abs(leg_jacobian(theta, params))

@@ -51,7 +51,7 @@ class SimConfig:
         ratio = 1.0 / (self.sensor_rate_hz * self.dt_truth)
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigError(
-                f"sensor period must be an integer multiple of dt_truth (ratio {ratio:.6g})"
+                f"1/sensor_rate_hz must be an integer multiple of dt_truth (ratio {ratio:.6g})"
             )
 
     @property

@@ -12,6 +12,11 @@ z = -x_f, positive downward; no setting moves the surface.  The
 momentum-flux terms act only while the foot penetrates (zd >= 0): grains
 are abandoned on withdrawal, and the bed can never pull the foot down, so
 the total is clamped at zero from below.
+
+The program evaluates the law in two places: the truth plant's inline
+copy (`simulator.plant_kernel`) and its constant-speed form here
+(`constant_speed_force`).  The scalar reference version that the tests
+pin both against lives in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -35,50 +40,6 @@ class TerrainParams:
     d_grain: float = field(default=300e-6, metadata=domain(0.0, 0.01))   # grain diameter [m]
 
     __post_init__ = check_domains
-
-
-@dataclass(frozen=True)
-class ForceDecomposition:
-    """One evaluation of the reaction law, split by mechanism [N]."""
-
-    f_static: float
-    f_drag: float
-    f_added: float
-    f_total: float
-
-
-_ZERO_FORCE = ForceDecomposition(0.0, 0.0, 0.0, 0.0)
-
-
-def added_mass_profile(z: float, params: TerrainParams) -> tuple[float, float]:
-    """Entrained grain mass m_a(z) [kg] and its depth gradient [kg/m] for z >= 0."""
-    decay = math.exp(-z / params.z_c)
-    return params.m_a_inf * (1.0 - decay), params.m_a_inf / params.z_c * decay
-
-
-def terrain_force(z: float, z_dot: float, z_ddot: float, params: TerrainParams) -> ForceDecomposition:
-    """Evaluate the reaction law at penetration depth z >= 0.
-
-    z_dot and z_ddot are the penetration rate and acceleration (positive
-    downward).  Out of contact (z = 0) everything is zero; while
-    withdrawing (z_dot < 0) only the depth term remains.
-    """
-    if z <= 0.0:
-        return _ZERO_FORCE
-    f_static = params.k_stiff * z
-    if z_dot >= 0.0:
-        m_a, dm_a = added_mass_profile(z, params)
-        f_drag = dm_a * z_dot * z_dot
-        f_added = m_a * z_ddot
-    else:
-        f_drag = 0.0
-        f_added = 0.0
-    return ForceDecomposition(
-        f_static=f_static,
-        f_drag=f_drag,
-        f_added=f_added,
-        f_total=max(0.0, f_static + f_drag + f_added),
-    )
 
 
 def constant_speed_force(z, v, params: TerrainParams) -> np.ndarray:

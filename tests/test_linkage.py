@@ -5,17 +5,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference
-from hopperlab.errors import SingularityError, WorkspaceError
+from hopperlab.errors import WorkspaceError
 from hopperlab.linkage import (
-    DynamicsCoeffs,
     LinkageParams,
+    _foot_channel_coeffs,
+    _geometry,
     leg_jacobian,
     leg_length,
-    leg_curvature,
-    quasi_static_force,
-    reduced_dynamics_coeffs,
     solve_theta_for_length,
 )
+from reference import SingularityError, leg_curvature, quasi_static_force, reduced_dynamics_coeffs
 
 SMALL_LEG = LinkageParams(l_upper=0.10, l_lower=0.20, theta_min=1e-8, theta_max=math.pi / 2 - 1e-8)
 
@@ -150,6 +149,21 @@ def test_reduced_coeffs_beta_positive():
     params = LinkageParams()
     for theta in np.linspace(params.theta_min, params.theta_max, 50):
         assert reduced_dynamics_coeffs(theta, params).beta > 0.0
+
+
+def test_foot_channel_coeffs_are_the_oracle_bit_for_bit():
+    # the program's coefficients, on floats and on an array, against the
+    # scalar oracle's own copy of the mass-matrix elimination
+    params = LinkageParams()
+    grid = np.linspace(params.theta_min, params.theta_max, 500)
+    _, jac, curv = _geometry(grid, params.l_upper, params.l_lower**2, xp=np)
+    arrays = _foot_channel_coeffs(jac, curv, params)
+    for i, theta in enumerate(grid.tolist()):
+        co = reduced_dynamics_coeffs(theta, params)
+        expected = (co.M_f, co.dMf_dtheta, co.beta, co.C_coef)
+        _, jac_i, curv_i = _geometry(theta, params.l_upper, params.l_lower**2)
+        assert _foot_channel_coeffs(jac_i, curv_i, params) == expected, theta
+        assert tuple(float(a[i]) for a in arrays) == _foot_channel_coeffs(float(jac[i]), float(curv[i]), params)
 
 
 def test_solve_theta_for_length_round_trip():

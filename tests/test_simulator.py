@@ -7,7 +7,7 @@ import pytest
 from hopperlab.constants import GRAVITY
 from hopperlab.controller import PhaseName
 from hopperlab.errors import ConfigError, TrialMalformedError
-from hopperlab.linkage import LinkageParams, leg_length, reduced_dynamics_coeffs
+from hopperlab.linkage import LinkageParams, leg_length
 from hopperlab.simulator import (
     NoiseConfig,
     SimConfig,
@@ -19,9 +19,10 @@ from hopperlab.simulator import (
     run_hop_trial,
     sensor_frames,
 )
-from hopperlab.terrain import TerrainParams, terrain_force
+from hopperlab.terrain import TerrainParams
 
 from conftest import decimate_truth
+from reference import added_mass_profile, reduced_dynamics_coeffs, terrain_force, weight_holding_torque
 
 
 def test_ballistic_free_fall(linkage, terrain):
@@ -34,8 +35,6 @@ def test_ballistic_free_fall(linkage, terrain):
 def test_static_balance(linkage, terrain):
     # foot loaded so the bed carries the whole weight, torque holds the body:
     # k*z = m_f*g + F_leg with F_leg = m_b*g
-    from hopperlab.linkage import weight_holding_torque
-
     z_eq = (linkage.m_body + linkage.m_foot) * GRAVITY / terrain.k_stiff
     theta = 0.8
     tau = weight_holding_torque(theta, linkage)
@@ -291,8 +290,6 @@ def test_detect_events_pure_flight_raises(noiseless_trial):
 
 def test_intrusion_constant_speed_force(terrain):
     # slowest rig condition: force at 5 cm equals k*z + g_a(z)*v^2, noise-free
-    from hopperlab.terrain import added_mass_profile
-
     log = run_constant_speed_intrusion(0.022, 0.05, terrain)
     assert log.depth[-1] == pytest.approx(0.05, abs=1e-4)
     _, grad = added_mass_profile(log.depth[-1], terrain)
@@ -302,7 +299,7 @@ def test_intrusion_constant_speed_force(terrain):
 
 def test_intrusion_below_threshold_drag_negligible(terrain):
     # below the inertial threshold the drag term is < 1% of the static term
-    from hopperlab.terrain import added_mass_profile, inertial_threshold
+    from hopperlab.terrain import inertial_threshold
 
     v = inertial_threshold(terrain.d_grain)
     _, grad = added_mass_profile(0.02, terrain)
@@ -344,7 +341,6 @@ def test_blowup_reported_with_time(linkage, terrain, controller):
 from hypothesis import example, given, settings, strategies as st
 
 from hopperlab.linkage import _geometry
-from hopperlab.terrain import added_mass_profile
 
 _LK = LinkageParams()
 _TR = TerrainParams()

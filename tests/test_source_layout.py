@@ -1,0 +1,49 @@
+"""`src/` holds only what the program runs: reference versions of its laws
+and helpers only tests call live in `tests/reference.py`."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hopperlab"
+
+# kept although nothing in `src/` calls them: the flight-phase energy
+# diagnostic, the renderer of `configs/default.ini`, and the inertial
+# threshold of the grains
+ALLOWED_UNREFERENCED = {"mechanical_energy", "config_to_text", "inertial_threshold"}
+
+
+def _module_names(node) -> list[str]:
+    """Names a top-level statement binds: a function, a class or constants."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
+def _used_names(node) -> set[str]:
+    """Names a subtree reads, bare or as an attribute; imports do not count."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+    return used
+
+
+def test_every_module_level_name_in_src_is_used_by_src():
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _module_names(node)
+            for name in names:
+                defined[name] = path.name
+            used |= _used_names(node) - set(names)
+    unused = sorted(
+        f"{module}: {name}"
+        for name, module in defined.items()
+        if name not in used and name not in ALLOWED_UNREFERENCED and not (name.startswith("__") and name.endswith("__"))
+    )
+    assert not unused, "defined in src/ but used only outside it: " + ", ".join(unused)

