@@ -28,7 +28,7 @@ from .errors import NONNEGATIVE, POSITIVE, ConfigError, check_domains, domain
 from .estimation import EstimationConfig
 from .linkage import LinkageParams
 from .terrain import TerrainParams
-from .simulator import NoiseConfig, SimConfig
+from .simulator import INTRUSION_RATE_HZ, MAX_TRIAL_SAMPLES, NoiseConfig, SimConfig
 from .identification import WeightConfig
 
 
@@ -40,7 +40,7 @@ class SweepConfig:
     stiffnesses_n_per_cm: tuple = field(default=(2.50, 3.75, 5.00), metadata=POSITIVE)  # compression stiffness grid
     seeds: tuple = field(default=(0, 1, 2, 3, 4), metadata=NONNEGATIVE)
     intrusion_speed_min: float = field(default=0.022, metadata=POSITIVE)
-    intrusion_speed_max: float = field(default=1.1, metadata=POSITIVE)
+    intrusion_speed_max: float = field(default=1.1, metadata=domain(0.0, 1e3))  # [m/s]; the trial id spells out every digit
     intrusion_speed_count: int = field(default=50, metadata=domain(1, closed=True))
     intrusion_repeats: int = field(default=3, metadata=domain(1, closed=True))
     intrusion_z_max: float = field(default=0.05, metadata=POSITIVE)
@@ -53,6 +53,12 @@ class SweepConfig:
             raise ValueError("seeds must be distinct")
         if not self.intrusion_speed_min < self.intrusion_speed_max:
             raise ValueError("intrusion_speed_min must be below intrusion_speed_max")
+        samples = self.intrusion_z_max / self.intrusion_speed_min * INTRUSION_RATE_HZ
+        if samples > MAX_TRIAL_SAMPLES:
+            raise ValueError(
+                f"intrusion_z_max / intrusion_speed_min gives {samples:g} samples at the rig's "
+                f"{INTRUSION_RATE_HZ:g} Hz, above {MAX_TRIAL_SAMPLES:,}"
+            )
 
     def intrusion_speeds(self) -> list[float]:
         import numpy as np

@@ -183,83 +183,37 @@ def wls_linear_fit(samples: StanceSamples, config: WeightConfig, treatment: str 
     )
 
 
-def _median(a: np.ndarray) -> float:
-    """`np.median` of a 1-d array, without the `numpy.ma` import that numpy's
-    first median pays: NaN if any value is NaN, else the mean of the middle
-    value, or of the two middle values when the count is even."""
-    s = np.sort(a)
-    if np.isnan(s[-1]):  # the sort puts NaN last
-        return math.nan
-    mid = s.size // 2
-    return float(np.mean(s[mid - 1 + s.size % 2 : mid + 1]))
-
-
 _FIT_LOWER = np.array([0.0, 0.0, 1e-5])       # k, m_a_inf, z_c
 _FIT_UPPER = np.array([np.inf, np.inf, 1.0])
-_FIT_TOL = 1e-14
-_FIT_MAX_ITER = 300
+_ZC_GRID = 6        # log-spaced z_c values; the best one brackets the search
+_ZC_TOL = 1e-8      # the search stops once its bracket in log z_c is narrower
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _bounded_levenberg_marquardt(
-    z: np.ndarray, v2: np.ndarray, f: np.ndarray, p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares of F = k*z + (m_a_inf/z_c)*exp(-z/z_c)*v^2 in the box.
+def _search_log_zc(solve) -> tuple:
+    """The least-cost `solve(log_zc)` over the box's z_c range, where `solve`
+    returns a tuple whose first item is the cost.
 
-    Levenberg-Marquardt (More, 1978) on column-scaled normal equations with
-    the analytic Jacobian; a parameter held at a bound by the gradient is
-    left out of the step, and each trial point is clipped to the box.  Stops
-    when the scaled gradient, the relative cost reduction or the scaled step
-    falls below _FIT_TOL; returns the parameters and their residuals.  Only
-    steps that lower a finite cost are taken, so a finite start stays finite.
+    Golden section inside the bracket of the best of a log-spaced grid; the
+    best grid point competes with the search's last pair, so an optimum on
+    the edge of the box is the edge exactly.
     """
-
-    def residuals(p):
-        k, ma, zc = p
-        e = np.exp(-z / zc) * v2
-        return k * z + ma / zc * e - f, e
-
-    def jacobian(p, e):
-        _, ma, zc = p
-        return np.stack([z, e / zc, ma * e * (z - zc) / zc**3])  # one row per parameter
-
-    # every n-long reduction is an einsum without `optimize`, which sums in
-    # numpy's own loops: a BLAS product this long would wake its worker threads
-    r, e = residuals(p)
-    cost = float(np.einsum("i,i", r, r))
-    if not np.isfinite(cost):
-        raise DegenerateFitError("intrusion model is not finite at the initial guess")
-    jac = jacobian(p, e)
-    damping = 1e-3
-    for _ in range(_FIT_MAX_ITER):
-        scale = np.sqrt(np.einsum("ij,ij->i", jac, jac))
-        scale[scale == 0.0] = 1.0  # m_a_inf = 0 zeroes the z_c row
-        jac_s = jac / scale[:, None]
-        grad = np.einsum("ij,j->i", jac_s, r)
-        # a parameter on the box edge whose descent direction leaves the box stays put
-        free = ~(((p <= _FIT_LOWER) & (grad > 0.0)) | ((p >= _FIT_UPPER) & (grad < 0.0)))
-        if np.max(np.abs(grad[free]), initial=0.0) <= _FIT_TOL * math.sqrt(cost):
-            return p, r
-        jac_free = jac_s[free]
-        step = np.zeros(3)
-        step[free] = np.linalg.solve(
-            np.einsum("ij,kj->ik", jac_free, jac_free) + damping * np.eye(jac_free.shape[0]), -grad[free]
-        ) / scale[free]
-        trial = np.clip(p + step, _FIT_LOWER, _FIT_UPPER)
-        small_step = np.linalg.norm((trial - p) * scale) <= _FIT_TOL * (_FIT_TOL + np.linalg.norm(p * scale))
-        r_trial, e_trial = residuals(trial)
-        cost_trial = float(np.einsum("i,i", r_trial, r_trial))
-        if cost_trial < cost:
-            converged = small_step or cost - cost_trial <= _FIT_TOL * cost
-            p, r, e, cost = trial, r_trial, e_trial, cost_trial
-            if converged:
-                return p, r
-            jac = jacobian(p, e)
-            damping = max(damping / 10.0, 1e-12)  # keeps the damped system positive definite
-        elif small_step:
-            return p, r
+    grid = np.linspace(math.log(_FIT_LOWER[2]), math.log(_FIT_UPPER[2]), _ZC_GRID).tolist()
+    fits = [solve(x) for x in grid]
+    i = min(range(_ZC_GRID), key=lambda j: fits[j][0])
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, _ZC_GRID - 1)]
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fit_c, fit_d = solve(c), solve(d)
+    while b - a > _ZC_TOL:
+        if fit_c[0] < fit_d[0]:
+            b, d, fit_d = d, c, fit_c
+            c = b - _INV_PHI * (b - a)
+            fit_c = solve(c)
         else:
-            damping *= 10.0
-    raise DegenerateFitError(f"intrusion model fit did not converge in {_FIT_MAX_ITER} iterations")
+            a, c, fit_c = c, d, fit_d
+            d = a + _INV_PHI * (b - a)
+            fit_d = solve(d)
+    return min(fit_c, fit_d, fits[i], key=lambda fit: fit[0])
 
 
 def fit_depth_speed_model(logs: list[IntrusionLog]) -> DepthSpeedFit:
@@ -269,6 +223,9 @@ def fit_depth_speed_model(logs: list[IntrusionLog]) -> DepthSpeedFit:
     (k, m_a_inf, z_c) is unbiased by the added-mass term.  Requires at
     least two distinct speeds to separate the drag gradient from the
     depth stiffness.
+
+    Variable projection (Golub & Pereyra, 1973): at a fixed z_c the model
+    is linear in (k, m_a_inf), so only log z_c is searched.
     """
     speeds = {round(log.speed, 9) for log in logs}
     if len(speeds) < 2:
@@ -277,26 +234,48 @@ def fit_depth_speed_model(logs: list[IntrusionLog]) -> DepthSpeedFit:
     v = np.concatenate([np.full(log.depth.shape, log.speed) for log in logs])
     f = np.concatenate([log.force for log in logs])
     keep = z > 0.0
-    z, v, f = z[keep], v[keep], f[keep]
+    z, v2, f = z[keep], v[keep] ** 2, f[keep]
     if z.size < 10:
         raise InsufficientDataError("too few in-contact intrusion samples")
 
-    # Initial guesses: depth slope from the slowest sweep, gradient scale
-    # from the low-depth drag residual.
-    slow = min(logs, key=lambda lg: lg.speed)
-    zs, fs = slow.depth[slow.depth > 0.0], slow.force[slow.depth > 0.0]
-    k0 = float(np.polyfit(zs, fs, 1)[0])
-    zc0 = max(_median(z) / 2.0, 1e-3)
-    resid0 = f - k0 * z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g_samples = resid0 / np.maximum(v * v, 1e-12)
-    ma0 = max(_median(g_samples) * zc0, 1e-3)
+    # every n-long reduction is an einsum without `optimize`, which sums in
+    # numpy's own loops: a BLAS product this long would wake its worker threads
+    zz, zf = (float(np.einsum("i,i", z, col)) for col in (z, f))
 
-    p, resid = _bounded_levenberg_marquardt(z, v * v, f, np.array([max(k0, 1.0), ma0, zc0]))
-    k_fit, ma_fit, zc_fit = (float(x) for x in p)
-    rmse = float(np.sqrt(np.mean(resid**2)))
+    def solve(log_zc: float) -> tuple:
+        """(cost, k, m_a_inf, z_c) of the least-squares
+        (k, m_a_inf) >= 0 at z_c = exp(log_zc): the 2x2 normal equations of
+        the columns [z, g], or, if their solution leaves the box, the better
+        fit of one column alone, since the optimum then lies on an edge."""
+        zc = max(math.exp(log_zc), float(_FIT_LOWER[2]))  # exp(log(z_c)) may round below the bound
+        # in place, here and in the residuals: a fresh n-long temporary per
+        # operation costs more than the arithmetic
+        g = np.exp(z / -zc)
+        g *= v2
+        g /= zc
+        zg, gg, gf = (float(np.einsum("i,i", g, col)) for col in (z, g, f))
+
+        def fit(k, ma):
+            # the cost from the residuals themselves: the expanded
+            # normal-equation form cancels badly near the optimum
+            r = k * z
+            r += ma * g
+            r -= f
+            return float(np.einsum("i,i", r, r)), k, ma, zc
+
+        det = zz * gg - zg * zg
+        if det > 0.0:
+            k, ma = (gg * zf - zg * gf) / det, (zz * gf - zg * zf) / det
+            if k >= 0.0 and ma >= 0.0:
+                return fit(k, ma)
+        edges = (fit(max(zf / zz, 0.0), 0.0), fit(0.0, max(gf / gg, 0.0) if gg > 0.0 else 0.0))
+        return min(edges, key=lambda edge: edge[0])
+
+    cost, k_fit, ma_fit, zc_fit = _search_log_zc(solve)
+    if not math.isfinite(cost):
+        raise DegenerateFitError("intrusion model is not finite on these samples")
     return DepthSpeedFit(
-        k_fit=k_fit, m_a_inf_fit=ma_fit, z_c_fit=zc_fit, rmse=rmse, n_samples=int(z.size)
+        k_fit=k_fit, m_a_inf_fit=ma_fit, z_c_fit=zc_fit, rmse=math.sqrt(cost / z.size), n_samples=int(z.size)
     )
 
 

@@ -1,10 +1,11 @@
 r"""Deterministic readers/writers for trial artifacts.
 
 All CSVs carry a one-line header and shortest-round-trip float formatting
-(repr), so identical runs produce byte-identical bodies.  Numeric rows are
-joined by commas and ended by "\r\n", as `csv.writer` would write them (a
-repr never needs quoting), and numeric bodies are parsed by numpy's text
-reader, so a quoted or underscored cell, or a blank line, is bad input.
+(repr), so identical runs produce byte-identical bodies.  Rows are joined
+by commas and ended by "\r\n", as `csv.writer` would write them: no cell
+ever needs quoting (a repr, a treatment name or a seed).  Numeric bodies are
+parsed by numpy's text reader, so a quoted or underscored cell, or a blank
+line, is bad input.
 No timestamps or environment data are ever written into data files.
 Every writer fills a temporary file beside its target and renames it into
 place, so a crash mid-write leaves the previous file (or none), never a
@@ -13,7 +14,6 @@ partial one.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -63,19 +63,10 @@ def _replacing(path: Path, newline=None):
 
 
 def write_csv(path: Path, header, rows) -> None:
-    """Rows whose cells may need quoting (the string tables), through `csv.writer`."""
+    r"""`header` and `rows`, string cells that need no quoting, as
+    `csv.writer` would write them: joined by commas, each line ended by "\r\n"."""
     with _replacing(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_lines(path: Path, header, rows) -> None:
-    r"""`header` and `rows`, cells that need no quoting, as `csv.writer`
-    would write them: joined by commas, each line ended by "\r\n"."""
-    lines = [",".join(header), *map(",".join, rows), ""]
-    with _replacing(path, newline="") as handle:
-        handle.write("\r\n".join(lines))
+        handle.write("\r\n".join([",".join(header), *map(",".join, rows), ""]))
 
 
 def _cells(column) -> list[str]:
@@ -88,7 +79,7 @@ def write_columns_csv(path, header, columns) -> None:
     cells = [_cells(col) for col in columns]
     if len({len(col) for col in cells}) > 1:
         raise ValueError(f"columns of {path} differ in length: {[len(col) for col in cells]}")
-    _write_lines(path, header, zip(*cells))
+    write_csv(path, header, zip(*cells))
 
 
 def _read_csv(path: Path, columns: tuple[str, ...], kind: str) -> np.ndarray:
@@ -192,7 +183,7 @@ def write_intrusion_csv(path, log: IntrusionLog) -> None:
     """The trial's one speed is formatted once and repeated on every row."""
     t, depth, force = map(_cells, (log.t, log.depth, log.force))
     speed = [fmt_float(log.speed)] * len(t)
-    _write_lines(path, INTRUSION_COLUMNS, zip(t, depth, speed, force, strict=True))
+    write_csv(path, INTRUSION_COLUMNS, zip(t, depth, speed, force, strict=True))
 
 
 def read_intrusion_csv(path) -> IntrusionLog:

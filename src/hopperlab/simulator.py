@@ -35,6 +35,10 @@ from .signals import smoothed_backward_difference
 from .terrain import TerrainParams, constant_speed_force
 
 
+MAX_TRIAL_SAMPLES = 1_000_000   # RK4 steps of a hop, or load-cell samples of an intrusion
+INTRUSION_RATE_HZ = 1000.0      # the intrusion rig's load-cell sampling rate
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Truth-integration and trial protocol settings."""
@@ -48,6 +52,10 @@ class SimConfig:
 
     def __post_init__(self):
         check_domains(self)
+        if self.t_max / self.dt_truth > MAX_TRIAL_SAMPLES:
+            raise ValueError(
+                f"t_max / dt_truth gives {self.t_max / self.dt_truth:g} RK4 steps, above {MAX_TRIAL_SAMPLES:,}"
+            )
         ratio = 1.0 / (self.sensor_rate_hz * self.dt_truth)
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigError(
@@ -538,7 +546,6 @@ def run_constant_speed_intrusion(
     terrain_params: TerrainParams,
     noise_config: NoiseConfig | None = None,
     seed=0,
-    sample_rate_hz: float = 1000.0,
 ) -> IntrusionLog:
     """Drive the foot kinematically at constant speed down to z_max.
 
@@ -551,7 +558,7 @@ def run_constant_speed_intrusion(
         raise ValueError("z_max must be positive")
     noise = noise_config if noise_config is not None else NoiseConfig.noiseless()
     rng = np.random.default_rng(seed)
-    dt = 1.0 / sample_rate_hz
+    dt = 1.0 / INTRUSION_RATE_HZ
     n = int(math.floor(z_max / (speed * dt))) + 1
     t = np.arange(n) * dt
     depth = np.minimum(speed * t, z_max)

@@ -186,6 +186,30 @@ def test_a_trial_of_one_frame_is_a_runtime_error(tmp_path, capsys):
     assert "need at least two frames, got 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, names, at_bound",
+    [
+        ("[sim]\nt_max = 100.1\n", ("[sim] t_max", "[sim] dt_truth"), "[sim]\nt_max = 100\n"),
+        (
+            "[sweep]\nintrusion_speed_min = 0.1\nintrusion_z_max = 100.1\n",
+            ("[sweep] intrusion_z_max", "[sweep] intrusion_speed_min"),
+            "[sweep]\nintrusion_speed_min = 0.1\nintrusion_z_max = 100\n",
+        ),
+    ],
+    ids=["hop steps", "intrusion samples"],
+)
+def test_a_trial_above_a_million_samples_is_a_config_error(tmp_path, capsys, text, names, at_bound):
+    # a hop may take 10^6 RK4 steps and an intrusion 10^6 samples at the
+    # rig's 1 kHz; more is refused when the file is read, before any output
+    out = tmp_path / "runs"
+    command = "sweep" if text.startswith("[sweep]") else "simulate"
+    assert main([command, "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
+    assert not out.exists()
+    load_config(_write(tmp_path, at_bound))
+
+
 def test_cli_missing_input_exit_code(tmp_path):
     cfg = _write(tmp_path, f"[output]\ndir = {tmp_path}/empty\n")
     assert main(["estimate", "--config", cfg]) == 4
@@ -416,25 +440,8 @@ def _fuzz_values(default):
     return ("nan", "inf", "-inf", "-1", "0", "1e300", "1e-300")
 
 
-# Nothing bounds a trial's array sizes by the config yet (CHANGES.md, FOUND):
-# these ask numpy for more than it can index, or name a file too long to open.
-_UNBOUNDED_SIZE = {
-    ("sim", "dt_truth", "1e-300"),
-    ("sweep", "intrusion_speed_min", "1e-300"),
-    ("sweep", "intrusion_speed_max", "1e300"),
-    ("sweep", "intrusion_z_max", "1e300"),
-}
-
 _FUZZ = [
-    pytest.param(
-        section,
-        key,
-        text,
-        id=f"{section}-{key}={text}",
-        marks=[pytest.mark.xfail(raises=(ValueError, OSError), strict=True, reason="array size not bounded")]
-        if (section, key, text) in _UNBOUNDED_SIZE
-        else [],
-    )
+    pytest.param(section, key, text, id=f"{section}-{key}={text}")
     for section, key, _, default in _schema_defaults()
     for text in _fuzz_values(default)
 ]

@@ -277,7 +277,7 @@ def test_depth_speed_fit_single_speed_rejected(terrain):
 
 def test_near_zero_speed_sweep_slope_is_stiffness(terrain):
     # at negligible speed the force-depth slope is the depth stiffness
-    log = run_constant_speed_intrusion(1e-4, 0.05, terrain, sample_rate_hz=10.0)
+    log = run_constant_speed_intrusion(1e-4, 0.05, terrain)
     keep = log.depth > 0
     slope = np.polyfit(log.depth[keep], log.force[keep], 1)[0]
     assert slope == pytest.approx(terrain.k_stiff, rel=1e-6)

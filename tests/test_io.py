@@ -18,6 +18,7 @@ import reference
 from hopperlab import io
 from hopperlab.cli import main
 from hopperlab.errors import MissingInputError
+from hopperlab.identification import TREATMENTS
 
 READERS = {
     "frames": (io.read_frames_csv, io.FRAME_COLUMNS),
@@ -281,6 +282,17 @@ def test_numeric_csv_matches_csv_writer_and_reads_back_bit_for_bit(data):
     nan = np.isnan(written)
     assert np.array_equal(np.isnan(back), nan)
     assert np.array_equal(back.view(np.int64)[~nan], written.view(np.int64)[~nan])
+
+
+def test_string_table_matches_csv_writer(tmp_path):
+    # the report's string tables (fits.csv, stiffness_vs_*.csv): no treatment
+    # name or seed needs quoting, so joining the cells is what csv.writer writes
+    header = ("v_td", "k_c", "treatment", "k_est", "seed")
+    rows = [[io.fmt_float(1.2), io.fmt_float(3.75), name, io.fmt_float(801.5), str(seed)]
+            for name in TREATMENTS for seed in (0, 17)]
+    io.write_csv(tmp_path / "new.csv", header, rows)
+    reference.write_rows(tmp_path / "ref.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_intrusion_header_only_is_missing_input(tmp_path):
