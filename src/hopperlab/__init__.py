@@ -20,7 +20,6 @@ from .terrain import (
 )
 from .controller import (
     ControllerConfig,
-    Phase,
     PhaseName,
     next_phase,
 )

@@ -11,8 +11,9 @@ Commands
 
 `--seeds` is accepted by simulate and sweep, `--jobs` and `--resume` by
 sweep only.  Exit codes: 0 success, 2 config or usage error, 3
-runtime/integration error, 4 missing-input error.  Output directory
-precedence: --out, then HOPPERLAB_OUT, then the config's [output] dir.
+runtime/integration or numeric error, 4 missing-input error.  Output
+directory precedence: --out, then HOPPERLAB_OUT, then the config's
+[output] dir.
 """
 
 from __future__ import annotations
@@ -183,9 +184,11 @@ def main(argv=None) -> int:
     except HopperlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OverflowError as exc:
-        # an in-domain but extreme config value (say 1e300) squared
-        print(f"error: numeric overflow, a config value is too large: {exc}", file=sys.stderr)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        # an in-domain but extreme config value: 1e300 squared overflows, a
+        # 1e16 kg body rounds the mass-matrix determinant to 0, a 1e30 IMU
+        # sigma makes the filter's innovation covariance singular
+        print(f"error: numeric failure, a config value is too extreme: {exc}", file=sys.stderr)
         return 3
 
 

@@ -28,14 +28,6 @@ FLIGHT, COMPRESSION, EXTENSION = PhaseName
 
 
 @dataclass(frozen=True)
-class Phase:
-    """Controller phase plus the time it was entered [s]."""
-
-    name: PhaseName
-    t_entry: float = 0.0
-
-
-@dataclass(frozen=True)
 class ControllerConfig:
     """Virtual spring gains (SI: N/m, N*s/m, m, N)."""
 
@@ -66,15 +58,13 @@ class ControllerConfig:
 
 
 def next_phase(
-    phase: Phase,
-    leg_len: float,
+    phase: PhaseName,
     leg_rate: float,
     x_f: float,
     v_f: float,
     contact_force: float,
-    t: float,
     config: ControllerConfig,
-) -> Phase:
+) -> PhaseName:
     """Advance the state machine by one sample; total (never raises).
     Returns `phase` itself unless the phase switches.
 
@@ -83,19 +73,18 @@ def next_phase(
     gate stops retriggering right after liftoff, when the foot is still
     below the original surface).
     """
-    name = phase.name
-    if name == FLIGHT:
+    if phase == FLIGHT:
         contact = contact_force > config.contact_force_threshold or (
             x_f < 0.0 and v_f < 0.0
         )
         if contact:
-            return Phase(COMPRESSION, t)
-    elif name == COMPRESSION:
+            return COMPRESSION
+    elif phase == COMPRESSION:
         if leg_rate >= 0.0:
-            return Phase(EXTENSION, t)
-    elif name == EXTENSION:
+            return EXTENSION
+    elif phase == EXTENSION:
         if contact_force < config.contact_force_threshold and v_f > 0.0:
-            return Phase(FLIGHT, t)
+            return FLIGHT
     return phase
 
 

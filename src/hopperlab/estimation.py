@@ -19,6 +19,7 @@ import numpy as np
 from .constants import GRAVITY, JACOBIAN_EPSILON
 from .errors import POSITIVE, ConfigError, InsufficientDataError, WorkspaceError, check_domains
 from .linkage import LinkageParams, _foot_channel_coeffs, _geometry, leg_jacobian, leg_length
+from .signals import ENCODER_RATE_WINDOW
 from .simulator import Frames, NoiseConfig
 
 
@@ -43,29 +44,13 @@ _H = np.array(
 
 @dataclass
 class KalmanConfig:
-    """Process/measurement covariances for the four-state kinematic filter."""
+    """Process/measurement covariances for the four-state kinematic filter,
+    as float arrays: Q and P0 4x4, R 3x3 and diagonal, x0 of 4 states."""
 
     Q: np.ndarray
     R: np.ndarray
     P0: np.ndarray
     x0: np.ndarray
-
-    def __post_init__(self):
-        self.Q = np.asarray(self.Q, dtype=float)
-        self.R = np.asarray(self.R, dtype=float)
-        self.P0 = np.asarray(self.P0, dtype=float)
-        self.x0 = np.asarray(self.x0, dtype=float)
-        for name, mat, dim in (("Q", self.Q, 4), ("R", self.R, 3), ("P0", self.P0, 4)):
-            if mat.shape != (dim, dim):
-                raise ValueError(f"{name} must be {dim}x{dim}")
-            if not np.allclose(mat, mat.T, atol=1e-12):
-                raise ValueError(f"{name} must be symmetric")
-            if np.min(np.linalg.eigvalsh(mat)) < -1e-12:
-                raise ValueError(f"{name} must be positive semidefinite")
-        if np.min(np.linalg.eigvalsh(self.R)) <= 0.0:
-            raise ValueError("R must be positive definite")
-        if self.x0.shape != (4,):
-            raise ValueError("x0 must have 4 states")
 
     @classmethod
     def from_noise(
@@ -91,7 +76,7 @@ class KalmanConfig:
         quant = noise.encoder_resolution / math.sqrt(12.0)
         sig_theta = math.sqrt(noise.encoder_sigma**2 + quant**2)
         sig_disp = max(jac_mid * sig_theta, 1e-6)
-        sig_rate = max(math.sqrt(2.0) * sig_disp / (5.0 * dt), 1e-5)
+        sig_rate = max(math.sqrt(2.0) * sig_disp / (ENCODER_RATE_WINDOW * dt), 1e-5)
         R = np.diag([max(noise.tof_sigma, 1e-5) ** 2, sig_disp**2, sig_rate**2])
         return cls(Q=Q, R=R, P0=np.eye(4) * p0_scale, x0=x0)
 
@@ -231,22 +216,16 @@ def run_momentum_observer(
     return r_series
 
 
-def quasi_static_series(frames: Frames, linkage_params: LinkageParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame Jacobian-transpose force estimate from motor current.
-
-    Returns (force [N], singular_mask); frames whose encoder angle sits at
-    the extension singularity get NaN force and a raised mask bit.
-    """
-    if len(frames) == 0:
-        raise ValueError("frames must be nonempty")
+def quasi_static_series(frames: Frames, linkage_params: LinkageParams) -> np.ndarray:
+    """Per-frame Jacobian-transpose force estimate [N] from motor current;
+    NaN at frames whose encoder angle sits at the extension singularity."""
     lk = linkage_params
     theta = np.clip(frames.encoder_theta, lk.theta_min, lk.theta_max)
     tau = lk.torque_constant * frames.motor_current
     jac_abs = np.abs(_geometry(theta, lk.l_upper, lk.l_lower**2, xp=np)[1])
     singular = jac_abs < JACOBIAN_EPSILON
     with np.errstate(divide="ignore", invalid="ignore"):
-        force = np.where(singular, np.nan, 2.0 * tau / jac_abs)
-    return force, singular
+        return np.where(singular, np.nan, 2.0 * tau / jac_abs)
 
 
 @dataclass
@@ -260,7 +239,6 @@ class EstimationSeries:
     v_f_hat: np.ndarray
     f_qs: np.ndarray
     f_mo: np.ndarray
-    qs_singular: np.ndarray
 
     def __len__(self) -> int:
         return self.t.size
@@ -293,8 +271,6 @@ def run_estimation(
     if len(frames) < 2:
         raise InsufficientDataError(f"need at least two frames, got {len(frames)}")
     dt = float(frames.t[1] - frames.t[0])
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     lk = linkage_params
     theta = np.clip(frames.encoder_theta, lk.theta_min, lk.theta_max)
     theta_dot = frames.encoder_theta_dot
@@ -326,14 +302,12 @@ def run_estimation(
 
     tau = lk.torque_constant * frames.motor_current
     f_mo = run_momentum_observer(frames.t, theta, theta_dot, x_hat[:, 3], tau, lk, settings.k_obs)
-    f_qs, singular = quasi_static_series(frames, lk)
     return EstimationSeries(
         t=frames.t.copy(),
         x_b_hat=x_hat[:, 0],
         v_b_hat=x_hat[:, 1],
         x_f_hat=x_hat[:, 2],
         v_f_hat=x_hat[:, 3],
-        f_qs=f_qs,
+        f_qs=quasi_static_series(frames, lk),
         f_mo=f_mo,
-        qs_singular=singular,
     )

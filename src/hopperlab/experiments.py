@@ -372,10 +372,10 @@ def write_report(config: ExperimentConfig, out_dir: Path) -> None:
     surface = force_map(config.terrain, depths, speeds_grid)
     io.write_force_map_csv(out_dir / "force_map.csv", depths, speeds_grid, surface)
 
-    _write_representative_trial_figs(config, out_dir)
+    _write_representative_trial_figs(out_dir)
 
 
-def _write_representative_trial_figs(config: ExperimentConfig, out_dir: Path) -> None:
+def _write_representative_trial_figs(out_dir: Path) -> None:
     """Force-depth scatter and added-mass residual series for one trial."""
     hops = [e for e, _ in manifest_trials(out_dir) if e["kind"] == "hop"]
     if not hops:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import POSITIVE, DegenerateFitError, InsufficientDataError, check_domains
 from .estimation import EstimationSeries
 from .signals import smoothed_derivative
-from .simulator import Frames, IntrusionLog, TrialEvents
+from .simulator import IntrusionLog, TrialEvents
 
 TREATMENTS = ("noMO_noGD", "MO_noGD", "MO_GD")
 
@@ -38,7 +38,6 @@ class StanceSamples:
     z_ddot: np.ndarray
     f: np.ndarray
     t: np.ndarray
-    source: str  # one of {"qs", "mo", "loadcell"}
 
     def __len__(self) -> int:
         return self.t.size
@@ -65,9 +64,6 @@ class FitResult:
 
     k_est: float
     intercept: float
-    rmse: float
-    n_samples: int
-    treatment: str = ""
 
 
 @dataclass(frozen=True)
@@ -95,29 +91,20 @@ class DepthSpeedFit:
         return bool(np.all((_FIT_LOWER <= p) & (p <= _FIT_UPPER)))
 
 
-def extract_samples(
-    est: EstimationSeries,
-    events: TrialEvents,
-    source: str = "mo",
-    frames: Frames | None = None,
-) -> StanceSamples:
+def extract_samples(est: EstimationSeries, events: TrialEvents, source: str) -> StanceSamples:
     """Stance-window regression samples from one trial's estimates.
 
     Depth comes from the filtered foot height, its rate from the filtered
     foot velocity, and the acceleration from an 11-tap local-quadratic
-    slope of that velocity.  Force source: "qs", "mo", or "loadcell" (the
-    latter requires the trial's frames).
+    slope of that velocity.  Force source: "qs" (quasi-static) or "mo"
+    (momentum observer).
     """
-    if source not in ("qs", "mo", "loadcell"):
-        raise ValueError(f"unknown sample source {source!r}")
-    if source == "loadcell":
-        if frames is None:
-            raise ValueError("loadcell source requires the trial frames")
-        force = frames.loadcell_force
-    elif source == "qs":
+    if source == "qs":
         force = est.f_qs
-    else:
+    elif source == "mo":
         force = est.f_mo
+    else:
+        raise ValueError(f"unknown sample source {source!r}")
 
     dt = float(est.t[1] - est.t[0])
     z = np.maximum(0.0, -est.x_f_hat)
@@ -128,9 +115,7 @@ def extract_samples(
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         raise InsufficientDataError("empty stance window: no contact samples")
-    return StanceSamples(
-        z=z[idx], z_dot=z_dot[idx], z_ddot=z_ddot[idx], f=force[idx], t=est.t[idx], source=source
-    )
+    return StanceSamples(z=z[idx], z_dot=z_dot[idx], z_ddot=z_ddot[idx], f=force[idx], t=est.t[idx])
 
 
 def _design(samples: StanceSamples) -> tuple[np.ndarray, np.ndarray]:
@@ -140,18 +125,11 @@ def _design(samples: StanceSamples) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([z, np.ones_like(z)]), samples.f
 
 
-def ols_linear_fit(samples: StanceSamples, treatment: str = "") -> FitResult:
+def ols_linear_fit(samples: StanceSamples) -> FitResult:
     """Ordinary least squares of force on depth with intercept."""
     X, f = _design(samples)
     coef, *_ = np.linalg.lstsq(X, f, rcond=None)
-    resid = f - X @ coef
-    return FitResult(
-        k_est=float(coef[0]),
-        intercept=float(coef[1]),
-        rmse=float(np.sqrt(np.mean(resid**2))),
-        n_samples=len(samples),
-        treatment=treatment,
-    )
+    return FitResult(k_est=float(coef[0]), intercept=float(coef[1]))
 
 
 def acceleration_weight(z_ddot: float, config: WeightConfig) -> float:
@@ -161,7 +139,7 @@ def acceleration_weight(z_ddot: float, config: WeightConfig) -> float:
     return 1.0 / (sigma * sigma)
 
 
-def wls_linear_fit(samples: StanceSamples, config: WeightConfig, treatment: str = "") -> FitResult:
+def wls_linear_fit(samples: StanceSamples, config: WeightConfig) -> FitResult:
     """Acceleration-aware weighted least squares of force on depth.
 
     Every sample is retained with a positive weight.
@@ -173,14 +151,7 @@ def wls_linear_fit(samples: StanceSamples, config: WeightConfig, treatment: str 
         raise DegenerateFitError("degenerate weights")
     sw = np.sqrt(w)
     coef, *_ = np.linalg.lstsq(X * sw[:, None], f * sw, rcond=None)
-    resid = f - X @ coef
-    return FitResult(
-        k_est=float(coef[0]),
-        intercept=float(coef[1]),
-        rmse=float(np.sqrt(np.sum(w * resid**2) / np.sum(w))),
-        n_samples=len(samples),
-        treatment=treatment,
-    )
+    return FitResult(k_est=float(coef[0]), intercept=float(coef[1]))
 
 
 _FIT_LOWER = np.array([0.0, 0.0, 1e-5])       # k, m_a_inf, z_c
@@ -341,9 +312,9 @@ def sem(values: np.ndarray) -> float:
 def fit_treatments(trial: TrialSamples, weights: WeightConfig) -> dict[str, FitResult]:
     """The three per-trial fits: QS+OLS, MO+OLS, MO+WLS."""
     return {
-        "noMO_noGD": ols_linear_fit(trial.samples_qs, treatment="noMO_noGD"),
-        "MO_noGD": ols_linear_fit(trial.samples_mo, treatment="MO_noGD"),
-        "MO_GD": wls_linear_fit(trial.samples_mo, weights, treatment="MO_GD"),
+        "noMO_noGD": ols_linear_fit(trial.samples_qs),
+        "MO_noGD": ols_linear_fit(trial.samples_mo),
+        "MO_GD": wls_linear_fit(trial.samples_mo, weights),
     }
 
 

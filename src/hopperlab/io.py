@@ -31,10 +31,9 @@ FRAME_COLUMNS = tuple(f.name for f in fields(Frames))
 
 TRUTH_COLUMNS = tuple(f.name for f in fields(TruthSeries))
 
-# The estimation CSV: the estimator outputs (`qs_singular` is where f_qs
-# is not finite), then the truth series it carries at the sensor rate,
-# each as `<name>_true` (`f_total` as `f_true`).
-ESTIMATOR_OUTPUTS = tuple(f.name for f in fields(EstimationSeries) if f.name != "qs_singular")
+# The estimation CSV: the estimator outputs, then the truth series it
+# carries at the sensor rate, each as `<name>_true` (`f_total` as `f_true`).
+ESTIMATOR_OUTPUTS = tuple(f.name for f in fields(EstimationSeries))
 CARRIED_TRUTH = ("x_b", "v_b", "x_f", "v_f", "f_total")
 ESTIMATION_COLUMNS = ESTIMATOR_OUTPUTS + tuple(f"{name.removesuffix('_total')}_true" for name in CARRIED_TRUTH)
 
@@ -176,7 +175,7 @@ def read_estimation_csv(path) -> tuple[EstimationSeries, dict[str, np.ndarray]]:
     _check_time_base(data[:, 0], path, "estimation")
     outputs = dict(zip(ESTIMATOR_OUTPUTS, data.T))
     truth = dict(zip(CARRIED_TRUTH, data[:, len(ESTIMATOR_OUTPUTS):].T))
-    return EstimationSeries(**outputs, qs_singular=~np.isfinite(outputs["f_qs"])), truth
+    return EstimationSeries(**outputs), truth
 
 
 def write_intrusion_csv(path, log: IntrusionLog) -> None:

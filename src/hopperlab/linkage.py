@@ -34,8 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import NONNEGATIVE, POSITIVE, WorkspaceError, check_domains, domain
 
 
@@ -114,9 +112,7 @@ def _foot_channel_coeffs(jac, curv, params: LinkageParams):
     mb = params.m_body
     m00 = mb + params.m_foot
     m01 = mb * jac
-    m11 = mb * jac * jac + 2.0 * params.rotor_inertia
-    # m11 >= 2*rotor_inertia > 0 by construction; guard anyway.
-    assert np.all(m11 > 0.0), "singular joint-channel inertia"
+    m11 = mb * jac * jac + 2.0 * params.rotor_inertia  # >= 2*rotor_inertia > 0
     m_f = m00 - m01 * m01 / m11
     beta = -2.0 * m01 / m11
     c_coef = mb * curv * (1.0 - mb * jac * jac / m11)
@@ -141,7 +137,7 @@ def solve_theta_for_length(length: float, params: LinkageParams) -> float:
         raise WorkspaceError(
             f"leg length {length:.6g} outside reachable range [{l_hi:.6g}, {l_lo:.6g}]"
         )
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
@@ -149,5 +145,4 @@ def solve_theta_for_length(length: float, params: LinkageParams) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 

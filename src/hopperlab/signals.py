@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
+# samples the encoder rate is averaged over, as a motor driver reports it;
+# the Kalman filter's rate variance assumes the same window
+ENCODER_RATE_WINDOW = 5
 
-def smoothed_backward_difference(x: np.ndarray, dt: float, window: int = 5) -> np.ndarray:
+
+def smoothed_backward_difference(x: np.ndarray, dt: float, window: int) -> np.ndarray:
     """Backward difference averaged over `window` samples.
 
     The mean of the last `window` one-step differences telescopes to

@@ -28,10 +28,10 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily: load it here, not in the first trial)
 
 from .constants import GRAVITY
-from .controller import FLIGHT, ControllerConfig, Phase, PhaseName, next_phase, spring_gains
+from .controller import FLIGHT, ControllerConfig, PhaseName, next_phase, spring_gains
 from .errors import NONNEGATIVE, POSITIVE, ConfigError, SimulationError, TrialMalformedError, check_domains
 from .linkage import LinkageParams, _geometry, solve_theta_for_length
-from .signals import smoothed_backward_difference
+from .signals import ENCODER_RATE_WINDOW, smoothed_backward_difference
 from .terrain import TerrainParams, constant_speed_force
 
 
@@ -175,7 +175,6 @@ class IntrusionLog:
     t: np.ndarray
     depth: np.ndarray
     force: np.ndarray
-    seed: object = None
 
 
 def plant_kernel(lk: LinkageParams, tr: TerrainParams):
@@ -311,9 +310,9 @@ def sensor_frames(
     sensors).  Otherwise the angle is quantized, the two per-trial IMU
     biases are drawn, then one standard-normal row per frame (encoder
     unless `encoder_sigma == 0`, body IMU, foot IMU, ToF, current, load
-    cell) is scaled per channel, and the encoder rate is a 5-sample
-    smoothed backward difference of the encoder angle, matching what a
-    motor driver reports.
+    cell) is scaled per channel, and the encoder rate is a smoothed
+    backward difference of the encoder angle over `ENCODER_RATE_WINDOW`
+    samples, matching what a motor driver reports.
     """
     current = tau / linkage.torque_constant
     if not noise.enabled:
@@ -335,7 +334,7 @@ def sensor_frames(
         columns = (
             t,
             enc,
-            smoothed_backward_difference(enc, dt, window=5),
+            smoothed_backward_difference(enc, dt, ENCODER_RATE_WINDOW),
             acc_body + bias_body + e_body,
             acc_foot + bias_foot + e_foot,
             x_b + e_tof,
@@ -414,7 +413,7 @@ def run_hop_trial(
 
     theta0 = solve_theta_for_length(cc.l0_compress, lk)
     drop_h = sim_config.drop_speed**2 / (2.0 * GRAVITY)
-    phase = Phase(FLIGHT, 0.0)
+    phase = FLIGHT
 
     stage = plant_kernel(lk, tr)
     th_lo, th_hi = lk.theta_min, lk.theta_max
@@ -422,8 +421,8 @@ def run_hop_trial(
     half_dt = 0.5 * dt
     sixth_dt = dt / 6.0
 
-    k_spr, l0_spr, b_spr = spring_gains(phase.name, cc)
-    phase_id = float(int(phase.name))
+    k_spr, l0_spr, b_spr = spring_gains(phase, cc)
+    phase_id = float(phase)
 
     # Free fall: rows 0..k0-1 in closed form, k0 the last step above the
     # bed, which the foot is below by step (fall time)/dt + 2.  Above the
@@ -461,15 +460,13 @@ def run_hop_trial(
         a_f, thdd, a_b, fs, fd, fa, ft, clamped, tau, f_leg, length, jac = stage(
             x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr
         )
-        new_phase = next_phase(
-            phase, length, jac * theta_dot, x_f, v_f, f_prev, t, cc
-        )
+        new_phase = next_phase(phase, jac * theta_dot, x_f, v_f, f_prev, cc)
         if new_phase is not phase:
             phase = new_phase
-            if phase.name == FLIGHT:
+            if phase == FLIGHT:
                 t_stop = min(t_stop, t + sim_config.post_liftoff_time)
-            k_spr, l0_spr, b_spr = spring_gains(phase.name, cc)
-            phase_id = float(int(phase.name))
+            k_spr, l0_spr, b_spr = spring_gains(phase, cc)
+            phase_id = float(phase)
             a_f, thdd, a_b, fs, fd, fa, ft, clamped, tau, f_leg, length, jac = stage(
                 x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr
             )
@@ -565,4 +562,4 @@ def run_constant_speed_intrusion(
     force = constant_speed_force(depth, speed, terrain_params)
     if noise.enabled and noise.loadcell_sigma > 0.0:
         force = force + rng.normal(0.0, noise.loadcell_sigma, size=n)
-    return IntrusionLog(speed=float(speed), t=t, depth=depth, force=force, seed=seed)
+    return IntrusionLog(speed=float(speed), t=t, depth=depth, force=force)

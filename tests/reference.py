@@ -190,11 +190,11 @@ def virtual_leg_force(phase, leg_len, leg_rate, config) -> float:
     """Axial spring-damper force [N]; positive pushes body and foot apart.
     The extension spring in extension, the compression spring otherwise;
     the flight damping in flight, the stance damping otherwise."""
-    if phase.name == PhaseName.EXTENSION:
+    if phase == PhaseName.EXTENSION:
         k, l0 = config.k_extend, config.l0_extend
     else:
         k, l0 = config.k_compress, config.l0_compress
-    b = config.b_flight if phase.name == PhaseName.FLIGHT else config.b_stance
+    b = config.b_flight if phase == PhaseName.FLIGHT else config.b_stance
     return k * (l0 - leg_len) - b * leg_rate
 
 

@@ -329,7 +329,7 @@ def test_criterion_09_regression_oracles():
     f = 800.0 * z + 1.2 + rng.normal(0.0, 0.9, z.size)
     zdd_uniform = np.full(z.size, 3.0)
     zeros = np.zeros_like(z)
-    samples_uniform = StanceSamples(z=z, z_dot=zeros, z_ddot=zdd_uniform, f=f, t=zeros, source="mo")
+    samples_uniform = StanceSamples(z=z, z_dot=zeros, z_ddot=zdd_uniform, f=f, t=zeros)
     ols = ols_linear_fit(samples_uniform)
     wls = wls_linear_fit(samples_uniform, WeightConfig())
     eq_err = max(abs(wls.k_est - ols.k_est), abs(wls.intercept - ols.intercept))
@@ -341,7 +341,7 @@ def test_criterion_09_regression_oracles():
 
     # WLS argmin vs brute-force grid search
     zdd = rng.uniform(0.0, 40.0, z.size)
-    samples = StanceSamples(z=z, z_dot=zeros, z_ddot=zdd, f=f, t=zeros, source="mo")
+    samples = StanceSamples(z=z, z_dot=zeros, z_ddot=zdd, f=f, t=zeros)
     cfg = WeightConfig()
     fit = wls_linear_fit(samples, cfg)
     w = np.array([acceleration_weight(a, cfg) for a in zdd])

@@ -179,11 +179,22 @@ def test_observer_bandwidth_at_the_sensor_rate_is_a_config_error(tmp_path, capsy
     assert load_config(_write(tmp_path, "[estimation]\nk_obs = 999\n")).estimation.k_obs == 999.0
 
 
-def test_a_trial_of_one_frame_is_a_runtime_error(tmp_path, capsys):
-    # a 1 Hz sensor sees one frame of a hop; the estimator needs two
-    cfg = _write(tmp_path, "[sim]\nsensor_rate_hz = 1\n[estimation]\nk_obs = 0.5\n")
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "runs")]) == 3
-    assert "need at least two frames, got 1" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a 1 Hz sensor sees one frame of a hop; the estimator needs two
+        ("[sim]\nsensor_rate_hz = 1\n[estimation]\nk_obs = 0.5\n", "need at least two frames, got 1"),
+        # the plant's mass-matrix determinant rounds to 0
+        ("[linkage]\nm_body = 1e16\n", "division by zero"),
+        # the filter's innovation covariance is singular
+        ("[noise]\nimu_sigma = 1e30\n", "Singular matrix"),
+    ],
+    ids=["one frame", "m_body=1e16", "imu_sigma=1e30"],
+)
+def test_a_runtime_failure_is_exit_3_with_one_line(tmp_path, capsys, text, message):
+    assert main(["simulate", "--config", _write(tmp_path, text), "--out", str(tmp_path / "runs")]) == 3
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -1,73 +1,71 @@
 import numpy as np
 import pytest
 
-from hopperlab.controller import ControllerConfig, Phase, PhaseName, next_phase
+from hopperlab.controller import ControllerConfig, PhaseName, next_phase
 from hopperlab.linkage import LinkageParams, leg_jacobian
 from reference import SingularityError, motor_torque, quasi_static_force, virtual_leg_force
 
 
 def test_flight_stays_flight_without_contact():
     cfg = ControllerConfig()
-    phase = Phase(PhaseName.FLIGHT, 0.0)
-    out = next_phase(phase, 0.42, -0.1, 0.05, -0.5, 0.0, 0.1, cfg)
-    assert out is phase
+    out = next_phase(PhaseName.FLIGHT, -0.1, 0.05, -0.5, 0.0, cfg)
+    assert out is PhaseName.FLIGHT
 
 
 def test_flight_to_compression_on_force():
     cfg = ControllerConfig()
-    out = next_phase(Phase(PhaseName.FLIGHT, 0.0), 0.42, -0.1, 0.001, -0.5, cfg.contact_force_threshold + 2.0, 0.08, cfg)
-    assert out.name == PhaseName.COMPRESSION
-    assert out.t_entry == 0.08
+    out = next_phase(PhaseName.FLIGHT, -0.1, 0.001, -0.5, cfg.contact_force_threshold + 2.0, cfg)
+    assert out == PhaseName.COMPRESSION
 
 
 def test_flight_to_compression_on_geometry():
     cfg = ControllerConfig()
-    out = next_phase(Phase(PhaseName.FLIGHT, 0.0), 0.42, -0.1, -0.002, -0.4, 0.0, 0.08, cfg)
-    assert out.name == PhaseName.COMPRESSION
+    out = next_phase(PhaseName.FLIGHT, -0.1, -0.002, -0.4, 0.0, cfg)
+    assert out == PhaseName.COMPRESSION
 
 
 def test_flight_no_retrigger_when_foot_rising():
     # right after liftoff the foot is still below the original surface
     cfg = ControllerConfig()
-    out = next_phase(Phase(PhaseName.FLIGHT, 0.3), 0.42, 0.1, -0.002, 0.4, 0.5, 0.31, cfg)
-    assert out.name == PhaseName.FLIGHT
+    out = next_phase(PhaseName.FLIGHT, 0.1, -0.002, 0.4, 0.5, cfg)
+    assert out == PhaseName.FLIGHT
 
 
 def test_compression_to_extension_at_rate_zero_crossing():
     cfg = ControllerConfig()
-    still_shortening = next_phase(Phase(PhaseName.COMPRESSION, 0.1), 0.4, -0.2, -0.02, -0.3, 20.0, 0.15, cfg)
-    assert still_shortening.name == PhaseName.COMPRESSION
-    crossed = next_phase(Phase(PhaseName.COMPRESSION, 0.1), 0.4, 0.01, -0.02, -0.1, 20.0, 0.16, cfg)
-    assert crossed.name == PhaseName.EXTENSION
+    still_shortening = next_phase(PhaseName.COMPRESSION, -0.2, -0.02, -0.3, 20.0, cfg)
+    assert still_shortening == PhaseName.COMPRESSION
+    crossed = next_phase(PhaseName.COMPRESSION, 0.01, -0.02, -0.1, 20.0, cfg)
+    assert crossed == PhaseName.EXTENSION
 
 
 def test_extension_to_flight_requires_unload_and_rise():
     cfg = ControllerConfig()
-    loaded = next_phase(Phase(PhaseName.EXTENSION, 0.2), 0.41, 0.3, -0.01, 0.2, 10.0, 0.3, cfg)
-    assert loaded.name == PhaseName.EXTENSION
-    sinking = next_phase(Phase(PhaseName.EXTENSION, 0.2), 0.41, 0.3, -0.01, -0.2, 0.5, 0.3, cfg)
-    assert sinking.name == PhaseName.EXTENSION
-    out = next_phase(Phase(PhaseName.EXTENSION, 0.2), 0.41, 0.3, -0.001, 0.2, 0.5, 0.3, cfg)
-    assert out.name == PhaseName.FLIGHT
+    loaded = next_phase(PhaseName.EXTENSION, 0.3, -0.01, 0.2, 10.0, cfg)
+    assert loaded == PhaseName.EXTENSION
+    sinking = next_phase(PhaseName.EXTENSION, 0.3, -0.01, -0.2, 0.5, cfg)
+    assert sinking == PhaseName.EXTENSION
+    out = next_phase(PhaseName.EXTENSION, 0.3, -0.001, 0.2, 0.5, cfg)
+    assert out == PhaseName.FLIGHT
 
 
 def test_virtual_force_neutral_point():
     cfg = ControllerConfig()
-    assert virtual_leg_force(Phase(PhaseName.COMPRESSION, 0.0), cfg.l0_compress, 0.0, cfg) == 0.0
+    assert virtual_leg_force(PhaseName.COMPRESSION, cfg.l0_compress, 0.0, cfg) == 0.0
 
 
 def test_virtual_force_compression_value():
     # 3.75 N/cm spring at 2 cm deflection -> 7.5 N
     cfg = ControllerConfig(k_compress=375.0)
-    f = virtual_leg_force(Phase(PhaseName.COMPRESSION, 0.0), cfg.l0_compress - 0.02, 0.0, cfg)
+    f = virtual_leg_force(PhaseName.COMPRESSION, cfg.l0_compress - 0.02, 0.0, cfg)
     assert f == pytest.approx(7.5)
 
 
 def test_virtual_force_extension_stiffer():
     cfg = ControllerConfig(k_compress=375.0, k_extend=500.0)
     deflection = 0.02
-    f_c = virtual_leg_force(Phase(PhaseName.COMPRESSION, 0.0), cfg.l0_compress - deflection, 0.0, cfg)
-    f_e = virtual_leg_force(Phase(PhaseName.EXTENSION, 0.0), cfg.l0_extend - deflection, 0.0, cfg)
+    f_c = virtual_leg_force(PhaseName.COMPRESSION, cfg.l0_compress - deflection, 0.0, cfg)
+    f_e = virtual_leg_force(PhaseName.EXTENSION, cfg.l0_extend - deflection, 0.0, cfg)
     assert f_e == pytest.approx(10.0)
     assert f_e > f_c
 
@@ -75,8 +73,8 @@ def test_virtual_force_extension_stiffer():
 def test_virtual_force_ce_jump_matches_stiffness_step():
     cfg = ControllerConfig()
     length, rate = cfg.l0_compress - 0.03, 0.0
-    f_c = virtual_leg_force(Phase(PhaseName.COMPRESSION, 0.0), length, rate, cfg)
-    f_e = virtual_leg_force(Phase(PhaseName.EXTENSION, 0.0), length, rate, cfg)
+    f_c = virtual_leg_force(PhaseName.COMPRESSION, length, rate, cfg)
+    f_e = virtual_leg_force(PhaseName.EXTENSION, length, rate, cfg)
     expected_jump = (cfg.k_extend - cfg.k_compress) * (cfg.l0_compress - length) + cfg.k_extend * (
         cfg.l0_extend - cfg.l0_compress
     )
@@ -85,7 +83,7 @@ def test_virtual_force_ce_jump_matches_stiffness_step():
 
 def test_flight_force_uses_flight_damping():
     cfg = ControllerConfig()
-    f = virtual_leg_force(Phase(PhaseName.FLIGHT, 0.0), cfg.l0_compress, 0.5, cfg)
+    f = virtual_leg_force(PhaseName.FLIGHT, cfg.l0_compress, 0.5, cfg)
     assert f == pytest.approx(-cfg.b_flight * 0.5)
 
 

@@ -102,17 +102,6 @@ def test_kf_noisy_hop_accuracy(linkage, terrain, controller):
     assert rmse_vel <= rmse_fd
 
 
-def test_kf_config_validation():
-    with pytest.raises(ValueError):
-        KalmanConfig(Q=np.eye(3), R=np.eye(3), P0=np.eye(4), x0=np.zeros(4))
-    with pytest.raises(ValueError):
-        KalmanConfig(Q=np.eye(4), R=np.zeros((3, 3)), P0=np.eye(4), x0=np.zeros(4))
-    bad_q = np.eye(4)
-    bad_q[0, 1] = 0.5  # asymmetric
-    with pytest.raises(ValueError):
-        KalmanConfig(Q=bad_q, R=np.eye(3), P0=np.eye(4), x0=np.zeros(4))
-
-
 # ------------------------------------------------------- momentum observer
 
 
@@ -230,8 +219,8 @@ def test_qs_series_zero_current(noiseless_frames, linkage):
         motor_current=np.zeros_like(noiseless_frames.motor_current),
         loadcell_force=noiseless_frames.loadcell_force,
     )
-    f_qs, singular = quasi_static_series(frames, linkage)
-    assert np.all(f_qs[~singular] == 0.0)
+    f_qs = quasi_static_series(frames, linkage)
+    assert np.all(f_qs[np.isfinite(f_qs)] == 0.0)
 
 
 def test_qs_matches_loadcell_in_statics(linkage):
@@ -251,7 +240,7 @@ def test_qs_matches_loadcell_in_statics(linkage):
         motor_current=np.full(n, tau / linkage.torque_constant),
         loadcell_force=np.full(n, (linkage.m_body + linkage.m_foot) * GRAVITY),
     )
-    f_qs, _ = quasi_static_series(frames, linkage)
+    f_qs = quasi_static_series(frames, linkage)
     foot_weight = linkage.m_foot * GRAVITY
     assert np.allclose(f_qs, linkage.m_body * GRAVITY, rtol=1e-9)
     assert np.abs(f_qs - frames.loadcell_force).max() == pytest.approx(foot_weight, rel=1e-9)
@@ -269,7 +258,7 @@ def test_qs_worse_than_mo_at_touchdown(linkage, terrain, controller):
     frames = log.frames
     n = len(frames.t)
     stance = (truth["t"][:n] >= ev.t_td) & (truth["t"][:n] <= ev.t_lo)
-    f_qs, _ = quasi_static_series(frames, linkage)
+    f_qs = quasi_static_series(frames, linkage)
     r = run_momentum_observer(
         truth["t"][:n], truth["theta"][:n], truth["theta_dot"][:n], truth["v_f"][:n], truth["tau"][:n], linkage, 800.0
     )
@@ -296,7 +285,7 @@ def test_mo_beats_qs_on_every_noiseless_sweep_speed(linkage, terrain, controller
         n = len(frames.t)
         ev = log.events
         stance = (truth["t"][:n] >= ev.t_td) & (truth["t"][:n] <= ev.t_lo)
-        f_qs, _ = quasi_static_series(frames, linkage)
+        f_qs = quasi_static_series(frames, linkage)
         r = run_momentum_observer(
             truth["t"][:n], truth["theta"][:n], truth["theta_dot"][:n], truth["v_f"][:n], truth["tau"][:n], linkage, 800.0
         )
@@ -386,7 +375,7 @@ def test_run_estimation_matches_per_sample_reference(noisy_frames, linkage):
         assert np.abs(got[:, col] - x_ref[:, col]).max() <= 1e-12 * scale
     assert np.abs(est.f_mo - f_mo_ref).max() <= 1e-12 * np.abs(f_mo_ref).max()
     assert np.abs(est.f_qs - f_qs_ref).max() <= 1e-12 * np.abs(f_qs_ref).max()
-    assert not est.qs_singular.any()
+    assert np.isfinite(est.f_qs).all()
 
 
 def _estimation_arrays(est):

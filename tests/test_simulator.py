@@ -547,7 +547,7 @@ def test_truth_log_matches_kernel_at_logged_states(noisy_trial, linkage, terrain
 # ------------------------------------------------- closed-form free fall
 
 from hopperlab import simulator
-from hopperlab.controller import Phase, next_phase, spring_gains
+from hopperlab.controller import next_phase, spring_gains
 from hopperlab.linkage import solve_theta_for_length
 
 TRUTH_COLUMNS = tuple(f.name for f in dataclasses.fields(TruthSeries))
@@ -561,8 +561,8 @@ def _reference_truth(sim, controller, linkage, terrain):
     stage = plant_kernel(linkage, terrain)
     dt = sim.dt_truth
     y = np.array([sim.drop_speed**2 / (2.0 * GRAVITY), 0.0, solve_theta_for_length(controller.l0_compress, linkage), 0.0])
-    phase = Phase(PhaseName.FLIGHT, 0.0)
-    spring = spring_gains(phase.name, controller)
+    phase = PhaseName.FLIGHT
+    spring = spring_gains(phase, controller)
 
     def derivative(y):
         a = stage(*y.tolist(), *spring)
@@ -572,18 +572,18 @@ def _reference_truth(sim, controller, linkage, terrain):
     for step in range(int(round(sim.t_max / dt))):
         x_f, v_f, theta, theta_dot = y.tolist()
         out = stage(x_f, v_f, theta, theta_dot, *spring)
-        new = next_phase(phase, out[10], out[11] * theta_dot, x_f, v_f, f_prev, t, controller)
-        if new.name != phase.name:
+        new = next_phase(phase, out[11] * theta_dot, x_f, v_f, f_prev, controller)
+        if new != phase:
             phase = new
-            if phase.name == PhaseName.FLIGHT:
+            if phase == PhaseName.FLIGHT:
                 t_stop = min(t_stop, t + sim.post_liftoff_time)
-            spring = spring_gains(phase.name, controller)
+            spring = spring_gains(phase, controller)
             out = stage(x_f, v_f, theta, theta_dot, *spring)
         a_f, thdd, a_b, fs, fd, fa, ft, _, tau, f_leg, length, jac = out
         f_prev = ft
         rows.append((
             t, x_f + length + linkage.mount_offset, v_f + jac * theta_dot, x_f, v_f, theta, theta_dot,
-            a_b, a_f, fs, fd, fa, ft, tau, f_leg, float(int(phase.name)),
+            a_b, a_f, fs, fd, fa, ft, tau, f_leg, float(phase),
         ))
         k1 = np.array([v_f, a_f, theta_dot, thdd])
         k2 = derivative(y + 0.5 * dt * k1)

@@ -1,5 +1,6 @@
 """`src/` holds only what the program runs: reference versions of its laws
-and helpers only tests call live in `tests/reference.py`."""
+and helpers only tests call live in `tests/reference.py`, and every
+function reads each parameter it is passed."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,28 @@ def test_every_module_level_name_in_src_is_used_by_src():
         if name not in used and name not in ALLOWED_UNREFERENCED and not (name.startswith("__") and name.endswith("__"))
     )
     assert not unused, "defined in src/ but used only outside it: " + ", ".join(unused)
+
+
+def _parameters(func) -> list[str]:
+    """The parameters a caller passes: `self` and `cls` are bound by Python."""
+    args = func.args
+    every = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+    return [arg.arg for arg in every if arg is not None and arg.arg not in ("self", "cls")]
+
+
+def test_every_function_in_src_reads_each_of_its_parameters():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                sub.id
+                for stmt in body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.name}: {name}({param})" for param in _parameters(node) if param not in read]
+    assert not unread, "parameters their function never reads: " + ", ".join(unread)
