@@ -7,7 +7,7 @@ are independent, so the hop grid can be dispatched to a process pool.
 
 A hop trial's artifacts are its sensor frames, events and estimation CSV;
 the estimation CSV carries the ground truth at the sensor rate.  The
-10 kHz truth log is not written by a sweep: `hopperlab simulate` at the
+2 kHz truth log is not written by a sweep: `hopperlab simulate` at the
 trial's speed, stiffness and seed rebuilds the trial bit for bit and
 writes it as `<id>_truth.csv`.  What each command reads:
 

@@ -1,10 +1,14 @@
 """Coupled body-foot-terrain dynamics, the intrusion rig, and the sensor model.
 
 The truth plant integrates the two-coordinate (foot height, joint angle)
-dynamics with fixed-step RK4 at 10 kHz.  Heights are measured from the
-undisturbed bed surface, so the foot penetrates while x_f < 0.  The drop
-before touchdown is exact free fall, so its rows are written in closed
-form and RK4 starts at the last step above the bed.
+dynamics with fixed-step RK4 at 2 kHz.  A step across which the dynamics
+switch (a phase change or a change of contact-law branch) is taken again
+in `EVENT_SUBSTEPS` sub-steps with the phase machine at each, so that
+touchdown, the stiffness switch and liftoff act within a 10 us sub-step,
+not a 0.5 ms step.  Heights are measured from the undisturbed bed
+surface, so the foot penetrates while x_f < 0.  The drop before
+touchdown is exact free fall, so its rows are written in closed form and
+RK4 starts at the last step above the bed.
 `plant_kernel` is the one way to evaluate the plant: the RK4 loop calls
 it under the phase's virtual spring, and tests call it at a fixed
 per-motor torque.  Its stage computes the leg geometry inline; stage 1
@@ -37,13 +41,14 @@ from .terrain import TerrainParams, constant_speed_force
 
 MAX_TRIAL_SAMPLES = 1_000_000   # RK4 steps of a hop, or load-cell samples of an intrusion
 INTRUSION_RATE_HZ = 1000.0      # the intrusion rig's load-cell sampling rate
+EVENT_SUBSTEPS = 50             # RK4 sub-steps of a step in which the dynamics switch
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Truth-integration and trial protocol settings."""
 
-    dt_truth: float = field(default=1e-4, metadata=POSITIVE)              # RK4 step [s]
+    dt_truth: float = field(default=5e-4, metadata=POSITIVE)              # RK4 step [s]
     sensor_rate_hz: float = field(default=1000.0, metadata=POSITIVE)      # proprioceptive sampling rate
     t_max: float = field(default=2.0, metadata=POSITIVE)                  # hard stop [s]
     post_liftoff_time: float = field(default=0.1, metadata=NONNEGATIVE)   # keep integrating this long after liftoff [s]
@@ -164,7 +169,7 @@ class TrialLog:
     truth: TruthSeries
     events: TrialEvents
     seed: object
-    clamp_events: int = 0  # steps where the no-tension clamp changed the dynamics
+    clamp_events: int = 0  # rows at which the no-tension clamp changed the dynamics
 
 
 @dataclass
@@ -349,7 +354,10 @@ def detect_events(truth: TruthSeries) -> TrialEvents:
 
     TD is the first sample with positive penetration; CE the controller's
     compression-to-extension switch; LO the last sample with positive
-    contact force before the controller returns to flight.
+    contact force before the controller returns to flight.  `phase_id`
+    holds the phase at each row, so it cannot show a phase shorter than
+    one step: a re-contact after liftoff whose compression ends inside a
+    step goes FLIGHT -> EXTENSION in the rows.
     """
     contact_idx = np.flatnonzero(truth.x_f < 0.0)
     if contact_idx.size == 0:
@@ -381,6 +389,12 @@ def detect_events(truth: TruthSeries) -> TrialEvents:
     return TrialEvents(t_td=float(t_td), t_ce=float(t_ce), t_lo=float(t_lo), v_td=float(-truth.v_f[i_td]))
 
 
+def _contact_branch(x_f, v_f, clamped):
+    """Which branch of the contact law acts at a state: 0 free (z <= 0),
+    1 withdrawing (z > 0, z_dot < 0), 2 penetrating, 3 clamped."""
+    return 0 if x_f >= 0.0 else 1 if v_f > 0.0 else 2 + clamped
+
+
 def run_hop_trial(
     sim_config: SimConfig,
     controller_config: ControllerConfig,
@@ -398,7 +412,12 @@ def run_hop_trial(
     joint does not move, so the rows before the last step with
     h - g*t^2/2 >= 0 are written in closed form (x_f = h - g*t^2/2,
     v_f = -g*t, theta = theta0, the rest from one kernel evaluation), and
-    RK4 runs from that step on.  Deterministic for a fixed seed.
+    RK4 runs from that step on.  Rows stay on the k*dt grid.  A step at
+    whose end the phase machine would switch, or whose ends differ in
+    contact branch, is re-integrated in `EVENT_SUBSTEPS` sub-steps; inside
+    it the phase machine runs at every sub-step boundary, reading the
+    force of the boundary before, as it reads the row before on the grid.
+    Deterministic for a fixed seed.
     """
     noise = noise_config if noise_config is not None else NoiseConfig()
     if seed is None:
@@ -418,11 +437,60 @@ def run_hop_trial(
     stage = plant_kernel(lk, tr)
     th_lo, th_hi = lk.theta_min, lk.theta_max
     mount = lk.mount_offset
-    half_dt = 0.5 * dt
-    sixth_dt = dt / 6.0
+    h_sub = dt / EVENT_SUBSTEPS
+    isfinite = math.isfinite
+    spring = spring_gains(phase, cc)
+    f_prev = 0.0
+    t_stop = sim_config.t_max
 
-    k_spr, l0_spr, b_spr = spring_gains(phase, cc)
-    phase_id = float(phase)
+    def rk4(x_f, v_f, theta, theta_dot, a_f, thdd, spring, h, t_end):
+        """The state at t_end after one RK4 step of length h with `spring`
+        frozen, from a state whose stage-1 rates are (a_f, thdd)."""
+        k_spr, l0_spr, b_spr = spring
+        half = 0.5 * h
+        x2 = x_f + half * v_f
+        v2 = v_f + half * a_f
+        th2 = theta + half * theta_dot
+        thd2 = theta_dot + half * thdd
+        a2, tdd2 = stage(x2, v2, th2, thd2, k_spr, l0_spr, b_spr, rates_only=True)
+        x3 = x_f + half * v2
+        v3 = v_f + half * a2
+        th3 = theta + half * thd2
+        thd3 = theta_dot + half * tdd2
+        a3, tdd3 = stage(x3, v3, th3, thd3, k_spr, l0_spr, b_spr, rates_only=True)
+        x4 = x_f + h * v3
+        v4 = v_f + h * a3
+        th4 = theta + h * thd3
+        thd4 = theta_dot + h * tdd3
+        a4, tdd4 = stage(x4, v4, th4, thd4, k_spr, l0_spr, b_spr, rates_only=True)
+
+        sixth = h / 6.0
+        x_f += sixth * (v_f + 2.0 * v2 + 2.0 * v3 + v4)
+        v_f += sixth * (a_f + 2.0 * a2 + 2.0 * a3 + a4)
+        theta += sixth * (theta_dot + 2.0 * thd2 + 2.0 * thd3 + thd4)
+        theta_dot += sixth * (thdd + 2.0 * tdd2 + 2.0 * tdd3 + tdd4)
+        if not (isfinite(x_f) and isfinite(v_f) and isfinite(theta) and isfinite(theta_dot)):
+            raise SimulationError(f"state became non-finite at t={t_end:.6f} s")
+        if not (th_lo <= theta <= th_hi):
+            raise SimulationError(
+                f"joint angle {theta:.4f} left workspace [{th_lo}, {th_hi}] at t={t_end:.6f} s"
+            )
+        return x_f, v_f, theta, theta_dot
+
+    def advance_phase(t, x_f, v_f, theta, theta_dot, out):
+        """Run the phase machine at a row or sub-step boundary whose stage 1
+        under the spring in force is `out`; returns stage 1 under the spring
+        that the phase then puts in force."""
+        nonlocal phase, spring, f_prev, t_stop
+        new_phase = next_phase(phase, out[11] * theta_dot, x_f, v_f, f_prev, cc)
+        if new_phase is not phase:
+            phase = new_phase
+            if phase == FLIGHT:
+                t_stop = min(t_stop, t + sim_config.post_liftoff_time)
+            spring = spring_gains(phase, cc)
+            out = stage(x_f, v_f, theta, theta_dot, *spring)
+        f_prev = out[6]
+        return out
 
     # Free fall: rows 0..k0-1 in closed form, k0 the last step above the
     # bed, which the foot is below by step (fall time)/dt + 2.  Above the
@@ -432,14 +500,12 @@ def run_hop_trial(
     x_fall = drop_h - 0.5 * GRAVITY * t_fall * t_fall
     below = np.flatnonzero(x_fall < 0.0)
     k0 = int(below[0]) - 1 if below.size else n_fall
-    a_f, _, a_b, fs, fd, fa, ft, _, tau, f_leg, length, _ = stage(
-        drop_h, 0.0, theta0, 0.0, k_spr, l0_spr, b_spr
-    )
+    a_f, _, a_b, fs, fd, fa, ft, _, tau, f_leg, length, _ = stage(drop_h, 0.0, theta0, 0.0, *spring)
     t_pre, x_pre = t_fall[:k0], x_fall[:k0]
     v_pre = 0.0 - GRAVITY * t_pre  # +0.0 at t = 0
     prefix = (
         t_pre, x_pre + length + mount, v_pre, x_pre, v_pre, theta0, 0.0, a_b, a_f,
-        fs, fd, fa, ft, tau, f_leg, phase_id,
+        fs, fd, fa, ft, tau, f_leg, float(phase),
     )
 
     t = float(t_fall[k0])
@@ -449,69 +515,45 @@ def run_hop_trial(
     theta_dot = 0.0
     rows: list[tuple] = []
     append = rows.append
-    isfinite = math.isfinite
     clamp_events = 0
-    f_prev = 0.0
-    t_stop = sim_config.t_max
+    out = stage(x_f, v_f, theta, theta_dot, *spring)
 
     for step in range(k0, n_max):
-        # stage 1 under the current spring also yields the geometry the
-        # phase machine needs; a phase switch re-evaluates it
-        a_f, thdd, a_b, fs, fd, fa, ft, clamped, tau, f_leg, length, jac = stage(
-            x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr
-        )
-        new_phase = next_phase(phase, jac * theta_dot, x_f, v_f, f_prev, cc)
-        if new_phase is not phase:
-            phase = new_phase
-            if phase == FLIGHT:
-                t_stop = min(t_stop, t + sim_config.post_liftoff_time)
-            k_spr, l0_spr, b_spr = spring_gains(phase, cc)
-            phase_id = float(phase)
-            a_f, thdd, a_b, fs, fd, fa, ft, clamped, tau, f_leg, length, jac = stage(
-                x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr
-            )
+        out = advance_phase(t, x_f, v_f, theta, theta_dot, out)
+        a_f, thdd, a_b, fs, fd, fa, ft, clamped, tau, f_leg, length, jac = out
         if clamped:
             clamp_events += 1
-        f_prev = ft
 
         v_b = v_f + jac * theta_dot
         x_b = x_f + length + mount
         append((
             t, x_b, v_b, x_f, v_f, theta, theta_dot, a_b, a_f,
-            fs, fd, fa, ft, tau, f_leg, phase_id,
+            fs, fd, fa, ft, tau, f_leg, float(phase),
         ))
 
-        # RK4 with the phase (and spring law) frozen across the step
-        x2 = x_f + half_dt * v_f
-        v2 = v_f + half_dt * a_f
-        th2 = theta + half_dt * theta_dot
-        thd2 = theta_dot + half_dt * thdd
-        a2, tdd2 = stage(x2, v2, th2, thd2, k_spr, l0_spr, b_spr, rates_only=True)
-        x3 = x_f + half_dt * v2
-        v3 = v_f + half_dt * a2
-        th3 = theta + half_dt * thd2
-        thd3 = theta_dot + half_dt * tdd2
-        a3, tdd3 = stage(x3, v3, th3, thd3, k_spr, l0_spr, b_spr, rates_only=True)
-        x4 = x_f + dt * v3
-        v4 = v_f + dt * a3
-        th4 = theta + dt * thd3
-        thd4 = theta_dot + dt * tdd3
-        a4, tdd4 = stage(x4, v4, th4, thd4, k_spr, l0_spr, b_spr, rates_only=True)
-
-        x_f += sixth_dt * (v_f + 2.0 * v2 + 2.0 * v3 + v4)
-        v_f += sixth_dt * (a_f + 2.0 * a2 + 2.0 * a3 + a4)
-        theta += sixth_dt * (theta_dot + 2.0 * thd2 + 2.0 * thd3 + thd4)
-        theta_dot += sixth_dt * (thdd + 2.0 * tdd2 + 2.0 * tdd3 + tdd4)
-        t = (step + 1) * dt
-
-        if not (isfinite(x_f) and isfinite(v_f) and isfinite(theta) and isfinite(theta_dot)):
-            raise SimulationError(f"state became non-finite at t={t:.6f} s")
-        if not (th_lo <= theta <= th_hi):
-            raise SimulationError(
-                f"joint angle {theta:.4f} left workspace [{th_lo}, {th_hi}] at t={t:.6f} s"
-            )
-        if t >= t_stop:
+        # RK4 with the phase (and spring law) frozen across the step; stage 1
+        # at its end is the next row's
+        t_end = (step + 1) * dt
+        end = rk4(x_f, v_f, theta, theta_dot, a_f, thdd, spring, dt, t_end)
+        if t_end >= t_stop:
             break
+        out = stage(*end, *spring)
+        # the dynamics switch inside the step if the phase machine would
+        # switch at its end state (with that state's force) or the contact
+        # law's branch differs between its ends: take it again in sub-steps
+        if (
+            next_phase(phase, out[11] * end[3], end[0], end[1], out[6], cc) is not phase
+            or _contact_branch(x_f, v_f, clamped) != _contact_branch(end[0], end[1], out[7])
+        ):
+            sub, rates = (x_f, v_f, theta, theta_dot), (a_f, thdd)
+            for j in range(1, EVENT_SUBSTEPS):
+                t_sub = t + j * h_sub
+                sub = rk4(*sub, *rates, spring, h_sub, t_sub)
+                rates = advance_phase(t_sub, *sub, stage(*sub, *spring))[:2]
+            end = rk4(*sub, *rates, spring, h_sub, t_end)
+            out = stage(*end, *spring)
+        x_f, v_f, theta, theta_dot = end
+        t = t_end
 
     table = np.empty((k0 + len(rows), len(prefix)))
     for column, values in zip(table[:k0].T, prefix):

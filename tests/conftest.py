@@ -56,8 +56,9 @@ def noiseless_frames(noiseless_trial):
 
 
 def decimate_truth(trial, n=None):
-    """Truth columns at the sensor rate, aligned with the trial's frames."""
-    decim = round(1.0 / (1000.0 * 1e-4))
+    """Truth columns at the sensor rate, aligned with the frames of a trial
+    run at the default `SimConfig` step and sensor rate."""
+    decim = SimConfig().decimation
     cols = {
         name: getattr(trial.truth, name)[::decim]
         for name in ("t", "x_b", "v_b", "x_f", "v_f", "theta", "theta_dot", "acc_b", "acc_f", "f_total", "tau")

@@ -158,10 +158,11 @@ def test_criterion_05_added_mass_residual(intrusion_fit, linkage, terrain, contr
     # acceleration, the same construction as the hardware analysis
     cors = []
     for seed in SEEDS:
-        log = run_hop_trial(SimConfig(drop_speed=1.2), controller, terrain, linkage, seed=seed)
+        sim = SimConfig(drop_speed=1.2)
+        log = run_hop_trial(sim, controller, terrain, linkage, seed=seed)
         frames = log.frames
         n = len(frames.t)
-        dec = 10
+        dec = sim.decimation
         z = -log.truth.x_f[::dec][:n]
         zd = -log.truth.v_f[::dec][:n]
         mask = (frames.t >= log.events.t_td) & (frames.t <= log.events.t_lo)
@@ -191,11 +192,9 @@ def test_criterion_06_momentum_observer(linkage, terrain, controller):
     # truth-kinematics stance RMSE on noiseless trials at every sweep speed
     worst_ratio = 0.0
     for speed in SPEEDS:
-        log = run_hop_trial(
-            SimConfig(drop_speed=speed), controller, terrain, linkage, seed=0,
-            noise_config=NoiseConfig.noiseless(),
-        )
-        dec = 10
+        sim = SimConfig(drop_speed=speed)
+        log = run_hop_trial(sim, controller, terrain, linkage, seed=0, noise_config=NoiseConfig.noiseless())
+        dec = sim.decimation
         t = log.truth.t[::dec]
         r = run_momentum_observer(
             t,
@@ -238,10 +237,11 @@ def test_criterion_07_kalman_filter(linkage, terrain, controller):
     noise = NoiseConfig()
     sq = []
     for seed in SEEDS:
-        log = run_hop_trial(SimConfig(drop_speed=0.8), controller, terrain, linkage, seed=seed)
+        sim = SimConfig(drop_speed=0.8)
+        log = run_hop_trial(sim, controller, terrain, linkage, seed=seed)
         frames = log.frames
         est = run_estimation(frames, linkage, noise=noise)
-        dec = 10
+        dec = sim.decimation
         xb_true = log.truth.x_b[::dec][: len(est)]
         sq.append((est.x_b_hat[100:] - xb_true[100:]) ** 2)
     rmse = math.sqrt(float(np.concatenate(sq).mean()))

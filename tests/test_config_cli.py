@@ -200,7 +200,11 @@ def test_a_runtime_failure_is_exit_3_with_one_line(tmp_path, capsys, text, messa
 @pytest.mark.parametrize(
     "text, names, at_bound",
     [
-        ("[sim]\nt_max = 100.1\n", ("[sim] t_max", "[sim] dt_truth"), "[sim]\nt_max = 100\n"),
+        (
+            "[sim]\ndt_truth = 0.0001\nt_max = 100.1\n",
+            ("[sim] t_max", "[sim] dt_truth"),
+            "[sim]\ndt_truth = 0.0001\nt_max = 100\n",
+        ),
         (
             "[sweep]\nintrusion_speed_min = 0.1\nintrusion_z_max = 100.1\n",
             ("[sweep] intrusion_z_max", "[sweep] intrusion_speed_min"),

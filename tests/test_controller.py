@@ -146,7 +146,7 @@ def test_stance_force_continuous_except_ce(noiseless_trial):
     in_stance = (ids[:-1] != int(PhaseName.FLIGHT)) & (ids[1:] != int(PhaseName.FLIGHT))
     smooth = in_stance.copy()
     smooth[switch] = False
-    # away from transitions the spring force moves by < 0.5 N per 0.1 ms step
+    # away from transitions the spring force moves by < 0.5 N per 0.5 ms truth step
     assert jumps[smooth].max() < 0.5
     ce = switch[(ids[switch] == int(PhaseName.COMPRESSION)) & (ids[switch + 1] == int(PhaseName.EXTENSION))]
     assert jumps[ce[0]] > 1.0
