@@ -2,10 +2,12 @@
 
 Commands
     simulate   one hop trial (frames/truth/events + estimation CSVs)
-    intrude    constant-speed intrusion grid
+    intrude    the constant-speed intrusion grid, `intrusion_grid.csv`, as a
+               sweep writes it
     estimate   estimation CSVs from existing frame CSVs (truth columns from
                `_truth.csv`, else from the previous estimation CSV, else NaN)
-    identify   treatment report + intrusion-model fit from existing logs
+    identify   treatment report + intrusion-model fit from existing hop
+               artifacts and intrusion grid
     sweep      full grid: hops + intrusions + estimation + identification
     report     summary JSON + plot-ready CSVs
 
@@ -29,7 +31,7 @@ from . import io
 from .config import ExperimentConfig, load_config, with_values
 from .errors import ConfigError, HopperlabError, MissingInputError
 from .experiments import (
-    build_manifest,
+    INTRUSION_GRID,
     decimated_truth,
     estimate_from_frames,
     identify_inputs,
@@ -38,7 +40,7 @@ from .experiments import (
     run_sweep,
     run_single_hop,
     write_hop_artifacts,
-    write_intrusion_trials,
+    write_intrusion_grid,
     write_report,
 )
 
@@ -64,12 +66,14 @@ def cmd_simulate(config: ExperimentConfig, args) -> int:
     return 0
 
 
+def _intrusion_grid(config: ExperimentConfig) -> str:
+    return f"intrusion grid of {config.sweep.intrusion_speed_count} speeds x {config.sweep.intrusion_repeats} repeats"
+
+
 def cmd_intrude(config: ExperimentConfig, args) -> int:
     out = _resolve_out(config, args)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = [e for e in build_manifest(config)["entries"] if e["kind"] == "intrusion"]
-    write_intrusion_trials(config, entries, out)
-    print(f"wrote {len(entries)} intrusion logs to {out}")
+    write_intrusion_grid(config, out / INTRUSION_GRID)
+    print(f"wrote an {_intrusion_grid(config)} to {out}")
     return 0
 
 
@@ -123,8 +127,7 @@ def cmd_sweep(config: ExperimentConfig, args) -> int:
         config = with_values(config, "sweep", seeds=tuple(args.seeds))
     manifest = run_sweep(config, out, jobs=args.jobs, resume=args.resume)
     n_hop = sum(1 for e in manifest["entries"] if e["kind"] == "hop")
-    n_intr = len(manifest["entries"]) - n_hop
-    print(f"sweep complete: {n_hop} hop trials, {n_intr} intrusion trials in {out}")
+    print(f"sweep complete: {n_hop} hop trials and an {_intrusion_grid(config)} in {out}")
     return 0
 
 
@@ -166,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seeds", type=_parse_seeds, default=None, help="comma-separated seed list")
         if name == "sweep":
             p.add_argument("--jobs", type=int, default=1, help="parallel workers for the hop grid")
-            p.add_argument("--resume", action="store_true", help="skip trials whose outputs exist")
+            p.add_argument("--resume", action="store_true", help="skip hop trials whose outputs exist")
     return parser
 
 

@@ -40,7 +40,7 @@ class SweepConfig:
     stiffnesses_n_per_cm: tuple = field(default=(2.50, 3.75, 5.00), metadata=POSITIVE)  # compression stiffness grid
     seeds: tuple = field(default=(0, 1, 2, 3, 4), metadata=NONNEGATIVE)
     intrusion_speed_min: float = field(default=0.022, metadata=POSITIVE)
-    intrusion_speed_max: float = field(default=1.1, metadata=domain(0.0, 1e3))  # [m/s]; the trial id spells out every digit
+    intrusion_speed_max: float = field(default=1.1, metadata=domain(0.0, 1e3))  # [m/s]
     intrusion_speed_count: int = field(default=50, metadata=domain(1, closed=True))
     intrusion_repeats: int = field(default=3, metadata=domain(1, closed=True))
     intrusion_z_max: float = field(default=0.05, metadata=POSITIVE)

@@ -1,21 +1,26 @@
 """Experiment orchestration: single trials, grid sweeps, and reports.
 
 A sweep writes its manifest before any trial runs, so an interrupted run
-can be resumed; completed trials (all output files present) are skipped
-and the final artifacts are identical to an uninterrupted run.  Trials
-are independent, so the hop grid can be dispatched to a process pool.
+can be resumed; completed hop trials (all output files present) are
+skipped and the final artifacts are identical to an uninterrupted run.
+The intrusion grid takes milliseconds to simulate, so a resumed sweep
+runs it again rather than trust the file on disk.  Hop trials are
+independent, so the hop grid can be dispatched to a process pool.
 
 A hop trial's artifacts are its sensor frames, events and estimation CSV;
 the estimation CSV carries the ground truth at the sensor rate.  The
 2 kHz truth log is not written by a sweep: `hopperlab simulate` at the
 trial's speed, stiffness and seed rebuilds the trial bit for bit and
-writes it as `<id>_truth.csv`.  What each command reads:
+writes it as `<id>_truth.csv`.  The intrusion grid is one artifact,
+`intrusion_grid.csv`, with one manifest entry: every speed's load-cell
+samples, each repeat's force beside the speed's shared t and depth.
+What each command reads:
 
     sweep     identifies from the stance samples and intrusion logs of the
-              trials it ran, held in memory; it reads back only the events,
-              estimation and intrusion files of trials `--resume` skipped.
+              trials it ran, held in memory; it reads back only the events
+              and estimation files of hops `--resume` skipped.
     identify  the manifest, every hop's events and estimation files and
-              every intrusion log; it writes what a sweep writes, byte for
+              the intrusion grid; it writes what a sweep writes, byte for
               byte, through the same `identify_outputs`.
     report    the treatment report, the manifest, `depth_speed_fit.json`,
               and one hop's frames, events and estimation files.
@@ -60,17 +65,14 @@ from .terrain import force_map
 # kind of manifest entry: (its fields besides trial_id, the keys of its files)
 _ENTRY_SCHEMA = {
     "hop": (("speed", "k_c_n_per_cm", "seed"), ("frames", "events", "estimation")),
-    "intrusion": (("speed", "repeat"), ("log",)),
+    "intrusion": ((), ("log",)),
 }
+INTRUSION_GRID = "intrusion_grid.csv"
 _CONDITION_NUMBERS = [f.name for f in dataclasses.fields(ConditionStats) if f.name != "treatment"]
 
 
 def hop_trial_id(speed: float, kc_n_per_cm: float, seed: int) -> str:
     return f"hop_v{speed:.2f}_kc{kc_n_per_cm:.2f}_s{seed}"
-
-
-def intrusion_trial_id(speed: float, repeat: int) -> str:
-    return f"intr_v{speed:.4f}_r{repeat}"
 
 
 def _hop_files(trial_id: str) -> dict[str, str]:
@@ -166,7 +168,8 @@ def _run_hop_job(args) -> TrialSamples:
 
 
 def build_manifest(config: ExperimentConfig) -> dict:
-    """Every hop and intrusion trial of the sweep, with its output file names."""
+    """Every hop trial of the sweep and its intrusion grid, with their output
+    file names."""
     entries = []
     for kc in config.sweep.stiffnesses_n_per_cm:
         for speed in config.sweep.speeds:
@@ -183,41 +186,32 @@ def build_manifest(config: ExperimentConfig) -> dict:
                         "status": "pending",
                     }
                 )
-    for speed in config.sweep.intrusion_speeds():
-        for repeat in range(config.sweep.intrusion_repeats):
-            trial_id = intrusion_trial_id(speed, repeat)
-            entries.append(
-                {
-                    "trial_id": trial_id,
-                    "kind": "intrusion",
-                    "speed": speed,
-                    "repeat": repeat,
-                    "paths": {"log": f"{trial_id}.csv"},
-                    "status": "pending",
-                }
-            )
+    entries.append(
+        {"trial_id": "intrusion_grid", "kind": "intrusion", "paths": {"log": INTRUSION_GRID}, "status": "pending"}
+    )
     return {"entries": entries}
 
 
-def write_intrusion_trials(config: ExperimentConfig, entries: list[dict], out_dir: Path) -> list[IntrusionLog]:
-    """Run and write each intrusion manifest entry, marking it done; returns
-    the logs in the order of `entries`.
+def write_intrusion_grid(config: ExperimentConfig, path: Path) -> list[IntrusionLog]:
+    """Run every intrusion speed `intrusion_repeats` times and write the grid
+    to `path`; returns the logs speed-major, repeat-minor.
 
     The seed key [repeat, round(speed * 1e6)] makes every (speed, repeat)
     pair reproducible on its own.
     """
-    logs = []
-    for entry in entries:
-        log = run_constant_speed_intrusion(
-            entry["speed"],
-            config.sweep.intrusion_z_max,
+    sweep = config.sweep
+    logs = [
+        run_constant_speed_intrusion(
+            speed,
+            sweep.intrusion_z_max,
             config.terrain,
             noise_config=config.noise,
-            seed=[entry["repeat"], int(round(entry["speed"] * 1e6))],
+            seed=[repeat, int(round(speed * 1e6))],
         )
-        io.write_intrusion_csv(trial_paths(entry, out_dir)["log"], log)
-        entry["status"] = "done"
-        logs.append(log)
+        for speed in sweep.intrusion_speeds()
+        for repeat in range(sweep.intrusion_repeats)
+    ]
+    io.write_intrusion_csv(path, logs, sweep.intrusion_repeats)
     return logs
 
 
@@ -226,7 +220,9 @@ def _outputs_exist(entry: dict, out_dir: Path) -> bool:
 
 
 def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bool = False) -> dict:
-    """Hop grid + intrusion grid + estimation + identification."""
+    """Hop grid + intrusion grid + estimation + identification.  Under
+    `resume`, a hop whose files exist is skipped; the intrusion grid always
+    runs."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     out_dir = Path(out_dir)
@@ -234,14 +230,15 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bo
     manifest = build_manifest(config)
     io.write_json(out_dir / "manifest.json", manifest)
 
-    hops, intrusions = [], []
+    # trial id -> its identification input, kept in memory for every trial run here
+    ready, hops = {}, []
     for entry in manifest["entries"]:
-        if resume and _outputs_exist(entry, out_dir):
+        if entry["kind"] == "intrusion":
+            ready[entry["trial_id"]] = write_intrusion_grid(config, trial_paths(entry, out_dir)["log"])
+        elif resume and _outputs_exist(entry, out_dir):
             entry["status"] = "skipped"
         else:
-            (hops if entry["kind"] == "hop" else intrusions).append(entry)
-    # trial id -> its identification input, kept in memory for every trial run here
-    ready = dict(zip((e["trial_id"] for e in intrusions), write_intrusion_trials(config, intrusions, out_dir)))
+            hops.append(entry)
 
     hop_jobs = [(config, entry, str(out_dir)) for entry in hops]
     if jobs > 1 and len(hop_jobs) > 1:
@@ -266,8 +263,8 @@ def identify_inputs(
 ) -> tuple[list[TrialSamples], list[IntrusionLog]]:
     """The hops' stance samples and the intrusion logs of `trials` ((manifest
     entry, files) pairs), in their order.  A trial's input is taken from
-    `ready` (trial id -> stance samples or log) when there, else read back
-    from its files."""
+    `ready` (trial id -> stance samples, or the intrusion grid's logs) when
+    there, else read back from its files."""
     ready = ready or {}
     hops, logs = [], []
     for entry, paths in trials:
@@ -277,7 +274,10 @@ def identify_inputs(
             result = _trial_samples(entry, est, io.read_events_json(paths["events"]))
         elif result is None:
             result = io.read_intrusion_csv(paths["log"])
-        (hops if entry["kind"] == "hop" else logs).append(result)
+        if entry["kind"] == "hop":
+            hops.append(result)
+        else:
+            logs += result
     return hops, logs
 
 

@@ -14,6 +14,7 @@ partial one.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -37,7 +38,14 @@ ESTIMATOR_OUTPUTS = tuple(f.name for f in fields(EstimationSeries))
 CARRIED_TRUTH = ("x_b", "v_b", "x_f", "v_f", "f_total")
 ESTIMATION_COLUMNS = ESTIMATOR_OUTPUTS + tuple(f"{name.removesuffix('_total')}_true" for name in CARRIED_TRUTH)
 
-INTRUSION_COLUMNS = ("t", "depth", "speed", "force")
+# rows of the intrusion grid formatted or parsed at a time, so that neither
+# its text nor its list of lines is ever held whole
+INTRUSION_CHUNK_ROWS = 512
+
+
+def intrusion_columns(repeats: int) -> tuple[str, ...]:
+    """The intrusion grid's header: speed, t and depth, then one force per repeat."""
+    return ("speed", "t", "depth", *(f"force_{r}" for r in range(repeats)))
 
 
 def fmt_float(x) -> str:
@@ -81,6 +89,31 @@ def write_columns_csv(path, header, columns) -> None:
     write_csv(path, header, zip(*cells))
 
 
+@contextmanager
+def _reading(path: Path, kind: str):
+    """A text handle on `path`.  A missing file, or an OSError or ValueError
+    (bytes that are not UTF-8, a body numpy cannot parse) inside the block,
+    raises MissingInputError, so the CLI reports it as bad input."""
+    if not Path(path).exists():
+        raise MissingInputError(f"missing input file: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            yield handle
+    except (OSError, ValueError) as exc:
+        raise MissingInputError(f"malformed {kind} file {path}: {exc}") from exc
+
+
+def _parse(lines: list[str], width: int) -> np.ndarray:
+    """`lines` (without their line ends), each `width` numbers, as rows of an
+    array; a blank, ragged or non-numeric line raises ValueError."""
+    if "" in lines:
+        raise ValueError("blank line")
+    data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    if data.shape[1] != width:
+        raise ValueError(f"expected rows of {width} numbers")
+    return data
+
+
 def _read_csv(path: Path, columns: tuple[str, ...], kind: str) -> np.ndarray:
     r"""Numeric body of a CSV whose header must equal `columns`.
 
@@ -88,25 +121,15 @@ def _read_csv(path: Path, columns: tuple[str, ...], kind: str) -> np.ndarray:
     ragged or non-numeric file, or one with a blank line, raises
     MissingInputError, so the CLI reports it as bad input.
     """
-    if not Path(path).exists():
-        raise MissingInputError(f"missing input file: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            header, *lines = handle.read().split("\n")
+    with _reading(path, kind) as handle:
+        header, *lines = handle.read().split("\n")
         if header != ",".join(columns):
             raise MissingInputError(f"unexpected {kind} header in {path}")
         if lines and not lines[-1]:
             lines.pop()
-        if "" in lines:
-            raise ValueError("blank line")
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2) if lines else np.empty((0, 0))
-    except (OSError, ValueError) as exc:
-        raise MissingInputError(f"malformed {kind} file {path}: {exc}") from exc
-    if data.shape[0] == 0 or data.shape[1] != len(columns):
-        raise MissingInputError(
-            f"malformed {kind} file {path}: expected at least one row of {len(columns)} numbers"
-        )
-    return data
+        if not lines:
+            raise MissingInputError(f"malformed {kind} file {path}: expected at least one row")
+        return _parse(lines, len(columns))
 
 
 def _check_time_base(t: np.ndarray, path, kind: str) -> None:
@@ -178,23 +201,69 @@ def read_estimation_csv(path) -> tuple[EstimationSeries, dict[str, np.ndarray]]:
     return EstimationSeries(**outputs), truth
 
 
-def write_intrusion_csv(path, log: IntrusionLog) -> None:
-    """The trial's one speed is formatted once and repeated on every row."""
-    t, depth, force = map(_cells, (log.t, log.depth, log.force))
-    speed = [fmt_float(log.speed)] * len(t)
-    write_csv(path, INTRUSION_COLUMNS, zip(t, depth, speed, force, strict=True))
+def write_intrusion_csv(path, logs: list[IntrusionLog], repeats: int) -> None:
+    """The intrusion grid: `logs` speed-major and repeat-minor, `repeats` per
+    speed, as one row per load-cell sample of each speed.  The repeats of a
+    speed share its kinematics, so its speed, `t` and `depth` are written
+    once per row and each repeat adds its force.  Rows are formatted and
+    written INTRUSION_CHUNK_ROWS at a time.  Repeats that differ in speed,
+    `t` or `depth`, or a log whose columns differ in length, raise ValueError.
+    """
+    blocks = [logs[i : i + repeats] for i in range(0, len(logs), repeats)]
+    for block in blocks:
+        first = block[0]
+        if len(block) != repeats or not all(
+            log.speed == first.speed
+            and log.force.shape == log.depth.shape == log.t.shape
+            and np.array_equal(log.t, first.t)
+            and np.array_equal(log.depth, first.depth)
+            for log in block
+        ):
+            raise ValueError(f"{path}: the {repeats} logs at {first.speed} m/s do not share one speed, t and depth")
+    with _replacing(path, newline="") as handle:
+        handle.write(",".join(intrusion_columns(repeats)) + "\r\n")
+        for block in blocks:
+            prefix = fmt_float(block[0].speed) + ","
+            for start in range(0, block[0].t.size, INTRUSION_CHUNK_ROWS):
+                rows = slice(start, start + INTRUSION_CHUNK_ROWS)
+                cells = [_cells(block[0].t[rows]), _cells(block[0].depth[rows])]
+                cells += [_cells(log.force[rows]) for log in block]
+                handle.write(prefix + f"\r\n{prefix}".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def read_intrusion_csv(path) -> IntrusionLog:
-    """An intrusion log; a non-finite value or a speed that varies between
-    rows is bad input."""
-    data = _read_csv(Path(path), INTRUSION_COLUMNS, "intrusion")
-    speed = data[:, 2]
-    if not np.isfinite(data).all():
-        raise MissingInputError(f"malformed intrusion file {path}: non-finite value")
-    if (speed != speed[0]).any():
-        raise MissingInputError(f"malformed intrusion file {path}: speed is not the same on every row")
-    return IntrusionLog(speed=float(speed[0]), t=data[:, 0], depth=data[:, 1], force=data[:, 3])
+def read_intrusion_csv(path) -> list[IntrusionLog]:
+    """The intrusion grid's logs, speed-major and repeat-minor; the number of
+    repeats comes from the header.  The file is parsed INTRUSION_CHUNK_ROWS
+    lines at a time and each speed's block is built once its rows are in.
+    A non-finite cell, a speed not above the block before it, or a `t` that
+    does not increase within a block is bad input."""
+    logs, block = [], []
+
+    def close_block():
+        cols = np.concatenate([piece.T for piece in block], axis=1)
+        increasing = (np.diff(cols[1]) > 0.0).all() and (not logs or cols[0, 0] > logs[-1].speed)
+        if not (np.isfinite(cols).all() and increasing):
+            raise MissingInputError(
+                f"malformed intrusion file {path}: need finite cells, speeds that increase from block "
+                "to block and t that increases within a block"
+            )
+        logs.extend(IntrusionLog(speed=float(cols[0, 0]), t=cols[1], depth=cols[2], force=f) for f in cols[3:])
+        block.clear()
+
+    with _reading(path, "intrusion") as handle:
+        columns = tuple(handle.readline().removesuffix("\n").split(","))
+        if len(columns) < 4 or columns != intrusion_columns(len(columns) - 3):
+            raise MissingInputError(f"unexpected intrusion header in {path}")
+        while lines := [line.removesuffix("\n") for line in itertools.islice(handle, INTRUSION_CHUNK_ROWS)]:
+            data = _parse(lines, len(columns))
+            for piece in np.split(data, np.flatnonzero(np.diff(data[:, 0])) + 1):
+                if block and block[0][0, 0] != piece[0, 0]:
+                    close_block()
+                block.append(piece)
+    if not block:
+        raise MissingInputError(f"malformed intrusion file {path}: expected at least one row")
+    close_block()
+    return logs
 
 
 def write_force_map_csv(path, depths, speeds, surface) -> None:

@@ -354,10 +354,12 @@ def detect_events(truth: TruthSeries) -> TrialEvents:
 
     TD is the first sample with positive penetration; CE the controller's
     compression-to-extension switch; LO the last sample with positive
-    contact force before the controller returns to flight.  `phase_id`
-    holds the phase at each row, so it cannot show a phase shorter than
-    one step: a re-contact after liftoff whose compression ends inside a
-    step goes FLIGHT -> EXTENSION in the rows.
+    contact force before the controller returns to flight.  The touchdown
+    speed is the foot's speed at the bed, sqrt(v_f^2 - 2 a_f x_f) from the
+    last sample above it, which is in free fall.  `phase_id` holds the
+    phase at each row, so it cannot show a phase shorter than one step: a
+    re-contact after liftoff whose compression ends inside a step goes
+    FLIGHT -> EXTENSION in the rows.
     """
     contact_idx = np.flatnonzero(truth.x_f < 0.0)
     if contact_idx.size == 0:
@@ -386,7 +388,9 @@ def detect_events(truth: TruthSeries) -> TrialEvents:
         raise TrialMalformedError(
             f"events out of order: td={t_td:.4f} ce={t_ce:.4f} lo={t_lo:.4f}"
         )
-    return TrialEvents(t_td=float(t_td), t_ce=float(t_ce), t_lo=float(t_lo), v_td=float(-truth.v_f[i_td]))
+    i = i_td - 1
+    v_td = math.sqrt(truth.v_f[i] ** 2 - 2.0 * truth.acc_f[i] * truth.x_f[i])
+    return TrialEvents(t_td=float(t_td), t_ce=float(t_ce), t_lo=float(t_lo), v_td=v_td)
 
 
 def _contact_branch(x_f, v_f, clamped):

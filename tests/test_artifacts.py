@@ -8,7 +8,8 @@ When the intrusion fit cannot run, the fit an earlier run left is removed.
 `identify` reads no frames files, and the manifest lists file names, so a
 sweep directory still works after it is copied or moved.  A sweep
 identifies from the results it holds in memory and reads back only the
-trials `--resume` skipped; `identify` on its directory writes the same bytes.
+hops `--resume` skipped; it always runs the intrusion grid again.
+`identify` on its directory writes the same bytes.
 """
 
 import json
@@ -75,7 +76,7 @@ def test_csv_headers(sweep_dir, simulate_dir):
             "t,x_b_hat,v_b_hat,x_f_hat,v_f_hat,f_qs,f_mo,x_b_true,v_b_true,x_f_true,v_f_true,f_true",
         simulate_dir / f"{TRIAL}_frames.csv":
             "t,encoder_theta,encoder_theta_dot,imu_body_acc,imu_foot_acc,tof_height,motor_current,loadcell_force",
-        sorted(sweep_dir.glob("intr_*.csv"))[0]: "t,depth,speed,force",
+        sweep_dir / "intrusion_grid.csv": "speed,t,depth,force_0",
     }
     for path, header in headers.items():
         assert path.read_text(encoding="utf-8").splitlines()[0] == header, path.name
@@ -240,10 +241,28 @@ def test_sweep_identifies_from_memory(sweep_dir, config_path, tmp_path, monkeypa
 def test_resume_mixing_memory_and_disk_matches_a_clean_sweep(sweep_dir, config_path, tmp_path):
     out = _copy(sweep_dir, tmp_path)
     (out / f"{TRIAL}_estimation.csv").unlink()
-    sorted(out.glob("intr_*.csv"))[1].unlink()
+    (out / "intrusion_grid.csv").unlink()
     assert main(["sweep", "--config", config_path, "--out", str(out), "--resume"]) == 0
     statuses = [e["status"] for e in json.loads((out / "manifest.json").read_text())["entries"]]
     assert statuses.count("done") == 2 and statuses.count("skipped") == len(statuses) - 2
     resumed, clean = _files(out), _files(sweep_dir)
     del resumed["manifest.json"], clean["manifest.json"]
     assert resumed == clean
+
+
+def test_resume_runs_a_cut_intrusion_grid_again(sweep_dir, config_path, tmp_path):
+    # cut on a row boundary, the grid still parses, as a shorter run
+    out = _copy(sweep_dir, tmp_path)
+    grid = out / "intrusion_grid.csv"
+    lines = grid.read_bytes().splitlines(keepends=True)
+    grid.write_bytes(b"".join(lines[: len(lines) // 2]))
+    assert len(io.read_intrusion_csv(grid)) < len(io.read_intrusion_csv(sweep_dir / "intrusion_grid.csv"))
+    assert main(["sweep", "--config", config_path, "--out", str(out), "--resume"]) == 0
+    resumed, clean = _files(out), _files(sweep_dir)
+    assert resumed.keys() == clean.keys()
+    manifest, clean_manifest = (json.loads(files.pop("manifest.json")) for files in (resumed, clean))
+    assert resumed == clean
+    for entry in (*manifest["entries"], *clean_manifest["entries"]):
+        if entry["kind"] == "hop":
+            entry.pop("status")
+    assert manifest == clean_manifest

@@ -263,7 +263,7 @@ def test_cli_sweep_manifest_and_resume(tmp_path):
     hop_entries = [e for e in manifest["entries"] if e["kind"] == "hop"]
     intr_entries = [e for e in manifest["entries"] if e["kind"] == "intrusion"]
     assert len(hop_entries) == 2
-    assert len(intr_entries) == 3
+    assert [e["paths"] for e in intr_entries] == [{"log": "intrusion_grid.csv"}]
     ids = [e["trial_id"] for e in manifest["entries"]]
     assert len(ids) == len(set(ids))
     report_first = (out / "treatment_report.json").read_bytes()
@@ -275,8 +275,8 @@ def test_cli_sweep_manifest_and_resume(tmp_path):
     assert main(["sweep", "--config", cfg, "--resume"]) == 0
     manifest2 = json.loads((out / "manifest.json").read_text())
     statuses = {e["trial_id"]: e["status"] for e in manifest2["entries"]}
-    assert statuses[victim["trial_id"]] == "done"
-    assert sum(1 for s in statuses.values() if s == "skipped") == len(manifest["entries"]) - 1
+    assert statuses[victim["trial_id"]] == statuses["intrusion_grid"] == "done"
+    assert sum(1 for s in statuses.values() if s == "skipped") == len(hop_entries) - 1
     assert (out / "treatment_report.json").read_bytes() == report_first
 
 
@@ -420,10 +420,8 @@ def test_intrude_writes_the_sweep_intrusion_logs(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
     assert main(["intrude", "--config", cfg, "--out", str(tmp_path / "intrude")]) == 0
     written = sorted((tmp_path / "intrude").iterdir())
-    assert [p.name for p in written] == sorted(p.name for p in (tmp_path / "sweep").glob("intr_*.csv"))
-    assert len(written) == 3
-    for path in written:
-        assert path.read_bytes() == (tmp_path / "sweep" / path.name).read_bytes()
+    assert [p.name for p in written] == ["intrusion_grid.csv"]
+    assert written[0].read_bytes() == (tmp_path / "sweep" / "intrusion_grid.csv").read_bytes()
 
 
 # ------------------------------------------------- domains of the config keys

@@ -8,6 +8,7 @@ import json
 import math
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,16 +16,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from hopperlab import io
+from hopperlab import experiments, io
 from hopperlab.cli import main
+from hopperlab.config import ExperimentConfig, with_values
 from hopperlab.errors import MissingInputError
 from hopperlab.identification import TREATMENTS
+from hopperlab.simulator import run_constant_speed_intrusion
 
 READERS = {
     "frames": (io.read_frames_csv, io.FRAME_COLUMNS),
     "truth": (io.read_truth_csv, io.TRUTH_COLUMNS),
     "estimation": (io.read_estimation_csv, io.ESTIMATION_COLUMNS),
-    "intrusion": (io.read_intrusion_csv, io.INTRUSION_COLUMNS),
+    "intrusion": (io.read_intrusion_csv, io.intrusion_columns(1)),
 }
 
 _number = st.floats(allow_nan=True, allow_infinity=True).map(repr)
@@ -70,7 +73,8 @@ def _number_cell(cell):
 def _well_formed(text, columns, kind):
     """A right header and numeric rows of the right width; for a sampled
     series, at least two rows and a strictly increasing first column; for
-    an intrusion log, finite cells and one speed on every row."""
+    an intrusion grid, finite cells, and from row to row a higher speed or
+    the same speed at a later t."""
     lines = text.splitlines()
     if not lines or lines[0] != ",".join(columns) or len(lines) < 2:
         return False
@@ -81,7 +85,9 @@ def _well_formed(text, columns, kind):
     if not all(len(row) == len(columns) for row in rows):
         return False
     if kind == "intrusion":
-        return all(math.isfinite(v) for row in rows for v in row) and all(row[2] == rows[0][2] for row in rows)
+        return all(math.isfinite(v) for row in rows for v in row) and all(
+            b[0] > a[0] or (b[0] == a[0] and b[1] > a[1]) for a, b in zip(rows, rows[1:])
+        )
     t = [row[0] for row in rows]
     return kind not in ("frames", "estimation") or (len(t) >= 2 and all(b > a for a, b in zip(t, t[1:])))
 
@@ -95,8 +101,7 @@ def _fuzz(kind, text):
         return
     assert _well_formed(text, columns, kind)
     n_rows = len(text.splitlines()) - 1
-    first = result[0] if isinstance(result, tuple) else result
-    assert len(first.t) == n_rows
+    assert _as_table(kind, result).shape[0] == n_rows
 
 
 @settings(max_examples=150, deadline=None)
@@ -118,7 +123,7 @@ def test_fuzz_read_estimation_csv(text):
 
 
 @settings(max_examples=150, deadline=None)
-@given(text=_csv_text(io.INTRUSION_COLUMNS))
+@given(text=_csv_text(io.intrusion_columns(1)))
 def test_fuzz_read_intrusion_csv(text):
     _fuzz("intrusion", text)
 
@@ -190,7 +195,7 @@ _NOW_BAD_BODIES = {
     "quoted cell": (_with_cell('"0.0"'), 0.0),
     "underscore in a cell": (_with_cell("1_0"), 10.0),
     "non-ASCII digit": (_with_cell("\u0663"), 3.0),
-    "quoted header cell": (lambda columns: '"t"' + _text(columns, _rows(columns))[1:], 0.1),
+    "quoted header cell": (lambda columns: f'"{columns[0]}"' + _text(columns, _rows(columns))[len(columns[0]):], 0.1),
 }
 
 
@@ -204,7 +209,10 @@ def _as_table(kind, result):
         est, truth = result
         cols = [getattr(est, name) for name in io.ESTIMATOR_OUTPUTS] + [truth[name] for name in io.CARRIED_TRUTH]
     elif kind == "intrusion":
-        cols = [result.t, result.depth, np.full(result.t.size, result.speed), result.force]
+        # one repeat: each log is a speed's rows
+        return np.vstack(
+            [np.column_stack([np.full(log.t.size, log.speed), log.t, log.depth, log.force]) for log in result]
+        )
     else:
         cols = [getattr(result, name) for name in READERS[kind][1]]
     return np.column_stack([np.asarray(col, dtype=float) for col in cols])
@@ -296,9 +304,20 @@ def test_string_table_matches_csv_writer(tmp_path):
 
 
 def test_intrusion_header_only_is_missing_input(tmp_path):
-    path = tmp_path / "intr.csv"
-    path.write_text(",".join(io.INTRUSION_COLUMNS) + "\n", encoding="utf-8")
+    path = tmp_path / "intrusion_grid.csv"
+    path.write_text(",".join(io.intrusion_columns(3)) + "\n", encoding="utf-8")
     with pytest.raises(MissingInputError):
+        io.read_intrusion_csv(path)
+
+
+@pytest.mark.parametrize(
+    "header", ["speed,t,depth", "speed,t,depth,force_1", "speed,t,depth,force_0,force_0", "t,depth,speed,force"]
+)
+def test_intrusion_header_names_each_repeat_from_zero(tmp_path, header):
+    path = tmp_path / "intrusion_grid.csv"
+    width = len(header.split(","))
+    path.write_text(header + "\n" + ",".join(["0.5"] * width) + "\n", encoding="utf-8")
+    with pytest.raises(MissingInputError, match="header"):
         io.read_intrusion_csv(path)
 
 
@@ -402,6 +421,16 @@ _DEGENERATE = {
         _HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002]),
         f"{_HOP}_truth.csv": _series(io.TRUTH_COLUMNS, [1e-4 * i for i in range(31)]),
     }),
+    # a directory of the layout before the intrusion grid: one log per (speed, repeat)
+    "per-run intrusion log": ("identify", {
+        **_hop_trial(),
+        "manifest.json": json.dumps({"entries": [
+            {"trial_id": "intr_v0.5000_r0", "kind": "intrusion", "speed": 0.5, "repeat": 0,
+             "paths": {"log": "intr_v0.5000_r0.csv"}},
+            _HOP_ENTRY,
+        ]}),
+        "intr_v0.5000_r0.csv": "t,depth,speed,force\n0.0,0.0,0.5,0.0\n0.001,0.0005,0.5,1.0\n",
+    }),
     "entry path with a directory": ("identify", {
         **_hop_trial(),
         **_manifest(paths={**_HOP_FILES, "events": f"../{_HOP}_events.json"}),
@@ -439,7 +468,7 @@ def _rowwise_csv(path, header, rows):
 
 
 def test_column_writers_match_rowwise_formatting(tmp_path, noisy_trial, terrain):
-    from hopperlab.simulator import run_constant_speed_intrusion
+    from hopperlab.simulator import NoiseConfig
     from hopperlab.terrain import force_map
 
     truth = noisy_trial.truth
@@ -451,14 +480,19 @@ def test_column_writers_match_rowwise_formatting(tmp_path, noisy_trial, terrain)
         (io.write_frames_csv, noisy_trial.frames, io.FRAME_COLUMNS,
          [[getattr(noisy_trial.frames, c)[i] for c in io.FRAME_COLUMNS] for i in range(len(noisy_trial.frames))]),
     ]
-    log = run_constant_speed_intrusion(0.3, 0.02, terrain, seed=0)
-    cases.append((io.write_intrusion_csv, log, io.INTRUSION_COLUMNS,
-                  [[log.t[i], log.depth[i], log.speed, log.force[i]] for i in range(log.t.size)]))
+    # two repeats at two speeds; 667 rows at 0.03 m/s span two 512-row chunks
+    noise = NoiseConfig(loadcell_sigma=0.05)
+    logs = [run_constant_speed_intrusion(v, 0.02, terrain, noise_config=noise, seed=[r, i])
+            for i, v in enumerate((0.03, 0.3)) for r in range(2)]
+    assert logs[0].t.size > io.INTRUSION_CHUNK_ROWS
+    cases.append((lambda path, logs: io.write_intrusion_csv(path, logs, 2), logs, io.intrusion_columns(2),
+                  [[a.speed, a.t[i], a.depth[i], a.force[i], b.force[i]]
+                   for a, b in zip(logs[::2], logs[1::2]) for i in range(a.t.size)]))
     for writer, data, header, rows in cases:
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
         writer(new, data)
         _rowwise_csv(ref, header, rows)
-        assert new.read_bytes() == ref.read_bytes(), writer.__name__
+        assert new.read_bytes() == ref.read_bytes(), header
 
     depths, speeds = np.linspace(0.0, 0.05, 7), np.array([0.1, 0.5, 1.1])
     surface = force_map(terrain, depths, speeds)
@@ -475,12 +509,89 @@ def test_column_writer_rejects_ragged_columns(tmp_path):
 
 
 def test_intrusion_writer_rejects_ragged_log(tmp_path):
+    # a ragged log, repeats that do not share their speed's kinematics, or
+    # a speed with fewer logs than repeats
     from hopperlab.simulator import IntrusionLog
 
-    log = IntrusionLog(speed=0.5, t=np.arange(3) * 1e-3, depth=np.zeros(3), force=np.zeros(2))
-    with pytest.raises(ValueError):
-        io.write_intrusion_csv(tmp_path / "x.csv", log)
+    t, zeros = np.arange(3) * 1e-3, np.zeros(3)
+    log = IntrusionLog(speed=0.5, t=t, depth=zeros, force=zeros)
+    for logs in (
+        [IntrusionLog(speed=0.5, t=t, depth=zeros, force=np.zeros(2))],
+        [IntrusionLog(speed=0.5, t=t, depth=np.zeros(2), force=zeros)],
+        [log, IntrusionLog(speed=0.5, t=t + 1e-3, depth=zeros, force=zeros)],
+        [log, IntrusionLog(speed=0.5, t=t, depth=zeros + 1e-3, force=zeros)],
+        [log, IntrusionLog(speed=0.6, t=t, depth=zeros, force=zeros)],
+        [log, log, log],
+    ):
+        with pytest.raises(ValueError):
+            io.write_intrusion_csv(tmp_path / "x.csv", logs, 1 if len(logs) == 1 else 2)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def default_grid(tmp_path_factory):
+    """The default config's intrusion grid: its logs and the file written."""
+    config = ExperimentConfig()
+    path = tmp_path_factory.mktemp("grid") / "intrusion_grid.csv"
+    return config, experiments.write_intrusion_grid(config, path), path
+
+
+@pytest.mark.parametrize("repeats", [1, 3])
+def test_intrusion_grid_reads_back_as_the_rig_ran_it(tmp_path, repeats):
+    # every (speed, repeat), in the order the fit takes them, bit for bit
+    config = with_values(ExperimentConfig(), "sweep", intrusion_repeats=repeats)
+    sweep = config.sweep
+    experiments.write_intrusion_grid(config, tmp_path / "intrusion_grid.csv")
+    logs = io.read_intrusion_csv(tmp_path / "intrusion_grid.csv")
+    expected = [
+        run_constant_speed_intrusion(speed, sweep.intrusion_z_max, config.terrain, noise_config=config.noise,
+                                     seed=[repeat, int(round(speed * 1e6))])
+        for speed in sweep.intrusion_speeds()
+        for repeat in range(repeats)
+    ]
+    assert len(logs) == len(expected) == sweep.intrusion_speed_count * repeats
+    for got, want in zip(logs, expected):
+        assert got.speed == want.speed
+        for name in ("t", "depth", "force"):
+            assert np.array_equal(getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)), name
+
+
+def test_intrusion_grid_cells_are_each_logs_cells(default_grid):
+    config, logs, path = default_grid
+    repeats = config.sweep.intrusion_repeats
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = list(csv.reader(handle))
+    assert tuple(header) == io.intrusion_columns(repeats)
+    for block in (logs[i : i + repeats] for i in range(0, len(logs), repeats)):
+        n = block[0].t.size
+        cells, rows = list(zip(*rows[:n])), rows[n:]
+        assert set(cells[0]) == {repr(block[0].speed)}
+        assert list(cells[1]) == io._cells(block[0].t) and list(cells[2]) == io._cells(block[0].depth)
+        for log, column in zip(block, cells[3:], strict=True):
+            assert list(column) == io._cells(log.force)
+    assert rows == []
+
+
+_GRID_MEMORY_BOUND = 0.5e6   # bytes; 512-row writer 0.39 MB, per-block reader < 0.1 MB, whole-file reader 2.2 MB
+
+
+def test_intrusion_grid_is_streamed(default_grid):
+    # the writer never holds the grid's text, and the reader never holds the
+    # file's lines, beyond the arrays it returns
+    _, logs, path = default_grid
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        io.write_intrusion_csv(path, logs, 3)
+        write_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        back = io.read_intrusion_csv(path)
+        kept, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(back) == len(logs)
+    assert write_peak <= _GRID_MEMORY_BOUND, write_peak
+    assert read_peak - kept <= _GRID_MEMORY_BOUND, read_peak - kept
 
 
 _TINY_SWEEP = "[sweep]\nspeeds = 0.5\nstiffnesses = 3.75\nseeds = 0\nintrusion_speed_count = 2\nintrusion_repeats = 1\n"
@@ -496,7 +607,17 @@ def tiny_sweep(tmp_path_factory):
 
 
 def _speed_of_row_5(rows):
-    rows[6][2] = "0.9"
+    # a speed that is not the grid's next one, then the first speed again
+    rows[6][0] = "0.9"
+
+
+def _first_speed_again(rows):
+    first = [row for row in rows[1:] if row[0] == rows[1][0]]
+    rows.extend(first)
+
+
+def _t_back(rows):
+    rows[3][1], rows[4][1] = rows[4][1], rows[3][1]
 
 
 def _nan_force(rows):
@@ -508,17 +629,20 @@ def _blank_last_line(rows):
 
 
 @pytest.mark.parametrize(
-    "edit", [_speed_of_row_5, _nan_force, _blank_last_line], ids=["speed varies", "nan force", "blank line"]
+    "edit",
+    [_speed_of_row_5, _first_speed_again, _t_back, _nan_force, _blank_last_line],
+    ids=["speed varies", "speed block repeated", "t decreases", "nan force", "blank line"],
 )
 def test_identify_rejects_inconsistent_intrusion_log(tiny_sweep, tmp_path, edit):
-    # the fit used row 0's speed for every row, and a nan made the fit
-    # "skip" and delete depth_speed_fit.json: both are bad input; numpy's
-    # parser skips a blank line, which must stay bad input too
+    # a block's speed that falls or comes back would merge two speeds' rows,
+    # and a nan made the fit "skip" and delete depth_speed_fit.json: all
+    # are bad input; numpy's parser skips a blank line, which must stay bad
+    # input too
     cfg, sweep = tiny_sweep
     out = tmp_path / "out"
     shutil.copytree(sweep, out)
     fit_before = (out / "depth_speed_fit.json").read_bytes()
-    log = sorted(out.glob("intr_*.csv"))[0]
+    log = out / "intrusion_grid.csv"
     with open(log, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
     edit(rows)

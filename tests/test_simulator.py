@@ -101,20 +101,24 @@ def test_mechanical_energy_on_arrays_matches_floats(noiseless_trial, linkage):
 
 
 def test_touchdown_speed_matches_projectile(linkage, terrain, controller):
-    # h = v^2/(2g) drop arrives within 1% of the target speed
-    log = run_hop_trial(
-        SimConfig(drop_speed=1.2), controller, terrain, linkage, seed=0, noise_config=NoiseConfig.noiseless()
-    )
-    assert log.events.v_td == pytest.approx(1.2, rel=0.01)
+    # an h = v^2/(2g) drop reaches the bed at the target speed, whatever the step
+    for dt_truth in (5e-4, 1e-4):
+        log = run_hop_trial(
+            SimConfig(drop_speed=1.2, dt_truth=dt_truth), controller, terrain, linkage, seed=0,
+            noise_config=NoiseConfig.noiseless(),
+        )
+        assert log.events.v_td == pytest.approx(1.2, rel=1e-9), dt_truth
 
 
 def test_low_release_touchdown_speed(linkage, terrain, controller):
-    # a ~2 mm release lands near 0.2 m/s
+    # a 2 mm release lands at sqrt(2 g 2 mm), about 0.198 m/s
     v = math.sqrt(2.0 * GRAVITY * 0.002)
-    log = run_hop_trial(
-        SimConfig(drop_speed=v), controller, terrain, linkage, seed=0, noise_config=NoiseConfig.noiseless()
-    )
-    assert log.events.v_td == pytest.approx(0.198, abs=0.005)
+    for dt_truth in (5e-4, 1e-4):
+        log = run_hop_trial(
+            SimConfig(drop_speed=v, dt_truth=dt_truth), controller, terrain, linkage, seed=0,
+            noise_config=NoiseConfig.noiseless(),
+        )
+        assert log.events.v_td == pytest.approx(v, rel=1e-9), dt_truth
 
 
 def test_trial_determinism(linkage, terrain, controller):
