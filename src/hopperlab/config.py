@@ -32,6 +32,20 @@ from .simulator import INTRUSION_RATE_HZ, MAX_TRIAL_SAMPLES, NoiseConfig, SimCon
 from .identification import WeightConfig
 
 
+def linspace(low: float, high: float, n: int) -> list[float]:
+    """`np.linspace(low, high, n)` term for term (i * step + low, the last
+    one high) in Python floats, so that checking a config does no numpy
+    arithmetic, whose first use in a process costs ~0.16 MB of peak RSS."""
+    if n == 1:
+        return [low]
+    step = (high - low) / (n - 1)
+    return [i * step + low for i in range(n - 1)] + [high]
+
+
+def hop_trial_id(speed: float, kc_n_per_cm: float, seed: int) -> str:
+    return f"hop_v{speed:.2f}_kc{kc_n_per_cm:.2f}_s{seed}"
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Hop and intrusion grids for the full experiment sweep."""
@@ -41,7 +55,7 @@ class SweepConfig:
     seeds: tuple = field(default=(0, 1, 2, 3, 4), metadata=NONNEGATIVE)
     intrusion_speed_min: float = field(default=0.022, metadata=POSITIVE)
     intrusion_speed_max: float = field(default=1.1, metadata=domain(0.0, 1e3))  # [m/s]
-    intrusion_speed_count: int = field(default=50, metadata=domain(1, closed=True))
+    intrusion_speed_count: int = field(default=50, metadata=domain(1, 1e4, closed=True))
     intrusion_repeats: int = field(default=3, metadata=domain(1, closed=True))
     intrusion_z_max: float = field(default=0.05, metadata=POSITIVE)
 
@@ -51,6 +65,18 @@ class SweepConfig:
             raise ValueError("speeds, stiffnesses and seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        for name, values, trial_id in (
+            ("speeds", self.speeds, lambda v: hop_trial_id(v, 0.0, 0)),
+            ("stiffnesses_n_per_cm", self.stiffnesses_n_per_cm, lambda kc: hop_trial_id(0.0, kc, 0)),
+        ):
+            seen = {}
+            for value in values:
+                key = trial_id(value)
+                if key in seen:
+                    raise ValueError(
+                        f"{name} {seen[key]!r} and {value!r} are equal at the two decimals of the hop trial ids"
+                    )
+                seen[key] = value
         if not self.intrusion_speed_min < self.intrusion_speed_max:
             raise ValueError("intrusion_speed_min must be below intrusion_speed_max")
         samples = self.intrusion_z_max / self.intrusion_speed_min * INTRUSION_RATE_HZ
@@ -59,11 +85,15 @@ class SweepConfig:
                 f"intrusion_z_max / intrusion_speed_min gives {samples:g} samples at the rig's "
                 f"{INTRUSION_RATE_HZ:g} Hz, above {MAX_TRIAL_SAMPLES:,}"
             )
+        speeds = self.intrusion_speeds()
+        if any(b <= a for a, b in zip(speeds, speeds[1:])):
+            raise ValueError(
+                "intrusion_speed_min, intrusion_speed_max and intrusion_speed_count give "
+                "a speed grid that does not strictly increase"
+            )
 
     def intrusion_speeds(self) -> list[float]:
-        import numpy as np
-
-        return list(np.linspace(self.intrusion_speed_min, self.intrusion_speed_max, self.intrusion_speed_count))
+        return linspace(self.intrusion_speed_min, self.intrusion_speed_max, self.intrusion_speed_count)
 
 
 @dataclass

@@ -65,8 +65,10 @@ def next_phase(
     contact_force: float,
     config: ControllerConfig,
 ) -> PhaseName:
-    """Advance the state machine by one sample; total (never raises).
-    Returns `phase` itself unless the phase switches.
+    """The phase that follows `phase` at one state; total (never raises).
+    Returns `phase` itself unless the phase switches.  The truth plant
+    reads it at each RK4 step's end and switches where it locates the
+    change inside the step.
 
     Touchdown fires on either detector: contact force above threshold, or
     geometric penetration while the foot still moves downward (the motion

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .config import ExperimentConfig
+from .config import ExperimentConfig, hop_trial_id
 from .errors import ConfigError, DegenerateFitError, InsufficientDataError, MissingInputError
 from .estimation import EstimationSeries, run_estimation
 from .identification import (
@@ -69,10 +69,6 @@ _ENTRY_SCHEMA = {
 }
 INTRUSION_GRID = "intrusion_grid.csv"
 _CONDITION_NUMBERS = [f.name for f in dataclasses.fields(ConditionStats) if f.name != "treatment"]
-
-
-def hop_trial_id(speed: float, kc_n_per_cm: float, seed: int) -> str:
-    return f"hop_v{speed:.2f}_kc{kc_n_per_cm:.2f}_s{seed}"
 
 
 def _hop_files(trial_id: str) -> dict[str, str]:

@@ -1,14 +1,14 @@
 """Coupled body-foot-terrain dynamics, the intrusion rig, and the sensor model.
 
 The truth plant integrates the two-coordinate (foot height, joint angle)
-dynamics with fixed-step RK4 at 2 kHz.  A step across which the dynamics
-switch (a phase change or a change of contact-law branch) is taken again
-in `EVENT_SUBSTEPS` sub-steps with the phase machine at each, so that
-touchdown, the stiffness switch and liftoff act within a 10 us sub-step,
-not a 0.5 ms step.  Heights are measured from the undisturbed bed
-surface, so the foot penetrates while x_f < 0.  The drop before
-touchdown is exact free fall, so its rows are written in closed form and
-RK4 starts at the last step above the bed.
+dynamics with fixed-step RK4 at 2 kHz.  Inside a step whose dynamics
+switch (a phase change or a change of contact-law branch) the switch is
+bracketed by `EVENT_BISECTIONS` halvings, to within dt/1024, and the step
+is finished under the new dynamics, so that touchdown, the stiffness
+switch and liftoff act where they happen, not at the step's end.  Heights
+are measured from the undisturbed bed surface, so the foot penetrates
+while x_f < 0.  The drop before touchdown is exact free fall, so its rows
+are written in closed form and RK4 starts at the last step above the bed.
 `plant_kernel` is the one way to evaluate the plant: the RK4 loop calls
 it under the phase's virtual spring, and tests call it at a fixed
 per-motor torque.  Its stage computes the leg geometry inline; stage 1
@@ -41,7 +41,7 @@ from .terrain import TerrainParams, constant_speed_force
 
 MAX_TRIAL_SAMPLES = 1_000_000   # RK4 steps of a hop, or load-cell samples of an intrusion
 INTRUSION_RATE_HZ = 1000.0      # the intrusion rig's load-cell sampling rate
-EVENT_SUBSTEPS = 50             # RK4 sub-steps of a step in which the dynamics switch
+EVENT_BISECTIONS = 10           # halvings that bracket a switch of the dynamics inside an RK4 step
 
 
 @dataclass(frozen=True)
@@ -393,10 +393,11 @@ def detect_events(truth: TruthSeries) -> TrialEvents:
     return TrialEvents(t_td=float(t_td), t_ce=float(t_ce), t_lo=float(t_lo), v_td=v_td)
 
 
-def _contact_branch(x_f, v_f, clamped):
+def _contact_branch(x_f, v_f):
     """Which branch of the contact law acts at a state: 0 free (z <= 0),
-    1 withdrawing (z > 0, z_dot < 0), 2 penetrating, 3 clamped."""
-    return 0 if x_f >= 0.0 else 1 if v_f > 0.0 else 2 + clamped
+    1 withdrawing (z > 0, z_dot < 0), 2 penetrating.  The no-tension clamp
+    is not a branch: at f_total = 0 the penetrating and free dynamics agree."""
+    return 0 if x_f >= 0.0 else 1 if v_f > 0.0 else 2
 
 
 def run_hop_trial(
@@ -416,12 +417,15 @@ def run_hop_trial(
     joint does not move, so the rows before the last step with
     h - g*t^2/2 >= 0 are written in closed form (x_f = h - g*t^2/2,
     v_f = -g*t, theta = theta0, the rest from one kernel evaluation), and
-    RK4 runs from that step on.  Rows stay on the k*dt grid.  A step at
-    whose end the phase machine would switch, or whose ends differ in
-    contact branch, is re-integrated in `EVENT_SUBSTEPS` sub-steps; inside
-    it the phase machine runs at every sub-step boundary, reading the
-    force of the boundary before, as it reads the row before on the grid.
-    Deterministic for a fixed seed.
+    RK4 runs from that step on.  Rows stay on the k*dt grid.  An RK4 step
+    from a state s is kept only if every stage state it evaluates lies on
+    s's contact branch and the phase machine, at its end state with that
+    state's own force, does not switch.  A step that is not kept holds a
+    switch of the dynamics: `EVENT_BISECTIONS` halvings, each a step from
+    the last kept state, bracket it; one step crosses the bracket, the
+    phase machine runs there, and the rest of the row's step is taken
+    under the same rule.  The phase machine runs only at these located
+    switches.  Deterministic for a fixed seed.
     """
     noise = noise_config if noise_config is not None else NoiseConfig()
     if seed is None:
@@ -441,29 +445,35 @@ def run_hop_trial(
     stage = plant_kernel(lk, tr)
     th_lo, th_hi = lk.theta_min, lk.theta_max
     mount = lk.mount_offset
-    h_sub = dt / EVENT_SUBSTEPS
     isfinite = math.isfinite
     spring = spring_gains(phase, cc)
-    f_prev = 0.0
     t_stop = sim_config.t_max
 
-    def rk4(x_f, v_f, theta, theta_dot, a_f, thdd, spring, h, t_end):
-        """The state at t_end after one RK4 step of length h with `spring`
-        frozen, from a state whose stage-1 rates are (a_f, thdd)."""
+    def rk4(x_f, v_f, theta, theta_dot, a_f, thdd, h, t_end, branch=None):
+        """The state at t_end after one RK4 step of length h under the
+        spring in force, from a state whose stage-1 rates are (a_f, thdd);
+        None if `branch` is given and a stage state leaves that contact
+        branch (the stage is then not evaluated)."""
         k_spr, l0_spr, b_spr = spring
         half = 0.5 * h
         x2 = x_f + half * v_f
         v2 = v_f + half * a_f
+        if branch is not None and _contact_branch(x2, v2) != branch:
+            return None
         th2 = theta + half * theta_dot
         thd2 = theta_dot + half * thdd
         a2, tdd2 = stage(x2, v2, th2, thd2, k_spr, l0_spr, b_spr, rates_only=True)
         x3 = x_f + half * v2
         v3 = v_f + half * a2
+        if branch is not None and _contact_branch(x3, v3) != branch:
+            return None
         th3 = theta + half * thd2
         thd3 = theta_dot + half * tdd2
         a3, tdd3 = stage(x3, v3, th3, thd3, k_spr, l0_spr, b_spr, rates_only=True)
         x4 = x_f + h * v3
         v4 = v_f + h * a3
+        if branch is not None and _contact_branch(x4, v4) != branch:
+            return None
         th4 = theta + h * thd3
         thd4 = theta_dot + h * tdd3
         a4, tdd4 = stage(x4, v4, th4, thd4, k_spr, l0_spr, b_spr, rates_only=True)
@@ -481,20 +491,47 @@ def run_hop_trial(
             )
         return x_f, v_f, theta, theta_dot
 
-    def advance_phase(t, x_f, v_f, theta, theta_dot, out):
-        """Run the phase machine at a row or sub-step boundary whose stage 1
-        under the spring in force is `out`; returns stage 1 under the spring
-        that the phase then puts in force."""
-        nonlocal phase, spring, f_prev, t_stop
-        new_phase = next_phase(phase, out[11] * theta_dot, x_f, v_f, f_prev, cc)
-        if new_phase is not phase:
-            phase = new_phase
-            if phase == FLIGHT:
-                t_stop = min(t_stop, t + sim_config.post_liftoff_time)
-            spring = spring_gains(phase, cc)
-            out = stage(x_f, v_f, theta, theta_dot, *spring)
-        f_prev = out[6]
-        return out
+    def kept_step(state, out, h, t_end):
+        """(end state, its stage 1) of the RK4 step of length h from `state`,
+        whose stage 1 is `out`, if the step is kept, else None."""
+        end = rk4(*state, out[0], out[1], h, t_end, _contact_branch(state[0], state[1]))
+        if end is None:
+            return None
+        out = stage(*end, *spring)
+        if next_phase(phase, out[11] * end[3], end[0], end[1], out[6], cc) is not phase:
+            return None
+        return end, out
+
+    def advance(state, out, t):
+        """(end state, its stage 1) of the row's step from `state` at t,
+        whose stage 1 is `out`, across the switches of the dynamics inside it."""
+        nonlocal phase, spring, t_stop
+        start = 0.0  # offset of `state` into the step
+        while True:
+            kept = kept_step(state, out, dt - start, t + dt)
+            if kept is not None:
+                return kept
+            lo, hi, s_lo, out_lo = start, dt, state, out
+            for _ in range(EVENT_BISECTIONS):
+                mid = 0.5 * (lo + hi)
+                kept = kept_step(s_lo, out_lo, mid - lo, t + mid)
+                if kept is None:
+                    hi = mid
+                else:
+                    lo = mid
+                    s_lo, out_lo = kept
+            state = rk4(*s_lo, out_lo[0], out_lo[1], hi - lo, t + hi)
+            out = stage(*state, *spring)
+            new_phase = next_phase(phase, out[11] * state[3], state[0], state[1], out[6], cc)
+            if new_phase is not phase:
+                phase = new_phase
+                if phase == FLIGHT:
+                    t_stop = min(t_stop, t + hi + sim_config.post_liftoff_time)
+                spring = spring_gains(phase, cc)
+                out = stage(*state, *spring)
+            if hi == dt:
+                return state, out
+            start = hi
 
     # Free fall: rows 0..k0-1 in closed form, k0 the last step above the
     # bed, which the foot is below by step (fall time)/dt + 2.  Above the
@@ -513,50 +550,25 @@ def run_hop_trial(
     )
 
     t = float(t_fall[k0])
-    x_f = float(x_fall[k0])
-    v_f = 0.0 - GRAVITY * t
-    theta = theta0
-    theta_dot = 0.0
+    state = (float(x_fall[k0]), 0.0 - GRAVITY * t, theta0, 0.0)
     rows: list[tuple] = []
     append = rows.append
     clamp_events = 0
-    out = stage(x_f, v_f, theta, theta_dot, *spring)
+    out = stage(*state, *spring)
 
     for step in range(k0, n_max):
-        out = advance_phase(t, x_f, v_f, theta, theta_dot, out)
+        x_f, v_f, theta, theta_dot = state
         a_f, thdd, a_b, fs, fd, fa, ft, clamped, tau, f_leg, length, jac = out
         if clamped:
             clamp_events += 1
-
-        v_b = v_f + jac * theta_dot
-        x_b = x_f + length + mount
         append((
-            t, x_b, v_b, x_f, v_f, theta, theta_dot, a_b, a_f,
+            t, x_f + length + mount, v_f + jac * theta_dot, x_f, v_f, theta, theta_dot, a_b, a_f,
             fs, fd, fa, ft, tau, f_leg, float(phase),
         ))
-
-        # RK4 with the phase (and spring law) frozen across the step; stage 1
-        # at its end is the next row's
         t_end = (step + 1) * dt
-        end = rk4(x_f, v_f, theta, theta_dot, a_f, thdd, spring, dt, t_end)
-        if t_end >= t_stop:
+        if t_end >= t_stop:  # the last row's step would not be logged
             break
-        out = stage(*end, *spring)
-        # the dynamics switch inside the step if the phase machine would
-        # switch at its end state (with that state's force) or the contact
-        # law's branch differs between its ends: take it again in sub-steps
-        if (
-            next_phase(phase, out[11] * end[3], end[0], end[1], out[6], cc) is not phase
-            or _contact_branch(x_f, v_f, clamped) != _contact_branch(end[0], end[1], out[7])
-        ):
-            sub, rates = (x_f, v_f, theta, theta_dot), (a_f, thdd)
-            for j in range(1, EVENT_SUBSTEPS):
-                t_sub = t + j * h_sub
-                sub = rk4(*sub, *rates, spring, h_sub, t_sub)
-                rates = advance_phase(t_sub, *sub, stage(*sub, *spring))[:2]
-            end = rk4(*sub, *rates, spring, h_sub, t_end)
-            out = stage(*end, *spring)
-        x_f, v_f, theta, theta_dot = end
+        state, out = advance(state, out, t)  # stage 1 at its end is the next row's
         t = t_end
 
     table = np.empty((k0 + len(rows), len(prefix)))

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hopperlab import io
 from hopperlab.cli import main
-from hopperlab.config import _SCHEMA, ExperimentConfig, config_to_text, load_config
+from hopperlab.config import _SCHEMA, ExperimentConfig, config_to_text, linspace, load_config
 from hopperlab.errors import ConfigError
 
 TINY_SWEEP = """
@@ -138,6 +139,17 @@ def test_default_sweep_matches_protocol():
     assert speeds[-1] == pytest.approx(1.1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(low=st.floats(1e-6, 100.0), span=st.floats(0.0, 10.0), n=st.integers(1, 9999))
+@example(low=0.022, span=1.078 / 0.022, n=50)
+@example(low=0.022, span=2.7e-16, n=5)
+def test_linspace_is_numpy_linspace_bit_for_bit(low, span, n):
+    # the intrusion speeds are built in Python floats, repeats included
+    # (the config then rejects them)
+    high = low + low * span
+    assert linspace(low, high, n) == np.linspace(low, high, n).tolist()
+
+
 def test_cli_config_error_exit_code(tmp_path):
     rc = main(["simulate", "--config", str(tmp_path / "missing.ini")])
     assert rc == 2
@@ -165,6 +177,34 @@ def test_sweep_stiffness_above_k_extend_is_a_config_error(tmp_path, capsys):
     # at k_extend itself the grid runs
     cfg = _write(tmp_path, TINY_SWEEP.replace("stiffnesses = 3.75", "stiffnesses = 5.0") + "\n[controller]\nk_extend = 5.0\n")
     assert load_config(cfg).sweep.stiffnesses_n_per_cm == (5.0,)
+
+
+@pytest.mark.parametrize(
+    "old,new,names",
+    [
+        ("speeds = 0.8", "speeds = 1.0, 1.001", ["[sweep] speeds"]),
+        ("speeds = 0.8", "speeds = 0.8, 0.8", ["[sweep] speeds"]),
+        ("stiffnesses = 3.75", "stiffnesses = 2.5, 2.501", ["[sweep] stiffnesses"]),
+        (
+            "intrusion_speed_count = 3",
+            "intrusion_speed_count = 5\nintrusion_speed_max = 0.022000000000000006",
+            ["[sweep] intrusion_speed_min", "[sweep] intrusion_speed_max", "[sweep] intrusion_speed_count"],
+        ),
+        ("intrusion_speed_count = 3", "intrusion_speed_count = 10000", ["[sweep] intrusion_speed_count"]),
+    ],
+    ids=["speeds-two-decimals", "speeds-equal", "stiffnesses-two-decimals", "intrusion-speeds-repeat", "intrusion-count"],
+)
+def test_grid_the_artifacts_cannot_hold_is_a_config_error(tmp_path, capsys, old, new, names):
+    # two hop conditions that share a trial id (1.0 and 1.001 m/s are both
+    # hop_v1.00_...) would write one set of files, and an intrusion grid
+    # whose speeds repeat (linspace from 0.022 to 0.022000000000000006)
+    # would write a file `identify` rejects: both are refused at load
+    out = tmp_path / "runs"
+    cfg = _write(tmp_path, TINY_SWEEP.replace(old, new))
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
+    assert not out.exists()
 
 
 def test_observer_bandwidth_at_the_sensor_rate_is_a_config_error(tmp_path, capsys):
