@@ -88,7 +88,7 @@ def _truth_for(config: ExperimentConfig, frames_path: Path, est_path: Path, est)
         truth = io.read_truth_csv(truth_path)
         if truth.t[:: config.sim.decimation].size != len(est):
             raise MissingInputError(f"{truth_path} does not decimate to the {len(est)} frames in {frames_path}")
-        return decimated_truth(truth, config.sim.decimation, len(est))
+        return decimated_truth(truth, config.sim.decimation)
     if not est_path.exists():
         return None
     previous, truth = io.read_estimation_csv(est_path)

@@ -10,11 +10,12 @@ kept in N/cm as `stiffnesses_n_per_cm`.
 Each key's domain is declared once, on its dataclass field, and checked
 whenever the dataclass is built: a NaN, +-inf or out-of-range value, or
 one that breaks a check across keys, is a ConfigError (exit 2) naming
-`[section] key`.  Three checks cross sections and run once the file is
-read: the controller's neutral lengths must lie in the leg's workspace,
-`[estimation] k_obs` must be below `[sim] sensor_rate_hz` (the momentum
-observer's discretization is stable only for dt*k_obs < 1), and no
-`[sweep] stiffnesses` value may exceed `[controller] k_extend`.
+`[section] key`.  No rule ties the truth step to `[sim] sensor_rate_hz`:
+the step is derived from it.  Three checks cross sections and run once the
+file is read: the controller's neutral lengths must lie in the leg's
+workspace, `[estimation] k_obs` must be below `[sim] sensor_rate_hz` (the
+momentum observer's discretization is stable only for dt*k_obs < 1), and
+no `[sweep] stiffnesses` value may exceed `[controller] k_extend`.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def with_values(config: ExperimentConfig, section: str, **values) -> ExperimentC
         if section == "output":
             return replace(config, **values)
         return replace(config, **{section: replace(getattr(config, section), **values)})
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:
         keys = {name: key for key, (target, _, _) in _SCHEMA[section].items() for name in (key, target)}
         pattern = r"\b(" + "|".join(sorted(keys, key=len, reverse=True)) + r")\b"
         message = re.sub(pattern, lambda m: f"[{section}] {keys[m[1]]}", str(exc))

@@ -9,9 +9,9 @@ independent, so the hop grid can be dispatched to a process pool.
 
 A hop trial's artifacts are its sensor frames, events and estimation CSV;
 the estimation CSV carries the ground truth at the sensor rate.  The
-2 kHz truth log is not written by a sweep: `hopperlab simulate` at the
-trial's speed, stiffness and seed rebuilds the trial bit for bit and
-writes it as `<id>_truth.csv`.  The intrusion grid is one artifact,
+truth log, one row per RK4 step, is not written by a sweep: `hopperlab
+simulate` at the trial's speed, stiffness and seed rebuilds the trial
+bit for bit and writes it as `<id>_truth.csv`.  The intrusion grid is one artifact,
 `intrusion_grid.csv`, with one manifest entry: every speed's load-cell
 samples, each repeat's force beside the speed's shared t and depth.
 What each command reads:
@@ -132,15 +132,13 @@ def write_hop_artifacts(config: ExperimentConfig, log, trial_id: str, out_dir: P
     io.write_frames_csv(paths["frames"], log.frames)
     io.write_events_json(paths["events"], log.events, extra={"trial_id": trial_id, "seed": log.seed})
     est = estimate_from_frames(config, log.frames)
-    io.write_estimation_csv(
-        paths["estimation"], est, decimated_truth(log.truth, config.sim.decimation, len(est))
-    )
+    io.write_estimation_csv(paths["estimation"], est, decimated_truth(log.truth, config.sim.decimation))
     return est
 
 
-def decimated_truth(truth: TruthSeries, decimation: int, n: int) -> dict[str, np.ndarray]:
+def decimated_truth(truth: TruthSeries, decimation: int) -> dict[str, np.ndarray]:
     """The truth columns the estimation CSV carries, at the sensor rate."""
-    return {name: getattr(truth, name)[::decimation][:n] for name in io.CARRIED_TRUTH}
+    return {name: getattr(truth, name)[::decimation] for name in io.CARRIED_TRUTH}
 
 
 def _trial_samples(entry: dict, est: EstimationSeries, events: TrialEvents) -> TrialSamples:

@@ -147,6 +147,8 @@ def write_frames_csv(path, frames: Frames) -> None:
 
 def read_frames_csv(path) -> Frames:
     data = _read_csv(Path(path), FRAME_COLUMNS, "frames")
+    if not np.isfinite(data).all():
+        raise MissingInputError(f"malformed frames file {path}: need finite cells")
     _check_time_base(data[:, 0], path, "frames")
     return Frames(*data.T)
 

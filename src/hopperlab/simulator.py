@@ -1,25 +1,25 @@
 """Coupled body-foot-terrain dynamics, the intrusion rig, and the sensor model.
 
 The truth plant integrates the two-coordinate (foot height, joint angle)
-dynamics with fixed-step RK4 at 2 kHz.  Inside a step whose dynamics
-switch (a phase change or a change of contact-law branch) the switch is
-bracketed by `EVENT_BISECTIONS` halvings, to within dt/1024, and the step
-is finished under the new dynamics, so that touchdown, the stiffness
-switch and liftoff act where they happen, not at the step's end.  Heights
-are measured from the undisturbed bed surface, so the foot penetrates
-while x_f < 0.  The drop before touchdown is exact free fall, so its rows
-are written in closed form and RK4 starts at the last step above the bed.
-`plant_kernel` is the one way to evaluate the plant: the RK4 loop calls
-it under the phase's virtual spring, and tests call it at a fixed
-per-motor torque.  Its stage computes the leg geometry inline; stage 1
-of each step returns the full record that the log row and the phase
-machine read, and stages 2-4 return only (a_f, theta_ddot).
-While the foot penetrates, the entrained grain mass is folded
-into the foot-channel inertia so the acceleration-proportional part of
-the reaction never appears as a force of unknown acceleration; the
-logged contact force is then algebraically identical to the reaction law
-evaluated at the logged (z, zd, zdd).
-Sensors are synthesized at 1 kHz by decimating the truth trajectory and
+dynamics with fixed-step RK4, `SimConfig.truth_steps_per_frame` steps per
+sensor period.  Inside a step whose dynamics switch (a phase change or a
+change of contact-law branch) the switch is bracketed by
+`EVENT_BISECTIONS` halvings, to within dt/1024, and the step is finished
+under the new dynamics, so that touchdown, the stiffness switch and
+liftoff act where they happen, not at the step's end.  Heights are
+measured from the undisturbed bed surface, so the foot penetrates while
+x_f < 0.  The drop before touchdown is exact free fall, so its rows are
+written in closed form and RK4 starts at the last step above the bed.
+`plant_kernel` is the one way to evaluate the plant: the RK4 loop calls it
+under the phase's virtual spring, and tests call it at a fixed per-motor
+torque.  Its stage computes the leg geometry inline; stage 1 of each step
+returns the full record that the log row and the phase machine read, and
+stages 2-4 return only (a_f, theta_ddot).  While the foot penetrates, the
+entrained grain mass is folded into the foot-channel inertia so the
+acceleration-proportional part of the reaction never appears as a force of
+unknown acceleration; the logged contact force is then algebraically
+identical to the reaction law evaluated at the logged (z, zd, zdd).
+Sensors are synthesized from every `truth_steps_per_frame`-th truth row by
 applying quantization, bias and white noise per channel.
 """
 
@@ -33,7 +33,7 @@ import numpy.random  # noqa: F401  (numpy loads it lazily: load it here, not in 
 
 from .constants import GRAVITY
 from .controller import FLIGHT, ControllerConfig, PhaseName, next_phase, spring_gains
-from .errors import NONNEGATIVE, POSITIVE, ConfigError, SimulationError, TrialMalformedError, check_domains
+from .errors import NONNEGATIVE, POSITIVE, SimulationError, TrialMalformedError, check_domains, domain
 from .linkage import LinkageParams, _geometry, solve_theta_for_length
 from .signals import ENCODER_RATE_WINDOW, smoothed_backward_difference
 from .terrain import TerrainParams, constant_speed_force
@@ -48,8 +48,8 @@ EVENT_BISECTIONS = 10           # halvings that bracket a switch of the dynamics
 class SimConfig:
     """Truth-integration and trial protocol settings."""
 
-    dt_truth: float = field(default=5e-4, metadata=POSITIVE)              # RK4 step [s]
     sensor_rate_hz: float = field(default=1000.0, metadata=POSITIVE)      # proprioceptive sampling rate
+    truth_steps_per_frame: int = field(default=2, metadata=domain(1, closed=True))  # RK4 steps per sensor period
     t_max: float = field(default=2.0, metadata=POSITIVE)                  # hard stop [s]
     post_liftoff_time: float = field(default=0.1, metadata=NONNEGATIVE)   # keep integrating this long after liftoff [s]
     drop_speed: float = field(default=0.8, metadata=NONNEGATIVE)          # target touchdown speed [m/s]
@@ -57,19 +57,18 @@ class SimConfig:
 
     def __post_init__(self):
         check_domains(self)
-        if self.t_max / self.dt_truth > MAX_TRIAL_SAMPLES:
+        if (steps := self.t_max * self.sensor_rate_hz * self.truth_steps_per_frame) > MAX_TRIAL_SAMPLES:
             raise ValueError(
-                f"t_max / dt_truth gives {self.t_max / self.dt_truth:g} RK4 steps, above {MAX_TRIAL_SAMPLES:,}"
-            )
-        ratio = 1.0 / (self.sensor_rate_hz * self.dt_truth)
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ConfigError(
-                f"1/sensor_rate_hz must be an integer multiple of dt_truth (ratio {ratio:.6g})"
+                f"t_max * sensor_rate_hz * truth_steps_per_frame gives {steps:g} RK4 steps, above {MAX_TRIAL_SAMPLES:,}"
             )
 
     @property
+    def dt_truth(self) -> float:  # the RK4 step [s]
+        return 1.0 / (self.sensor_rate_hz * self.truth_steps_per_frame)
+
+    @property
     def decimation(self) -> int:
-        return round(1.0 / (self.sensor_rate_hz * self.dt_truth))
+        return self.truth_steps_per_frame
 
     @property
     def sensor_period(self) -> float:

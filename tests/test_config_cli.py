@@ -12,6 +12,7 @@ from hopperlab import io
 from hopperlab.cli import main
 from hopperlab.config import _SCHEMA, ExperimentConfig, config_to_text, linspace, load_config
 from hopperlab.errors import ConfigError
+from hopperlab.simulator import SimConfig
 
 TINY_SWEEP = """
 [sweep]
@@ -35,7 +36,7 @@ def test_empty_config_gives_defaults(tmp_path):
     assert cfg.terrain.k_stiff == d.terrain.k_stiff
     assert cfg.controller.k_compress == d.controller.k_compress
     assert cfg.sweep.speeds == d.sweep.speeds
-    assert cfg.sim.dt_truth == d.sim.dt_truth
+    assert cfg.sim.truth_steps_per_frame == d.sim.truth_steps_per_frame
 
 
 def test_stiffness_unit_conversion(tmp_path):
@@ -84,9 +85,8 @@ def test_default_ini_is_the_rendered_default_config():
 
 
 # where 0.9 x the default breaks a constraint between fields (k_extend:
-# the 5 N/cm of the default sweep grid; sensor_rate_hz: above the default
-# k_obs of 800 1/s, and a whole number of truth steps per frame)
-_OTHER = {"l_lower": 0.32, "dt_truth": 5e-5, "sensor_rate_hz": 2000.0, "k_extend": 550.0}
+# the 5 N/cm of the default sweep grid)
+_OTHER = {"l_lower": 0.32, "k_extend": 550.0}
 
 
 def _other_value(value):
@@ -223,7 +223,11 @@ def test_observer_bandwidth_at_the_sensor_rate_is_a_config_error(tmp_path, capsy
     "text, message",
     [
         # a 1 Hz sensor sees one frame of a hop; the estimator needs two
-        ("[sim]\nsensor_rate_hz = 1\n[estimation]\nk_obs = 0.5\n", "need at least two frames, got 1"),
+        # (2000 truth steps per frame keep the default 0.5 ms truth step)
+        (
+            "[sim]\nsensor_rate_hz = 1\ntruth_steps_per_frame = 2000\n[estimation]\nk_obs = 0.5\n",
+            "need at least two frames, got 1",
+        ),
         # the plant's mass-matrix determinant rounds to 0
         ("[linkage]\nm_body = 1e16\n", "division by zero"),
         # the filter's innovation covariance is singular
@@ -241,9 +245,9 @@ def test_a_runtime_failure_is_exit_3_with_one_line(tmp_path, capsys, text, messa
     "text, names, at_bound",
     [
         (
-            "[sim]\ndt_truth = 0.0001\nt_max = 100.1\n",
-            ("[sim] t_max", "[sim] dt_truth"),
-            "[sim]\ndt_truth = 0.0001\nt_max = 100\n",
+            "[sim]\ntruth_steps_per_frame = 10\nt_max = 100.1\n",
+            ("[sim] t_max", "[sim] sensor_rate_hz", "[sim] truth_steps_per_frame"),
+            "[sim]\ntruth_steps_per_frame = 10\nt_max = 100\n",
         ),
         (
             "[sweep]\nintrusion_speed_min = 0.1\nintrusion_z_max = 100.1\n",
@@ -263,6 +267,24 @@ def test_a_trial_above_a_million_samples_is_a_config_error(tmp_path, capsys, tex
     assert all(name in err for name in names), err
     assert not out.exists()
     load_config(_write(tmp_path, at_bound))
+
+
+_K_OBS = ExperimentConfig().estimation.k_obs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rate=st.floats(_K_OBS, 1e4, exclude_min=True),
+    steps=st.integers(1, 50),  # 2 s x 1e4 Hz x 50 = the 10^6-step cap
+)
+@example(rate=1500.0, steps=2)
+@example(rate=1e4, steps=50)
+def test_any_rate_and_whole_steps_per_frame_is_a_valid_truth_grid(rate, steps):
+    # every truth_steps_per_frame-th RK4 row lands on a frame's time
+    sim = SimConfig(sensor_rate_hz=rate, truth_steps_per_frame=steps)
+    assert sim.decimation == steps
+    j = np.arange(int(sim.t_max * rate) + 1)
+    np.testing.assert_allclose((j * steps) * sim.dt_truth, j * sim.sensor_period, rtol=0.0, atol=1e-12)
 
 
 def test_cli_missing_input_exit_code(tmp_path):

@@ -73,8 +73,8 @@ def _number_cell(cell):
 def _well_formed(text, columns, kind):
     """A right header and numeric rows of the right width; for a sampled
     series, at least two rows and a strictly increasing first column; for
-    an intrusion grid, finite cells, and from row to row a higher speed or
-    the same speed at a later t."""
+    frames and an intrusion grid, finite cells; for an intrusion grid, from
+    row to row a higher speed or the same speed at a later t."""
     lines = text.splitlines()
     if not lines or lines[0] != ",".join(columns) or len(lines) < 2:
         return False
@@ -84,10 +84,10 @@ def _well_formed(text, columns, kind):
         return False
     if not all(len(row) == len(columns) for row in rows):
         return False
+    if kind in ("frames", "intrusion") and not all(math.isfinite(v) for row in rows for v in row):
+        return False
     if kind == "intrusion":
-        return all(math.isfinite(v) for row in rows for v in row) and all(
-            b[0] > a[0] or (b[0] == a[0] and b[1] > a[1]) for a, b in zip(rows, rows[1:])
-        )
+        return all(b[0] > a[0] or (b[0] == a[0] and b[1] > a[1]) for a, b in zip(rows, rows[1:]))
     t = [row[0] for row in rows]
     return kind not in ("frames", "estimation") or (len(t) >= 2 and all(b > a for a, b in zip(t, t[1:])))
 
@@ -391,6 +391,10 @@ def _report_inputs(fit):
 _DEGENERATE = {
     "one-row frames": ("estimate", {_HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0])}),
     "repeated frame time": ("estimate", {_HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.0])}),
+    # the first row's loadcell_force (its last cell) is NaN
+    "non-finite frame cell": (
+        "estimate", {_HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002]).replace("0.5\n", "nan\n", 1)}
+    ),
     "one-row estimation": ("identify", _hop_trial(estimation_times=[0.0])),
     "non-numeric event time": ("identify", _hop_trial(t_td="x")),
     "infinite event time": ("identify", _hop_trial(t_lo=float("inf"))),
@@ -416,7 +420,7 @@ _DEGENERATE = {
         _HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002]),
         f"{_HOP}_truth.csv": _series(io.TRUTH_COLUMNS, [0.0]),
     }),
-    # a longer truth (another condition's): 31 rows decimate (by 10) to 4, not the 3 frames
+    # a longer truth (another condition's): 31 rows decimate (by 2) to 16, not the 3 frames
     "truth longer than frames": ("estimate", {
         _HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002]),
         f"{_HOP}_truth.csv": _series(io.TRUTH_COLUMNS, [1e-4 * i for i in range(31)]),

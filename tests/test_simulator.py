@@ -8,7 +8,7 @@ import pytest
 
 from hopperlab.constants import GRAVITY
 from hopperlab.controller import ControllerConfig, PhaseName
-from hopperlab.errors import ConfigError, TrialMalformedError
+from hopperlab.errors import TrialMalformedError
 from hopperlab.linkage import LinkageParams, leg_length
 from hopperlab.simulator import (
     NoiseConfig,
@@ -103,23 +103,23 @@ def test_mechanical_energy_on_arrays_matches_floats(noiseless_trial, linkage):
 
 def test_touchdown_speed_matches_projectile(linkage, terrain, controller):
     # an h = v^2/(2g) drop reaches the bed at the target speed, whatever the step
-    for dt_truth in (5e-4, 1e-4):
+    for steps in (2, 10):
         log = run_hop_trial(
-            SimConfig(drop_speed=1.2, dt_truth=dt_truth), controller, terrain, linkage, seed=0,
+            SimConfig(drop_speed=1.2, truth_steps_per_frame=steps), controller, terrain, linkage, seed=0,
             noise_config=NoiseConfig.noiseless(),
         )
-        assert log.events.v_td == pytest.approx(1.2, rel=1e-9), dt_truth
+        assert log.events.v_td == pytest.approx(1.2, rel=1e-9), steps
 
 
 def test_low_release_touchdown_speed(linkage, terrain, controller):
     # a 2 mm release lands at sqrt(2 g 2 mm), about 0.198 m/s
     v = math.sqrt(2.0 * GRAVITY * 0.002)
-    for dt_truth in (5e-4, 1e-4):
+    for steps in (2, 10):
         log = run_hop_trial(
-            SimConfig(drop_speed=v, dt_truth=dt_truth), controller, terrain, linkage, seed=0,
+            SimConfig(drop_speed=v, truth_steps_per_frame=steps), controller, terrain, linkage, seed=0,
             noise_config=NoiseConfig.noiseless(),
         )
-        assert log.events.v_td == pytest.approx(v, rel=1e-9), dt_truth
+        assert log.events.v_td == pytest.approx(v, rel=1e-9), steps
 
 
 def test_trial_determinism(linkage, terrain, controller):
@@ -169,7 +169,7 @@ def test_reduced_dynamics_consistency(noiseless_trial, linkage):
 def test_reduced_dynamics_consistency_finite_difference(linkage, terrain, controller):
     # same identity with accelerations recovered by differencing the log; the
     # differencing error scales with the step, so the log is taken at 1e-4 s
-    truth = _noiseless_hop(0.8, linkage, terrain, controller, dt_truth=1e-4).truth
+    truth = _noiseless_hop(0.8, linkage, terrain, controller, truth_steps_per_frame=10).truth
     dt = truth.t[1] - truth.t[0]
     acc_fd = np.gradient(truth.v_f, dt)
     ids = truth.phase_id
@@ -328,8 +328,8 @@ def test_intrusion_validation(terrain):
 
 
 def test_sim_config_validation():
-    with pytest.raises(ConfigError):
-        SimConfig(dt_truth=3e-4, sensor_rate_hz=1000.0)
+    with pytest.raises(ValueError):
+        SimConfig(truth_steps_per_frame=0)
     with pytest.raises(ValueError):
         SimConfig(t_max=-1.0)
 
@@ -560,6 +560,7 @@ from hopperlab.linkage import solve_theta_for_length
 TRUTH_COLUMNS = tuple(f.name for f in dataclasses.fields(TruthSeries))
 F_TOTAL, X_B, V_F, PHASE_ID = (TRUTH_COLUMNS.index(name) for name in ("f_total", "x_b", "v_f", "phase_id"))
 DEFAULT_GRID = [(v, k_c) for v in (0.5, 0.8, 1.0, 1.2) for k_c in (2.5, 3.75, 5.0)]
+FINE_STEPS = 100  # RK4 steps per 1 kHz frame of the reference truth: 1e-5 s
 
 
 def _prefix_rows(drop_speed, dt):
@@ -621,51 +622,58 @@ def _noiseless_hop(drop_speed, linkage, terrain, controller, **sim):
 
 
 @functools.cache
-def _oracle(drop_speed, k_c, dt, every):
+def _oracle(drop_speed, k_c, steps, every):
     """Every `every`-th row of `_reference_truth` at one condition (k_c in
-    N/cm) and step, with the events of all its rows; computed once."""
+    N/cm) and `steps` RK4 steps per frame, with the events of all its rows;
+    computed once."""
     table = _reference_truth(
-        SimConfig(drop_speed=drop_speed, dt_truth=dt), ControllerConfig(k_compress=k_c * 100.0), _LK, _TR
+        SimConfig(drop_speed=drop_speed, truth_steps_per_frame=steps),
+        ControllerConfig(k_compress=k_c * 100.0), _LK, _TR,
     )
     *columns, phase = table.T
     return table[::every], detect_events(TruthSeries(*columns, phase_id=phase.astype(int)))
 
 
 @functools.cache
-def _located(drop_speed, k_c, dt, bisections=simulator.EVENT_BISECTIONS):
+def _located(drop_speed, k_c, steps, bisections=simulator.EVENT_BISECTIONS):
     """The noiseless truth table of `run_hop_trial` at one condition (k_c
-    in N/cm) and step, with `bisections` halvings per switch; computed once."""
+    in N/cm) and `steps` RK4 steps per frame, with `bisections` halvings
+    per switch; computed once."""
     with mock.patch.object(simulator, "EVENT_BISECTIONS", bisections):
-        log = _noiseless_hop(drop_speed, _LK, _TR, ControllerConfig(k_compress=k_c * 100.0), dt_truth=dt)
+        log = _noiseless_hop(
+            drop_speed, _LK, _TR, ControllerConfig(k_compress=k_c * 100.0), truth_steps_per_frame=steps
+        )
     return _table(log.truth)
 
 
 def _fine(drop_speed, k_c):
-    """The truth at 1e-5 s with 22 halvings (switches located to 2.4 ps)."""
-    return _located(drop_speed, k_c, 1e-5, 22)
+    """The truth at `FINE_STEPS` steps per frame with 22 halvings
+    (switches located to 2.4 ps)."""
+    return _located(drop_speed, k_c, FINE_STEPS, 22)
 
 
-def _frame_errors(drop_speed, k_c, dt):
+def _frame_errors(drop_speed, k_c, steps):
     """Largest |error| of load-cell force [N] and body height [m] at the
-    1 kHz frames of the truth at step dt, against `_fine`."""
-    got = _located(drop_speed, k_c, dt)[:: SimConfig(dt_truth=dt).decimation]
-    ref = _fine(drop_speed, k_c)[:: SimConfig(dt_truth=1e-5).decimation]
+    1 kHz frames of the truth at `steps` RK4 steps per frame, against `_fine`."""
+    got = _located(drop_speed, k_c, steps)[::steps]
+    ref = _fine(drop_speed, k_c)[::FINE_STEPS]
     n = min(len(got), len(ref))
     return np.abs(got[:n, [F_TOTAL, X_B]] - ref[:n, [F_TOTAL, X_B]]).max(axis=0)
 
 
 @pytest.mark.parametrize(
-    "drop_speed, k_c, recontact", [(1.2, 2.5, []), (0.5, 5.0, [0.4015])], ids=["1.2-2.5", "0.5-5.0"]
+    "drop_speed, k_c, recontact", [(1.2, 2.5, []), (0.5, 5.0, [0.40132])], ids=["1.2-2.5", "0.5-5.0"]
 )
 def test_located_truth_keeps_the_rows_of_the_grid(drop_speed, k_c, recontact):
     # the switches are located inside their steps, and the rows stay on the
-    # k*dt grid with the phases of the truth at a 50 times finer step:
-    # 0.5 m/s, 5 N/cm touches the bed again after liftoff, at 0.40132 s,
-    # and compresses for less than a step
+    # k*dt grid with the phases of the truth at a finer step: 0.5 m/s,
+    # 5 N/cm touches the bed again after liftoff, at 0.40132 s, and
+    # compresses for less than a step
     log = _noiseless_hop(drop_speed, _LK, _TR, ControllerConfig(k_compress=k_c * 100.0))
     got = _table(log.truth)
+    steps = SimConfig().truth_steps_per_frame
     dt = SimConfig().dt_truth
-    fine = _fine(drop_speed, k_c)[::50]
+    fine = _fine(drop_speed, k_c)[:: FINE_STEPS // steps]
     assert got.shape == fine.shape
     assert np.array_equal(got[:, PHASE_ID], fine[:, PHASE_ID]), "phase_id"
     # the loop starts at the last row above the bed; the next row touches down
@@ -673,13 +681,13 @@ def test_located_truth_keeps_the_rows_of_the_grid(drop_speed, k_c, recontact):
     assert log.truth.x_f[k0] >= 0.0 > log.truth.x_f[k0 + 1]
     assert log.events.t_td == log.truth.t[k0 + 1]
     # the release row is bit for bit the kernel at rest (v_f +0.0, not -0.0)
-    want, _ = _oracle(drop_speed, k_c, dt, 1)
+    want, _ = _oracle(drop_speed, k_c, steps, 1)
     assert got[0].tobytes() == want[0].tobytes()
     # a phase shorter than a step does not show in the rows: the re-contact
-    # goes straight from FLIGHT to EXTENSION
+    # goes straight from FLIGHT to EXTENSION at the first row after it
     phase = got[:, PHASE_ID]
     skipped = (phase[:-1] == PhaseName.FLIGHT) & (phase[1:] == PhaseName.EXTENSION)
-    assert got[1:][skipped, 0].tolist() == pytest.approx(recontact)
+    assert got[1:][skipped, 0].tolist() == pytest.approx([math.ceil(t / dt) * dt for t in recontact])
 
 
 @pytest.mark.parametrize("drop_speed, k_c", DEFAULT_GRID)
@@ -688,7 +696,7 @@ def test_truth_error_at_the_frames(drop_speed, k_c):
     # 1e-3 N of load-cell force and 1 um of body height at the default step
     # (taking each switch's step again in 50 sub-steps gives up to 1.03e-2 N
     # and 8.0 um)
-    force, height = _frame_errors(drop_speed, k_c, SimConfig().dt_truth)
+    force, height = _frame_errors(drop_speed, k_c, SimConfig().truth_steps_per_frame)
     assert force <= 1e-3
     assert height <= 1e-6
 
@@ -696,7 +704,7 @@ def test_truth_error_at_the_frames(drop_speed, k_c):
 def test_truth_error_does_not_grow_as_the_step_shrinks():
     # the largest error over the default conditions, at 0.5, 0.25 and 0.1 ms
     worst = [
-        np.max([_frame_errors(v, k_c, dt) for v, k_c in DEFAULT_GRID], axis=0) for dt in (5e-4, 2.5e-4, 1e-4)
+        np.max([_frame_errors(v, k_c, steps) for v, k_c in DEFAULT_GRID], axis=0) for steps in (2, 4, 10)
     ]
     for coarse, fine in zip(worst, worst[1:]):
         assert np.all(fine <= coarse), (coarse, fine)
@@ -709,10 +717,11 @@ def test_switch_where_the_acceleration_jumps_is_located_from_the_stage_states():
     # states only, let the straddling stage 4 pull the end state back and
     # left the force 0.012 N off.  Every row is within 1e-3 N of the truth
     # at 1e-5 s.
-    got = _located(0.8, 2.5, SimConfig().dt_truth)
+    steps = SimConfig().truth_steps_per_frame
+    got = _located(0.8, 2.5, steps)
     turns = got[:-1][(got[:-1, V_F] > 0.0) & (got[1:, V_F] < 0.0), 0]
     assert np.any(np.abs(turns - 0.168) < 1e-9)
-    ref = _fine(0.8, 2.5)[::50]
+    ref = _fine(0.8, 2.5)[:: FINE_STEPS // steps]
     n = min(len(got), len(ref))
     assert np.abs(got[:n, F_TOTAL] - ref[:n, F_TOTAL]).max() <= 1e-3
 
@@ -723,8 +732,8 @@ def test_truth_is_closer_to_the_reference_than_the_uniform_loop(drop_speed, k_c)
     # force and body height are no further off than the uniform loop at 1e-4 s
     log = _noiseless_hop(drop_speed, _LK, _TR, ControllerConfig(k_compress=k_c * 100.0))
     got = _table(log.truth)[:: SimConfig().decimation]
-    ref, _ = _oracle(drop_speed, k_c, 2e-5, 50)
-    uniform, _ = _oracle(drop_speed, k_c, 1e-4, 10)
+    ref, _ = _oracle(drop_speed, k_c, 50, 50)
+    uniform, _ = _oracle(drop_speed, k_c, 10, 10)
     n = min(len(got), len(ref), len(uniform))
     for column in (F_TOTAL, X_B):
         error = np.abs(got[:n, column] - ref[:n, column]).max()
@@ -734,7 +743,7 @@ def test_truth_is_closer_to_the_reference_than_the_uniform_loop(drop_speed, k_c)
 @pytest.mark.parametrize("drop_speed, k_c", DEFAULT_GRID)
 def test_events_within_one_step_of_the_reference(drop_speed, k_c):
     log = _noiseless_hop(drop_speed, _LK, _TR, ControllerConfig(k_compress=k_c * 100.0))
-    _, want = _oracle(drop_speed, k_c, 2e-5, 50)
+    _, want = _oracle(drop_speed, k_c, 50, 50)
     dt = SimConfig().dt_truth
     for name in ("t_td", "t_ce", "t_lo"):
         assert abs(getattr(log.events, name) - getattr(want, name)) <= dt, name
@@ -798,7 +807,7 @@ def test_run_shorter_than_the_fall_has_no_touchdown(t_max, linkage, terrain, con
 
 
 def test_sim_config_rejects_non_finite_settings():
-    for name in ("drop_speed", "t_max", "post_liftoff_time", "dt_truth", "sensor_rate_hz"):
+    for name in ("drop_speed", "t_max", "post_liftoff_time", "truth_steps_per_frame", "sensor_rate_hz"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 SimConfig(**{name: value})
