@@ -32,7 +32,6 @@ from .config import ExperimentConfig, load_config, with_values
 from .errors import ConfigError, HopperlabError, MissingInputError
 from .experiments import (
     INTRUSION_GRID,
-    decimated_truth,
     estimate_from_frames,
     identify_inputs,
     identify_outputs,
@@ -77,18 +76,18 @@ def cmd_intrude(config: ExperimentConfig, args) -> int:
     return 0
 
 
-def _truth_for(config: ExperimentConfig, frames_path: Path, est_path: Path, est) -> dict | None:
-    """Ground truth at the sensor rate for a re-estimated trial: from its
+def _truth_for(frames_path: Path, est_path: Path, est) -> dict | None:
+    """Ground truth at the frames for a re-estimated trial: from its
     `_truth.csv` (written by `simulate`), else from the truth columns of its
     existing `_estimation.csv` (a sweep trial), else None (NaN columns).
-    The frames are the decimated truth, so a `_truth.csv` must decimate to
-    exactly as many rows as there are frames."""
+    The truth rows are the frames, so a `_truth.csv` must have exactly as
+    many rows as there are frames."""
     truth_path = Path(str(frames_path).replace("_frames.csv", "_truth.csv"))
     if truth_path.exists():
         truth = io.read_truth_csv(truth_path)
-        if truth.t[:: config.sim.decimation].size != len(est):
-            raise MissingInputError(f"{truth_path} does not decimate to the {len(est)} frames in {frames_path}")
-        return decimated_truth(truth, config.sim.decimation)
+        if len(truth) != len(est):
+            raise MissingInputError(f"{truth_path} has {len(truth)} rows, not the {len(est)} frames in {frames_path}")
+        return vars(truth)
     if not est_path.exists():
         return None
     previous, truth = io.read_estimation_csv(est_path)
@@ -109,7 +108,7 @@ def cmd_estimate(config: ExperimentConfig, args) -> int:
         frames = io.read_frames_csv(path)
         est = estimate_from_frames(config, frames)
         est_path = Path(str(path).replace("_frames.csv", "_estimation.csv"))
-        io.write_estimation_csv(est_path, est, _truth_for(config, path, est_path, est))
+        io.write_estimation_csv(est_path, est, _truth_for(path, est_path, est))
     print(f"estimated {len(frame_files)} trials in {out}")
     return 0
 

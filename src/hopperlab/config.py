@@ -10,9 +10,9 @@ kept in N/cm as `stiffnesses_n_per_cm`.
 Each key's domain is declared once, on its dataclass field, and checked
 whenever the dataclass is built: a NaN, +-inf or out-of-range value, or
 one that breaks a check across keys, is a ConfigError (exit 2) naming
-`[section] key`.  No rule ties the truth step to `[sim] sensor_rate_hz`:
-the step is derived from it.  Three checks cross sections and run once the
-file is read: the controller's neutral lengths must lie in the leg's
+`[section] key`.  The truth takes one RK4 step per sensor period, so
+`[sim] sensor_rate_hz` sets the step.  Three checks cross sections and run
+once the file is read: the controller's neutral lengths must lie in the leg's
 workspace, `[estimation] k_obs` must be below `[sim] sensor_rate_hz` (the
 momentum observer's discretization is stable only for dt*k_obs < 1), and
 no `[sweep] stiffnesses` value may exceed `[controller] k_extend`.

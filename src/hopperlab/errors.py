@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the check of field domains."""
 
 from dataclasses import fields
+from numbers import Integral
 
 
 def domain(low, high=float("inf"), closed=False) -> dict:
@@ -14,12 +15,16 @@ POSITIVE, NONNEGATIVE = domain(0.0), domain(0.0, closed=True)
 
 def check_domains(record) -> None:
     """Raise ValueError naming the first field of the dataclass `record` whose
-    value lies outside the domain declared in its metadata."""
+    value lies outside the domain declared in its metadata, or is not an
+    integer where the field's default is an int (per element for tuples)."""
     for f in fields(record):
-        if "domain" in f.metadata:
-            low, closed, high = f.metadata["domain"]
-            value = getattr(record, f.name)
-            for v in value if isinstance(value, tuple) else (value,):
+        value = getattr(record, f.name)
+        integral = type(f.default[0] if isinstance(f.default, tuple) else f.default) is int
+        for v in value if isinstance(value, tuple) else (value,):
+            if integral and not isinstance(v, Integral):
+                raise ValueError(f"{f.name} = {v!r} is not an integer")
+            if "domain" in f.metadata:
+                low, closed, high = f.metadata["domain"]
                 if not ((low <= v if closed else low < v) and v < high):
                     raise ValueError(f"{f.name} = {v!r} is outside {'[' if closed else '('}{low:g}, {high:g})")
 

@@ -8,8 +8,8 @@ runs it again rather than trust the file on disk.  Hop trials are
 independent, so the hop grid can be dispatched to a process pool.
 
 A hop trial's artifacts are its sensor frames, events and estimation CSV;
-the estimation CSV carries the ground truth at the sensor rate.  The
-truth log, one row per RK4 step, is not written by a sweep: `hopperlab
+the estimation CSV carries the ground truth, one row per frame.  The full
+truth log, every column of those rows, is not written by a sweep: `hopperlab
 simulate` at the trial's speed, stiffness and seed rebuilds the trial
 bit for bit and writes it as `<id>_truth.csv`.  The intrusion grid is one artifact,
 `intrusion_grid.csv`, with one manifest entry: every speed's load-cell
@@ -56,16 +56,17 @@ from .simulator import (
     Frames,
     IntrusionLog,
     TrialEvents,
-    TruthSeries,
     run_constant_speed_intrusion,
     run_hop_trial,
 )
 from .terrain import force_map
 
-# kind of manifest entry: (its fields besides trial_id, the keys of its files)
+# kind of manifest entry: (its fields besides trial_id, each with the check of
+# its value; the keys of its files)
+_NUMBER, _INTEGER = io.is_finite_number, lambda value: type(value) is int
 _ENTRY_SCHEMA = {
-    "hop": (("speed", "k_c_n_per_cm", "seed"), ("frames", "events", "estimation")),
-    "intrusion": ((), ("log",)),
+    "hop": ({"speed": _NUMBER, "k_c_n_per_cm": _NUMBER, "seed": _INTEGER}, ("frames", "events", "estimation")),
+    "intrusion": ({}, ("log",)),
 }
 INTRUSION_GRID = "intrusion_grid.csv"
 _CONDITION_NUMBERS = [f.name for f in dataclasses.fields(ConditionStats) if f.name != "treatment"]
@@ -82,8 +83,9 @@ def _hop_files(trial_id: str) -> dict[str, str]:
 def trial_paths(entry: dict, out_dir: Path) -> dict[str, Path]:
     """A manifest entry's files, resolved against the output directory.
 
-    An entry without a known kind, its fields, or bare file names for each
-    of its outputs is bad input (MissingInputError).
+    An entry without a known kind, its fields (a hop's speed and stiffness
+    finite numbers, its seed an integer), or bare file names for each of its
+    outputs is bad input (MissingInputError).
     """
     try:
         fields, keys = _ENTRY_SCHEMA[entry["kind"]]
@@ -91,7 +93,8 @@ def trial_paths(entry: dict, out_dir: Path) -> dict[str, Path]:
         valid = (
             sorted(names) == sorted(keys)
             and all(isinstance(name, str) and Path(name).name == name for name in names.values())
-            and all(field in entry for field in ("trial_id", *fields))
+            and "trial_id" in entry
+            and all(valid_value(entry[field]) for field, valid_value in fields.items())
         )
     except (KeyError, TypeError, AttributeError):
         valid = False
@@ -132,13 +135,8 @@ def write_hop_artifacts(config: ExperimentConfig, log, trial_id: str, out_dir: P
     io.write_frames_csv(paths["frames"], log.frames)
     io.write_events_json(paths["events"], log.events, extra={"trial_id": trial_id, "seed": log.seed})
     est = estimate_from_frames(config, log.frames)
-    io.write_estimation_csv(paths["estimation"], est, decimated_truth(log.truth, config.sim.decimation))
+    io.write_estimation_csv(paths["estimation"], est, vars(log.truth))
     return est
-
-
-def decimated_truth(truth: TruthSeries, decimation: int) -> dict[str, np.ndarray]:
-    """The truth columns the estimation CSV carries, at the sensor rate."""
-    return {name: getattr(truth, name)[::decimation] for name in io.CARRIED_TRUTH}
 
 
 def _trial_samples(entry: dict, est: EstimationSeries, events: TrialEvents) -> TrialSamples:
@@ -375,7 +373,7 @@ def _write_representative_trial_figs(out_dir: Path) -> None:
     if not hops:
         return
     # fastest condition, first seed: the regime where dynamics matter most
-    entry = max(hops, key=lambda e: (e["speed"], -e["seed"] if isinstance(e["seed"], int) else 0))
+    entry = max(hops, key=lambda e: (e["speed"], -e["seed"]))
     paths = trial_paths(entry, out_dir)
     est, truth = io.read_estimation_csv(paths["estimation"])
     events = io.read_events_json(paths["events"])

@@ -33,7 +33,7 @@ FRAME_COLUMNS = tuple(f.name for f in fields(Frames))
 TRUTH_COLUMNS = tuple(f.name for f in fields(TruthSeries))
 
 # The estimation CSV: the estimator outputs, then the truth series it
-# carries at the sensor rate, each as `<name>_true` (`f_total` as `f_true`).
+# carries, each as `<name>_true` (`f_total` as `f_true`).
 ESTIMATOR_OUTPUTS = tuple(f.name for f in fields(EstimationSeries))
 CARRIED_TRUTH = ("x_b", "v_b", "x_f", "v_f", "f_total")
 ESTIMATION_COLUMNS = ESTIMATOR_OUTPUTS + tuple(f"{name.removesuffix('_total')}_true" for name in CARRIED_TRUTH)
@@ -164,6 +164,11 @@ def read_truth_csv(path) -> TruthSeries:
     return truth
 
 
+def is_finite_number(value) -> bool:
+    """A finite JSON number (a bool is not one)."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def read_record(path, cls, kind: str):
     """A `cls` built from the same-named keys of a JSON object whose values
     must all be finite numbers; anything else is bad input."""
@@ -173,7 +178,7 @@ def read_record(path, cls, kind: str):
     except (KeyError, TypeError) as exc:
         raise MissingInputError(f"malformed {kind} file {path}: {exc!r}") from exc
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not is_finite_number(value):
             raise MissingInputError(f"malformed {kind} file {path}: {name} = {value!r} is not a finite number")
     return cls(**values)
 
@@ -186,12 +191,13 @@ def read_events_json(path) -> TrialEvents:
     return read_record(path, TrialEvents, "events")
 
 
-def write_estimation_csv(path, est: EstimationSeries, truth_decimated: dict | None = None) -> None:
-    """Estimator outputs plus the carried truth columns (NaN where absent)."""
-    truth_decimated = truth_decimated or {}
+def write_estimation_csv(path, est: EstimationSeries, truth: dict | None = None) -> None:
+    """Estimator outputs plus the carried truth columns, taken by name from
+    `truth` (one row per frame; NaN where absent)."""
+    truth = truth or {}
     nan = np.full(len(est), np.nan)
     cols = [getattr(est, name) for name in ESTIMATOR_OUTPUTS]
-    cols += [truth_decimated.get(name, nan) for name in CARRIED_TRUTH]
+    cols += [truth.get(name, nan) for name in CARRIED_TRUTH]
     write_columns_csv(path, ESTIMATION_COLUMNS, cols)
 
 

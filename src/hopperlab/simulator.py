@@ -1,14 +1,13 @@
 """Coupled body-foot-terrain dynamics, the intrusion rig, and the sensor model.
 
 The truth plant integrates the two-coordinate (foot height, joint angle)
-dynamics with fixed-step RK4, `SimConfig.truth_steps_per_frame` steps per
-sensor period.  Inside a step whose dynamics switch (a phase change or a
-change of contact-law branch) the switch is bracketed by
-`EVENT_BISECTIONS` halvings, to within dt/1024, and the step is finished
-under the new dynamics, so that touchdown, the stiffness switch and
-liftoff act where they happen, not at the step's end.  Heights are
-measured from the undisturbed bed surface, so the foot penetrates while
-x_f < 0.  The drop before touchdown is exact free fall, so its rows are
+dynamics with fixed-step RK4, one step per sensor period.  Inside a step
+whose dynamics switch (a phase change or a change of contact-law branch)
+the switch is bracketed by `EVENT_BISECTIONS` halvings, to within dt/1024,
+and the step is finished under the new dynamics, so that touchdown, the
+stiffness switch and liftoff act where they happen, not at the step's
+end.  Heights are measured from the undisturbed bed surface, so the foot
+penetrates while x_f < 0.  The drop before touchdown is exact free fall, so its rows are
 written in closed form and RK4 starts at the last step above the bed.
 `plant_kernel` is the one way to evaluate the plant: the RK4 loop calls it
 under the phase's virtual spring, and tests call it at a fixed per-motor
@@ -19,8 +18,8 @@ entrained grain mass is folded into the foot-channel inertia so the
 acceleration-proportional part of the reaction never appears as a force of
 unknown acceleration; the logged contact force is then algebraically
 identical to the reaction law evaluated at the logged (z, zd, zdd).
-Sensors are synthesized from every `truth_steps_per_frame`-th truth row by
-applying quantization, bias and white noise per channel.
+Each truth row is a sensor frame: the sensors are synthesized from the
+rows by applying quantization, bias and white noise per channel.
 """
 
 from __future__ import annotations
@@ -33,13 +32,13 @@ import numpy.random  # noqa: F401  (numpy loads it lazily: load it here, not in 
 
 from .constants import GRAVITY
 from .controller import FLIGHT, ControllerConfig, PhaseName, next_phase, spring_gains
-from .errors import NONNEGATIVE, POSITIVE, SimulationError, TrialMalformedError, check_domains, domain
+from .errors import NONNEGATIVE, POSITIVE, SimulationError, TrialMalformedError, check_domains
 from .linkage import LinkageParams, _geometry, solve_theta_for_length
 from .signals import ENCODER_RATE_WINDOW, smoothed_backward_difference
 from .terrain import TerrainParams, constant_speed_force
 
 
-MAX_TRIAL_SAMPLES = 1_000_000   # RK4 steps of a hop, or load-cell samples of an intrusion
+MAX_TRIAL_SAMPLES = 1_000_000   # RK4 steps (frames) of a hop, or load-cell samples of an intrusion
 INTRUSION_RATE_HZ = 1000.0      # the intrusion rig's load-cell sampling rate
 EVENT_BISECTIONS = 10           # halvings that bracket a switch of the dynamics inside an RK4 step
 
@@ -48,8 +47,7 @@ EVENT_BISECTIONS = 10           # halvings that bracket a switch of the dynamics
 class SimConfig:
     """Truth-integration and trial protocol settings."""
 
-    sensor_rate_hz: float = field(default=1000.0, metadata=POSITIVE)      # proprioceptive sampling rate
-    truth_steps_per_frame: int = field(default=2, metadata=domain(1, closed=True))  # RK4 steps per sensor period
+    sensor_rate_hz: float = field(default=1000.0, metadata=POSITIVE)      # proprioceptive sampling and RK4 rate
     t_max: float = field(default=2.0, metadata=POSITIVE)                  # hard stop [s]
     post_liftoff_time: float = field(default=0.1, metadata=NONNEGATIVE)   # keep integrating this long after liftoff [s]
     drop_speed: float = field(default=0.8, metadata=NONNEGATIVE)          # target touchdown speed [m/s]
@@ -57,18 +55,12 @@ class SimConfig:
 
     def __post_init__(self):
         check_domains(self)
-        if (steps := self.t_max * self.sensor_rate_hz * self.truth_steps_per_frame) > MAX_TRIAL_SAMPLES:
-            raise ValueError(
-                f"t_max * sensor_rate_hz * truth_steps_per_frame gives {steps:g} RK4 steps, above {MAX_TRIAL_SAMPLES:,}"
-            )
+        if (steps := self.t_max * self.sensor_rate_hz) > MAX_TRIAL_SAMPLES:
+            raise ValueError(f"t_max * sensor_rate_hz gives {steps:g} RK4 steps, above {MAX_TRIAL_SAMPLES:,}")
 
-    @property
-    def dt_truth(self) -> float:  # the RK4 step [s]
-        return 1.0 / (self.sensor_rate_hz * self.truth_steps_per_frame)
-
-    @property
-    def decimation(self) -> int:
-        return self.truth_steps_per_frame
+    # Truth rows per frame: always 1.  Kept only for the benchmark's
+    # closed-loop workload, which slices the truth by it.
+    decimation = 1
 
     @property
     def sensor_period(self) -> float:
@@ -106,7 +98,7 @@ class NoiseConfig:
 
 @dataclass
 class TruthSeries:
-    """Columnar truth log at the integration rate."""
+    """Columnar truth log, one row per RK4 step, each at a frame's time."""
 
     t: np.ndarray
     x_b: np.ndarray
@@ -407,8 +399,9 @@ def run_hop_trial(
     seed=None,
     noise_config: NoiseConfig | None = None,
 ) -> TrialLog:
-    """Integrate one drop-release hop, then synthesize its sensor frames
-    from the decimated truth in one pass (`sensor_frames`).
+    """Integrate one drop-release hop, one RK4 step per sensor period, then
+    synthesize its sensor frames from the truth rows in one pass
+    (`sensor_frames`).
 
     The hopper is released from rest with the leg at its compression
     neutral length, at the height h that yields the configured touchdown
@@ -434,7 +427,7 @@ def run_hop_trial(
     lk = linkage_params
     tr = terrain_params
     cc = controller_config
-    dt = sim_config.dt_truth
+    dt = sim_config.sensor_period
     n_max = int(round(sim_config.t_max / dt))
 
     theta0 = solve_theta_for_length(cc.l0_compress, lk)
@@ -578,12 +571,9 @@ def run_hop_trial(
     *columns, phase_col = table.T
     truth = TruthSeries(*columns, phase_id=phase_col.astype(int))
     events = detect_events(truth)
-    d = slice(None, None, sim_config.decimation)
     frames = sensor_frames(
-        np.arange(truth.t[d].size) * sim_config.sensor_period,
-        truth.theta[d], truth.theta_dot[d], truth.acc_b[d], truth.acc_f[d],
-        truth.x_b[d], truth.tau[d], truth.f_total[d],
-        noise, lk, rng, sim_config.sensor_period,
+        truth.t, truth.theta, truth.theta_dot, truth.acc_b, truth.acc_f,
+        truth.x_b, truth.tau, truth.f_total, noise, lk, rng, dt,
     )
     return TrialLog(
         frames=frames,

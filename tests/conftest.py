@@ -54,15 +54,3 @@ def noisy_frames(noisy_trial):
 def noiseless_frames(noiseless_trial):
     return noiseless_trial.frames
 
-
-def decimate_truth(trial, n=None):
-    """Truth columns at the sensor rate, aligned with the frames of a trial
-    run at the default `SimConfig` step and sensor rate."""
-    decim = SimConfig().decimation
-    cols = {
-        name: getattr(trial.truth, name)[::decim]
-        for name in ("t", "x_b", "v_b", "x_f", "v_f", "theta", "theta_dot", "acc_b", "acc_f", "f_total", "tau")
-    }
-    if n is not None:
-        cols = {k: v[:n] for k, v in cols.items()}
-    return cols

@@ -158,13 +158,10 @@ def test_criterion_05_added_mass_residual(intrusion_fit, linkage, terrain, contr
     # acceleration, the same construction as the hardware analysis
     cors = []
     for seed in SEEDS:
-        sim = SimConfig(drop_speed=1.2)
-        log = run_hop_trial(sim, controller, terrain, linkage, seed=seed)
+        log = run_hop_trial(SimConfig(drop_speed=1.2), controller, terrain, linkage, seed=seed)
         frames = log.frames
-        n = len(frames.t)
-        dec = sim.decimation
-        z = -log.truth.x_f[::dec][:n]
-        zd = -log.truth.v_f[::dec][:n]
+        z = -log.truth.x_f
+        zd = -log.truth.v_f
         mask = (frames.t >= log.events.t_td) & (frames.t <= log.events.t_lo)
         p, r = added_mass_reconstruction(
             intrusion_fit, z[mask], zd[mask], -frames.imu_foot_acc[mask], frames.loadcell_force[mask]
@@ -192,22 +189,15 @@ def test_criterion_06_momentum_observer(linkage, terrain, controller):
     # truth-kinematics stance RMSE on noiseless trials at every sweep speed
     worst_ratio = 0.0
     for speed in SPEEDS:
-        sim = SimConfig(drop_speed=speed)
-        log = run_hop_trial(sim, controller, terrain, linkage, seed=0, noise_config=NoiseConfig.noiseless())
-        dec = sim.decimation
-        t = log.truth.t[::dec]
-        r = run_momentum_observer(
-            t,
-            log.truth.theta[::dec],
-            log.truth.theta_dot[::dec],
-            log.truth.v_f[::dec],
-            log.truth.tau[::dec],
-            linkage,
-            k_obs=800.0,
+        log = run_hop_trial(
+            SimConfig(drop_speed=speed), controller, terrain, linkage, seed=0, noise_config=NoiseConfig.noiseless()
         )
+        truth = log.truth
+        t = truth.t
+        r = run_momentum_observer(t, truth.theta, truth.theta_dot, truth.v_f, truth.tau, linkage, k_obs=800.0)
         ev = log.events
         stance = (t >= ev.t_td) & (t <= ev.t_lo)
-        f = log.truth.f_total[::dec]
+        f = truth.f_total
         rmse = math.sqrt(np.mean((r[stance] - f[stance]) ** 2))
         worst_ratio = max(worst_ratio, rmse / f.max())
     ok = worst_step < 0.01 and worst_ratio <= 0.02
@@ -237,13 +227,10 @@ def test_criterion_07_kalman_filter(linkage, terrain, controller):
     noise = NoiseConfig()
     sq = []
     for seed in SEEDS:
-        sim = SimConfig(drop_speed=0.8)
-        log = run_hop_trial(sim, controller, terrain, linkage, seed=seed)
+        log = run_hop_trial(SimConfig(drop_speed=0.8), controller, terrain, linkage, seed=seed)
         frames = log.frames
         est = run_estimation(frames, linkage, noise=noise)
-        dec = sim.decimation
-        xb_true = log.truth.x_b[::dec][: len(est)]
-        sq.append((est.x_b_hat[100:] - xb_true[100:]) ** 2)
+        sq.append((est.x_b_hat[100:] - log.truth.x_b[100:]) ** 2)
     rmse = math.sqrt(float(np.concatenate(sq).mean()))
 
     # covariance stays symmetric PSD over 1e5 random steps

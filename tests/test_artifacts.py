@@ -125,15 +125,14 @@ def test_estimate_rejects_estimation_file_of_other_frames(sweep_dir, config_path
     assert _estimate(config_path, out) == 4
 
 
-def test_simulate_reproduces_sweep_trial(sweep_dir, simulate_dir, config_path):
+def test_simulate_reproduces_sweep_trial(sweep_dir, simulate_dir):
     for suffix in ("frames.csv", "events.json", "estimation.csv"):
         name = f"{TRIAL}_{suffix}"
         assert (simulate_dir / name).read_bytes() == (sweep_dir / name).read_bytes(), name
     truth = io.read_truth_csv(simulate_dir / f"{TRIAL}_truth.csv")
-    _, decimated = io.read_estimation_csv(sweep_dir / f"{TRIAL}_estimation.csv")
-    decimation = load_config(config_path).sim.decimation
+    _, carried = io.read_estimation_csv(sweep_dir / f"{TRIAL}_estimation.csv")
     for key in TRUTH_KEYS:
-        np.testing.assert_array_equal(getattr(truth, key)[::decimation], decimated[key])
+        np.testing.assert_array_equal(getattr(truth, key), carried[key])
 
 
 def test_estimate_on_simulate_dir_takes_truth_from_truth_csv(simulate_dir, config_path, tmp_path):

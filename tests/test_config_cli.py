@@ -12,7 +12,6 @@ from hopperlab import io
 from hopperlab.cli import main
 from hopperlab.config import _SCHEMA, ExperimentConfig, config_to_text, linspace, load_config
 from hopperlab.errors import ConfigError
-from hopperlab.simulator import SimConfig
 
 TINY_SWEEP = """
 [sweep]
@@ -36,7 +35,7 @@ def test_empty_config_gives_defaults(tmp_path):
     assert cfg.terrain.k_stiff == d.terrain.k_stiff
     assert cfg.controller.k_compress == d.controller.k_compress
     assert cfg.sweep.speeds == d.sweep.speeds
-    assert cfg.sim.truth_steps_per_frame == d.sim.truth_steps_per_frame
+    assert cfg.sim == d.sim
 
 
 def test_stiffness_unit_conversion(tmp_path):
@@ -222,12 +221,10 @@ def test_observer_bandwidth_at_the_sensor_rate_is_a_config_error(tmp_path, capsy
 @pytest.mark.parametrize(
     "text, message",
     [
-        # a 1 Hz sensor sees one frame of a hop; the estimator needs two
-        # (2000 truth steps per frame keep the default 0.5 ms truth step)
-        (
-            "[sim]\nsensor_rate_hz = 1\ntruth_steps_per_frame = 2000\n[estimation]\nk_obs = 0.5\n",
-            "need at least two frames, got 1",
-        ),
+        # a run of one sensor period has one frame, the release, and no
+        # hop: the truth rows are the frames, so a trial with its events
+        # has at least three (the estimator needs two)
+        ("[sim]\nt_max = 0.001\n", "no touchdown"),
         # the plant's mass-matrix determinant rounds to 0
         ("[linkage]\nm_body = 1e16\n", "division by zero"),
         # the filter's innovation covariance is singular
@@ -245,9 +242,9 @@ def test_a_runtime_failure_is_exit_3_with_one_line(tmp_path, capsys, text, messa
     "text, names, at_bound",
     [
         (
-            "[sim]\ntruth_steps_per_frame = 10\nt_max = 100.1\n",
-            ("[sim] t_max", "[sim] sensor_rate_hz", "[sim] truth_steps_per_frame"),
-            "[sim]\ntruth_steps_per_frame = 10\nt_max = 100\n",
+            "[sim]\nsensor_rate_hz = 1e4\nt_max = 100.1\n",
+            ("[sim] t_max", "[sim] sensor_rate_hz"),
+            "[sim]\nsensor_rate_hz = 1e4\nt_max = 100\n",
         ),
         (
             "[sweep]\nintrusion_speed_min = 0.1\nintrusion_z_max = 100.1\n",
@@ -267,24 +264,6 @@ def test_a_trial_above_a_million_samples_is_a_config_error(tmp_path, capsys, tex
     assert all(name in err for name in names), err
     assert not out.exists()
     load_config(_write(tmp_path, at_bound))
-
-
-_K_OBS = ExperimentConfig().estimation.k_obs
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    rate=st.floats(_K_OBS, 1e4, exclude_min=True),
-    steps=st.integers(1, 50),  # 2 s x 1e4 Hz x 50 = the 10^6-step cap
-)
-@example(rate=1500.0, steps=2)
-@example(rate=1e4, steps=50)
-def test_any_rate_and_whole_steps_per_frame_is_a_valid_truth_grid(rate, steps):
-    # every truth_steps_per_frame-th RK4 row lands on a frame's time
-    sim = SimConfig(sensor_rate_hz=rate, truth_steps_per_frame=steps)
-    assert sim.decimation == steps
-    j = np.arange(int(sim.t_max * rate) + 1)
-    np.testing.assert_allclose((j * steps) * sim.dt_truth, j * sim.sensor_period, rtol=0.0, atol=1e-12)
 
 
 def test_cli_missing_input_exit_code(tmp_path):
@@ -549,13 +528,22 @@ def test_any_key_value_keeps_the_exit_code_contract(tmp_path, capsys, section, k
     "section,name,default", [pytest.param(s, t, d, id=f"{s}-{t}") for s, _, t, d in _schema_defaults()]
 )
 def test_direct_construction_rejects_a_value_outside_the_domain(section, name, default):
-    if isinstance(default, tuple):
-        bad = (-1,) + default[1:]
+    cls = type(getattr(ExperimentConfig(), section))
+
+    def build(value):  # a tuple field gets `value` as its first element
+        return cls(**{name: (value,) + default[1:] if isinstance(default, tuple) else value})
+
+    first = default[0] if isinstance(default, tuple) else default
+    if isinstance(first, int):
+        # an integer field takes numpy's integers and refuses a non-integral
+        # value inside its range
+        build(np.int64(first))
+        bad = (-1, first + 0.5)
     else:
-        bad = -1 if isinstance(default, int) else math.nan
-    record = getattr(ExperimentConfig(), section)
-    with pytest.raises(ValueError, match=f"^{name} = "):
-        type(record)(**{name: bad})
+        bad = (math.nan,)
+    for value in bad:
+        with pytest.raises(ValueError, match=f"^{name} = "):
+            build(value)
 
 
 @pytest.mark.parametrize(

@@ -148,8 +148,8 @@ def test_stance_force_continuous_except_ce(noiseless_trial):
     smooth = in_stance.copy()
     smooth[switch] = False
     # away from transitions the spring force moves by < 1000 N/s times the
-    # truth step (0.5 N per 0.5 ms step)
-    assert jumps[smooth].max() < 1000.0 * SimConfig().dt_truth
+    # truth step (1 N per 1 ms step)
+    assert jumps[smooth].max() < 1000.0 * SimConfig().sensor_period
     ce = switch[(ids[switch] == int(PhaseName.COMPRESSION)) & (ids[switch + 1] == int(PhaseName.EXTENSION))]
     assert jumps[ce[0]] > 1.0
 

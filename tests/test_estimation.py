@@ -15,7 +15,6 @@ from hopperlab.estimation import (
 )
 from hopperlab.simulator import Frames, NoiseConfig
 
-from conftest import decimate_truth
 from reference import (
     KalmanState,
     ObserverState,
@@ -89,7 +88,7 @@ def test_kf_noisy_hop_accuracy(linkage, terrain, controller):
         log = run_hop_trial(SimConfig(drop_speed=0.8), controller, terrain, linkage, seed=seed)
         frames = log.frames
         est = run_estimation(frames, linkage, noise=noise)
-        truth = decimate_truth(log, n=len(est))
+        truth = vars(log.truth)
         skip = 100
         sq_err_pos.append((est.x_b_hat[skip:] - truth["x_b"][skip:]) ** 2)
         sq_err_vel.append((est.v_b_hat[skip:] - truth["v_b"][skip:]) ** 2)
@@ -181,7 +180,7 @@ def test_mo_unstable_discretization_rejected(linkage):
 
 
 def test_mo_truth_kinematics_stance_rmse(noiseless_trial, linkage):
-    truth = decimate_truth(noiseless_trial)
+    truth = vars(noiseless_trial.truth)
     r = run_momentum_observer(
         truth["t"], truth["theta"], truth["theta_dot"], truth["v_f"], truth["tau"], linkage, k_obs=800.0
     )
@@ -193,7 +192,7 @@ def test_mo_truth_kinematics_stance_rmse(noiseless_trial, linkage):
 
 def test_mo_with_kf_inputs_degrades_gracefully(noisy_trial, noisy_frames, linkage):
     # estimated inputs cost at most 2x the truth-input RMSE
-    truth = decimate_truth(noisy_trial, n=len(noisy_frames))
+    truth = vars(noisy_trial.truth)
     ev = noisy_trial.events
     stance = (truth["t"] >= ev.t_td) & (truth["t"] <= ev.t_lo)
     r_truth = run_momentum_observer(
@@ -253,7 +252,7 @@ def test_qs_worse_than_mo_at_touchdown(linkage, terrain, controller):
     log = run_hop_trial(
         SimConfig(drop_speed=1.2), controller, terrain, linkage, seed=0, noise_config=NoiseConfig.noiseless()
     )
-    truth = decimate_truth(log)
+    truth = vars(log.truth)
     ev = log.events
     frames = log.frames
     n = len(frames.t)
@@ -280,7 +279,7 @@ def test_mo_beats_qs_on_every_noiseless_sweep_speed(linkage, terrain, controller
         log = run_hop_trial(
             SimConfig(drop_speed=speed), controller, terrain, linkage, seed=0, noise_config=NoiseConfig.noiseless()
         )
-        truth = decimate_truth(log)
+        truth = vars(log.truth)
         frames = log.frames
         n = len(frames.t)
         ev = log.events
@@ -297,7 +296,7 @@ def test_mo_beats_qs_on_every_noiseless_sweep_speed(linkage, terrain, controller
 
 def test_pipeline_noiseless_tracks_truth(noiseless_frames, noiseless_trial, linkage):
     est = run_estimation(noiseless_frames, linkage, noise=NoiseConfig.noiseless())
-    truth = decimate_truth(noiseless_trial, n=len(est))
+    truth = vars(noiseless_trial.truth)
     assert np.abs(est.x_b_hat - truth["x_b"]).max() < 2e-3
     assert np.abs(est.v_f_hat[50:] - truth["v_f"][50:]).max() < 0.05
 
@@ -316,7 +315,7 @@ def test_pipeline_requires_two_frames(noiseless_frames, linkage):
     short = Frames(**{k: getattr(noiseless_frames, k)[:1] for k in (
         "t", "encoder_theta", "encoder_theta_dot", "imu_body_acc", "imu_foot_acc",
         "tof_height", "motor_current", "loadcell_force")})
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InsufficientDataError, match="need at least two frames, got 1"):
         run_estimation(short, linkage)
 
 
@@ -405,7 +404,7 @@ def test_gain_cache_cold_and_warm_runs_are_bit_identical(noisy_frames, noiseless
 def test_unstable_observer_gain_rejected_by_pipeline(noisy_frames, noiseless_trial, linkage):
     with pytest.raises(ConfigError):
         run_estimation(noisy_frames, linkage, settings=EstimationConfig(k_obs=1000.0))
-    truth = decimate_truth(noiseless_trial)
+    truth = vars(noiseless_trial.truth)
     with pytest.raises(ConfigError):
         run_momentum_observer(
             truth["t"], truth["theta"], truth["theta_dot"], truth["v_f"], truth["tau"], linkage, k_obs=1500.0
@@ -415,7 +414,7 @@ def test_unstable_observer_gain_rejected_by_pipeline(noisy_frames, noiseless_tri
 def test_observer_rejects_out_of_workspace_angle(noiseless_trial, linkage):
     from hopperlab.errors import WorkspaceError
 
-    truth = decimate_truth(noiseless_trial)
+    truth = vars(noiseless_trial.truth)
     theta = truth["theta"].copy()
     theta[10] = linkage.theta_max + 0.1
     with pytest.raises(WorkspaceError):

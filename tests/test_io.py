@@ -408,6 +408,10 @@ _DEGENERATE = {
     "entry with a list for kind": ("identify", _manifest(kind=["hop"])),
     "entry without paths": ("identify", _manifest(paths=None)),
     "entry without speed": ("identify", _manifest(speed=None)),
+    # a hop's speed and stiffness are finite numbers and its seed an integer,
+    # or identify would write them into its report
+    "entry with a word for speed": ("identify", {**_hop_trial(), **_manifest(speed="fast")}),
+    "entry with a list for seed": ("identify", {**_hop_trial(), **_manifest(seed=[1])}),
     "fit without m_a_inf_fit": ("report", _report_inputs({k: v for k, v in _FIT.items() if k != "m_a_inf_fit"})),
     "fit a JSON list": ("report", _report_inputs(list(_FIT.values()))),
     "fit value not a number": ("report", _report_inputs({**_FIT, "z_c_fit": "0.015"})),
@@ -420,7 +424,7 @@ _DEGENERATE = {
         _HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002]),
         f"{_HOP}_truth.csv": _series(io.TRUTH_COLUMNS, [0.0]),
     }),
-    # a longer truth (another condition's): 31 rows decimate (by 2) to 16, not the 3 frames
+    # a longer truth (another condition's): 31 rows, not the 3 frames
     "truth longer than frames": ("estimate", {
         _HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002]),
         f"{_HOP}_truth.csv": _series(io.TRUTH_COLUMNS, [1e-4 * i for i in range(31)]),
@@ -464,6 +468,17 @@ def test_report_on_unusable_fit_leaves_no_stale_residual(tmp_path, case):
     cfg.write_text("", encoding="utf-8")
     assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 4
     assert not (tmp_path / "added_mass_residual.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["entry with a word for speed", "entry with a list for seed"])
+def test_identify_rejects_a_mistyped_entry_before_writing(tmp_path, case):
+    _, files = _DEGENERATE[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("", encoding="utf-8")
+    assert main(["identify", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*files, "c.ini"])
 
 
 def _rowwise_csv(path, header, rows):

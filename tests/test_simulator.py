@@ -23,7 +23,6 @@ from hopperlab.simulator import (
 )
 from hopperlab.terrain import TerrainParams
 
-from conftest import decimate_truth
 from reference import added_mass_profile, reduced_dynamics_coeffs, terrain_force, weight_holding_torque
 
 
@@ -103,9 +102,9 @@ def test_mechanical_energy_on_arrays_matches_floats(noiseless_trial, linkage):
 
 def test_touchdown_speed_matches_projectile(linkage, terrain, controller):
     # an h = v^2/(2g) drop reaches the bed at the target speed, whatever the step
-    for steps in (2, 10):
+    for steps in (1, 2, 10):
         log = run_hop_trial(
-            SimConfig(drop_speed=1.2, truth_steps_per_frame=steps), controller, terrain, linkage, seed=0,
+            _sim(steps, drop_speed=1.2), controller, terrain, linkage, seed=0,
             noise_config=NoiseConfig.noiseless(),
         )
         assert log.events.v_td == pytest.approx(1.2, rel=1e-9), steps
@@ -114,9 +113,9 @@ def test_touchdown_speed_matches_projectile(linkage, terrain, controller):
 def test_low_release_touchdown_speed(linkage, terrain, controller):
     # a 2 mm release lands at sqrt(2 g 2 mm), about 0.198 m/s
     v = math.sqrt(2.0 * GRAVITY * 0.002)
-    for steps in (2, 10):
+    for steps in (1, 2, 10):
         log = run_hop_trial(
-            SimConfig(drop_speed=v, truth_steps_per_frame=steps), controller, terrain, linkage, seed=0,
+            _sim(steps, drop_speed=v), controller, terrain, linkage, seed=0,
             noise_config=NoiseConfig.noiseless(),
         )
         assert log.events.v_td == pytest.approx(v, rel=1e-9), steps
@@ -169,7 +168,7 @@ def test_reduced_dynamics_consistency(noiseless_trial, linkage):
 def test_reduced_dynamics_consistency_finite_difference(linkage, terrain, controller):
     # same identity with accelerations recovered by differencing the log; the
     # differencing error scales with the step, so the log is taken at 1e-4 s
-    truth = _noiseless_hop(0.8, linkage, terrain, controller, truth_steps_per_frame=10).truth
+    truth = _noiseless_hop(0.8, linkage, terrain, controller, sensor_rate_hz=1e4).truth
     dt = truth.t[1] - truth.t[0]
     acc_fd = np.gradient(truth.v_f, dt)
     ids = truth.phase_id
@@ -223,15 +222,27 @@ def test_sensor_frame_timing(noiseless_trial):
 
 
 def test_noiseless_sensors_equal_truth(noiseless_trial, linkage):
-    truth_dec = decimate_truth(noiseless_trial, n=len(noiseless_trial.frames))
+    truth = noiseless_trial.truth
     frames = noiseless_trial.frames
-    assert np.array_equal(frames.encoder_theta, truth_dec["theta"])
-    assert np.array_equal(frames.encoder_theta_dot, truth_dec["theta_dot"])
-    assert np.array_equal(frames.tof_height, truth_dec["x_b"])
-    assert np.array_equal(frames.imu_body_acc, truth_dec["acc_b"])
-    assert np.array_equal(frames.imu_foot_acc, truth_dec["acc_f"])
-    assert np.array_equal(frames.loadcell_force, truth_dec["f_total"])
-    assert np.allclose(frames.motor_current * linkage.torque_constant, truth_dec["tau"])
+    assert np.array_equal(frames.encoder_theta, truth.theta)
+    assert np.array_equal(frames.encoder_theta_dot, truth.theta_dot)
+    assert np.array_equal(frames.tof_height, truth.x_b)
+    assert np.array_equal(frames.imu_body_acc, truth.acc_b)
+    assert np.array_equal(frames.imu_foot_acc, truth.acc_f)
+    assert np.array_equal(frames.loadcell_force, truth.f_total)
+    assert np.allclose(frames.motor_current * linkage.torque_constant, truth.tau)
+
+
+def test_each_truth_row_is_a_frame(linkage, terrain, controller):
+    # the truth steps once per sensor period, at any rate: one frame per
+    # truth row, at the row's time bit for bit
+    for rate in (1000.0, 1500.0):
+        log = run_hop_trial(
+            SimConfig(sensor_rate_hz=rate), controller, terrain, linkage, seed=0, noise_config=NoiseConfig.noiseless()
+        )
+        assert len(log.frames) == len(log.truth)
+        assert log.frames.t.tobytes() == log.truth.t.tobytes(), rate
+        assert log.truth.t[1] == 1.0 / rate
 
 
 def test_sensor_noise_statistics(linkage):
@@ -329,7 +340,7 @@ def test_intrusion_validation(terrain):
 
 def test_sim_config_validation():
     with pytest.raises(ValueError):
-        SimConfig(truth_steps_per_frame=0)
+        SimConfig(sensor_rate_hz=0.0)
     with pytest.raises(ValueError):
         SimConfig(t_max=-1.0)
 
@@ -563,6 +574,13 @@ DEFAULT_GRID = [(v, k_c) for v in (0.5, 0.8, 1.0, 1.2) for k_c in (2.5, 3.75, 5.
 FINE_STEPS = 100  # RK4 steps per 1 kHz frame of the reference truth: 1e-5 s
 
 
+def _sim(steps, **values):
+    """`SimConfig` whose truth takes `steps` RK4 steps per millisecond: its
+    sensor rate is 1000 * steps Hz, and every `steps`-th truth row is at a
+    1 kHz frame's time."""
+    return SimConfig(sensor_rate_hz=1000.0 * steps, **values)
+
+
 def _prefix_rows(drop_speed, dt):
     """Closed-form rows: the foot is above the bed until t = v/g, and the
     loop starts at the last grid row at or before it."""
@@ -573,7 +591,7 @@ def _reference_truth(sim, controller, linkage, terrain):
     """The truth table of the RK4 loop run from the release (t = 0), the
     free fall included, one row per step in `TruthSeries` column order."""
     stage = plant_kernel(linkage, terrain)
-    dt = sim.dt_truth
+    dt = sim.sensor_period
     y = np.array([sim.drop_speed**2 / (2.0 * GRAVITY), 0.0, solve_theta_for_length(controller.l0_compress, linkage), 0.0])
     phase = PhaseName.FLIGHT
     spring = spring_gains(phase, controller)
@@ -624,10 +642,10 @@ def _noiseless_hop(drop_speed, linkage, terrain, controller, **sim):
 @functools.cache
 def _oracle(drop_speed, k_c, steps, every):
     """Every `every`-th row of `_reference_truth` at one condition (k_c in
-    N/cm) and `steps` RK4 steps per frame, with the events of all its rows;
+    N/cm) and `steps` RK4 steps per ms, with the events of all its rows;
     computed once."""
     table = _reference_truth(
-        SimConfig(drop_speed=drop_speed, truth_steps_per_frame=steps),
+        _sim(steps, drop_speed=drop_speed),
         ControllerConfig(k_compress=k_c * 100.0), _LK, _TR,
     )
     *columns, phase = table.T
@@ -637,24 +655,24 @@ def _oracle(drop_speed, k_c, steps, every):
 @functools.cache
 def _located(drop_speed, k_c, steps, bisections=simulator.EVENT_BISECTIONS):
     """The noiseless truth table of `run_hop_trial` at one condition (k_c
-    in N/cm) and `steps` RK4 steps per frame, with `bisections` halvings
-    per switch; computed once."""
+    in N/cm) and `steps` RK4 steps per ms, with `bisections` halvings per
+    switch; computed once."""
     with mock.patch.object(simulator, "EVENT_BISECTIONS", bisections):
         log = _noiseless_hop(
-            drop_speed, _LK, _TR, ControllerConfig(k_compress=k_c * 100.0), truth_steps_per_frame=steps
+            drop_speed, _LK, _TR, ControllerConfig(k_compress=k_c * 100.0), sensor_rate_hz=1000.0 * steps
         )
     return _table(log.truth)
 
 
 def _fine(drop_speed, k_c):
-    """The truth at `FINE_STEPS` steps per frame with 22 halvings
+    """The truth at `FINE_STEPS` steps per ms with 22 halvings
     (switches located to 2.4 ps)."""
     return _located(drop_speed, k_c, FINE_STEPS, 22)
 
 
 def _frame_errors(drop_speed, k_c, steps):
     """Largest |error| of load-cell force [N] and body height [m] at the
-    1 kHz frames of the truth at `steps` RK4 steps per frame, against `_fine`."""
+    1 kHz frames of the truth at `steps` RK4 steps per ms, against `_fine`."""
     got = _located(drop_speed, k_c, steps)[::steps]
     ref = _fine(drop_speed, k_c)[::FINE_STEPS]
     n = min(len(got), len(ref))
@@ -671,9 +689,8 @@ def test_located_truth_keeps_the_rows_of_the_grid(drop_speed, k_c, recontact):
     # compresses for less than a step
     log = _noiseless_hop(drop_speed, _LK, _TR, ControllerConfig(k_compress=k_c * 100.0))
     got = _table(log.truth)
-    steps = SimConfig().truth_steps_per_frame
-    dt = SimConfig().dt_truth
-    fine = _fine(drop_speed, k_c)[:: FINE_STEPS // steps]
+    dt = SimConfig().sensor_period
+    fine = _fine(drop_speed, k_c)[::FINE_STEPS]
     assert got.shape == fine.shape
     assert np.array_equal(got[:, PHASE_ID], fine[:, PHASE_ID]), "phase_id"
     # the loop starts at the last row above the bed; the next row touches down
@@ -681,7 +698,7 @@ def test_located_truth_keeps_the_rows_of_the_grid(drop_speed, k_c, recontact):
     assert log.truth.x_f[k0] >= 0.0 > log.truth.x_f[k0 + 1]
     assert log.events.t_td == log.truth.t[k0 + 1]
     # the release row is bit for bit the kernel at rest (v_f +0.0, not -0.0)
-    want, _ = _oracle(drop_speed, k_c, steps, 1)
+    want, _ = _oracle(drop_speed, k_c, 1, 1)
     assert got[0].tobytes() == want[0].tobytes()
     # a phase shorter than a step does not show in the rows: the re-contact
     # goes straight from FLIGHT to EXTENSION at the first row after it
@@ -693,18 +710,18 @@ def test_located_truth_keeps_the_rows_of_the_grid(drop_speed, k_c, recontact):
 @pytest.mark.parametrize("drop_speed, k_c", DEFAULT_GRID)
 def test_truth_error_at_the_frames(drop_speed, k_c):
     # noiseless, at the 1 kHz frames, against the truth at 1e-5 s: within
-    # 1e-3 N of load-cell force and 1 um of body height at the default step
-    # (taking each switch's step again in 50 sub-steps gives up to 1.03e-2 N
-    # and 8.0 um)
-    force, height = _frame_errors(drop_speed, k_c, SimConfig().truth_steps_per_frame)
+    # 1e-3 N of load-cell force and 1 um of body height at the 1 ms step of
+    # the default sensor rate (taking each switch's 0.5 ms step again in 50
+    # sub-steps gave up to 1.03e-2 N and 8.0 um)
+    force, height = _frame_errors(drop_speed, k_c, 1)
     assert force <= 1e-3
     assert height <= 1e-6
 
 
 def test_truth_error_does_not_grow_as_the_step_shrinks():
-    # the largest error over the default conditions, at 0.5, 0.25 and 0.1 ms
+    # the largest error over the default conditions, at 1, 0.5, 0.25 and 0.1 ms
     worst = [
-        np.max([_frame_errors(v, k_c, steps) for v, k_c in DEFAULT_GRID], axis=0) for steps in (2, 4, 10)
+        np.max([_frame_errors(v, k_c, steps) for v, k_c in DEFAULT_GRID], axis=0) for steps in (1, 2, 4, 10)
     ]
     for coarse, fine in zip(worst, worst[1:]):
         assert np.all(fine <= coarse), (coarse, fine)
@@ -717,11 +734,10 @@ def test_switch_where_the_acceleration_jumps_is_located_from_the_stage_states():
     # states only, let the straddling stage 4 pull the end state back and
     # left the force 0.012 N off.  Every row is within 1e-3 N of the truth
     # at 1e-5 s.
-    steps = SimConfig().truth_steps_per_frame
-    got = _located(0.8, 2.5, steps)
+    got = _located(0.8, 2.5, 1)
     turns = got[:-1][(got[:-1, V_F] > 0.0) & (got[1:, V_F] < 0.0), 0]
     assert np.any(np.abs(turns - 0.168) < 1e-9)
-    ref = _fine(0.8, 2.5)[:: FINE_STEPS // steps]
+    ref = _fine(0.8, 2.5)[::FINE_STEPS]
     n = min(len(got), len(ref))
     assert np.abs(got[:n, F_TOTAL] - ref[:n, F_TOTAL]).max() <= 1e-3
 
@@ -731,7 +747,7 @@ def test_truth_is_closer_to_the_reference_than_the_uniform_loop(drop_speed, k_c)
     # at the 1 kHz frames, against the uniform loop at 2e-5 s: load-cell
     # force and body height are no further off than the uniform loop at 1e-4 s
     log = _noiseless_hop(drop_speed, _LK, _TR, ControllerConfig(k_compress=k_c * 100.0))
-    got = _table(log.truth)[:: SimConfig().decimation]
+    got = _table(log.truth)
     ref, _ = _oracle(drop_speed, k_c, 50, 50)
     uniform, _ = _oracle(drop_speed, k_c, 10, 10)
     n = min(len(got), len(ref), len(uniform))
@@ -744,7 +760,7 @@ def test_truth_is_closer_to_the_reference_than_the_uniform_loop(drop_speed, k_c)
 def test_events_within_one_step_of_the_reference(drop_speed, k_c):
     log = _noiseless_hop(drop_speed, _LK, _TR, ControllerConfig(k_compress=k_c * 100.0))
     _, want = _oracle(drop_speed, k_c, 50, 50)
-    dt = SimConfig().dt_truth
+    dt = SimConfig().sensor_period
     for name in ("t_td", "t_ce", "t_lo"):
         assert abs(getattr(log.events, name) - getattr(want, name)) <= dt, name
 
@@ -782,7 +798,7 @@ def test_free_fall_is_not_integrated(drop_speed, monkeypatch, linkage, terrain, 
     # and the re-staging under the new spring
     calls = _counting_kernel(monkeypatch)
     truth = _noiseless_hop(drop_speed, linkage, terrain, controller).truth
-    rows = len(truth) - _prefix_rows(drop_speed, SimConfig().dt_truth)
+    rows = len(truth) - _prefix_rows(drop_speed, SimConfig().sensor_period)
     refined = np.count_nonzero(np.diff(truth.phase_id) | np.diff(_contact_branches(truth)))
     assert 0 < refined < 10
     located = calls[0] - (2 + 4 * (rows - 1))
@@ -790,12 +806,12 @@ def test_free_fall_is_not_integrated(drop_speed, monkeypatch, linkage, terrain, 
 
 
 def test_default_grid_stage_calls(monkeypatch):
-    # 37,754 with the locator; taking each switch's step again in 50
-    # sub-steps of 10 us costs 50,642
+    # 20,362 with the locator at the 1 ms step (37,754 at 0.5 ms); taking
+    # each switch's 0.5 ms step again in 50 sub-steps of 10 us cost 50,642
     calls = _counting_kernel(monkeypatch)
     for drop_speed, k_c in DEFAULT_GRID:
         _noiseless_hop(drop_speed, _LK, _TR, ControllerConfig(k_compress=k_c * 100.0))
-    assert calls[0] <= 40_000
+    assert calls[0] <= 22_000
 
 
 @pytest.mark.parametrize("t_max", [0.05, 0.1224])
@@ -807,7 +823,7 @@ def test_run_shorter_than_the_fall_has_no_touchdown(t_max, linkage, terrain, con
 
 
 def test_sim_config_rejects_non_finite_settings():
-    for name in ("drop_speed", "t_max", "post_liftoff_time", "truth_steps_per_frame", "sensor_rate_hz"):
+    for name in ("drop_speed", "t_max", "post_liftoff_time", "sensor_rate_hz"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 SimConfig(**{name: value})
@@ -877,11 +893,7 @@ def _reference_frames(log, sim, noise, linkage, seed):
     rows = zip(*(col.tolist() for col in (
         tr.theta, tr.theta_dot, tr.acc_b, tr.acc_f, tr.x_b, tr.tau, tr.f_total,
     )))
-    return [
-        sampler.sample((step // sim.decimation) * sim.sensor_period, *row)
-        for step, row in enumerate(rows)
-        if step % sim.decimation == 0
-    ]
+    return [sampler.sample(step * sim.sensor_period, *row) for step, row in enumerate(rows)]
 
 
 _NOISE_MODES = {
