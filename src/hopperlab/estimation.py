@@ -7,6 +7,12 @@ reduced foot channel then reconstructs the terrain contact force as the
 residual of an internal momentum estimate, compensating inertia, gravity
 and centrifugal effects without ever differentiating the velocity
 estimate.
+
+The filter's gains do not depend on the measurements.  They come from a
+covariance recursion written out in scalars over the filter's known
+structure (`_extend_gains`), computed once per process for each
+(dt, Q, R, P0) and extended on demand (`_gain_sequence`); the state update
+(`_kf_filter`) then runs over them in one pass.
 """
 
 from __future__ import annotations
@@ -33,24 +39,29 @@ class EstimationConfig:
     __post_init__ = check_domains
 
 
-_H = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [1.0, 0.0, -1.0, 0.0],
-        [0.0, 1.0, 0.0, -1.0],
-    ]
-)
-
-
 @dataclass
 class KalmanConfig:
     """Process/measurement covariances for the four-state kinematic filter,
-    as float arrays: Q and P0 4x4, R 3x3 and diagonal, x0 of 4 states."""
+    as float arrays: Q and P0 4x4, finite and symmetric, R 3x3 and diagonal
+    with a positive diagonal, x0 of 4 states.  The gain recursion reads only
+    the upper triangles of Q and P0 and the diagonal of R, so anything else
+    raises ValueError."""
 
     Q: np.ndarray
     R: np.ndarray
     P0: np.ndarray
     x0: np.ndarray
+
+    def __post_init__(self):
+        for name in ("Q", "P0"):
+            value = getattr(self, name)
+            if not (np.shape(value) == (4, 4) and np.isfinite(value).all() and np.array_equal(value, np.transpose(value))):
+                raise ValueError(f"{name} must be a finite symmetric 4x4 array, got {value!r}")
+        R = self.R
+        if not (np.shape(R) == (3, 3) and np.array_equal(R, np.diag(R.diagonal())) and (R.diagonal() > 0.0).all()):
+            raise ValueError(f"R must be a 3x3 diagonal array with a positive diagonal, got {R!r}")
+        if np.shape(self.x0) != (4,):
+            raise ValueError(f"x0 must hold 4 states, got {self.x0!r}")
 
     @classmethod
     def from_noise(
@@ -81,51 +92,116 @@ class KalmanConfig:
         return cls(Q=Q, R=R, P0=np.eye(4) * p0_scale, x0=x0)
 
 
-def _transition(dt: float) -> np.ndarray:
-    """State transition of the two constant-acceleration (height, rate) pairs."""
-    return np.array(
-        [
-            [1.0, dt, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, dt],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
+_UPPER = np.triu_indices(4)  # the 10 upper entries of a symmetric 4x4, row-major
 
 
-def _gain_step(P: np.ndarray, A: np.ndarray, config: KalmanConfig) -> tuple[np.ndarray, np.ndarray]:
-    """One covariance predict/update: returns (gain K, posterior P).
+def _pivot_root(d: float, index: int) -> float:
+    """The square root of pivot `index` of the innovation covariance's
+    Cholesky factorization; a pivot that is not finite and positive raises
+    LinAlgError, as `np.linalg.solve` does for a singular matrix."""
+    if not 0.0 < d < math.inf:
+        raise np.linalg.LinAlgError(f"Singular matrix: innovation covariance pivot {index} is {d!r}")
+    return math.sqrt(d)
 
-    The covariance is propagated in Joseph form and symmetrized, so it
-    stays PSD.  Nothing here depends on the measurements.
+
+def _extend_gains(gains: list, P: tuple, n: int, dt: float, config: KalmanConfig) -> tuple:
+    """Append gains to `gains` until it holds n, going on from the posterior
+    covariance P; returns the posterior after the last gain.  P in and out
+    is the 10 upper entries of the symmetric 4x4, row-major.
+
+    Each gain is one covariance predict/update, written out in scalars over
+    the filter's structure: A is two [[1, dt], [0, 1]] blocks, the rows of
+    H are e0, e0 - e2 and e1 - e3, and R is diagonal.  K solves K S = G,
+    with G = P- H^T and S = H G + R, through the Cholesky factor of S.  The
+    posterior is the Joseph form (I - KH) P- (I - KH)^T + K R K^T,
+    evaluated as B - (B H^T - K R) K^T with B = P- - K G^T, and
+    symmetrized, so it stays PSD.  Nothing here depends on the measurements.
     """
-    P_pred = A @ P @ A.T + config.Q
-    S = _H @ P_pred @ _H.T + config.R
-    K = np.linalg.solve(S.T, (_H @ P_pred.T)).T  # P_pred H^T S^-1
-    ikh = np.eye(4) - K @ _H
-    P_new = ikh @ P_pred @ ikh.T + K @ config.R @ K.T
-    return K, 0.5 * (P_new + P_new.T)
+    q00, q01, q02, q03, q11, q12, q13, q22, q23, q33 = config.Q[_UPPER].tolist()
+    r0, r1, r2 = config.R.diagonal().tolist()
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = P
+    while len(gains) < n:
+        # the prior P- = A P A^T + Q, entry ij as mij
+        m00 = p00 + dt * (p01 + p01 + dt * p11) + q00
+        m01, m11 = p01 + dt * p11 + q01, p11 + q11
+        m02 = p02 + dt * (p12 + p03 + dt * p13) + q02
+        m03, m12, m13 = p03 + dt * p13 + q03, p12 + dt * p13 + q12, p13 + q13
+        m22 = p22 + dt * (p23 + p23 + dt * p33) + q22
+        m23, m33 = p23 + dt * p33 + q23, p33 + q33
+        # G = P- H^T, entry ij as gij
+        g00, g01, g02 = m00, m00 - m02, m01 - m03
+        g10, g11, g12 = m01, m01 - m12, m11 - m13
+        g20, g21, g22 = m02, m02 - m22, m12 - m23
+        g30, g31, g32 = m03, m03 - m23, m13 - m33
+        # S = H G + R = L L^T, L's entry ij as lij
+        l00 = _pivot_root(g00 + r0, 0)
+        l10, l20 = g01 / l00, g02 / l00
+        l11 = _pivot_root(g01 - g21 + r1 - l10 * l10, 1)
+        l21 = (g02 - g22 - l20 * l10) / l11
+        l22 = _pivot_root(g12 - g32 + r2 - l20 * l20 - l21 * l21, 2)
+        # K = G S^-1, row by row: a forward solve with L, a back solve with L^T
+        K = []
+        for gi0, gi1, gi2 in ((g00, g01, g02), (g10, g11, g12), (g20, g21, g22), (g30, g31, g32)):
+            y0 = gi0 / l00
+            y1 = (gi1 - l10 * y0) / l11
+            ki2 = (gi2 - l20 * y0 - l21 * y1) / l22 / l22
+            ki1 = (y1 - l21 * ki2) / l11
+            K += (y0 - l10 * ki1 - l20 * ki2) / l00, ki1, ki2
+        k00, k01, k02, k10, k11, k12, k20, k21, k22, k30, k31, k32 = K
+        gains.append(tuple(K))
+        # B = P- - K G^T, entry ij as bij
+        b00 = m00 - k00 * g00 - k01 * g01 - k02 * g02
+        b01 = m01 - k00 * g10 - k01 * g11 - k02 * g12
+        b02 = m02 - k00 * g20 - k01 * g21 - k02 * g22
+        b03 = m03 - k00 * g30 - k01 * g31 - k02 * g32
+        b10 = m01 - k10 * g00 - k11 * g01 - k12 * g02
+        b11 = m11 - k10 * g10 - k11 * g11 - k12 * g12
+        b12 = m12 - k10 * g20 - k11 * g21 - k12 * g22
+        b13 = m13 - k10 * g30 - k11 * g31 - k12 * g32
+        b20 = m02 - k20 * g00 - k21 * g01 - k22 * g02
+        b21 = m12 - k20 * g10 - k21 * g11 - k22 * g12
+        b22 = m22 - k20 * g20 - k21 * g21 - k22 * g22
+        b23 = m23 - k20 * g30 - k21 * g31 - k22 * g32
+        b30 = m03 - k30 * g00 - k31 * g01 - k32 * g02
+        b31 = m13 - k30 * g10 - k31 * g11 - k32 * g12
+        b32 = m23 - k30 * g20 - k31 * g21 - k32 * g22
+        b33 = m33 - k30 * g30 - k31 * g31 - k32 * g32
+        # C = B H^T - K R, entry ij as cij
+        c00, c01, c02 = b00 - k00 * r0, b00 - b02 - k01 * r1, b01 - b03 - k02 * r2
+        c10, c11, c12 = b10 - k10 * r0, b10 - b12 - k11 * r1, b11 - b13 - k12 * r2
+        c20, c21, c22 = b20 - k20 * r0, b20 - b22 - k21 * r1, b21 - b23 - k22 * r2
+        c30, c31, c32 = b30 - k30 * r0, b30 - b32 - k31 * r1, b31 - b33 - k32 * r2
+        # P = B - C K^T, symmetrized
+        p00 = b00 - c00 * k00 - c01 * k01 - c02 * k02
+        p11 = b11 - c10 * k10 - c11 * k11 - c12 * k12
+        p22 = b22 - c20 * k20 - c21 * k21 - c22 * k22
+        p33 = b33 - c30 * k30 - c31 * k31 - c32 * k32
+        p01 = 0.5 * (b01 + b10 - c00 * k10 - c01 * k11 - c02 * k12 - c10 * k00 - c11 * k01 - c12 * k02)
+        p02 = 0.5 * (b02 + b20 - c00 * k20 - c01 * k21 - c02 * k22 - c20 * k00 - c21 * k01 - c22 * k02)
+        p03 = 0.5 * (b03 + b30 - c00 * k30 - c01 * k31 - c02 * k32 - c30 * k00 - c31 * k01 - c32 * k02)
+        p12 = 0.5 * (b12 + b21 - c10 * k20 - c11 * k21 - c12 * k22 - c20 * k10 - c21 * k11 - c22 * k12)
+        p13 = 0.5 * (b13 + b31 - c10 * k30 - c11 * k31 - c12 * k32 - c30 * k10 - c31 * k11 - c32 * k12)
+        p23 = 0.5 * (b23 + b32 - c20 * k30 - c21 * k31 - c22 * k32 - c30 * k20 - c31 * k21 - c32 * k22)
+    return p00, p01, p02, p03, p11, p12, p13, p22, p23, p33
 
 
-_GAIN_CACHE: dict[tuple, tuple[list, np.ndarray]] = {}
+_GAIN_CACHE: dict[tuple, tuple[list, tuple]] = {}
 _GAIN_CACHE_SIZE = 8
 
 
 def _gain_sequence(n: int, dt: float, config: KalmanConfig) -> list[tuple]:
     """The first n gains of the filter started at P0, as row-major 12-tuples.
 
-    The covariance recursion does not see the data, so the gains depend
-    only on (dt, Q, R, P0); they are computed once per process and
-    extended on demand to the longest trial seen.
+    The covariance recursion (`_extend_gains`) does not see the data, so
+    the gains depend only on (dt, Q, R, P0); they are computed once per
+    process and extended on demand, from the cached last posterior, to the
+    longest trial seen.
     """
     key = (dt, config.Q.tobytes(), config.R.tobytes(), config.P0.tobytes())
     # pop and re-insert keeps the dict in least-recently-used order
-    gains, P = _GAIN_CACHE.pop(key, ([], config.P0))
+    gains, P = _GAIN_CACHE.pop(key, ([], tuple(config.P0[_UPPER].tolist())))
     if len(gains) < n:
-        A = _transition(dt)
-        while len(gains) < n:
-            K, P = _gain_step(P, A, config)
-            gains.append(tuple(K.ravel().tolist()))
+        P = _extend_gains(gains, P, n, dt, config)
     if len(_GAIN_CACHE) >= _GAIN_CACHE_SIZE:
         del _GAIN_CACHE[next(iter(_GAIN_CACHE))]
     _GAIN_CACHE[key] = (gains, P)

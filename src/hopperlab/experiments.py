@@ -318,16 +318,16 @@ def write_report(config: ExperimentConfig, out_dir: Path) -> None:
     conditions = report.get("conditions") if isinstance(report, dict) else None
     if not (
         isinstance(conditions, list)
-        and isinstance(report.get("k_gt"), (int, float))
+        and io.is_finite_number(report.get("k_gt"))
         and all(
             isinstance(c, dict)
             and isinstance(c.get("treatment"), str)
-            and all(isinstance(c.get(name), (int, float)) for name in _CONDITION_NUMBERS)
+            and all(io.is_finite_number(c.get(name)) for name in _CONDITION_NUMBERS)
             for c in conditions
         )
     ):
         raise MissingInputError(
-            f"malformed treatment report {treatment_path}: need a number k_gt and a list of condition objects"
+            f"malformed treatment report {treatment_path}: need a finite k_gt and a list of condition objects of finite numbers"
         )
     if not conditions:
         raise InsufficientDataError("treatment report is empty")

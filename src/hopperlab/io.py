@@ -38,6 +38,10 @@ ESTIMATOR_OUTPUTS = tuple(f.name for f in fields(EstimationSeries))
 CARRIED_TRUTH = ("x_b", "v_b", "x_f", "v_f", "f_total")
 ESTIMATION_COLUMNS = ESTIMATOR_OUTPUTS + tuple(f"{name.removesuffix('_total')}_true" for name in CARRIED_TRUTH)
 
+# how far a sampled series' spacing may stray from its period t[1] - t[0],
+# relative: rounding of t = k / rate, far below a dropped or repeated sample
+TIME_BASE_RTOL = 1e-6
+
 # rows of the intrusion grid formatted or parsed at a time, so that neither
 # its text nor its list of lines is ever held whole
 INTRUSION_CHUNK_ROWS = 512
@@ -133,11 +137,14 @@ def _read_csv(path: Path, columns: tuple[str, ...], kind: str) -> np.ndarray:
 
 
 def _check_time_base(t: np.ndarray, path, kind: str) -> None:
-    """A sampled series needs two samples and a strictly increasing time
-    column: its period is t[1] - t[0]."""
-    if t.size < 2 or not np.all(np.diff(t) > 0.0):
+    """A sampled series needs two samples and one period: t[1] - t[0] is
+    positive and every spacing of t lies within TIME_BASE_RTOL of it,
+    relative."""
+    spacing = np.diff(t)
+    period = spacing[0] if spacing.size else 0.0
+    if not (period > 0.0 and np.all(np.abs(spacing - period) <= TIME_BASE_RTOL * period)):
         raise MissingInputError(
-            f"malformed {kind} file {path}: need at least two rows with strictly increasing t"
+            f"malformed {kind} file {path}: need at least two rows with t increasing by one period"
         )
 
 

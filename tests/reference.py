@@ -3,12 +3,13 @@ the numeric-CSV writer and reader as they were with the `csv` module, the
 leg-length inversion as a fixed 200-step bisection, and the pipeline's
 laws as scalar functions of one sample: the reduced foot-channel
 dynamics, the quasi-static torque map, the granular reaction law, the
-virtual spring, and one step of the Kalman filter and of the momentum
-observer.
+virtual spring, one step of the Kalman filter and of the momentum
+observer, and one step of the filter's covariance and gain in 4x4
+matrices (`gain_step`, the oracle of the program's scalar recursion).
 
 Each oracle carries its own copy of the arithmetic it checks, so a fault
 in the program's copy (`linkage._foot_channel_coeffs`,
-`estimation._gain_step`, `estimation._kf_filter`, the observer loop in
+`estimation._extend_gains`, `estimation._kf_filter`, the observer loop in
 `estimation.run_momentum_observer`) fails a test.  They share only the
 leg geometry (`_geometry`, `leg_length`, `leg_jacobian`), which
 `test_linkage.py` and the plant-kernel geometry test pin on their own.
@@ -215,27 +216,40 @@ class KalmanState:
     t: float
 
 
+def transition(dt) -> np.ndarray:
+    """State transition of the two constant-acceleration (height, rate) pairs."""
+    return np.array([[1.0, dt, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, dt], [0.0, 0.0, 0.0, 1.0]])
+
+
+def gain_step(P, dt, config) -> tuple[np.ndarray, np.ndarray]:
+    """One covariance predict/update in 4x4 matrices: returns (gain K,
+    posterior P).  The posterior is the Joseph form, symmetrized;
+    `np.linalg.solve` raises LinAlgError on a singular innovation covariance."""
+    A = transition(dt)
+    P_pred = A @ P @ A.T + config.Q
+    S = _H @ P_pred @ _H.T + config.R
+    K = np.linalg.solve(S.T, (_H @ P_pred.T)).T  # P_pred H^T S^-1
+    ikh = np.eye(4) - K @ _H
+    P_new = ikh @ P_pred @ ikh.T + K @ config.R @ K.T
+    return K, 0.5 * (P_new + P_new.T)
+
+
 def kf_step(state, u_k, z_k, dt, config) -> KalmanState:
     """One predict/update cycle of the kinematic Kalman filter.
 
     u_k = (body, foot) IMU accelerations; z_k = (ToF body height,
     body-foot displacement, body-foot rate); `config` a `KalmanConfig`.
-    The covariance is propagated in Joseph form and symmetrized.
+    The covariance and gain come from `gain_step`.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     u = np.asarray(u_k, dtype=float).reshape(2)
     z = np.asarray(z_k, dtype=float).reshape(3)
-    A = np.array([[1.0, dt, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, dt], [0.0, 0.0, 0.0, 1.0]])
     B = np.array([[0.5 * dt * dt, 0.0], [dt, 0.0], [0.0, 0.5 * dt * dt], [0.0, dt]])
-    x_pred = A @ state.x_hat + B @ u
-    P_pred = A @ state.P @ A.T + config.Q
-    S = _H @ P_pred @ _H.T + config.R
-    K = np.linalg.solve(S.T, (_H @ P_pred.T)).T  # P_pred H^T S^-1
-    ikh = np.eye(4) - K @ _H
-    P_new = ikh @ P_pred @ ikh.T + K @ config.R @ K.T
+    x_pred = transition(dt) @ state.x_hat + B @ u
+    K, P_new = gain_step(state.P, dt, config)
     x_new = x_pred + K @ (z - _H @ x_pred)
-    return KalmanState(x_hat=x_new, P=0.5 * (P_new + P_new.T), t=state.t + dt)
+    return KalmanState(x_hat=x_new, P=P_new, t=state.t + dt)
 
 
 @dataclass(frozen=True)

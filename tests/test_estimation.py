@@ -18,6 +18,7 @@ from hopperlab.simulator import Frames, NoiseConfig
 from reference import (
     KalmanState,
     ObserverState,
+    gain_step,
     kf_step,
     mo_step,
     psi,
@@ -99,6 +100,73 @@ def test_kf_noisy_hop_accuracy(linkage, terrain, controller):
     rmse_fd = math.sqrt(np.concatenate(sq_err_fd).mean())
     assert rmse_pos <= 0.2 * noise.tof_sigma
     assert rmse_vel <= rmse_fd
+
+
+def _scalar_gains(config, n):
+    """n gains of the program's scalar recursion at 1 kHz, and the final
+    posterior as a full 4x4."""
+    from hopperlab import estimation
+
+    gains = []
+    upper = estimation._extend_gains(gains, config.P0[np.triu_indices(4)].tolist(), n, 1e-3, config)
+    P = np.zeros((4, 4))
+    P[np.triu_indices(4)] = upper
+    return np.array(gains), P + np.triu(P, 1).T
+
+
+@pytest.mark.parametrize(
+    "noise, p0_scale, tol",
+    [
+        (NoiseConfig(), 1e-4, 2e-11),
+        (NoiseConfig(), 1e-2, 2e-11),
+        (NoiseConfig(), 1.0, 2e-11),
+        # the noise floors leave S ill-conditioned: against an evaluation in
+        # extended precision, both forms are off by up to ~1e-9 here
+        (NoiseConfig.noiseless(), 1e-2, 1e-8),
+    ],
+    ids=["default-p0=1e-4", "default-p0=1e-2", "default-p0=1", "noiseless-p0=1e-2"],
+)
+def test_scalar_gain_recursion_matches_the_matrix_oracle(linkage, noise, p0_scale, tol):
+    # over 5,000 steps each gain lies within tol of its column's largest
+    # oracle gain
+    config = KalmanConfig.from_noise(noise, linkage, dt=1e-3, x0=np.zeros(4), p0_scale=p0_scale)
+    got, _ = _scalar_gains(config, 5000)
+    P, ref = config.P0, []
+    for _ in range(5000):
+        K, P = gain_step(P, 1e-3, config)
+        ref.append(K.ravel())
+    ref = np.array(ref)
+    assert (np.abs(got - ref) <= tol * np.abs(ref).max(axis=0)).all()
+
+
+@pytest.mark.parametrize("noise", [NoiseConfig(), NoiseConfig.noiseless()], ids=["default", "noiseless"])
+def test_scalar_gain_recursion_stays_finite_and_psd(linkage, noise):
+    config = KalmanConfig.from_noise(
+        noise, linkage, dt=1e-3, x0=np.zeros(4), p0_scale=EstimationConfig().p0_scale
+    )
+    gains, P = _scalar_gains(config, 20_000)
+    assert np.isfinite(gains).all()
+    assert np.linalg.eigvalsh(P).min() >= 0.0
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"Q": np.ones((3, 3))}, "Q must be"),
+        ({"Q": np.triu(np.ones((4, 4)))}, "Q must be"),
+        ({"P0": np.diag([1.0, 1.0, np.nan, 1.0])}, "P0 must be"),
+        ({"P0": np.full((4, 4), np.inf)}, "P0 must be"),
+        ({"R": np.eye(3) + np.eye(3, k=1) * 1e-9}, "R must be"),
+        ({"R": np.diag([1.0, 0.0, 1.0])}, "R must be"),
+        ({"R": np.eye(4)}, "R must be"),
+        ({"x0": np.zeros(3)}, "x0 must"),
+    ],
+    ids=["Q 3x3", "Q asymmetric", "P0 NaN", "P0 inf", "R off-diagonal", "R zero variance", "R 4x4", "x0 of 3"],
+)
+def test_kalman_config_rejects_what_the_recursion_would_misread(linkage, change, message):
+    config = _default_kconfig(linkage, np.zeros(4))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        KalmanConfig(**{**vars(config), **change})
 
 
 # ------------------------------------------------------- momentum observer

@@ -72,7 +72,8 @@ def _number_cell(cell):
 
 def _well_formed(text, columns, kind):
     """A right header and numeric rows of the right width; for a sampled
-    series, at least two rows and a strictly increasing first column; for
+    series, at least two rows and a first column that increases by one
+    period, each spacing within io.TIME_BASE_RTOL of the first; for
     frames and an intrusion grid, finite cells; for an intrusion grid, from
     row to row a higher speed or the same speed at a later t."""
     lines = text.splitlines()
@@ -88,8 +89,11 @@ def _well_formed(text, columns, kind):
         return False
     if kind == "intrusion":
         return all(b[0] > a[0] or (b[0] == a[0] and b[1] > a[1]) for a, b in zip(rows, rows[1:]))
-    t = [row[0] for row in rows]
-    return kind not in ("frames", "estimation") or (len(t) >= 2 and all(b > a for a, b in zip(t, t[1:])))
+    if kind not in ("frames", "estimation"):
+        return True
+    spacing = [b[0] - a[0] for a, b in zip(rows, rows[1:])]
+    period = spacing[0] if spacing else 0.0
+    return period > 0.0 and all(abs(h - period) <= io.TIME_BASE_RTOL * period for h in spacing)
 
 
 def _fuzz(kind, text):
@@ -376,13 +380,13 @@ _CONDITION = {"v_td": 0.8, "k_c_n_per_cm": 3.75, "treatment": "MO_GD", "mean_k":
 _FIT = {"k_fit": 800.0, "m_a_inf_fit": 0.15, "z_c_fit": 0.015, "rmse": 0.1, "n_samples": 10}
 
 
-def _report_inputs(fit):
-    """A hop trial and a treatment report that `report` can use, and `fit`
-    as its depth_speed_fit.json."""
+def _report_inputs(fit, **report):
+    """A hop trial and a treatment report that `report` can use, with the
+    report's keys changed as given, and `fit` as its depth_speed_fit.json."""
     return {
         **_hop_trial(),
         _HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002, 0.003]),
-        "treatment_report.json": json.dumps({"k_gt": 800.0, "conditions": [_CONDITION]}),
+        "treatment_report.json": json.dumps({"k_gt": 800.0, "conditions": [_CONDITION], **report}),
         "depth_speed_fit.json": json.dumps(fit),
     }
 
@@ -391,6 +395,8 @@ def _report_inputs(fit):
 _DEGENERATE = {
     "one-row frames": ("estimate", {_HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0])}),
     "repeated frame time": ("estimate", {_HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.0])}),
+    # a dropped sample: the filter and the observer run at one period, t[1] - t[0]
+    "uneven frame period": ("estimate", {_HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002, 0.004])}),
     # the first row's loadcell_force (its last cell) is NaN
     "non-finite frame cell": (
         "estimate", {_HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002]).replace("0.5\n", "nan\n", 1)}
@@ -404,6 +410,10 @@ _DEGENERATE = {
     "condition value not a number": ("report", {"treatment_report.json": json.dumps({"k_gt": 800.0, "conditions": [
         {**_CONDITION, "mean_k": "x"}
     ]})}),
+    # report would write k_gt and the conditions into summary.json and its CSVs
+    "k_gt a bool": ("report", _report_inputs(_FIT, k_gt=True)),
+    "k_gt NaN": ("report", _report_inputs(_FIT, k_gt=math.nan)),
+    "condition value a bool": ("report", _report_inputs(_FIT, conditions=[{**_CONDITION, "sem_k": False}])),
     "entry without kind": ("identify", _manifest(kind=None)),
     "entry with a list for kind": ("identify", _manifest(kind=["hop"])),
     "entry without paths": ("identify", _manifest(paths=None)),
@@ -479,6 +489,26 @@ def test_identify_rejects_a_mistyped_entry_before_writing(tmp_path, case):
     cfg.write_text("", encoding="utf-8")
     assert main(["identify", "--config", str(cfg), "--out", str(tmp_path)]) == 4
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*files, "c.ini"])
+
+
+@pytest.mark.parametrize("case", ["k_gt a bool", "k_gt NaN", "condition value a bool"])
+def test_report_rejects_a_value_that_is_not_a_finite_number_before_writing(tmp_path, case):
+    _, files = _DEGENERATE[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("", encoding="utf-8")
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_a_1500_hz_time_base_reads(tmp_path):
+    # t = k / rate is uneven by a few ulps at a rate that is not a power of two
+    t = np.arange(3000) / 1500.0
+    assert np.ptp(np.diff(t)) > 0.0
+    path = tmp_path / "frames.csv"
+    io.write_columns_csv(path, io.FRAME_COLUMNS, [t] + [np.full(t.size, 0.5)] * (len(io.FRAME_COLUMNS) - 1))
+    assert np.array_equal(io.read_frames_csv(path).t, t)
 
 
 def _rowwise_csv(path, header, rows):
