@@ -388,12 +388,21 @@ def _write_representative_trial_figs(out_dir: Path) -> None:
 
     fit_path = out_dir / "depth_speed_fit.json"
     residual_path = out_dir / "added_mass_residual.csv"
+    stale = residual_path.exists()
     residual_path.unlink(missing_ok=True)  # it was built from an earlier fit
     if not fit_path.exists():
         return
     fit = io.read_record(fit_path, DepthSpeedFit, "depth-speed fit")
     if not fit.in_box():
         raise MissingInputError(f"{fit_path} holds parameters outside the fit's box: {fit}")
+    if not (np.isfinite(truth["x_f"][mask]).all() and np.isfinite(truth["v_f"][mask]).all()):
+        # an estimation file written without the truth log carries NaN truth
+        note = f"; removed the stale {residual_path}" if stale else ""
+        print(
+            f"added-mass residual skipped: {paths['estimation']} carries no finite truth over stance{note}",
+            file=sys.stderr,
+        )
+        return
     z_t = np.maximum(0.0, -truth["x_f"])
     zd_t = -truth["v_f"]
     zdd = -frames.imu_foot_acc

@@ -187,6 +187,22 @@ def _search_log_zc(solve) -> tuple:
     return min(fit_c, fit_d, fits[i], key=lambda fit: fit[0])
 
 
+def _repeat_groups(logs: list[IntrusionLog]) -> list[list[IntrusionLog]]:
+    """Runs of consecutive logs that share speed and depth: the repeats of
+    one row of the intrusion grid.  Depths match by content, so copies group
+    as the shared arrays of a grid read back from disk do."""
+    groups: list[list[IntrusionLog]] = []
+    for log in logs:
+        head = groups[-1][0] if groups else None
+        if head is not None and log.speed == head.speed and (
+            log.depth is head.depth or np.array_equal(log.depth, head.depth)
+        ):
+            groups[-1].append(log)
+        else:
+            groups.append([log])
+    return groups
+
+
 def fit_depth_speed_model(logs: list[IntrusionLog]) -> DepthSpeedFit:
     """Fit the parametric terrain model to constant-speed intrusion sweeps.
 
@@ -197,21 +213,46 @@ def fit_depth_speed_model(logs: list[IntrusionLog]) -> DepthSpeedFit:
 
     Variable projection (Golub & Pereyra, 1973): at a fixed z_c the model
     is linear in (k, m_a_inf), so only log z_c is searched.
+
+    The R repeats of a (speed, depth) row enter once: with p the model and
+    f_j the repeats' forces, sum_j (p - f_j)^2 = R*(p - fbar)^2 +
+    sum_j (f_j - fbar)^2.  The columns carry sqrt(R) (sqrt(R)*z,
+    sqrt(R)*v^2 and F/sqrt(R), F the force sum), so the search minimizes
+    the first term on one row per sample of kinematics; the second, the
+    spread within rows, is a constant added once to the cost behind
+    `rmse`.  `n_samples` counts every repeat's samples.  With no repeats
+    every scale is 1.0 and the spread 0.0.
     """
     speeds = {round(log.speed, 9) for log in logs}
     if len(speeds) < 2:
         raise InsufficientDataError("need intrusion sweeps at >= 2 distinct speeds")
-    z = np.concatenate([log.depth for log in logs])
-    v = np.concatenate([np.full(log.depth.shape, log.speed) for log in logs])
-    f = np.concatenate([log.force for log in logs])
-    keep = z > 0.0
-    z, v2, f = z[keep], v[keep] ** 2, f[keep]
-    if z.size < 10:
+    groups = _repeat_groups(logs)
+    keeps = [group[0].depth > 0.0 for group in groups]
+    counts = [int(np.count_nonzero(keep)) for keep in keeps]
+    n_samples = sum(len(group) * count for group, count in zip(groups, counts))
+    if n_samples < 10:
         raise InsufficientDataError("too few in-contact intrusion samples")
+
+    # z for the exponent, the sqrt(R)-scaled columns for the sums; filled
+    # in place, so the grid's rows are never held twice
+    z, zs, v2, f = np.empty((4, sum(counts)))
+    spread, stop = 0.0, 0
+    for group, keep, count in zip(groups, keeps, counts):
+        rows = slice(stop, stop + count)
+        stop += count
+        root = math.sqrt(len(group))
+        forces = [log.force[keep] for log in group]
+        total = sum(forces[1:], forces[0])
+        mean = total / len(group)
+        spread += sum(float(np.einsum("i,i", d, d)) for d in (force - mean for force in forces))
+        z[rows] = group[0].depth[keep]
+        zs[rows] = z[rows] * root
+        v2[rows] = group[0].speed * group[0].speed * root
+        f[rows] = total / root
 
     # every n-long reduction is an einsum without `optimize`, which sums in
     # numpy's own loops: a BLAS product this long would wake its worker threads
-    zz, zf = (float(np.einsum("i,i", z, col)) for col in (z, f))
+    zz, zf = (float(np.einsum("i,i", zs, col)) for col in (zs, f))
 
     def solve(log_zc: float) -> tuple:
         """(cost, k, m_a_inf, z_c) of the least-squares
@@ -224,12 +265,12 @@ def fit_depth_speed_model(logs: list[IntrusionLog]) -> DepthSpeedFit:
         g = np.exp(z / -zc)
         g *= v2
         g /= zc
-        zg, gg, gf = (float(np.einsum("i,i", g, col)) for col in (z, g, f))
+        zg, gg, gf = (float(np.einsum("i,i", g, col)) for col in (zs, g, f))
 
         def fit(k, ma):
             # the cost from the residuals themselves: the expanded
             # normal-equation form cancels badly near the optimum
-            r = k * z
+            r = k * zs
             r += ma * g
             r -= f
             return float(np.einsum("i,i", r, r)), k, ma, zc
@@ -243,10 +284,11 @@ def fit_depth_speed_model(logs: list[IntrusionLog]) -> DepthSpeedFit:
         return min(edges, key=lambda edge: edge[0])
 
     cost, k_fit, ma_fit, zc_fit = _search_log_zc(solve)
+    cost += spread
     if not math.isfinite(cost):
         raise DegenerateFitError("intrusion model is not finite on these samples")
     return DepthSpeedFit(
-        k_fit=k_fit, m_a_inf_fit=ma_fit, z_c_fit=zc_fit, rmse=math.sqrt(cost / z.size), n_samples=int(z.size)
+        k_fit=k_fit, m_a_inf_fit=ma_fit, z_c_fit=zc_fit, rmse=math.sqrt(cost / n_samples), n_samples=n_samples
     )
 
 

@@ -262,7 +262,8 @@ def read_intrusion_csv(path) -> list[IntrusionLog]:
                 f"malformed intrusion file {path}: need finite cells, speeds that increase from block "
                 "to block and t that increases within a block"
             )
-        logs.extend(IntrusionLog(speed=float(cols[0, 0]), t=cols[1], depth=cols[2], force=f) for f in cols[3:])
+        speed, t, depth = float(cols[0, 0]), cols[1], cols[2]  # one t and depth object for every repeat
+        logs.extend(IntrusionLog(speed=speed, t=t, depth=depth, force=f) for f in cols[3:])
         block.clear()
 
     with _reading(path, "intrusion") as handle:
@@ -282,9 +283,14 @@ def read_intrusion_csv(path) -> list[IntrusionLog]:
 
 
 def write_force_map_csv(path, depths, speeds, surface) -> None:
-    """One row per (depth, speed) grid point, depth-major."""
-    columns = [np.repeat(depths, len(speeds)), np.tile(speeds, len(depths)), np.ravel(surface)]
-    write_columns_csv(path, ("depth", "speed", "force"), columns)
+    """One row per (depth, speed) grid point, depth-major.  Each axis value
+    is formatted once; a surface without one force per grid point raises
+    ValueError."""
+    depth_cells, speed_cells, forces = _cells(depths), _cells(speeds), _cells(np.ravel(surface))
+    if len(forces) != len(depth_cells) * len(speed_cells):
+        raise ValueError(f"{path}: {len(forces)} forces for {len(depth_cells)} depths x {len(speed_cells)} speeds")
+    depth_column = [cell for cell in depth_cells for _ in speed_cells]
+    write_csv(path, ("depth", "speed", "force"), zip(depth_column, speed_cells * len(depth_cells), forces))
 
 
 def write_json(path, payload: dict) -> None:

@@ -4,15 +4,20 @@ leg-length inversion as a fixed 200-step bisection, and the pipeline's
 laws as scalar functions of one sample: the reduced foot-channel
 dynamics, the quasi-static torque map, the granular reaction law, the
 virtual spring, one step of the Kalman filter and of the momentum
-observer, and one step of the filter's covariance and gain in 4x4
-matrices (`gain_step`, the oracle of the program's scalar recursion).
+observer, one step of the filter's covariance and gain in 4x4
+matrices (`gain_step`, the oracle of the program's scalar recursion), and
+the intrusion-model fit on every repeat's samples pooled
+(`pooled_depth_speed_fit`, the oracle of the fit that enters the repeats of
+a grid row as their force sum).
 
 Each oracle carries its own copy of the arithmetic it checks, so a fault
 in the program's copy (`linkage._foot_channel_coeffs`,
 `estimation._extend_gains`, `estimation._kf_filter`, the observer loop in
-`estimation.run_momentum_observer`) fails a test.  They share only the
+`estimation.run_momentum_observer`, the repeat collapse in
+`identification.fit_depth_speed_model`) fails a test.  They share only the
 leg geometry (`_geometry`, `leg_length`, `leg_jacobian`), which
-`test_linkage.py` and the plant-kernel geometry test pin on their own.
+`test_linkage.py` and the plant-kernel geometry test pin on their own, and
+the fit's search over log z_c (`identification._search_log_zc`).
 """
 
 import csv
@@ -24,7 +29,15 @@ import numpy as np
 
 from hopperlab.constants import GRAVITY, JACOBIAN_EPSILON
 from hopperlab.controller import PhaseName
-from hopperlab.errors import ConfigError, HopperlabError, MissingInputError, WorkspaceError
+from hopperlab.errors import (
+    ConfigError,
+    DegenerateFitError,
+    HopperlabError,
+    InsufficientDataError,
+    MissingInputError,
+    WorkspaceError,
+)
+from hopperlab.identification import _FIT_LOWER, DepthSpeedFit, _search_log_zc
 from hopperlab.linkage import _geometry, leg_jacobian, leg_length
 
 
@@ -280,3 +293,64 @@ def mo_step(obs, theta, theta_dot, v_f, tau, dt, linkage_params) -> ObserverStat
     p_hat = obs.p_hat + dt * (psi(theta, theta_dot, v_f, tau, linkage_params) + obs.r)
     gain = (1.0 - math.exp(-obs.k_obs * dt)) / dt
     return ObserverState(p_hat=p_hat, r=gain * (momentum - p_hat), k_obs=obs.k_obs)
+
+
+# ------------------------------------------------------------ identification
+
+
+def _pooled_samples(logs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z, v^2, f) of every log's in-contact samples, concatenated in order."""
+    z = np.concatenate([log.depth for log in logs])
+    v = np.concatenate([np.full(log.depth.shape, log.speed) for log in logs])
+    f = np.concatenate([log.force for log in logs])
+    keep = z > 0.0
+    return z[keep], v[keep] ** 2, f[keep]
+
+
+def pooled_depth_speed_fit(logs) -> DepthSpeedFit:
+    """The intrusion-model fit on every log's samples pooled, one row per
+    sample of every repeat: variable projection over log z_c, the 2x2 normal
+    equations of [z, g] held to k, m_a_inf >= 0, and the cost from the
+    residuals."""
+    speeds = {round(log.speed, 9) for log in logs}
+    if len(speeds) < 2:
+        raise InsufficientDataError("need intrusion sweeps at >= 2 distinct speeds")
+    z, v2, f = _pooled_samples(logs)
+    if z.size < 10:
+        raise InsufficientDataError("too few in-contact intrusion samples")
+    zz, zf = (float(np.einsum("i,i", z, col)) for col in (z, f))
+
+    def solve(log_zc: float) -> tuple:
+        zc = max(math.exp(log_zc), float(_FIT_LOWER[2]))
+        g = np.exp(z / -zc)
+        g *= v2
+        g /= zc
+        zg, gg, gf = (float(np.einsum("i,i", g, col)) for col in (z, g, f))
+
+        def fit(k, ma):
+            r = k * z
+            r += ma * g
+            r -= f
+            return float(np.einsum("i,i", r, r)), k, ma, zc
+
+        det = zz * gg - zg * zg
+        if det > 0.0:
+            k, ma = (gg * zf - zg * gf) / det, (zz * gf - zg * zf) / det
+            if k >= 0.0 and ma >= 0.0:
+                return fit(k, ma)
+        edges = (fit(max(zf / zz, 0.0), 0.0), fit(0.0, max(gf / gg, 0.0) if gg > 0.0 else 0.0))
+        return min(edges, key=lambda edge: edge[0])
+
+    cost, k_fit, ma_fit, zc_fit = _search_log_zc(solve)
+    if not math.isfinite(cost):
+        raise DegenerateFitError("intrusion model is not finite on these samples")
+    return DepthSpeedFit(
+        k_fit=k_fit, m_a_inf_fit=ma_fit, z_c_fit=zc_fit, rmse=math.sqrt(cost / z.size), n_samples=int(z.size)
+    )
+
+
+def pooled_cost(logs, fit: DepthSpeedFit) -> float:
+    """The sum of squared residuals of `fit` over every log's in-contact samples."""
+    z, v2, f = _pooled_samples(logs)
+    r = fit.k_fit * z + fit.gradient(z) * v2 - f
+    return float(np.dot(r, r))

@@ -4,7 +4,8 @@ A sweep writes frames, events and estimation files per hop; the
 full-rate truth log comes only from `simulate`, which rebuilds any sweep trial
 bit for bit.  `estimate` takes the truth columns of the estimation CSV
 from `_truth.csv`, else from the trial's previous estimation CSV, else NaN.
-When the intrusion fit cannot run, the fit an earlier run left is removed.
+When the intrusion fit cannot run, the fit an earlier run left is removed,
+and so is the added-mass residual when its trial carries no finite truth.
 `identify` reads no frames files, and the manifest lists file names, so a
 sweep directory still works after it is copied or moved.  A sweep
 identifies from the results it holds in memory and reads back only the
@@ -172,6 +173,25 @@ def test_intrusion_fit_of_an_earlier_run_is_removed(sweep_dir, config_path, tmp_
     assert not (out / "depth_speed_fit.json").exists()
     assert main(["report", "--config", config_path, "--out", str(out)]) == 0
     assert not (out / "added_mass_residual.csv").exists()
+
+
+def test_added_mass_residual_of_a_trial_without_truth_is_removed(sweep_dir, config_path, tmp_path, capsys):
+    # estimate without a truth log or an earlier estimation file writes NaN
+    # truth columns, from which no residual can be formed
+    out = _copy(sweep_dir, tmp_path)
+    assert main(["report", "--config", config_path, "--out", str(out)]) == 0
+    assert (out / "added_mass_residual.csv").exists()
+    representative = out / "hop_v0.80_kc3.75_s0_estimation.csv"
+    representative.unlink()
+    assert _estimate(config_path, out) == 0
+    assert np.isnan(io.read_estimation_csv(representative)[1]["x_f"]).all()
+    capsys.readouterr()
+    for stale in (True, False):
+        assert main(["report", "--config", config_path, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "added-mass residual skipped" in err and ("removed the stale" in err) == stale
+        assert not (out / "added_mass_residual.csv").exists()
+        assert (out / "force_depth_trial.csv").exists() and (out / "depth_speed_fit.json").exists()
 
 
 def _files(out):

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from hopperlab import experiments, io
+from hopperlab.config import ExperimentConfig
 from hopperlab.errors import DegenerateFitError, InsufficientDataError
 from hopperlab.estimation import run_estimation
 from hopperlab.identification import (
@@ -11,6 +14,7 @@ from hopperlab.identification import (
     StanceSamples,
     TrialSamples,
     WeightConfig,
+    _repeat_groups,
     acceleration_weight,
     added_mass_reconstruction,
     extract_samples,
@@ -24,7 +28,7 @@ from hopperlab.identification import (
 from hopperlab.signals import smoothed_derivative
 from hopperlab.simulator import Frames, NoiseConfig, run_constant_speed_intrusion
 from hopperlab.terrain import TerrainParams
-from reference import added_mass_profile
+from reference import added_mass_profile, pooled_cost, pooled_depth_speed_fit
 
 
 def _samples(z, f, zdd=None, zd=None):
@@ -280,6 +284,64 @@ def test_near_zero_speed_sweep_slope_is_stiffness(terrain):
     keep = log.depth > 0
     slope = np.polyfit(log.depth[keep], log.force[keep], 1)[0]
     assert slope == pytest.approx(terrain.k_stiff, rel=1e-6)
+
+
+@pytest.fixture(scope="module")
+def default_grid_logs(tmp_path_factory):
+    """The default 50 x 3 intrusion grid: the logs as the sweep holds them
+    (equal copies of each speed's kinematics) and as read back from
+    `intrusion_grid.csv` (one shared array per speed)."""
+    path = tmp_path_factory.mktemp("grid") / "intrusion_grid.csv"
+    return experiments.write_intrusion_grid(ExperimentConfig(), path), io.read_intrusion_csv(path)
+
+
+def _noisy_logs(speeds, seed=3, z_max=0.05):
+    noise = NoiseConfig(loadcell_sigma=0.5)
+    return [
+        run_constant_speed_intrusion(v, z_max, TerrainParams(), noise_config=noise, seed=[seed, i])
+        for i, v in enumerate(speeds)
+    ]
+
+
+def _assert_matches_pooled_fit(logs, fit):
+    # the search runs on other rounding than the pooled oracle's: the same
+    # optimum to the golden-section tolerance on a flat cost
+    ref = pooled_depth_speed_fit(logs)
+    assert fit.n_samples == ref.n_samples
+    assert fit.rmse == pytest.approx(ref.rmse, rel=1e-12, abs=0.0)
+    got, want = (np.array([f.k_fit, f.m_a_inf_fit, f.z_c_fit]) for f in (fit, ref))
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=0.0)
+    assert pooled_cost(logs, fit) <= pooled_cost(logs, ref) * (1.0 + 1e-12)
+
+
+def test_depth_speed_fit_without_repeats_is_the_pooled_fit_bit_for_bit():
+    logs = _noisy_logs(np.linspace(0.022, 1.1, 50))
+    assert [len(group) for group in _repeat_groups(logs)] == [1] * 50
+    assert fit_depth_speed_model(logs) == pooled_depth_speed_fit(logs)
+
+
+def test_depth_speed_fit_collapses_the_default_grid_repeats(default_grid_logs):
+    in_memory, from_disk = default_grid_logs
+    assert in_memory[0].depth is not in_memory[1].depth and from_disk[0].depth is from_disk[1].depth
+    for logs in default_grid_logs:
+        assert [len(group) for group in _repeat_groups(logs)] == [3] * 50
+    fit = fit_depth_speed_model(in_memory)
+    assert fit_depth_speed_model(from_disk) == fit
+    _assert_matches_pooled_fit(in_memory, fit)
+
+
+def test_depth_speed_fit_groups_only_consecutive_logs_of_one_speed_and_depth():
+    a0, b0, a1, b1 = _noisy_logs((0.3, 0.9, 0.3, 0.9))
+    interleaved = [a0, b0, a1, b1]
+    assert [len(group) for group in _repeat_groups(interleaved)] == [1, 1, 1, 1]
+    assert fit_depth_speed_model(interleaved) == pooled_depth_speed_fit(interleaved)
+    # a log of the same speed to another depth ends a run of repeats, and a
+    # copy of a log's kinematics joins it only right after it
+    shallow = _noisy_logs((0.3,), seed=4, z_max=0.04)[0]
+    again = dataclasses.replace(a1, depth=a0.depth.copy())
+    for logs, sizes in (([a0, shallow, b0], [1, 1, 1]), ([a0, again, shallow, again, b0, b1], [2, 1, 1, 2])):
+        assert [len(group) for group in _repeat_groups(logs)] == sizes
+        _assert_matches_pooled_fit(logs, fit_depth_speed_model(logs))
 
 
 # ------------------------------------------------- added-mass reconstruction

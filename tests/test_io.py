@@ -20,7 +20,7 @@ from hopperlab import experiments, io
 from hopperlab.cli import main
 from hopperlab.config import ExperimentConfig, with_values
 from hopperlab.errors import MissingInputError
-from hopperlab.identification import TREATMENTS
+from hopperlab.identification import TREATMENTS, fit_depth_speed_model
 from hopperlab.simulator import run_constant_speed_intrusion
 
 READERS = {
@@ -551,6 +551,25 @@ def test_column_writers_match_rowwise_formatting(tmp_path, noisy_trial, terrain)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_force_map_writer_formats_each_axis_once_to_the_same_bytes(tmp_path, terrain):
+    # the report's grid: 51 depths x 50 speeds, against the column writer
+    # fed every grid point's depth and speed
+    from hopperlab.terrain import force_map
+
+    config = ExperimentConfig()
+    depths = np.linspace(0.0, config.sweep.intrusion_z_max, 51)
+    speeds = np.asarray(config.sweep.intrusion_speeds())
+    surface = force_map(terrain, depths, speeds)
+    io.write_force_map_csv(tmp_path / "new.csv", depths, speeds, surface)
+    columns = [np.repeat(depths, len(speeds)), np.tile(speeds, len(depths)), np.ravel(surface)]
+    io.write_columns_csv(tmp_path / "ref.csv", ("depth", "speed", "force"), columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    for bad in (surface[:, :-1], surface[:-1], surface.ravel()[:-1]):
+        with pytest.raises(ValueError, match="forces for"):
+            io.write_force_map_csv(tmp_path / "bad.csv", depths, speeds, bad)
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_column_writer_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
         io.write_columns_csv(tmp_path / "x.csv", ("a", "b"), [[1.0, 2.0], [1.0]])
@@ -641,6 +660,24 @@ def test_intrusion_grid_is_streamed(default_grid):
     assert len(back) == len(logs)
     assert write_peak <= _GRID_MEMORY_BOUND, write_peak
     assert read_peak - kept <= _GRID_MEMORY_BOUND, read_peak - kept
+
+
+_FIT_MEMORY_BOUND = 1.0e6   # bytes; the fit on every repeat's samples pooled peaked at 1.75 MB
+
+
+def test_intrusion_fit_holds_one_row_per_speed_and_depth(default_grid):
+    # the repeats of a grid row enter the fit as their force sum, so its
+    # arrays are a third of the pooled samples' length
+    _, logs, _ = default_grid
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fit = fit_depth_speed_model(logs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert fit.n_samples == sum(int(np.count_nonzero(log.depth > 0.0)) for log in logs)
+    assert peak <= _FIT_MEMORY_BOUND, peak
 
 
 _TINY_SWEEP = "[sweep]\nspeeds = 0.5\nstiffnesses = 3.75\nseeds = 0\nintrusion_speed_count = 2\nintrusion_repeats = 1\n"
