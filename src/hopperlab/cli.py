@@ -4,8 +4,15 @@ Commands
     simulate   one hop trial (frames/truth/events + estimation CSVs)
     intrude    the constant-speed intrusion grid, `intrusion_grid.csv`, as a
                sweep writes it
-    estimate   estimation CSVs from existing frame CSVs (truth columns from
-               `_truth.csv`, else from the previous estimation CSV, else NaN)
+    estimate   estimation CSVs from existing frame CSVs.  A trial with a
+               `_truth.csv` (`simulate`) gets its truth columns from it; its
+               `t` must equal the frames'.  A trial with an estimation CSV
+               and no truth log (a sweep trial) keeps that file's `t` and
+               truth cells as written and gets new estimate columns; the
+               header, 12 cells a row, numeric `t` and truth cells, and a
+               `t` of one period equal to the frames' are checked first.
+               Otherwise the truth columns are NaN.  On any failure the
+               file is left as it was.
     identify   treatment report + intrusion-model fit from existing hop
                artifacts and intrusion grid
     sweep      full grid: hops + intrusions + estimation + identification
@@ -76,27 +83,21 @@ def cmd_intrude(config: ExperimentConfig, args) -> int:
     return 0
 
 
-def _truth_for(frames_path: Path, est_path: Path, est) -> dict | None:
-    """Ground truth at the frames for a re-estimated trial: from its
-    `_truth.csv` (written by `simulate`), else from the truth columns of its
-    existing `_estimation.csv` (a sweep trial), else None (NaN columns).
-    The truth rows are the frames, so a `_truth.csv` must have exactly as
-    many rows as there are frames."""
-    truth_path = Path(str(frames_path).replace("_frames.csv", "_truth.csv"))
+def _write_estimates(frames_path: Path, frames, est) -> None:
+    """Write a trial's estimation CSV beside its frames file, with its truth
+    taken as `estimate` takes it (module docstring)."""
+    trial = frames_path.name.removesuffix("_frames.csv")
+    truth_path = frames_path.with_name(f"{trial}_truth.csv")
+    est_path = frames_path.with_name(f"{trial}_estimation.csv")
     if truth_path.exists():
         truth = io.read_truth_csv(truth_path)
-        if len(truth) != len(est):
-            raise MissingInputError(f"{truth_path} has {len(truth)} rows, not the {len(est)} frames in {frames_path}")
-        return vars(truth)
-    if not est_path.exists():
-        return None
-    previous, truth = io.read_estimation_csv(est_path)
-    if not np.array_equal(previous.t, est.t):
-        raise MissingInputError(
-            f"{est_path} does not match the time base of {frames_path}; "
-            "delete it to re-estimate without ground truth"
-        )
-    return truth
+        if not np.array_equal(truth.t, frames.t):
+            raise MissingInputError(f"{truth_path} does not hold the t of the {len(frames.t)} frames in {frames_path}")
+        io.write_estimation_csv(est_path, est, vars(truth))
+    elif est_path.exists():
+        io.write_reestimation_csv(est_path, est)
+    else:
+        io.write_estimation_csv(est_path, est)
 
 
 def cmd_estimate(config: ExperimentConfig, args) -> int:
@@ -106,9 +107,7 @@ def cmd_estimate(config: ExperimentConfig, args) -> int:
         raise MissingInputError(f"no *_frames.csv files in {out}")
     for path in frame_files:
         frames = io.read_frames_csv(path)
-        est = estimate_from_frames(config, frames)
-        est_path = Path(str(path).replace("_frames.csv", "_estimation.csv"))
-        io.write_estimation_csv(est_path, est, _truth_for(path, est_path, est))
+        _write_estimates(path, frames, estimate_from_frames(config, frames))
     print(f"estimated {len(frame_files)} trials in {out}")
     return 0
 
@@ -168,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seeds", type=_parse_seeds, default=None, help="comma-separated seed list")
         if name == "sweep":
             p.add_argument("--jobs", type=int, default=1, help="parallel workers for the hop grid")
-            p.add_argument("--resume", action="store_true", help="skip hop trials whose outputs exist")
+            p.add_argument("--resume", action="store_true", help="skip hop trials whose outputs read back")
     return parser
 
 

@@ -1,7 +1,8 @@
 """Experiment orchestration: single trials, grid sweeps, and reports.
 
 A sweep writes its manifest before any trial runs, so an interrupted run
-can be resumed; completed hop trials (all output files present) are
+can be resumed; completed hop trials (frames, events and estimation files
+that read back, with one `t` in the frames and estimation files) are
 skipped and the final artifacts are identical to an uninterrupted run.
 The intrusion grid takes milliseconds to simulate, so a resumed sweep
 runs it again rather than trust the file on disk.  Hop trials are
@@ -17,8 +18,9 @@ samples, each repeat's force beside the speed's shared t and depth.
 What each command reads:
 
     sweep     identifies from the stance samples and intrusion logs of the
-              trials it ran, held in memory; it reads back only the events
-              and estimation files of hops `--resume` skipped.
+              trials it ran, held in memory; `--resume` reads back the
+              frames, events and estimation files of each hop it may skip,
+              once, and identifies a skipped hop from what it read.
     identify  the manifest, every hop's events and estimation files and
               the intrusion grid; it writes what a sweep writes, byte for
               byte, through the same `identify_outputs`.
@@ -207,14 +209,24 @@ def write_intrusion_grid(config: ExperimentConfig, path: Path) -> list[Intrusion
     return logs
 
 
-def _outputs_exist(entry: dict, out_dir: Path) -> bool:
-    return all(p.exists() for p in trial_paths(entry, out_dir).values())
+def _finished_hop(entry: dict, out_dir: Path) -> TrialSamples | None:
+    """The stance samples of a hop whose frames, events and estimation files
+    read back, with the same `t` in its frames and estimation files; None
+    for a hop that must run (again)."""
+    paths = trial_paths(entry, out_dir)
+    try:
+        frames = io.read_frames_csv(paths["frames"])
+        est, _ = io.read_estimation_csv(paths["estimation"])
+        events = io.read_events_json(paths["events"])
+    except MissingInputError:
+        return None
+    return _trial_samples(entry, est, events) if np.array_equal(frames.t, est.t) else None
 
 
 def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bool = False) -> dict:
     """Hop grid + intrusion grid + estimation + identification.  Under
-    `resume`, a hop whose files exist is skipped; the intrusion grid always
-    runs."""
+    `resume`, a hop whose files read back (`_finished_hop`) is skipped and
+    identified from what was read; the intrusion grid always runs."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     out_dir = Path(out_dir)
@@ -227,8 +239,9 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bo
     for entry in manifest["entries"]:
         if entry["kind"] == "intrusion":
             ready[entry["trial_id"]] = write_intrusion_grid(config, trial_paths(entry, out_dir)["log"])
-        elif resume and _outputs_exist(entry, out_dir):
+        elif resume and (samples := _finished_hop(entry, out_dir)) is not None:
             entry["status"] = "skipped"
+            ready[entry["trial_id"]] = samples
         else:
             hops.append(entry)
 
@@ -368,7 +381,8 @@ def write_report(config: ExperimentConfig, out_dir: Path) -> None:
 
 
 def _write_representative_trial_figs(out_dir: Path) -> None:
-    """Force-depth scatter and added-mass residual series for one trial."""
+    """Force-depth scatter and added-mass residual series for one trial,
+    whose frames and estimation files must hold the same `t`."""
     hops = [e for e, _ in manifest_trials(out_dir) if e["kind"] == "hop"]
     if not hops:
         return
@@ -378,6 +392,8 @@ def _write_representative_trial_figs(out_dir: Path) -> None:
     est, truth = io.read_estimation_csv(paths["estimation"])
     events = io.read_events_json(paths["events"])
     frames = io.read_frames_csv(paths["frames"])
+    if not np.array_equal(frames.t, est.t):
+        raise MissingInputError(f"{paths['estimation']} does not hold the t of the frames in {paths['frames']}")
     mask = (est.t >= events.t_td) & (est.t <= events.t_lo)
     z_hat = np.maximum(0.0, -est.x_f_hat)
     io.write_columns_csv(

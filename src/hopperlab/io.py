@@ -118,13 +118,12 @@ def _parse(lines: list[str], width: int) -> np.ndarray:
     return data
 
 
-def _read_csv(path: Path, columns: tuple[str, ...], kind: str) -> np.ndarray:
-    r"""Numeric body of a CSV whose header must equal `columns`.
-
-    Lines end at "\n", "\r\n" or "\r".  A missing, empty, header-only,
-    ragged or non-numeric file, or one with a blank line, raises
-    MissingInputError, so the CLI reports it as bad input.
-    """
+@contextmanager
+def _body(path: Path, columns: tuple[str, ...], kind: str):
+    r"""The body lines (without their line ends) of a CSV whose header must
+    equal `columns`.  Lines end at "\n", "\r\n" or "\r".  A missing, empty
+    or header-only file, or an OSError or ValueError inside the block,
+    raises MissingInputError, so the CLI reports it as bad input."""
     with _reading(path, kind) as handle:
         header, *lines = handle.read().split("\n")
         if header != ",".join(columns):
@@ -133,6 +132,13 @@ def _read_csv(path: Path, columns: tuple[str, ...], kind: str) -> np.ndarray:
             lines.pop()
         if not lines:
             raise MissingInputError(f"malformed {kind} file {path}: expected at least one row")
+        yield lines
+
+
+def _read_csv(path: Path, columns: tuple[str, ...], kind: str) -> np.ndarray:
+    """Numeric body of a CSV whose header must equal `columns`; a ragged or
+    non-numeric body, or a blank line, is bad input too (`_body`)."""
+    with _body(path, columns, kind) as lines:
         return _parse(lines, len(columns))
 
 
@@ -206,6 +212,40 @@ def write_estimation_csv(path, est: EstimationSeries, truth: dict | None = None)
     cols = [getattr(est, name) for name in ESTIMATOR_OUTPUTS]
     cols += [truth.get(name, nan) for name in CARRIED_TRUTH]
     write_columns_csv(path, ESTIMATION_COLUMNS, cols)
+
+
+def _carried_cells(path) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
+    """The `t` of the estimation CSV at `path`, with each row's `t` cell and
+    its five truth cells (one string) as written.  Only those cells are
+    parsed; the header must match and every row must have 12 cells.  Only
+    the carried strings outlive this call, so the file's lines are freed
+    before the estimates are formatted (the process's peak memory)."""
+    width, truth_at = len(ESTIMATION_COLUMNS), len(ESTIMATOR_OUTPUTS)
+    with _body(path, ESTIMATION_COLUMNS, "estimation") as lines:
+        if not all(line.count(",") == width - 1 for line in lines):
+            raise ValueError(f"expected rows of {width} cells")
+        # split at the first 7 commas: piece 0 is t, piece 7 the five truth cells
+        t_cells, truth_cells = zip(*(line.split(",", truth_at)[::truth_at] for line in lines))
+        t = _parse(t_cells, 1)[:, 0]
+        _parse(truth_cells, len(CARRIED_TRUTH))
+    _check_time_base(t, path, "estimation")
+    return t, t_cells, truth_cells
+
+
+def write_reestimation_csv(path, est: EstimationSeries) -> None:
+    """Replace the estimate columns of the estimation CSV at `path` with
+    `est`'s, formatted as `write_estimation_csv` formats them; each row's `t`
+    and truth cells are carried as written (`_carried_cells`).  The carried
+    cells must be numbers (NaN truth included), and `t` one period equal to
+    `est.t`.  Anything else raises MissingInputError and leaves the file as
+    it was."""
+    t, t_cells, truth_cells = _carried_cells(path)
+    if not np.array_equal(t, est.t):
+        raise MissingInputError(
+            f"{path} does not match the time base of its frames; delete it to re-estimate without ground truth"
+        )
+    estimates = [_cells(getattr(est, name)) for name in ESTIMATOR_OUTPUTS[1:]]
+    write_csv(path, ESTIMATION_COLUMNS, zip(t_cells, *estimates, truth_cells, strict=True))
 
 
 def read_estimation_csv(path) -> tuple[EstimationSeries, dict[str, np.ndarray]]:

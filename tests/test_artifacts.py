@@ -3,13 +3,18 @@
 A sweep writes frames, events and estimation files per hop; the
 full-rate truth log comes only from `simulate`, which rebuilds any sweep trial
 bit for bit.  `estimate` takes the truth columns of the estimation CSV
-from `_truth.csv`, else from the trial's previous estimation CSV, else NaN.
+from `_truth.csv`, which must hold the frames' t; else it carries the t
+and truth cells of the trial's previous estimation CSV as written and
+replaces only the estimate cells; else it writes NaN.  A directory name
+is not part of a trial's file names.
 When the intrusion fit cannot run, the fit an earlier run left is removed,
 and so is the added-mass residual when its trial carries no finite truth.
 `identify` reads no frames files, and the manifest lists file names, so a
 sweep directory still works after it is copied or moved.  A sweep
 identifies from the results it holds in memory and reads back only the
-hops `--resume` skipped; it always runs the intrusion grid again.
+hops `--resume` skipped, each file once, and runs a hop again whose files
+do not read back or whose frames and estimation files differ in t; it
+always runs the intrusion grid again.
 `identify` on its directory writes the same bytes.
 """
 
@@ -57,6 +62,10 @@ def simulate_dir(tmp_path_factory, config_path):
     out = tmp_path_factory.mktemp("simulate")
     assert main(["simulate", "--config", config_path, "--out", str(out)]) == 0
     return out
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
 def _copy(src, tmp_path):
@@ -124,6 +133,63 @@ def test_estimate_rejects_estimation_file_of_other_frames(sweep_dir, config_path
     lines = (out / f"{TRIAL}_estimation.csv").read_text().splitlines(keepends=True)
     (out / f"{TRIAL}_estimation.csv").write_text("".join(lines[:-1]))
     assert _estimate(config_path, out) == 4
+
+
+def _edit_row(path, row, edit):
+    """Apply `edit` to the cells of body row `row` of a CSV; returns the
+    file's bytes before the edit."""
+    before = path.read_bytes()
+    lines = before.decode().split("\r\n")
+    lines[row + 1] = ",".join(edit(lines[row + 1].split(",")))
+    path.write_bytes("\r\n".join(lines).encode())
+    return before
+
+
+_BAD_CARRIED_ROWS = {
+    "13 cells": lambda cells: cells + ["0.0"],
+    "11 cells": lambda cells: cells[:-1],
+    "non-numeric truth cell": lambda cells: cells[:-1] + ["x"],
+    "non-numeric t": lambda cells: ["x"] + cells[1:],
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_CARRIED_ROWS))
+def test_estimate_rejects_a_row_it_cannot_carry(sweep_dir, config_path, tmp_path, case):
+    out = _copy(sweep_dir, tmp_path)
+    path = out / f"{TRIAL}_estimation.csv"
+    _edit_row(path, 5, _BAD_CARRIED_ROWS[case])
+    edited = path.read_bytes()
+    assert _estimate(config_path, out) == 4
+    assert path.read_bytes() == edited
+    assert not list(out.glob(".*.tmp"))
+
+
+def test_estimate_replaces_the_estimate_cells_without_parsing_them(sweep_dir, config_path, tmp_path):
+    out = _copy(sweep_dir, tmp_path)
+    path = out / f"{TRIAL}_estimation.csv"
+    original = _edit_row(path, 5, lambda cells: cells[:3] + ["x"] + cells[4:])
+    assert _estimate(config_path, out) == 0
+    assert path.read_bytes() == original
+
+
+def test_estimate_finds_trial_files_by_file_name(sweep_dir, config_path, tmp_path):
+    # a directory name that holds `_frames.csv` is not part of a trial's id
+    out = tmp_path / "run_frames.csv.d"
+    shutil.copytree(sweep_dir, out)
+    assert _estimate(config_path, out) == 0
+    assert _files(out) == _files(sweep_dir)
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+def test_estimate_requires_the_truth_log_on_the_frames_time_base(simulate_dir, config_path, tmp_path):
+    out = _copy(simulate_dir, tmp_path)
+    truth_path = out / f"{TRIAL}_truth.csv"
+    truth = io.read_truth_csv(truth_path)
+    truth.t = truth.t * 1.5
+    io.write_truth_csv(truth_path, truth)
+    before = _files(out)
+    assert _estimate(config_path, out) == 4
+    assert _files(out) == before
 
 
 def test_simulate_reproduces_sweep_trial(sweep_dir, simulate_dir):
@@ -194,10 +260,6 @@ def test_added_mass_residual_of_a_trial_without_truth_is_removed(sweep_dir, conf
         assert (out / "force_depth_trial.csv").exists() and (out / "depth_speed_fit.json").exists()
 
 
-def _files(out):
-    return {p.name: p.read_bytes() for p in out.iterdir()}
-
-
 def test_identify_reads_no_frames(sweep_dir, config_path, tmp_path):
     out = _copy(sweep_dir, tmp_path)
     frames = sorted(out.glob("*_frames.csv"))
@@ -266,6 +328,43 @@ def test_resume_mixing_memory_and_disk_matches_a_clean_sweep(sweep_dir, config_p
     resumed, clean = _files(out), _files(sweep_dir)
     del resumed["manifest.json"], clean["manifest.json"]
     assert resumed == clean
+
+
+def _cut_at_byte(path):
+    path.write_bytes(path.read_bytes()[:3000])
+
+
+def _cut_at_row(path):
+    # 199 of the hop's rows, which still parse as a shorter trial
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:200]))
+
+
+@pytest.mark.parametrize("cut", [_cut_at_byte, _cut_at_row])
+def test_resume_runs_a_cut_hop_again(sweep_dir, config_path, tmp_path, monkeypatch, cut):
+    out = _copy(sweep_dir, tmp_path)
+    cut(out / f"{TRIAL}_estimation.csv")
+    reads = []
+    for reader in ("read_frames_csv", "read_estimation_csv", "read_events_json"):
+        original = getattr(io, reader)
+        monkeypatch.setattr(io, reader, lambda path, original=original: reads.append(Path(path).name) or original(path))
+    assert main(["sweep", "--config", config_path, "--out", str(out), "--resume"]) == 0
+    statuses = {e["trial_id"]: e["status"] for e in json.loads((out / "manifest.json").read_text())["entries"]}
+    assert statuses == {"hop_v0.80_kc3.75_s0": "skipped", TRIAL: "done", "intrusion_grid": "done"}
+    # each file of the skipped hop is read once, and identify takes what was read
+    skipped = sorted(f"hop_v0.80_kc3.75_s0_{suffix}" for suffix in ("frames.csv", "estimation.csv", "events.json"))
+    assert sorted(name for name in reads if name.startswith("hop_v0.80_kc3.75_s0")) == skipped
+    resumed, clean = _files(out), _files(sweep_dir)
+    del resumed["manifest.json"], clean["manifest.json"]
+    assert resumed == clean
+
+
+def test_report_rejects_estimates_of_other_frames(sweep_dir, config_path, tmp_path):
+    # the representative trial (fastest speed, first seed) with an
+    # estimation file cut on a row boundary: a shorter trial than its frames
+    out = _copy(sweep_dir, tmp_path)
+    _cut_at_row(out / "hop_v0.80_kc3.75_s0_estimation.csv")
+    assert main(["report", "--config", config_path, "--out", str(out)]) == 4
 
 
 def test_resume_runs_a_cut_intrusion_grid_again(sweep_dir, config_path, tmp_path):

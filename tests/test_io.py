@@ -20,6 +20,7 @@ from hopperlab import experiments, io
 from hopperlab.cli import main
 from hopperlab.config import ExperimentConfig, with_values
 from hopperlab.errors import MissingInputError
+from hopperlab.estimation import EstimationSeries
 from hopperlab.identification import TREATMENTS, fit_depth_speed_model
 from hopperlab.simulator import run_constant_speed_intrusion
 
@@ -70,20 +71,22 @@ def _number_cell(cell):
     return float(cell)
 
 
-def _well_formed(text, columns, kind):
-    """A right header and numeric rows of the right width; for a sampled
-    series, at least two rows and a first column that increases by one
-    period, each spacing within io.TIME_BASE_RTOL of the first; for
-    frames and an intrusion grid, finite cells; for an intrusion grid, from
-    row to row a higher speed or the same speed at a later t."""
+def _well_formed(text, columns, kind, parsed=None):
+    """A right header and rows of the right width whose cells at the indices
+    `parsed` (default: every cell, the first always among them) are numbers;
+    for a sampled series, at least two rows and a first column that
+    increases by one period, each spacing within io.TIME_BASE_RTOL of the
+    first; for frames and an intrusion grid, finite cells; for an intrusion
+    grid, from row to row a higher speed or the same speed at a later t."""
     lines = text.splitlines()
     if not lines or lines[0] != ",".join(columns) or len(lines) < 2:
         return False
-    try:
-        rows = [[_number_cell(v) for v in line.split(",")] if line else [] for line in lines[1:]]
-    except ValueError:
+    cells = [line.split(",") if line else [] for line in lines[1:]]
+    if not all(len(row) == len(columns) for row in cells):
         return False
-    if not all(len(row) == len(columns) for row in rows):
+    try:
+        rows = [[_number_cell(row[i]) for i in parsed or range(len(columns))] for row in cells]
+    except ValueError:
         return False
     if kind in ("frames", "intrusion") and not all(math.isfinite(v) for row in rows for v in row):
         return False
@@ -130,6 +133,82 @@ def test_fuzz_read_estimation_csv(text):
 @given(text=_csv_text(io.intrusion_columns(1)))
 def test_fuzz_read_intrusion_csv(text):
     _fuzz("intrusion", text)
+
+
+# the cells of an estimation CSV that `io.write_reestimation_csv` carries: t and the truth
+_CARRIED = (0, *range(len(io.ESTIMATOR_OUTPUTS), len(io.ESTIMATION_COLUMNS)))
+
+
+@st.composite
+def _estimation_text(draw):
+    """An estimation CSV with t = 0, 1, ... ms and numbers in every other
+    cell, then maybe one cell replaced, or one row a cell longer or shorter."""
+    n_rows = draw(st.integers(2, 4))
+    rows = [[repr(i * 1e-3), *draw(st.lists(_number, min_size=11, max_size=11))] for i in range(n_rows)]
+    row = rows[draw(st.integers(0, n_rows - 1))]
+    edit = draw(st.sampled_from(["none", "cell", "longer", "shorter"]))
+    if edit == "cell":
+        row[draw(st.integers(0, len(row) - 1))] = draw(_cell)
+    elif edit == "longer":
+        row.append(draw(_number))
+    elif edit == "shorter":
+        row.pop()
+    return "\n".join([",".join(io.ESTIMATION_COLUMNS), *map(",".join, rows)]) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(_csv_text(io.ESTIMATION_COLUMNS), _estimation_text()))
+def test_fuzz_reestimation_parses_only_the_carried_cells(text):
+    # a file the model calls well formed when only t and the truth cells are
+    # parsed is rewritten with those cells as written; any other raises
+    # MissingInputError and is left as it was
+    well_formed = _well_formed(text, io.ESTIMATION_COLUMNS, "estimation", parsed=_CARRIED)
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    t = np.array([float(row[0]) for row in rows] if well_formed else [0.0, 1e-3])
+    est = EstimationSeries(t, *(np.full(t.size, 0.5) for _ in io.ESTIMATOR_OUTPUTS[1:]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "artifact.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            io.write_reestimation_csv(path, est)
+        except MissingInputError:
+            assert not well_formed
+            assert path.read_text(encoding="utf-8") == text
+            return
+        written = path.read_text(encoding="utf-8").splitlines()
+    assert well_formed
+    assert written[0] == ",".join(io.ESTIMATION_COLUMNS) and len(written) == len(rows) + 1
+    for row, line in zip(rows, written[1:]):
+        cells = line.split(",")
+        assert [cells[i] for i in _CARRIED] == [row[i] for i in _CARRIED]
+        assert cells[1:len(io.ESTIMATOR_OUTPUTS)] == ["0.5"] * (len(io.ESTIMATOR_OUTPUTS) - 1)
+
+
+_finite_or_nan = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(math.nan))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reestimation_writes_what_write_estimation_csv_writes(data):
+    # re-estimating a file this program wrote carries its t and truth cells
+    # byte for byte: the file is the one write_estimation_csv writes from the
+    # new estimates and the truth read back
+    n = data.draw(st.integers(2, 40))
+    t = np.arange(n) / data.draw(st.sampled_from([1000.0, 1500.0, 333.0]))
+    values = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)
+    first, second = (
+        EstimationSeries(t, *(np.array(data.draw(values)) for _ in io.ESTIMATOR_OUTPUTS[1:])) for _ in range(2)
+    )
+    truth = {
+        name: np.array(data.draw(st.lists(_finite_or_nan, min_size=n, max_size=n))) for name in io.CARRIED_TRUTH
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path, expected = Path(tmp) / "carried.csv", Path(tmp) / "written.csv"
+        io.write_estimation_csv(path, first, truth)
+        _, parsed = io.read_estimation_csv(path)
+        io.write_reestimation_csv(path, second)
+        io.write_estimation_csv(expected, second, parsed)
+        assert path.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("kind", sorted(READERS))
