@@ -19,10 +19,12 @@ Commands
     report     summary JSON + plot-ready CSVs
 
 `--seeds` is accepted by simulate and sweep, `--jobs` and `--resume` by
-sweep only.  Exit codes: 0 success, 2 config or usage error, 3
-runtime/integration or numeric error, 4 missing-input error.  Output
-directory precedence: --out, then HOPPERLAB_OUT, then the config's
-[output] dir.
+sweep only; any other command given one exits 2 before it reads or
+writes anything, as it does for an empty seed list.  Exit codes: 0
+success, 2 config or usage error, 3 runtime/integration or numeric
+error, 4 missing-input error.  Output directory precedence: --out, then
+HOPPERLAB_OUT, then the config's [output] dir; one that exists as a file
+is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -52,12 +54,13 @@ from .experiments import (
 
 
 def _resolve_out(config: ExperimentConfig, args) -> Path:
-    if args.out:
-        return Path(args.out)
-    env = os.environ.get("HOPPERLAB_OUT")
-    if env:
-        return Path(env)
-    return Path(config.output_dir)
+    """The output directory by the precedence above; one that exists as
+    anything but a directory is a usage error, raised before the command
+    reads or writes anything."""
+    out = Path(args.out or os.environ.get("HOPPERLAB_OUT") or config.output_dir)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output directory {out} exists and is not a directory")
+    return out
 
 
 def cmd_simulate(config: ExperimentConfig, args) -> int:
@@ -121,9 +124,9 @@ def cmd_identify(config: ExperimentConfig, args) -> int:
 
 def cmd_sweep(config: ExperimentConfig, args) -> int:
     out = _resolve_out(config, args)
-    if args.seeds:
+    if args.seeds is not None:
         config = with_values(config, "sweep", seeds=tuple(args.seeds))
-    manifest = run_sweep(config, out, jobs=args.jobs, resume=args.resume)
+    manifest = run_sweep(config, out, jobs=1 if args.jobs is None else args.jobs, resume=bool(args.resume))
     n_hop = sum(1 for e in manifest["entries"] if e["kind"] == "hop")
     print(f"sweep complete: {n_hop} hop trials and an {_intrusion_grid(config)} in {out}")
     return 0
@@ -146,33 +149,44 @@ _COMMANDS = {
 }
 
 
+# the flags beyond --config and --out, and the commands that read each
+_FLAG_COMMANDS = {"seeds": ("simulate", "sweep"), "jobs": ("sweep",), "resume": ("sweep",)}
+
+
 def _parse_seeds(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        seeds = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad seed list: {text!r}")
+        seeds = []
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"bad seed list: {text!r}, need comma-separated integers")
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command; a flag left out is None, so `main` can
+    tell a flag given to a command that does not read it."""
     parser = argparse.ArgumentParser(
         prog="hopperlab",
         description="Granular hopping simulator and proprioceptive terrain identification workbench",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        if name in ("simulate", "sweep"):
-            p.add_argument("--seeds", type=_parse_seeds, default=None, help="comma-separated seed list")
-        if name == "sweep":
-            p.add_argument("--jobs", type=int, default=1, help="parallel workers for the hop grid")
-            p.add_argument("--resume", action="store_true", help="skip hop trials whose outputs read back")
+    parser.add_argument("command", choices=_COMMANDS, help="what to run")
+    parser.add_argument("--config", required=True, help="experiment config file")
+    parser.add_argument("--out", default=None, help="output directory (overrides HOPPERLAB_OUT and the config)")
+    parser.add_argument("--seeds", type=_parse_seeds, help="comma-separated seed list (simulate, sweep)")
+    parser.add_argument("--jobs", type=int, help="parallel workers for the hop grid (sweep; default 1)")
+    parser.add_argument(
+        "--resume", action="store_true", default=None, help="skip hop trials whose outputs read back (sweep)"
+    )
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for flag, commands in _FLAG_COMMANDS.items():
+        if getattr(args, flag) is not None and args.command not in commands:
+            parser.error(f"--{flag} is read by {' and '.join(commands)} only, not by {args.command}")
     try:
         config = load_config(args.config)
         return _COMMANDS[args.command](config, args)

@@ -85,9 +85,9 @@ def _hop_files(trial_id: str) -> dict[str, str]:
 def trial_paths(entry: dict, out_dir: Path) -> dict[str, Path]:
     """A manifest entry's files, resolved against the output directory.
 
-    An entry without a known kind, its fields (a hop's speed and stiffness
-    finite numbers, its seed an integer), or bare file names for each of its
-    outputs is bad input (MissingInputError).
+    An entry without a known kind, a string trial id, its fields (a hop's
+    speed and stiffness finite numbers, its seed an integer), or bare file
+    names for each of its outputs is bad input (MissingInputError).
     """
     try:
         fields, keys = _ENTRY_SCHEMA[entry["kind"]]
@@ -95,7 +95,7 @@ def trial_paths(entry: dict, out_dir: Path) -> dict[str, Path]:
         valid = (
             sorted(names) == sorted(keys)
             and all(isinstance(name, str) and Path(name).name == name for name in names.values())
-            and "trial_id" in entry
+            and isinstance(entry["trial_id"], str)
             and all(valid_value(entry[field]) for field, valid_value in fields.items())
         )
     except (KeyError, TypeError, AttributeError):
@@ -106,7 +106,8 @@ def trial_paths(entry: dict, out_dir: Path) -> dict[str, Path]:
 
 
 def manifest_trials(out_dir: Path) -> list[tuple[dict, dict[str, Path]]]:
-    """(entry, resolved files) of every trial in the sweep's manifest."""
+    """(entry, resolved files) of every trial in the sweep's manifest.  A
+    trial id listed twice is bad input: its trial would count twice."""
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
         raise MissingInputError(f"no manifest at {manifest_path}; run sweep first")
@@ -114,7 +115,13 @@ def manifest_trials(out_dir: Path) -> list[tuple[dict, dict[str, Path]]]:
     entries = manifest.get("entries") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise MissingInputError(f"malformed manifest {manifest_path}: no list of entries")
-    return [(entry, trial_paths(entry, out_dir)) for entry in entries]
+    trials = [(entry, trial_paths(entry, out_dir)) for entry in entries]
+    seen = set()
+    for entry, _ in trials:
+        if entry["trial_id"] in seen:
+            raise MissingInputError(f"malformed manifest {manifest_path}: trial {entry['trial_id']!r} is listed twice")
+        seen.add(entry["trial_id"])
+    return trials
 
 
 def run_single_hop(config: ExperimentConfig, speed: float, kc_n_per_cm: float, seed: int):

@@ -157,34 +157,70 @@ def wls_linear_fit(samples: StanceSamples, config: WeightConfig) -> FitResult:
 _FIT_LOWER = np.array([0.0, 0.0, 1e-5])       # k, m_a_inf, z_c
 _FIT_UPPER = np.array([np.inf, np.inf, 1.0])
 _ZC_GRID = 6        # log-spaced z_c values; the best one brackets the search
-_ZC_TOL = 1e-8      # the search stops once its bracket in log z_c is narrower
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_ZC_TOL = 1e-8      # the search stops once its bracket in log z_c ends this close to its best point
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def _search_log_zc(solve) -> tuple:
     """The least-cost `solve(log_zc)` over the box's z_c range, where `solve`
     returns a tuple whose first item is the cost.
 
-    Golden section inside the bracket of the best of a log-spaced grid; the
-    best grid point competes with the search's last pair, so an optimum on
-    the edge of the box is the edge exactly.
+    Brent's minimization (Brent 1973, ch. 5) inside the bracket of the best
+    of a log-spaced grid: a parabola through the three best points when its
+    step is short and inside the bracket, else a golden-section step.  The
+    search starts from the best grid point and keeps the least cost it has
+    seen, so an optimum on the edge of the box is the edge exactly.
     """
     grid = np.linspace(math.log(_FIT_LOWER[2]), math.log(_FIT_UPPER[2]), _ZC_GRID).tolist()
     fits = [solve(x) for x in grid]
     i = min(range(_ZC_GRID), key=lambda j: fits[j][0])
     a, b = grid[max(i - 1, 0)], grid[min(i + 1, _ZC_GRID - 1)]
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fit_c, fit_d = solve(c), solve(d)
-    while b - a > _ZC_TOL:
-        if fit_c[0] < fit_d[0]:
-            b, d, fit_d = d, c, fit_c
-            c = b - _INV_PHI * (b - a)
-            fit_c = solve(c)
+    tol = _ZC_TOL / 2.0  # the least step; the bracket ends may lie 2*tol from x
+    # x the best point so far, w the second best, v the previous w
+    x = w = v = grid[i]
+    best = fits[i]
+    fw = fv = best[0]
+    step = last = 0.0
+    while max(x - a, b - x) > 2.0 * tol:
+        mid = 0.5 * (a + b)
+        parabolic = False
+        if abs(last) > tol:
+            r = (x - w) * (best[0] - fv)
+            q = (x - v) * (best[0] - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # take the parabola's vertex only if it lies inside the bracket and
+            # the step is under half the one before last, so steps shrink
+            if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
+                last, step = step, p / q
+                parabolic = True
+                if (x + step) - a < 2.0 * tol or b - (x + step) < 2.0 * tol:
+                    step = tol if x <= mid else -tol
+        if not parabolic:
+            last = (a if x >= mid else b) - x
+            step = _GOLDEN * last
+        u = x + (step if abs(step) >= tol else tol if step >= 0.0 else -tol)
+        fit_u = solve(u)
+        if fit_u[0] <= best[0]:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw = w, fw, x, best[0]
+            x, best = u, fit_u
         else:
-            a, c, fit_c = c, d, fit_d
-            d = a + _INV_PHI * (b - a)
-            fit_d = solve(d)
-    return min(fit_c, fit_d, fits[i], key=lambda fit: fit[0])
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fit_u[0] <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fit_u[0]
+            elif fit_u[0] <= fv or v == x or v == w:
+                v, fv = u, fit_u[0]
+    return best
 
 
 def _repeat_groups(logs: list[IntrusionLog]) -> list[list[IntrusionLog]]:

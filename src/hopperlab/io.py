@@ -14,7 +14,6 @@ partial one.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -45,6 +44,9 @@ TIME_BASE_RTOL = 1e-6
 # rows of the intrusion grid formatted or parsed at a time, so that neither
 # its text nor its list of lines is ever held whole
 INTRUSION_CHUNK_ROWS = 512
+# characters of an intrusion-grid cell with its comma, for the size of a
+# chunk the reader asks for: a float64 repr holds at most 24
+_CELL_CHARS = 18
 
 
 def intrusion_columns(repeats: int) -> tuple[str, ...]:
@@ -108,9 +110,10 @@ def _reading(path: Path, kind: str):
 
 
 def _parse(lines: list[str], width: int) -> np.ndarray:
-    """`lines` (without their line ends), each `width` numbers, as rows of an
-    array; a blank, ragged or non-numeric line raises ValueError."""
-    if "" in lines:
+    r"""`lines` (each without its line end, or with its "\n"), each `width`
+    numbers, as rows of an array; a blank, ragged or non-numeric line raises
+    ValueError."""
+    if "" in lines or "\n" in lines:
         raise ValueError("blank line")
     data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     if data.shape[1] != width:
@@ -288,29 +291,34 @@ def write_intrusion_csv(path, logs: list[IntrusionLog], repeats: int) -> None:
 
 def read_intrusion_csv(path) -> list[IntrusionLog]:
     """The intrusion grid's logs, speed-major and repeat-minor; the number of
-    repeats comes from the header.  The file is parsed INTRUSION_CHUNK_ROWS
-    lines at a time and each speed's block is built once its rows are in.
-    A non-finite cell, a speed not above the block before it, or a `t` that
-    does not increase within a block is bad input."""
+    repeats comes from the header.  The file is read in chunks of whole
+    lines, about INTRUSION_CHUNK_ROWS rows of the header's width, each
+    parsed with its line ends; each speed's block is built once its rows
+    are in, as one array of its t, depth and force columns (the speed
+    column is checked, not kept).  A blank line, a non-finite cell, a speed
+    not above the block before it, or a `t` that does not increase within
+    a block is bad input."""
     logs, block = [], []
 
     def close_block():
-        cols = np.concatenate([piece.T for piece in block], axis=1)
-        increasing = (np.diff(cols[1]) > 0.0).all() and (not logs or cols[0, 0] > logs[-1].speed)
-        if not (np.isfinite(cols).all() and increasing):
+        speed = float(block[0][0, 0])
+        cols = np.concatenate([piece[:, 1:].T for piece in block], axis=1)
+        increasing = (np.diff(cols[0]) > 0.0).all() and (not logs or speed > logs[-1].speed)
+        if not (np.isfinite(speed) and np.isfinite(cols).all() and increasing):
             raise MissingInputError(
                 f"malformed intrusion file {path}: need finite cells, speeds that increase from block "
                 "to block and t that increases within a block"
             )
-        speed, t, depth = float(cols[0, 0]), cols[1], cols[2]  # one t and depth object for every repeat
-        logs.extend(IntrusionLog(speed=speed, t=t, depth=depth, force=f) for f in cols[3:])
+        t, depth = cols[0], cols[1]  # one t and depth object for every repeat
+        logs.extend(IntrusionLog(speed=speed, t=t, depth=depth, force=f) for f in cols[2:])
         block.clear()
 
     with _reading(path, "intrusion") as handle:
         columns = tuple(handle.readline().removesuffix("\n").split(","))
         if len(columns) < 4 or columns != intrusion_columns(len(columns) - 3):
             raise MissingInputError(f"unexpected intrusion header in {path}")
-        while lines := [line.removesuffix("\n") for line in itertools.islice(handle, INTRUSION_CHUNK_ROWS)]:
+        hint = INTRUSION_CHUNK_ROWS * _CELL_CHARS * len(columns)
+        while lines := handle.readlines(hint):
             data = _parse(lines, len(columns))
             for piece in np.split(data, np.flatnonzero(np.diff(data[:, 0])) + 1):
                 if block and block[0][0, 0] != piece[0, 0]:

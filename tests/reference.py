@@ -8,7 +8,8 @@ observer, one step of the filter's covariance and gain in 4x4
 matrices (`gain_step`, the oracle of the program's scalar recursion), and
 the intrusion-model fit on every repeat's samples pooled
 (`pooled_depth_speed_fit`, the oracle of the fit that enters the repeats of
-a grid row as their force sum).
+a grid row as their force sum), and the search over log z_c by golden
+section (`golden_search_log_zc`, the oracle of the program's Brent search).
 
 Each oracle carries its own copy of the arithmetic it checks, so a fault
 in the program's copy (`linkage._foot_channel_coeffs`,
@@ -17,7 +18,8 @@ in the program's copy (`linkage._foot_channel_coeffs`,
 `identification.fit_depth_speed_model`) fails a test.  They share only the
 leg geometry (`_geometry`, `leg_length`, `leg_jacobian`), which
 `test_linkage.py` and the plant-kernel geometry test pin on their own, and
-the fit's search over log z_c (`identification._search_log_zc`).
+the fit's search over log z_c (`identification._search_log_zc`), which
+`golden_search_log_zc` pins.
 """
 
 import csv
@@ -37,7 +39,7 @@ from hopperlab.errors import (
     MissingInputError,
     WorkspaceError,
 )
-from hopperlab.identification import _FIT_LOWER, DepthSpeedFit, _search_log_zc
+from hopperlab.identification import _FIT_LOWER, _FIT_UPPER, _ZC_GRID, _ZC_TOL, DepthSpeedFit, _search_log_zc
 from hopperlab.linkage import _geometry, leg_jacobian, leg_length
 
 
@@ -296,6 +298,31 @@ def mo_step(obs, theta, theta_dot, v_f, tau, dt, linkage_params) -> ObserverStat
 
 
 # ------------------------------------------------------------ identification
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_search_log_zc(solve) -> tuple:
+    """The least-cost `solve(log_zc)` over the box's z_c range by golden
+    section inside the bracket of the best of the same log-spaced grid,
+    until the bracket is narrower than _ZC_TOL; the best grid point competes
+    with the search's last pair.  The oracle of `_search_log_zc`."""
+    grid = np.linspace(math.log(_FIT_LOWER[2]), math.log(_FIT_UPPER[2]), _ZC_GRID).tolist()
+    fits = [solve(x) for x in grid]
+    i = min(range(_ZC_GRID), key=lambda j: fits[j][0])
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, _ZC_GRID - 1)]
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fit_c, fit_d = solve(c), solve(d)
+    while b - a > _ZC_TOL:
+        if fit_c[0] < fit_d[0]:
+            b, d, fit_d = d, c, fit_c
+            c = b - _INV_PHI * (b - a)
+            fit_c = solve(c)
+        else:
+            a, c, fit_c = c, d, fit_d
+            d = a + _INV_PHI * (b - a)
+            fit_d = solve(d)
+    return min(fit_c, fit_d, fits[i], key=lambda fit: fit[0])
 
 
 def _pooled_samples(logs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

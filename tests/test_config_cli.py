@@ -442,6 +442,43 @@ def test_flags_belong_to_the_commands_that_read_them(tmp_path, argv):
     assert not out.exists()
 
 
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    for command in ("simulate", "intrude", "estimate", "identify", "sweep", "report"):
+        assert command in usage
+
+
+@pytest.mark.parametrize("command,seeds", [("sweep", ","), ("sweep", ""), ("simulate", " "), ("simulate", " , ,")])
+def test_a_seed_list_without_a_seed_is_a_usage_error(tmp_path, command, seeds):
+    # not the config's seeds run silently
+    out = tmp_path / "runs"
+    cfg = _write(tmp_path, TINY_SWEEP)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(out), "--seeds", seeds])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["--out", "HOPPERLAB_OUT", "[output] dir"])
+@pytest.mark.parametrize("command", ["simulate", "intrude", "estimate", "identify", "sweep", "report"])
+def test_an_output_directory_that_is_a_file_is_a_usage_error(tmp_path, monkeypatch, capsys, command, source):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    cfg = _write(tmp_path, TINY_SWEEP + (f"[output]\ndir = {taken}\n" if source == "[output] dir" else ""))
+    argv = [command, "--config", cfg]
+    if source == "--out":
+        argv += ["--out", str(taken)]
+    elif source == "HOPPERLAB_OUT":
+        monkeypatch.setenv("HOPPERLAB_OUT", str(taken))
+    assert main(argv) == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini", "taken"]
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_sweep_with_two_jobs_matches_serial_bytes(tmp_path):
     cfg = _write(tmp_path, TINY_SWEEP)
     runs = {}

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hopperlab import experiments, io
+from hopperlab import experiments, identification, io
 from hopperlab.config import ExperimentConfig
 from hopperlab.errors import DegenerateFitError, InsufficientDataError
 from hopperlab.estimation import run_estimation
@@ -28,7 +29,7 @@ from hopperlab.identification import (
 from hopperlab.signals import smoothed_derivative
 from hopperlab.simulator import Frames, NoiseConfig, run_constant_speed_intrusion
 from hopperlab.terrain import TerrainParams
-from reference import added_mass_profile, pooled_cost, pooled_depth_speed_fit
+from reference import added_mass_profile, golden_search_log_zc, pooled_cost, pooled_depth_speed_fit
 
 
 def _samples(z, f, zdd=None, zd=None):
@@ -343,6 +344,77 @@ def test_depth_speed_fit_groups_only_consecutive_logs_of_one_speed_and_depth():
         assert [len(group) for group in _repeat_groups(logs)] == sizes
         _assert_matches_pooled_fit(logs, fit_depth_speed_model(logs))
 
+
+_BRENT_SOLVES = 25   # on the default grid; the golden-section oracle takes 50
+
+
+def _both_searches(logs) -> dict:
+    """The fit of `logs` with the program's search over log z_c and the
+    golden-section oracle run on the same `solve`: each search's least-cost
+    (cost, k, m_a_inf, z_c) and its number of solves, and `solve` itself."""
+    runs = {}
+
+    def both(solve):
+        runs["solve"] = solve
+        for name, search in (("brent", brent), ("golden", golden_search_log_zc)):
+            points = []
+            best = search(lambda log_zc: points.append(log_zc) or solve(log_zc))
+            runs[name] = (best, len(points))
+        return runs["brent"][0]
+
+    brent = identification._search_log_zc
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identification, "_search_log_zc", both)
+        fit_depth_speed_model(logs)
+    return runs
+
+
+def _flat_width(solve, log_zc, cost, h=1e-4) -> float:
+    """How far from `log_zc` the cost stays within 1e-12 of `cost`, relative,
+    by the curvature of the cost there: the distance in log z_c that the
+    cost bound cannot tell from the optimum."""
+    curvature = (solve(log_zc + h)[0] + solve(log_zc - h)[0] - 2.0 * cost) / (h * h)
+    return math.sqrt(2e-12 * cost / curvature) if curvature > 0.0 else 0.0
+
+
+def _assert_brent_matches_golden(runs):
+    """Brent's cost is the oracle's to 1e-12, relative, and its z_c the
+    oracle's to 1e-8, or, where the cost is flatter than that, to the
+    width over which the cost bound cannot tell them apart."""
+    (brent, _), (golden, _) = runs["brent"], runs["golden"]
+    assert brent[0] <= golden[0] * (1.0 + 1e-12)
+    gap = abs(math.log(brent[3]) - math.log(golden[3]))
+    if gap > 1e-8:
+        assert gap <= _flat_width(runs["solve"], math.log(golden[3]), golden[0])
+
+
+def test_brent_search_matches_golden_section_on_the_default_grid(default_grid_logs):
+    runs = _both_searches(default_grid_logs[1])
+    (brent, _), (golden, _) = runs["brent"], runs["golden"]
+    assert brent[0] <= golden[0] * (1.0 + 1e-12)
+    assert brent[3] == pytest.approx(golden[3], rel=1e-8, abs=0.0)
+    assert runs["brent"][1] <= _BRENT_SOLVES < runs["golden"][1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k_stiff=st.floats(200.0, 1600.0),
+    m_a_inf=st.floats(0.01, 0.5),
+    z_c=st.floats(0.002, 0.05),
+    sigma=st.floats(0.05, 3.0),
+    seed=st.integers(0, 2**16),
+    n_speeds=st.integers(2, 12),
+)
+def test_brent_search_matches_golden_section_on_drawn_corpora(k_stiff, m_a_inf, z_c, sigma, seed, n_speeds):
+    # where the cost is flat in z_c (two speeds, a weak bed, heavy noise) both
+    # searches end on the same cost to the last bit, up to 6e-7 apart in z_c
+    terrain = TerrainParams(k_stiff=k_stiff, m_a_inf=m_a_inf, z_c=z_c)
+    noise = NoiseConfig(loadcell_sigma=sigma)
+    logs = [
+        run_constant_speed_intrusion(v, 0.05, terrain, noise_config=noise, seed=[seed, i])
+        for i, v in enumerate(np.linspace(0.05, 1.1, n_speeds))
+    ]
+    _assert_brent_matches_golden(_both_searches(logs))
 
 # ------------------------------------------------- added-mass reconstruction
 

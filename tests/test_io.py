@@ -501,6 +501,7 @@ _DEGENERATE = {
     # or identify would write them into its report
     "entry with a word for speed": ("identify", {**_hop_trial(), **_manifest(speed="fast")}),
     "entry with a list for seed": ("identify", {**_hop_trial(), **_manifest(seed=[1])}),
+    "entry with a list for trial_id": ("identify", {**_hop_trial(), **_manifest(trial_id=[_HOP])}),
     "fit without m_a_inf_fit": ("report", _report_inputs({k: v for k, v in _FIT.items() if k != "m_a_inf_fit"})),
     "fit a JSON list": ("report", _report_inputs(list(_FIT.values()))),
     "fit value not a number": ("report", _report_inputs({**_FIT, "z_c_fit": "0.015"})),
@@ -816,6 +817,36 @@ def test_identify_rejects_inconsistent_intrusion_log(tiny_sweep, tmp_path, edit)
         io.read_intrusion_csv(log)
     assert main(["identify", "--config", str(cfg), "--out", str(out)]) == 4
     assert (out / "depth_speed_fit.json").read_bytes() == fit_before
+
+
+def test_identify_rejects_a_trial_listed_twice(tiny_sweep, tmp_path):
+    # a copy of a hop's entry would count that hop twice in its condition
+    cfg, sweep = tiny_sweep
+    out = tmp_path / "out"
+    shutil.copytree(sweep, out)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest["entries"].append(dict(manifest["entries"][0]))
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["identify", "--config", str(cfg), "--out", str(out)]) == 4
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), end=st.sampled_from(["\n", "\r\n"]))
+def test_a_blank_line_anywhere_in_the_grid_is_bad_input(tmp_path_factory, tiny_sweep, data, end):
+    # the reader parses chunks of lines with their ends; a blank line in any
+    # chunk, at its start or at the end of the file, is bad input, not a row
+    # numpy skips
+    cfg, sweep = tiny_sweep
+    lines = (sweep / "intrusion_grid.csv").read_bytes().decode("utf-8").split("\r\n")
+    lines.insert(data.draw(st.integers(1, len(lines) - 1), label="at"), "")
+    out = tmp_path_factory.mktemp("blank")
+    shutil.copytree(sweep, out, dirs_exist_ok=True)
+    (out / "intrusion_grid.csv").write_bytes(end.join(lines).encode("utf-8"))
+    with pytest.raises(MissingInputError, match="blank line"):
+        io.read_intrusion_csv(out / "intrusion_grid.csv")
+    assert main(["identify", "--config", str(cfg), "--out", str(out)]) == 4
 
 
 def _rows_failing_after(n):
