@@ -168,8 +168,11 @@ def _search_log_zc(solve) -> tuple:
     Brent's minimization (Brent 1973, ch. 5) inside the bracket of the best
     of a log-spaced grid: a parabola through the three best points when its
     step is short and inside the bracket, else a golden-section step.  The
-    search starts from the best grid point and keeps the least cost it has
-    seen, so an optimum on the edge of the box is the edge exactly.
+    search starts at the bracket's golden-section point, so its first two
+    solves cut the bracket as golden section does and, where the cost has
+    two minima in the bracket, it keeps to golden section's side.  The best
+    grid point competes with the search's best, so an optimum on the edge of
+    the box is the edge exactly.
     """
     grid = np.linspace(math.log(_FIT_LOWER[2]), math.log(_FIT_UPPER[2]), _ZC_GRID).tolist()
     fits = [solve(x) for x in grid]
@@ -177,8 +180,8 @@ def _search_log_zc(solve) -> tuple:
     a, b = grid[max(i - 1, 0)], grid[min(i + 1, _ZC_GRID - 1)]
     tol = _ZC_TOL / 2.0  # the least step; the bracket ends may lie 2*tol from x
     # x the best point so far, w the second best, v the previous w
-    x = w = v = grid[i]
-    best = fits[i]
+    x = w = v = a + _GOLDEN * (b - a)
+    best = solve(x)
     fw = fv = best[0]
     step = last = 0.0
     while max(x - a, b - x) > 2.0 * tol:
@@ -220,7 +223,7 @@ def _search_log_zc(solve) -> tuple:
                 v, fv, w, fw = w, fw, u, fit_u[0]
             elif fit_u[0] <= fv or v == x or v == w:
                 v, fv = u, fit_u[0]
-    return best
+    return min(best, fits[i], key=lambda fit: fit[0])
 
 
 def _repeat_groups(logs: list[IntrusionLog]) -> list[list[IntrusionLog]]:

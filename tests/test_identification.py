@@ -416,6 +416,22 @@ def test_brent_search_matches_golden_section_on_drawn_corpora(k_stiff, m_a_inf, 
     ]
     _assert_brent_matches_golden(_both_searches(logs))
 
+def test_brent_search_keeps_to_golden_sections_minimum_where_the_cost_has_two():
+    # a weak bed under heavy noise: in the bracket [1e-5, 1e-4] of z_c the
+    # cost has a minimum on the box's edge and a lower one near 3.7e-5;
+    # started from the edge, the search once ended there, 0.14 above it
+    terrain = TerrainParams(k_stiff=200.0, m_a_inf=0.015625, z_c=0.03125)
+    noise = NoiseConfig(loadcell_sigma=3.0)
+    logs = [
+        run_constant_speed_intrusion(v, 0.05, terrain, noise_config=noise, seed=[71, i])
+        for i, v in enumerate(np.linspace(0.05, 1.1, 9))
+    ]
+    runs = _both_searches(logs)
+    assert runs["golden"][0][3] > 2.0 * identification._FIT_LOWER[2]
+    _assert_brent_matches_golden(runs)
+    assert runs["brent"][0][3] > 2.0 * identification._FIT_LOWER[2]
+
+
 # ------------------------------------------------- added-mass reconstruction
 
 
