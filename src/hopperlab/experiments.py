@@ -195,7 +195,7 @@ def build_manifest(config: ExperimentConfig) -> dict:
 
 def write_intrusion_grid(config: ExperimentConfig, path: Path) -> list[IntrusionLog]:
     """Run every intrusion speed `intrusion_repeats` times and write the grid
-    to `path`; returns the logs speed-major, repeat-minor.
+    to `path`; returns one record per speed, in grid order.
 
     The seed key [repeat, round(speed * 1e6)] makes every (speed, repeat)
     pair reproducible on its own.
@@ -207,12 +207,11 @@ def write_intrusion_grid(config: ExperimentConfig, path: Path) -> list[Intrusion
             sweep.intrusion_z_max,
             config.terrain,
             noise_config=config.noise,
-            seed=[repeat, int(round(speed * 1e6))],
+            seeds=[[repeat, int(round(speed * 1e6))] for repeat in range(sweep.intrusion_repeats)],
         )
         for speed in sweep.intrusion_speeds()
-        for repeat in range(sweep.intrusion_repeats)
     ]
-    io.write_intrusion_csv(path, logs, sweep.intrusion_repeats)
+    io.write_intrusion_csv(path, logs)
     return logs
 
 

@@ -226,22 +226,6 @@ def _search_log_zc(solve) -> tuple:
     return min(best, fits[i], key=lambda fit: fit[0])
 
 
-def _repeat_groups(logs: list[IntrusionLog]) -> list[list[IntrusionLog]]:
-    """Runs of consecutive logs that share speed and depth: the repeats of
-    one row of the intrusion grid.  Depths match by content, so copies group
-    as the shared arrays of a grid read back from disk do."""
-    groups: list[list[IntrusionLog]] = []
-    for log in logs:
-        head = groups[-1][0] if groups else None
-        if head is not None and log.speed == head.speed and (
-            log.depth is head.depth or np.array_equal(log.depth, head.depth)
-        ):
-            groups[-1].append(log)
-        else:
-            groups.append([log])
-    return groups
-
-
 def fit_depth_speed_model(logs: list[IntrusionLog]) -> DepthSpeedFit:
     """Fit the parametric terrain model to constant-speed intrusion sweeps.
 
@@ -253,22 +237,22 @@ def fit_depth_speed_model(logs: list[IntrusionLog]) -> DepthSpeedFit:
     Variable projection (Golub & Pereyra, 1973): at a fixed z_c the model
     is linear in (k, m_a_inf), so only log z_c is searched.
 
-    The R repeats of a (speed, depth) row enter once: with p the model and
-    f_j the repeats' forces, sum_j (p - f_j)^2 = R*(p - fbar)^2 +
+    Each record holds one speed's kinematics once and its R repeats' force
+    rows, so a (speed, depth) row enters once: with p the model and f_j the
+    repeats' forces, sum_j (p - f_j)^2 = R*(p - fbar)^2 +
     sum_j (f_j - fbar)^2.  The columns carry sqrt(R) (sqrt(R)*z,
     sqrt(R)*v^2 and F/sqrt(R), F the force sum), so the search minimizes
     the first term on one row per sample of kinematics; the second, the
     spread within rows, is a constant added once to the cost behind
-    `rmse`.  `n_samples` counts every repeat's samples.  With no repeats
-    every scale is 1.0 and the spread 0.0.
+    `rmse`.  `n_samples` counts every repeat's samples.  With one repeat
+    (R = 1) every scale is 1.0 and the spread 0.0.
     """
     speeds = {round(log.speed, 9) for log in logs}
     if len(speeds) < 2:
         raise InsufficientDataError("need intrusion sweeps at >= 2 distinct speeds")
-    groups = _repeat_groups(logs)
-    keeps = [group[0].depth > 0.0 for group in groups]
+    keeps = [log.depth > 0.0 for log in logs]
     counts = [int(np.count_nonzero(keep)) for keep in keeps]
-    n_samples = sum(len(group) * count for group, count in zip(groups, counts))
+    n_samples = sum(len(log.force) * count for log, count in zip(logs, counts))
     if n_samples < 10:
         raise InsufficientDataError("too few in-contact intrusion samples")
 
@@ -276,17 +260,17 @@ def fit_depth_speed_model(logs: list[IntrusionLog]) -> DepthSpeedFit:
     # in place, so the grid's rows are never held twice
     z, zs, v2, f = np.empty((4, sum(counts)))
     spread, stop = 0.0, 0
-    for group, keep, count in zip(groups, keeps, counts):
+    for log, keep, count in zip(logs, keeps, counts):
         rows = slice(stop, stop + count)
         stop += count
-        root = math.sqrt(len(group))
-        forces = [log.force[keep] for log in group]
+        root = math.sqrt(len(log.force))
+        forces = log.force[:, keep]
         total = sum(forces[1:], forces[0])
-        mean = total / len(group)
+        mean = total / len(forces)
         spread += sum(float(np.einsum("i,i", d, d)) for d in (force - mean for force in forces))
-        z[rows] = group[0].depth[keep]
+        z[rows] = log.depth[keep]
         zs[rows] = z[rows] * root
-        v2[rows] = group[0].speed * group[0].speed * root
+        v2[rows] = log.speed * log.speed * root
         f[rows] = total / root
 
     # every n-long reduction is an einsum without `optimize`, which sums in

@@ -259,45 +259,36 @@ def read_estimation_csv(path) -> tuple[EstimationSeries, dict[str, np.ndarray]]:
     return EstimationSeries(**outputs), truth
 
 
-def write_intrusion_csv(path, logs: list[IntrusionLog], repeats: int) -> None:
-    """The intrusion grid: `logs` speed-major and repeat-minor, `repeats` per
-    speed, as one row per load-cell sample of each speed.  The repeats of a
-    speed share its kinematics, so its speed, `t` and `depth` are written
-    once per row and each repeat adds its force.  Rows are formatted and
-    written INTRUSION_CHUNK_ROWS at a time.  Repeats that differ in speed,
-    `t` or `depth`, or a log whose columns differ in length, raise ValueError.
+def write_intrusion_csv(path, logs: list[IntrusionLog]) -> None:
+    """The intrusion grid: one row per load-cell sample of each record, in
+    order: its speed, `t` and `depth`, then each repeat's force.  Rows are
+    formatted and written INTRUSION_CHUNK_ROWS at a time.  A record whose
+    force rows or depth do not match its `t`, or whose number of repeats
+    differs from the first record's, raises ValueError.
     """
-    blocks = [logs[i : i + repeats] for i in range(0, len(logs), repeats)]
-    for block in blocks:
-        first = block[0]
-        if len(block) != repeats or not all(
-            log.speed == first.speed
-            and log.force.shape == log.depth.shape == log.t.shape
-            and np.array_equal(log.t, first.t)
-            and np.array_equal(log.depth, first.depth)
-            for log in block
-        ):
-            raise ValueError(f"{path}: the {repeats} logs at {first.speed} m/s do not share one speed, t and depth")
+    repeats = len(logs[0].force)
+    for log in logs:
+        if log.force.shape != (repeats, log.t.size) or log.depth.shape != log.t.shape:
+            raise ValueError(f"{path}: the record at {log.speed} m/s needs {repeats} force rows and a depth as its t")
     with _replacing(path, newline="") as handle:
         handle.write(",".join(intrusion_columns(repeats)) + "\r\n")
-        for block in blocks:
-            prefix = fmt_float(block[0].speed) + ","
-            for start in range(0, block[0].t.size, INTRUSION_CHUNK_ROWS):
+        for log in logs:
+            prefix = fmt_float(log.speed) + ","
+            for start in range(0, log.t.size, INTRUSION_CHUNK_ROWS):
                 rows = slice(start, start + INTRUSION_CHUNK_ROWS)
-                cells = [_cells(block[0].t[rows]), _cells(block[0].depth[rows])]
-                cells += [_cells(log.force[rows]) for log in block]
+                cells = [_cells(log.t[rows]), _cells(log.depth[rows]), *map(_cells, log.force[:, rows])]
                 handle.write(prefix + f"\r\n{prefix}".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def read_intrusion_csv(path) -> list[IntrusionLog]:
-    """The intrusion grid's logs, speed-major and repeat-minor; the number of
-    repeats comes from the header.  The file is read in chunks of whole
+    """The intrusion grid's records, one per speed in file order; the number
+    of repeats comes from the header.  The file is read in chunks of whole
     lines, about INTRUSION_CHUNK_ROWS rows of the header's width, each
-    parsed with its line ends; each speed's block is built once its rows
-    are in, as one array of its t, depth and force columns (the speed
-    column is checked, not kept).  A blank line, a non-finite cell, a speed
-    not above the block before it, or a `t` that does not increase within
-    a block is bad input."""
+    parsed with its line ends; each speed's record is built once its rows
+    are in, as views of one array of its t, depth and force columns (the
+    speed column is checked, not kept).  A blank line, a non-finite cell, a
+    speed not above the block before it, or a `t` that does not increase
+    within a block is bad input."""
     logs, block = [], []
 
     def close_block():
@@ -309,8 +300,7 @@ def read_intrusion_csv(path) -> list[IntrusionLog]:
                 f"malformed intrusion file {path}: need finite cells, speeds that increase from block "
                 "to block and t that increases within a block"
             )
-        t, depth = cols[0], cols[1]  # one t and depth object for every repeat
-        logs.extend(IntrusionLog(speed=speed, t=t, depth=depth, force=f) for f in cols[2:])
+        logs.append(IntrusionLog(speed=speed, t=cols[0], depth=cols[1], force=cols[2:]))
         block.clear()
 
     with _reading(path, "intrusion") as handle:
@@ -348,10 +338,5 @@ def write_json(path, payload: dict) -> None:
 
 
 def read_json(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise MissingInputError(f"missing input file: {path}")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise MissingInputError(f"malformed JSON file {path}: {exc}") from exc
+    with _reading(Path(path), "JSON") as handle:
+        return json.load(handle)

@@ -165,12 +165,13 @@ class TrialLog:
 
 @dataclass
 class IntrusionLog:
-    """Constant-speed penetration record from the kinematic rig."""
+    """One speed's constant-speed penetration record from the kinematic rig:
+    its repeats share `t` and `depth`, and `force` holds one row per repeat."""
 
     speed: float
     t: np.ndarray
     depth: np.ndarray
-    force: np.ndarray
+    force: np.ndarray  # (repeats, samples)
 
 
 def plant_kernel(lk: LinkageParams, tr: TerrainParams):
@@ -589,24 +590,26 @@ def run_constant_speed_intrusion(
     z_max: float,
     terrain_params: TerrainParams,
     noise_config: NoiseConfig | None = None,
-    seed=0,
+    seeds=(0,),
 ) -> IntrusionLog:
-    """Drive the foot kinematically at constant speed down to z_max.
+    """Drive the foot kinematically at constant speed down to z_max, once
+    per seed.
 
-    The recorded force is the reaction law at (z, v, 0) plus load-cell
-    noise when enabled; deterministic for a fixed seed.
+    The reaction law at (z, v, 0) is evaluated once; each repeat's force row
+    adds load-cell noise from `default_rng(seed)` when enabled, so a row is
+    the same for its seed whatever the other seeds are.
     """
     if speed <= 0.0:
         raise ValueError("speed must be positive")
     if z_max <= 0.0:
         raise ValueError("z_max must be positive")
     noise = noise_config if noise_config is not None else NoiseConfig.noiseless()
-    rng = np.random.default_rng(seed)
     dt = 1.0 / INTRUSION_RATE_HZ
     n = int(math.floor(z_max / (speed * dt))) + 1
     t = np.arange(n) * dt
     depth = np.minimum(speed * t, z_max)
-    force = constant_speed_force(depth, speed, terrain_params)
+    force = np.tile(constant_speed_force(depth, speed, terrain_params), (len(seeds), 1))
     if noise.enabled and noise.loadcell_sigma > 0.0:
-        force = force + rng.normal(0.0, noise.loadcell_sigma, size=n)
+        for row, seed in zip(force, seeds):
+            row += np.random.default_rng(seed).normal(0.0, noise.loadcell_sigma, size=n)
     return IntrusionLog(speed=float(speed), t=t, depth=depth, force=force)

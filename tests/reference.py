@@ -6,9 +6,9 @@ dynamics, the quasi-static torque map, the granular reaction law, the
 virtual spring, one step of the Kalman filter and of the momentum
 observer, one step of the filter's covariance and gain in 4x4
 matrices (`gain_step`, the oracle of the program's scalar recursion), and
-the intrusion-model fit on every repeat's samples pooled
-(`pooled_depth_speed_fit`, the oracle of the fit that enters the repeats of
-a grid row as their force sum), and the search over log z_c by golden
+the intrusion-model fit on the samples of every force row of every
+record pooled (`pooled_depth_speed_fit`, the oracle of the fit that enters
+the repeats of a grid row as their force sum), and the search over log z_c by golden
 section (`golden_search_log_zc`, the oracle of the program's Brent search).
 
 Each oracle carries its own copy of the arithmetic it checks, so a fault
@@ -326,10 +326,12 @@ def golden_search_log_zc(solve) -> tuple:
 
 
 def _pooled_samples(logs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(z, v^2, f) of every log's in-contact samples, concatenated in order."""
-    z = np.concatenate([log.depth for log in logs])
-    v = np.concatenate([np.full(log.depth.shape, log.speed) for log in logs])
-    f = np.concatenate([log.force for log in logs])
+    """(z, v^2, f) of the in-contact samples of every force row of every
+    record, each row beside its record's depth, concatenated in order."""
+    rows = [(log, force) for log in logs for force in log.force]
+    z = np.concatenate([log.depth for log, _ in rows])
+    v = np.concatenate([np.full(log.depth.shape, log.speed) for log, _ in rows])
+    f = np.concatenate([force for _, force in rows])
     keep = z > 0.0
     return z[keep], v[keep] ** 2, f[keep]
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from hopperlab.identification import (
     StanceSamples,
     TrialSamples,
     WeightConfig,
-    _repeat_groups,
     acceleration_weight,
     added_mass_reconstruction,
     extract_samples,
@@ -283,15 +281,14 @@ def test_near_zero_speed_sweep_slope_is_stiffness(terrain):
     # at negligible speed the force-depth slope is the depth stiffness
     log = run_constant_speed_intrusion(1e-4, 0.05, terrain)
     keep = log.depth > 0
-    slope = np.polyfit(log.depth[keep], log.force[keep], 1)[0]
+    slope = np.polyfit(log.depth[keep], log.force[0, keep], 1)[0]
     assert slope == pytest.approx(terrain.k_stiff, rel=1e-6)
 
 
 @pytest.fixture(scope="module")
 def default_grid_logs(tmp_path_factory):
-    """The default 50 x 3 intrusion grid: the logs as the sweep holds them
-    (equal copies of each speed's kinematics) and as read back from
-    `intrusion_grid.csv` (one shared array per speed)."""
+    """The default 50 x 3 intrusion grid: its records as the sweep holds them
+    and as read back from `intrusion_grid.csv`."""
     path = tmp_path_factory.mktemp("grid") / "intrusion_grid.csv"
     return experiments.write_intrusion_grid(ExperimentConfig(), path), io.read_intrusion_csv(path)
 
@@ -299,7 +296,7 @@ def default_grid_logs(tmp_path_factory):
 def _noisy_logs(speeds, seed=3, z_max=0.05):
     noise = NoiseConfig(loadcell_sigma=0.5)
     return [
-        run_constant_speed_intrusion(v, z_max, TerrainParams(), noise_config=noise, seed=[seed, i])
+        run_constant_speed_intrusion(v, z_max, TerrainParams(), noise_config=noise, seeds=[[seed, i]])
         for i, v in enumerate(speeds)
     ]
 
@@ -317,31 +314,25 @@ def _assert_matches_pooled_fit(logs, fit):
 
 def test_depth_speed_fit_without_repeats_is_the_pooled_fit_bit_for_bit():
     logs = _noisy_logs(np.linspace(0.022, 1.1, 50))
-    assert [len(group) for group in _repeat_groups(logs)] == [1] * 50
     assert fit_depth_speed_model(logs) == pooled_depth_speed_fit(logs)
 
 
 def test_depth_speed_fit_collapses_the_default_grid_repeats(default_grid_logs):
     in_memory, from_disk = default_grid_logs
-    assert in_memory[0].depth is not in_memory[1].depth and from_disk[0].depth is from_disk[1].depth
-    for logs in default_grid_logs:
-        assert [len(group) for group in _repeat_groups(logs)] == [3] * 50
+    assert [log.force.shape[0] for log in in_memory] == [log.force.shape[0] for log in from_disk] == [3] * 50
     fit = fit_depth_speed_model(in_memory)
     assert fit_depth_speed_model(from_disk) == fit
     _assert_matches_pooled_fit(in_memory, fit)
 
 
-def test_depth_speed_fit_groups_only_consecutive_logs_of_one_speed_and_depth():
+def test_depth_speed_fit_takes_records_of_one_speed_as_separate_rows():
+    # one-repeat records of a speed, interleaved with another speed's or to
+    # another depth, each enter as their own rows: the pooled fit
     a0, b0, a1, b1 = _noisy_logs((0.3, 0.9, 0.3, 0.9))
     interleaved = [a0, b0, a1, b1]
-    assert [len(group) for group in _repeat_groups(interleaved)] == [1, 1, 1, 1]
     assert fit_depth_speed_model(interleaved) == pooled_depth_speed_fit(interleaved)
-    # a log of the same speed to another depth ends a run of repeats, and a
-    # copy of a log's kinematics joins it only right after it
     shallow = _noisy_logs((0.3,), seed=4, z_max=0.04)[0]
-    again = dataclasses.replace(a1, depth=a0.depth.copy())
-    for logs, sizes in (([a0, shallow, b0], [1, 1, 1]), ([a0, again, shallow, again, b0, b1], [2, 1, 1, 2])):
-        assert [len(group) for group in _repeat_groups(logs)] == sizes
+    for logs in ([a0, shallow, b0], [a0, a1, shallow, a1, b0, b1]):
         _assert_matches_pooled_fit(logs, fit_depth_speed_model(logs))
 
 
@@ -411,7 +402,7 @@ def test_brent_search_matches_golden_section_on_drawn_corpora(k_stiff, m_a_inf, 
     terrain = TerrainParams(k_stiff=k_stiff, m_a_inf=m_a_inf, z_c=z_c)
     noise = NoiseConfig(loadcell_sigma=sigma)
     logs = [
-        run_constant_speed_intrusion(v, 0.05, terrain, noise_config=noise, seed=[seed, i])
+        run_constant_speed_intrusion(v, 0.05, terrain, noise_config=noise, seeds=[[seed, i]])
         for i, v in enumerate(np.linspace(0.05, 1.1, n_speeds))
     ]
     _assert_brent_matches_golden(_both_searches(logs))
@@ -423,7 +414,7 @@ def test_brent_search_keeps_to_golden_sections_minimum_where_the_cost_has_two():
     terrain = TerrainParams(k_stiff=200.0, m_a_inf=0.015625, z_c=0.03125)
     noise = NoiseConfig(loadcell_sigma=3.0)
     logs = [
-        run_constant_speed_intrusion(v, 0.05, terrain, noise_config=noise, seed=[71, i])
+        run_constant_speed_intrusion(v, 0.05, terrain, noise_config=noise, seeds=[[71, i]])
         for i, v in enumerate(np.linspace(0.05, 1.1, 9))
     ]
     runs = _both_searches(logs)
@@ -454,7 +445,7 @@ def test_reconstruction_constant_speed_predicts_zero(terrain):
     log = run_constant_speed_intrusion(0.5, 0.05, terrain)
     keep = log.depth > 0
     predicted, residual = added_mass_reconstruction(
-        fit, log.depth[keep], np.full(keep.sum(), 0.5), np.zeros(keep.sum()), log.force[keep]
+        fit, log.depth[keep], np.full(keep.sum(), 0.5), np.zeros(keep.sum()), log.force[0, keep]
     )
     assert np.abs(predicted).max() == 0.0
     assert np.abs(residual).max() < 1e-6

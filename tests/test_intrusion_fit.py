@@ -30,7 +30,7 @@ def test_drag_subtracted_twice_holds_added_mass_at_zero():
         logs.append(dataclasses.replace(log, force=log.force - 2.0 * drag))
     fit = fit_depth_speed_model(logs)
     z = np.concatenate([log.depth for log in logs])
-    f = np.concatenate([log.force for log in logs])
+    f = np.concatenate([log.force[0] for log in logs])
     assert fit.m_a_inf_fit == 0.0
     assert fit.k_fit == pytest.approx(np.dot(z, f) / np.dot(z, z), rel=1e-12)
     assert fit.in_box()

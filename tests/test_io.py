@@ -611,12 +611,11 @@ def test_column_writers_match_rowwise_formatting(tmp_path, noisy_trial, terrain)
     ]
     # two repeats at two speeds; 667 rows at 0.03 m/s span two 512-row chunks
     noise = NoiseConfig(loadcell_sigma=0.05)
-    logs = [run_constant_speed_intrusion(v, 0.02, terrain, noise_config=noise, seed=[r, i])
-            for i, v in enumerate((0.03, 0.3)) for r in range(2)]
+    logs = [run_constant_speed_intrusion(v, 0.02, terrain, noise_config=noise, seeds=[[r, i] for r in range(2)])
+            for i, v in enumerate((0.03, 0.3))]
     assert logs[0].t.size > io.INTRUSION_CHUNK_ROWS
-    cases.append((lambda path, logs: io.write_intrusion_csv(path, logs, 2), logs, io.intrusion_columns(2),
-                  [[a.speed, a.t[i], a.depth[i], a.force[i], b.force[i]]
-                   for a, b in zip(logs[::2], logs[1::2]) for i in range(a.t.size)]))
+    cases.append((io.write_intrusion_csv, logs, io.intrusion_columns(2),
+                  [[log.speed, log.t[i], log.depth[i], *log.force[:, i]] for log in logs for i in range(log.t.size)]))
     for writer, data, header, rows in cases:
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
         writer(new, data)
@@ -657,22 +656,21 @@ def test_column_writer_rejects_ragged_columns(tmp_path):
 
 
 def test_intrusion_writer_rejects_ragged_log(tmp_path):
-    # a ragged log, repeats that do not share their speed's kinematics, or
-    # a speed with fewer logs than repeats
+    # force rows or a depth that do not match the record's t, or a record
+    # with another number of repeats than the first
     from hopperlab.simulator import IntrusionLog
 
     t, zeros = np.arange(3) * 1e-3, np.zeros(3)
-    log = IntrusionLog(speed=0.5, t=t, depth=zeros, force=zeros)
+    log = IntrusionLog(speed=0.5, t=t, depth=zeros, force=np.zeros((2, 3)))
     for logs in (
-        [IntrusionLog(speed=0.5, t=t, depth=zeros, force=np.zeros(2))],
-        [IntrusionLog(speed=0.5, t=t, depth=np.zeros(2), force=zeros)],
-        [log, IntrusionLog(speed=0.5, t=t + 1e-3, depth=zeros, force=zeros)],
-        [log, IntrusionLog(speed=0.5, t=t, depth=zeros + 1e-3, force=zeros)],
-        [log, IntrusionLog(speed=0.6, t=t, depth=zeros, force=zeros)],
-        [log, log, log],
+        [IntrusionLog(speed=0.5, t=t, depth=zeros, force=np.zeros((2, 2)))],
+        [IntrusionLog(speed=0.5, t=t, depth=zeros, force=zeros)],
+        [IntrusionLog(speed=0.5, t=t, depth=np.zeros(2), force=np.zeros((2, 3)))],
+        [log, IntrusionLog(speed=0.6, t=t, depth=zeros, force=np.zeros((1, 3)))],
+        [log, IntrusionLog(speed=0.6, t=t, depth=zeros, force=np.zeros((3, 3)))],
     ):
         with pytest.raises(ValueError):
-            io.write_intrusion_csv(tmp_path / "x.csv", logs, 1 if len(logs) == 1 else 2)
+            io.write_intrusion_csv(tmp_path / "x.csv", logs)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -686,37 +684,35 @@ def default_grid(tmp_path_factory):
 
 @pytest.mark.parametrize("repeats", [1, 3])
 def test_intrusion_grid_reads_back_as_the_rig_ran_it(tmp_path, repeats):
-    # every (speed, repeat), in the order the fit takes them, bit for bit
+    # every speed's record, in the order the fit takes them, bit for bit
     config = with_values(ExperimentConfig(), "sweep", intrusion_repeats=repeats)
     sweep = config.sweep
     experiments.write_intrusion_grid(config, tmp_path / "intrusion_grid.csv")
     logs = io.read_intrusion_csv(tmp_path / "intrusion_grid.csv")
     expected = [
         run_constant_speed_intrusion(speed, sweep.intrusion_z_max, config.terrain, noise_config=config.noise,
-                                     seed=[repeat, int(round(speed * 1e6))])
+                                     seeds=[[repeat, int(round(speed * 1e6))] for repeat in range(repeats)])
         for speed in sweep.intrusion_speeds()
-        for repeat in range(repeats)
     ]
-    assert len(logs) == len(expected) == sweep.intrusion_speed_count * repeats
+    assert len(logs) == len(expected) == sweep.intrusion_speed_count
     for got, want in zip(logs, expected):
-        assert got.speed == want.speed
+        assert got.speed == want.speed and got.force.shape == (repeats, want.t.size)
         for name in ("t", "depth", "force"):
             assert np.array_equal(getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)), name
 
 
 def test_intrusion_grid_cells_are_each_logs_cells(default_grid):
     config, logs, path = default_grid
-    repeats = config.sweep.intrusion_repeats
     with open(path, newline="", encoding="utf-8") as handle:
         header, *rows = list(csv.reader(handle))
-    assert tuple(header) == io.intrusion_columns(repeats)
-    for block in (logs[i : i + repeats] for i in range(0, len(logs), repeats)):
-        n = block[0].t.size
+    assert tuple(header) == io.intrusion_columns(config.sweep.intrusion_repeats)
+    for log in logs:
+        n = log.t.size
         cells, rows = list(zip(*rows[:n])), rows[n:]
-        assert set(cells[0]) == {repr(block[0].speed)}
-        assert list(cells[1]) == io._cells(block[0].t) and list(cells[2]) == io._cells(block[0].depth)
-        for log, column in zip(block, cells[3:], strict=True):
-            assert list(column) == io._cells(log.force)
+        assert set(cells[0]) == {repr(log.speed)}
+        assert list(cells[1]) == io._cells(log.t) and list(cells[2]) == io._cells(log.depth)
+        for force, column in zip(log.force, cells[3:], strict=True):
+            assert list(column) == io._cells(force)
     assert rows == []
 
 
@@ -730,7 +726,7 @@ def test_intrusion_grid_is_streamed(default_grid):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        io.write_intrusion_csv(path, logs, 3)
+        io.write_intrusion_csv(path, logs)
         write_peak = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         back = io.read_intrusion_csv(path)
@@ -756,7 +752,7 @@ def test_intrusion_fit_holds_one_row_per_speed_and_depth(default_grid):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert fit.n_samples == sum(int(np.count_nonzero(log.depth > 0.0)) for log in logs)
+    assert fit.n_samples == sum(len(log.force) * int(np.count_nonzero(log.depth > 0.0)) for log in logs)
     assert peak <= _FIT_MEMORY_BOUND, peak
 
 

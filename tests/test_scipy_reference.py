@@ -65,13 +65,14 @@ def test_smoothed_derivative_rejects_even_window():
 def _reference_fit(logs):
     """`fit_depth_speed_model` as it was, on scipy: parameters and the
     residual function of the pooled in-contact samples."""
-    z = np.concatenate([log.depth for log in logs])
-    v = np.concatenate([np.full(log.depth.shape, log.speed) for log in logs])
-    f = np.concatenate([log.force for log in logs])
+    rows = [(log, force) for log in logs for force in log.force]
+    z = np.concatenate([log.depth for log, _ in rows])
+    v = np.concatenate([np.full(log.depth.shape, log.speed) for log, _ in rows])
+    f = np.concatenate([force for _, force in rows])
     keep = z > 0.0
     z, v, f = z[keep], v[keep], f[keep]
-    slow = min(logs, key=lambda lg: lg.speed)
-    zs, fs = slow.depth[slow.depth > 0.0], slow.force[slow.depth > 0.0]
+    slow, slow_force = min(rows, key=lambda row: row[0].speed)
+    zs, fs = slow.depth[slow.depth > 0.0], slow_force[slow.depth > 0.0]
     k0 = float(np.polyfit(zs, fs, 1)[0])
     zc0 = max(float(np.median(z)) / 2.0, 1e-3)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -112,10 +113,9 @@ def _default_intrusion_corpus():
             config.sweep.intrusion_z_max,
             config.terrain,
             noise_config=config.noise,
-            seed=[repeat, int(round(speed * 1e6))],
+            seeds=[[repeat, int(round(speed * 1e6))] for repeat in range(config.sweep.intrusion_repeats)],
         )
         for speed in config.sweep.intrusion_speeds()
-        for repeat in range(config.sweep.intrusion_repeats)
     ]
 
 
@@ -140,7 +140,7 @@ def test_intrusion_fit_matches_least_squares_on_noisy_draws(k_stiff, m_a_inf, z_
     terrain = TerrainParams(k_stiff=k_stiff, m_a_inf=m_a_inf, z_c=z_c)
     noise = NoiseConfig(loadcell_sigma=sigma)
     logs = [
-        run_constant_speed_intrusion(v, 0.05, terrain, noise_config=noise, seed=[seed, i])
+        run_constant_speed_intrusion(v, 0.05, terrain, noise_config=noise, seeds=[[seed, i]])
         for i, v in enumerate(np.linspace(0.05, 1.1, 12))
     ]
     _assert_fit_matches_reference(logs)
@@ -152,7 +152,7 @@ def test_intrusion_fit_matches_least_squares_with_z_c_on_its_bound():
     terrain = TerrainParams(k_stiff=200.0, m_a_inf=0.02, z_c=0.04)
     noise = NoiseConfig(loadcell_sigma=3.0)
     logs = [
-        run_constant_speed_intrusion(v, 0.05, terrain, noise_config=noise, seed=[1, i])
+        run_constant_speed_intrusion(v, 0.05, terrain, noise_config=noise, seeds=[[1, i]])
         for i, v in enumerate(np.linspace(0.05, 1.1, 12))
     ]
     assert fit_depth_speed_model(logs).z_c_fit == 1.0
@@ -163,7 +163,7 @@ def test_intrusion_fit_matches_least_squares_with_z_c_on_its_bound():
 def test_intrusion_fit_that_is_not_finite_is_degenerate(default_corpus, bad):
     fast = default_corpus[-1]
     force = fast.force.copy()
-    force[len(force) // 2] = bad
+    force[-1, force.shape[1] // 2] = bad
     logs = default_corpus[:-1] + [dataclasses.replace(fast, force=force)]
     with pytest.raises(DegenerateFitError, match="not finite"):
         fit_depth_speed_model(logs)

@@ -312,7 +312,8 @@ def test_intrusion_constant_speed_force(terrain):
     assert log.depth[-1] == pytest.approx(0.05, abs=1e-4)
     _, grad = added_mass_profile(log.depth[-1], terrain)
     expected = terrain.k_stiff * log.depth[-1] + grad * 0.022**2
-    assert log.force[-1] == pytest.approx(expected, rel=1e-12)
+    assert log.force.shape == (1, log.t.size)
+    assert log.force[0, -1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_intrusion_below_threshold_drag_negligible(terrain):
@@ -326,9 +327,23 @@ def test_intrusion_below_threshold_drag_negligible(terrain):
 
 def test_intrusion_determinism(terrain):
     noise = NoiseConfig()
-    a = run_constant_speed_intrusion(0.5, 0.05, terrain, noise_config=noise, seed=3)
-    b = run_constant_speed_intrusion(0.5, 0.05, terrain, noise_config=noise, seed=3)
+    a = run_constant_speed_intrusion(0.5, 0.05, terrain, noise_config=noise, seeds=[3])
+    b = run_constant_speed_intrusion(0.5, 0.05, terrain, noise_config=noise, seeds=[3])
     assert np.array_equal(a.force, b.force)
+
+
+def test_intrusion_repeats_are_each_reproducible_on_their_own(terrain):
+    # row r of a call with several seeds is, bit for bit, a one-seed call
+    # with seed r: the repeats share the kinematics and nothing else
+    noise = NoiseConfig()
+    seeds = [[0, 500000], [1, 500000], 7]
+    log = run_constant_speed_intrusion(0.5, 0.05, terrain, noise_config=noise, seeds=seeds)
+    assert log.force.shape == (len(seeds), log.t.size)
+    for row, seed in zip(log.force, seeds):
+        alone = run_constant_speed_intrusion(0.5, 0.05, terrain, noise_config=noise, seeds=[seed])
+        assert np.array_equal(alone.t, log.t) and np.array_equal(alone.depth, log.depth)
+        assert np.array_equal(row.view(np.int64), alone.force[0].view(np.int64))
+    assert not np.array_equal(log.force[0], log.force[1])
 
 
 def test_intrusion_validation(terrain):
