@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +252,9 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bo
 
     hop_jobs = [(config, entry, str(out_dir)) for entry in hops]
     if jobs > 1 and len(hop_jobs) > 1:
+        # imported here: multiprocessing is loaded only when a pool runs
+        from concurrent.futures import ProcessPoolExecutor
+
         # the executor forks all max_workers processes at the first submit
         with ProcessPoolExecutor(max_workers=min(jobs, len(hop_jobs))) as pool:
             samples = list(pool.map(_run_hop_job, hop_jobs))

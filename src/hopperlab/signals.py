@@ -26,13 +26,54 @@ def smoothed_backward_difference(x: np.ndarray, dt: float, window: int) -> np.nd
     return out
 
 
+# (window, polyorder, dt) -> (interior coefficients, head and tail edge
+# matrices), least recently used first
+_SLOPE_CACHE: dict = {}
+_SLOPE_CACHE_SIZE = 8
+
+
+def _slope_operator(window: int, polyorder: int, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The linear maps of `smoothed_derivative` at one (window, polyorder, dt).
+
+    The slope coefficients reversed for convolution, and the two
+    `half x window` matrices that take the first or last full window to
+    the slope of its least-squares polynomial at the window's first or
+    last `half` offsets.  They do not see the data, so each is computed
+    once per process; a few are kept, the least recently used dropped.
+    """
+    key = (window, polyorder, dt)
+    # pop and re-insert keeps the dict in least-recently-used order
+    operator = _SLOPE_CACHE.pop(key, None)
+    if operator is None:
+        half = window // 2
+        powers = np.arange(polyorder + 1)
+        # rows: powers of the window offsets, reversed for convolution
+        vander = np.arange(half, -half - 1, -1.0) ** powers[:, None]
+        coeffs = np.linalg.lstsq(vander, np.eye(polyorder + 1)[1] / dt, rcond=None)[0]
+        # the window's least-squares polynomial in u = offset / half, which
+        # keeps the powers of u within [-1, 1], as one map per coefficient
+        u = np.arange(-half, half + 1) / half
+        fit = np.linalg.lstsq(u[:, None] ** powers, np.eye(window), rcond=None)[0]
+        # its slope p u^(p-1) / (half dt) at the edge offsets, p = 0 giving 0
+        edge = np.concatenate([u[:half], u[-half:]])[:, None]
+        slope = (powers * edge ** np.maximum(powers - 1, 0)) @ fit / (half * dt)
+        operator = coeffs, slope[:half], slope[half:]
+        for array in operator:
+            array.flags.writeable = False
+    if len(_SLOPE_CACHE) >= _SLOPE_CACHE_SIZE:
+        del _SLOPE_CACHE[next(iter(_SLOPE_CACHE))]
+    _SLOPE_CACHE[key] = operator
+    return operator
+
+
 def smoothed_derivative(x: np.ndarray, dt: float, window: int = 11, polyorder: int = 2) -> np.ndarray:
     """Local least-squares polynomial slope (Savitzky-Golay derivative).
 
     Interior samples are a convolution with the Savitzky & Golay (1964)
     slope coefficients; the first and last `window // 2` samples take the
     slope of the polynomial fitted to the first or last full window, as
-    scipy's `savgol_filter(..., deriv=1, mode="interp")` does.  Series
+    scipy's `savgol_filter(..., deriv=1, mode="interp")` does, each a
+    precomputed linear map of that window (`_slope_operator`).  Series
     shorter than `window` use the longest odd window that fits, or
     `np.gradient` when that is too short for the polynomial.
     """
@@ -44,11 +85,8 @@ def smoothed_derivative(x: np.ndarray, dt: float, window: int = 11, polyorder: i
     if window % 2 == 0 or not 1 <= polyorder < window:
         raise ValueError(f"need an odd window > polyorder >= 1, got window={window}, polyorder={polyorder}")
     half = window // 2
-    # rows: powers of the window offsets, reversed for convolution
-    vander = np.arange(half, -half - 1, -1.0) ** np.arange(polyorder + 1)[:, None]
-    coeffs = np.linalg.lstsq(vander, np.eye(polyorder + 1)[1] / dt, rcond=None)[0]
+    coeffs, head, tail = _slope_operator(window, polyorder, dt)
     out = np.convolve(x, coeffs, "same")
-    i = np.arange(window, dtype=float)
-    out[:half] = np.polyval(np.polyder(np.polyfit(i, x[:window], polyorder)), i[:half]) / dt
-    out[-half:] = np.polyval(np.polyder(np.polyfit(i, x[-window:], polyorder)), i[-half:]) / dt
+    out[:half] = head @ x[:window]
+    out[-half:] = tail @ x[-window:]
     return out

@@ -385,13 +385,6 @@ def detect_events(truth: TruthSeries) -> TrialEvents:
     return TrialEvents(t_td=float(t_td), t_ce=float(t_ce), t_lo=float(t_lo), v_td=v_td)
 
 
-def _contact_branch(x_f, v_f):
-    """Which branch of the contact law acts at a state: 0 free (z <= 0),
-    1 withdrawing (z > 0, z_dot < 0), 2 penetrating.  The no-tension clamp
-    is not a branch: at f_total = 0 the penetrating and free dynamics agree."""
-    return 0 if x_f >= 0.0 else 1 if v_f > 0.0 else 2
-
-
 def run_hop_trial(
     sim_config: SimConfig,
     controller_config: ControllerConfig,
@@ -413,12 +406,13 @@ def run_hop_trial(
     RK4 runs from that step on.  Rows stay on the k*dt grid.  An RK4 step
     from a state s is kept only if every stage state it evaluates lies on
     s's contact branch and the phase machine, at its end state with that
-    state's own force, does not switch.  A step that is not kept holds a
-    switch of the dynamics: `EVENT_BISECTIONS` halvings, each a step from
-    the last kept state, bracket it; one step crosses the bracket, the
-    phase machine runs there, and the rest of the row's step is taken
-    under the same rule.  The phase machine runs only at these located
-    switches.  Deterministic for a fixed seed.
+    state's own force, does not switch.  Each row's whole step is tried
+    first, and only a step that is not kept enters the bisection: it
+    holds a switch of the dynamics, and `EVENT_BISECTIONS` halvings, each
+    a step from the last kept state, bracket it; one step crosses the
+    bracket, the phase machine runs there, and the rest of the row's step
+    is taken under the same rule.  The phase machine runs only at these
+    located switches.  Deterministic for a fixed seed.
     """
     noise = noise_config if noise_config is not None else NoiseConfig()
     if seed is None:
@@ -439,33 +433,36 @@ def run_hop_trial(
     th_lo, th_hi = lk.theta_min, lk.theta_max
     mount = lk.mount_offset
     isfinite = math.isfinite
-    spring = spring_gains(phase, cc)
+    k_spr, l0_spr, b_spr = spring_gains(phase, cc)
     t_stop = sim_config.t_max
 
+    # The contact branch is tested inline as `0 if x_f >= 0.0 else 1 if
+    # v_f > 0.0 else 2` (free, withdrawing, penetrating; the oracle is
+    # `contact_branch` in tests/reference.py).  The no-tension clamp is not
+    # a branch: at f_total = 0 the penetrating and free dynamics agree.
     def rk4(x_f, v_f, theta, theta_dot, a_f, thdd, h, t_end, branch=None):
         """The state at t_end after one RK4 step of length h under the
         spring in force, from a state whose stage-1 rates are (a_f, thdd);
         None if `branch` is given and a stage state leaves that contact
         branch (the stage is then not evaluated)."""
-        k_spr, l0_spr, b_spr = spring
         half = 0.5 * h
         x2 = x_f + half * v_f
         v2 = v_f + half * a_f
-        if branch is not None and _contact_branch(x2, v2) != branch:
+        if branch is not None and (0 if x2 >= 0.0 else 1 if v2 > 0.0 else 2) != branch:
             return None
         th2 = theta + half * theta_dot
         thd2 = theta_dot + half * thdd
         a2, tdd2 = stage(x2, v2, th2, thd2, k_spr, l0_spr, b_spr, rates_only=True)
         x3 = x_f + half * v2
         v3 = v_f + half * a2
-        if branch is not None and _contact_branch(x3, v3) != branch:
+        if branch is not None and (0 if x3 >= 0.0 else 1 if v3 > 0.0 else 2) != branch:
             return None
         th3 = theta + half * thd2
         thd3 = theta_dot + half * tdd2
         a3, tdd3 = stage(x3, v3, th3, thd3, k_spr, l0_spr, b_spr, rates_only=True)
         x4 = x_f + h * v3
         v4 = v_f + h * a3
-        if branch is not None and _contact_branch(x4, v4) != branch:
+        if branch is not None and (0 if x4 >= 0.0 else 1 if v4 > 0.0 else 2) != branch:
             return None
         th4 = theta + h * thd3
         thd4 = theta_dot + h * tdd3
@@ -484,47 +481,49 @@ def run_hop_trial(
             )
         return x_f, v_f, theta, theta_dot
 
-    def kept_step(state, out, h, t_end):
-        """(end state, its stage 1) of the RK4 step of length h from `state`,
-        whose stage 1 is `out`, if the step is kept, else None."""
-        end = rk4(*state, out[0], out[1], h, t_end, _contact_branch(state[0], state[1]))
+    def kept_step(x_f, v_f, theta, theta_dot, a_f, thdd, h, t_end):
+        """(end state, its stage 1) of the RK4 step of length h from a state
+        whose stage-1 rates are (a_f, thdd), if the step is kept, else None."""
+        end = rk4(x_f, v_f, theta, theta_dot, a_f, thdd, h, t_end, 0 if x_f >= 0.0 else 1 if v_f > 0.0 else 2)
         if end is None:
             return None
-        out = stage(*end, *spring)
-        if next_phase(phase, out[11] * end[3], end[0], end[1], out[6], cc) is not phase:
+        x_f, v_f, theta, theta_dot = end
+        out = stage(x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr)
+        if next_phase(phase, out[11] * theta_dot, x_f, v_f, out[6], cc) is not phase:
             return None
         return end, out
 
     def advance(state, out, t):
         """(end state, its stage 1) of the row's step from `state` at t,
-        whose stage 1 is `out`, across the switches of the dynamics inside it."""
-        nonlocal phase, spring, t_stop
+        whose stage 1 is `out` and whose whole step was not kept, across
+        the switches of the dynamics inside it."""
+        nonlocal phase, k_spr, l0_spr, b_spr, t_stop
         start = 0.0  # offset of `state` into the step
         while True:
-            kept = kept_step(state, out, dt - start, t + dt)
-            if kept is not None:
-                return kept
             lo, hi, s_lo, out_lo = start, dt, state, out
             for _ in range(EVENT_BISECTIONS):
                 mid = 0.5 * (lo + hi)
-                kept = kept_step(s_lo, out_lo, mid - lo, t + mid)
+                kept = kept_step(*s_lo, out_lo[0], out_lo[1], mid - lo, t + mid)
                 if kept is None:
                     hi = mid
                 else:
                     lo = mid
                     s_lo, out_lo = kept
             state = rk4(*s_lo, out_lo[0], out_lo[1], hi - lo, t + hi)
-            out = stage(*state, *spring)
+            out = stage(*state, k_spr, l0_spr, b_spr)
             new_phase = next_phase(phase, out[11] * state[3], state[0], state[1], out[6], cc)
             if new_phase is not phase:
                 phase = new_phase
                 if phase == FLIGHT:
                     t_stop = min(t_stop, t + hi + sim_config.post_liftoff_time)
-                spring = spring_gains(phase, cc)
-                out = stage(*state, *spring)
+                k_spr, l0_spr, b_spr = spring_gains(phase, cc)
+                out = stage(*state, k_spr, l0_spr, b_spr)
             if hi == dt:
                 return state, out
             start = hi
+            kept = kept_step(*state, out[0], out[1], dt - start, t + dt)
+            if kept is not None:
+                return kept
 
     # Free fall: rows 0..k0-1 in closed form, k0 the last step above the
     # bed, which the foot is below by step (fall time)/dt + 2.  Above the
@@ -534,7 +533,7 @@ def run_hop_trial(
     x_fall = drop_h - 0.5 * GRAVITY * t_fall * t_fall
     below = np.flatnonzero(x_fall < 0.0)
     k0 = int(below[0]) - 1 if below.size else n_fall
-    a_f, _, a_b, fs, fd, fa, ft, _, tau, f_leg, length, _ = stage(drop_h, 0.0, theta0, 0.0, *spring)
+    a_f, _, a_b, fs, fd, fa, ft, _, tau, f_leg, length, _ = stage(drop_h, 0.0, theta0, 0.0, k_spr, l0_spr, b_spr)
     t_pre, x_pre = t_fall[:k0], x_fall[:k0]
     v_pre = 0.0 - GRAVITY * t_pre  # +0.0 at t = 0
     prefix = (
@@ -547,7 +546,7 @@ def run_hop_trial(
     rows: list[tuple] = []
     append = rows.append
     clamp_events = 0
-    out = stage(*state, *spring)
+    out = stage(*state, k_spr, l0_spr, b_spr)
 
     for step in range(k0, n_max):
         x_f, v_f, theta, theta_dot = state
@@ -561,7 +560,9 @@ def run_hop_trial(
         t_end = (step + 1) * dt
         if t_end >= t_stop:  # the last row's step would not be logged
             break
-        state, out = advance(state, out, t)  # stage 1 at its end is the next row's
+        # stage 1 at the step's end is the next row's
+        kept = kept_step(x_f, v_f, theta, theta_dot, a_f, thdd, dt, t + dt)
+        state, out = kept if kept is not None else advance(state, out, t)
         t = t_end
 
     table = np.empty((k0 + len(rows), len(prefix)))

@@ -2,8 +2,9 @@
 the numeric-CSV writer and reader as they were with the `csv` module, the
 leg-length inversion as a fixed 200-step bisection, and the pipeline's
 laws as scalar functions of one sample: the reduced foot-channel
-dynamics, the quasi-static torque map, the granular reaction law, the
-virtual spring, one step of the Kalman filter and of the momentum
+dynamics, the quasi-static torque map, the granular reaction law and its
+branch, the virtual spring, the Savitzky-Golay slope's coefficients and
+its edge fits by `np.polyfit`, one step of the Kalman filter and of the momentum
 observer, one step of the filter's covariance and gain in 4x4
 matrices (`gain_step`, the oracle of the program's scalar recursion), and
 the intrusion-model fit on the samples of every force row of every
@@ -15,7 +16,8 @@ Each oracle carries its own copy of the arithmetic it checks, so a fault
 in the program's copy (`linkage._foot_channel_coeffs`,
 `estimation._extend_gains`, `estimation._kf_filter`, the observer loop in
 `estimation.run_momentum_observer`, the repeat collapse in
-`identification.fit_depth_speed_model`) fails a test.  They share only the
+`identification.fit_depth_speed_model`, the branch test inline in
+`simulator.run_hop_trial`, `signals._slope_operator`) fails a test.  They share only the
 leg geometry (`_geometry`, `leg_length`, `leg_jacobian`), which
 `test_linkage.py` and the plant-kernel geometry test pin on their own, and
 the fit's search over log z_c (`identification._search_log_zc`), which
@@ -199,6 +201,14 @@ def terrain_force(z, z_dot, z_ddot, params) -> ForceDecomposition:
     return ForceDecomposition(f_static, f_drag, f_added, max(0.0, f_static + f_drag + f_added))
 
 
+def contact_branch(x_f, v_f) -> int:
+    """Which branch of the contact law acts at a state: 0 free (z <= 0),
+    1 withdrawing (z > 0, z_dot < 0), 2 penetrating.  The no-tension clamp
+    is not a branch: at f_total = 0 the penetrating and free dynamics
+    agree.  The oracle of the branch test written inline in the RK4 loop."""
+    return 0 if x_f >= 0.0 else 1 if v_f > 0.0 else 2
+
+
 # ------------------------------------------------------------ controller
 
 
@@ -217,6 +227,29 @@ def virtual_leg_force(phase, leg_len, leg_rate, config) -> float:
 def motor_torque(f_leg, theta, linkage) -> float:
     """Per-motor torque realizing an axial leg force; inverse of the quasi-static map."""
     return 0.5 * f_leg * abs(_checked_jacobian(theta, linkage))
+
+
+# ------------------------------------------------------------ signals
+
+
+def savgol_slope_coefficients(window, polyorder, dt) -> np.ndarray:
+    """The Savitzky-Golay slope coefficients, reversed for convolution,
+    solved afresh: the minimum-norm solution of the window offsets'
+    powers against the first-derivative unit vector."""
+    half = window // 2
+    vander = np.arange(half, -half - 1, -1.0) ** np.arange(polyorder + 1)[:, None]
+    return np.linalg.lstsq(vander, np.eye(polyorder + 1)[1] / dt, rcond=None)[0]
+
+
+def savgol_edge_slopes(x, dt, window, polyorder) -> tuple[np.ndarray, np.ndarray]:
+    """The slopes at the first and last `window // 2` samples: those of the
+    polynomial fitted to the first or last full window (`np.polyfit`, then
+    `np.polyder` and `np.polyval`)."""
+    half = window // 2
+    i = np.arange(window, dtype=float)
+    head = np.polyval(np.polyder(np.polyfit(i, x[:window], polyorder)), i[:half]) / dt
+    tail = np.polyval(np.polyder(np.polyfit(i, x[-window:], polyorder)), i[-half:]) / dt
+    return head, tail
 
 
 # ------------------------------------------------------------ estimation

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -405,13 +407,28 @@ class _FakePool:
 def test_sweep_pool_sized_to_hop_jobs(tmp_path, monkeypatch):
     from hopperlab import experiments
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _FakePool)
+    # run_sweep imports the executor when a pool runs, from its module
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(_FakePool, "sizes", [])
     config = load_config(_write(tmp_path, TINY_SWEEP))
     experiments.run_sweep(config, tmp_path / "a", jobs=64)
     assert _FakePool.sizes == [2]
     experiments.run_sweep(config, tmp_path / "b", jobs=1)
     assert _FakePool.sizes == [2]
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # a pool's modules (multiprocessing, and with it socket and subprocess)
+    # are loaded by a sweep that runs one, not by every command
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, hopperlab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_sweep_rejects_jobs_below_one(tmp_path):

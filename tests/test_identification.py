@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hopperlab import experiments, identification, io
+from hopperlab import experiments, identification, io, signals
 from hopperlab.config import ExperimentConfig
 from hopperlab.errors import DegenerateFitError, InsufficientDataError
 from hopperlab.estimation import run_estimation
@@ -27,7 +28,14 @@ from hopperlab.identification import (
 from hopperlab.signals import smoothed_derivative
 from hopperlab.simulator import Frames, NoiseConfig, run_constant_speed_intrusion
 from hopperlab.terrain import TerrainParams
-from reference import added_mass_profile, golden_search_log_zc, pooled_cost, pooled_depth_speed_fit
+from reference import (
+    added_mass_profile,
+    golden_search_log_zc,
+    pooled_cost,
+    pooled_depth_speed_fit,
+    savgol_edge_slopes,
+    savgol_slope_coefficients,
+)
 
 
 def _samples(z, f, zdd=None, zd=None):
@@ -103,6 +111,45 @@ def test_extract_samples_bad_source(noiseless_frames, noiseless_trial, linkage):
         extract_samples(est, noiseless_trial.events, "mocap")
     with pytest.raises(ValueError):
         extract_samples(est, noiseless_trial.events, "loadcell")  # not a proprioceptive source
+
+
+# ---------------------------------------------------- Savitzky-Golay slope
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=arrays(np.float64, st.integers(21, 200), elements=st.floats(-1e3, 1e3)),
+    window=st.sampled_from(range(5, 22, 2)),
+    polyorder=st.integers(1, 3),
+    dt=st.floats(1e-4, 1.0),
+)
+def test_slope_operator_matches_fresh_fits(x, window, polyorder, dt):
+    got = smoothed_derivative(x, dt, window=window, polyorder=polyorder)
+    half = window // 2
+    interior = np.convolve(x, savgol_slope_coefficients(window, polyorder, dt), "same")[half:-half]
+    assert got[half:-half].tobytes() == interior.tobytes()
+    head, tail = savgol_edge_slopes(x, dt, window, polyorder)
+    # a nearly flat window has a slope made of rounding error, whose scale
+    # is that of a difference of samples, max|x|/dt
+    scale = max(np.max(np.abs(head)), np.max(np.abs(tail)), np.max(np.abs(x)) / dt)
+    assert np.max(np.abs(got[:half] - head)) <= 1e-12 * scale
+    assert np.max(np.abs(got[-half:] - tail)) <= 1e-12 * scale
+
+
+def test_slope_operator_cache_is_bounded_and_keyed_by_dt(monkeypatch):
+    monkeypatch.setattr(signals, "_SLOPE_CACHE", {})
+    k = np.arange(40.0)
+    x = 3.0 * k * k  # a quadratic: the slope 6k/dt at every sample, edges too
+    first = smoothed_derivative(x, 1e-3)
+    assert smoothed_derivative(x, 2e-3) == pytest.approx(6.0 * k / 2e-3, abs=1e-9)
+    assert first == pytest.approx(6.0 * k / 1e-3, abs=1e-9)
+    assert list(signals._SLOPE_CACHE) == [(11, 2, 1e-3), (11, 2, 2e-3)]
+    assert smoothed_derivative(x, 1e-3).tobytes() == first.tobytes()
+    # 1e-3 was used last: the next keys push out 2e-3 first
+    for i in range(signals._SLOPE_CACHE_SIZE - 1):
+        smoothed_derivative(x, 1.0 + i)
+    assert len(signals._SLOPE_CACHE) == signals._SLOPE_CACHE_SIZE
+    assert (11, 2, 1e-3) in signals._SLOPE_CACHE and (11, 2, 2e-3) not in signals._SLOPE_CACHE
 
 
 # --------------------------------------------------------------------- OLS
