@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import NONNEGATIVE, POSITIVE, check_domains
-from .linkage import LinkageParams
+from .linkage import LinkageParams, leg_length
 
 
 class PhaseName(enum.IntEnum):
@@ -46,8 +46,6 @@ class ControllerConfig:
 
     def validate_workspace(self, linkage: LinkageParams) -> None:
         """Neutral lengths must be reachable by the leg."""
-        from .linkage import leg_length
-
         l_min = leg_length(linkage.theta_max, linkage)
         l_max = leg_length(linkage.theta_min, linkage)
         for name, l0 in (("l0_compress", self.l0_compress), ("l0_extend", self.l0_extend)):

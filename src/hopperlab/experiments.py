@@ -1,12 +1,11 @@
 """Experiment orchestration: single trials, grid sweeps, and reports.
 
 A sweep writes its manifest before any trial runs, so an interrupted run
-can be resumed; completed hop trials (frames, events and estimation files
-that read back, with one `t` in the frames and estimation files) are
-skipped and the final artifacts are identical to an uninterrupted run.
-The intrusion grid takes milliseconds to simulate, so a resumed sweep
-runs it again rather than trust the file on disk.  Hop trials are
-independent, so the hop grid can be dispatched to a process pool.
+can be resumed; completed hop trials are skipped and the final artifacts
+are identical to an uninterrupted run.  The intrusion grid takes
+milliseconds to simulate, so a resumed sweep runs it again rather than
+trust the file on disk.  Hop trials are independent, so the hop grid can
+be dispatched to a process pool.
 
 A hop trial's artifacts are its sensor frames, events and estimation CSV;
 the estimation CSV carries the ground truth, one row per frame.  The full
@@ -15,17 +14,21 @@ simulate` at the trial's speed, stiffness and seed rebuilds the trial
 bit for bit and writes it as `<id>_truth.csv`.  The intrusion grid is one artifact,
 `intrusion_grid.csv`, with one manifest entry: every speed's load-cell
 samples, each repeat's force beside the speed's shared t and depth.
+
+A hop reads back (`_read_hop`) when its estimation, events and frames
+files parse and its frames and estimation files hold the same `t`.
 What each command reads:
 
-    sweep     identifies from the stance samples and intrusion logs of the
-              trials it ran, held in memory; `--resume` reads back the
-              frames, events and estimation files of each hop it may skip,
-              once, and identifies a skipped hop from what it read.
-    identify  the manifest, every hop's events and estimation files and
-              the intrusion grid; it writes what a sweep writes, byte for
-              byte, through the same `identify_outputs`.
+    sweep     nothing, to identify: it holds every hop's stance samples
+              and the intrusion records in memory.  `--resume` reads each
+              hop back once, skips a hop that reads back, identifying it
+              from what was read, and runs any other hop again.
+    identify  the manifest, every hop's estimation and events files and
+              the intrusion grid (`identify_inputs`); it writes what a
+              sweep writes, byte for byte, through the same
+              `identify_outputs`.
     report    the treatment report, the manifest, `depth_speed_fit.json`,
-              and one hop's frames, events and estimation files.
+              and one hop, which must read back (else exit 4).
 
 The manifest lists each trial's files by name; `trial_paths` resolves
 them against the output directory, so a sweep directory can be copied
@@ -214,24 +217,33 @@ def write_intrusion_grid(config: ExperimentConfig, path: Path) -> list[Intrusion
     return logs
 
 
+def _read_hop(paths: dict[str, Path]) -> tuple[Frames, EstimationSeries, dict[str, np.ndarray], TrialEvents]:
+    """A hop's frames, estimates, carried truth and events, read from its
+    estimation, events and frames files in that order; MissingInputError
+    for a hop that does not read back (see the module docstring)."""
+    est, truth = io.read_estimation_csv(paths["estimation"])
+    events = io.read_events_json(paths["events"])
+    frames = io.read_frames_csv(paths["frames"])
+    if not np.array_equal(frames.t, est.t):
+        raise MissingInputError(f"{paths['estimation']} does not hold the t of the frames in {paths['frames']}")
+    return frames, est, truth, events
+
+
 def _finished_hop(entry: dict, out_dir: Path) -> TrialSamples | None:
-    """The stance samples of a hop whose frames, events and estimation files
-    read back, with the same `t` in its frames and estimation files; None
-    for a hop that must run (again)."""
-    paths = trial_paths(entry, out_dir)
+    """The stance samples of a hop whose files read back (`_read_hop`);
+    None for a hop that must run (again)."""
     try:
-        frames = io.read_frames_csv(paths["frames"])
-        est, _ = io.read_estimation_csv(paths["estimation"])
-        events = io.read_events_json(paths["events"])
+        _, est, _, events = _read_hop(trial_paths(entry, out_dir))
     except MissingInputError:
         return None
-    return _trial_samples(entry, est, events) if np.array_equal(frames.t, est.t) else None
+    return _trial_samples(entry, est, events)
 
 
 def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bool = False) -> dict:
-    """Hop grid + intrusion grid + estimation + identification.  Under
-    `resume`, a hop whose files read back (`_finished_hop`) is skipped and
-    identified from what was read; the intrusion grid always runs."""
+    """Hop grid + intrusion grid + estimation + identification, from the
+    stance samples and intrusion records held in memory.  Under `resume`,
+    a hop that reads back (`_finished_hop`) is skipped and identified from
+    what was read; the intrusion grid always runs."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     out_dir = Path(out_dir)
@@ -239,14 +251,14 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bo
     manifest = build_manifest(config)
     io.write_json(out_dir / "manifest.json", manifest)
 
-    # trial id -> its identification input, kept in memory for every trial run here
-    ready, hops = {}, []
+    # trial id -> stance samples, of every hop skipped or run here
+    samples, hops = {}, []
     for entry in manifest["entries"]:
         if entry["kind"] == "intrusion":
-            ready[entry["trial_id"]] = write_intrusion_grid(config, trial_paths(entry, out_dir)["log"])
-        elif resume and (samples := _finished_hop(entry, out_dir)) is not None:
+            logs = write_intrusion_grid(config, trial_paths(entry, out_dir)["log"])
+        elif resume and (finished := _finished_hop(entry, out_dir)) is not None:
             entry["status"] = "skipped"
-            ready[entry["trial_id"]] = samples
+            samples[entry["trial_id"]] = finished
         else:
             hops.append(entry)
 
@@ -257,40 +269,30 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bo
 
         # the executor forks all max_workers processes at the first submit
         with ProcessPoolExecutor(max_workers=min(jobs, len(hop_jobs))) as pool:
-            samples = list(pool.map(_run_hop_job, hop_jobs))
+            ran = list(pool.map(_run_hop_job, hop_jobs))
     else:
-        samples = [_run_hop_job(job) for job in hop_jobs]
-    ready.update(zip((e["trial_id"] for e in hops), samples))
+        ran = [_run_hop_job(job) for job in hop_jobs]
+    samples.update(zip((e["trial_id"] for e in hops), ran))
     for entry in manifest["entries"]:
         if entry["status"] == "pending":
             entry["status"] = "done"
     io.write_json(out_dir / "manifest.json", manifest)
 
-    trials = [(entry, trial_paths(entry, out_dir)) for entry in manifest["entries"]]
-    identify_outputs(config, out_dir, *identify_inputs(trials, ready))
+    identify_outputs(config, out_dir, [samples[e["trial_id"]] for e in manifest["entries"] if e["kind"] == "hop"], logs)
     return manifest
 
 
-def identify_inputs(
-    trials: list[tuple[dict, dict[str, Path]]], ready: dict | None = None
-) -> tuple[list[TrialSamples], list[IntrusionLog]]:
+def identify_inputs(trials: list[tuple[dict, dict[str, Path]]]) -> tuple[list[TrialSamples], list[IntrusionLog]]:
     """The hops' stance samples and the intrusion logs of `trials` ((manifest
-    entry, files) pairs), in their order.  A trial's input is taken from
-    `ready` (trial id -> stance samples, or the intrusion grid's logs) when
-    there, else read back from its files."""
-    ready = ready or {}
+    entry, files) pairs), in their order, read back from each hop's
+    estimation and events files and from the intrusion grid."""
     hops, logs = [], []
     for entry, paths in trials:
-        result = ready.get(entry["trial_id"])
-        if result is None and entry["kind"] == "hop":
-            est, _ = io.read_estimation_csv(paths["estimation"])
-            result = _trial_samples(entry, est, io.read_events_json(paths["events"]))
-        elif result is None:
-            result = io.read_intrusion_csv(paths["log"])
         if entry["kind"] == "hop":
-            hops.append(result)
+            est, _ = io.read_estimation_csv(paths["estimation"])
+            hops.append(_trial_samples(entry, est, io.read_events_json(paths["events"])))
         else:
-            logs += result
+            logs += io.read_intrusion_csv(paths["log"])
     return hops, logs
 
 
@@ -390,18 +392,14 @@ def write_report(config: ExperimentConfig, out_dir: Path) -> None:
 
 def _write_representative_trial_figs(out_dir: Path) -> None:
     """Force-depth scatter and added-mass residual series for one trial,
-    whose frames and estimation files must hold the same `t`."""
+    read back by `_read_hop`."""
     hops = [e for e, _ in manifest_trials(out_dir) if e["kind"] == "hop"]
     if not hops:
         return
     # fastest condition, first seed: the regime where dynamics matter most
     entry = max(hops, key=lambda e: (e["speed"], -e["seed"]))
     paths = trial_paths(entry, out_dir)
-    est, truth = io.read_estimation_csv(paths["estimation"])
-    events = io.read_events_json(paths["events"])
-    frames = io.read_frames_csv(paths["frames"])
-    if not np.array_equal(frames.t, est.t):
-        raise MissingInputError(f"{paths['estimation']} does not hold the t of the frames in {paths['frames']}")
+    frames, est, truth, events = _read_hop(paths)
     mask = (est.t >= events.t_td) & (est.t <= events.t_lo)
     z_hat = np.maximum(0.0, -est.x_f_hat)
     io.write_columns_csv(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # samples the encoder rate is averaged over, as a motor driver reports it;
@@ -26,12 +28,7 @@ def smoothed_backward_difference(x: np.ndarray, dt: float, window: int) -> np.nd
     return out
 
 
-# (window, polyorder, dt) -> (interior coefficients, head and tail edge
-# matrices), least recently used first
-_SLOPE_CACHE: dict = {}
-_SLOPE_CACHE_SIZE = 8
-
-
+@functools.lru_cache(maxsize=8)
 def _slope_operator(window: int, polyorder: int, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The linear maps of `smoothed_derivative` at one (window, polyorder, dt).
 
@@ -41,28 +38,21 @@ def _slope_operator(window: int, polyorder: int, dt: float) -> tuple[np.ndarray,
     last `half` offsets.  They do not see the data, so each is computed
     once per process; a few are kept, the least recently used dropped.
     """
-    key = (window, polyorder, dt)
-    # pop and re-insert keeps the dict in least-recently-used order
-    operator = _SLOPE_CACHE.pop(key, None)
-    if operator is None:
-        half = window // 2
-        powers = np.arange(polyorder + 1)
-        # rows: powers of the window offsets, reversed for convolution
-        vander = np.arange(half, -half - 1, -1.0) ** powers[:, None]
-        coeffs = np.linalg.lstsq(vander, np.eye(polyorder + 1)[1] / dt, rcond=None)[0]
-        # the window's least-squares polynomial in u = offset / half, which
-        # keeps the powers of u within [-1, 1], as one map per coefficient
-        u = np.arange(-half, half + 1) / half
-        fit = np.linalg.lstsq(u[:, None] ** powers, np.eye(window), rcond=None)[0]
-        # its slope p u^(p-1) / (half dt) at the edge offsets, p = 0 giving 0
-        edge = np.concatenate([u[:half], u[-half:]])[:, None]
-        slope = (powers * edge ** np.maximum(powers - 1, 0)) @ fit / (half * dt)
-        operator = coeffs, slope[:half], slope[half:]
-        for array in operator:
-            array.flags.writeable = False
-    if len(_SLOPE_CACHE) >= _SLOPE_CACHE_SIZE:
-        del _SLOPE_CACHE[next(iter(_SLOPE_CACHE))]
-    _SLOPE_CACHE[key] = operator
+    half = window // 2
+    powers = np.arange(polyorder + 1)
+    # rows: powers of the window offsets, reversed for convolution
+    vander = np.arange(half, -half - 1, -1.0) ** powers[:, None]
+    coeffs = np.linalg.lstsq(vander, np.eye(polyorder + 1)[1] / dt, rcond=None)[0]
+    # the window's least-squares polynomial in u = offset / half, which
+    # keeps the powers of u within [-1, 1], as one map per coefficient
+    u = np.arange(-half, half + 1) / half
+    fit = np.linalg.lstsq(u[:, None] ** powers, np.eye(window), rcond=None)[0]
+    # its slope p u^(p-1) / (half dt) at the edge offsets, p = 0 giving 0
+    edge = np.concatenate([u[:half], u[-half:]])[:, None]
+    slope = (powers * edge ** np.maximum(powers - 1, 0)) @ fit / (half * dt)
+    operator = coeffs, slope[:half], slope[half:]
+    for array in operator:
+        array.flags.writeable = False
     return operator
 
 

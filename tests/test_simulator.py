@@ -834,6 +834,36 @@ def test_default_grid_stage_calls(monkeypatch):
     assert calls[0] == 20_362
 
 
+def test_a_step_whose_stage_3_state_alone_leaves_the_branch_is_refused(monkeypatch, linkage, terrain, controller):
+    # released at the bed (x_f = v_f = 0, free) with stage-1 rate a_f = -A
+    # and every later rate 0: the row's whole step evaluates stage 2 at
+    # x_f = 0, has its stage-3 state at x_f = -(dt/2)^2 A (below the bed)
+    # and its stage-4 state at x_f = 0 again.  The step is refused at stage
+    # 3, so the next stage call is stage 2 of the first halving's step
+    A = 100.0
+    calls = []
+
+    class Stop(Exception):
+        pass
+
+    def kernel(lk, tr):
+        def stage(x_f, v_f, theta, theta_dot, k_spr, l0_spr, b_spr, tau=None, *, rates_only=False):
+            calls.append((x_f, v_f))
+            if len(calls) == 4:
+                raise Stop
+            return (0.0, 0.0) if rates_only else (-A, 0.0, -A, 0.0, 0.0, 0.0, 0.0, False, 0.0, 0.0, 0.1, 0.0)
+
+        return stage
+
+    monkeypatch.setattr(simulator, "plant_kernel", kernel)
+    with pytest.raises(Stop):
+        _noiseless_hop(0.0, linkage, terrain, controller)
+    dt = SimConfig().sensor_period
+    # the closed-form rows' evaluation, stage 1 of the first RK4 row, stage 2 of its step
+    assert calls[:3] == [(0.0, 0.0), (0.0, 0.0), (0.0, -0.5 * dt * A)]
+    assert calls[3] == (0.0, -0.25 * dt * A)
+
+
 @pytest.mark.parametrize("t_max", [0.05, 0.1224])
 def test_run_shorter_than_the_fall_has_no_touchdown(t_max, linkage, terrain, controller):
     # 1.2 m/s reaches the bed at t = 0.1223 s: at t_max = 0.05 s every row is
