@@ -14,7 +14,8 @@ Commands
                Otherwise the truth columns are NaN.  On any failure the
                file is left as it was.
     identify   treatment report + intrusion-model fit from existing hop
-               artifacts and intrusion grid
+               artifacts and intrusion grid; the grid is parsed and fitted
+               only when its sha256 differs from the one the fit records
     sweep      full grid: hops + intrusions + estimation + identification
     report     summary JSON + plot-ready CSVs
 
@@ -44,7 +45,6 @@ from .experiments import (
     estimate_from_frames,
     identify_inputs,
     identify_outputs,
-    manifest_trials,
     run_sweep,
     run_single_hop,
     write_hop_artifacts,
@@ -117,7 +117,7 @@ def cmd_estimate(config: ExperimentConfig, args) -> int:
 
 def cmd_identify(config: ExperimentConfig, args) -> int:
     out = _resolve_out(config, args)
-    identify_outputs(config, out, *identify_inputs(manifest_trials(out)))
+    identify_outputs(config, out, *identify_inputs(out))
     print(f"wrote treatment_report.json and fits.csv to {out}")
     return 0
 

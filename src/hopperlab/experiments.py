@@ -13,20 +13,25 @@ truth log, every column of those rows, is not written by a sweep: `hopperlab
 simulate` at the trial's speed, stiffness and seed rebuilds the trial
 bit for bit and writes it as `<id>_truth.csv`.  The intrusion grid is one artifact,
 `intrusion_grid.csv`, with one manifest entry: every speed's load-cell
-samples, each repeat's force beside the speed's shared t and depth.
+samples, each repeat's force beside the speed's shared t and depth.  Its
+fit, `depth_speed_fit.json`, records the grid's sha256 (`grid_sha256`).
 
 A hop reads back (`_read_hop`) when its estimation, events and frames
 files parse and its frames and estimation files hold the same `t`.
 What each command reads:
 
-    sweep     nothing, to identify: it holds every hop's stance samples
-              and the intrusion records in memory.  `--resume` reads each
+    sweep     nothing, to identify, but the bytes of the grid it wrote,
+              for their sha256: it holds every hop's stance samples and
+              the intrusion records in memory.  `--resume` reads each
               hop back once, skips a hop that reads back, identifying it
               from what was read, and runs any other hop again.
     identify  the manifest, every hop's estimation and events files and
-              the intrusion grid (`identify_inputs`); it writes what a
-              sweep writes, byte for byte, through the same
-              `identify_outputs`.
+              the intrusion grid's bytes, for their sha256
+              (`identify_inputs`).  It parses and fits the grid only when
+              `depth_speed_fit.json` does not record that sha256 or does
+              not read back as `report` reads it; else it keeps the file.
+              It writes what a sweep writes, byte for byte, through the
+              same `identify_outputs`.
     report    the treatment report, the manifest, `depth_speed_fit.json`,
               and one hop, which must read back (else exit 4).
 
@@ -73,6 +78,7 @@ _ENTRY_SCHEMA = {
     "intrusion": ({}, ("log",)),
 }
 INTRUSION_GRID = "intrusion_grid.csv"
+DEPTH_SPEED_FIT = "depth_speed_fit.json"
 _CONDITION_NUMBERS = [f.name for f in dataclasses.fields(ConditionStats) if f.name != "treatment"]
 
 
@@ -109,7 +115,8 @@ def trial_paths(entry: dict, out_dir: Path) -> dict[str, Path]:
 
 def manifest_trials(out_dir: Path) -> list[tuple[dict, dict[str, Path]]]:
     """(entry, resolved files) of every trial in the sweep's manifest.  A
-    trial id listed twice is bad input: its trial would count twice."""
+    trial id listed twice, or a second intrusion entry, is bad input: its
+    trial or grid would count twice."""
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
         raise MissingInputError(f"no manifest at {manifest_path}; run sweep first")
@@ -123,6 +130,8 @@ def manifest_trials(out_dir: Path) -> list[tuple[dict, dict[str, Path]]]:
         if entry["trial_id"] in seen:
             raise MissingInputError(f"malformed manifest {manifest_path}: trial {entry['trial_id']!r} is listed twice")
         seen.add(entry["trial_id"])
+    if sum(entry["kind"] == "intrusion" for entry in entries) > 1:
+        raise MissingInputError(f"malformed manifest {manifest_path}: more than one intrusion entry")
     return trials
 
 
@@ -255,7 +264,8 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bo
     samples, hops = {}, []
     for entry in manifest["entries"]:
         if entry["kind"] == "intrusion":
-            logs = write_intrusion_grid(config, trial_paths(entry, out_dir)["log"])
+            grid_path = trial_paths(entry, out_dir)["log"]
+            logs = write_intrusion_grid(config, grid_path)
         elif resume and (finished := _finished_hop(entry, out_dir)) is not None:
             entry["status"] = "skipped"
             samples[entry["trial_id"]] = finished
@@ -278,29 +288,61 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bo
             entry["status"] = "done"
     io.write_json(out_dir / "manifest.json", manifest)
 
-    identify_outputs(config, out_dir, [samples[e["trial_id"]] for e in manifest["entries"] if e["kind"] == "hop"], logs)
+    hop_samples = [samples[e["trial_id"]] for e in manifest["entries"] if e["kind"] == "hop"]
+    identify_outputs(config, out_dir, hop_samples, logs, io.file_sha256(grid_path))
     return manifest
 
 
-def identify_inputs(trials: list[tuple[dict, dict[str, Path]]]) -> tuple[list[TrialSamples], list[IntrusionLog]]:
-    """The hops' stance samples and the intrusion logs of `trials` ((manifest
-    entry, files) pairs), in their order, read back from each hop's
-    estimation and events files and from the intrusion grid."""
-    hops, logs = [], []
-    for entry, paths in trials:
+def _read_fit(fit_path: Path) -> DepthSpeedFit:
+    """The intrusion-model fit at `fit_path`: every field a finite number
+    and the parameters in the fit's box, else MissingInputError."""
+    fit = io.read_record(fit_path, DepthSpeedFit, "depth-speed fit")
+    if not fit.in_box():
+        raise MissingInputError(f"{fit_path} holds parameters outside the fit's box: {fit}")
+    return fit
+
+
+def _holds_fit_of(fit_path: Path, grid_sha256: str) -> bool:
+    """Whether the JSON at `fit_path` reads back as a fit (`_read_fit`) and
+    records `grid_sha256` as its grid's."""
+    try:
+        _read_fit(fit_path)
+    except MissingInputError:
+        return False
+    return io.read_json(fit_path).get("grid_sha256") == grid_sha256
+
+
+def identify_inputs(out_dir: Path) -> tuple[list[TrialSamples], list[IntrusionLog] | None, str | None]:
+    """The stance samples of the manifest's hops (`manifest_trials`), in its
+    order, read back from each hop's estimation and events files; then the
+    intrusion grid's records and its sha256.  The records are None, and the
+    grid is not parsed, when `depth_speed_fit.json` already holds the fit of
+    a grid of that sha256 (`_holds_fit_of`).  Without an intrusion entry
+    there are no records and no sha256."""
+    hops, logs, grid_sha256 = [], [], None
+    for entry, paths in manifest_trials(out_dir):
         if entry["kind"] == "hop":
             est, _ = io.read_estimation_csv(paths["estimation"])
             hops.append(_trial_samples(entry, est, io.read_events_json(paths["events"])))
         else:
-            logs += io.read_intrusion_csv(paths["log"])
-    return hops, logs
+            grid_sha256 = io.file_sha256(paths["log"])
+            reuse = _holds_fit_of(out_dir / DEPTH_SPEED_FIT, grid_sha256)
+            logs = None if reuse else io.read_intrusion_csv(paths["log"])
+    return hops, logs, grid_sha256
 
 
 def identify_outputs(
-    config: ExperimentConfig, out_dir: Path, trials: list[TrialSamples], intrusion_logs: list[IntrusionLog]
+    config: ExperimentConfig,
+    out_dir: Path,
+    trials: list[TrialSamples],
+    intrusion_logs: list[IntrusionLog] | None,
+    grid_sha256: str | None,
 ) -> None:
     """Treatment report from the hops' stance samples plus the intrusion-model
-    fit of the intrusion logs."""
+    fit of the intrusion logs, which records `grid_sha256`, the sha256 of
+    the grid the logs came from.  With the logs None, `depth_speed_fit.json`
+    already holds the fit of that grid (`identify_inputs`) and is left as
+    it is."""
     out_dir = Path(out_dir)
     if not trials:
         raise InsufficientDataError("no hop trials in manifest")
@@ -318,7 +360,9 @@ def identify_outputs(
     ]
     io.write_csv(out_dir / "fits.csv", ("v_td", "k_c", "treatment", "k_est", "seed"), rows)
 
-    fit_path = out_dir / "depth_speed_fit.json"
+    if intrusion_logs is None:
+        return
+    fit_path = out_dir / DEPTH_SPEED_FIT
     try:
         fit = fit_depth_speed_model(intrusion_logs)
     except (InsufficientDataError, DegenerateFitError) as exc:
@@ -327,7 +371,7 @@ def identify_outputs(
         fit_path.unlink(missing_ok=True)
         print(f"intrusion-model fit skipped: {exc}{note}", file=sys.stderr)
         return
-    io.write_json(fit_path, dataclasses.asdict(fit))
+    io.write_json(fit_path, {**dataclasses.asdict(fit), "grid_sha256": grid_sha256})
 
 
 def write_report(config: ExperimentConfig, out_dir: Path) -> None:
@@ -408,15 +452,13 @@ def _write_representative_trial_figs(out_dir: Path) -> None:
         [est.t[mask], z_hat[mask], frames.loadcell_force[mask], est.f_qs[mask], est.f_mo[mask]],
     )
 
-    fit_path = out_dir / "depth_speed_fit.json"
+    fit_path = out_dir / DEPTH_SPEED_FIT
     residual_path = out_dir / "added_mass_residual.csv"
     stale = residual_path.exists()
     residual_path.unlink(missing_ok=True)  # it was built from an earlier fit
     if not fit_path.exists():
         return
-    fit = io.read_record(fit_path, DepthSpeedFit, "depth-speed fit")
-    if not fit.in_box():
-        raise MissingInputError(f"{fit_path} holds parameters outside the fit's box: {fit}")
+    fit = _read_fit(fit_path)
     if not (np.isfinite(truth["x_f"][mask]).all() and np.isfinite(truth["v_f"][mask]).all()):
         # an estimation file written without the truth log carries NaN truth
         note = f"; removed the stale {residual_path}" if stale else ""

@@ -14,6 +14,7 @@ partial one.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -48,6 +49,9 @@ INTRUSION_CHUNK_ROWS = 512
 # chunk the reader asks for: a float64 repr holds at most 24
 _CELL_CHARS = 18
 
+# bytes `file_sha256` hashes at a time, so that no file is ever held whole
+_HASH_BLOCK = 1 << 16
+
 
 def intrusion_columns(repeats: int) -> tuple[str, ...]:
     """The intrusion grid's header: speed, t and depth, then one force per repeat."""
@@ -73,6 +77,19 @@ def _replacing(path: Path, newline=None):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def file_sha256(path) -> str:
+    """The hex sha256 of the bytes of the file at `path`, read _HASH_BLOCK
+    bytes at a time; a missing or unreadable file is bad input."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as handle:
+            while block := handle.read(_HASH_BLOCK):
+                digest.update(block)
+    except OSError as exc:
+        raise MissingInputError(f"unreadable input file {path}: {exc.strerror}") from exc
+    return digest.hexdigest()
 
 
 def write_csv(path: Path, header, rows) -> None:

@@ -16,8 +16,12 @@ hops `--resume` skipped, each file once, and runs a hop again whose files
 do not read back or whose frames and estimation files differ in t; it
 always runs the intrusion grid again.
 `identify` on its directory writes the same bytes.
+The intrusion fit records the sha256 of the grid it came from: `identify`
+keeps a fit that records the grid as it is and reads back as `report`
+reads it, without parsing the grid, and fits the grid again otherwise.
 """
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -216,6 +220,14 @@ def test_estimate_on_simulate_dir_takes_truth_from_truth_csv(simulate_dir, confi
     assert path.read_bytes() == original
 
 
+def _edit_fit(out, **changes):
+    """Rewrite `depth_speed_fit.json` with its keys changed as given (a
+    value of None removes the key)."""
+    path = out / "depth_speed_fit.json"
+    fit = {**json.loads(path.read_text()), **changes}
+    path.write_text(json.dumps({key: value for key, value in fit.items() if value is not None}))
+
+
 @pytest.mark.parametrize("failure", ["one intrusion speed", "degenerate fit"])
 def test_intrusion_fit_of_an_earlier_run_is_removed(sweep_dir, config_path, tmp_path, monkeypatch, capsys, failure):
     out = _copy(sweep_dir, tmp_path)
@@ -232,6 +244,8 @@ def test_intrusion_fit_of_an_earlier_run_is_removed(sweep_dir, config_path, tmp_
         def degenerate(logs):
             raise DegenerateFitError("no convergence")
 
+        # a fit recorded from another grid, so that identify fits again
+        _edit_fit(out, grid_sha256="0" * 64)
         monkeypatch.setattr(experiments, "fit_depth_speed_model", degenerate)
         assert main(["identify", "--config", config_path, "--out", str(out)]) == 0
     err = capsys.readouterr().err
@@ -300,7 +314,11 @@ IDENTIFY_FILES = ("treatment_report.json", "fits.csv", "depth_speed_fit.json")
 
 
 def _no_read(path, *args, **kwargs):
-    raise RuntimeError(f"the sweep read back {path}")
+    raise RuntimeError(f"read back {path}")
+
+
+def _no_fit(logs):
+    raise RuntimeError("identify fitted the intrusion grid again")
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -312,10 +330,53 @@ def test_sweep_identifies_from_memory(sweep_dir, config_path, tmp_path, monkeypa
         experiments.run_sweep(load_config(config_path), out, jobs=jobs)
     swept = _files(out)
     assert swept == _files(sweep_dir)
+    grid_sha256 = hashlib.sha256(swept["intrusion_grid.csv"]).hexdigest()
+    assert json.loads(swept["depth_speed_fit.json"])["grid_sha256"] == grid_sha256
+    # the fit records the grid as it is: identify neither parses nor fits it
+    with monkeypatch.context() as patch:
+        patch.setattr(io, "read_intrusion_csv", _no_read)
+        patch.setattr(experiments, "fit_depth_speed_model", _no_fit)
+        assert main(["identify", "--config", config_path, "--out", str(out)]) == 0
+    assert _files(out) == swept
     for name in IDENTIFY_FILES:
         (out / name).unlink()
     assert main(["identify", "--config", config_path, "--out", str(out)]) == 0
     assert _files(out) == swept
+
+
+def _edit_force_cell(out):
+    _edit_row(out / "intrusion_grid.csv", 10, lambda cells: cells[:3] + [repr(float(cells[3]) + 1.0)])
+
+
+# a grid, or a fit, that the recorded fit is not the fit of
+_STALE_FITS = {
+    "grid force cell edited": _edit_force_cell,
+    "fit without grid_sha256": lambda out: _edit_fit(out, grid_sha256=None),
+    "fit of another grid": lambda out: _edit_fit(out, grid_sha256="0" * 64),
+    "fit not JSON": lambda out: (out / "depth_speed_fit.json").write_text("k_fit = 800\n"),
+    "fit z_c above the box": lambda out: _edit_fit(out, z_c_fit=1.5),
+}
+
+
+@pytest.mark.parametrize("case", list(_STALE_FITS))
+def test_identify_fits_a_grid_the_recorded_fit_is_not_of(sweep_dir, config_path, tmp_path, case):
+    out = _copy(sweep_dir, tmp_path)
+    _STALE_FITS[case](out)
+    fit_path = out / "depth_speed_fit.json"
+    assert main(["identify", "--config", config_path, "--out", str(out)]) == 0
+    refit = fit_path.read_bytes()
+    fit_path.unlink()
+    assert main(["identify", "--config", config_path, "--out", str(out)]) == 0
+    assert fit_path.read_bytes() == refit
+    assert (refit != (sweep_dir / "depth_speed_fit.json").read_bytes()) == (case == "grid force cell edited")
+
+
+def test_identify_without_the_intrusion_grid_writes_nothing(sweep_dir, config_path, tmp_path):
+    out = _copy(sweep_dir, tmp_path)
+    (out / "intrusion_grid.csv").unlink()
+    before = _files(out)
+    assert main(["identify", "--config", config_path, "--out", str(out)]) == 4
+    assert _files(out) == before
 
 
 def test_resume_mixing_memory_and_disk_matches_a_clean_sweep(sweep_dir, config_path, tmp_path):

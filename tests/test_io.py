@@ -816,16 +816,19 @@ def test_identify_rejects_inconsistent_intrusion_log(tiny_sweep, tmp_path, edit)
 
 
 def test_identify_rejects_a_trial_listed_twice(tiny_sweep, tmp_path):
-    # a copy of a hop's entry would count that hop twice in its condition
+    # a copy of a hop's entry would count that hop twice in its condition,
+    # and a second intrusion entry, under another trial id, every grid
+    # sample twice in the fit
     cfg, sweep = tiny_sweep
-    out = tmp_path / "out"
-    shutil.copytree(sweep, out)
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    manifest["entries"].append(dict(manifest["entries"][0]))
-    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert main(["identify", "--config", str(cfg), "--out", str(out)]) == 4
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    entries = json.loads((sweep / "manifest.json").read_text(encoding="utf-8"))["entries"]
+    intrusion = next(e for e in entries if e["kind"] == "intrusion")
+    for extra in (dict(entries[0]), {**intrusion, "trial_id": "intrusion_grid_again"}):
+        out = tmp_path / extra["trial_id"]
+        shutil.copytree(sweep, out)
+        (out / "manifest.json").write_text(json.dumps({"entries": [*entries, extra]}), encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["identify", "--config", str(cfg), "--out", str(out)]) == 4, extra["trial_id"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @settings(max_examples=20, deadline=None)
