@@ -13,17 +13,19 @@ Commands
                `t` of one period equal to the frames' are checked first.
                Otherwise the truth columns are NaN.  On any failure the
                file is left as it was.
-    identify   treatment report + intrusion-model fit from existing hop
-               artifacts and intrusion grid; the grid is parsed and fitted
-               only when its sha256 differs from the one the fit records
-    sweep      full grid: hops + intrusions + estimation + identification
-    report     summary JSON + plot-ready CSVs
+    identify   intrusion-model (rig) fit + treatment report scored against
+               the fit's k, from existing hop artifacts and intrusion grid;
+               the grid is parsed and fitted only when its sha256 differs
+               from the one the fit records
+    sweep      full grid: intrusions and their fit, then hops + estimation
+               + identification
+    report     summary JSON + plot-ready CSVs, the force map the rig fit's
 
 `--seeds` is accepted by simulate and sweep, `--jobs` and `--resume` by
 sweep only; any other command given one exits 2 before it reads or
 writes anything, as it does for an empty seed list.  Exit codes: 0
 success, 2 config or usage error, 3 runtime/integration or numeric
-error, 4 missing-input error.  Output directory precedence: --out, then
+error (an intrusion grid that cannot be fitted), 4 missing-input error.  Output directory precedence: --out, then
 HOPPERLAB_OUT, then the config's [output] dir; one that exists as a file
 is a usage error (exit 2).
 """

@@ -16,23 +16,29 @@ bit for bit and writes it as `<id>_truth.csv`.  The intrusion grid is one artifa
 samples, each repeat's force beside the speed's shared t and depth.  Its
 fit, `depth_speed_fit.json`, records the grid's sha256 (`grid_sha256`).
 
+The rig fit is the ground truth, as the paper's linear actuator is:
+`identify` scores against its `k_fit` (`k_gt`) and `report` draws
+`force_map.csv` from it; neither reads `[terrain]`.  A grid that cannot
+be fitted leaves none (`_fit_grid`).
+
 A hop reads back (`_read_hop`) when its estimation, events and frames
 files parse and its frames and estimation files hold the same `t`.
 What each command reads:
 
     sweep     nothing, to identify, but the bytes of the grid it wrote,
-              for their sha256: it holds every hop's stance samples and
-              the intrusion records in memory.  `--resume` reads each
+              for their sha256: it fits the intrusion records it holds in
+              memory as soon as the grid is written, before any hop runs,
+              and holds every hop's stance samples.  `--resume` reads each
               hop back once, skips a hop that reads back, identifying it
               from what was read, and runs any other hop again.
     identify  the manifest, every hop's estimation and events files and
               the intrusion grid's bytes, for their sha256
               (`identify_inputs`).  It parses and fits the grid only when
               `depth_speed_fit.json` does not record that sha256 or does
-              not read back as `report` reads it; else it keeps the file.
-              It writes what a sweep writes, byte for byte, through the
-              same `identify_outputs`.
-    report    the treatment report, the manifest, `depth_speed_fit.json`,
+              not read back as `report` reads it; else it keeps the fit
+              (`_kept_fit`).  It writes what a sweep writes, byte for
+              byte, through the same `identify_outputs`.
+    report    the treatment report, `depth_speed_fit.json`, the manifest
               and one hop, which must read back (else exit 4).
 
 The manifest lists each trial's files by name; `trial_paths` resolves
@@ -68,7 +74,7 @@ from .simulator import (
     run_constant_speed_intrusion,
     run_hop_trial,
 )
-from .terrain import force_map
+from .terrain import TerrainParams, force_map
 
 # kind of manifest entry: (its fields besides trial_id, each with the check of
 # its value; the keys of its files)
@@ -115,8 +121,9 @@ def trial_paths(entry: dict, out_dir: Path) -> dict[str, Path]:
 
 def manifest_trials(out_dir: Path) -> list[tuple[dict, dict[str, Path]]]:
     """(entry, resolved files) of every trial in the sweep's manifest.  A
-    trial id listed twice, or a second intrusion entry, is bad input: its
-    trial or grid would count twice."""
+    trial id listed twice is bad input, since its trial would count twice;
+    so is a manifest without exactly one intrusion entry, the grid whose
+    fit is the ground truth."""
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
         raise MissingInputError(f"no manifest at {manifest_path}; run sweep first")
@@ -130,8 +137,8 @@ def manifest_trials(out_dir: Path) -> list[tuple[dict, dict[str, Path]]]:
         if entry["trial_id"] in seen:
             raise MissingInputError(f"malformed manifest {manifest_path}: trial {entry['trial_id']!r} is listed twice")
         seen.add(entry["trial_id"])
-    if sum(entry["kind"] == "intrusion" for entry in entries) > 1:
-        raise MissingInputError(f"malformed manifest {manifest_path}: more than one intrusion entry")
+    if sum(entry["kind"] == "intrusion" for entry in entries) != 1:
+        raise MissingInputError(f"malformed manifest {manifest_path}: need exactly one intrusion entry")
     return trials
 
 
@@ -249,10 +256,11 @@ def _finished_hop(entry: dict, out_dir: Path) -> TrialSamples | None:
 
 
 def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bool = False) -> dict:
-    """Hop grid + intrusion grid + estimation + identification, from the
-    stance samples and intrusion records held in memory.  Under `resume`,
-    a hop that reads back (`_finished_hop`) is skipped and identified from
-    what was read; the intrusion grid always runs."""
+    """Intrusion grid and its fit, then hop grid + estimation +
+    identification, from the intrusion records and stance samples held in
+    memory.  Under `resume`, a hop that reads back (`_finished_hop`) is
+    skipped and identified from what was read; the intrusion grid always
+    runs, and is fitted before any hop runs."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     out_dir = Path(out_dir)
@@ -266,6 +274,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bo
         if entry["kind"] == "intrusion":
             grid_path = trial_paths(entry, out_dir)["log"]
             logs = write_intrusion_grid(config, grid_path)
+            fit = _fit_grid(logs, io.file_sha256(grid_path), out_dir / DEPTH_SPEED_FIT)
         elif resume and (finished := _finished_hop(entry, out_dir)) is not None:
             entry["status"] = "skipped"
             samples[entry["trial_id"]] = finished
@@ -289,64 +298,64 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bo
     io.write_json(out_dir / "manifest.json", manifest)
 
     hop_samples = [samples[e["trial_id"]] for e in manifest["entries"] if e["kind"] == "hop"]
-    identify_outputs(config, out_dir, hop_samples, logs, io.file_sha256(grid_path))
+    identify_outputs(config, out_dir, hop_samples, fit)
     return manifest
 
 
-def _read_fit(fit_path: Path) -> DepthSpeedFit:
-    """The intrusion-model fit at `fit_path`: every field a finite number
-    and the parameters in the fit's box, else MissingInputError."""
-    fit = io.read_record(fit_path, DepthSpeedFit, "depth-speed fit")
-    if not fit.in_box():
-        raise MissingInputError(f"{fit_path} holds parameters outside the fit's box: {fit}")
+def _fit_grid(logs: list[IntrusionLog], grid_sha256: str, fit_path: Path) -> DepthSpeedFit:
+    """The rig fit of a grid's intrusion records, written to `fit_path` with
+    the grid's sha256.  A grid that cannot be fitted, or whose fit finds no
+    stiffness, has no ground truth: the fit an earlier run left is removed."""
+    fit_path.unlink(missing_ok=True)
+    fit = fit_depth_speed_model(logs)
+    if not fit.k_fit > 0.0:
+        raise DegenerateFitError(f"the intrusion-model fit finds no depth stiffness: {fit}")
+    io.write_json(fit_path, {**dataclasses.asdict(fit), "grid_sha256": grid_sha256})
     return fit
 
 
-def _holds_fit_of(fit_path: Path, grid_sha256: str) -> bool:
-    """Whether the JSON at `fit_path` reads back as a fit (`_read_fit`) and
-    records `grid_sha256` as its grid's."""
+def _read_fit(fit_path: Path) -> tuple[DepthSpeedFit, object]:
+    """The intrusion-model fit at `fit_path` and the grid sha256 it records
+    (None without one), from one read: every field a finite number, k_fit
+    positive and the parameters in the fit's box, else MissingInputError."""
+    payload = io.read_json(fit_path)
+    fit = io.json_record(payload, DepthSpeedFit, "depth-speed fit", fit_path)
+    if not (fit.in_box() and fit.k_fit > 0.0):
+        raise MissingInputError(f"{fit_path} holds a k_fit of 0 or parameters outside the fit's box: {fit}")
+    return fit, payload.get("grid_sha256")
+
+
+def _kept_fit(fit_path: Path, grid_sha256: str) -> DepthSpeedFit | None:
+    """The fit at `fit_path` when it reads back (`_read_fit`) and records
+    `grid_sha256` as its grid's; else None."""
     try:
-        _read_fit(fit_path)
+        fit, recorded = _read_fit(fit_path)
     except MissingInputError:
-        return False
-    return io.read_json(fit_path).get("grid_sha256") == grid_sha256
+        return None
+    return fit if recorded == grid_sha256 else None
 
 
-def identify_inputs(out_dir: Path) -> tuple[list[TrialSamples], list[IntrusionLog] | None, str | None]:
-    """The stance samples of the manifest's hops (`manifest_trials`), in its
-    order, read back from each hop's estimation and events files; then the
-    intrusion grid's records and its sha256.  The records are None, and the
-    grid is not parsed, when `depth_speed_fit.json` already holds the fit of
-    a grid of that sha256 (`_holds_fit_of`).  Without an intrusion entry
-    there are no records and no sha256."""
-    hops, logs, grid_sha256 = [], [], None
+def identify_inputs(out_dir: Path) -> tuple[list[TrialSamples], DepthSpeedFit]:
+    """In the manifest's order (`manifest_trials`), its hops' stance samples,
+    read back from their estimation and events files, and its grid's rig
+    fit: the kept one (`_kept_fit`), else the grid's, parsed and fitted."""
+    hops, fit_path = [], out_dir / DEPTH_SPEED_FIT
     for entry, paths in manifest_trials(out_dir):
         if entry["kind"] == "hop":
             est, _ = io.read_estimation_csv(paths["estimation"])
             hops.append(_trial_samples(entry, est, io.read_events_json(paths["events"])))
         else:
             grid_sha256 = io.file_sha256(paths["log"])
-            reuse = _holds_fit_of(out_dir / DEPTH_SPEED_FIT, grid_sha256)
-            logs = None if reuse else io.read_intrusion_csv(paths["log"])
-    return hops, logs, grid_sha256
+            kept = _kept_fit(fit_path, grid_sha256)
+            fit = kept or _fit_grid(io.read_intrusion_csv(paths["log"]), grid_sha256, fit_path)
+    return hops, fit
 
 
-def identify_outputs(
-    config: ExperimentConfig,
-    out_dir: Path,
-    trials: list[TrialSamples],
-    intrusion_logs: list[IntrusionLog] | None,
-    grid_sha256: str | None,
-) -> None:
-    """Treatment report from the hops' stance samples plus the intrusion-model
-    fit of the intrusion logs, which records `grid_sha256`, the sha256 of
-    the grid the logs came from.  With the logs None, `depth_speed_fit.json`
-    already holds the fit of that grid (`identify_inputs`) and is left as
-    it is."""
+def identify_outputs(config: ExperimentConfig, out_dir: Path, trials: list[TrialSamples], fit: DepthSpeedFit) -> None:
+    """Treatment report from the hops' stance samples, scored against the
+    rig fit's `k_fit` (the report's `k_gt`)."""
     out_dir = Path(out_dir)
-    if not trials:
-        raise InsufficientDataError("no hop trials in manifest")
-    report = treatment_comparison(trials, k_gt=config.terrain.k_stiff, weights=config.weight)
+    report = treatment_comparison(trials, k_gt=fit.k_fit, weights=config.weight)
     io.write_json(
         out_dir / "treatment_report.json",
         {
@@ -360,23 +369,11 @@ def identify_outputs(
     ]
     io.write_csv(out_dir / "fits.csv", ("v_td", "k_c", "treatment", "k_est", "seed"), rows)
 
-    if intrusion_logs is None:
-        return
-    fit_path = out_dir / DEPTH_SPEED_FIT
-    try:
-        fit = fit_depth_speed_model(intrusion_logs)
-    except (InsufficientDataError, DegenerateFitError) as exc:
-        # a fit left by an earlier run would describe other intrusion logs
-        note = f"; removed the stale {fit_path}" if fit_path.exists() else ""
-        fit_path.unlink(missing_ok=True)
-        print(f"intrusion-model fit skipped: {exc}{note}", file=sys.stderr)
-        return
-    io.write_json(fit_path, {**dataclasses.asdict(fit), "grid_sha256": grid_sha256})
-
 
 def write_report(config: ExperimentConfig, out_dir: Path) -> None:
     """Summary JSON plus plot-ready CSVs for the force-depth, force-map,
-    added-mass and stiffness-recovery figures."""
+    added-mass and stiffness-recovery figures, the map and the residual
+    from the rig fit, which is read (`_read_fit`) before any write."""
     out_dir = Path(out_dir)
     treatment_path = out_dir / "treatment_report.json"
     if not treatment_path.exists():
@@ -398,6 +395,7 @@ def write_report(config: ExperimentConfig, out_dir: Path) -> None:
         )
     if not conditions:
         raise InsufficientDataError("treatment report is empty")
+    fit, _ = _read_fit(out_dir / DEPTH_SPEED_FIT)
 
     io.write_json(
         out_dir / "summary.json",
@@ -428,15 +426,15 @@ def write_report(config: ExperimentConfig, out_dir: Path) -> None:
 
     depths = np.linspace(0.0, config.sweep.intrusion_z_max, 51)
     speeds_grid = np.asarray(config.sweep.intrusion_speeds())
-    surface = force_map(config.terrain, depths, speeds_grid)
+    surface = force_map(TerrainParams(fit.k_fit, fit.m_a_inf_fit, fit.z_c_fit), depths, speeds_grid)
     io.write_force_map_csv(out_dir / "force_map.csv", depths, speeds_grid, surface)
 
-    _write_representative_trial_figs(out_dir)
+    _write_representative_trial_figs(out_dir, fit)
 
 
-def _write_representative_trial_figs(out_dir: Path) -> None:
-    """Force-depth scatter and added-mass residual series for one trial,
-    read back by `_read_hop`."""
+def _write_representative_trial_figs(out_dir: Path, fit: DepthSpeedFit) -> None:
+    """Force-depth scatter and the added-mass residual series of the rig
+    fit for one trial, read back by `_read_hop`."""
     hops = [e for e, _ in manifest_trials(out_dir) if e["kind"] == "hop"]
     if not hops:
         return
@@ -452,13 +450,9 @@ def _write_representative_trial_figs(out_dir: Path) -> None:
         [est.t[mask], z_hat[mask], frames.loadcell_force[mask], est.f_qs[mask], est.f_mo[mask]],
     )
 
-    fit_path = out_dir / DEPTH_SPEED_FIT
     residual_path = out_dir / "added_mass_residual.csv"
     stale = residual_path.exists()
     residual_path.unlink(missing_ok=True)  # it was built from an earlier fit
-    if not fit_path.exists():
-        return
-    fit = _read_fit(fit_path)
     if not (np.isfinite(truth["x_f"][mask]).all() and np.isfinite(truth["v_f"][mask]).all()):
         # an estimation file written without the truth log carries NaN truth
         note = f"; removed the stale {residual_path}" if stale else ""

@@ -202,10 +202,10 @@ def is_finite_number(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
-def read_record(path, cls, kind: str):
-    """A `cls` built from the same-named keys of a JSON object whose values
-    must all be finite numbers; anything else is bad input."""
-    payload = read_json(path)
+def json_record(payload, cls, kind: str, path):
+    """A `cls` built from the same-named keys of `payload`, the JSON object
+    read from `path`, whose values must all be finite numbers; anything
+    else is bad input."""
     try:
         values = {f.name: payload[f.name] for f in fields(cls)}
     except (KeyError, TypeError) as exc:
@@ -221,7 +221,7 @@ def write_events_json(path, events: TrialEvents, extra: dict | None = None) -> N
 
 
 def read_events_json(path) -> TrialEvents:
-    return read_record(path, TrialEvents, "events")
+    return json_record(read_json(path), TrialEvents, "events", path)
 
 
 def write_estimation_csv(path, est: EstimationSeries, truth: dict | None = None) -> None:

@@ -7,8 +7,11 @@ from `_truth.csv`, which must hold the frames' t; else it carries the t
 and truth cells of the trial's previous estimation CSV as written and
 replaces only the estimate cells; else it writes NaN.  A directory name
 is not part of a trial's file names.
-When the intrusion fit cannot run, the fit an earlier run left is removed,
-and so is the added-mass residual when its trial carries no finite truth.
+The intrusion (rig) fit is the ground truth that `identify` scores against
+and `report` draws from, so neither reads `[terrain]`.  When the fit
+cannot run, `sweep` and `identify` exit 3 and remove the fit an earlier
+run left, and `report` writes nothing without a usable fit.  The
+added-mass residual is removed when its trial carries no finite truth.
 `identify` reads no frames files, and the manifest lists file names, so a
 sweep directory still works after it is copied or moved.  A sweep
 identifies from the results it holds in memory and reads back only the
@@ -33,6 +36,7 @@ from hopperlab import experiments, io
 from hopperlab.cli import main
 from hopperlab.config import load_config
 from hopperlab.errors import DegenerateFitError
+from hopperlab.identification import DepthSpeedFit
 
 TINY_SWEEP = """
 [sweep]
@@ -228,31 +232,75 @@ def _edit_fit(out, **changes):
     path.write_text(json.dumps({key: value for key, value in fit.items() if value is not None}))
 
 
-@pytest.mark.parametrize("failure", ["one intrusion speed", "degenerate fit"])
-def test_intrusion_fit_of_an_earlier_run_is_removed(sweep_dir, config_path, tmp_path, monkeypatch, capsys, failure):
+def _degenerate(logs):
+    raise DegenerateFitError("no convergence")
+
+
+def _no_depth_stiffness(logs):
+    return DepthSpeedFit(k_fit=0.0, m_a_inf_fit=0.15, z_c_fit=0.015, rmse=1.0, n_samples=100)
+
+
+# fits that leave no ground truth, put in place of the rig fit
+_NO_GROUND_TRUTH = {"degenerate fit": _degenerate, "no depth stiffness": _no_depth_stiffness}
+
+
+@pytest.mark.parametrize("failure", ["one intrusion speed", *_NO_GROUND_TRUTH])
+def test_intrusion_fit_of_an_earlier_run_is_removed(sweep_dir, config_path, tmp_path, monkeypatch, failure):
     out = _copy(sweep_dir, tmp_path)
     assert main(["report", "--config", config_path, "--out", str(out)]) == 0
     assert (out / "depth_speed_fit.json").exists() and (out / "added_mass_residual.csv").exists()
-    capsys.readouterr()
+    before = _files(out)
     if failure == "one intrusion speed":
         one_speed = tmp_path / "one_speed.ini"
         text = Path(config_path).read_text()
         one_speed.write_text(text.replace("intrusion_speed_count = 3", "intrusion_speed_count = 1"))
-        assert main(["sweep", "--config", str(one_speed), "--out", str(out)]) == 0
+        assert main(["sweep", "--config", str(one_speed), "--out", str(out)]) == 3
+        # the grid is fitted before any hop runs
+        fresh = tmp_path / "fresh"
+        assert main(["sweep", "--config", str(one_speed), "--out", str(fresh)]) == 3
+        assert sorted(p.name for p in fresh.iterdir()) == ["intrusion_grid.csv", "manifest.json"]
     else:
-
-        def degenerate(logs):
-            raise DegenerateFitError("no convergence")
-
         # a fit recorded from another grid, so that identify fits again
         _edit_fit(out, grid_sha256="0" * 64)
-        monkeypatch.setattr(experiments, "fit_depth_speed_model", degenerate)
-        assert main(["identify", "--config", config_path, "--out", str(out)]) == 0
-    err = capsys.readouterr().err
-    assert "intrusion-model fit skipped" in err and "removed the stale" in err
+        monkeypatch.setattr(experiments, "fit_depth_speed_model", _NO_GROUND_TRUTH[failure])
+        assert main(["identify", "--config", config_path, "--out", str(out)]) == 3
     assert not (out / "depth_speed_fit.json").exists()
-    assert main(["report", "--config", config_path, "--out", str(out)]) == 0
-    assert not (out / "added_mass_residual.csv").exists()
+    # no treatment report is written: the earlier one is left as it was
+    for name in ("treatment_report.json", "fits.csv"):
+        assert (out / name).read_bytes() == before[name], name
+    after = _files(out)
+    assert main(["report", "--config", config_path, "--out", str(out)]) == 4
+    assert _files(out) == after
+
+
+def test_report_without_the_intrusion_fit_writes_nothing(sweep_dir, config_path, tmp_path):
+    out = _copy(sweep_dir, tmp_path)
+    (out / "depth_speed_fit.json").unlink()
+    before = _files(out)
+    assert main(["report", "--config", config_path, "--out", str(out)]) == 4
+    assert _files(out) == before
+
+
+# a bed unlike the default on every parameter the plant and the rig read
+_OTHER_BED = "[terrain]\nk_stiff = 400\nm_a_inf = 0.05\nz_c = 0.03\n"
+
+
+@pytest.mark.parametrize("kept", [True, False], ids=["fit kept", "grid refitted"])
+def test_identify_and_report_read_no_terrain(sweep_dir, config_path, tmp_path, kept):
+    # the rig fit is the ground truth: under another [terrain], identify and
+    # report on a sweep directory write the bytes they write under its own
+    other = tmp_path / "other_bed.ini"
+    other.write_text(Path(config_path).read_text() + _OTHER_BED)
+    written = []
+    for name, path in (("own", config_path), ("other", str(other))):
+        out = shutil.copytree(sweep_dir, tmp_path / name)
+        if not kept:
+            (out / "depth_speed_fit.json").unlink()
+        for command in ("identify", "report"):
+            assert main([command, "--config", path, "--out", str(out)]) == 0
+        written.append(_files(out))
+    assert written[0] == written[1]
+    assert json.loads(written[1]["summary.json"])["k_gt"] == json.loads(written[1]["depth_speed_fit.json"])["k_fit"]
 
 
 def test_added_mass_residual_of_a_trial_without_truth_is_removed(sweep_dir, config_path, tmp_path, capsys):

@@ -338,7 +338,9 @@ def test_cli_report_outputs(tmp_path):
     assert main(["sweep", "--config", cfg]) == 0
     assert main(["report", "--config", cfg]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["k_gt"] == 800.0
+    # the ground truth is the rig fit's stiffness, not the plant's 800 N/m
+    k_fit = json.loads((out / "depth_speed_fit.json").read_text())["k_fit"]
+    assert summary["k_gt"] == k_fit and k_fit != 800.0 and abs(k_fit - 800.0) < 0.02 * 800.0
     record = summary["conditions"][0]
     assert record["n"] == 2
     assert {"treatment", "mean_k", "sem_k", "rel_err"} <= set(record)

@@ -442,9 +442,18 @@ def _series(columns, times):
     return "\n".join([",".join(columns), *rows]) + "\n"
 
 
+_GRID_ENTRY = {"trial_id": "intrusion_grid", "kind": "intrusion", "paths": {"log": "intrusion_grid.csv"}}
+# a grid the rig fit reads and fits: two speeds on an 800 N/m bed without added mass
+_GRID = "speed,t,depth,force_0\n" + "".join(
+    f"{v!r},{t!r},{v * t!r},{800.0 * v * t!r}\n" for v in (0.01, 0.02) for t in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+)
+
+
 def _manifest(**changes):
+    """A manifest of one hop, its entry changed as given (a value of None
+    removes the key), and the intrusion grid."""
     entry = {key: value for key, value in {**_HOP_ENTRY, **changes}.items() if value is not None}
-    return {"manifest.json": json.dumps({"entries": [entry]})}
+    return {"manifest.json": json.dumps({"entries": [entry, _GRID_ENTRY]})}
 
 
 def _hop_trial(estimation_times=(0.0, 0.001, 0.002, 0.003), **events):
@@ -452,6 +461,7 @@ def _hop_trial(estimation_times=(0.0, 0.001, 0.002, 0.003), **events):
         **_manifest(),
         _HOP_FILES["events"]: json.dumps({**_EVENTS, **events}),
         _HOP_FILES["estimation"]: _series(io.ESTIMATION_COLUMNS, estimation_times),
+        "intrusion_grid.csv": _GRID,
     }
 
 
@@ -509,6 +519,8 @@ _DEGENERATE = {
     "fit z_c negative": ("report", _report_inputs({**_FIT, "z_c_fit": -0.01})),
     "fit z_c above the box": ("report", _report_inputs({**_FIT, "z_c_fit": 1.5})),
     "fit k negative": ("report", _report_inputs({**_FIT, "k_fit": -800.0})),
+    # in the fit's box, but no ground truth: no bed to draw the force map of
+    "fit k zero": ("report", _report_inputs({**_FIT, "k_fit": 0.0})),
     "fit m_a_inf negative": ("report", _report_inputs({**_FIT, "m_a_inf_fit": -0.15})),
     "truth shorter than frames": ("estimate", {
         _HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002]),
@@ -537,8 +549,47 @@ _DEGENERATE = {
 }
 
 
+_TREATMENT_REPORT, _FIT_FILE, _ENTRY = "treatment_report.json", "depth_speed_fit.json", "manifest entry"
+# what each case breaks, which stderr must name: the exit code alone does
+# not show which check refused the input
+_BROKEN = {
+    "one-row frames": _HOP_FILES["frames"],
+    "repeated frame time": _HOP_FILES["frames"],
+    "uneven frame period": _HOP_FILES["frames"],
+    "non-finite frame cell": _HOP_FILES["frames"],
+    "one-row estimation": _HOP_FILES["estimation"],
+    "non-numeric event time": _HOP_FILES["events"],
+    "infinite event time": _HOP_FILES["events"],
+    "conditions not objects": _TREATMENT_REPORT,
+    "condition value not a number": _TREATMENT_REPORT,
+    "k_gt a bool": _TREATMENT_REPORT,
+    "k_gt NaN": _TREATMENT_REPORT,
+    "condition value a bool": _TREATMENT_REPORT,
+    "entry without kind": _ENTRY,
+    "entry with a list for kind": _ENTRY,
+    "entry without paths": _ENTRY,
+    "entry without speed": _ENTRY,
+    "entry with a word for speed": _ENTRY,
+    "entry with a list for seed": _ENTRY,
+    "entry with a list for trial_id": _ENTRY,
+    "fit without m_a_inf_fit": _FIT_FILE,
+    "fit a JSON list": _FIT_FILE,
+    "fit value not a number": _FIT_FILE,
+    "fit z_c zero": _FIT_FILE,
+    "fit z_c negative": _FIT_FILE,
+    "fit z_c above the box": _FIT_FILE,
+    "fit k negative": _FIT_FILE,
+    "fit k zero": _FIT_FILE,
+    "fit m_a_inf negative": _FIT_FILE,
+    "truth shorter than frames": f"{_HOP}_truth.csv",
+    "truth longer than frames": f"{_HOP}_truth.csv",
+    "per-run intrusion log": "intr_v0.5000_r0.csv",
+    "entry path with a directory": _ENTRY,
+}
+
+
 @pytest.mark.parametrize("case", list(_DEGENERATE))
-def test_cli_degenerate_artifact_exit_code(tmp_path, case):
+def test_cli_degenerate_artifact_exit_code(tmp_path, case, capsys):
     command, files = _DEGENERATE[case]
     out = tmp_path / "out"
     out.mkdir()
@@ -547,17 +598,22 @@ def test_cli_degenerate_artifact_exit_code(tmp_path, case):
     cfg = tmp_path / "c.ini"
     cfg.write_text("", encoding="utf-8")
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+    assert _BROKEN[case] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", [case for case in _DEGENERATE if case.startswith("fit ")])
 def test_report_on_unusable_fit_leaves_no_stale_residual(tmp_path, case):
+    # the rig fit is the report's ground truth: without a usable one, report
+    # writes nothing, so it neither rewrites the residual of an earlier fit
+    # nor writes a summary beside it
     _, files = _DEGENERATE[case]
     for name, text in {**files, "added_mass_residual.csv": "t,residual,predicted\n0.0,1.0,1.0\n"}.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     cfg = tmp_path / "c.ini"
     cfg.write_text("", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 4
-    assert not (tmp_path / "added_mass_residual.csv").exists()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("case", ["entry with a word for speed", "entry with a list for seed"])
@@ -829,6 +885,20 @@ def test_identify_rejects_a_trial_listed_twice(tiny_sweep, tmp_path):
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert main(["identify", "--config", str(cfg), "--out", str(out)]) == 4, extra["trial_id"]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_identify_rejects_a_manifest_without_the_intrusion_entry(tiny_sweep, tmp_path):
+    # the grid's fit is the ground truth the treatments are scored against
+    cfg, sweep = tiny_sweep
+    out = tmp_path / "out"
+    shutil.copytree(sweep, out)
+    entries = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["entries"]
+    (out / "manifest.json").write_text(json.dumps({"entries": [e for e in entries if e["kind"] == "hop"]}))
+    for name in ("treatment_report.json", "fits.csv", "depth_speed_fit.json"):
+        (out / name).unlink()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["identify", "--config", str(cfg), "--out", str(out)]) == 4
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @settings(max_examples=20, deadline=None)
