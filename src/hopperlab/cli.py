@@ -2,24 +2,20 @@
 
 Commands
     simulate   one hop trial (frames/truth/events + estimation CSVs)
-    intrude    the constant-speed intrusion grid, `intrusion_grid.csv`, as a
-               sweep writes it
-    estimate   estimation CSVs from existing frame CSVs.  A trial with a
-               `_truth.csv` (`simulate`) gets its truth columns from it; its
-               `t` must equal the frames'.  A trial with an estimation CSV
-               and no truth log (a sweep trial) keeps that file's `t` and
-               truth cells as written and gets new estimate columns; the
-               header, 12 cells a row, numeric `t` and truth cells, and a
-               `t` of one period equal to the frames' are checked first.
-               Otherwise the truth columns are NaN.  On any failure the
-               file is left as it was.
+    estimate   new estimate columns in each trial's estimation CSV, from its
+               frame CSV; each row's `t` and truth cells are kept as
+               written.  The header, 12 cells a row, a numeric `t`, finite
+               truth cells and a `t` of one period equal to the frames' are
+               checked first; a frames file without its estimation CSV is
+               bad input.  On any failure the file is left as it was.
     identify   intrusion-model (rig) fit + treatment report scored against
                the fit's k, from existing hop artifacts and intrusion grid;
                the grid is parsed and fitted only when its sha256 differs
                from the one the fit records
     sweep      full grid: intrusions and their fit, then hops + estimation
                + identification
-    report     summary JSON + plot-ready CSVs, the force map the rig fit's
+    report     summary JSON + plot-ready CSVs, the force map drawn from the
+               rig fit
 
 `--seeds` is accepted by simulate and sweep, `--jobs` and `--resume` by
 sweep only; any other command given one exits 2 before it reads or
@@ -43,14 +39,12 @@ from . import io
 from .config import ExperimentConfig, load_config, with_values
 from .errors import ConfigError, HopperlabError, MissingInputError
 from .experiments import (
-    INTRUSION_GRID,
     estimate_from_frames,
     identify_inputs,
     identify_outputs,
     run_sweep,
     run_single_hop,
     write_hop_artifacts,
-    write_intrusion_grid,
     write_report,
 )
 
@@ -77,42 +71,14 @@ def cmd_simulate(config: ExperimentConfig, args) -> int:
     return 0
 
 
-def _intrusion_grid(config: ExperimentConfig) -> str:
-    return f"intrusion grid of {config.sweep.intrusion_speed_count} speeds x {config.sweep.intrusion_repeats} repeats"
-
-
-def cmd_intrude(config: ExperimentConfig, args) -> int:
-    out = _resolve_out(config, args)
-    write_intrusion_grid(config, out / INTRUSION_GRID)
-    print(f"wrote an {_intrusion_grid(config)} to {out}")
-    return 0
-
-
-def _write_estimates(frames_path: Path, frames, est) -> None:
-    """Write a trial's estimation CSV beside its frames file, with its truth
-    taken as `estimate` takes it (module docstring)."""
-    trial = frames_path.name.removesuffix("_frames.csv")
-    truth_path = frames_path.with_name(f"{trial}_truth.csv")
-    est_path = frames_path.with_name(f"{trial}_estimation.csv")
-    if truth_path.exists():
-        truth = io.read_truth_csv(truth_path)
-        if not np.array_equal(truth.t, frames.t):
-            raise MissingInputError(f"{truth_path} does not hold the t of the {len(frames.t)} frames in {frames_path}")
-        io.write_estimation_csv(est_path, est, vars(truth))
-    elif est_path.exists():
-        io.write_reestimation_csv(est_path, est)
-    else:
-        io.write_estimation_csv(est_path, est)
-
-
 def cmd_estimate(config: ExperimentConfig, args) -> int:
     out = _resolve_out(config, args)
     frame_files = sorted(out.glob("*_frames.csv"))
     if not frame_files:
         raise MissingInputError(f"no *_frames.csv files in {out}")
     for path in frame_files:
-        frames = io.read_frames_csv(path)
-        _write_estimates(path, frames, estimate_from_frames(config, frames))
+        est = estimate_from_frames(config, io.read_frames_csv(path))
+        io.write_reestimation_csv(path.with_name(path.name.removesuffix("_frames.csv") + "_estimation.csv"), est)
     print(f"estimated {len(frame_files)} trials in {out}")
     return 0
 
@@ -130,7 +96,8 @@ def cmd_sweep(config: ExperimentConfig, args) -> int:
         config = with_values(config, "sweep", seeds=tuple(args.seeds))
     manifest = run_sweep(config, out, jobs=1 if args.jobs is None else args.jobs, resume=bool(args.resume))
     n_hop = sum(1 for e in manifest["entries"] if e["kind"] == "hop")
-    print(f"sweep complete: {n_hop} hop trials and an {_intrusion_grid(config)} in {out}")
+    grid = f"{config.sweep.intrusion_speed_count} speeds x {config.sweep.intrusion_repeats} repeats"
+    print(f"sweep complete: {n_hop} hop trials and an intrusion grid of {grid} in {out}")
     return 0
 
 
@@ -143,7 +110,6 @@ def cmd_report(config: ExperimentConfig, args) -> int:
 
 _COMMANDS = {
     "simulate": cmd_simulate,
-    "intrude": cmd_intrude,
     "estimate": cmd_estimate,
     "identify": cmd_identify,
     "sweep": cmd_sweep,

@@ -39,7 +39,8 @@ What each command reads:
               (`_kept_fit`).  It writes what a sweep writes, byte for
               byte, through the same `identify_outputs`.
     report    the treatment report, `depth_speed_fit.json`, the manifest
-              and one hop, which must read back (else exit 4).
+              and one hop, which must read back (else exit 4), all before
+              it writes anything.
 
 The manifest lists each trial's files by name; `trial_paths` resolves
 them against the output directory, so a sweep directory can be copied
@@ -49,7 +50,6 @@ or moved.
 from __future__ import annotations
 
 import dataclasses
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -373,7 +373,8 @@ def identify_outputs(config: ExperimentConfig, out_dir: Path, trials: list[Trial
 def write_report(config: ExperimentConfig, out_dir: Path) -> None:
     """Summary JSON plus plot-ready CSVs for the force-depth, force-map,
     added-mass and stiffness-recovery figures, the map and the residual
-    from the rig fit, which is read (`_read_fit`) before any write."""
+    from the rig fit.  The fit and the representative hop are read
+    (`_read_fit`, `_representative_trial_figs`) before any write."""
     out_dir = Path(out_dir)
     treatment_path = out_dir / "treatment_report.json"
     if not treatment_path.exists():
@@ -396,6 +397,7 @@ def write_report(config: ExperimentConfig, out_dir: Path) -> None:
     if not conditions:
         raise InsufficientDataError("treatment report is empty")
     fit, _ = _read_fit(out_dir / DEPTH_SPEED_FIT)
+    trial_figs = _representative_trial_figs(out_dir, fit)
 
     io.write_json(
         out_dir / "summary.json",
@@ -428,43 +430,32 @@ def write_report(config: ExperimentConfig, out_dir: Path) -> None:
     speeds_grid = np.asarray(config.sweep.intrusion_speeds())
     surface = force_map(TerrainParams(fit.k_fit, fit.m_a_inf_fit, fit.z_c_fit), depths, speeds_grid)
     io.write_force_map_csv(out_dir / "force_map.csv", depths, speeds_grid, surface)
+    for name, (header, columns) in trial_figs.items():
+        io.write_columns_csv(out_dir / name, header, columns)
 
-    _write_representative_trial_figs(out_dir, fit)
 
-
-def _write_representative_trial_figs(out_dir: Path, fit: DepthSpeedFit) -> None:
+def _representative_trial_figs(out_dir: Path, fit: DepthSpeedFit) -> dict:
     """Force-depth scatter and the added-mass residual series of the rig
-    fit for one trial, read back by `_read_hop`."""
+    fit over the stance of one hop, read back by `_read_hop`, as {file name:
+    (header, columns)}; none for a manifest without hops."""
     hops = [e for e, _ in manifest_trials(out_dir) if e["kind"] == "hop"]
     if not hops:
-        return
+        return {}
     # fastest condition, first seed: the regime where dynamics matter most
     entry = max(hops, key=lambda e: (e["speed"], -e["seed"]))
-    paths = trial_paths(entry, out_dir)
-    frames, est, truth, events = _read_hop(paths)
+    frames, est, truth, events = _read_hop(trial_paths(entry, out_dir))
     mask = (est.t >= events.t_td) & (est.t <= events.t_lo)
     z_hat = np.maximum(0.0, -est.x_f_hat)
-    io.write_columns_csv(
-        out_dir / "force_depth_trial.csv",
-        ("t", "depth", "f_loadcell", "f_qs", "f_mo"),
-        [est.t[mask], z_hat[mask], frames.loadcell_force[mask], est.f_qs[mask], est.f_mo[mask]],
-    )
-
-    residual_path = out_dir / "added_mass_residual.csv"
-    stale = residual_path.exists()
-    residual_path.unlink(missing_ok=True)  # it was built from an earlier fit
-    if not (np.isfinite(truth["x_f"][mask]).all() and np.isfinite(truth["v_f"][mask]).all()):
-        # an estimation file written without the truth log carries NaN truth
-        note = f"; removed the stale {residual_path}" if stale else ""
-        print(
-            f"added-mass residual skipped: {paths['estimation']} carries no finite truth over stance{note}",
-            file=sys.stderr,
-        )
-        return
     z_t = np.maximum(0.0, -truth["x_f"])
     zd_t = -truth["v_f"]
     zdd = -frames.imu_foot_acc
     predicted, residual = added_mass_reconstruction(
         fit, z_t[mask], zd_t[mask], zdd[mask], frames.loadcell_force[mask]
     )
-    io.write_columns_csv(residual_path, ("t", "residual", "predicted"), [est.t[mask], residual, predicted])
+    return {
+        "force_depth_trial.csv": (
+            ("t", "depth", "f_loadcell", "f_qs", "f_mo"),
+            [est.t[mask], z_hat[mask], frames.loadcell_force[mask], est.f_qs[mask], est.f_mo[mask]],
+        ),
+        "added_mass_residual.csv": (("t", "residual", "predicted"), [est.t[mask], residual, predicted]),
+    }

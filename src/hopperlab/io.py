@@ -190,13 +190,6 @@ def write_truth_csv(path, truth: TruthSeries) -> None:
     write_columns_csv(path, TRUTH_COLUMNS, [getattr(truth, name) for name in TRUTH_COLUMNS])
 
 
-def read_truth_csv(path) -> TruthSeries:
-    data = _read_csv(Path(path), TRUTH_COLUMNS, "truth")
-    truth = TruthSeries(*data.T)
-    truth.phase_id = truth.phase_id.astype(int)
-    return truth
-
-
 def is_finite_number(value) -> bool:
     """A finite JSON number (a bool is not one)."""
     return type(value) in (int, float) and math.isfinite(value)
@@ -224,22 +217,27 @@ def read_events_json(path) -> TrialEvents:
     return json_record(read_json(path), TrialEvents, "events", path)
 
 
-def write_estimation_csv(path, est: EstimationSeries, truth: dict | None = None) -> None:
+def write_estimation_csv(path, est: EstimationSeries, truth: dict) -> None:
     """Estimator outputs plus the carried truth columns, taken by name from
-    `truth` (one row per frame; NaN where absent)."""
-    truth = truth or {}
-    nan = np.full(len(est), np.nan)
-    cols = [getattr(est, name) for name in ESTIMATOR_OUTPUTS]
-    cols += [truth.get(name, nan) for name in CARRIED_TRUTH]
+    `truth` (one row per frame)."""
+    cols = [getattr(est, name) for name in ESTIMATOR_OUTPUTS] + [truth[name] for name in CARRIED_TRUTH]
     write_columns_csv(path, ESTIMATION_COLUMNS, cols)
+
+
+def _check_truth(truth: np.ndarray, path) -> None:
+    """The carried truth cells must be finite: only an estimate (`f_qs` at a
+    singular frame) may be NaN."""
+    if not np.isfinite(truth).all():
+        raise MissingInputError(f"malformed estimation file {path}: need finite truth cells")
 
 
 def _carried_cells(path) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
     """The `t` of the estimation CSV at `path`, with each row's `t` cell and
     its five truth cells (one string) as written.  Only those cells are
-    parsed; the header must match and every row must have 12 cells.  Only
-    the carried strings outlive this call, so the file's lines are freed
-    before the estimates are formatted (the process's peak memory)."""
+    parsed; the header must match, every row must have 12 cells and the
+    truth cells must be finite (`_check_truth`).  Only the carried strings
+    outlive this call, so the file's lines are freed before the estimates
+    are formatted (the process's peak memory)."""
     width, truth_at = len(ESTIMATION_COLUMNS), len(ESTIMATOR_OUTPUTS)
     with _body(path, ESTIMATION_COLUMNS, "estimation") as lines:
         if not all(line.count(",") == width - 1 for line in lines):
@@ -247,7 +245,8 @@ def _carried_cells(path) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
         # split at the first 7 commas: piece 0 is t, piece 7 the five truth cells
         t_cells, truth_cells = zip(*(line.split(",", truth_at)[::truth_at] for line in lines))
         t = _parse(t_cells, 1)[:, 0]
-        _parse(truth_cells, len(CARRIED_TRUTH))
+        truth = _parse(truth_cells, len(CARRIED_TRUTH))
+    _check_truth(truth, path)
     _check_time_base(t, path, "estimation")
     return t, t_cells, truth_cells
 
@@ -256,20 +255,19 @@ def write_reestimation_csv(path, est: EstimationSeries) -> None:
     """Replace the estimate columns of the estimation CSV at `path` with
     `est`'s, formatted as `write_estimation_csv` formats them; each row's `t`
     and truth cells are carried as written (`_carried_cells`).  The carried
-    cells must be numbers (NaN truth included), and `t` one period equal to
+    cells must be numbers, the truth finite, and `t` one period equal to
     `est.t`.  Anything else raises MissingInputError and leaves the file as
     it was."""
     t, t_cells, truth_cells = _carried_cells(path)
     if not np.array_equal(t, est.t):
-        raise MissingInputError(
-            f"{path} does not match the time base of its frames; delete it to re-estimate without ground truth"
-        )
+        raise MissingInputError(f"{path} does not match the time base of its frames")
     estimates = [_cells(getattr(est, name)) for name in ESTIMATOR_OUTPUTS[1:]]
     write_csv(path, ESTIMATION_COLUMNS, zip(t_cells, *estimates, truth_cells, strict=True))
 
 
 def read_estimation_csv(path) -> tuple[EstimationSeries, dict[str, np.ndarray]]:
     data = _read_csv(Path(path), ESTIMATION_COLUMNS, "estimation")
+    _check_truth(data[:, len(ESTIMATOR_OUTPUTS):], path)
     _check_time_base(data[:, 0], path, "estimation")
     outputs = dict(zip(ESTIMATOR_OUTPUTS, data.T))
     truth = dict(zip(CARRIED_TRUTH, data[:, len(ESTIMATOR_OUTPUTS):].T))
@@ -338,14 +336,19 @@ def read_intrusion_csv(path) -> list[IntrusionLog]:
 
 
 def write_force_map_csv(path, depths, speeds, surface) -> None:
-    """One row per (depth, speed) grid point, depth-major.  Each axis value
-    is formatted once; a surface without one force per grid point raises
-    ValueError."""
+    """One row per (depth, speed) grid point, depth-major, written one depth
+    at a time, so the text of the largest file `report` writes is never
+    held whole (the process's peak memory).  Each axis value is formatted
+    once; a surface without one force per grid point raises ValueError."""
     depth_cells, speed_cells, forces = _cells(depths), _cells(speeds), _cells(np.ravel(surface))
-    if len(forces) != len(depth_cells) * len(speed_cells):
-        raise ValueError(f"{path}: {len(forces)} forces for {len(depth_cells)} depths x {len(speed_cells)} speeds")
-    depth_column = [cell for cell in depth_cells for _ in speed_cells]
-    write_csv(path, ("depth", "speed", "force"), zip(depth_column, speed_cells * len(depth_cells), forces))
+    width = len(speed_cells)
+    if len(forces) != len(depth_cells) * width:
+        raise ValueError(f"{path}: {len(forces)} forces for {len(depth_cells)} depths x {width} speeds")
+    with _replacing(path, newline="") as handle:
+        handle.write("depth,speed,force\r\n")
+        for row, depth in enumerate(depth_cells):
+            row_forces = forces[row * width:(row + 1) * width]
+            handle.write("".join(f"{depth},{speed},{force}\r\n" for speed, force in zip(speed_cells, row_forces)))
 
 
 def write_json(path, payload: dict) -> None:

@@ -1,17 +1,17 @@
-"""Which artifacts sweep and simulate write, and where `estimate` finds truth.
+"""Which artifacts sweep and simulate write, and what `estimate` rewrites.
 
 A sweep writes frames, events and estimation files per hop; the
 full-rate truth log comes only from `simulate`, which rebuilds any sweep trial
-bit for bit.  `estimate` takes the truth columns of the estimation CSV
-from `_truth.csv`, which must hold the frames' t; else it carries the t
-and truth cells of the trial's previous estimation CSV as written and
-replaces only the estimate cells; else it writes NaN.  A directory name
-is not part of a trial's file names.
+bit for bit.  `estimate` carries the t and truth cells of each trial's
+estimation CSV as written and replaces only the estimate cells; a trial
+without an estimation CSV, or with a truth cell that is not a finite
+number, is bad input.  A directory name is not part of a trial's file
+names.
 The intrusion (rig) fit is the ground truth that `identify` scores against
 and `report` draws from, so neither reads `[terrain]`.  When the fit
 cannot run, `sweep` and `identify` exit 3 and remove the fit an earlier
-run left, and `report` writes nothing without a usable fit.  The
-added-mass residual is removed when its trial carries no finite truth.
+run left, and `report` writes nothing without a usable fit, or without a
+representative hop that reads back.
 `identify` reads no frames files, and the manifest lists file names, so a
 sweep directory still works after it is copied or moved.  A sweep
 identifies from the results it holds in memory and reads back only the
@@ -123,16 +123,16 @@ def test_estimate_rewrites_sweep_estimation_byte_identical(sweep_dir, config_pat
     assert not list(out.glob(".*.tmp"))
 
 
-def test_estimate_without_any_truth_writes_nan(sweep_dir, config_path, tmp_path):
+def test_estimate_without_the_estimation_file_writes_nothing(sweep_dir, config_path, tmp_path, capsys):
+    # the estimation CSV is where a trial's truth comes from: without it
+    # there is no file to replace the estimate cells of
     out = _copy(sweep_dir, tmp_path)
     path = out / f"{TRIAL}_estimation.csv"
-    original, _ = io.read_estimation_csv(path)
     path.unlink()
-    assert _estimate(config_path, out) == 0
-    est, truth = io.read_estimation_csv(path)
-    assert all(np.isnan(truth[key]).all() for key in TRUTH_KEYS)
-    for name in ("t", "x_b_hat", "v_b_hat", "x_f_hat", "v_f_hat", "f_qs", "f_mo"):
-        np.testing.assert_array_equal(getattr(est, name), getattr(original, name))
+    before = _files(out)
+    assert _estimate(config_path, out) == 4
+    assert str(path) in capsys.readouterr().err
+    assert _files(out) == before
 
 
 def test_estimate_rejects_estimation_file_of_other_frames(sweep_dir, config_path, tmp_path):
@@ -157,6 +157,7 @@ _BAD_CARRIED_ROWS = {
     "13 cells": lambda cells: cells + ["0.0"],
     "11 cells": lambda cells: cells[:-1],
     "non-numeric truth cell": lambda cells: cells[:-1] + ["x"],
+    "nan truth cell": lambda cells: cells[:-1] + ["nan"],
     "non-numeric t": lambda cells: ["x"] + cells[1:],
 }
 
@@ -189,39 +190,28 @@ def test_estimate_finds_trial_files_by_file_name(sweep_dir, config_path, tmp_pat
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
-def test_estimate_requires_the_truth_log_on_the_frames_time_base(simulate_dir, config_path, tmp_path):
-    out = _copy(simulate_dir, tmp_path)
-    truth_path = out / f"{TRIAL}_truth.csv"
-    truth = io.read_truth_csv(truth_path)
-    truth.t = truth.t * 1.5
-    io.write_truth_csv(truth_path, truth)
-    before = _files(out)
-    assert _estimate(config_path, out) == 4
-    assert _files(out) == before
-
-
 def test_simulate_reproduces_sweep_trial(sweep_dir, simulate_dir):
     for suffix in ("frames.csv", "events.json", "estimation.csv"):
         name = f"{TRIAL}_{suffix}"
         assert (simulate_dir / name).read_bytes() == (sweep_dir / name).read_bytes(), name
-    truth = io.read_truth_csv(simulate_dir / f"{TRIAL}_truth.csv")
+    truth = np.loadtxt(simulate_dir / f"{TRIAL}_truth.csv", delimiter=",", skiprows=1)
     _, carried = io.read_estimation_csv(sweep_dir / f"{TRIAL}_estimation.csv")
     for key in TRUTH_KEYS:
-        np.testing.assert_array_equal(getattr(truth, key), carried[key])
+        np.testing.assert_array_equal(truth[:, io.TRUTH_COLUMNS.index(key)], carried[key])
 
 
-def test_estimate_on_simulate_dir_takes_truth_from_truth_csv(simulate_dir, config_path, tmp_path):
+def test_estimate_on_simulate_dir_rewrites_estimation_byte_identical(simulate_dir, config_path, tmp_path):
     out = _copy(simulate_dir, tmp_path)
     path = out / f"{TRIAL}_estimation.csv"
-    original = path.read_bytes()
+    assert _estimate(config_path, out) == 0
+    assert _files(out) == _files(simulate_dir)
+    # the truth cells are the estimation CSV's own, not the truth log's
+    (out / f"{TRIAL}_truth.csv").unlink()
     est, truth = io.read_estimation_csv(path)
-    # truth columns that disagree with _truth.csv: the truth log wins
     io.write_estimation_csv(path, est, {key: np.zeros_like(v) for key, v in truth.items()})
+    edited = path.read_bytes()
     assert _estimate(config_path, out) == 0
-    assert path.read_bytes() == original
-    path.unlink()
-    assert _estimate(config_path, out) == 0
-    assert path.read_bytes() == original
+    assert path.read_bytes() == edited
 
 
 def _edit_fit(out, **changes):
@@ -303,23 +293,24 @@ def test_identify_and_report_read_no_terrain(sweep_dir, config_path, tmp_path, k
     assert json.loads(written[1]["summary.json"])["k_gt"] == json.loads(written[1]["depth_speed_fit.json"])["k_fit"]
 
 
-def test_added_mass_residual_of_a_trial_without_truth_is_removed(sweep_dir, config_path, tmp_path, capsys):
-    # estimate without a truth log or an earlier estimation file writes NaN
-    # truth columns, from which no residual can be formed
+# the representative trial (fastest speed, first seed)
+REPRESENTATIVE = "hop_v0.80_kc3.75_s0"
+
+
+def test_report_on_a_trial_with_nan_truth_writes_nothing(sweep_dir, config_path, tmp_path, capsys):
+    # no residual can be formed from NaN truth: report refuses the trial
+    # before it writes anything, so no earlier output is left stale
     out = _copy(sweep_dir, tmp_path)
     assert main(["report", "--config", config_path, "--out", str(out)]) == 0
     assert (out / "added_mass_residual.csv").exists()
-    representative = out / "hop_v0.80_kc3.75_s0_estimation.csv"
-    representative.unlink()
-    assert _estimate(config_path, out) == 0
-    assert np.isnan(io.read_estimation_csv(representative)[1]["x_f"]).all()
+    representative = out / f"{REPRESENTATIVE}_estimation.csv"
+    # x_f_true, the foot depth the residual is formed from
+    _edit_row(representative, 5, lambda cells: cells[:9] + ["nan"] + cells[10:])
+    before = _files(out)
     capsys.readouterr()
-    for stale in (True, False):
-        assert main(["report", "--config", config_path, "--out", str(out)]) == 0
-        err = capsys.readouterr().err
-        assert "added-mass residual skipped" in err and ("removed the stale" in err) == stale
-        assert not (out / "added_mass_residual.csv").exists()
-        assert (out / "force_depth_trial.csv").exists() and (out / "depth_speed_fit.json").exists()
+    assert main(["report", "--config", config_path, "--out", str(out)]) == 4
+    assert str(representative) in capsys.readouterr().err
+    assert _files(out) == before
 
 
 def test_identify_reads_no_frames(sweep_dir, config_path, tmp_path):
@@ -469,11 +460,22 @@ def test_resume_runs_a_cut_hop_again(sweep_dir, config_path, tmp_path, monkeypat
 
 
 def test_report_rejects_estimates_of_other_frames(sweep_dir, config_path, tmp_path):
-    # the representative trial (fastest speed, first seed) with an
-    # estimation file cut on a row boundary: a shorter trial than its frames
+    # the representative trial with an estimation file cut on a row
+    # boundary: a shorter trial than its frames
     out = _copy(sweep_dir, tmp_path)
-    _cut_at_row(out / "hop_v0.80_kc3.75_s0_estimation.csv")
+    _cut_at_row(out / f"{REPRESENTATIVE}_estimation.csv")
     assert main(["report", "--config", config_path, "--out", str(out)]) == 4
+
+
+@pytest.mark.parametrize("cut", [_cut_at_byte, _cut_at_row])
+def test_report_reads_its_representative_hop_before_writing(sweep_dir, config_path, tmp_path, cut):
+    # a cut frames file is refused before summary.json, the stiffness CSVs
+    # or the force map are written
+    out = _copy(sweep_dir, tmp_path)
+    cut(out / f"{REPRESENTATIVE}_frames.csv")
+    before = _files(out)
+    assert main(["report", "--config", config_path, "--out", str(out)]) == 4
+    assert _files(out) == before
 
 
 def test_resume_runs_a_cut_intrusion_grid_again(sweep_dir, config_path, tmp_path):

@@ -375,9 +375,9 @@ def test_io_round_trips(tmp_path, noiseless_trial):
 
     truth_path = tmp_path / "t.csv"
     io.write_truth_csv(truth_path, noiseless_trial.truth)
-    truth = io.read_truth_csv(truth_path)
-    assert np.array_equal(truth.x_f, noiseless_trial.truth.x_f)
-    assert truth.phase_id.dtype.kind == "i"
+    truth = np.loadtxt(truth_path, delimiter=",", skiprows=1)
+    assert np.array_equal(truth[:, io.TRUTH_COLUMNS.index("x_f")], noiseless_trial.truth.x_f)
+    assert np.array_equal(truth[:, io.TRUTH_COLUMNS.index("phase_id")], noiseless_trial.truth.phase_id)
 
     events_path = tmp_path / "e.json"
     io.write_events_json(events_path, noiseless_trial.events)
@@ -446,7 +446,7 @@ def test_sweep_rejects_jobs_below_one(tmp_path):
     [
         ["simulate", "--jobs", "0"],
         ["simulate", "--resume"],
-        ["intrude", "--seeds", "1"],
+        ["estimate", "--seeds", "1"],
         ["estimate", "--jobs", "2"],
         ["identify", "--resume"],
         ["report", "--seeds", "1"],
@@ -466,8 +466,9 @@ def test_help_names_every_command(capsys):
         main(["--help"])
     assert exc.value.code == 0
     usage = capsys.readouterr().out
-    for command in ("simulate", "intrude", "estimate", "identify", "sweep", "report"):
+    for command in ("simulate", "estimate", "identify", "sweep", "report"):
         assert command in usage
+    assert "intrude" not in usage
 
 
 @pytest.mark.parametrize("command,seeds", [("sweep", ","), ("sweep", ""), ("simulate", " "), ("simulate", " , ,")])
@@ -482,7 +483,7 @@ def test_a_seed_list_without_a_seed_is_a_usage_error(tmp_path, command, seeds):
 
 
 @pytest.mark.parametrize("source", ["--out", "HOPPERLAB_OUT", "[output] dir"])
-@pytest.mark.parametrize("command", ["simulate", "intrude", "estimate", "identify", "sweep", "report"])
+@pytest.mark.parametrize("command", ["simulate", "estimate", "identify", "sweep", "report"])
 def test_an_output_directory_that_is_a_file_is_a_usage_error(tmp_path, monkeypatch, capsys, command, source):
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
@@ -512,13 +513,14 @@ def test_sweep_with_two_jobs_matches_serial_bytes(tmp_path):
     assert runs["2"] == runs["1"]
 
 
-def test_intrude_writes_the_sweep_intrusion_logs(tmp_path):
+def test_intrude_is_not_a_command(tmp_path):
+    # the intrusion grid has one writer, the sweep
+    out = tmp_path / "intrude"
     cfg = _write(tmp_path, TINY_SWEEP)
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
-    assert main(["intrude", "--config", cfg, "--out", str(tmp_path / "intrude")]) == 0
-    written = sorted((tmp_path / "intrude").iterdir())
-    assert [p.name for p in written] == ["intrusion_grid.csv"]
-    assert written[0].read_bytes() == (tmp_path / "sweep" / "intrusion_grid.csv").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["intrude", "--config", cfg, "--out", str(out)])
+    assert exc.value.code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini"]
 
 
 # ------------------------------------------------- domains of the config keys

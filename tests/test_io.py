@@ -26,12 +26,12 @@ from hopperlab.simulator import run_constant_speed_intrusion
 
 READERS = {
     "frames": (io.read_frames_csv, io.FRAME_COLUMNS),
-    "truth": (io.read_truth_csv, io.TRUTH_COLUMNS),
     "estimation": (io.read_estimation_csv, io.ESTIMATION_COLUMNS),
     "intrusion": (io.read_intrusion_csv, io.intrusion_columns(1)),
 }
 
 _number = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+_finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 _junk = st.sampled_from(["", "abc", "1.0.0", "--1", "0x1p3", "1e", "é", ' "1" ', "nan?", '"1"', "1_0", "\u0663"])
 _cell = st.one_of(_number, _number, _number, _junk)
 
@@ -76,8 +76,9 @@ def _well_formed(text, columns, kind, parsed=None):
     `parsed` (default: every cell, the first always among them) are numbers;
     for a sampled series, at least two rows and a first column that
     increases by one period, each spacing within io.TIME_BASE_RTOL of the
-    first; for frames and an intrusion grid, finite cells; for an intrusion
-    grid, from row to row a higher speed or the same speed at a later t."""
+    first; for frames and an intrusion grid, finite cells, and for an
+    estimation CSV, finite truth cells; for an intrusion grid, from row to
+    row a higher speed or the same speed at a later t."""
     lines = text.splitlines()
     if not lines or lines[0] != ",".join(columns) or len(lines) < 2:
         return False
@@ -85,15 +86,15 @@ def _well_formed(text, columns, kind, parsed=None):
     if not all(len(row) == len(columns) for row in cells):
         return False
     try:
-        rows = [[_number_cell(row[i]) for i in parsed or range(len(columns))] for row in cells]
+        # each row's parsed cells by their column index
+        rows = [{i: _number_cell(row[i]) for i in parsed or range(len(columns))} for row in cells]
     except ValueError:
         return False
-    if kind in ("frames", "intrusion") and not all(math.isfinite(v) for row in rows for v in row):
+    finite = range(len(io.ESTIMATOR_OUTPUTS) if kind == "estimation" else 0, len(columns))
+    if not all(math.isfinite(row[i]) for row in rows for i in finite):
         return False
     if kind == "intrusion":
         return all(b[0] > a[0] or (b[0] == a[0] and b[1] > a[1]) for a, b in zip(rows, rows[1:]))
-    if kind not in ("frames", "estimation"):
-        return True
     spacing = [b[0] - a[0] for a, b in zip(rows, rows[1:])]
     period = spacing[0] if spacing else 0.0
     return period > 0.0 and all(abs(h - period) <= io.TIME_BASE_RTOL * period for h in spacing)
@@ -118,12 +119,6 @@ def test_fuzz_read_frames_csv(text):
 
 
 @settings(max_examples=150, deadline=None)
-@given(text=_csv_text(io.TRUTH_COLUMNS))
-def test_fuzz_read_truth_csv(text):
-    _fuzz("truth", text)
-
-
-@settings(max_examples=150, deadline=None)
 @given(text=_csv_text(io.ESTIMATION_COLUMNS))
 def test_fuzz_read_estimation_csv(text):
     _fuzz("estimation", text)
@@ -141,10 +136,14 @@ _CARRIED = (0, *range(len(io.ESTIMATOR_OUTPUTS), len(io.ESTIMATION_COLUMNS)))
 
 @st.composite
 def _estimation_text(draw):
-    """An estimation CSV with t = 0, 1, ... ms and numbers in every other
-    cell, then maybe one cell replaced, or one row a cell longer or shorter."""
+    """An estimation CSV with t = 0, 1, ... ms, numbers in the estimate
+    cells and finite ones in the truth cells, then maybe one cell replaced,
+    or one row a cell longer or shorter."""
     n_rows = draw(st.integers(2, 4))
-    rows = [[repr(i * 1e-3), *draw(st.lists(_number, min_size=11, max_size=11))] for i in range(n_rows)]
+    rows = [
+        [repr(i * 1e-3), *draw(st.lists(_number, min_size=6, max_size=6)), *draw(st.lists(_finite, min_size=5, max_size=5))]
+        for i in range(n_rows)
+    ]
     row = rows[draw(st.integers(0, n_rows - 1))]
     edit = draw(st.sampled_from(["none", "cell", "longer", "shorter"]))
     if edit == "cell":
@@ -184,9 +183,6 @@ def test_fuzz_reestimation_parses_only_the_carried_cells(text):
         assert cells[1:len(io.ESTIMATOR_OUTPUTS)] == ["0.5"] * (len(io.ESTIMATOR_OUTPUTS) - 1)
 
 
-_finite_or_nan = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(math.nan))
-
-
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_reestimation_writes_what_write_estimation_csv_writes(data):
@@ -199,9 +195,7 @@ def test_reestimation_writes_what_write_estimation_csv_writes(data):
     first, second = (
         EstimationSeries(t, *(np.array(data.draw(values)) for _ in io.ESTIMATOR_OUTPUTS[1:])) for _ in range(2)
     )
-    truth = {
-        name: np.array(data.draw(st.lists(_finite_or_nan, min_size=n, max_size=n))) for name in io.CARRIED_TRUTH
-    }
+    truth = {name: np.array(data.draw(values)) for name in io.CARRIED_TRUTH}
     with tempfile.TemporaryDirectory() as tmp:
         path, expected = Path(tmp) / "carried.csv", Path(tmp) / "written.csv"
         io.write_estimation_csv(path, first, truth)
@@ -522,14 +516,10 @@ _DEGENERATE = {
     # in the fit's box, but no ground truth: no bed to draw the force map of
     "fit k zero": ("report", _report_inputs({**_FIT, "k_fit": 0.0})),
     "fit m_a_inf negative": ("report", _report_inputs({**_FIT, "m_a_inf_fit": -0.15})),
-    "truth shorter than frames": ("estimate", {
-        _HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002]),
-        f"{_HOP}_truth.csv": _series(io.TRUTH_COLUMNS, [0.0]),
-    }),
-    # a longer truth (another condition's): 31 rows, not the 3 frames
-    "truth longer than frames": ("estimate", {
-        _HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002]),
-        f"{_HOP}_truth.csv": _series(io.TRUTH_COLUMNS, [1e-4 * i for i in range(31)]),
+    # the first row's f_true (its last cell) is NaN: only an estimate may be
+    "nan truth cell": ("identify", {
+        **_hop_trial(),
+        _HOP_FILES["estimation"]: _series(io.ESTIMATION_COLUMNS, [0.0, 0.001, 0.002, 0.003]).replace("0.5\n", "nan\n", 1),
     }),
     # a directory of the layout before the intrusion grid: one log per (speed, repeat)
     "per-run intrusion log": ("identify", {
@@ -581,8 +571,7 @@ _BROKEN = {
     "fit k negative": _FIT_FILE,
     "fit k zero": _FIT_FILE,
     "fit m_a_inf negative": _FIT_FILE,
-    "truth shorter than frames": f"{_HOP}_truth.csv",
-    "truth longer than frames": f"{_HOP}_truth.csv",
+    "nan truth cell": _HOP_FILES["estimation"],
     "per-run intrusion log": "intr_v0.5000_r0.csv",
     "entry path with a directory": _ENTRY,
 }
