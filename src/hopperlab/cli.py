@@ -7,7 +7,8 @@ Commands
                written.  The header, 12 cells a row, a numeric `t`, finite
                truth cells and a `t` of one period equal to the frames' are
                checked first; a frames file without its estimation CSV is
-               bad input.  On any failure the file is left as it was.
+               bad input.  The rewrites replace their files together, once
+               the last succeeds: on any failure every file is left as it was.
     identify   intrusion-model (rig) fit + treatment report scored against
                the fit's k, from existing hop artifacts and intrusion grid;
                the grid is parsed and fitted only when its sha256 differs
@@ -76,9 +77,11 @@ def cmd_estimate(config: ExperimentConfig, args) -> int:
     frame_files = sorted(out.glob("*_frames.csv"))
     if not frame_files:
         raise MissingInputError(f"no *_frames.csv files in {out}")
-    for path in frame_files:
-        est = estimate_from_frames(config, io.read_frames_csv(path))
-        io.write_reestimation_csv(path.with_name(path.name.removesuffix("_frames.csv") + "_estimation.csv"), est)
+    with io.replacing_together() as staged:
+        for path in frame_files:
+            est = estimate_from_frames(config, io.read_frames_csv(path))
+            target = path.with_name(path.name.removesuffix("_frames.csv") + "_estimation.csv")
+            io.write_reestimation_csv(target, est, staged)
     print(f"estimated {len(frame_files)} trials in {out}")
     return 0
 

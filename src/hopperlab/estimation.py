@@ -10,9 +10,11 @@ estimate.
 
 The filter's gains do not depend on the measurements.  They come from a
 covariance recursion written out in scalars over the filter's known
-structure (`_extend_gains`), computed once per process for each
-(dt, Q, R, P0) and extended on demand (`_gain_sequence`); the state update
-(`_kf_filter`) then runs over them in one pass.
+structure (`_extend_gains`).  It reads dt and the scalars of Q, R and P0
+that the sensor model, the leg and `p0_scale` give (`_filter_constants`);
+the gains are computed once per process for each set of them and extended
+on demand (`_gain_sequence`), and the state update (`_kf_filter`) then
+runs over them in one pass.
 """
 
 from __future__ import annotations
@@ -39,60 +41,26 @@ class EstimationConfig:
     __post_init__ = check_domains
 
 
-@dataclass
-class KalmanConfig:
-    """Process/measurement covariances for the four-state kinematic filter,
-    as float arrays: Q and P0 4x4, finite and symmetric, R 3x3 and diagonal
-    with a positive diagonal, x0 of 4 states.  The gain recursion reads only
-    the upper triangles of Q and P0 and the diagonal of R, so anything else
-    raises ValueError."""
-
-    Q: np.ndarray
-    R: np.ndarray
-    P0: np.ndarray
-    x0: np.ndarray
-
-    def __post_init__(self):
-        for name in ("Q", "P0"):
-            value = getattr(self, name)
-            if not (np.shape(value) == (4, 4) and np.isfinite(value).all() and np.array_equal(value, np.transpose(value))):
-                raise ValueError(f"{name} must be a finite symmetric 4x4 array, got {value!r}")
-        R = self.R
-        if not (np.shape(R) == (3, 3) and np.array_equal(R, np.diag(R.diagonal())) and (R.diagonal() > 0.0).all()):
-            raise ValueError(f"R must be a 3x3 diagonal array with a positive diagonal, got {R!r}")
-        if np.shape(self.x0) != (4,):
-            raise ValueError(f"x0 must hold 4 states, got {self.x0!r}")
-
-    @classmethod
-    def from_noise(
-        cls,
-        noise: NoiseConfig,
-        linkage: LinkageParams,
-        dt: float,
-        x0: np.ndarray,
-        p0_scale: float,
-    ) -> "KalmanConfig":
-        """White-acceleration discretization of the IMU noise for Q,
-        per-channel sensor variances for R, and P0 = p0_scale * I."""
-        sig_a = max(noise.imu_sigma, 1e-4)
-        q_block = sig_a**2 * np.array(
-            [[dt**4 / 4.0, dt**3 / 2.0], [dt**3 / 2.0, dt**2]]
-        )
-        Q = np.zeros((4, 4))
-        Q[:2, :2] = q_block
-        Q[2:, 2:] = q_block
-        # Encoder noise maps through the Jacobian magnitude at mid-workspace.
-        theta_mid = 0.5 * (linkage.theta_min + linkage.theta_max)
-        jac_mid = abs(leg_jacobian(theta_mid, linkage))
-        quant = noise.encoder_resolution / math.sqrt(12.0)
-        sig_theta = math.sqrt(noise.encoder_sigma**2 + quant**2)
-        sig_disp = max(jac_mid * sig_theta, 1e-6)
-        sig_rate = max(math.sqrt(2.0) * sig_disp / (ENCODER_RATE_WINDOW * dt), 1e-5)
-        R = np.diag([max(noise.tof_sigma, 1e-5) ** 2, sig_disp**2, sig_rate**2])
-        return cls(Q=Q, R=R, P0=np.eye(4) * p0_scale, x0=x0)
-
-
-_UPPER = np.triu_indices(4)  # the 10 upper entries of a symmetric 4x4, row-major
+def _filter_constants(noise: NoiseConfig, linkage: LinkageParams, dt: float, p0_scale: float) -> tuple:
+    """The scalars the gain recursion reads, as (q, r, p0): Q's 10 upper
+    entries, row-major, from a white-acceleration discretization of the IMU
+    noise; R's diagonal, the per-channel sensor variances; and the 10 upper
+    entries of P0 = p0_scale * I.  The zero entries are 0.0, so that the
+    recursion adds them; `tests/reference.py` builds the same matrices."""
+    var_a = max(noise.imu_sigma, 1e-4) ** 2
+    q00, q01, q11 = var_a * (dt**4 / 4.0), var_a * (dt**3 / 2.0), var_a * dt**2
+    # Encoder noise maps through the Jacobian magnitude at mid-workspace.
+    theta_mid = 0.5 * (linkage.theta_min + linkage.theta_max)
+    jac_mid = abs(leg_jacobian(theta_mid, linkage))
+    quant = noise.encoder_resolution / math.sqrt(12.0)
+    sig_theta = math.sqrt(noise.encoder_sigma**2 + quant**2)
+    sig_disp = max(jac_mid * sig_theta, 1e-6)
+    sig_rate = max(math.sqrt(2.0) * sig_disp / (ENCODER_RATE_WINDOW * dt), 1e-5)
+    return (
+        (q00, q01, 0.0, 0.0, q11, 0.0, 0.0, q00, q01, q11),
+        (max(noise.tof_sigma, 1e-5) ** 2, sig_disp**2, sig_rate**2),
+        (p0_scale, 0.0, 0.0, 0.0, p0_scale, 0.0, 0.0, p0_scale, 0.0, p0_scale),
+    )
 
 
 def _pivot_root(d: float, index: int) -> float:
@@ -104,10 +72,11 @@ def _pivot_root(d: float, index: int) -> float:
     return math.sqrt(d)
 
 
-def _extend_gains(gains: list, P: tuple, n: int, dt: float, config: KalmanConfig) -> tuple:
+def _extend_gains(gains: list, P: tuple, n: int, dt: float, q: tuple, r: tuple) -> tuple:
     """Append gains to `gains` until it holds n, going on from the posterior
-    covariance P; returns the posterior after the last gain.  P in and out
-    is the 10 upper entries of the symmetric 4x4, row-major.
+    covariance P; returns the posterior after the last gain.  P in and out,
+    and Q (`q`), are the 10 upper entries of the symmetric 4x4, row-major;
+    `r` is R's diagonal.
 
     Each gain is one covariance predict/update, written out in scalars over
     the filter's structure: A is two [[1, dt], [0, 1]] blocks, the rows of
@@ -117,8 +86,8 @@ def _extend_gains(gains: list, P: tuple, n: int, dt: float, config: KalmanConfig
     evaluated as B - (B H^T - K R) K^T with B = P- - K G^T, and
     symmetrized, so it stays PSD.  Nothing here depends on the measurements.
     """
-    q00, q01, q02, q03, q11, q12, q13, q22, q23, q33 = config.Q[_UPPER].tolist()
-    r0, r1, r2 = config.R.diagonal().tolist()
+    q00, q01, q02, q03, q11, q12, q13, q22, q23, q33 = q
+    r0, r1, r2 = r
     p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = P
     while len(gains) < n:
         # the prior P- = A P A^T + Q, entry ij as mij
@@ -189,19 +158,19 @@ _GAIN_CACHE: dict[tuple, tuple[list, tuple]] = {}
 _GAIN_CACHE_SIZE = 8
 
 
-def _gain_sequence(n: int, dt: float, config: KalmanConfig) -> list[tuple]:
+def _gain_sequence(n: int, dt: float, q: tuple, r: tuple, p0: tuple) -> list[tuple]:
     """The first n gains of the filter started at P0, as row-major 12-tuples.
 
     The covariance recursion (`_extend_gains`) does not see the data, so
-    the gains depend only on (dt, Q, R, P0); they are computed once per
-    process and extended on demand, from the cached last posterior, to the
-    longest trial seen.
+    the gains depend only on dt and the scalars it reads (`_filter_constants`);
+    they are computed once per process and extended on demand, from the
+    cached last posterior, to the longest trial seen.
     """
-    key = (dt, config.Q.tobytes(), config.R.tobytes(), config.P0.tobytes())
+    key = (dt, q, r, p0)
     # pop and re-insert keeps the dict in least-recently-used order
-    gains, P = _GAIN_CACHE.pop(key, ([], tuple(config.P0[_UPPER].tolist())))
+    gains, P = _GAIN_CACHE.pop(key, ([], p0))
     if len(gains) < n:
-        P = _extend_gains(gains, P, n, dt, config)
+        P = _extend_gains(gains, P, n, dt, q, r)
     if len(_GAIN_CACHE) >= _GAIN_CACHE_SIZE:
         del _GAIN_CACHE[next(iter(_GAIN_CACHE))]
     _GAIN_CACHE[key] = (gains, P)
@@ -355,24 +324,19 @@ def run_estimation(
     disp = length + lk.mount_offset
     rate = jac * theta_dot
 
-    kalman_config = KalmanConfig.from_noise(
-        noise if noise is not None else NoiseConfig(),
-        lk,
-        dt=dt,
-        x0=kalman_x0(frames, lk),
-        p0_scale=settings.p0_scale,
-    )
+    constants = _filter_constants(noise if noise is not None else NoiseConfig(), lk, dt, settings.p0_scale)
+    x0 = kalman_x0(frames, lk)
     n = len(frames)
     x_hat = np.empty((n, 4))
-    x_hat[0] = kalman_config.x0
+    x_hat[0] = x0
     x_hat[1:] = _kf_filter(
-        kalman_config.x0.tolist(),
+        x0.tolist(),
         frames.imu_body_acc[1:].tolist(),
         frames.imu_foot_acc[1:].tolist(),
         frames.tof_height[1:].tolist(),
         disp[1:].tolist(),
         rate[1:].tolist(),
-        _gain_sequence(n - 1, dt, kalman_config),
+        _gain_sequence(n - 1, dt, *constants),
         dt,
     )
 

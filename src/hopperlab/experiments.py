@@ -28,9 +28,11 @@ What each command reads:
     sweep     nothing, to identify, but the bytes of the grid it wrote,
               for their sha256: it fits the intrusion records it holds in
               memory as soon as the grid is written, before any hop runs,
-              and holds every hop's stance samples.  `--resume` reads each
-              hop back once, skips a hop that reads back, identifying it
-              from what was read, and runs any other hop again.
+              and holds every hop's stance samples.  `--resume` first reads
+              the manifest's config and refuses another (ConfigError, with
+              nothing written), then reads each hop back once, skips a hop
+              that reads back, identifying it from what was read, and runs
+              any other hop again.
     identify  the manifest, every hop's estimation and events files and
               the intrusion grid's bytes, for their sha256
               (`identify_inputs`).  It parses and fits the grid only when
@@ -40,11 +42,14 @@ What each command reads:
               byte, through the same `identify_outputs`.
     report    the treatment report, `depth_speed_fit.json`, the manifest
               and one hop, which must read back (else exit 4), all before
-              it writes anything.
+              it writes anything; the force map's axes, the `[sweep]`
+              intrusion grid, must be the manifest's (else ConfigError).
 
-The manifest lists each trial's files by name; `trial_paths` resolves
-them against the output directory, so a sweep directory can be copied
-or moved.
+The manifest records the config the sweep ran under, as
+`config_to_text` renders it (`config`), and lists each trial's files by
+name; `trial_paths` resolves them against the output directory, so a
+sweep directory can be copied or moved.  A manifest without the config
+text is bad input.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .config import ExperimentConfig, hop_trial_id
+from .config import ExperimentConfig, config_to_text, hop_trial_id
 from .errors import ConfigError, DegenerateFitError, InsufficientDataError, MissingInputError
 from .estimation import EstimationSeries, run_estimation
 from .identification import (
@@ -85,6 +90,10 @@ _ENTRY_SCHEMA = {
 }
 INTRUSION_GRID = "intrusion_grid.csv"
 DEPTH_SPEED_FIT = "depth_speed_fit.json"
+# the keys `report` draws force_map.csv's depth and speed axes from
+_FORCE_MAP_KEYS = tuple(
+    f"[sweep] {key}" for key in ("intrusion_speed_min", "intrusion_speed_max", "intrusion_speed_count", "intrusion_z_max")
+)
 _CONDITION_NUMBERS = [f.name for f in dataclasses.fields(ConditionStats) if f.name != "treatment"]
 
 
@@ -119,16 +128,19 @@ def trial_paths(entry: dict, out_dir: Path) -> dict[str, Path]:
     return {key: Path(out_dir) / names[key] for key in keys}
 
 
-def manifest_trials(out_dir: Path) -> list[tuple[dict, dict[str, Path]]]:
-    """(entry, resolved files) of every trial in the sweep's manifest.  A
-    trial id listed twice is bad input, since its trial would count twice;
-    so is a manifest without exactly one intrusion entry, the grid whose
-    fit is the ground truth."""
+def manifest_trials(out_dir: Path) -> tuple[str, list[tuple[dict, dict[str, Path]]]]:
+    """The text of the config the sweep ran under, and (entry, resolved
+    files) of every trial in the sweep's manifest.  A manifest without the
+    config text is bad input; so is a trial id listed twice, since its trial
+    would count twice, and a manifest without exactly one intrusion entry,
+    the grid whose fit is the ground truth."""
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
         raise MissingInputError(f"no manifest at {manifest_path}; run sweep first")
     manifest = io.read_json(manifest_path)
-    entries = manifest.get("entries") if isinstance(manifest, dict) else None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), str)):
+        raise MissingInputError(f"malformed manifest {manifest_path}: no config text")
+    entries = manifest.get("entries")
     if not isinstance(entries, list):
         raise MissingInputError(f"malformed manifest {manifest_path}: no list of entries")
     trials = [(entry, trial_paths(entry, out_dir)) for entry in entries]
@@ -139,7 +151,32 @@ def manifest_trials(out_dir: Path) -> list[tuple[dict, dict[str, Path]]]:
         seen.add(entry["trial_id"])
     if sum(entry["kind"] == "intrusion" for entry in entries) != 1:
         raise MissingInputError(f"malformed manifest {manifest_path}: need exactly one intrusion entry")
-    return trials
+    return manifest["config"], trials
+
+
+def _config_values(text: str) -> dict[str, str]:
+    """`[section] key` -> value text, of each `key = value` line of a config
+    text as `config_to_text` renders it."""
+    values, section = {}, ""
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line
+        elif " = " in line:
+            key, value = line.split(" = ", 1)
+            values[f"{section} {key}"] = value
+    return values
+
+
+def _check_recorded_config(recorded: str, config: ExperimentConfig, keys=None) -> None:
+    """ConfigError, naming each key that differs, unless `config` renders
+    each of `keys` (`[section] key`; by default every key of either config
+    but `[output]`'s) as the recorded config text does."""
+    now, then = _config_values(config_to_text(config)), _config_values(recorded)
+    if keys is None:
+        keys = [key for key in dict.fromkeys([*now, *then]) if not key.startswith("[output] ")]
+    differ = [f"{key} = {now.get(key)}, recorded {then.get(key)}" for key in keys if now.get(key) != then.get(key)]
+    if differ:
+        raise ConfigError("the config differs from the one the sweep's manifest.json records: " + "; ".join(differ))
 
 
 def run_single_hop(config: ExperimentConfig, speed: float, kc_n_per_cm: float, seed: int):
@@ -187,8 +224,8 @@ def _run_hop_job(args) -> TrialSamples:
 
 
 def build_manifest(config: ExperimentConfig) -> dict:
-    """Every hop trial of the sweep and its intrusion grid, with their output
-    file names."""
+    """The config as text (`config_to_text`), and every hop trial of the
+    sweep and its intrusion grid, with their output file names."""
     entries = []
     for kc in config.sweep.stiffnesses_n_per_cm:
         for speed in config.sweep.speeds:
@@ -208,7 +245,7 @@ def build_manifest(config: ExperimentConfig) -> dict:
     entries.append(
         {"trial_id": "intrusion_grid", "kind": "intrusion", "paths": {"log": INTRUSION_GRID}, "status": "pending"}
     )
-    return {"entries": entries}
+    return {"config": config_to_text(config), "entries": entries}
 
 
 def write_intrusion_grid(config: ExperimentConfig, path: Path) -> list[IntrusionLog]:
@@ -258,15 +295,21 @@ def _finished_hop(entry: dict, out_dir: Path) -> TrialSamples | None:
 def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bool = False) -> dict:
     """Intrusion grid and its fit, then hop grid + estimation +
     identification, from the intrusion records and stance samples held in
-    memory.  Under `resume`, a hop that reads back (`_finished_hop`) is
-    skipped and identified from what was read; the intrusion grid always
-    runs, and is fitted before any hop runs."""
+    memory.  Under `resume`, a manifest that does not read back
+    (`manifest_trials`) or records another config (`[output]` aside) is
+    refused before anything is written, and a
+    hop that reads back (`_finished_hop`) is skipped and identified from
+    what was read; the intrusion grid always runs, and is fitted before any
+    hop runs."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     out_dir = Path(out_dir)
+    manifest_path = out_dir / "manifest.json"
+    if resume and manifest_path.exists():
+        _check_recorded_config(manifest_trials(out_dir)[0], config)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = build_manifest(config)
-    io.write_json(out_dir / "manifest.json", manifest)
+    io.write_json(manifest_path, manifest)
 
     # trial id -> stance samples, of every hop skipped or run here
     samples, hops = {}, []
@@ -295,7 +338,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bo
     for entry in manifest["entries"]:
         if entry["status"] == "pending":
             entry["status"] = "done"
-    io.write_json(out_dir / "manifest.json", manifest)
+    io.write_json(manifest_path, manifest)
 
     hop_samples = [samples[e["trial_id"]] for e in manifest["entries"] if e["kind"] == "hop"]
     identify_outputs(config, out_dir, hop_samples, fit)
@@ -340,7 +383,8 @@ def identify_inputs(out_dir: Path) -> tuple[list[TrialSamples], DepthSpeedFit]:
     read back from their estimation and events files, and its grid's rig
     fit: the kept one (`_kept_fit`), else the grid's, parsed and fitted."""
     hops, fit_path = [], out_dir / DEPTH_SPEED_FIT
-    for entry, paths in manifest_trials(out_dir):
+    _, trials = manifest_trials(out_dir)
+    for entry, paths in trials:
         if entry["kind"] == "hop":
             est, _ = io.read_estimation_csv(paths["estimation"])
             hops.append(_trial_samples(entry, est, io.read_events_json(paths["events"])))
@@ -373,8 +417,10 @@ def identify_outputs(config: ExperimentConfig, out_dir: Path, trials: list[Trial
 def write_report(config: ExperimentConfig, out_dir: Path) -> None:
     """Summary JSON plus plot-ready CSVs for the force-depth, force-map,
     added-mass and stiffness-recovery figures, the map and the residual
-    from the rig fit.  The fit and the representative hop are read
-    (`_read_fit`, `_representative_trial_figs`) before any write."""
+    from the rig fit.  The fit, the manifest and the representative hop are
+    read (`_read_fit`, `manifest_trials`, `_representative_trial_figs`)
+    before any write, and the force map's axes, the config's `[sweep]`
+    intrusion grid, must be the recorded config's."""
     out_dir = Path(out_dir)
     treatment_path = out_dir / "treatment_report.json"
     if not treatment_path.exists():
@@ -397,7 +443,9 @@ def write_report(config: ExperimentConfig, out_dir: Path) -> None:
     if not conditions:
         raise InsufficientDataError("treatment report is empty")
     fit, _ = _read_fit(out_dir / DEPTH_SPEED_FIT)
-    trial_figs = _representative_trial_figs(out_dir, fit)
+    recorded, trials = manifest_trials(out_dir)
+    _check_recorded_config(recorded, config, _FORCE_MAP_KEYS)
+    trial_figs = _representative_trial_figs(trials, fit)
 
     io.write_json(
         out_dir / "summary.json",
@@ -434,16 +482,17 @@ def write_report(config: ExperimentConfig, out_dir: Path) -> None:
         io.write_columns_csv(out_dir / name, header, columns)
 
 
-def _representative_trial_figs(out_dir: Path, fit: DepthSpeedFit) -> dict:
+def _representative_trial_figs(trials: list[tuple[dict, dict[str, Path]]], fit: DepthSpeedFit) -> dict:
     """Force-depth scatter and the added-mass residual series of the rig
-    fit over the stance of one hop, read back by `_read_hop`, as {file name:
-    (header, columns)}; none for a manifest without hops."""
-    hops = [e for e, _ in manifest_trials(out_dir) if e["kind"] == "hop"]
+    fit over the stance of one of the manifest's hops, read back by
+    `_read_hop`, as {file name: (header, columns)}; none for a manifest
+    without hops."""
+    hops = [(entry, paths) for entry, paths in trials if entry["kind"] == "hop"]
     if not hops:
         return {}
     # fastest condition, first seed: the regime where dynamics matter most
-    entry = max(hops, key=lambda e: (e["speed"], -e["seed"]))
-    frames, est, truth, events = _read_hop(trial_paths(entry, out_dir))
+    _, paths = max(hops, key=lambda hop: (hop[0]["speed"], -hop[0]["seed"]))
+    frames, est, truth, events = _read_hop(paths)
     mask = (est.t >= events.t_td) & (est.t <= events.t_lo)
     z_hat = np.maximum(0.0, -est.x_f_hat)
     z_t = np.maximum(0.0, -truth["x_f"])

@@ -9,7 +9,9 @@ line, is bad input.
 No timestamps or environment data are ever written into data files.
 Every writer fills a temporary file beside its target and renames it into
 place, so a crash mid-write leaves the previous file (or none), never a
-partial one.
+partial one.  Inside `replacing_together`, the writers that take `staged`
+rename theirs only once the whole block completes, so a run of rewrites
+replaces every target or none.
 """
 
 from __future__ import annotations
@@ -63,9 +65,10 @@ def fmt_float(x) -> str:
 
 
 @contextmanager
-def _replacing(path: Path, newline=None):
+def _replacing(path: Path, newline=None, staged: list | None = None):
     """A text handle on a temporary file beside `path` that replaces `path`
-    only once the block completes; if the block raises, the temporary file
+    only once the block completes, or with `staged` (see `replacing_together`)
+    is appended to it with `path`; if the block raises, the temporary file
     is removed and `path` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -73,10 +76,30 @@ def _replacing(path: Path, newline=None):
     try:
         with open(tmp, "w", newline=newline, encoding="utf-8") as handle:
             yield handle
-        os.replace(tmp, path)
+        if staged is None:
+            os.replace(tmp, path)
+        else:
+            staged.append((tmp, path))
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def replacing_together():
+    """A list for the writers that take `staged`: each fills its temporary
+    file and appends it, and the files replace their targets together once
+    the block completes.  If the block raises, every temporary file is
+    removed and every target is left as it was."""
+    staged = []
+    try:
+        yield staged
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp, path in staged:
+        os.replace(tmp, path)
 
 
 def file_sha256(path) -> str:
@@ -92,10 +115,12 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_csv(path: Path, header, rows) -> None:
+def write_csv(path: Path, header, rows, staged: list | None = None) -> None:
     r"""`header` and `rows`, string cells that need no quoting, as
-    `csv.writer` would write them: joined by commas, each line ended by "\r\n"."""
-    with _replacing(path, newline="") as handle:
+    `csv.writer` would write them: joined by commas, each line ended by
+    "\r\n".  With `staged`, the file replaces `path` at the end of its
+    `replacing_together` block."""
+    with _replacing(path, newline="", staged=staged) as handle:
         handle.write("\r\n".join([",".join(header), *map(",".join, rows), ""]))
 
 
@@ -251,18 +276,18 @@ def _carried_cells(path) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
     return t, t_cells, truth_cells
 
 
-def write_reestimation_csv(path, est: EstimationSeries) -> None:
+def write_reestimation_csv(path, est: EstimationSeries, staged: list) -> None:
     """Replace the estimate columns of the estimation CSV at `path` with
-    `est`'s, formatted as `write_estimation_csv` formats them; each row's `t`
-    and truth cells are carried as written (`_carried_cells`).  The carried
-    cells must be numbers, the truth finite, and `t` one period equal to
-    `est.t`.  Anything else raises MissingInputError and leaves the file as
-    it was."""
+    `est`'s, formatted as `write_estimation_csv` formats them, at the end of
+    the `replacing_together` block of `staged`; each row's `t` and truth
+    cells are carried as written (`_carried_cells`).  The carried cells must
+    be numbers, the truth finite, and `t` one period equal to `est.t`.
+    Anything else raises MissingInputError and leaves the file as it was."""
     t, t_cells, truth_cells = _carried_cells(path)
     if not np.array_equal(t, est.t):
         raise MissingInputError(f"{path} does not match the time base of its frames")
     estimates = [_cells(getattr(est, name)) for name in ESTIMATOR_OUTPUTS[1:]]
-    write_csv(path, ESTIMATION_COLUMNS, zip(t_cells, *estimates, truth_cells, strict=True))
+    write_csv(path, ESTIMATION_COLUMNS, zip(t_cells, *estimates, truth_cells, strict=True), staged)
 
 
 def read_estimation_csv(path) -> tuple[EstimationSeries, dict[str, np.ndarray]]:

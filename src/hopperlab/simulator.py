@@ -276,17 +276,6 @@ def plant_kernel(lk: LinkageParams, tr: TerrainParams):
     return stage
 
 
-def mechanical_energy(x_f, v_f, theta, theta_dot, linkage: LinkageParams):
-    """Kinetic plus gravitational energy of the body-foot-rotor system [J]
-    at foot-channel coordinates, given as floats or aligned arrays."""
-    length, jac, _ = _geometry(theta, linkage.l_upper, linkage.l_lower**2, xp=np)
-    mb, mf = linkage.m_body, linkage.m_foot
-    v_b = v_f + jac * theta_dot
-    x_b = x_f + length + linkage.mount_offset
-    kinetic = 0.5 * mb * v_b * v_b + 0.5 * mf * v_f * v_f + linkage.rotor_inertia * theta_dot * theta_dot
-    return kinetic + mb * GRAVITY * x_b + mf * GRAVITY * x_f
-
-
 def sensor_frames(
     t,
     theta,

@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from hopperlab import (
-    ControllerConfig,
-    LinkageParams,
-    NoiseConfig,
-    SimConfig,
-    TerrainParams,
-    run_hop_trial,
-)
+from hopperlab.controller import ControllerConfig
+from hopperlab.linkage import LinkageParams
+from hopperlab.simulator import NoiseConfig, SimConfig, run_hop_trial
+from hopperlab.terrain import TerrainParams
 
 
 @pytest.fixture(scope="session")

@@ -5,22 +5,28 @@ laws as scalar functions of one sample: the reduced foot-channel
 dynamics, the quasi-static torque map, the granular reaction law and its
 branch, the virtual spring, the Savitzky-Golay slope's coefficients and
 its edge fits by `np.polyfit`, one step of the Kalman filter and of the momentum
-observer, one step of the filter's covariance and gain in 4x4
-matrices (`gain_step`, the oracle of the program's scalar recursion), and
-the intrusion-model fit on the samples of every force row of every
-record pooled (`pooled_depth_speed_fit`, the oracle of the fit that enters
-the repeats of a grid row as their force sum), and the search over log z_c by golden
-section (`golden_search_log_zc`, the oracle of the program's Brent search).
+observer, the filter's covariances as matrices (`KalmanConfig`, the
+oracle of the scalars the program's recursion reads), one step of the
+filter's covariance and gain in 4x4 matrices (`gain_step`, the oracle of
+the program's scalar recursion), the intrusion-model fit on the samples of
+every force row of every record pooled (`pooled_depth_speed_fit`, the
+oracle of the fit that enters the repeats of a grid row as their force
+sum), and the search over log z_c by golden section
+(`golden_search_log_zc`, the oracle of the program's Brent search).  One
+has no copy in `src/`: the mechanical energy of the body-foot-rotor
+system (`mechanical_energy`), which the plant conserves in free flight.
 
 Each oracle carries its own copy of the arithmetic it checks, so a fault
 in the program's copy (`linkage._foot_channel_coeffs`,
-`estimation._extend_gains`, `estimation._kf_filter`, the observer loop in
+`estimation._filter_constants`, `estimation._extend_gains`,
+`estimation._kf_filter`, the observer loop in
 `estimation.run_momentum_observer`, the repeat collapse in
 `identification.fit_depth_speed_model`, the branch test inline in
-`simulator.run_hop_trial`, `signals._slope_operator`) fails a test.  They share only the
-leg geometry (`_geometry`, `leg_length`, `leg_jacobian`), which
-`test_linkage.py` and the plant-kernel geometry test pin on their own, and
-the fit's search over log z_c (`identification._search_log_zc`), which
+`simulator.run_hop_trial`, `signals._slope_operator`) fails a test.  They
+share only the leg geometry (`_geometry`, `leg_length`, `leg_jacobian`),
+which `test_linkage.py` and the plant-kernel geometry test pin on their
+own, the encoder-rate window (`signals.ENCODER_RATE_WINDOW`), and the
+fit's search over log z_c (`identification._search_log_zc`), which
 `golden_search_log_zc` pins.
 """
 
@@ -43,6 +49,7 @@ from hopperlab.errors import (
 )
 from hopperlab.identification import _FIT_LOWER, _FIT_UPPER, _ZC_GRID, _ZC_TOL, DepthSpeedFit, _search_log_zc
 from hopperlab.linkage import _geometry, leg_jacobian, leg_length
+from hopperlab.signals import ENCODER_RATE_WINDOW
 
 
 def write_rows(path, header, rows) -> None:
@@ -209,6 +216,20 @@ def contact_branch(x_f, v_f) -> int:
     return 0 if x_f >= 0.0 else 1 if v_f > 0.0 else 2
 
 
+# ------------------------------------------------------------ simulator
+
+
+def mechanical_energy(x_f, v_f, theta, theta_dot, linkage):
+    """Kinetic plus gravitational energy of the body-foot-rotor system [J]
+    at foot-channel coordinates, given as floats or aligned arrays."""
+    length, jac, _ = _geometry(theta, linkage.l_upper, linkage.l_lower**2, xp=np)
+    mb, mf = linkage.m_body, linkage.m_foot
+    v_b = v_f + jac * theta_dot
+    x_b = x_f + length + linkage.mount_offset
+    kinetic = 0.5 * mb * v_b * v_b + 0.5 * mf * v_f * v_f + linkage.rotor_inertia * theta_dot * theta_dot
+    return kinetic + mb * GRAVITY * x_b + mf * GRAVITY * x_f
+
+
 # ------------------------------------------------------------ controller
 
 
@@ -255,6 +276,34 @@ def savgol_edge_slopes(x, dt, window, polyorder) -> tuple[np.ndarray, np.ndarray
 # ------------------------------------------------------------ estimation
 
 _H = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
+
+
+@dataclass
+class KalmanConfig:
+    """The filter's covariances as matrices: Q and P0 4x4, R 3x3 diagonal,
+    and the initial state x0; the form `gain_step` and `kf_step` read."""
+
+    Q: np.ndarray
+    R: np.ndarray
+    P0: np.ndarray
+    x0: np.ndarray
+
+    @classmethod
+    def from_noise(cls, noise, linkage, dt, x0, p0_scale) -> "KalmanConfig":
+        """White-acceleration discretization of the IMU noise for Q,
+        per-channel sensor variances for R, and P0 = p0_scale * I."""
+        sig_a = max(noise.imu_sigma, 1e-4)
+        q_block = sig_a**2 * np.array([[dt**4 / 4.0, dt**3 / 2.0], [dt**3 / 2.0, dt**2]])
+        Q = np.zeros((4, 4))
+        Q[:2, :2] = q_block
+        Q[2:, 2:] = q_block
+        # Encoder noise maps through the Jacobian magnitude at mid-workspace.
+        jac_mid = abs(leg_jacobian(0.5 * (linkage.theta_min + linkage.theta_max), linkage))
+        quant = noise.encoder_resolution / math.sqrt(12.0)
+        sig_disp = max(jac_mid * math.sqrt(noise.encoder_sigma**2 + quant**2), 1e-6)
+        sig_rate = max(math.sqrt(2.0) * sig_disp / (ENCODER_RATE_WINDOW * dt), 1e-5)
+        R = np.diag([max(noise.tof_sigma, 1e-5) ** 2, sig_disp**2, sig_rate**2])
+        return cls(Q=Q, R=R, P0=np.eye(4) * p0_scale, x0=np.asarray(x0, dtype=float))
 
 
 @dataclass

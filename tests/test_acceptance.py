@@ -11,15 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from hopperlab import (
-    ControllerConfig,
-    LinkageParams,
-    NoiseConfig,
-    SimConfig,
-    run_hop_trial,
-)
 from hopperlab.constants import GRAVITY
-from hopperlab.estimation import EstimationConfig, KalmanConfig, run_estimation, run_momentum_observer
+from hopperlab.controller import ControllerConfig
+from hopperlab.estimation import EstimationConfig, run_estimation, run_momentum_observer
 from hopperlab.identification import (
     StanceSamples,
     TrialSamples,
@@ -32,10 +26,18 @@ from hopperlab.identification import (
     treatment_comparison,
     wls_linear_fit,
 )
-from hopperlab.linkage import leg_jacobian, leg_length
-from hopperlab.simulator import run_constant_speed_intrusion
+from hopperlab.linkage import LinkageParams, leg_jacobian, leg_length
+from hopperlab.simulator import NoiseConfig, SimConfig, run_constant_speed_intrusion, run_hop_trial
 from hopperlab.terrain import inertial_threshold
-from reference import KalmanState, ObserverState, kf_step, mo_step, reduced_dynamics_coeffs
+from reference import (
+    KalmanConfig,
+    KalmanState,
+    ObserverState,
+    kf_step,
+    mechanical_energy,
+    mo_step,
+    reduced_dynamics_coeffs,
+)
 
 SPEEDS = (0.2, 0.5, 0.8, 1.0, 1.2)
 KC_GRID = (2.50, 3.75, 5.00)
@@ -264,7 +266,7 @@ def test_criterion_08_numerics(linkage, terrain, noiseless_trial):
 
     # ballistic energy drift over 1 s at dt = 1e-4, 10 m above the bed so
     # that no contact occurs; energy is evaluated at the unlifted heights
-    from hopperlab.simulator import mechanical_energy, plant_kernel
+    from hopperlab.simulator import plant_kernel
 
     lift = 10.0
     stage = plant_kernel(linkage, terrain)

@@ -34,7 +34,7 @@ import pytest
 
 from hopperlab import experiments, io
 from hopperlab.cli import main
-from hopperlab.config import load_config
+from hopperlab.config import config_to_text, load_config, with_values
 from hopperlab.errors import DegenerateFitError
 from hopperlab.identification import DepthSpeedFit
 
@@ -347,6 +347,82 @@ def test_sweep_directory_works_after_a_move(sweep_dir, config_path, tmp_path, mo
     assert {e["trial_id"]: e["status"] for e in manifest["entries"]}[TRIAL] == "done"
     assert victim.read_bytes() == expected[victim.name]
     assert not first.exists()
+
+
+def _other_config(config_path, tmp_path, sweep="", extra=""):
+    """The tiny sweep's config with the `key = value` lines of `sweep` in
+    its [sweep] section, each in place of the key's own line, and `extra`
+    sections after it."""
+    keys = {line.split(" = ")[0] for line in sweep.splitlines()}
+    lines = [line for line in Path(config_path).read_text().splitlines(keepends=True) if line.split(" = ")[0] not in keys]
+    path = tmp_path / "other.ini"
+    path.write_text("".join(lines).replace("[sim]", sweep + "[sim]", 1) + extra)
+    return str(path)
+
+
+def test_manifest_records_the_config_the_sweep_ran_under(config_path, tmp_path):
+    # --seeds is part of it: the seeds are the [sweep] seeds it ran
+    out = tmp_path / "seed1"
+    assert main(["sweep", "--config", config_path, "--seeds", "1", "--out", str(out)]) == 0
+    recorded = json.loads((out / "manifest.json").read_text())["config"]
+    assert recorded == config_to_text(with_values(load_config(config_path), "sweep", seeds=(1,)))
+
+
+def test_resume_under_another_config_writes_nothing(sweep_dir, config_path, tmp_path, capsys):
+    # a resumed seed would be run on another bed than the skipped one, and
+    # fits.csv would put the two beside each other
+    out = _copy(sweep_dir, tmp_path)
+    for path in out.glob(f"{TRIAL}_*"):
+        path.unlink()
+    before = _files(out)
+    other = _other_config(config_path, tmp_path, extra="[terrain]\nk_stiff = 1600\n")
+    assert main(["sweep", "--config", other, "--out", str(out), "--resume"]) == 2
+    assert "[terrain] k_stiff = 1600.0, recorded 800.0" in capsys.readouterr().err
+    assert _files(out) == before
+    # the output directory is where the files go, not how they were made
+    moved = _other_config(config_path, tmp_path, extra="[output]\ndir = elsewhere\n")
+    assert main(["sweep", "--config", moved, "--out", str(out), "--resume"]) == 0
+    resumed, clean = _files(out), _files(sweep_dir)
+    del resumed["manifest.json"], clean["manifest.json"]
+    assert resumed == clean
+
+
+@pytest.mark.parametrize(
+    "axis",
+    ["intrusion_speed_min = 0.03", "intrusion_speed_max = 1.0", "intrusion_speed_count = 4", "intrusion_z_max = 0.03"],
+)
+def test_report_on_another_force_map_grid_writes_nothing(sweep_dir, config_path, tmp_path, axis, capsys):
+    # report draws force_map.csv on the [sweep] intrusion grid: another one
+    # would be a map on axes the rig never ran
+    out = _copy(sweep_dir, tmp_path)
+    before = _files(out)
+    assert main(["report", "--config", _other_config(config_path, tmp_path, sweep=axis + "\n"), "--out", str(out)]) == 2
+    assert f"[sweep] {axis.split(' = ')[0]} = " in capsys.readouterr().err
+    assert _files(out) == before
+
+
+@pytest.mark.parametrize("command", [["identify"], ["report"], ["sweep", "--resume"]])
+def test_a_manifest_without_the_config_is_bad_input(sweep_dir, config_path, tmp_path, command):
+    out = _copy(sweep_dir, tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["config"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    before = _files(out)
+    assert main([*command, "--config", config_path, "--out", str(out)]) == 4
+    assert _files(out) == before
+
+
+def test_estimate_replaces_every_estimation_file_or_none(sweep_dir, config_path, tmp_path, capsys):
+    # under another observer bandwidth every rewrite changes its file: the
+    # first trial's is not replaced when the second trial has no file
+    out = _copy(sweep_dir, tmp_path)
+    missing = out / f"{TRIAL}_estimation.csv"
+    missing.unlink()
+    before = _files(out)
+    other = _other_config(config_path, tmp_path, extra="[estimation]\nk_obs = 400\n")
+    assert _estimate(other, out) == 4
+    assert str(missing) in capsys.readouterr().err
+    assert _files(out) == before
 
 
 IDENTIFY_FILES = ("treatment_report.json", "fits.csv", "depth_speed_fit.json")

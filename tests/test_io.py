@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import reference
 from hopperlab import experiments, io
 from hopperlab.cli import main
-from hopperlab.config import ExperimentConfig, with_values
+from hopperlab.config import ExperimentConfig, config_to_text, with_values
 from hopperlab.errors import MissingInputError
 from hopperlab.estimation import EstimationSeries
 from hopperlab.identification import TREATMENTS, fit_depth_speed_model
@@ -169,7 +169,8 @@ def test_fuzz_reestimation_parses_only_the_carried_cells(text):
         path = Path(tmp) / "artifact.csv"
         path.write_text(text, encoding="utf-8")
         try:
-            io.write_reestimation_csv(path, est)
+            with io.replacing_together() as staged:
+                io.write_reestimation_csv(path, est, staged)
         except MissingInputError:
             assert not well_formed
             assert path.read_text(encoding="utf-8") == text
@@ -200,7 +201,8 @@ def test_reestimation_writes_what_write_estimation_csv_writes(data):
         path, expected = Path(tmp) / "carried.csv", Path(tmp) / "written.csv"
         io.write_estimation_csv(path, first, truth)
         _, parsed = io.read_estimation_csv(path)
-        io.write_reestimation_csv(path, second)
+        with io.replacing_together() as staged:
+            io.write_reestimation_csv(path, second, staged)
         io.write_estimation_csv(expected, second, parsed)
         assert path.read_bytes() == expected.read_bytes()
 
@@ -443,11 +445,17 @@ _GRID = "speed,t,depth,force_0\n" + "".join(
 )
 
 
+def _manifest_text(entries):
+    """A manifest of `entries`, recording the default config: that of the
+    empty config file each case runs its command under."""
+    return json.dumps({"config": config_to_text(ExperimentConfig()), "entries": entries})
+
+
 def _manifest(**changes):
     """A manifest of one hop, its entry changed as given (a value of None
     removes the key), and the intrusion grid."""
     entry = {key: value for key, value in {**_HOP_ENTRY, **changes}.items() if value is not None}
-    return {"manifest.json": json.dumps({"entries": [entry, _GRID_ENTRY]})}
+    return {"manifest.json": _manifest_text([entry, _GRID_ENTRY])}
 
 
 def _hop_trial(estimation_times=(0.0, 0.001, 0.002, 0.003), **events):
@@ -524,11 +532,11 @@ _DEGENERATE = {
     # a directory of the layout before the intrusion grid: one log per (speed, repeat)
     "per-run intrusion log": ("identify", {
         **_hop_trial(),
-        "manifest.json": json.dumps({"entries": [
+        "manifest.json": _manifest_text([
             {"trial_id": "intr_v0.5000_r0", "kind": "intrusion", "speed": 0.5, "repeat": 0,
              "paths": {"log": "intr_v0.5000_r0.csv"}},
             _HOP_ENTRY,
-        ]}),
+        ]),
         "intr_v0.5000_r0.csv": "t,depth,speed,force\n0.0,0.0,0.5,0.0\n0.001,0.0005,0.5,1.0\n",
     }),
     "entry path with a directory": ("identify", {
@@ -865,12 +873,13 @@ def test_identify_rejects_a_trial_listed_twice(tiny_sweep, tmp_path):
     # and a second intrusion entry, under another trial id, every grid
     # sample twice in the fit
     cfg, sweep = tiny_sweep
-    entries = json.loads((sweep / "manifest.json").read_text(encoding="utf-8"))["entries"]
+    manifest = json.loads((sweep / "manifest.json").read_text(encoding="utf-8"))
+    entries = manifest["entries"]
     intrusion = next(e for e in entries if e["kind"] == "intrusion")
     for extra in (dict(entries[0]), {**intrusion, "trial_id": "intrusion_grid_again"}):
         out = tmp_path / extra["trial_id"]
         shutil.copytree(sweep, out)
-        (out / "manifest.json").write_text(json.dumps({"entries": [*entries, extra]}), encoding="utf-8")
+        (out / "manifest.json").write_text(json.dumps({**manifest, "entries": [*entries, extra]}), encoding="utf-8")
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert main(["identify", "--config", str(cfg), "--out", str(out)]) == 4, extra["trial_id"]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -881,8 +890,9 @@ def test_identify_rejects_a_manifest_without_the_intrusion_entry(tiny_sweep, tmp
     cfg, sweep = tiny_sweep
     out = tmp_path / "out"
     shutil.copytree(sweep, out)
-    entries = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["entries"]
-    (out / "manifest.json").write_text(json.dumps({"entries": [e for e in entries if e["kind"] == "hop"]}))
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    hops = [e for e in manifest["entries"] if e["kind"] == "hop"]
+    (out / "manifest.json").write_text(json.dumps({**manifest, "entries": hops}))
     for name in ("treatment_report.json", "fits.csv", "depth_speed_fit.json"):
         (out / name).unlink()
     before = {p.name: p.read_bytes() for p in out.iterdir()}

@@ -15,7 +15,6 @@ from hopperlab.simulator import (
     SimConfig,
     TruthSeries,
     detect_events,
-    mechanical_energy,
     plant_kernel,
     run_constant_speed_intrusion,
     run_hop_trial,
@@ -26,6 +25,7 @@ from hopperlab.terrain import TerrainParams
 from reference import (
     added_mass_profile,
     contact_branch,
+    mechanical_energy,
     reduced_dynamics_coeffs,
     terrain_force,
     weight_holding_torque,

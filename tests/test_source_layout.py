@@ -7,10 +7,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hopperlab"
 
-# kept although nothing in `src/` calls them: the flight-phase energy
-# diagnostic, the renderer of `configs/default.ini`, and the inertial
-# threshold of the grains
-ALLOWED_UNREFERENCED = {"mechanical_energy", "config_to_text", "inertial_threshold"}
+# kept although nothing in `src/` calls it: the inertial threshold of the grains
+ALLOWED_UNREFERENCED = {"inertial_threshold"}
 
 
 def _module_names(node) -> list[str]:
