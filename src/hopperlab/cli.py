@@ -1,7 +1,6 @@
 """hopperlab command-line interface.
 
 Commands
-    simulate   one hop trial (frames/truth/events + estimation CSVs)
     estimate   new estimate columns in each trial's estimation CSV, from its
                frame CSV; each row's `t` and truth cells are kept as
                written.  The header, 12 cells a row, a numeric `t`, finite
@@ -18,9 +17,9 @@ Commands
     report     summary JSON + plot-ready CSVs, the force map drawn from the
                rig fit
 
-`--seeds` is accepted by simulate and sweep, `--jobs` and `--resume` by
-sweep only; any other command given one exits 2 before it reads or
-writes anything, as it does for an empty seed list.  Exit codes: 0
+A hop runs only as a condition of the `[sweep]` grid.  `--seeds`, `--jobs`
+and `--resume` are read by sweep only; any other command given one exits
+2 before it reads or writes anything, as it does for an empty seed list.  Exit codes: 0
 success, 2 config or usage error, 3 runtime/integration or numeric
 error (an intrusion grid that cannot be fitted), 4 missing-input error.  Output directory precedence: --out, then
 HOPPERLAB_OUT, then the config's [output] dir; one that exists as a file
@@ -44,8 +43,6 @@ from .experiments import (
     identify_inputs,
     identify_outputs,
     run_sweep,
-    run_single_hop,
-    write_hop_artifacts,
     write_report,
 )
 
@@ -58,18 +55,6 @@ def _resolve_out(config: ExperimentConfig, args) -> Path:
     if out.exists() and not out.is_dir():
         raise ConfigError(f"output directory {out} exists and is not a directory")
     return out
-
-
-def cmd_simulate(config: ExperimentConfig, args) -> int:
-    out = _resolve_out(config, args)
-    configs = [with_values(config, "sim", seed=seed) for seed in args.seeds or [config.sim.seed]]
-    kc_ncm = config.controller.k_compress / 100.0
-    for config in configs:
-        log, trial_id = run_single_hop(config, config.sim.drop_speed, kc_ncm, config.sim.seed)
-        write_hop_artifacts(config, log, trial_id, out)
-        io.write_truth_csv(out / f"{trial_id}_truth.csv", log.truth)
-        print(f"wrote trial {trial_id} to {out}")
-    return 0
 
 
 def cmd_estimate(config: ExperimentConfig, args) -> int:
@@ -112,7 +97,6 @@ def cmd_report(config: ExperimentConfig, args) -> int:
 
 
 _COMMANDS = {
-    "simulate": cmd_simulate,
     "estimate": cmd_estimate,
     "identify": cmd_identify,
     "sweep": cmd_sweep,
@@ -120,8 +104,8 @@ _COMMANDS = {
 }
 
 
-# the flags beyond --config and --out, and the commands that read each
-_FLAG_COMMANDS = {"seeds": ("simulate", "sweep"), "jobs": ("sweep",), "resume": ("sweep",)}
+# the flags beyond --config and --out, all read by sweep only
+_SWEEP_FLAGS = ("seeds", "jobs", "resume")
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -144,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=_COMMANDS, help="what to run")
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", default=None, help="output directory (overrides HOPPERLAB_OUT and the config)")
-    parser.add_argument("--seeds", type=_parse_seeds, help="comma-separated seed list (simulate, sweep)")
+    parser.add_argument("--seeds", type=_parse_seeds, help="comma-separated seed list (sweep)")
     parser.add_argument("--jobs", type=int, help="parallel workers for the hop grid (sweep; default 1)")
     parser.add_argument(
         "--resume", action="store_true", default=None, help="skip hop trials whose outputs read back (sweep)"
@@ -155,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, commands in _FLAG_COMMANDS.items():
-        if getattr(args, flag) is not None and args.command not in commands:
-            parser.error(f"--{flag} is read by {' and '.join(commands)} only, not by {args.command}")
+    for flag in _SWEEP_FLAGS:
+        if getattr(args, flag) is not None and args.command != "sweep":
+            parser.error(f"--{flag} is read by sweep only, not by {args.command}")
     try:
         config = load_config(args.config)
         return _COMMANDS[args.command](config, args)

@@ -4,8 +4,9 @@ Each section fills one dataclass and its keys are that dataclass's
 fields, so every key has a documented default and an empty file is a
 valid config.  Unknown sections or keys are rejected.  Stiffnesses are
 given in N/cm (the convention of the hardware protocol this mirrors): the
-controller's are converted to N/m at parse time, and the sweep grid is
-kept in N/cm as `stiffnesses_n_per_cm`.
+controller's `k_extend` is converted to N/m at parse time, and the sweep
+grid is kept in N/cm as `stiffnesses_n_per_cm`.  A hop's touchdown speed,
+compression stiffness and seed come only from the `[sweep]` grid.
 
 Each key's domain is declared once, on its dataclass field, and checked
 whenever the dataclass is built: a NaN, +-inf or out-of-range value, or
@@ -119,8 +120,8 @@ def _parse_bool(text: str) -> bool:
 
 def _codec(section: str, name: str, default) -> tuple:
     """(parse, render) of a key: N/cm in the file for the controller's
-    spring stiffnesses, else by the type of the field's default."""
-    if section == "controller" and name in ("k_compress", "k_extend"):
+    extension stiffness, else by the type of the field's default."""
+    if section == "controller" and name == "k_extend":
         return (lambda text: float(text) * 100.0), (lambda value: str(value / 100.0))
     if isinstance(default, tuple):
         kind = type(default[0])
@@ -171,7 +172,7 @@ def load_config(path: str) -> ExperimentConfig:
         schema, values = _SCHEMA[section], {}
         for key, raw in parser.items(section):
             if key not in schema:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+                raise ConfigError(f"unknown key [{section}] {key}")
             target, parse, _ = schema[key]
             try:
                 values[target] = parse(raw)
@@ -191,12 +192,10 @@ def load_config(path: str) -> ExperimentConfig:
             f"{config.sim.sensor_rate_hz!r}: the momentum observer's discretization is unstable"
         )
     for kc in config.sweep.stiffnesses_n_per_cm:
-        try:  # the controller each sweep condition runs, as `experiments.run_single_hop` builds it
-            replace(config.controller, k_compress=kc * 100.0)
-        except ValueError as exc:
+        if not kc * 100.0 <= config.controller.k_extend:  # as `simulator.run_hop_trial` checks it
             raise ConfigError(
-                f"[sweep] stiffnesses = {kc!r} N/cm does not fit [controller] "
-                f"k_extend = {config.controller.k_extend / 100.0!r} N/cm: {exc}"
+                f"[sweep] stiffnesses = {kc!r} N/cm is above [controller] "
+                f"k_extend = {config.controller.k_extend / 100.0!r} N/cm"
             )
     return config
 

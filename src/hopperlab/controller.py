@@ -29,9 +29,8 @@ FLIGHT, COMPRESSION, EXTENSION = PhaseName
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Virtual spring gains (SI: N/m, N*s/m, m, N)."""
+    """Virtual spring gains (SI: N/m, N*s/m, m, N); the compression stiffness is a hop's condition."""
 
-    k_compress: float = field(default=375.0, metadata=POSITIVE)
     k_extend: float = field(default=500.0, metadata=POSITIVE)
     l0_compress: float = field(default=0.42, metadata=POSITIVE)
     l0_extend: float = field(default=0.42, metadata=POSITIVE)
@@ -39,10 +38,7 @@ class ControllerConfig:
     b_flight: float = field(default=20.0, metadata=NONNEGATIVE)
     contact_force_threshold: float = field(default=3.0, metadata=POSITIVE)
 
-    def __post_init__(self):
-        check_domains(self)
-        if not self.k_extend >= self.k_compress:
-            raise ValueError("k_extend must be at least k_compress")
+    __post_init__ = check_domains
 
     def validate_workspace(self, linkage: LinkageParams) -> None:
         """Neutral lengths must be reachable by the leg."""
@@ -88,11 +84,12 @@ def next_phase(
     return phase
 
 
-def spring_gains(phase: PhaseName, config: ControllerConfig) -> tuple[float, float, float]:
-    """Virtual spring (stiffness, neutral length, damping) in force during a phase."""
+def spring_gains(phase: PhaseName, config: ControllerConfig, k_compress: float) -> tuple[float, float, float]:
+    """Virtual spring (stiffness, neutral length, damping) in force during a
+    phase, at the compression stiffness `k_compress` [N/m]."""
     if phase == COMPRESSION:
-        return config.k_compress, config.l0_compress, config.b_stance
+        return k_compress, config.l0_compress, config.b_stance
     if phase == EXTENSION:
         return config.k_extend, config.l0_extend, config.b_stance
-    return config.k_compress, config.l0_compress, config.b_flight
+    return k_compress, config.l0_compress, config.b_flight
 

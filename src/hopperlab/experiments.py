@@ -9,9 +9,9 @@ be dispatched to a process pool.
 
 A hop trial's artifacts are its sensor frames, events and estimation CSV;
 the estimation CSV carries the ground truth, one row per frame.  The full
-truth log, every column of those rows, is not written by a sweep: `hopperlab
-simulate` at the trial's speed, stiffness and seed rebuilds the trial
-bit for bit and writes it as `<id>_truth.csv`.  The intrusion grid is one artifact,
+truth log, every column of those rows, is not written:
+`run_single_hop(config, speed, kc, seed)[0].truth` rebuilds it bit for
+bit from the trial's condition.  The intrusion grid is one artifact,
 `intrusion_grid.csv`, with one manifest entry: every speed's load-cell
 samples, each repeat's force beside the speed's shared t and depth.  Its
 fit, `depth_speed_fit.json`, records the grid's sha256 (`grid_sha256`).
@@ -22,7 +22,8 @@ The rig fit is the ground truth, as the paper's linear actuator is:
 be fitted leaves none (`_fit_grid`).
 
 A hop reads back (`_read_hop`) when its estimation, events and frames
-files parse and its frames and estimation files hold the same `t`.
+files parse, its frames and estimation files hold the same `t`, and its
+events lie in order within that `t` (`_read_events`).
 What each command reads:
 
     sweep     nothing, to identify, but the bytes of the grid it wrote,
@@ -181,10 +182,11 @@ def _check_recorded_config(recorded: str, config: ExperimentConfig, keys=None) -
 
 def run_single_hop(config: ExperimentConfig, speed: float, kc_n_per_cm: float, seed: int):
     """Simulate one hop at a sweep condition; returns (TrialLog, trial_id)."""
-    controller = dataclasses.replace(config.controller, k_compress=kc_n_per_cm * 100.0)
-    sim = dataclasses.replace(config.sim, drop_speed=speed)
     seed_key = [int(seed), int(round(speed * 1000)), int(round(kc_n_per_cm * 100))]
-    log = run_hop_trial(sim, controller, config.terrain, config.linkage, seed=seed_key, noise_config=config.noise)
+    log = run_hop_trial(
+        config.sim, config.controller, config.terrain, config.linkage, speed, kc_n_per_cm * 100.0, seed_key,
+        noise_config=config.noise,
+    )
     return log, hop_trial_id(speed, kc_n_per_cm, seed)
 
 
@@ -270,12 +272,21 @@ def write_intrusion_grid(config: ExperimentConfig, path: Path) -> list[Intrusion
     return logs
 
 
+def _read_events(path: Path, t: np.ndarray) -> TrialEvents:
+    """A hop's events, read from `path`, in order within its `t`, as
+    `detect_events` finds them; else MissingInputError."""
+    events = io.read_events_json(path)
+    if not t[0] <= events.t_td < events.t_ce < events.t_lo <= t[-1]:
+        raise MissingInputError(f"malformed events file {path}: need t[0] <= t_td < t_ce < t_lo <= t[-1] of its hop")
+    return events
+
+
 def _read_hop(paths: dict[str, Path]) -> tuple[Frames, EstimationSeries, dict[str, np.ndarray], TrialEvents]:
     """A hop's frames, estimates, carried truth and events, read from its
     estimation, events and frames files in that order; MissingInputError
     for a hop that does not read back (see the module docstring)."""
     est, truth = io.read_estimation_csv(paths["estimation"])
-    events = io.read_events_json(paths["events"])
+    events = _read_events(paths["events"], est.t)
     frames = io.read_frames_csv(paths["frames"])
     if not np.array_equal(frames.t, est.t):
         raise MissingInputError(f"{paths['estimation']} does not hold the t of the frames in {paths['frames']}")
@@ -387,7 +398,7 @@ def identify_inputs(out_dir: Path) -> tuple[list[TrialSamples], DepthSpeedFit]:
     for entry, paths in trials:
         if entry["kind"] == "hop":
             est, _ = io.read_estimation_csv(paths["estimation"])
-            hops.append(_trial_samples(entry, est, io.read_events_json(paths["events"])))
+            hops.append(_trial_samples(entry, est, _read_events(paths["events"], est.t)))
         else:
             grid_sha256 = io.file_sha256(paths["log"])
             kept = _kept_fit(fit_path, grid_sha256)

@@ -28,17 +28,16 @@ import numpy as np
 
 from .errors import MissingInputError
 from .estimation import EstimationSeries
-from .simulator import Frames, IntrusionLog, TrialEvents, TruthSeries
+from .simulator import Frames, IntrusionLog, TrialEvents
 
 FRAME_COLUMNS = tuple(f.name for f in fields(Frames))
-
-TRUTH_COLUMNS = tuple(f.name for f in fields(TruthSeries))
 
 # The estimation CSV: the estimator outputs, then the truth series it
 # carries, each as `<name>_true` (`f_total` as `f_true`).
 ESTIMATOR_OUTPUTS = tuple(f.name for f in fields(EstimationSeries))
 CARRIED_TRUTH = ("x_b", "v_b", "x_f", "v_f", "f_total")
 ESTIMATION_COLUMNS = ESTIMATOR_OUTPUTS + tuple(f"{name.removesuffix('_total')}_true" for name in CARRIED_TRUTH)
+_F_QS = ESTIMATOR_OUTPUTS.index("f_qs")  # the one column that may hold NaN
 
 # how far a sampled series' spacing may stray from its period t[1] - t[0],
 # relative: rounding of t = k / rate, far below a dropped or repeated sample
@@ -211,10 +210,6 @@ def read_frames_csv(path) -> Frames:
     return Frames(*data.T)
 
 
-def write_truth_csv(path, truth: TruthSeries) -> None:
-    write_columns_csv(path, TRUTH_COLUMNS, [getattr(truth, name) for name in TRUTH_COLUMNS])
-
-
 def is_finite_number(value) -> bool:
     """A finite JSON number (a bool is not one)."""
     return type(value) in (int, float) and math.isfinite(value)
@@ -249,18 +244,11 @@ def write_estimation_csv(path, est: EstimationSeries, truth: dict) -> None:
     write_columns_csv(path, ESTIMATION_COLUMNS, cols)
 
 
-def _check_truth(truth: np.ndarray, path) -> None:
-    """The carried truth cells must be finite: only an estimate (`f_qs` at a
-    singular frame) may be NaN."""
-    if not np.isfinite(truth).all():
-        raise MissingInputError(f"malformed estimation file {path}: need finite truth cells")
-
-
 def _carried_cells(path) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
     """The `t` of the estimation CSV at `path`, with each row's `t` cell and
     its five truth cells (one string) as written.  Only those cells are
     parsed; the header must match, every row must have 12 cells and the
-    truth cells must be finite (`_check_truth`).  Only the carried strings
+    truth cells must be finite.  Only the carried strings
     outlive this call, so the file's lines are freed before the estimates
     are formatted (the process's peak memory)."""
     width, truth_at = len(ESTIMATION_COLUMNS), len(ESTIMATOR_OUTPUTS)
@@ -271,7 +259,8 @@ def _carried_cells(path) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
         t_cells, truth_cells = zip(*(line.split(",", truth_at)[::truth_at] for line in lines))
         t = _parse(t_cells, 1)[:, 0]
         truth = _parse(truth_cells, len(CARRIED_TRUTH))
-    _check_truth(truth, path)
+    if not np.isfinite(truth).all():
+        raise MissingInputError(f"malformed estimation file {path}: need finite truth cells")
     _check_time_base(t, path, "estimation")
     return t, t_cells, truth_cells
 
@@ -291,8 +280,14 @@ def write_reestimation_csv(path, est: EstimationSeries, staged: list) -> None:
 
 
 def read_estimation_csv(path) -> tuple[EstimationSeries, dict[str, np.ndarray]]:
+    """A trial's estimates and the truth it carries.  Every cell must be
+    finite but `f_qs`, which may also be NaN, at a frame whose encoder angle
+    sits at the leg's extension singularity."""
     data = _read_csv(Path(path), ESTIMATION_COLUMNS, "estimation")
-    _check_truth(data[:, len(ESTIMATOR_OUTPUTS):], path)
+    finite = np.isfinite(data)
+    finite[:, _F_QS] |= np.isnan(data[:, _F_QS])
+    if not finite.all():
+        raise MissingInputError(f"malformed estimation file {path}: need finite cells, or a NaN f_qs")
     _check_time_base(data[:, 0], path, "estimation")
     outputs = dict(zip(ESTIMATOR_OUTPUTS, data.T))
     truth = dict(zip(CARRIED_TRUTH, data[:, len(ESTIMATOR_OUTPUTS):].T))

@@ -50,8 +50,6 @@ class SimConfig:
     sensor_rate_hz: float = field(default=1000.0, metadata=POSITIVE)      # proprioceptive sampling and RK4 rate
     t_max: float = field(default=2.0, metadata=POSITIVE)                  # hard stop [s]
     post_liftoff_time: float = field(default=0.1, metadata=NONNEGATIVE)   # keep integrating this long after liftoff [s]
-    drop_speed: float = field(default=0.8, metadata=NONNEGATIVE)          # target touchdown speed [m/s]
-    seed: int = field(default=0, metadata=NONNEGATIVE)
 
     def __post_init__(self):
         check_domains(self)
@@ -379,18 +377,22 @@ def run_hop_trial(
     controller_config: ControllerConfig,
     terrain_params: TerrainParams,
     linkage_params: LinkageParams,
-    seed=None,
+    drop_speed: float,
+    k_compress: float,
+    seed,
     noise_config: NoiseConfig | None = None,
 ) -> TrialLog:
     """Integrate one drop-release hop, one RK4 step per sensor period, then
     synthesize its sensor frames from the truth rows in one pass
     (`sensor_frames`).
 
-    The hopper is released from rest with the leg at its compression
-    neutral length, at the height h that yields the configured touchdown
-    speed.  Until the foot reaches the bed the leg force is zero and the
-    joint does not move, so the rows before the last step with
-    h - g*t^2/2 >= 0 are written in closed form (x_f = h - g*t^2/2,
+    The hop's condition is its touchdown speed `drop_speed` [m/s] in [0, inf),
+    its compression stiffness `k_compress` [N/m] in (0, k_extend] (else
+    ValueError) and its noise `seed`.  The hopper is released from rest with
+    the leg at its compression neutral length, at the height h that yields
+    `drop_speed` at touchdown.  Until the foot reaches the bed the leg force
+    is zero and the joint does not move, so the rows before the last step
+    with h - g*t^2/2 >= 0 are written in closed form (x_f = h - g*t^2/2,
     v_f = -g*t, theta = theta0, the rest from one kernel evaluation), and
     RK4 runs from that step on.  Rows stay on the k*dt grid.  An RK4 step
     from a state s is kept only if every stage state it evaluates lies on
@@ -403,9 +405,11 @@ def run_hop_trial(
     is taken under the same rule.  The phase machine runs only at these
     located switches.  Deterministic for a fixed seed.
     """
+    if not 0.0 <= drop_speed < math.inf:
+        raise ValueError(f"drop_speed = {drop_speed!r} is outside [0, inf)")
+    if not 0.0 < k_compress <= controller_config.k_extend:
+        raise ValueError(f"k_compress = {k_compress!r} is outside (0, k_extend = {controller_config.k_extend!r}]")
     noise = noise_config if noise_config is not None else NoiseConfig()
-    if seed is None:
-        seed = sim_config.seed
     rng = np.random.default_rng(seed)
 
     lk = linkage_params
@@ -415,14 +419,14 @@ def run_hop_trial(
     n_max = int(round(sim_config.t_max / dt))
 
     theta0 = solve_theta_for_length(cc.l0_compress, lk)
-    drop_h = sim_config.drop_speed**2 / (2.0 * GRAVITY)
+    drop_h = drop_speed**2 / (2.0 * GRAVITY)
     phase = FLIGHT
 
     stage = plant_kernel(lk, tr)
     th_lo, th_hi = lk.theta_min, lk.theta_max
     mount = lk.mount_offset
     isfinite = math.isfinite
-    k_spr, l0_spr, b_spr = spring_gains(phase, cc)
+    k_spr, l0_spr, b_spr = spring_gains(phase, cc, k_compress)
     t_stop = sim_config.t_max
 
     # The contact branch is tested inline as `0 if x_f >= 0.0 else 1 if
@@ -505,7 +509,7 @@ def run_hop_trial(
                 phase = new_phase
                 if phase == FLIGHT:
                     t_stop = min(t_stop, t + hi + sim_config.post_liftoff_time)
-                k_spr, l0_spr, b_spr = spring_gains(phase, cc)
+                k_spr, l0_spr, b_spr = spring_gains(phase, cc, k_compress)
                 out = stage(*state, k_spr, l0_spr, b_spr)
             if hi == dt:
                 return state, out
@@ -517,7 +521,7 @@ def run_hop_trial(
     # Free fall: rows 0..k0-1 in closed form, k0 the last step above the
     # bed, which the foot is below by step (fall time)/dt + 2.  Above the
     # bed the kernel's outputs do not depend on (x_f, v_f).
-    n_fall = min(n_max, int(sim_config.drop_speed / GRAVITY / dt) + 2)
+    n_fall = min(n_max, int(drop_speed / GRAVITY / dt) + 2)
     t_fall = np.arange(n_fall + 1) * dt
     x_fall = drop_h - 0.5 * GRAVITY * t_fall * t_fall
     below = np.flatnonzero(x_fall < 0.0)

@@ -23,22 +23,24 @@ def controller():
 
 
 @pytest.fixture(scope="session")
-def noiseless_trial(linkage, terrain, controller):
-    """One noiseless hop at the default drop speed; shared across tests."""
+def k_compress():
+    """The compression stiffness of the default sweep's middle condition,
+    3.75 N/cm, in N/m."""
+    return 375.0
+
+
+@pytest.fixture(scope="session")
+def noiseless_trial(linkage, terrain, controller, k_compress):
+    """One noiseless hop at 0.8 m/s; shared across tests."""
     return run_hop_trial(
-        SimConfig(drop_speed=0.8),
-        controller,
-        terrain,
-        linkage,
-        seed=0,
-        noise_config=NoiseConfig.noiseless(),
+        SimConfig(), controller, terrain, linkage, 0.8, k_compress, seed=0, noise_config=NoiseConfig.noiseless()
     )
 
 
 @pytest.fixture(scope="session")
-def noisy_trial(linkage, terrain, controller):
-    """One default-noise hop; shared across tests."""
-    return run_hop_trial(SimConfig(drop_speed=0.8), controller, terrain, linkage, seed=0)
+def noisy_trial(linkage, terrain, controller, k_compress):
+    """One default-noise hop at 0.8 m/s; shared across tests."""
+    return run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, k_compress, seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -233,14 +233,15 @@ def mechanical_energy(x_f, v_f, theta, theta_dot, linkage):
 # ------------------------------------------------------------ controller
 
 
-def virtual_leg_force(phase, leg_len, leg_rate, config) -> float:
+def virtual_leg_force(phase, leg_len, leg_rate, config, k_compress) -> float:
     """Axial spring-damper force [N]; positive pushes body and foot apart.
-    The extension spring in extension, the compression spring otherwise;
-    the flight damping in flight, the stance damping otherwise."""
+    The extension spring in extension, the compression spring (stiffness
+    `k_compress`) otherwise; the flight damping in flight, the stance
+    damping otherwise."""
     if phase == PhaseName.EXTENSION:
         k, l0 = config.k_extend, config.l0_extend
     else:
-        k, l0 = config.k_compress, config.l0_compress
+        k, l0 = k_compress, config.l0_compress
     b = config.b_flight if phase == PhaseName.FLIGHT else config.b_stance
     return k * (l0 - leg_len) - b * leg_rate
 

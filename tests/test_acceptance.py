@@ -56,13 +56,14 @@ def sweep(linkage, terrain):
     trials = []
     start = time.time()
     for v, kc in conditions:
-        controller = ControllerConfig(k_compress=kc * 100.0)
         for seed in SEEDS:
             log = run_hop_trial(
-                SimConfig(drop_speed=v),
-                controller,
+                SimConfig(),
+                ControllerConfig(),
                 terrain,
                 linkage,
+                v,
+                kc * 100.0,
                 seed=[seed, int(v * 1000), int(kc * 100)],
             )
             est = run_estimation(log.frames, linkage)
@@ -142,7 +143,7 @@ def test_criterion_04_intrusion_recovery(intrusion_fit, terrain):
     assert ok
 
 
-def test_criterion_05_added_mass_residual(intrusion_fit, linkage, terrain, controller, noiseless_trial):
+def test_criterion_05_added_mass_residual(intrusion_fit, linkage, terrain, controller, k_compress, noiseless_trial):
     # noiseless: residual equals the added-mass force within 0.1 N
     truth = noiseless_trial.truth
     ev = noiseless_trial.events
@@ -160,7 +161,7 @@ def test_criterion_05_added_mass_residual(intrusion_fit, linkage, terrain, contr
     # acceleration, the same construction as the hardware analysis
     cors = []
     for seed in SEEDS:
-        log = run_hop_trial(SimConfig(drop_speed=1.2), controller, terrain, linkage, seed=seed)
+        log = run_hop_trial(SimConfig(), controller, terrain, linkage, 1.2, k_compress, seed=seed)
         frames = log.frames
         z = -log.truth.x_f
         zd = -log.truth.v_f
@@ -175,7 +176,7 @@ def test_criterion_05_added_mass_residual(intrusion_fit, linkage, terrain, contr
     assert min(cors) >= 0.9
 
 
-def test_criterion_06_momentum_observer(linkage, terrain, controller):
+def test_criterion_06_momentum_observer(linkage, terrain, controller, k_compress):
     # discrete step response at dt*k_obs = 0.2
     k_obs, dt, f0, theta = 200.0, 1e-3, 10.0, 0.8
     co = reduced_dynamics_coeffs(theta, linkage)
@@ -192,7 +193,7 @@ def test_criterion_06_momentum_observer(linkage, terrain, controller):
     worst_ratio = 0.0
     for speed in SPEEDS:
         log = run_hop_trial(
-            SimConfig(drop_speed=speed), controller, terrain, linkage, seed=0, noise_config=NoiseConfig.noiseless()
+            SimConfig(), controller, terrain, linkage, speed, k_compress, seed=0, noise_config=NoiseConfig.noiseless()
         )
         truth = log.truth
         t = truth.t
@@ -212,7 +213,7 @@ def test_criterion_06_momentum_observer(linkage, terrain, controller):
     assert worst_ratio <= 0.02
 
 
-def test_criterion_07_kalman_filter(linkage, terrain, controller):
+def test_criterion_07_kalman_filter(linkage, terrain, controller, k_compress):
     # exactness on a model-consistent trajectory
     cfg = KalmanConfig.from_noise(
         NoiseConfig(), linkage, dt=1e-3, x0=np.array([0.55, 0.0, 0.10, 0.0]), p0_scale=EstimationConfig().p0_scale
@@ -229,7 +230,7 @@ def test_criterion_07_kalman_filter(linkage, terrain, controller):
     noise = NoiseConfig()
     sq = []
     for seed in SEEDS:
-        log = run_hop_trial(SimConfig(drop_speed=0.8), controller, terrain, linkage, seed=seed)
+        log = run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, k_compress, seed=seed)
         frames = log.frames
         est = run_estimation(frames, linkage, noise=noise)
         sq.append((est.x_b_hat[100:] - log.truth.x_b[100:]) ** 2)

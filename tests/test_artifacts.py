@@ -1,8 +1,8 @@
-"""Which artifacts sweep and simulate write, and what `estimate` rewrites.
+"""Which artifacts a sweep writes, and what `estimate` rewrites.
 
-A sweep writes frames, events and estimation files per hop; the
-full-rate truth log comes only from `simulate`, which rebuilds any sweep trial
-bit for bit.  `estimate` carries the t and truth cells of each trial's
+A sweep writes frames, events and estimation files per hop, and no
+full-rate truth log; a one-condition sweep rebuilds any trial of a larger
+sweep bit for bit, and `run_single_hop` its truth.  `estimate` carries the t and truth cells of each trial's
 estimation CSV as written and replaces only the estimate cells; a trial
 without an estimation CSV, or with a truth cell that is not a finite
 number, is bad input.  A directory name is not part of a trial's file
@@ -16,8 +16,9 @@ representative hop that reads back.
 sweep directory still works after it is copied or moved.  A sweep
 identifies from the results it holds in memory and reads back only the
 hops `--resume` skipped, each file once, and runs a hop again whose files
-do not read back or whose frames and estimation files differ in t; it
-always runs the intrusion grid again.
+do not read back, whose frames and estimation files differ in t, or whose
+events do not lie in order within that t; it always runs the intrusion
+grid again.
 `identify` on its directory writes the same bytes.
 The intrusion fit records the sha256 of the grid it came from: `identify`
 keeps a fit that records the grid as it is and reads back as `report`
@@ -54,7 +55,7 @@ TRUTH_KEYS = ("x_b", "v_b", "x_f", "v_f", "f_total")
 @pytest.fixture(scope="module")
 def config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("config") / "config.ini"
-    path.write_text(TINY_SWEEP + "[sim]\ndrop_speed = 0.8\nseed = 1\n")
+    path.write_text(TINY_SWEEP)
     return str(path)
 
 
@@ -66,9 +67,10 @@ def sweep_dir(tmp_path_factory, config_path):
 
 
 @pytest.fixture(scope="module")
-def simulate_dir(tmp_path_factory, config_path):
-    out = tmp_path_factory.mktemp("simulate")
-    assert main(["simulate", "--config", config_path, "--out", str(out)]) == 0
+def one_condition_dir(tmp_path_factory, config_path):
+    """A sweep of TRIAL's condition alone."""
+    out = tmp_path_factory.mktemp("one_condition")
+    assert main(["sweep", "--config", config_path, "--seeds", "1", "--out", str(out)]) == 0
     return out
 
 
@@ -86,13 +88,11 @@ def _estimate(config_path, out):
     return main(["estimate", "--config", config_path, "--out", str(out)])
 
 
-def test_csv_headers(sweep_dir, simulate_dir):
+def test_csv_headers(sweep_dir):
     headers = {
-        simulate_dir / f"{TRIAL}_truth.csv":
-            "t,x_b,v_b,x_f,v_f,theta,theta_dot,acc_b,acc_f,f_static,f_drag,f_added,f_total,tau,f_leg,phase_id",
-        simulate_dir / f"{TRIAL}_estimation.csv":
+        sweep_dir / f"{TRIAL}_estimation.csv":
             "t,x_b_hat,v_b_hat,x_f_hat,v_f_hat,f_qs,f_mo,x_b_true,v_b_true,x_f_true,v_f_true,f_true",
-        simulate_dir / f"{TRIAL}_frames.csv":
+        sweep_dir / f"{TRIAL}_frames.csv":
             "t,encoder_theta,encoder_theta_dot,imu_body_acc,imu_foot_acc,tof_height,motor_current,loadcell_force",
         sweep_dir / "intrusion_grid.csv": "speed,t,depth,force_0",
     }
@@ -190,23 +190,21 @@ def test_estimate_finds_trial_files_by_file_name(sweep_dir, config_path, tmp_pat
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
-def test_simulate_reproduces_sweep_trial(sweep_dir, simulate_dir):
+def test_one_condition_sweep_reproduces_sweep_trial(sweep_dir, one_condition_dir, config_path):
     for suffix in ("frames.csv", "events.json", "estimation.csv"):
         name = f"{TRIAL}_{suffix}"
-        assert (simulate_dir / name).read_bytes() == (sweep_dir / name).read_bytes(), name
-    truth = np.loadtxt(simulate_dir / f"{TRIAL}_truth.csv", delimiter=",", skiprows=1)
+        assert (one_condition_dir / name).read_bytes() == (sweep_dir / name).read_bytes(), name
+    # the trial's full truth log is one call away, and carried bit for bit
+    truth = experiments.run_single_hop(load_config(config_path), 0.8, 3.75, 1)[0].truth
     _, carried = io.read_estimation_csv(sweep_dir / f"{TRIAL}_estimation.csv")
     for key in TRUTH_KEYS:
-        np.testing.assert_array_equal(truth[:, io.TRUTH_COLUMNS.index(key)], carried[key])
+        np.testing.assert_array_equal(getattr(truth, key), carried[key])
 
 
-def test_estimate_on_simulate_dir_rewrites_estimation_byte_identical(simulate_dir, config_path, tmp_path):
-    out = _copy(simulate_dir, tmp_path)
+def test_estimate_carries_the_truth_cells_of_the_estimation_file(sweep_dir, config_path, tmp_path):
+    # the truth cells are the estimation CSV's own, whatever they hold
+    out = _copy(sweep_dir, tmp_path)
     path = out / f"{TRIAL}_estimation.csv"
-    assert _estimate(config_path, out) == 0
-    assert _files(out) == _files(simulate_dir)
-    # the truth cells are the estimation CSV's own, not the truth log's
-    (out / f"{TRIAL}_truth.csv").unlink()
     est, truth = io.read_estimation_csv(path)
     io.write_estimation_csv(path, est, {key: np.zeros_like(v) for key, v in truth.items()})
     edited = path.read_bytes()
@@ -356,7 +354,7 @@ def _other_config(config_path, tmp_path, sweep="", extra=""):
     keys = {line.split(" = ")[0] for line in sweep.splitlines()}
     lines = [line for line in Path(config_path).read_text().splitlines(keepends=True) if line.split(" = ")[0] not in keys]
     path = tmp_path / "other.ini"
-    path.write_text("".join(lines).replace("[sim]", sweep + "[sim]", 1) + extra)
+    path.write_text("".join(lines) + sweep + extra)
     return str(path)
 
 
@@ -385,6 +383,30 @@ def test_resume_under_another_config_writes_nothing(sweep_dir, config_path, tmp_
     resumed, clean = _files(out), _files(sweep_dir)
     del resumed["manifest.json"], clean["manifest.json"]
     assert resumed == clean
+
+
+def test_resume_on_a_directory_recorded_with_the_removed_condition_keys_writes_nothing(
+    sweep_dir, config_path, tmp_path, capsys
+):
+    # a sweep recorded before a hop's condition came only from [sweep] holds
+    # [controller] k_compress, [sim] drop_speed and [sim] seed in its config text
+    out = _copy(sweep_dir, tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"] = (
+        manifest["config"]
+        .replace("[controller]\n", "[controller]\nk_compress = 3.75\n")
+        .replace("post_liftoff_time = 0.1\n", "post_liftoff_time = 0.1\ndrop_speed = 0.8\nseed = 0\n")
+    )
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    before = _files(out)
+    assert main(["sweep", "--config", config_path, "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err
+    for key, value in (("[controller] k_compress", "3.75"), ("[sim] drop_speed", "0.8"), ("[sim] seed", "0")):
+        assert f"{key} = None, recorded {value}" in err
+    assert _files(out) == before
+    # identify and report read it as before
+    for command in ("identify", "report"):
+        assert main([command, "--config", config_path, "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -570,3 +592,52 @@ def test_resume_runs_a_cut_intrusion_grid_again(sweep_dir, config_path, tmp_path
         if entry["kind"] == "hop":
             entry.pop("status")
     assert manifest == clean_manifest
+
+
+def _swap_touchdown_and_liftoff(events):
+    return {**events, "t_td": events["t_lo"], "t_lo": events["t_td"]}
+
+
+# events that `detect_events` cannot have found: it finds
+# t[0] <= t_td < t_ce < t_lo <= t[-1] of the hop's t
+_BAD_EVENTS = {
+    "touchdown and liftoff swapped": _swap_touchdown_and_liftoff,
+    "touchdown and liftoff past the hop": lambda events: {**events, "t_td": 50.0, "t_lo": 60.0},
+}
+
+
+def _edit_events(path, edit):
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+@pytest.mark.parametrize("case", list(_BAD_EVENTS))
+def test_report_on_events_outside_their_hop_writes_nothing(sweep_dir, config_path, tmp_path, capsys, case):
+    # the stance window of such events holds no sample: the trial figures
+    # would be header-only files
+    out = _copy(sweep_dir, tmp_path)
+    assert main(["report", "--config", config_path, "--out", str(out)]) == 0
+    events = out / f"{REPRESENTATIVE}_events.json"
+    _edit_events(events, _BAD_EVENTS[case])
+    before = _files(out)
+    capsys.readouterr()
+    assert main(["report", "--config", config_path, "--out", str(out)]) == 4
+    assert str(events) in capsys.readouterr().err
+    assert _files(out) == before
+
+
+@pytest.mark.parametrize("case", [*_BAD_EVENTS, "both files cut before liftoff"])
+def test_resume_runs_a_hop_with_events_outside_it_again(sweep_dir, config_path, tmp_path, case):
+    out = _copy(sweep_dir, tmp_path)
+    if case in _BAD_EVENTS:
+        _edit_events(out / f"{TRIAL}_events.json", _BAD_EVENTS[case])
+    else:
+        # the frames and estimation files agree on a t that ends before liftoff
+        for suffix in ("frames.csv", "estimation.csv"):
+            _cut_at_row(out / f"{TRIAL}_{suffix}")
+        assert json.loads((out / f"{TRIAL}_events.json").read_text())["t_lo"] > 0.199
+    assert main(["sweep", "--config", config_path, "--out", str(out), "--resume"]) == 0
+    statuses = {e["trial_id"]: e["status"] for e in json.loads((out / "manifest.json").read_text())["entries"]}
+    assert statuses == {"hop_v0.80_kc3.75_s0": "skipped", TRIAL: "done", "intrusion_grid": "done"}
+    resumed, clean = _files(out), _files(sweep_dir)
+    del resumed["manifest.json"], clean["manifest.json"]
+    assert resumed == clean

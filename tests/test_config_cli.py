@@ -35,14 +35,14 @@ def test_empty_config_gives_defaults(tmp_path):
     cfg = load_config(_write(tmp_path, ""))
     d = ExperimentConfig()
     assert cfg.terrain.k_stiff == d.terrain.k_stiff
-    assert cfg.controller.k_compress == d.controller.k_compress
+    assert cfg.controller.k_extend == d.controller.k_extend
     assert cfg.sweep.speeds == d.sweep.speeds
     assert cfg.sim == d.sim
 
 
 def test_stiffness_unit_conversion(tmp_path):
-    cfg = load_config(_write(tmp_path, "[controller]\nk_compress = 3.75\n"))
-    assert cfg.controller.k_compress == 375.0
+    cfg = load_config(_write(tmp_path, "[controller]\nk_extend = 6.25\n"))
+    assert cfg.controller.k_extend == 625.0
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -75,7 +75,7 @@ def test_missing_file_is_config_error(tmp_path):
 def test_config_round_trip(tmp_path):
     d = ExperimentConfig()
     cfg = load_config(_write(tmp_path, config_to_text(d)))
-    assert cfg.controller.k_compress == d.controller.k_compress
+    assert cfg.controller.k_extend == d.controller.k_extend
     assert cfg.noise.tof_sigma == d.noise.tof_sigma
     assert cfg.sweep.seeds == d.sweep.seeds
 
@@ -115,7 +115,7 @@ def test_every_section_field_is_a_config_key(tmp_path, section, name):
     if isinstance(value, tuple):
         text = ", ".join(str(v) for v in value)
     else:
-        text = str(value / 100.0 if name in ("k_compress", "k_extend") else value)
+        text = str(value / 100.0 if name == "k_extend" else value)
     key = "stiffnesses" if name == "stiffnesses_n_per_cm" else name
     cfg = load_config(_write(tmp_path, f"[{section}]\n{key} = {text}\n"))
     assert repr(getattr(getattr(cfg, section), name)) == repr(value)
@@ -152,18 +152,21 @@ def test_linspace_is_numpy_linspace_bit_for_bit(low, span, n):
 
 
 def test_cli_config_error_exit_code(tmp_path):
-    rc = main(["simulate", "--config", str(tmp_path / "missing.ini")])
+    rc = main(["sweep", "--config", str(tmp_path / "missing.ini")])
     assert rc == 2
-    rc = main(["simulate", "--config", _write(tmp_path, "[controller]\nbogus = 1\n")])
+    rc = main(["sweep", "--config", _write(tmp_path, "[controller]\nbogus = 1\n")])
     assert rc == 2
     # the bed surface is the height datum, not a setting
     cfg = _write(tmp_path, "[terrain]\nsurface_height = 0.1\n")
-    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "runs")])
+    rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "runs")])
     assert rc == 2
     # a non-finite drop speed or duration is a config error, not a failed trial
-    for text in ("[sim]\ndrop_speed = nan\n", "[sim]\ndrop_speed = inf\n", "[sim]\nt_max = nan\n"):
-        rc = main(["simulate", "--config", _write(tmp_path, text), "--out", str(tmp_path / "runs")])
+    for text in ("[sweep]\nspeeds = nan\n", "[sweep]\nspeeds = inf\n", "[sim]\nt_max = nan\n"):
+        rc = main(["sweep", "--config", _write(tmp_path, text), "--out", str(tmp_path / "runs")])
         assert rc == 2, text
+    assert not (tmp_path / "runs").exists()
+
+
 
 
 def test_sweep_stiffness_above_k_extend_is_a_config_error(tmp_path, capsys):
@@ -213,7 +216,7 @@ def test_observer_bandwidth_at_the_sensor_rate_is_a_config_error(tmp_path, capsy
     # checked when the file is read, before any trial is simulated
     out = tmp_path / "runs"
     cfg = _write(tmp_path, "[estimation]\nk_obs = 1000\n")
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "[estimation] k_obs = 1000.0" in err and "[sim] sensor_rate_hz = 1000.0" in err
     assert not out.exists()
@@ -235,7 +238,8 @@ def test_observer_bandwidth_at_the_sensor_rate_is_a_config_error(tmp_path, capsy
     ids=["one frame", "m_body=1e16", "imu_sigma=1e30"],
 )
 def test_a_runtime_failure_is_exit_3_with_one_line(tmp_path, capsys, text, message):
-    assert main(["simulate", "--config", _write(tmp_path, text), "--out", str(tmp_path / "runs")]) == 3
+    cfg = _write(tmp_path, TINY_SWEEP.replace("seeds = 0, 1", "seeds = 0") + text)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "runs")]) == 3
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
 
@@ -260,8 +264,7 @@ def test_a_trial_above_a_million_samples_is_a_config_error(tmp_path, capsys, tex
     # a hop may take 10^6 RK4 steps and an intrusion 10^6 samples at the
     # rig's 1 kHz; more is refused when the file is read, before any output
     out = tmp_path / "runs"
-    command = "sweep" if text.startswith("[sweep]") else "simulate"
-    assert main([command, "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    assert main(["sweep", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert all(name in err for name in names), err
     assert not out.exists()
@@ -275,26 +278,26 @@ def test_cli_missing_input_exit_code(tmp_path):
     assert main(["report", "--config", cfg]) == 4
 
 
-def test_cli_simulate_writes_artifacts(tmp_path):
-    cfg = _write(tmp_path, f"[sim]\ndrop_speed = 0.8\nseed = 0\n[output]\ndir = {tmp_path}/out\n")
-    assert main(["simulate", "--config", cfg]) == 0
+def test_cli_one_condition_sweep_writes_artifacts(tmp_path):
+    cfg = _write(tmp_path, TINY_SWEEP.replace("seeds = 0, 1", "seeds = 0") + f"[output]\ndir = {tmp_path}/out\n")
+    assert main(["sweep", "--config", cfg]) == 0
     out = tmp_path / "out"
-    names = {p.name for p in out.iterdir()}
-    assert "hop_v0.80_kc3.75_s0_frames.csv" in names
-    assert "hop_v0.80_kc3.75_s0_truth.csv" in names
-    assert "hop_v0.80_kc3.75_s0_events.json" in names
-    assert "hop_v0.80_kc3.75_s0_estimation.csv" in names
-    frames = io.read_frames_csv(out / "hop_v0.80_kc3.75_s0_frames.csv")
+    hop = "hop_v0.80_kc3.75_s0"
+    assert {p.name for p in out.iterdir()} == {
+        f"{hop}_frames.csv", f"{hop}_events.json", f"{hop}_estimation.csv", "intrusion_grid.csv",
+        "depth_speed_fit.json", "manifest.json", "treatment_report.json", "fits.csv",
+    }
+    frames = io.read_frames_csv(out / f"{hop}_frames.csv")
     assert frames.t[1] - frames.t[0] == pytest.approx(1e-3)
 
 
 def test_cli_out_precedence(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, f"[output]\ndir = {tmp_path}/from_config\n")
+    cfg = _write(tmp_path, TINY_SWEEP.replace("seeds = 0, 1", "seeds = 0") + f"[output]\ndir = {tmp_path}/from_config\n")
     monkeypatch.setenv("HOPPERLAB_OUT", str(tmp_path / "from_env"))
-    assert main(["simulate", "--config", cfg]) == 0
+    assert main(["sweep", "--config", cfg]) == 0
     assert (tmp_path / "from_env").exists()
     assert not (tmp_path / "from_config").exists()
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "from_flag")]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "from_flag")]) == 0
     assert (tmp_path / "from_flag").exists()
 
 
@@ -373,12 +376,6 @@ def test_io_round_trips(tmp_path, noiseless_trial):
     assert frames.t.size == len(noiseless_trial.frames)
     assert frames.loadcell_force[5] == noiseless_trial.frames.loadcell_force[5]
 
-    truth_path = tmp_path / "t.csv"
-    io.write_truth_csv(truth_path, noiseless_trial.truth)
-    truth = np.loadtxt(truth_path, delimiter=",", skiprows=1)
-    assert np.array_equal(truth[:, io.TRUTH_COLUMNS.index("x_f")], noiseless_trial.truth.x_f)
-    assert np.array_equal(truth[:, io.TRUTH_COLUMNS.index("phase_id")], noiseless_trial.truth.phase_id)
-
     events_path = tmp_path / "e.json"
     io.write_events_json(events_path, noiseless_trial.events)
     events = io.read_events_json(events_path)
@@ -444,9 +441,10 @@ def test_sweep_rejects_jobs_below_one(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["simulate", "--jobs", "0"],
-        ["simulate", "--resume"],
         ["estimate", "--seeds", "1"],
+        ["estimate", "--resume"],
+        ["identify", "--seeds", "1"],
+        ["report", "--jobs", "0"],
         ["estimate", "--jobs", "2"],
         ["identify", "--resume"],
         ["report", "--seeds", "1"],
@@ -466,12 +464,12 @@ def test_help_names_every_command(capsys):
         main(["--help"])
     assert exc.value.code == 0
     usage = capsys.readouterr().out
-    for command in ("simulate", "estimate", "identify", "sweep", "report"):
+    for command in ("estimate", "identify", "sweep", "report"):
         assert command in usage
-    assert "intrude" not in usage
+    assert "intrude" not in usage and "simulate" not in usage
 
 
-@pytest.mark.parametrize("command,seeds", [("sweep", ","), ("sweep", ""), ("simulate", " "), ("simulate", " , ,")])
+@pytest.mark.parametrize("command,seeds", [("sweep", ","), ("sweep", ""), ("sweep", " "), ("sweep", " , ,")])
 def test_a_seed_list_without_a_seed_is_a_usage_error(tmp_path, command, seeds):
     # not the config's seeds run silently
     out = tmp_path / "runs"
@@ -483,7 +481,7 @@ def test_a_seed_list_without_a_seed_is_a_usage_error(tmp_path, command, seeds):
 
 
 @pytest.mark.parametrize("source", ["--out", "HOPPERLAB_OUT", "[output] dir"])
-@pytest.mark.parametrize("command", ["simulate", "estimate", "identify", "sweep", "report"])
+@pytest.mark.parametrize("command", ["estimate", "identify", "sweep", "report"])
 def test_an_output_directory_that_is_a_file_is_a_usage_error(tmp_path, monkeypatch, capsys, command, source):
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
@@ -523,6 +521,18 @@ def test_intrude_is_not_a_command(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini"]
 
 
+def test_simulate_is_not_a_command(tmp_path, capsys):
+    # a hop runs only as a condition of the sweep grid: a one-condition
+    # sweep runs one hop
+    out = tmp_path / "simulate"
+    cfg = _write(tmp_path, TINY_SWEEP)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'simulate'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini"]
+
+
 # ------------------------------------------------- domains of the config keys
 
 # a one-condition sweep, the base of every [sweep] input
@@ -542,6 +552,12 @@ def _schema_defaults():
                 yield section, key, target, value
 
 
+# keys that are not config keys, with the defaults they had: a hop's speed,
+# compression stiffness and seed come only from the [sweep] grid, and an
+# older config may still hold them
+_REMOVED_KEYS = {("sim", "drop_speed"): 0.8, ("sim", "seed"): 0, ("controller", "k_compress"): 3.75}
+
+
 def _fuzz_values(default):
     """Values outside every domain, then two in-domain extremes whose
     squares and reciprocals overflow."""
@@ -554,7 +570,11 @@ def _fuzz_values(default):
 
 _FUZZ = [
     pytest.param(section, key, text, id=f"{section}-{key}={text}")
-    for section, key, _, default in _schema_defaults()
+    for section, key, default in [
+        *((section, key, default) for section, key, _, default in _schema_defaults()),
+        # a removed key is unknown, whatever its value (exit 2)
+        *((section, key, default) for (section, key), default in _REMOVED_KEYS.items()),
+    ]
     for text in _fuzz_values(default)
 ]
 
@@ -562,17 +582,20 @@ _FUZZ = [
 @pytest.mark.parametrize("section,key,text", _FUZZ)
 def test_any_key_value_keeps_the_exit_code_contract(tmp_path, capsys, section, key, text):
     # every numeric key x {nan, +-inf, -1, 0, 1e300, 1e-300}: a config error
-    # names the key, and a run that succeeds writes finite estimates
+    # names the key and writes nothing, a removed key is one whatever its
+    # value, and a run that succeeds writes finite estimates
     out = tmp_path / "runs"
-    if section == "sweep":
-        command, keys = "sweep", {**_ONE_CONDITION, key: text}
-    else:
-        command, keys = "simulate", {key: text}
-    body = "".join(f"{name} = {value}\n" for name, value in keys.items())
-    rc = main([command, "--config", _write(tmp_path, f"[{section}]\n{body}"), "--out", str(out)])
+    sweep = {**_ONE_CONDITION, key: text} if section == "sweep" else _ONE_CONDITION
+    body = "[sweep]\n" + "".join(f"{name} = {value}\n" for name, value in sweep.items())
+    if section != "sweep":
+        body += f"[{section}]\n{key} = {text}\n"
+    rc = main(["sweep", "--config", _write(tmp_path, body), "--out", str(out)])
     assert rc in (0, 2, 3, 4)
+    if (section, key) in _REMOVED_KEYS:
+        assert rc == 2
     if rc == 2:
         assert f"[{section}] {key}" in capsys.readouterr().err
+        assert not out.exists()
     if rc == 0:
         paths = sorted(out.glob("*_estimation.csv"))
         assert paths
@@ -606,11 +629,10 @@ def test_direct_construction_rejects_a_value_outside_the_domain(section, name, d
 
 @pytest.mark.parametrize(
     "command,seeds,names",
-    [("sweep", "1,1", "[sweep] seeds"), ("sweep", "-1", "[sweep] seeds"),
-     ("simulate", "-1", "[sim] seed"), ("simulate", "0,-1", "[sim] seed")],
+    [("sweep", "1,1", "[sweep] seeds"), ("sweep", "-1", "[sweep] seeds"), ("sweep", "0,-1", "[sweep] seeds")],
 )
 def test_seeds_flag_outside_the_domain_is_a_config_error(tmp_path, capsys, command, seeds, names):
-    # --seeds goes through the domain of [sweep] seeds / [sim] seed, before any trial runs
+    # --seeds goes through the domain of [sweep] seeds, before any trial runs
     out = tmp_path / "runs"
     cfg = _write(tmp_path, TINY_SWEEP)
     assert main([command, "--config", cfg, "--out", str(out), "--seeds", seeds]) == 2

@@ -81,13 +81,13 @@ def test_kf_covariance_stays_psd_100k_random_steps(linkage):
     assert min_eig >= -1e-10
 
 
-def test_kf_noisy_hop_accuracy(linkage, terrain, controller):
+def test_kf_noisy_hop_accuracy(linkage, terrain, controller, k_compress):
     # pooled over the default seeds: body-height RMSE well under the raw
     # ToF sigma, velocity far better than differencing the ToF
     sq_err_pos, sq_err_vel, sq_err_fd = [], [], []
     noise = NoiseConfig()
     for seed in range(3):
-        log = run_hop_trial(SimConfig(drop_speed=0.8), controller, terrain, linkage, seed=seed)
+        log = run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, k_compress, seed=seed)
         frames = log.frames
         est = run_estimation(frames, linkage, noise=noise)
         truth = vars(log.truth)
@@ -309,10 +309,10 @@ def test_qs_matches_loadcell_in_statics(linkage):
     assert np.abs(f_qs - frames.loadcell_force).max() == pytest.approx(foot_weight, rel=1e-9)
 
 
-def test_qs_worse_than_mo_at_touchdown(linkage, terrain, controller):
+def test_qs_worse_than_mo_at_touchdown(linkage, terrain, controller, k_compress):
     # the ordering the whole pipeline exists to demonstrate
     log = run_hop_trial(
-        SimConfig(drop_speed=1.2), controller, terrain, linkage, seed=0, noise_config=NoiseConfig.noiseless()
+        SimConfig(), controller, terrain, linkage, 1.2, k_compress, seed=0, noise_config=NoiseConfig.noiseless()
     )
     truth = vars(log.truth)
     ev = log.events
@@ -334,10 +334,10 @@ def test_qs_worse_than_mo_at_touchdown(linkage, terrain, controller):
     assert err_mo < err_qs
 
 
-def test_mo_beats_qs_on_every_noiseless_sweep_speed(linkage, terrain, controller):
+def test_mo_beats_qs_on_every_noiseless_sweep_speed(linkage, terrain, controller, k_compress):
     for speed in (0.2, 0.5, 0.8, 1.0, 1.2):
         log = run_hop_trial(
-            SimConfig(drop_speed=speed), controller, terrain, linkage, seed=0, noise_config=NoiseConfig.noiseless()
+            SimConfig(), controller, terrain, linkage, speed, k_compress, seed=0, noise_config=NoiseConfig.noiseless()
         )
         truth = vars(log.truth)
         frames = log.frames

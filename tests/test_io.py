@@ -76,9 +76,9 @@ def _well_formed(text, columns, kind, parsed=None):
     `parsed` (default: every cell, the first always among them) are numbers;
     for a sampled series, at least two rows and a first column that
     increases by one period, each spacing within io.TIME_BASE_RTOL of the
-    first; for frames and an intrusion grid, finite cells, and for an
-    estimation CSV, finite truth cells; for an intrusion grid, from row to
-    row a higher speed or the same speed at a later t."""
+    first; finite parsed cells, but for an estimation CSV's f_qs, which may
+    also be NaN; for an intrusion grid, from row to row a higher speed or
+    the same speed at a later t."""
     lines = text.splitlines()
     if not lines or lines[0] != ",".join(columns) or len(lines) < 2:
         return False
@@ -90,8 +90,8 @@ def _well_formed(text, columns, kind, parsed=None):
         rows = [{i: _number_cell(row[i]) for i in parsed or range(len(columns))} for row in cells]
     except ValueError:
         return False
-    finite = range(len(io.ESTIMATOR_OUTPUTS) if kind == "estimation" else 0, len(columns))
-    if not all(math.isfinite(row[i]) for row in rows for i in finite):
+    nan_at = io.ESTIMATION_COLUMNS.index("f_qs") if kind == "estimation" else None
+    if not all(math.isfinite(x) or (i == nan_at and math.isnan(x)) for row in rows for i, x in row.items()):
         return False
     if kind == "intrusion":
         return all(b[0] > a[0] or (b[0] == a[0] and b[1] > a[1]) for a, b in zip(rows, rows[1:]))
@@ -122,6 +122,21 @@ def test_fuzz_read_frames_csv(text):
 @given(text=_csv_text(io.ESTIMATION_COLUMNS))
 def test_fuzz_read_estimation_csv(text):
     _fuzz("estimation", text)
+
+
+@pytest.mark.parametrize("column", io.ESTIMATION_COLUMNS)
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_estimation_reader_takes_a_nan_f_qs_only(tmp_path, column, cell):
+    # f_qs is NaN at the leg's extension singularity; any other estimate,
+    # truth cell or t that is not finite is bad input
+    path = tmp_path / "estimation.csv"
+    path.write_text(_estimation_cell(column, cell), encoding="utf-8")
+    if column == "f_qs" and cell == "nan":
+        est, _ = io.read_estimation_csv(path)
+        assert np.isnan(est.f_qs[0]) and np.isfinite(est.f_qs[1:]).all()
+    else:
+        with pytest.raises(MissingInputError, match="estimation.csv"):
+            io.read_estimation_csv(path)
 
 
 @settings(max_examples=150, deadline=None)
@@ -467,6 +482,15 @@ def _hop_trial(estimation_times=(0.0, 0.001, 0.002, 0.003), **events):
     }
 
 
+def _estimation_cell(column, cell):
+    """The estimation CSV of `_hop_trial` with `cell` in `column` of its first row."""
+    lines = _series(io.ESTIMATION_COLUMNS, [0.0, 0.001, 0.002, 0.003]).split("\n")
+    cells = lines[1].split(",")
+    cells[io.ESTIMATION_COLUMNS.index(column)] = cell
+    lines[1] = ",".join(cells)
+    return "\n".join(lines)
+
+
 _CONDITION = {"v_td": 0.8, "k_c_n_per_cm": 3.75, "treatment": "MO_GD", "mean_k": 1.0, "sem_k": 1.0, "rel_err": 0.1, "n": 2}
 _FIT = {"k_fit": 800.0, "m_a_inf_fit": 0.15, "z_c_fit": 0.015, "rmse": 0.1, "n_samples": 10}
 
@@ -529,6 +553,15 @@ _DEGENERATE = {
         **_hop_trial(),
         _HOP_FILES["estimation"]: _series(io.ESTIMATION_COLUMNS, [0.0, 0.001, 0.002, 0.003]).replace("0.5\n", "nan\n", 1),
     }),
+    # only f_qs may be NaN (the leg's extension singularity): a NaN v_f_hat
+    # left identify no stance weights, and a NaN f_mo was dropped from the fit
+    "nan v_f_hat": ("identify", {**_hop_trial(), _HOP_FILES["estimation"]: _estimation_cell("v_f_hat", "nan")}),
+    "nan f_mo": ("identify", {**_hop_trial(), _HOP_FILES["estimation"]: _estimation_cell("f_mo", "nan")}),
+    "infinite f_qs": ("identify", {**_hop_trial(), _HOP_FILES["estimation"]: _estimation_cell("f_qs", "inf")}),
+    # the events `detect_events` finds hold t[0] <= t_td < t_ce < t_lo <= t[-1]:
+    # touchdown and liftoff swapped, or liftoff past the hop's last sample
+    "events out of order": ("identify", _hop_trial(t_td=0.003, t_lo=0.001)),
+    "liftoff past the hop's t": ("identify", _hop_trial(t_lo=60.0)),
     # a directory of the layout before the intrusion grid: one log per (speed, repeat)
     "per-run intrusion log": ("identify", {
         **_hop_trial(),
@@ -580,6 +613,11 @@ _BROKEN = {
     "fit k zero": _FIT_FILE,
     "fit m_a_inf negative": _FIT_FILE,
     "nan truth cell": _HOP_FILES["estimation"],
+    "nan v_f_hat": _HOP_FILES["estimation"],
+    "nan f_mo": _HOP_FILES["estimation"],
+    "infinite f_qs": _HOP_FILES["estimation"],
+    "events out of order": _HOP_FILES["events"],
+    "liftoff past the hop's t": _HOP_FILES["events"],
     "per-run intrusion log": "intr_v0.5000_r0.csv",
     "entry path with a directory": _ENTRY,
 }
@@ -653,11 +691,13 @@ def test_column_writers_match_rowwise_formatting(tmp_path, noisy_trial, terrain)
     from hopperlab.simulator import NoiseConfig
     from hopperlab.terrain import force_map
 
+    # the truth log, whose phase_id column holds ints
     truth = noisy_trial.truth
-    cols = [getattr(truth, name) for name in io.TRUTH_COLUMNS]
+    truth_columns = tuple(vars(truth))
+    cols = list(vars(truth).values())
     assert truth.phase_id.dtype.kind == "i"
     cases = [
-        (io.write_truth_csv, truth, io.TRUTH_COLUMNS,
+        (lambda path, cols: io.write_columns_csv(path, truth_columns, cols), cols, truth_columns,
          [[col[i] for col in cols] for i in range(len(truth))]),
         (io.write_frames_csv, noisy_trial.frames, io.FRAME_COLUMNS,
          [[getattr(noisy_trial.frames, c)[i] for c in io.FRAME_COLUMNS] for i in range(len(noisy_trial.frames))]),

@@ -106,30 +106,28 @@ def test_mechanical_energy_on_arrays_matches_floats(noiseless_trial, linkage):
     np.testing.assert_allclose(energy, kinetic + GRAVITY * (mb * truth.x_b + mf * truth.x_f), rtol=1e-12)
 
 
-def test_touchdown_speed_matches_projectile(linkage, terrain, controller):
+def test_touchdown_speed_matches_projectile(linkage, terrain, controller, k_compress):
     # an h = v^2/(2g) drop reaches the bed at the target speed, whatever the step
     for steps in (1, 2, 10):
         log = run_hop_trial(
-            _sim(steps, drop_speed=1.2), controller, terrain, linkage, seed=0,
-            noise_config=NoiseConfig.noiseless(),
+            _sim(steps), controller, terrain, linkage, 1.2, k_compress, seed=0, noise_config=NoiseConfig.noiseless()
         )
         assert log.events.v_td == pytest.approx(1.2, rel=1e-9), steps
 
 
-def test_low_release_touchdown_speed(linkage, terrain, controller):
+def test_low_release_touchdown_speed(linkage, terrain, controller, k_compress):
     # a 2 mm release lands at sqrt(2 g 2 mm), about 0.198 m/s
     v = math.sqrt(2.0 * GRAVITY * 0.002)
     for steps in (1, 2, 10):
         log = run_hop_trial(
-            _sim(steps, drop_speed=v), controller, terrain, linkage, seed=0,
-            noise_config=NoiseConfig.noiseless(),
+            _sim(steps), controller, terrain, linkage, v, k_compress, seed=0, noise_config=NoiseConfig.noiseless()
         )
         assert log.events.v_td == pytest.approx(v, rel=1e-9), steps
 
 
-def test_trial_determinism(linkage, terrain, controller):
-    a = run_hop_trial(SimConfig(drop_speed=0.8), controller, terrain, linkage, seed=42)
-    b = run_hop_trial(SimConfig(drop_speed=0.8), controller, terrain, linkage, seed=42)
+def test_trial_determinism(linkage, terrain, controller, k_compress):
+    a = run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, k_compress, seed=42)
+    b = run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, k_compress, seed=42)
     assert np.array_equal(a.truth.x_f, b.truth.x_f)
     assert np.array_equal(a.truth.f_total, b.truth.f_total)
     fa = a.frames
@@ -174,7 +172,7 @@ def test_reduced_dynamics_consistency(noiseless_trial, linkage):
 def test_reduced_dynamics_consistency_finite_difference(linkage, terrain, controller):
     # same identity with accelerations recovered by differencing the log; the
     # differencing error scales with the step, so the log is taken at 1e-4 s
-    truth = _noiseless_hop(0.8, linkage, terrain, controller, sensor_rate_hz=1e4).truth
+    truth = _noiseless_hop(0.8, 3.75, linkage, terrain, controller, sensor_rate_hz=1e4).truth
     dt = truth.t[1] - truth.t[0]
     acc_fd = np.gradient(truth.v_f, dt)
     ids = truth.phase_id
@@ -239,12 +237,13 @@ def test_noiseless_sensors_equal_truth(noiseless_trial, linkage):
     assert np.allclose(frames.motor_current * linkage.torque_constant, truth.tau)
 
 
-def test_each_truth_row_is_a_frame(linkage, terrain, controller):
+def test_each_truth_row_is_a_frame(linkage, terrain, controller, k_compress):
     # the truth steps once per sensor period, at any rate: one frame per
     # truth row, at the row's time bit for bit
     for rate in (1000.0, 1500.0):
         log = run_hop_trial(
-            SimConfig(sensor_rate_hz=rate), controller, terrain, linkage, seed=0, noise_config=NoiseConfig.noiseless()
+            SimConfig(sensor_rate_hz=rate), controller, terrain, linkage, 0.8, k_compress, seed=0,
+            noise_config=NoiseConfig.noiseless(),
         )
         assert len(log.frames) == len(log.truth)
         assert log.frames.t.tobytes() == log.truth.t.tobytes(), rate
@@ -280,9 +279,9 @@ def test_detect_events_ordering(noiseless_trial):
     assert ev.t_td < ev.t_ce < ev.t_lo
 
 
-def test_detect_events_no_drop_starts_at_zero(linkage, terrain, controller):
+def test_detect_events_no_drop_starts_at_zero(linkage, terrain, controller, k_compress):
     log = run_hop_trial(
-        SimConfig(drop_speed=0.0), controller, terrain, linkage, seed=0, noise_config=NoiseConfig.noiseless()
+        SimConfig(), controller, terrain, linkage, 0.0, k_compress, seed=0, noise_config=NoiseConfig.noiseless()
     )
     assert log.events.t_td <= 1e-3
 
@@ -366,13 +365,33 @@ def test_sim_config_validation():
         SimConfig(t_max=-1.0)
 
 
-def test_blowup_reported_with_time(linkage, terrain, controller):
+def test_blowup_reported_with_time(linkage, terrain, controller, k_compress):
     # a drop beyond the leg stroke drives the joint out of its workspace;
     # the error names the offending time
     from hopperlab.errors import SimulationError
 
     with pytest.raises(SimulationError, match=r"t="):
-        run_hop_trial(SimConfig(drop_speed=3.0), controller, terrain, linkage, seed=0)
+        run_hop_trial(SimConfig(), controller, terrain, linkage, 3.0, k_compress, seed=0)
+
+
+@pytest.mark.parametrize(
+    "drop_speed, k_c, name",
+    [
+        (-0.1, 3.75, "drop_speed"), (math.nan, 3.75, "drop_speed"), (math.inf, 3.75, "drop_speed"),
+        (0.8, 0.0, "k_compress"), (0.8, -1.0, "k_compress"), (0.8, math.nan, "k_compress"),
+        (0.8, 5.01, "k_compress"),
+    ],
+)
+def test_a_hop_condition_outside_its_domain_is_refused(linkage, terrain, controller, drop_speed, k_c, name):
+    # the touchdown speed lies in [0, inf) and the compression stiffness in
+    # (0, k_extend]: the default extension spring is 5 N/cm
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        run_hop_trial(SimConfig(), controller, terrain, linkage, drop_speed, k_c * 100.0, seed=0)
+
+
+def test_a_hop_at_the_extension_stiffness_runs(linkage, terrain, controller):
+    log = run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, controller.k_extend, seed=0)
+    assert log.events.t_td < log.events.t_ce < log.events.t_lo
 
 
 # ------------------------------------------------- fused plant kernel
@@ -562,13 +581,13 @@ def test_rates_only_stage_is_the_full_stage_rates_bit_for_bit(x_f, v_f, theta, t
     assert type(rates) is tuple and _bits(rates) == _bits(stage(*args)[:2])
 
 
-def test_truth_log_matches_kernel_at_logged_states(noisy_trial, linkage, terrain, controller):
+def test_truth_log_matches_kernel_at_logged_states(noisy_trial, linkage, terrain, controller, k_compress):
     # every logged row is the kernel evaluated at that row's state and phase spring
     stage = plant_kernel(linkage, terrain)
     truth = noisy_trial.truth
     springs = {
-        int(PhaseName.FLIGHT): (controller.k_compress, controller.l0_compress, controller.b_flight),
-        int(PhaseName.COMPRESSION): (controller.k_compress, controller.l0_compress, controller.b_stance),
+        int(PhaseName.FLIGHT): (k_compress, controller.l0_compress, controller.b_flight),
+        int(PhaseName.COMPRESSION): (k_compress, controller.l0_compress, controller.b_stance),
         int(PhaseName.EXTENSION): (controller.k_extend, controller.l0_extend, controller.b_stance),
     }
     for i in range(0, len(truth), 97):
@@ -593,11 +612,11 @@ DEFAULT_GRID = [(v, k_c) for v in (0.5, 0.8, 1.0, 1.2) for k_c in (2.5, 3.75, 5.
 FINE_STEPS = 100  # RK4 steps per 1 kHz frame of the reference truth: 1e-5 s
 
 
-def _sim(steps, **values):
+def _sim(steps):
     """`SimConfig` whose truth takes `steps` RK4 steps per millisecond: its
     sensor rate is 1000 * steps Hz, and every `steps`-th truth row is at a
     1 kHz frame's time."""
-    return SimConfig(sensor_rate_hz=1000.0 * steps, **values)
+    return SimConfig(sensor_rate_hz=1000.0 * steps)
 
 
 def _prefix_rows(drop_speed, dt):
@@ -606,14 +625,14 @@ def _prefix_rows(drop_speed, dt):
     return math.floor(drop_speed / GRAVITY / dt)
 
 
-def _reference_truth(sim, controller, linkage, terrain):
+def _reference_truth(sim, controller, linkage, terrain, drop_speed, k_compress):
     """The truth table of the RK4 loop run from the release (t = 0), the
     free fall included, one row per step in `TruthSeries` column order."""
     stage = plant_kernel(linkage, terrain)
     dt = sim.sensor_period
-    y = np.array([sim.drop_speed**2 / (2.0 * GRAVITY), 0.0, solve_theta_for_length(controller.l0_compress, linkage), 0.0])
+    y = np.array([drop_speed**2 / (2.0 * GRAVITY), 0.0, solve_theta_for_length(controller.l0_compress, linkage), 0.0])
     phase = PhaseName.FLIGHT
-    spring = spring_gains(phase, controller)
+    spring = spring_gains(phase, controller, k_compress)
 
     def derivative(y):
         a = stage(*y.tolist(), *spring)
@@ -628,7 +647,7 @@ def _reference_truth(sim, controller, linkage, terrain):
             phase = new
             if phase == PhaseName.FLIGHT:
                 t_stop = min(t_stop, t + sim.post_liftoff_time)
-            spring = spring_gains(phase, controller)
+            spring = spring_gains(phase, controller, k_compress)
             out = stage(x_f, v_f, theta, theta_dot, *spring)
         a_f, thdd, a_b, fs, fd, fa, ft, _, tau, f_leg, length, jac = out
         f_prev = ft
@@ -651,9 +670,10 @@ def _table(truth):
     return np.column_stack([getattr(truth, name).astype(float) for name in TRUTH_COLUMNS])
 
 
-def _noiseless_hop(drop_speed, linkage, terrain, controller, **sim):
+def _noiseless_hop(drop_speed, k_c, linkage, terrain, controller, **sim):
+    """A noiseless hop at `drop_speed` [m/s] and `k_c` [N/cm]."""
     return run_hop_trial(
-        SimConfig(drop_speed=drop_speed, **sim), controller, terrain, linkage, seed=0,
+        SimConfig(**sim), controller, terrain, linkage, drop_speed, k_c * 100.0, seed=0,
         noise_config=NoiseConfig.noiseless(),
     )
 
@@ -663,10 +683,7 @@ def _oracle(drop_speed, k_c, steps, every):
     """Every `every`-th row of `_reference_truth` at one condition (k_c in
     N/cm) and `steps` RK4 steps per ms, with the events of all its rows;
     computed once."""
-    table = _reference_truth(
-        _sim(steps, drop_speed=drop_speed),
-        ControllerConfig(k_compress=k_c * 100.0), _LK, _TR,
-    )
+    table = _reference_truth(_sim(steps), ControllerConfig(), _LK, _TR, drop_speed, k_c * 100.0)
     *columns, phase = table.T
     return table[::every], detect_events(TruthSeries(*columns, phase_id=phase.astype(int)))
 
@@ -677,9 +694,7 @@ def _located(drop_speed, k_c, steps, bisections=simulator.EVENT_BISECTIONS):
     in N/cm) and `steps` RK4 steps per ms, with `bisections` halvings per
     switch; computed once."""
     with mock.patch.object(simulator, "EVENT_BISECTIONS", bisections):
-        log = _noiseless_hop(
-            drop_speed, _LK, _TR, ControllerConfig(k_compress=k_c * 100.0), sensor_rate_hz=1000.0 * steps
-        )
+        log = _noiseless_hop(drop_speed, k_c, _LK, _TR, ControllerConfig(), sensor_rate_hz=1000.0 * steps)
     return _table(log.truth)
 
 
@@ -706,7 +721,7 @@ def test_located_truth_keeps_the_rows_of_the_grid(drop_speed, k_c, recontact):
     # k*dt grid with the phases of the truth at a finer step: 0.5 m/s,
     # 5 N/cm touches the bed again after liftoff, at 0.40132 s, and
     # compresses for less than a step
-    log = _noiseless_hop(drop_speed, _LK, _TR, ControllerConfig(k_compress=k_c * 100.0))
+    log = _noiseless_hop(drop_speed, k_c, _LK, _TR, ControllerConfig())
     got = _table(log.truth)
     dt = SimConfig().sensor_period
     fine = _fine(drop_speed, k_c)[::FINE_STEPS]
@@ -765,7 +780,7 @@ def test_switch_where_the_acceleration_jumps_is_located_from_the_stage_states():
 def test_truth_is_closer_to_the_reference_than_the_uniform_loop(drop_speed, k_c):
     # at the 1 kHz frames, against the uniform loop at 2e-5 s: load-cell
     # force and body height are no further off than the uniform loop at 1e-4 s
-    log = _noiseless_hop(drop_speed, _LK, _TR, ControllerConfig(k_compress=k_c * 100.0))
+    log = _noiseless_hop(drop_speed, k_c, _LK, _TR, ControllerConfig())
     got = _table(log.truth)
     ref, _ = _oracle(drop_speed, k_c, 50, 50)
     uniform, _ = _oracle(drop_speed, k_c, 10, 10)
@@ -777,7 +792,7 @@ def test_truth_is_closer_to_the_reference_than_the_uniform_loop(drop_speed, k_c)
 
 @pytest.mark.parametrize("drop_speed, k_c", DEFAULT_GRID)
 def test_events_within_one_step_of_the_reference(drop_speed, k_c):
-    log = _noiseless_hop(drop_speed, _LK, _TR, ControllerConfig(k_compress=k_c * 100.0))
+    log = _noiseless_hop(drop_speed, k_c, _LK, _TR, ControllerConfig())
     _, want = _oracle(drop_speed, k_c, 50, 50)
     dt = SimConfig().sensor_period
     for name in ("t_td", "t_ce", "t_lo"):
@@ -816,7 +831,7 @@ def test_free_fall_is_not_integrated(drop_speed, monkeypatch, linkage, terrain, 
     # most the failed attempt, four stages per halving, the crossing step
     # and the re-staging under the new spring
     calls = _counting_kernel(monkeypatch)
-    truth = _noiseless_hop(drop_speed, linkage, terrain, controller).truth
+    truth = _noiseless_hop(drop_speed, 3.75, linkage, terrain, controller).truth
     rows = len(truth) - _prefix_rows(drop_speed, SimConfig().sensor_period)
     refined = np.count_nonzero(np.diff(truth.phase_id) | np.diff(_contact_branches(truth)))
     assert 0 < refined < 10
@@ -830,7 +845,7 @@ def test_default_grid_stage_calls(monkeypatch):
     # a rework of the integrator that keeps every row keeps this count
     calls = _counting_kernel(monkeypatch)
     for drop_speed, k_c in DEFAULT_GRID:
-        _noiseless_hop(drop_speed, _LK, _TR, ControllerConfig(k_compress=k_c * 100.0))
+        _noiseless_hop(drop_speed, k_c, _LK, _TR, ControllerConfig())
     assert calls[0] == 20_362
 
 
@@ -857,7 +872,7 @@ def test_a_step_whose_stage_3_state_alone_leaves_the_branch_is_refused(monkeypat
 
     monkeypatch.setattr(simulator, "plant_kernel", kernel)
     with pytest.raises(Stop):
-        _noiseless_hop(0.0, linkage, terrain, controller)
+        _noiseless_hop(0.0, 3.75, linkage, terrain, controller)
     dt = SimConfig().sensor_period
     # the closed-form rows' evaluation, stage 1 of the first RK4 row, stage 2 of its step
     assert calls[:3] == [(0.0, 0.0), (0.0, 0.0), (0.0, -0.5 * dt * A)]
@@ -869,11 +884,11 @@ def test_run_shorter_than_the_fall_has_no_touchdown(t_max, linkage, terrain, con
     # 1.2 m/s reaches the bed at t = 0.1223 s: at t_max = 0.05 s every row is
     # closed-form, at 0.1224 s the loop runs the last row only
     with pytest.raises(TrialMalformedError, match="no touchdown"):
-        _noiseless_hop(1.2, linkage, terrain, controller, t_max=t_max)
+        _noiseless_hop(1.2, 3.75, linkage, terrain, controller, t_max=t_max)
 
 
 def test_sim_config_rejects_non_finite_settings():
-    for name in ("drop_speed", "t_max", "post_liftoff_time", "sensor_rate_hz"):
+    for name in ("t_max", "post_liftoff_time", "sensor_rate_hz"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 SimConfig(**{name: value})
@@ -955,10 +970,10 @@ _NOISE_MODES = {
 
 @pytest.mark.parametrize("mode", sorted(_NOISE_MODES))
 @pytest.mark.parametrize("speed, seed", [(0.5, 7), (1.2, [3, 1200, 375])])
-def test_trial_frames_match_per_frame_reference(mode, speed, seed, linkage, terrain, controller):
+def test_trial_frames_match_per_frame_reference(mode, speed, seed, linkage, terrain, controller, k_compress):
     noise = _NOISE_MODES[mode]
-    sim = SimConfig(drop_speed=speed)
-    log = run_hop_trial(sim, controller, terrain, linkage, seed=seed, noise_config=noise)
+    sim = SimConfig()
+    log = run_hop_trial(sim, controller, terrain, linkage, speed, k_compress, seed=seed, noise_config=noise)
     _assert_frames_equal(log.frames, _reference_frames(log, sim, noise, linkage, seed))
 
 
