@@ -13,8 +13,9 @@ truth log, every column of those rows, is not written:
 `run_single_hop(config, speed, kc, seed)[0].truth` rebuilds it bit for
 bit from the trial's condition.  The intrusion grid is one artifact,
 `intrusion_grid.csv`, with one manifest entry: every speed's load-cell
-samples, each repeat's force beside the speed's shared t and depth.  Its
-fit, `depth_speed_fit.json`, records the grid's sha256 (`grid_sha256`).
+samples, each row its speed and each repeat's force (the speed and the
+row give t and depth: `simulator.IntrusionLog`).  Its fit,
+`depth_speed_fit.json`, records the grid's sha256 (`grid_sha256`).
 
 The rig fit is the ground truth, as the paper's linear actuator is:
 `identify` scores against its `k_fit` (`k_gt`) and `report` draws
@@ -26,8 +27,8 @@ files parse, its frames and estimation files hold the same `t`, and its
 events lie in order within that `t` (`_read_events`).
 What each command reads:
 
-    sweep     nothing, to identify, but the bytes of the grid it wrote,
-              for their sha256: it fits the intrusion records it holds in
+    sweep     nothing, to identify: it hashes the grid's bytes as it
+              writes them, fits the intrusion records it holds in
               memory as soon as the grid is written, before any hop runs,
               and holds every hop's stance samples.  `--resume` first reads
               the manifest's config and refuses another (ConfigError, with
@@ -250,9 +251,9 @@ def build_manifest(config: ExperimentConfig) -> dict:
     return {"config": config_to_text(config), "entries": entries}
 
 
-def write_intrusion_grid(config: ExperimentConfig, path: Path) -> list[IntrusionLog]:
+def write_intrusion_grid(config: ExperimentConfig, path: Path) -> tuple[list[IntrusionLog], str]:
     """Run every intrusion speed `intrusion_repeats` times and write the grid
-    to `path`; returns one record per speed, in grid order.
+    to `path`; returns one record per speed, in grid order, and its sha256.
 
     The seed key [repeat, round(speed * 1e6)] makes every (speed, repeat)
     pair reproducible on its own.
@@ -268,8 +269,7 @@ def write_intrusion_grid(config: ExperimentConfig, path: Path) -> list[Intrusion
         )
         for speed in sweep.intrusion_speeds()
     ]
-    io.write_intrusion_csv(path, logs)
-    return logs
+    return logs, io.write_intrusion_csv(path, logs)
 
 
 def _read_events(path: Path, t: np.ndarray) -> TrialEvents:
@@ -326,9 +326,8 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bo
     samples, hops = {}, []
     for entry in manifest["entries"]:
         if entry["kind"] == "intrusion":
-            grid_path = trial_paths(entry, out_dir)["log"]
-            logs = write_intrusion_grid(config, grid_path)
-            fit = _fit_grid(logs, io.file_sha256(grid_path), out_dir / DEPTH_SPEED_FIT)
+            logs, grid_sha256 = write_intrusion_grid(config, trial_paths(entry, out_dir)["log"])
+            fit = _fit_grid(logs, grid_sha256, out_dir / DEPTH_SPEED_FIT)
         elif resume and (finished := _finished_hop(entry, out_dir)) is not None:
             entry["status"] = "skipped"
             samples[entry["trial_id"]] = finished

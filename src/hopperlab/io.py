@@ -55,8 +55,8 @@ _HASH_BLOCK = 1 << 16
 
 
 def intrusion_columns(repeats: int) -> tuple[str, ...]:
-    """The intrusion grid's header: speed, t and depth, then one force per repeat."""
-    return ("speed", "t", "depth", *(f"force_{r}" for r in range(repeats)))
+    """The intrusion grid's header: speed, then one force per repeat."""
+    return ("speed", *(f"force_{r}" for r in range(repeats)))
 
 
 def fmt_float(x) -> str:
@@ -294,53 +294,55 @@ def read_estimation_csv(path) -> tuple[EstimationSeries, dict[str, np.ndarray]]:
     return EstimationSeries(**outputs), truth
 
 
-def write_intrusion_csv(path, logs: list[IntrusionLog]) -> None:
+def write_intrusion_csv(path, logs: list[IntrusionLog]) -> str:
     """The intrusion grid: one row per load-cell sample of each record, in
-    order: its speed, `t` and `depth`, then each repeat's force.  Rows are
-    formatted and written INTRUSION_CHUNK_ROWS at a time.  A record whose
-    force rows or depth do not match its `t`, or whose number of repeats
-    differs from the first record's, raises ValueError.
+    order: its speed, then each repeat's force.  Rows are formatted and
+    written INTRUSION_CHUNK_ROWS at a time.  A record whose force is not a
+    row per repeat, as many as the first record's, raises ValueError.
+    Returns the hex sha256 of the bytes written.
     """
     repeats = len(logs[0].force)
     for log in logs:
-        if log.force.shape != (repeats, log.t.size) or log.depth.shape != log.t.shape:
-            raise ValueError(f"{path}: the record at {log.speed} m/s needs {repeats} force rows and a depth as its t")
+        if log.force.ndim != 2 or len(log.force) != repeats:
+            raise ValueError(f"{path}: the record at {log.speed} m/s needs {repeats} force rows")
+    header = ",".join(intrusion_columns(repeats)) + "\r\n"
+    digest = hashlib.sha256(header.encode("utf-8"))
     with _replacing(path, newline="") as handle:
-        handle.write(",".join(intrusion_columns(repeats)) + "\r\n")
+        handle.write(header)
         for log in logs:
             prefix = fmt_float(log.speed) + ","
-            for start in range(0, log.t.size, INTRUSION_CHUNK_ROWS):
-                rows = slice(start, start + INTRUSION_CHUNK_ROWS)
-                cells = [_cells(log.t[rows]), _cells(log.depth[rows]), *map(_cells, log.force[:, rows])]
-                handle.write(prefix + f"\r\n{prefix}".join(map(",".join, zip(*cells))) + "\r\n")
+            for start in range(0, log.force.shape[1], INTRUSION_CHUNK_ROWS):
+                cells = map(_cells, log.force[:, start:start + INTRUSION_CHUNK_ROWS])
+                text = prefix + f"\r\n{prefix}".join(map(",".join, zip(*cells))) + "\r\n"
+                handle.write(text)
+                digest.update(text.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def read_intrusion_csv(path) -> list[IntrusionLog]:
     """The intrusion grid's records, one per speed in file order; the number
-    of repeats comes from the header.  The file is read in chunks of whole
-    lines, about INTRUSION_CHUNK_ROWS rows of the header's width, each
-    parsed with its line ends; each speed's record is built once its rows
-    are in, as views of one array of its t, depth and force columns (the
-    speed column is checked, not kept).  A blank line, a non-finite cell, a
-    speed not above the block before it, or a `t` that does not increase
-    within a block is bad input."""
+    of repeats comes from the header, and each record's `t` and `depth`
+    from its speed and its number of rows (`IntrusionLog`).  The file is
+    read in chunks of whole lines, about INTRUSION_CHUNK_ROWS rows of the
+    header's width, each parsed with its line ends; each speed's record is
+    built once its rows are in, its force rows views of one array (the
+    speed column is checked, not kept).  A blank line, a non-finite cell or
+    a speed not above the block before it is bad input."""
     logs, block = [], []
 
     def close_block():
         speed = float(block[0][0, 0])
-        cols = np.concatenate([piece[:, 1:].T for piece in block], axis=1)
-        increasing = (np.diff(cols[0]) > 0.0).all() and (not logs or speed > logs[-1].speed)
-        if not (np.isfinite(speed) and np.isfinite(cols).all() and increasing):
+        force = np.concatenate([piece[:, 1:].T for piece in block], axis=1)
+        if not (np.isfinite(speed) and np.isfinite(force).all() and (not logs or speed > logs[-1].speed)):
             raise MissingInputError(
-                f"malformed intrusion file {path}: need finite cells, speeds that increase from block "
-                "to block and t that increases within a block"
+                f"malformed intrusion file {path}: need finite cells and speeds that increase from block to block"
             )
-        logs.append(IntrusionLog(speed=speed, t=cols[0], depth=cols[1], force=cols[2:]))
+        logs.append(IntrusionLog(speed=speed, force=force))
         block.clear()
 
     with _reading(path, "intrusion") as handle:
         columns = tuple(handle.readline().removesuffix("\n").split(","))
-        if len(columns) < 4 or columns != intrusion_columns(len(columns) - 3):
+        if len(columns) < 2 or columns != intrusion_columns(len(columns) - 1):
             raise MissingInputError(f"unexpected intrusion header in {path}")
         hint = INTRUSION_CHUNK_ROWS * _CELL_CHARS * len(columns)
         while lines := handle.readlines(hint):

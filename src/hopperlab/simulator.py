@@ -163,13 +163,19 @@ class TrialLog:
 
 @dataclass
 class IntrusionLog:
-    """One speed's constant-speed penetration record from the kinematic rig:
-    its repeats share `t` and `depth`, and `force` holds one row per repeat."""
+    """One speed's constant-speed penetration record from the kinematic rig: `force`
+    holds one row per repeat, and all share t_k = k / INTRUSION_RATE_HZ, depth_k = speed * t_k."""
 
     speed: float
-    t: np.ndarray
-    depth: np.ndarray
     force: np.ndarray  # (repeats, samples)
+
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(self.force.shape[-1]) * (1.0 / INTRUSION_RATE_HZ)
+
+    @property
+    def depth(self) -> np.ndarray:
+        return self.speed * self.t
 
 
 def plant_kernel(lk: LinkageParams, tr: TerrainParams):
@@ -587,7 +593,8 @@ def run_constant_speed_intrusion(
     seeds=(0,),
 ) -> IntrusionLog:
     """Drive the foot kinematically at constant speed down to z_max, once
-    per seed.
+    per seed, at `IntrusionLog.depth`, unclamped: where z_max is a whole
+    number of sample steps the last depth may round 1 ulp above it.
 
     The reaction law at (z, v, 0) is evaluated once; each repeat's force row
     adds load-cell noise from `default_rng(seed)` when enabled, so a row is
@@ -598,12 +605,10 @@ def run_constant_speed_intrusion(
     if z_max <= 0.0:
         raise ValueError("z_max must be positive")
     noise = noise_config if noise_config is not None else NoiseConfig.noiseless()
-    dt = 1.0 / INTRUSION_RATE_HZ
-    n = int(math.floor(z_max / (speed * dt))) + 1
-    t = np.arange(n) * dt
-    depth = np.minimum(speed * t, z_max)
-    force = np.tile(constant_speed_force(depth, speed, terrain_params), (len(seeds), 1))
+    n = int(math.floor(z_max / (speed * (1.0 / INTRUSION_RATE_HZ)))) + 1
+    log = IntrusionLog(speed=float(speed), force=np.empty((len(seeds), n)))
+    log.force[:] = constant_speed_force(log.depth, speed, terrain_params)
     if noise.enabled and noise.loadcell_sigma > 0.0:
-        for row, seed in zip(force, seeds):
+        for row, seed in zip(log.force, seeds):
             row += np.random.default_rng(seed).normal(0.0, noise.loadcell_sigma, size=n)
-    return IntrusionLog(speed=float(speed), t=t, depth=depth, force=force)
+    return log

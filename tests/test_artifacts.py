@@ -94,7 +94,7 @@ def test_csv_headers(sweep_dir):
             "t,x_b_hat,v_b_hat,x_f_hat,v_f_hat,f_qs,f_mo,x_b_true,v_b_true,x_f_true,v_f_true,f_true",
         sweep_dir / f"{TRIAL}_frames.csv":
             "t,encoder_theta,encoder_theta_dot,imu_body_acc,imu_foot_acc,tof_height,motor_current,loadcell_force",
-        sweep_dir / "intrusion_grid.csv": "speed,t,depth,force_0",
+        sweep_dir / "intrusion_grid.csv": "speed,force_0",
     }
     for path, header in headers.items():
         assert path.read_text(encoding="utf-8").splitlines()[0] == header, path.name
@@ -482,7 +482,7 @@ def test_sweep_identifies_from_memory(sweep_dir, config_path, tmp_path, monkeypa
 
 
 def _edit_force_cell(out):
-    _edit_row(out / "intrusion_grid.csv", 10, lambda cells: cells[:3] + [repr(float(cells[3]) + 1.0)])
+    _edit_row(out / "intrusion_grid.csv", 10, lambda cells: cells[:1] + [repr(float(cells[1]) + 1.0)])
 
 
 # a grid, or a fit, that the recorded fit is not the fit of

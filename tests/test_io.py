@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from hopperlab import experiments, io
@@ -22,7 +22,7 @@ from hopperlab.config import ExperimentConfig, config_to_text, with_values
 from hopperlab.errors import MissingInputError
 from hopperlab.estimation import EstimationSeries
 from hopperlab.identification import TREATMENTS, fit_depth_speed_model
-from hopperlab.simulator import run_constant_speed_intrusion
+from hopperlab.simulator import NoiseConfig, run_constant_speed_intrusion
 
 READERS = {
     "frames": (io.read_frames_csv, io.FRAME_COLUMNS),
@@ -78,7 +78,7 @@ def _well_formed(text, columns, kind, parsed=None):
     increases by one period, each spacing within io.TIME_BASE_RTOL of the
     first; finite parsed cells, but for an estimation CSV's f_qs, which may
     also be NaN; for an intrusion grid, from row to row a higher speed or
-    the same speed at a later t."""
+    the same speed."""
     lines = text.splitlines()
     if not lines or lines[0] != ",".join(columns) or len(lines) < 2:
         return False
@@ -94,7 +94,7 @@ def _well_formed(text, columns, kind, parsed=None):
     if not all(math.isfinite(x) or (i == nan_at and math.isnan(x)) for row in rows for i, x in row.items()):
         return False
     if kind == "intrusion":
-        return all(b[0] > a[0] or (b[0] == a[0] and b[1] > a[1]) for a, b in zip(rows, rows[1:]))
+        return all(b[0] >= a[0] for a, b in zip(rows, rows[1:]))
     spacing = [b[0] - a[0] for a, b in zip(rows, rows[1:])]
     period = spacing[0] if spacing else 0.0
     return period > 0.0 and all(abs(h - period) <= io.TIME_BASE_RTOL * period for h in spacing)
@@ -304,9 +304,7 @@ def _as_table(kind, result):
         cols = [getattr(est, name) for name in io.ESTIMATOR_OUTPUTS] + [truth[name] for name in io.CARRIED_TRUTH]
     elif kind == "intrusion":
         # one repeat: each log is a speed's rows
-        return np.vstack(
-            [np.column_stack([np.full(log.t.size, log.speed), log.t, log.depth, log.force]) for log in result]
-        )
+        return np.vstack([np.column_stack([np.full(log.t.size, log.speed), *log.force]) for log in result])
     else:
         cols = [getattr(result, name) for name in READERS[kind][1]]
     return np.column_stack([np.asarray(col, dtype=float) for col in cols])
@@ -405,7 +403,13 @@ def test_intrusion_header_only_is_missing_input(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "header", ["speed,t,depth", "speed,t,depth,force_1", "speed,t,depth,force_0,force_0", "t,depth,speed,force"]
+    "header",
+    [
+        "speed", "speed,force_1", "speed,force_0,force_0", "force_0,speed",
+        "speed,t,depth", "speed,t,depth,force_1", "speed,t,depth,force_0,force_0", "t,depth,speed,force",
+        # a grid that writes the rig's commanded t and depth
+        "speed,t,depth,force_0",
+    ],
 )
 def test_intrusion_header_names_each_repeat_from_zero(tmp_path, header):
     path = tmp_path / "intrusion_grid.csv"
@@ -455,8 +459,8 @@ def _series(columns, times):
 
 _GRID_ENTRY = {"trial_id": "intrusion_grid", "kind": "intrusion", "paths": {"log": "intrusion_grid.csv"}}
 # a grid the rig fit reads and fits: two speeds on an 800 N/m bed without added mass
-_GRID = "speed,t,depth,force_0\n" + "".join(
-    f"{v!r},{t!r},{v * t!r},{800.0 * v * t!r}\n" for v in (0.01, 0.02) for t in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+_GRID = "speed,force_0\n" + "".join(
+    f"{v!r},{800.0 * v * k * 1e-3!r}\n" for v in (0.01, 0.02) for k in range(7)
 )
 
 
@@ -688,7 +692,6 @@ def _rowwise_csv(path, header, rows):
 
 
 def test_column_writers_match_rowwise_formatting(tmp_path, noisy_trial, terrain):
-    from hopperlab.simulator import NoiseConfig
     from hopperlab.terrain import force_map
 
     # the truth log, whose phase_id column holds ints
@@ -708,7 +711,7 @@ def test_column_writers_match_rowwise_formatting(tmp_path, noisy_trial, terrain)
             for i, v in enumerate((0.03, 0.3))]
     assert logs[0].t.size > io.INTRUSION_CHUNK_ROWS
     cases.append((io.write_intrusion_csv, logs, io.intrusion_columns(2),
-                  [[log.speed, log.t[i], log.depth[i], *log.force[:, i]] for log in logs for i in range(log.t.size)]))
+                  [[log.speed, *log.force[:, i]] for log in logs for i in range(log.t.size)]))
     for writer, data, header, rows in cases:
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
         writer(new, data)
@@ -749,18 +752,16 @@ def test_column_writer_rejects_ragged_columns(tmp_path):
 
 
 def test_intrusion_writer_rejects_ragged_log(tmp_path):
-    # force rows or a depth that do not match the record's t, or a record
-    # with another number of repeats than the first
+    # a force that is not one row per repeat, or a record with another
+    # number of repeats than the first
     from hopperlab.simulator import IntrusionLog
 
-    t, zeros = np.arange(3) * 1e-3, np.zeros(3)
-    log = IntrusionLog(speed=0.5, t=t, depth=zeros, force=np.zeros((2, 3)))
+    log = IntrusionLog(speed=0.5, force=np.zeros((2, 3)))
     for logs in (
-        [IntrusionLog(speed=0.5, t=t, depth=zeros, force=np.zeros((2, 2)))],
-        [IntrusionLog(speed=0.5, t=t, depth=zeros, force=zeros)],
-        [IntrusionLog(speed=0.5, t=t, depth=np.zeros(2), force=np.zeros((2, 3)))],
-        [log, IntrusionLog(speed=0.6, t=t, depth=zeros, force=np.zeros((1, 3)))],
-        [log, IntrusionLog(speed=0.6, t=t, depth=zeros, force=np.zeros((3, 3)))],
+        [IntrusionLog(speed=0.5, force=np.zeros(3))],
+        [IntrusionLog(speed=0.5, force=np.zeros((2, 3, 1)))],
+        [log, IntrusionLog(speed=0.6, force=np.zeros((1, 3)))],
+        [log, IntrusionLog(speed=0.6, force=np.zeros((3, 3)))],
     ):
         with pytest.raises(ValueError):
             io.write_intrusion_csv(tmp_path / "x.csv", logs)
@@ -772,7 +773,7 @@ def default_grid(tmp_path_factory):
     """The default config's intrusion grid: its logs and the file written."""
     config = ExperimentConfig()
     path = tmp_path_factory.mktemp("grid") / "intrusion_grid.csv"
-    return config, experiments.write_intrusion_grid(config, path), path
+    return config, experiments.write_intrusion_grid(config, path)[0], path
 
 
 @pytest.mark.parametrize("repeats", [1, 3])
@@ -794,6 +795,49 @@ def test_intrusion_grid_reads_back_as_the_rig_ran_it(tmp_path, repeats):
             assert np.array_equal(getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)), name
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    speeds=st.lists(
+        st.one_of(st.floats(0.01, 1.5), st.integers(10, 1500).map(lambda i: i / 1000)), min_size=1, max_size=3,
+        unique=True,
+    ).map(sorted),
+    repeats=st.integers(1, 3),
+    z_max=st.one_of(st.floats(1e-3, 0.05), st.integers(1, 50).map(lambda i: i / 1000)),
+    noisy=st.booleans(),
+)
+@example(speeds=[0.05], repeats=1, z_max=0.02, noisy=False)
+def test_intrusion_grid_rebuilds_the_rig_bit_for_bit(speeds, repeats, z_max, noisy):
+    # the grid holds only the speeds and forces: the reader rebuilds each
+    # record's commanded t and depth from them, as the rig made them, and the
+    # writer hashes the bytes it wrote
+    noise = NoiseConfig(enabled=noisy)
+    terrain = ExperimentConfig().terrain
+    logs = [
+        run_constant_speed_intrusion(speed, z_max, terrain, noise_config=noise, seeds=[[r, i] for r in range(repeats)])
+        for i, speed in enumerate(speeds)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "intrusion_grid.csv"
+        assert io.write_intrusion_csv(path, logs) == io.file_sha256(path)
+        back = io.read_intrusion_csv(path)
+    assert len(back) == len(logs)
+    for got, want in zip(back, logs):
+        assert got.speed == want.speed
+        for name in ("t", "depth", "force"):
+            assert np.array_equal(getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)), name
+        # the depth is not clamped to z_max: only the rounding of the sample
+        # count and of speed * t puts the last sample above it
+        assert want.depth[-1] <= z_max + 4 * np.spacing(z_max)
+
+
+def test_rig_depth_at_a_whole_number_of_steps_is_1_ulp_above_z_max(terrain):
+    # 0.02 m at 0.05 m/s is 400 steps of 1 ms: the 401st sample's depth,
+    # not clamped to z_max, rounds 1 ulp above it
+    log = run_constant_speed_intrusion(0.05, 0.02, terrain)
+    assert log.t.size == 401
+    assert log.depth[-1] == np.nextafter(0.02, 1.0)
+
+
 def test_intrusion_grid_cells_are_each_logs_cells(default_grid):
     config, logs, path = default_grid
     with open(path, newline="", encoding="utf-8") as handle:
@@ -803,13 +847,12 @@ def test_intrusion_grid_cells_are_each_logs_cells(default_grid):
         n = log.t.size
         cells, rows = list(zip(*rows[:n])), rows[n:]
         assert set(cells[0]) == {repr(log.speed)}
-        assert list(cells[1]) == io._cells(log.t) and list(cells[2]) == io._cells(log.depth)
-        for force, column in zip(log.force, cells[3:], strict=True):
+        for force, column in zip(log.force, cells[1:], strict=True):
             assert list(column) == io._cells(force)
     assert rows == []
 
 
-_GRID_MEMORY_BOUND = 0.5e6   # bytes; 512-row writer 0.39 MB, per-block reader < 0.1 MB, whole-file reader 2.2 MB
+_GRID_MEMORY_BOUND = 0.5e6   # bytes; 512-row writer 0.19 MB, per-block reader 0.16 MB, whole-file reader 2.2 MB
 
 
 def test_intrusion_grid_is_streamed(default_grid):
@@ -871,12 +914,8 @@ def _first_speed_again(rows):
     rows.extend(first)
 
 
-def _t_back(rows):
-    rows[3][1], rows[4][1] = rows[4][1], rows[3][1]
-
-
 def _nan_force(rows):
-    rows[3][3] = "nan"
+    rows[3][1] = "nan"
 
 
 def _blank_last_line(rows):
@@ -885,8 +924,8 @@ def _blank_last_line(rows):
 
 @pytest.mark.parametrize(
     "edit",
-    [_speed_of_row_5, _first_speed_again, _t_back, _nan_force, _blank_last_line],
-    ids=["speed varies", "speed block repeated", "t decreases", "nan force", "blank line"],
+    [_speed_of_row_5, _first_speed_again, _nan_force, _blank_last_line],
+    ids=["speed varies", "speed block repeated", "nan force", "blank line"],
 )
 def test_identify_rejects_inconsistent_intrusion_log(tiny_sweep, tmp_path, edit):
     # a block's speed that falls or comes back would merge two speeds' rows,
