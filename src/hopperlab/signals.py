@@ -66,6 +66,11 @@ def smoothed_derivative(x: np.ndarray, dt: float, window: int = 11, polyorder: i
     precomputed linear map of that window (`_slope_operator`).  Series
     shorter than `window` use the longest odd window that fits, or
     `np.gradient` when that is too short for the polynomial.
+
+    The edge maps take their window less its own end sample, which no
+    slope sees: a constant series then has edge slopes of exactly zero,
+    where the maps' rounding would leave one ulp of the constant (for a
+    subnormal constant, a whole step of the float grid).
     """
     x = np.asarray(x, dtype=float)
     if x.size < window:
@@ -77,6 +82,6 @@ def smoothed_derivative(x: np.ndarray, dt: float, window: int = 11, polyorder: i
     half = window // 2
     coeffs, head, tail = _slope_operator(window, polyorder, dt)
     out = np.convolve(x, coeffs, "same")
-    out[:half] = head @ x[:window]
-    out[-half:] = tail @ x[-window:]
+    out[:half] = head @ (x[:window] - x[0])
+    out[-half:] = tail @ (x[-window:] - x[-1])
     return out
