@@ -2,7 +2,7 @@
 
 Commands
     estimate   new estimate columns in each trial's estimation CSV, from its
-               frame CSV; each row's `t` and truth cells are kept as
+               `_frames.npy`; each row's `t` and truth cells are kept as
                written.  The header, 12 cells a row, a numeric `t`, finite
                truth cells and a `t` of one period equal to the frames' are
                checked first; a frames file without its estimation CSV is
@@ -10,7 +10,7 @@ Commands
                the last succeeds: on any failure every file is left as it was.
     identify   intrusion-model (rig) fit + treatment report scored against
                the fit's k, from existing hop artifacts and intrusion grid;
-               the grid is parsed and fitted only when its sha256 differs
+               the grid is loaded and fitted only when its sha256 differs
                from the one the fit records
     sweep      full grid: intrusions and their fit, then hops + estimation
                + identification
@@ -59,13 +59,13 @@ def _resolve_out(config: ExperimentConfig, args) -> Path:
 
 def cmd_estimate(config: ExperimentConfig, args) -> int:
     out = _resolve_out(config, args)
-    frame_files = sorted(out.glob("*_frames.csv"))
+    frame_files = sorted(out.glob("*_frames.npy"))
     if not frame_files:
-        raise MissingInputError(f"no *_frames.csv files in {out}")
+        raise MissingInputError(f"no *_frames.npy files in {out}")
     with io.replacing_together() as staged:
         for path in frame_files:
-            est = estimate_from_frames(config, io.read_frames_csv(path))
-            target = path.with_name(path.name.removesuffix("_frames.csv") + "_estimation.csv")
+            est = estimate_from_frames(config, io.read_frames_npy(path))
+            target = path.with_name(path.name.removesuffix("_frames.npy") + "_estimation.csv")
             io.write_reestimation_csv(target, est, staged)
     print(f"estimated {len(frame_files)} trials in {out}")
     return 0

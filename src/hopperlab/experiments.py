@@ -7,12 +7,12 @@ milliseconds to simulate, so a resumed sweep runs it again rather than
 trust the file on disk.  Hop trials are independent, so the hop grid can
 be dispatched to a process pool.
 
-A hop trial's artifacts are its sensor frames, events and estimation CSV;
-the estimation CSV carries the ground truth, one row per frame.  The full
-truth log, every column of those rows, is not written:
+A hop trial's artifacts are its sensor frames (an `.npy` array), events
+and estimation CSV; the estimation CSV carries the ground truth, one row
+per frame.  The full truth log is not written:
 `run_single_hop(config, speed, kc, seed)[0].truth` rebuilds it bit for
-bit from the trial's condition.  The intrusion grid is one artifact,
-`intrusion_grid.csv`, with one manifest entry: every speed's load-cell
+bit from the trial's condition.  The intrusion grid is one `.npy` array,
+`intrusion_grid.npy`, with one manifest entry: every speed's load-cell
 samples, each row its speed and each repeat's force (the speed and the
 row give t and depth: `simulator.IntrusionLog`).  Its fit,
 `depth_speed_fit.json`, records the grid's sha256 (`grid_sha256`).
@@ -23,7 +23,7 @@ The rig fit is the ground truth, as the paper's linear actuator is:
 be fitted leaves none (`_fit_grid`).
 
 A hop reads back (`_read_hop`) when its estimation, events and frames
-files parse, its frames and estimation files hold the same `t`, and its
+files read, its frames and estimation files hold the same `t`, and its
 events lie in order within that `t` (`_read_events`).
 What each command reads:
 
@@ -36,8 +36,8 @@ What each command reads:
               that reads back, identifying it from what was read, and runs
               any other hop again.
     identify  the manifest, every hop's estimation and events files and
-              the intrusion grid's bytes, for their sha256
-              (`identify_inputs`).  It parses and fits the grid only when
+              the intrusion grid's header and bytes, for their sha256
+              (`identify_inputs`).  It loads and fits the grid only when
               `depth_speed_fit.json` does not record that sha256 or does
               not read back as `report` reads it; else it keeps the fit
               (`_kept_fit`).  It writes what a sweep writes, byte for
@@ -90,7 +90,7 @@ _ENTRY_SCHEMA = {
     "hop": ({"speed": _NUMBER, "k_c_n_per_cm": _NUMBER, "seed": _INTEGER}, ("frames", "events", "estimation")),
     "intrusion": ({}, ("log",)),
 }
-INTRUSION_GRID = "intrusion_grid.csv"
+INTRUSION_GRID = "intrusion_grid.npy"
 DEPTH_SPEED_FIT = "depth_speed_fit.json"
 # the keys `report` draws force_map.csv's depth and speed axes from
 _FORCE_MAP_KEYS = tuple(
@@ -101,7 +101,7 @@ _CONDITION_NUMBERS = [f.name for f in dataclasses.fields(ConditionStats) if f.na
 
 def _hop_files(trial_id: str) -> dict[str, str]:
     return {
-        "frames": f"{trial_id}_frames.csv",
+        "frames": f"{trial_id}_frames.npy",
         "events": f"{trial_id}_events.json",
         "estimation": f"{trial_id}_estimation.csv",
     }
@@ -199,7 +199,7 @@ def estimate_from_frames(config: ExperimentConfig, frames: Frames) -> Estimation
 def write_hop_artifacts(config: ExperimentConfig, log, trial_id: str, out_dir: Path) -> EstimationSeries:
     """Write a hop's frames, events and estimation files; returns its estimates."""
     paths = {key: Path(out_dir) / name for key, name in _hop_files(trial_id).items()}
-    io.write_frames_csv(paths["frames"], log.frames)
+    io.write_frames_npy(paths["frames"], log.frames)
     io.write_events_json(paths["events"], log.events, extra={"trial_id": trial_id, "seed": log.seed})
     est = estimate_from_frames(config, log.frames)
     io.write_estimation_csv(paths["estimation"], est, vars(log.truth))
@@ -269,7 +269,7 @@ def write_intrusion_grid(config: ExperimentConfig, path: Path) -> tuple[list[Int
         )
         for speed in sweep.intrusion_speeds()
     ]
-    return logs, io.write_intrusion_csv(path, logs)
+    return logs, io.write_intrusion_npy(path, logs)
 
 
 def _read_events(path: Path, t: np.ndarray) -> TrialEvents:
@@ -287,7 +287,7 @@ def _read_hop(paths: dict[str, Path]) -> tuple[Frames, EstimationSeries, dict[st
     for a hop that does not read back (see the module docstring)."""
     est, truth = io.read_estimation_csv(paths["estimation"])
     events = _read_events(paths["events"], est.t)
-    frames = io.read_frames_csv(paths["frames"])
+    frames = io.read_frames_npy(paths["frames"])
     if not np.array_equal(frames.t, est.t):
         raise MissingInputError(f"{paths['estimation']} does not hold the t of the frames in {paths['frames']}")
     return frames, est, truth, events
@@ -391,7 +391,9 @@ def _kept_fit(fit_path: Path, grid_sha256: str) -> DepthSpeedFit | None:
 def identify_inputs(out_dir: Path) -> tuple[list[TrialSamples], DepthSpeedFit]:
     """In the manifest's order (`manifest_trials`), its hops' stance samples,
     read back from their estimation and events files, and its grid's rig
-    fit: the kept one (`_kept_fit`), else the grid's, parsed and fitted."""
+    fit: the kept one (`_kept_fit`), else the grid's, loaded and fitted.
+    The grid's header is checked either way, so a grid that is not an
+    intrusion array (a text one, whose fit records its sha256) is bad input."""
     hops, fit_path = [], out_dir / DEPTH_SPEED_FIT
     _, trials = manifest_trials(out_dir)
     for entry, paths in trials:
@@ -399,9 +401,10 @@ def identify_inputs(out_dir: Path) -> tuple[list[TrialSamples], DepthSpeedFit]:
             est, _ = io.read_estimation_csv(paths["estimation"])
             hops.append(_trial_samples(entry, est, _read_events(paths["events"], est.t)))
         else:
+            io.check_intrusion_npy(paths["log"])
             grid_sha256 = io.file_sha256(paths["log"])
             kept = _kept_fit(fit_path, grid_sha256)
-            fit = kept or _fit_grid(io.read_intrusion_csv(paths["log"]), grid_sha256, fit_path)
+            fit = kept or _fit_grid(io.read_intrusion_npy(paths["log"]), grid_sha256, fit_path)
     return hops, fit
 
 

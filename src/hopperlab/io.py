@@ -1,8 +1,11 @@
 r"""Deterministic readers/writers for trial artifacts.
 
-All CSVs carry a one-line header and shortest-round-trip float formatting
-(repr), so identical runs produce byte-identical bodies.  Rows are joined
-by commas and ended by "\r\n", as `csv.writer` would write them: no cell
+A sweep's primary data, each hop's frames and the intrusion grid, is one
+`.npy` float64 array each, its columns named here, not in the file
+(`_read_npy` says what reads back).  Every other artifact is text: CSVs
+carry a one-line header and shortest-round-trip float formatting (repr),
+so identical runs produce byte-identical bodies.  Rows are joined by
+commas and ended by "\r\n", as `csv.writer` would write them: no cell
 ever needs quoting (a repr, a treatment name or a seed).  Numeric bodies are
 parsed by numpy's text reader, so a quoted or underscored cell, or a blank
 line, is bad input.
@@ -22,7 +25,9 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, fields
+from io import BytesIO
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
@@ -43,20 +48,11 @@ _F_QS = ESTIMATOR_OUTPUTS.index("f_qs")  # the one column that may hold NaN
 # relative: rounding of t = k / rate, far below a dropped or repeated sample
 TIME_BASE_RTOL = 1e-6
 
-# rows of the intrusion grid formatted or parsed at a time, so that neither
-# its text nor its list of lines is ever held whole
-INTRUSION_CHUNK_ROWS = 512
-# characters of an intrusion-grid cell with its comma, for the size of a
-# chunk the reader asks for: a float64 repr holds at most 24
-_CELL_CHARS = 18
+# the one dtype of a `.npy` artifact, as its header names it
+_NPY_DESCR = np.lib.format.dtype_to_descr(np.dtype(np.float64))
 
 # bytes `file_sha256` hashes at a time, so that no file is ever held whole
 _HASH_BLOCK = 1 << 16
-
-
-def intrusion_columns(repeats: int) -> tuple[str, ...]:
-    """The intrusion grid's header: speed, then one force per repeat."""
-    return ("speed", *(f"force_{r}" for r in range(repeats)))
 
 
 def fmt_float(x) -> str:
@@ -64,16 +60,16 @@ def fmt_float(x) -> str:
 
 
 @contextmanager
-def _replacing(path: Path, newline=None, staged: list | None = None):
-    """A text handle on a temporary file beside `path` that replaces `path`
-    only once the block completes, or with `staged` (see `replacing_together`)
-    is appended to it with `path`; if the block raises, the temporary file
-    is removed and `path` is left as it was."""
+def _replacing(path: Path, newline=None, staged: list | None = None, binary: bool = False):
+    """A text (or `binary`) handle on a temporary file beside `path` that
+    replaces `path` only once the block completes, or with `staged` (see
+    `replacing_together`) is appended to it with `path`; if the block
+    raises, the temporary file is removed and `path` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as handle:
+        with open(tmp, "wb") if binary else open(tmp, "w", newline=newline, encoding="utf-8") as handle:
             yield handle
         if staged is None:
             os.replace(tmp, path)
@@ -151,10 +147,9 @@ def _reading(path: Path, kind: str):
 
 
 def _parse(lines: list[str], width: int) -> np.ndarray:
-    r"""`lines` (each without its line end, or with its "\n"), each `width`
-    numbers, as rows of an array; a blank, ragged or non-numeric line raises
-    ValueError."""
-    if "" in lines or "\n" in lines:
+    """`lines` (each without its line end), each `width` numbers, as rows of
+    an array; a blank, ragged or non-numeric line raises ValueError."""
+    if "" in lines:
         raise ValueError("blank line")
     data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     if data.shape[1] != width:
@@ -198,12 +193,46 @@ def _check_time_base(t: np.ndarray, path, kind: str) -> None:
         )
 
 
-def write_frames_csv(path, frames: Frames) -> None:
-    write_columns_csv(path, FRAME_COLUMNS, [getattr(frames, col) for col in FRAME_COLUMNS])
+def _read_npy(path, kind: str, width: int | None = None, load: bool = True) -> np.ndarray | None:
+    """The array of the `.npy` file at `path` (without `load`, None): its
+    version 1.0 header must name a little-endian float64 array in C order
+    with two axes, at least one row and `width` columns (None: at least
+    two), and the file hold exactly the bytes of that shape.  The header is
+    checked before the array is loaded, so a damaged shape allocates
+    nothing.  Anything else, a missing file too, is bad input
+    (MissingInputError) naming the file."""
+    if not Path(path).exists():
+        raise MissingInputError(f"missing input file: {path}")
+    try:
+        with open(path, "rb") as handle:
+            if np.lib.format.read_magic(handle) != (1, 0):
+                raise ValueError("not a version 1.0 .npy file")
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
+            if not (
+                dtype.str == _NPY_DESCR and not fortran_order and len(shape) == 2 and shape[0] > 0
+                and (shape[1] == width if width else shape[1] >= 2)
+            ):
+                raise ValueError(f"need a C-order {_NPY_DESCR} array of at least one row of {width or 'at least 2'} "
+                                 f"columns, found dtype {dtype.str}, shape {shape}, fortran_order {fortran_order}")
+            body, need = os.fstat(handle.fileno()).st_size - handle.tell(), shape[0] * shape[1] * dtype.itemsize
+            if body != need:
+                raise ValueError(f"{body} bytes after the header, where shape {shape} needs {need}")
+            handle.seek(0)
+            return np.load(handle, allow_pickle=False) if load else None
+    except (OSError, ValueError, TokenError) as exc:  # TokenError: numpy's retry of a Python 2 header
+        raise MissingInputError(f"malformed {kind} file {path}: {exc}") from exc
 
 
-def read_frames_csv(path) -> Frames:
-    data = _read_csv(Path(path), FRAME_COLUMNS, "frames")
+def write_frames_npy(path, frames: Frames) -> None:
+    """A hop's frames as an (n, 8) float64 array, columns in FRAME_COLUMNS order."""
+    with _replacing(path, binary=True) as handle:
+        data = np.column_stack([getattr(frames, col) for col in FRAME_COLUMNS]).astype(_NPY_DESCR, copy=False)
+        np.save(handle, data, allow_pickle=False)
+
+
+def read_frames_npy(path) -> Frames:
+    """A hop's frames (`_read_npy`); every cell must be finite and `t` one period."""
+    data = _read_npy(path, "frames", len(FRAME_COLUMNS))
     if not np.isfinite(data).all():
         raise MissingInputError(f"malformed frames file {path}: need finite cells")
     _check_time_base(data[:, 0], path, "frames")
@@ -294,67 +323,52 @@ def read_estimation_csv(path) -> tuple[EstimationSeries, dict[str, np.ndarray]]:
     return EstimationSeries(**outputs), truth
 
 
-def write_intrusion_csv(path, logs: list[IntrusionLog]) -> str:
-    """The intrusion grid: one row per load-cell sample of each record, in
-    order: its speed, then each repeat's force.  Rows are formatted and
-    written INTRUSION_CHUNK_ROWS at a time.  A record whose force is not a
-    row per repeat, as many as the first record's, raises ValueError.
-    Returns the hex sha256 of the bytes written.
-    """
+def write_intrusion_npy(path, logs: list[IntrusionLog]) -> str:
+    """The intrusion grid: a (rows, 1 + R) float64 array, one row per load-cell
+    sample of each record, its speed then each repeat's force, written as its
+    header and then one record's block at a time, never whole.  A record whose
+    force is not a row per repeat, as many as the first record's, raises
+    ValueError.  Returns the hex sha256 of the bytes written."""
     repeats = len(logs[0].force)
     for log in logs:
         if log.force.ndim != 2 or len(log.force) != repeats:
             raise ValueError(f"{path}: the record at {log.speed} m/s needs {repeats} force rows")
-    header = ",".join(intrusion_columns(repeats)) + "\r\n"
-    digest = hashlib.sha256(header.encode("utf-8"))
-    with _replacing(path, newline="") as handle:
-        handle.write(header)
+    shape = (sum(log.force.shape[1] for log in logs), 1 + repeats)
+    header = BytesIO()
+    np.lib.format.write_array_header_1_0(header, {"descr": _NPY_DESCR, "fortran_order": False, "shape": shape})
+    digest = hashlib.sha256(header.getvalue())
+    with _replacing(path, binary=True) as handle:
+        handle.write(header.getvalue())
         for log in logs:
-            prefix = fmt_float(log.speed) + ","
-            for start in range(0, log.force.shape[1], INTRUSION_CHUNK_ROWS):
-                cells = map(_cells, log.force[:, start:start + INTRUSION_CHUNK_ROWS])
-                text = prefix + f"\r\n{prefix}".join(map(",".join, zip(*cells))) + "\r\n"
-                handle.write(text)
-                digest.update(text.encode("utf-8"))
+            block = np.empty((log.force.shape[1], 1 + repeats), dtype=_NPY_DESCR)
+            block[:, 0] = log.speed
+            block[:, 1:] = log.force.T
+            handle.write(block)
+            digest.update(block)
     return digest.hexdigest()
 
 
-def read_intrusion_csv(path) -> list[IntrusionLog]:
-    """The intrusion grid's records, one per speed in file order; the number
-    of repeats comes from the header, and each record's `t` and `depth`
-    from its speed and its number of rows (`IntrusionLog`).  The file is
-    read in chunks of whole lines, about INTRUSION_CHUNK_ROWS rows of the
-    header's width, each parsed with its line ends; each speed's record is
-    built once its rows are in, its force rows views of one array (the
-    speed column is checked, not kept).  A blank line, a non-finite cell or
-    a speed not above the block before it is bad input."""
-    logs, block = [], []
+def check_intrusion_npy(path) -> None:
+    """Bad input unless the file at `path` has an intrusion grid's header and
+    size (`_read_npy`), checked without loading its array."""
+    _read_npy(path, "intrusion", load=False)
 
-    def close_block():
-        speed = float(block[0][0, 0])
-        force = np.concatenate([piece[:, 1:].T for piece in block], axis=1)
-        if not (np.isfinite(speed) and np.isfinite(force).all() and (not logs or speed > logs[-1].speed)):
-            raise MissingInputError(
-                f"malformed intrusion file {path}: need finite cells and speeds that increase from block to block"
-            )
-        logs.append(IntrusionLog(speed=speed, force=force))
-        block.clear()
 
-    with _reading(path, "intrusion") as handle:
-        columns = tuple(handle.readline().removesuffix("\n").split(","))
-        if len(columns) < 2 or columns != intrusion_columns(len(columns) - 1):
-            raise MissingInputError(f"unexpected intrusion header in {path}")
-        hint = INTRUSION_CHUNK_ROWS * _CELL_CHARS * len(columns)
-        while lines := handle.readlines(hint):
-            data = _parse(lines, len(columns))
-            for piece in np.split(data, np.flatnonzero(np.diff(data[:, 0])) + 1):
-                if block and block[0][0, 0] != piece[0, 0]:
-                    close_block()
-                block.append(piece)
-    if not block:
-        raise MissingInputError(f"malformed intrusion file {path}: expected at least one row")
-    close_block()
-    return logs
+def read_intrusion_npy(path) -> list[IntrusionLog]:
+    """The intrusion grid's records, one per speed in file order, each force
+    row a view of the array loaded (`_read_npy`); `t` and `depth` come from a
+    record's speed and rows (`IntrusionLog`).  A non-finite cell, or a speed
+    below the row before it, is bad input."""
+    data = _read_npy(path, "intrusion")
+    speed = data[:, 0]
+    if not (np.isfinite(data).all() and np.all(speed[1:] >= speed[:-1])):
+        raise MissingInputError(
+            f"malformed intrusion file {path}: need finite cells and speeds that increase from block to block"
+        )
+    bounds = [0, *(np.flatnonzero(np.diff(speed)) + 1).tolist(), len(speed)]
+    return [
+        IntrusionLog(speed=float(speed[start]), force=data[start:end, 1:].T) for start, end in zip(bounds, bounds[1:])
+    ]
 
 
 def write_force_map_csv(path, depths, speeds, surface) -> None:

@@ -420,7 +420,7 @@ def test_recovery_holds_on_a_grid_of_beds(bed, tmp_path):
     terrain = config.terrain
     report = treatment_comparison(trials, k_gt=terrain.k_stiff)
     errs = {(c.v_td, c.treatment): c.rel_err for c in report.conditions}
-    fit = fit_depth_speed_model(experiments.write_intrusion_grid(config, tmp_path / "intrusion_grid.csv")[0])
+    fit = fit_depth_speed_model(experiments.write_intrusion_grid(config, tmp_path / "intrusion_grid.npy")[0])
     fit_errs = (
         abs(fit.k_fit - terrain.k_stiff) / terrain.k_stiff,
         abs(fit.m_a_inf_fit - terrain.m_a_inf) / terrain.m_a_inf,

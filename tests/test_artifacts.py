@@ -1,7 +1,7 @@
 """Which artifacts a sweep writes, and what `estimate` rewrites.
 
-A sweep writes frames, events and estimation files per hop, and no
-full-rate truth log; a one-condition sweep rebuilds any trial of a larger
+A sweep writes frames (a `.npy` array), events and estimation files per
+hop, and no full-rate truth log; a one-condition sweep rebuilds any trial of a larger
 sweep bit for bit, and `run_single_hop` its truth.  `estimate` carries the t and truth cells of each trial's
 estimation CSV as written and replaces only the estimate cells; a trial
 without an estimation CSV, or with a truth cell that is not a finite
@@ -22,7 +22,8 @@ grid again.
 `identify` on its directory writes the same bytes.
 The intrusion fit records the sha256 of the grid it came from: `identify`
 keeps a fit that records the grid as it is and reads back as `report`
-reads it, without parsing the grid, and fits the grid again otherwise.
+reads it, without loading the grid, and fits the grid again otherwise; a
+grid without an intrusion array's header is bad input either way.
 """
 
 import hashlib
@@ -36,7 +37,7 @@ import pytest
 from hopperlab import experiments, io
 from hopperlab.cli import main
 from hopperlab.config import config_to_text, load_config, with_values
-from hopperlab.errors import DegenerateFitError
+from hopperlab.errors import DegenerateFitError, MissingInputError
 from hopperlab.identification import DepthSpeedFit
 
 TINY_SWEEP = """
@@ -89,15 +90,27 @@ def _estimate(config_path, out):
 
 
 def test_csv_headers(sweep_dir):
-    headers = {
-        sweep_dir / f"{TRIAL}_estimation.csv":
-            "t,x_b_hat,v_b_hat,x_f_hat,v_f_hat,f_qs,f_mo,x_b_true,v_b_true,x_f_true,v_f_true,f_true",
-        sweep_dir / f"{TRIAL}_frames.csv":
-            "t,encoder_theta,encoder_theta_dot,imu_body_acc,imu_foot_acc,tof_height,motor_current,loadcell_force",
-        sweep_dir / "intrusion_grid.csv": "speed,force_0",
-    }
-    for path, header in headers.items():
-        assert path.read_text(encoding="utf-8").splitlines()[0] == header, path.name
+    # a hop's one CSV: its frames, like the intrusion grid, are an array
+    path = sweep_dir / f"{TRIAL}_estimation.csv"
+    header = "t,x_b_hat,v_b_hat,x_f_hat,v_f_hat,f_qs,f_mo,x_b_true,v_b_true,x_f_true,v_f_true,f_true"
+    assert path.read_text(encoding="utf-8").splitlines()[0] == header
+
+
+def test_frames_and_grid_are_float64_arrays(sweep_dir, config_path):
+    # columns named by io, not by the file: the frames in FRAME_COLUMNS
+    # order, the grid's speed then one force per repeat
+    assert io.FRAME_COLUMNS == (
+        "t", "encoder_theta", "encoder_theta_dot", "imu_body_acc", "imu_foot_acc", "tof_height", "motor_current",
+        "loadcell_force",
+    )
+    sweep = load_config(config_path).sweep
+    frames = np.load(sweep_dir / f"{TRIAL}_frames.npy", allow_pickle=False)
+    grid = np.load(sweep_dir / "intrusion_grid.npy", allow_pickle=False)
+    for array in (frames, grid):
+        assert array.dtype == np.dtype("<f8") and array.flags.c_contiguous
+    assert frames.shape[1] == 8 and np.diff(frames[:, 0]) == pytest.approx(1e-3)
+    assert grid.shape[1] == 1 + sweep.intrusion_repeats
+    assert sorted(set(grid[:, 0].tolist())) == list(sweep.intrusion_speeds())
 
 
 def test_sweep_writes_no_truth_log(sweep_dir):
@@ -137,7 +150,7 @@ def test_estimate_without_the_estimation_file_writes_nothing(sweep_dir, config_p
 
 def test_estimate_rejects_estimation_file_of_other_frames(sweep_dir, config_path, tmp_path):
     out = _copy(sweep_dir, tmp_path)
-    shutil.copy(out / "hop_v0.80_kc3.75_s0_frames.csv", out / f"{TRIAL}_frames.csv")
+    shutil.copy(out / "hop_v0.80_kc3.75_s0_frames.npy", out / f"{TRIAL}_frames.npy")
     lines = (out / f"{TRIAL}_estimation.csv").read_text().splitlines(keepends=True)
     (out / f"{TRIAL}_estimation.csv").write_text("".join(lines[:-1]))
     assert _estimate(config_path, out) == 4
@@ -182,8 +195,8 @@ def test_estimate_replaces_the_estimate_cells_without_parsing_them(sweep_dir, co
 
 
 def test_estimate_finds_trial_files_by_file_name(sweep_dir, config_path, tmp_path):
-    # a directory name that holds `_frames.csv` is not part of a trial's id
-    out = tmp_path / "run_frames.csv.d"
+    # a directory name that holds `_frames.npy` is not part of a trial's id
+    out = tmp_path / "run_frames.npy.d"
     shutil.copytree(sweep_dir, out)
     assert _estimate(config_path, out) == 0
     assert _files(out) == _files(sweep_dir)
@@ -191,7 +204,7 @@ def test_estimate_finds_trial_files_by_file_name(sweep_dir, config_path, tmp_pat
 
 
 def test_one_condition_sweep_reproduces_sweep_trial(sweep_dir, one_condition_dir, config_path):
-    for suffix in ("frames.csv", "events.json", "estimation.csv"):
+    for suffix in ("frames.npy", "events.json", "estimation.csv"):
         name = f"{TRIAL}_{suffix}"
         assert (one_condition_dir / name).read_bytes() == (sweep_dir / name).read_bytes(), name
     # the trial's full truth log is one call away, and carried bit for bit
@@ -246,7 +259,7 @@ def test_intrusion_fit_of_an_earlier_run_is_removed(sweep_dir, config_path, tmp_
         # the grid is fitted before any hop runs
         fresh = tmp_path / "fresh"
         assert main(["sweep", "--config", str(one_speed), "--out", str(fresh)]) == 3
-        assert sorted(p.name for p in fresh.iterdir()) == ["intrusion_grid.csv", "manifest.json"]
+        assert sorted(p.name for p in fresh.iterdir()) == ["intrusion_grid.npy", "manifest.json"]
     else:
         # a fit recorded from another grid, so that identify fits again
         _edit_fit(out, grid_sha256="0" * 64)
@@ -313,7 +326,7 @@ def test_report_on_a_trial_with_nan_truth_writes_nothing(sweep_dir, config_path,
 
 def test_identify_reads_no_frames(sweep_dir, config_path, tmp_path):
     out = _copy(sweep_dir, tmp_path)
-    frames = sorted(out.glob("*_frames.csv"))
+    frames = sorted(out.glob("*_frames.npy"))
     assert len(frames) == 2
     for path in frames:
         path.unlink()
@@ -462,16 +475,16 @@ def _no_fit(logs):
 def test_sweep_identifies_from_memory(sweep_dir, config_path, tmp_path, monkeypatch, jobs):
     out = tmp_path / "sweep"
     with monkeypatch.context() as patch:
-        for reader in ("read_intrusion_csv", "read_estimation_csv", "read_events_json"):
+        for reader in ("read_intrusion_npy", "read_estimation_csv", "read_events_json"):
             patch.setattr(io, reader, _no_read)
         experiments.run_sweep(load_config(config_path), out, jobs=jobs)
     swept = _files(out)
     assert swept == _files(sweep_dir)
-    grid_sha256 = hashlib.sha256(swept["intrusion_grid.csv"]).hexdigest()
+    grid_sha256 = hashlib.sha256(swept["intrusion_grid.npy"]).hexdigest()
     assert json.loads(swept["depth_speed_fit.json"])["grid_sha256"] == grid_sha256
-    # the fit records the grid as it is: identify neither parses nor fits it
+    # the fit records the grid as it is: identify neither loads nor fits it
     with monkeypatch.context() as patch:
-        patch.setattr(io, "read_intrusion_csv", _no_read)
+        patch.setattr(io, "read_intrusion_npy", _no_read)
         patch.setattr(experiments, "fit_depth_speed_model", _no_fit)
         assert main(["identify", "--config", config_path, "--out", str(out)]) == 0
     assert _files(out) == swept
@@ -482,7 +495,10 @@ def test_sweep_identifies_from_memory(sweep_dir, config_path, tmp_path, monkeypa
 
 
 def _edit_force_cell(out):
-    _edit_row(out / "intrusion_grid.csv", 10, lambda cells: cells[:1] + [repr(float(cells[1]) + 1.0)])
+    grid = out / "intrusion_grid.npy"
+    rows = np.load(grid, allow_pickle=False)
+    rows[10, 1] += 1.0
+    np.save(grid, rows, allow_pickle=False)
 
 
 # a grid, or a fit, that the recorded fit is not the fit of
@@ -510,7 +526,7 @@ def test_identify_fits_a_grid_the_recorded_fit_is_not_of(sweep_dir, config_path,
 
 def test_identify_without_the_intrusion_grid_writes_nothing(sweep_dir, config_path, tmp_path):
     out = _copy(sweep_dir, tmp_path)
-    (out / "intrusion_grid.csv").unlink()
+    (out / "intrusion_grid.npy").unlink()
     before = _files(out)
     assert main(["identify", "--config", config_path, "--out", str(out)]) == 4
     assert _files(out) == before
@@ -519,7 +535,7 @@ def test_identify_without_the_intrusion_grid_writes_nothing(sweep_dir, config_pa
 def test_resume_mixing_memory_and_disk_matches_a_clean_sweep(sweep_dir, config_path, tmp_path):
     out = _copy(sweep_dir, tmp_path)
     (out / f"{TRIAL}_estimation.csv").unlink()
-    (out / "intrusion_grid.csv").unlink()
+    (out / "intrusion_grid.npy").unlink()
     assert main(["sweep", "--config", config_path, "--out", str(out), "--resume"]) == 0
     statuses = [e["status"] for e in json.loads((out / "manifest.json").read_text())["entries"]]
     assert statuses.count("done") == 2 and statuses.count("skipped") == len(statuses) - 2
@@ -533,9 +549,13 @@ def _cut_at_byte(path):
 
 
 def _cut_at_row(path):
-    # 199 of the hop's rows, which still parse as a shorter trial
-    lines = path.read_bytes().splitlines(keepends=True)
-    path.write_bytes(b"".join(lines[:200]))
+    # 199 of the hop's rows, which still read as a shorter trial: the
+    # frames array with its header rewritten for them
+    if path.suffix == ".npy":
+        np.save(path, np.load(path, allow_pickle=False)[:199], allow_pickle=False)
+    else:
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:200]))
 
 
 @pytest.mark.parametrize("cut", [_cut_at_byte, _cut_at_row])
@@ -543,18 +563,81 @@ def test_resume_runs_a_cut_hop_again(sweep_dir, config_path, tmp_path, monkeypat
     out = _copy(sweep_dir, tmp_path)
     cut(out / f"{TRIAL}_estimation.csv")
     reads = []
-    for reader in ("read_frames_csv", "read_estimation_csv", "read_events_json"):
+    for reader in ("read_frames_npy", "read_estimation_csv", "read_events_json"):
         original = getattr(io, reader)
         monkeypatch.setattr(io, reader, lambda path, original=original: reads.append(Path(path).name) or original(path))
     assert main(["sweep", "--config", config_path, "--out", str(out), "--resume"]) == 0
     statuses = {e["trial_id"]: e["status"] for e in json.loads((out / "manifest.json").read_text())["entries"]}
     assert statuses == {"hop_v0.80_kc3.75_s0": "skipped", TRIAL: "done", "intrusion_grid": "done"}
     # each file of the skipped hop is read once, and identify takes what was read
-    skipped = sorted(f"hop_v0.80_kc3.75_s0_{suffix}" for suffix in ("frames.csv", "estimation.csv", "events.json"))
+    skipped = sorted(f"hop_v0.80_kc3.75_s0_{suffix}" for suffix in ("frames.npy", "estimation.csv", "events.json"))
     assert sorted(name for name in reads if name.startswith("hop_v0.80_kc3.75_s0")) == skipped
     resumed, clean = _files(out), _files(sweep_dir)
     del resumed["manifest.json"], clean["manifest.json"]
     assert resumed == clean
+
+
+# where a frames file is cut: the bytes it keeps, from the header's length
+# and the file's
+_FRAMES_CUTS = {
+    "in the magic string": lambda header, size: 3,
+    "in the header": lambda header, size: header // 2,
+    "at the header's end": lambda header, size: header,
+    "inside a row": lambda header, size: header + 100,
+    "on a row boundary": lambda header, size: header + 199 * 8 * len(io.FRAME_COLUMNS),
+    "a byte short": lambda header, size: size - 1,
+}
+
+
+@pytest.mark.parametrize("at", list(_FRAMES_CUTS))
+def test_resume_runs_a_hop_whose_frames_are_cut_at_any_byte(sweep_dir, config_path, tmp_path, at):
+    # the header holds the array's shape, so a frames file cut after the
+    # hop's liftoff, which a text file would read back as a shorter trial,
+    # does not read back either
+    out = _copy(sweep_dir, tmp_path)
+    frames = out / f"{TRIAL}_frames.npy"
+    blob = frames.read_bytes()
+    header = len(blob) - np.load(frames, allow_pickle=False).nbytes
+    frames.write_bytes(blob[: _FRAMES_CUTS[at](header, len(blob))])
+    with pytest.raises(MissingInputError, match=str(frames)):
+        io.read_frames_npy(frames)
+    assert main(["sweep", "--config", config_path, "--out", str(out), "--resume"]) == 0
+    statuses = {e["trial_id"]: e["status"] for e in json.loads((out / "manifest.json").read_text())["entries"]}
+    assert statuses == {"hop_v0.80_kc3.75_s0": "skipped", TRIAL: "done", "intrusion_grid": "done"}
+    resumed, clean = _files(out), _files(sweep_dir)
+    del resumed["manifest.json"], clean["manifest.json"]
+    assert resumed == clean
+
+
+def _as_text_directory(out):
+    """A sweep directory as written before frames and the grid were arrays:
+    each as a CSV of repr cells, named in the manifest, and the fit
+    recording the text grid's sha256."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    for entry in manifest["entries"]:
+        for key, name in entry["paths"].items():
+            if name.endswith(".npy"):
+                rows = np.load(out / name, allow_pickle=False)
+                header = io.FRAME_COLUMNS if key == "frames" else ("speed", *(f"force_{r}" for r in range(rows.shape[1] - 1)))
+                entry["paths"][key] = name.removesuffix(".npy") + ".csv"
+                io.write_columns_csv(out / entry["paths"][key], header, rows.T)
+                (out / name).unlink()
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    _edit_fit(out, grid_sha256=io.file_sha256(out / "intrusion_grid.csv"))
+
+
+@pytest.mark.parametrize(("command", "broken"), [("identify", "intrusion_grid.csv"), ("report", f"{REPRESENTATIVE}_frames.csv")])
+def test_a_directory_of_text_frames_and_grid_is_bad_input(sweep_dir, config_path, tmp_path, capsys, command, broken):
+    # its fit records the text grid's sha256, yet identify checks the grid's
+    # header: both commands exit 4, name the text file they cannot read,
+    # and write nothing
+    out = _copy(sweep_dir, tmp_path)
+    _as_text_directory(out)
+    before = _files(out)
+    capsys.readouterr()
+    assert main([command, "--config", config_path, "--out", str(out)]) == 4
+    assert str(out / broken) in capsys.readouterr().err
+    assert _files(out) == before
 
 
 def test_report_rejects_estimates_of_other_frames(sweep_dir, config_path, tmp_path):
@@ -570,19 +653,21 @@ def test_report_reads_its_representative_hop_before_writing(sweep_dir, config_pa
     # a cut frames file is refused before summary.json, the stiffness CSVs
     # or the force map are written
     out = _copy(sweep_dir, tmp_path)
-    cut(out / f"{REPRESENTATIVE}_frames.csv")
+    cut(out / f"{REPRESENTATIVE}_frames.npy")
     before = _files(out)
     assert main(["report", "--config", config_path, "--out", str(out)]) == 4
     assert _files(out) == before
 
 
 def test_resume_runs_a_cut_intrusion_grid_again(sweep_dir, config_path, tmp_path):
-    # cut on a row boundary, the grid still parses, as a shorter run
+    # cut on a row boundary, half its rows: the header still names them all,
+    # so the grid does not read back; a sweep runs the grid again anyway
     out = _copy(sweep_dir, tmp_path)
-    grid = out / "intrusion_grid.csv"
-    lines = grid.read_bytes().splitlines(keepends=True)
-    grid.write_bytes(b"".join(lines[: len(lines) // 2]))
-    assert len(io.read_intrusion_csv(grid)) < len(io.read_intrusion_csv(sweep_dir / "intrusion_grid.csv"))
+    grid = out / "intrusion_grid.npy"
+    rows = np.load(grid, allow_pickle=False)
+    grid.write_bytes(grid.read_bytes()[: grid.stat().st_size - rows[len(rows) // 2:].nbytes])
+    with pytest.raises(MissingInputError, match=str(grid)):
+        io.read_intrusion_npy(grid)
     assert main(["sweep", "--config", config_path, "--out", str(out), "--resume"]) == 0
     resumed, clean = _files(out), _files(sweep_dir)
     assert resumed.keys() == clean.keys()
@@ -632,7 +717,7 @@ def test_resume_runs_a_hop_with_events_outside_it_again(sweep_dir, config_path, 
         _edit_events(out / f"{TRIAL}_events.json", _BAD_EVENTS[case])
     else:
         # the frames and estimation files agree on a t that ends before liftoff
-        for suffix in ("frames.csv", "estimation.csv"):
+        for suffix in ("frames.npy", "estimation.csv"):
             _cut_at_row(out / f"{TRIAL}_{suffix}")
         assert json.loads((out / f"{TRIAL}_events.json").read_text())["t_lo"] > 0.199
     assert main(["sweep", "--config", config_path, "--out", str(out), "--resume"]) == 0

@@ -284,10 +284,10 @@ def test_cli_one_condition_sweep_writes_artifacts(tmp_path):
     out = tmp_path / "out"
     hop = "hop_v0.80_kc3.75_s0"
     assert {p.name for p in out.iterdir()} == {
-        f"{hop}_frames.csv", f"{hop}_events.json", f"{hop}_estimation.csv", "intrusion_grid.csv",
+        f"{hop}_frames.npy", f"{hop}_events.json", f"{hop}_estimation.csv", "intrusion_grid.npy",
         "depth_speed_fit.json", "manifest.json", "treatment_report.json", "fits.csv",
     }
-    frames = io.read_frames_csv(out / f"{hop}_frames.csv")
+    frames = io.read_frames_npy(out / f"{hop}_frames.npy")
     assert frames.t[1] - frames.t[0] == pytest.approx(1e-3)
 
 
@@ -309,7 +309,7 @@ def test_cli_sweep_manifest_and_resume(tmp_path):
     hop_entries = [e for e in manifest["entries"] if e["kind"] == "hop"]
     intr_entries = [e for e in manifest["entries"] if e["kind"] == "intrusion"]
     assert len(hop_entries) == 2
-    assert [e["paths"] for e in intr_entries] == [{"log": "intrusion_grid.csv"}]
+    assert [e["paths"] for e in intr_entries] == [{"log": "intrusion_grid.npy"}]
     ids = [e["trial_id"] for e in manifest["entries"]]
     assert len(ids) == len(set(ids))
     report_first = (out / "treatment_report.json").read_bytes()
@@ -370,9 +370,9 @@ def test_report_sem_against_direct_formula(tmp_path):
 
 
 def test_io_round_trips(tmp_path, noiseless_trial):
-    frames_path = tmp_path / "f.csv"
-    io.write_frames_csv(frames_path, noiseless_trial.frames)
-    frames = io.read_frames_csv(frames_path)
+    frames_path = tmp_path / "f.npy"
+    io.write_frames_npy(frames_path, noiseless_trial.frames)
+    frames = io.read_frames_npy(frames_path)
     assert frames.t.size == len(noiseless_trial.frames)
     assert frames.loadcell_force[5] == noiseless_trial.frames.loadcell_force[5]
 

@@ -349,9 +349,9 @@ def test_near_zero_speed_sweep_slope_is_stiffness(terrain):
 @pytest.fixture(scope="module")
 def default_grid_logs(tmp_path_factory):
     """The default 50 x 3 intrusion grid: its records as the sweep holds them
-    and as read back from `intrusion_grid.csv`."""
-    path = tmp_path_factory.mktemp("grid") / "intrusion_grid.csv"
-    return experiments.write_intrusion_grid(ExperimentConfig(), path)[0], io.read_intrusion_csv(path)
+    and as read back from `intrusion_grid.npy`."""
+    path = tmp_path_factory.mktemp("grid") / "intrusion_grid.npy"
+    return experiments.write_intrusion_grid(ExperimentConfig(), path)[0], io.read_intrusion_npy(path)
 
 
 def _noisy_logs(speeds, seed=3, z_max=0.05):

@@ -1,15 +1,19 @@
 """Artifact readers: malformed files are bad input, never a crash, and a
-numeric body parses to the floats `csv.reader` + `float()` gave.
+numeric CSV body parses to the floats `csv.reader` + `float()` gave; a
+`.npy` array reads back bit for bit, and one that is cut, damaged or of
+another layout is bad input that names its file.
 Artifact writers: byte-identical to per-row formatting through
-`csv.writer`, and never leave a partial file behind."""
+`csv.writer` (to `np.save` for an array), and never leave a partial file
+behind."""
 
-import csv
 import json
 import math
 import shutil
 import tempfile
 import tracemalloc
+from io import BytesIO
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 import pytest
@@ -22,13 +26,41 @@ from hopperlab.config import ExperimentConfig, config_to_text, with_values
 from hopperlab.errors import MissingInputError
 from hopperlab.estimation import EstimationSeries
 from hopperlab.identification import TREATMENTS, fit_depth_speed_model
-from hopperlab.simulator import NoiseConfig, run_constant_speed_intrusion
+from hopperlab.simulator import Frames, NoiseConfig, run_constant_speed_intrusion
 
+def _npy_bytes(array, allow_pickle=False) -> bytes:
+    """`array` as `np.save` writes it."""
+    buffer = BytesIO()
+    np.save(buffer, array, allow_pickle=allow_pickle)
+    return buffer.getvalue()
+
+
+def _frames_array(t=(0.0, 0.001, 0.002, 0.003), nan_at=None) -> np.ndarray:
+    """Frames at the times `t`, 0.5 in every other cell (NaN at the index `nan_at`)."""
+    data = np.full((len(t), len(io.FRAME_COLUMNS)), 0.5)
+    data[:, 0] = t
+    if nan_at is not None:
+        data[nan_at] = np.nan
+    return data
+
+
+def _grid_array(speeds=(0.01, 0.02), rows=7) -> np.ndarray:
+    """A grid the rig fit reads and fits: `rows` samples at each speed, one
+    repeat, on an 800 N/m bed without added mass."""
+    return np.array([[v, 800.0 * v * k * 1e-3] for v in speeds for k in range(rows)])
+
+
+# every reader of an artifact a sweep writes, with the columns of a text
+# body of its kind; frames and the intrusion grid are `.npy` arrays, so any
+# text body is bad input to their readers, as in a directory written before
+# the arrays
 READERS = {
-    "frames": (io.read_frames_csv, io.FRAME_COLUMNS),
+    "frames": (io.read_frames_npy, io.FRAME_COLUMNS),
     "estimation": (io.read_estimation_csv, io.ESTIMATION_COLUMNS),
-    "intrusion": (io.read_intrusion_csv, io.intrusion_columns(1)),
+    "intrusion": (io.read_intrusion_npy, ("speed", "force_0")),
 }
+# the readers that parse a text body
+TEXT_READERS = ("estimation",)
 
 _number = st.floats(allow_nan=True, allow_infinity=True).map(repr)
 _finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
@@ -77,8 +109,7 @@ def _well_formed(text, columns, kind, parsed=None):
     for a sampled series, at least two rows and a first column that
     increases by one period, each spacing within io.TIME_BASE_RTOL of the
     first; finite parsed cells, but for an estimation CSV's f_qs, which may
-    also be NaN; for an intrusion grid, from row to row a higher speed or
-    the same speed."""
+    also be NaN."""
     lines = text.splitlines()
     if not lines or lines[0] != ",".join(columns) or len(lines) < 2:
         return False
@@ -93,9 +124,12 @@ def _well_formed(text, columns, kind, parsed=None):
     nan_at = io.ESTIMATION_COLUMNS.index("f_qs") if kind == "estimation" else None
     if not all(math.isfinite(x) or (i == nan_at and math.isnan(x)) for row in rows for i, x in row.items()):
         return False
-    if kind == "intrusion":
-        return all(b[0] >= a[0] for a, b in zip(rows, rows[1:]))
-    spacing = [b[0] - a[0] for a, b in zip(rows, rows[1:])]
+    return _one_period([row[0] for row in rows])
+
+
+def _one_period(t):
+    """At least two samples, and every spacing within io.TIME_BASE_RTOL of the first, relative."""
+    spacing = [b - a for a, b in zip(t, t[1:])]
     period = spacing[0] if spacing else 0.0
     return period > 0.0 and all(abs(h - period) <= io.TIME_BASE_RTOL * period for h in spacing)
 
@@ -109,13 +143,7 @@ def _fuzz(kind, text):
         return
     assert _well_formed(text, columns, kind)
     n_rows = len(text.splitlines()) - 1
-    assert _as_table(kind, result).shape[0] == n_rows
-
-
-@settings(max_examples=150, deadline=None)
-@given(text=_csv_text(io.FRAME_COLUMNS))
-def test_fuzz_read_frames_csv(text):
-    _fuzz("frames", text)
+    assert _as_table(result).shape[0] == n_rows
 
 
 @settings(max_examples=150, deadline=None)
@@ -137,12 +165,6 @@ def test_estimation_reader_takes_a_nan_f_qs_only(tmp_path, column, cell):
     else:
         with pytest.raises(MissingInputError, match="estimation.csv"):
             io.read_estimation_csv(path)
-
-
-@settings(max_examples=150, deadline=None)
-@given(text=_csv_text(io.intrusion_columns(1)))
-def test_fuzz_read_intrusion_csv(text):
-    _fuzz("intrusion", text)
 
 
 # the cells of an estimation CSV that `io.write_reestimation_csv` carries: t and the truth
@@ -259,7 +281,8 @@ def _with_line(line, at):
     return body
 
 
-# bodies that were bad input with csv.reader + float() and still are
+# bodies that were bad input with csv.reader + float() and still are (to
+# the `.npy` readers, every text body is)
 _BAD_BODIES = {
     "blank line in the middle": _with_line("", 2),
     "blank line at the end": lambda columns: _text(columns, _rows(columns)) + "\n",
@@ -297,16 +320,10 @@ def _write_body(path, text):
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
-def _as_table(kind, result):
-    """A reader's result as the CSV's columns, in file order."""
-    if kind == "estimation":
-        est, truth = result
-        cols = [getattr(est, name) for name in io.ESTIMATOR_OUTPUTS] + [truth[name] for name in io.CARRIED_TRUTH]
-    elif kind == "intrusion":
-        # one repeat: each log is a speed's rows
-        return np.vstack([np.column_stack([np.full(log.t.size, log.speed), *log.force]) for log in result])
-    else:
-        cols = [getattr(result, name) for name in READERS[kind][1]]
+def _as_table(result):
+    """The estimation reader's result as the CSV's columns, in file order."""
+    est, truth = result
+    cols = [getattr(est, name) for name in io.ESTIMATOR_OUTPUTS] + [truth[name] for name in io.CARRIED_TRUTH]
     return np.column_stack([np.asarray(col, dtype=float) for col in cols])
 
 
@@ -322,7 +339,7 @@ def test_reader_contract_bad_input(tmp_path, kind, case):
         reader(path)
 
 
-@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize("kind", TEXT_READERS)
 @pytest.mark.parametrize("case", list(_SAME_BODIES))
 def test_reader_contract_same_floats(tmp_path, kind, case):
     reader, columns = READERS[kind]
@@ -330,7 +347,7 @@ def test_reader_contract_same_floats(tmp_path, kind, case):
     _write_body(path, _SAME_BODIES[case](columns))
     expected = reference.read_csv(path, columns)
     assert expected.shape == (3, len(columns))
-    assert np.array_equal(_as_table(kind, reader(path)).view(np.int64), expected.view(np.int64))
+    assert np.array_equal(_as_table(reader(path)).view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("kind", sorted(READERS))
@@ -338,6 +355,7 @@ def test_reader_contract_same_floats(tmp_path, kind, case):
 def test_reader_contract_changes(tmp_path, kind, case):
     # csv.reader unquoted cells and float() reads "1_0" as 10.0 and any
     # Unicode digit; numpy's parser takes none of them: they are bad input
+    # (and to the `.npy` readers, so is any text)
     reader, columns = READERS[kind]
     body, value = _NOW_BAD_BODIES[case]
     path = tmp_path / "artifact.csv"
@@ -347,7 +365,7 @@ def test_reader_contract_changes(tmp_path, kind, case):
         reader(path)
 
 
-@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize("kind", TEXT_READERS)
 def test_reader_takes_ascii_separators_as_whitespace(tmp_path, kind):
     # numpy strips \x1c-\x1f around a cell as whitespace; float() did not
     reader, columns = READERS[kind]
@@ -355,7 +373,7 @@ def test_reader_takes_ascii_separators_as_whitespace(tmp_path, kind):
     _write_body(path, _with_cell("0.1\x1c")(columns))
     with pytest.raises(MissingInputError):
         reference.read_csv(path, columns)
-    assert _as_table(kind, reader(path))[0, 1] == 0.1
+    assert _as_table(reader(path))[0, 1] == 0.1
 
 
 _SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e16, -1e16,
@@ -395,28 +413,213 @@ def test_string_table_matches_csv_writer(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def _npy_model(blob, kind):
+    """The array in `blob` when the reader of `kind` must take it, read
+    another way (the header from memory, the body by `np.frombuffer`); None
+    when it is bad input: no version 1.0 `.npy` header, not a
+    little-endian float64 array in C order with two axes, no row, the wrong
+    width (frames: 8 columns; a grid: at least 2), a byte more or fewer
+    than the shape needs, a cell that is not finite, or for frames a `t` not
+    of one period, for a grid a speed below the row before it."""
+    buffer = BytesIO(blob)
+    try:
+        if np.lib.format.read_magic(buffer) != (1, 0):
+            return None
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(buffer)
+    except (ValueError, TokenError):
+        return None
+    frames = kind == "frames"
+    if (
+        dtype != np.dtype("<f8") or fortran_order or len(shape) != 2 or shape[0] < 1
+        or not (shape[1] == len(io.FRAME_COLUMNS) if frames else shape[1] >= 2)
+        or len(blob) - buffer.tell() != 8 * shape[0] * shape[1]
+    ):
+        return None
+    data = np.frombuffer(blob, dtype="<f8", offset=buffer.tell()).reshape(shape)
+    if not np.isfinite(data).all():
+        return None
+    speed = data[:, 0].tolist()
+    ordered = _one_period(speed) if frames else all(b >= a for a, b in zip(speed, speed[1:]))
+    return data if ordered else None
+
+
+def _npy_table(kind, result):
+    """A `.npy` reader's result as the array's columns, in file order."""
+    if kind == "frames":
+        return np.column_stack([getattr(result, name) for name in io.FRAME_COLUMNS])
+    return np.vstack([np.column_stack([np.full(log.t.size, log.speed), log.force.T]) for log in result])
+
+
+@st.composite
+def _npy_blob(draw, kind):
+    """A `.npy` file near one the reader of `kind` takes: mostly the right
+    layout, with a `t` of one period (frames) or rising speeds (a grid of 0
+    to 3 repeats), then maybe a cell, the dtype, the shape or the order
+    changed, and maybe the bytes cut, one byte flipped or bytes appended."""
+    n = draw(st.integers(0, 5))
+    if kind == "frames":
+        data = np.full((n, len(io.FRAME_COLUMNS)), 0.5)
+        data[:, 0] = np.arange(n) / draw(st.sampled_from([1000.0, 1500.0]))
+    else:
+        data = np.full((n, draw(st.integers(1, 4))), 0.5)
+        data[:, 0] = sorted(draw(st.lists(st.sampled_from([0.01, 0.02, 0.5]), min_size=n, max_size=n)))
+    if n and draw(st.booleans()):
+        data[draw(st.integers(0, n - 1)), draw(st.integers(0, data.shape[1] - 1))] = draw(_float64)
+    layout = draw(st.sampled_from(["right"] * 4 + ["<f4", ">f8", "<i8", "one axis", "three axes", "wider", "fortran"]))
+    if layout.startswith(("<", ">")):
+        with np.errstate(invalid="ignore", over="ignore"):  # a NaN, inf or huge cell cast to int64 or float32
+            data = data.astype(layout)
+    elif layout == "one axis":
+        data = data.ravel()
+    elif layout == "three axes":
+        data = data[..., None]
+    elif layout == "wider":
+        data = np.column_stack([data, data[:, -1:]])
+    elif layout == "fortran":
+        data = np.asfortranarray(data)
+    blob = _npy_bytes(data)
+    edit = draw(st.sampled_from(["none"] * 3 + ["cut", "flip", "append"]))
+    if edit == "cut":
+        blob = blob[: draw(st.integers(0, len(blob) - 1))]
+    elif edit == "flip":
+        at = draw(st.integers(0, len(blob) - 1))
+        blob = blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1:]
+    elif edit == "append":
+        blob += draw(st.binary(min_size=1, max_size=9))
+    return blob
+
+
+def _fuzz_npy(kind, blob):
+    expected = _npy_model(blob, kind)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "artifact.npy"
+        path.write_bytes(blob)
+        try:
+            result = READERS[kind][0](path)
+        except MissingInputError as exc:
+            assert expected is None
+            assert str(path) in str(exc)
+            return
+    assert expected is not None
+    assert np.array_equal(_npy_table(kind, result).view(np.int64), expected.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=_npy_blob("frames"))
+def test_fuzz_read_frames_npy(blob):
+    _fuzz_npy("frames", blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=_npy_blob("intrusion"))
+def test_fuzz_read_intrusion_npy(blob):
+    _fuzz_npy("intrusion", blob)
+
+
+def _with_t(data, t):
+    data = data.copy()
+    data[:, 0] = t
+    return data
+
+
+def _pickled(data):
+    return _npy_bytes(np.array([data, "x"], dtype=object), allow_pickle=True)
+
+
+def _past_its_body(data):
+    """`data` under a header of 10^15 rows: np.load would allocate them first."""
+    header = BytesIO()
+    np.lib.format.write_array_header_1_0(header, {"descr": "<f8", "fortran_order": False, "shape": (10**15, data.shape[1])})
+    return header.getvalue() + data.tobytes()
+
+
+# a good `.npy` file of each kind: a hop's 4 frames, a grid of two speeds
+_GOOD = {"frames": _frames_array(), "intrusion": _grid_array()}
+# bad `.npy` files, made from the good array of a kind: name -> (kinds, the
+# files); None is no file at all
+_BAD_ARRAYS = {
+    "cut in the header": (("frames", "intrusion"), lambda data: [
+        _npy_bytes(data)[:at] for at in range(len(_npy_bytes(data)) - data.nbytes + 1)
+    ]),
+    # a cut of 1 byte to all the body but 1: some at the ends of a cell or a row, some at random
+    "cut in the body": (("frames", "intrusion"), lambda data: [
+        _npy_bytes(data)[:-cut] for cut in (1, 7, 8, 9, 8 * data.shape[1], data.nbytes - 1,
+                                            *np.random.default_rng(0).integers(1, data.nbytes, 6).tolist())
+    ]),
+    "a header byte flipped": (("frames", "intrusion"), lambda data: [
+        blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]
+        for blob in [_npy_bytes(data)] for at in range(len(blob) - data.nbytes)
+    ]),
+    "a byte appended": (("frames", "intrusion"), lambda data: [_npy_bytes(data) + b"\n"]),
+    "a shape past its body": (("frames", "intrusion"), lambda data: [_past_its_body(data)]),
+    "float32": (("frames", "intrusion"), lambda data: [_npy_bytes(data.astype("<f4"))]),
+    "big-endian float64": (("frames", "intrusion"), lambda data: [_npy_bytes(data.astype(">f8"))]),
+    "int64": (("frames", "intrusion"), lambda data: [_npy_bytes(np.round(data * 1000).astype("<i8"))]),
+    "one axis": (("frames", "intrusion"), lambda data: [_npy_bytes(data.ravel())]),
+    "three axes": (("frames", "intrusion"), lambda data: [_npy_bytes(data[..., None]), _npy_bytes(data[None])]),
+    "a column short": (("frames", "intrusion"), lambda data: [_npy_bytes(np.ascontiguousarray(data[:, :-1]))]),
+    "a column more": (("frames",), lambda data: [_npy_bytes(np.column_stack([data, data[:, -1]]))]),
+    "Fortran order": (("frames", "intrusion"), lambda data: [_npy_bytes(np.asfortranarray(data))]),
+    "zero rows": (("frames", "intrusion"), lambda data: [_npy_bytes(data[:0])]),
+    "a non-finite cell": (("frames", "intrusion"), lambda data: [
+        _npy_bytes(np.where(np.arange(data.size).reshape(data.shape) == data.size - 1, cell, data))
+        for cell in (np.nan, np.inf, -np.inf)
+    ]),
+    "t not one period": (("frames",), lambda data: [
+        _npy_bytes(_with_t(data, t)) for t in ([0.0, 0.001, 0.002, 0.004], [0.0, 0.0, 0.0, 0.0], [0.003, 0.002, 0.001, 0.0])
+    ]),
+    "one frame": (("frames",), lambda data: [_npy_bytes(data[:1])]),
+    "speeds that fall": (("intrusion",), lambda data: [
+        _npy_bytes(np.concatenate([data[7:], data[:7]])), _npy_bytes(_with_t(data, data[::-1, 0]))
+    ]),
+    "a pickled object array": (("frames", "intrusion"), lambda data: [_pickled(data)]),
+    "missing": (("frames", "intrusion"), lambda data: [None]),
+}
+_BAD_ARRAY_CASES = [(kind, case) for case, (kinds, _) in _BAD_ARRAYS.items() for kind in kinds]
+
+
+def _bad_files(kind, case):
+    return _BAD_ARRAYS[case][1](_GOOD[kind])
+
+
+def _put(path, blob):
+    """`blob` as the file at `path`, or no file there for None."""
+    if blob is None:
+        path.unlink(missing_ok=True)
+    else:
+        path.write_bytes(blob)
+
+
+@pytest.mark.parametrize(("kind", "case"), _BAD_ARRAY_CASES)
+def test_a_bad_array_is_bad_input_naming_the_file(tiny_sweep, tmp_path, capsys, kind, case):
+    # the reader refuses it; report reads its representative hop's frames
+    # back, and identify checks the grid (its fit records the grid the sweep
+    # wrote) and loads it: each exits 4, names the file and writes nothing
+    cfg, sweep = tiny_sweep
+    out = shutil.copytree(sweep, tmp_path / "out")
+    command, path = {
+        "frames": ("report", out / "hop_v0.50_kc3.75_s0_frames.npy"),
+        "intrusion": ("identify", out / "intrusion_grid.npy"),
+    }[kind]
+    _put(path, _npy_bytes(_GOOD[kind]))
+    assert np.array_equal(_npy_table(kind, READERS[kind][0](path)), _GOOD[kind])
+    for blob in _bad_files(kind, case):
+        _put(path, blob)
+        with pytest.raises(MissingInputError) as caught:
+            READERS[kind][0](path)
+        assert str(path) in str(caught.value)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+        assert str(path) in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_intrusion_header_only_is_missing_input(tmp_path):
-    path = tmp_path / "intrusion_grid.csv"
-    path.write_text(",".join(io.intrusion_columns(3)) + "\n", encoding="utf-8")
-    with pytest.raises(MissingInputError):
-        io.read_intrusion_csv(path)
-
-
-@pytest.mark.parametrize(
-    "header",
-    [
-        "speed", "speed,force_1", "speed,force_0,force_0", "force_0,speed",
-        "speed,t,depth", "speed,t,depth,force_1", "speed,t,depth,force_0,force_0", "t,depth,speed,force",
-        # a grid that writes the rig's commanded t and depth
-        "speed,t,depth,force_0",
-    ],
-)
-def test_intrusion_header_names_each_repeat_from_zero(tmp_path, header):
-    path = tmp_path / "intrusion_grid.csv"
-    width = len(header.split(","))
-    path.write_text(header + "\n" + ",".join(["0.5"] * width) + "\n", encoding="utf-8")
-    with pytest.raises(MissingInputError, match="header"):
-        io.read_intrusion_csv(path)
+    # a grid of three repeats whose header names no row
+    path = tmp_path / "intrusion_grid.npy"
+    path.write_bytes(_npy_bytes(np.empty((0, 4))))
+    with pytest.raises(MissingInputError, match="at least one row"):
+        io.read_intrusion_npy(path)
 
 
 def test_malformed_events_json_is_missing_input(tmp_path):
@@ -430,23 +633,26 @@ def test_malformed_events_json_is_missing_input(tmp_path):
 
 
 @pytest.mark.parametrize("body", ["empty", "header-only", "non-numeric"])
-def test_cli_estimate_malformed_frames_exit_code(tmp_path, body):
+def test_cli_estimate_malformed_frames_exit_code(tmp_path, body, capsys):
     out = tmp_path / "out"
     out.mkdir()
-    header = ",".join(io.FRAME_COLUMNS)
-    text = {
-        "empty": "",
-        "header-only": header + "\n",
-        "non-numeric": header + "\n" + ",".join(["0.0"] * 7 + ["oops"]) + "\n",
+    frames = _npy_bytes(_frames_array())
+    blob = {
+        "empty": b"",
+        # the header of a 4-row array, and none of its rows
+        "header-only": frames[: len(frames) - _frames_array().nbytes],
+        "non-numeric": _npy_bytes(np.full((4, len(io.FRAME_COLUMNS)), "oops")),
     }[body]
-    (out / "hop_v1.00_kc3.75_s0_frames.csv").write_text(text, encoding="utf-8")
+    path = out / "hop_v1.00_kc3.75_s0_frames.npy"
+    path.write_bytes(blob)
     cfg = tmp_path / "c.ini"
     cfg.write_text("", encoding="utf-8")
     assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 4
+    assert str(path) in capsys.readouterr().err
 
 
 _HOP = "hop_v0.80_kc3.75_s0"
-_HOP_FILES = {"frames": f"{_HOP}_frames.csv", "events": f"{_HOP}_events.json", "estimation": f"{_HOP}_estimation.csv"}
+_HOP_FILES = {"frames": f"{_HOP}_frames.npy", "events": f"{_HOP}_events.json", "estimation": f"{_HOP}_estimation.csv"}
 _HOP_ENTRY = {"trial_id": _HOP, "kind": "hop", "speed": 0.8, "k_c_n_per_cm": 3.75, "seed": 0, "paths": _HOP_FILES}
 _EVENTS = {"t_td": 0.001, "t_ce": 0.002, "t_lo": 0.003, "v_td": 0.8}
 
@@ -457,11 +663,17 @@ def _series(columns, times):
     return "\n".join([",".join(columns), *rows]) + "\n"
 
 
-_GRID_ENTRY = {"trial_id": "intrusion_grid", "kind": "intrusion", "paths": {"log": "intrusion_grid.csv"}}
-# a grid the rig fit reads and fits: two speeds on an 800 N/m bed without added mass
-_GRID = "speed,force_0\n" + "".join(
-    f"{v!r},{800.0 * v * k * 1e-3!r}\n" for v in (0.01, 0.02) for k in range(7)
-)
+_GRID_ENTRY = {"trial_id": "intrusion_grid", "kind": "intrusion", "paths": {"log": "intrusion_grid.npy"}}
+_GRID = _npy_bytes(_grid_array())
+
+
+def _write_files(directory, files):
+    """Each of `files` (name -> text, or bytes) into `directory`."""
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (directory / name).write_bytes(content)
+        else:
+            (directory / name).write_text(content, encoding="utf-8")
 
 
 def _manifest_text(entries):
@@ -482,7 +694,7 @@ def _hop_trial(estimation_times=(0.0, 0.001, 0.002, 0.003), **events):
         **_manifest(),
         _HOP_FILES["events"]: json.dumps({**_EVENTS, **events}),
         _HOP_FILES["estimation"]: _series(io.ESTIMATION_COLUMNS, estimation_times),
-        "intrusion_grid.csv": _GRID,
+        "intrusion_grid.npy": _GRID,
     }
 
 
@@ -504,7 +716,7 @@ def _report_inputs(fit, **report):
     report's keys changed as given, and `fit` as its depth_speed_fit.json."""
     return {
         **_hop_trial(),
-        _HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002, 0.003]),
+        _HOP_FILES["frames"]: _npy_bytes(_frames_array()),
         "treatment_report.json": json.dumps({"k_gt": 800.0, "conditions": [_CONDITION], **report}),
         "depth_speed_fit.json": json.dumps(fit),
     }
@@ -512,14 +724,12 @@ def _report_inputs(fit, **report):
 
 # parseable artifacts whose content cannot be used: (command, files)
 _DEGENERATE = {
-    "one-row frames": ("estimate", {_HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0])}),
-    "repeated frame time": ("estimate", {_HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.0])}),
+    "one-row frames": ("estimate", {_HOP_FILES["frames"]: _npy_bytes(_frames_array(t=[0.0]))}),
+    "repeated frame time": ("estimate", {_HOP_FILES["frames"]: _npy_bytes(_frames_array(t=[0.0, 0.0]))}),
     # a dropped sample: the filter and the observer run at one period, t[1] - t[0]
-    "uneven frame period": ("estimate", {_HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002, 0.004])}),
+    "uneven frame period": ("estimate", {_HOP_FILES["frames"]: _npy_bytes(_frames_array(t=[0.0, 0.001, 0.002, 0.004]))}),
     # the first row's loadcell_force (its last cell) is NaN
-    "non-finite frame cell": (
-        "estimate", {_HOP_FILES["frames"]: _series(io.FRAME_COLUMNS, [0.0, 0.001, 0.002]).replace("0.5\n", "nan\n", 1)}
-    ),
+    "non-finite frame cell": ("estimate", {_HOP_FILES["frames"]: _npy_bytes(_frames_array(nan_at=(0, -1)))}),
     "one-row estimation": ("identify", _hop_trial(estimation_times=[0.0])),
     "non-numeric event time": ("identify", _hop_trial(t_td="x")),
     "infinite event time": ("identify", _hop_trial(t_lo=float("inf"))),
@@ -632,8 +842,7 @@ def test_cli_degenerate_artifact_exit_code(tmp_path, case, capsys):
     command, files = _DEGENERATE[case]
     out = tmp_path / "out"
     out.mkdir()
-    for name, text in files.items():
-        (out / name).write_text(text, encoding="utf-8")
+    _write_files(out, files)
     cfg = tmp_path / "c.ini"
     cfg.write_text("", encoding="utf-8")
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
@@ -646,8 +855,7 @@ def test_report_on_unusable_fit_leaves_no_stale_residual(tmp_path, case):
     # writes nothing, so it neither rewrites the residual of an earlier fit
     # nor writes a summary beside it
     _, files = _DEGENERATE[case]
-    for name, text in {**files, "added_mass_residual.csv": "t,residual,predicted\n0.0,1.0,1.0\n"}.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+    _write_files(tmp_path, {**files, "added_mass_residual.csv": "t,residual,predicted\n0.0,1.0,1.0\n"})
     cfg = tmp_path / "c.ini"
     cfg.write_text("", encoding="utf-8")
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -658,8 +866,7 @@ def test_report_on_unusable_fit_leaves_no_stale_residual(tmp_path, case):
 @pytest.mark.parametrize("case", ["entry with a word for speed", "entry with a list for seed"])
 def test_identify_rejects_a_mistyped_entry_before_writing(tmp_path, case):
     _, files = _DEGENERATE[case]
-    for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+    _write_files(tmp_path, files)
     cfg = tmp_path / "c.ini"
     cfg.write_text("", encoding="utf-8")
     assert main(["identify", "--config", str(cfg), "--out", str(tmp_path)]) == 4
@@ -669,8 +876,7 @@ def test_identify_rejects_a_mistyped_entry_before_writing(tmp_path, case):
 @pytest.mark.parametrize("case", ["k_gt a bool", "k_gt NaN", "condition value a bool"])
 def test_report_rejects_a_value_that_is_not_a_finite_number_before_writing(tmp_path, case):
     _, files = _DEGENERATE[case]
-    for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+    _write_files(tmp_path, files)
     cfg = tmp_path / "c.ini"
     cfg.write_text("", encoding="utf-8")
     assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 4
@@ -681,9 +887,9 @@ def test_a_1500_hz_time_base_reads(tmp_path):
     # t = k / rate is uneven by a few ulps at a rate that is not a power of two
     t = np.arange(3000) / 1500.0
     assert np.ptp(np.diff(t)) > 0.0
-    path = tmp_path / "frames.csv"
-    io.write_columns_csv(path, io.FRAME_COLUMNS, [t] + [np.full(t.size, 0.5)] * (len(io.FRAME_COLUMNS) - 1))
-    assert np.array_equal(io.read_frames_csv(path).t, t)
+    path = tmp_path / "frames.npy"
+    io.write_frames_npy(path, Frames(t, *[np.full(t.size, 0.5)] * (len(io.FRAME_COLUMNS) - 1)))
+    assert np.array_equal(io.read_frames_npy(path).t, t)
 
 
 def _rowwise_csv(path, header, rows):
@@ -699,24 +905,10 @@ def test_column_writers_match_rowwise_formatting(tmp_path, noisy_trial, terrain)
     truth_columns = tuple(vars(truth))
     cols = list(vars(truth).values())
     assert truth.phase_id.dtype.kind == "i"
-    cases = [
-        (lambda path, cols: io.write_columns_csv(path, truth_columns, cols), cols, truth_columns,
-         [[col[i] for col in cols] for i in range(len(truth))]),
-        (io.write_frames_csv, noisy_trial.frames, io.FRAME_COLUMNS,
-         [[getattr(noisy_trial.frames, c)[i] for c in io.FRAME_COLUMNS] for i in range(len(noisy_trial.frames))]),
-    ]
-    # two repeats at two speeds; 667 rows at 0.03 m/s span two 512-row chunks
-    noise = NoiseConfig(loadcell_sigma=0.05)
-    logs = [run_constant_speed_intrusion(v, 0.02, terrain, noise_config=noise, seeds=[[r, i] for r in range(2)])
-            for i, v in enumerate((0.03, 0.3))]
-    assert logs[0].t.size > io.INTRUSION_CHUNK_ROWS
-    cases.append((io.write_intrusion_csv, logs, io.intrusion_columns(2),
-                  [[log.speed, *log.force[:, i]] for log in logs for i in range(log.t.size)]))
-    for writer, data, header, rows in cases:
-        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-        writer(new, data)
-        _rowwise_csv(ref, header, rows)
-        assert new.read_bytes() == ref.read_bytes(), header
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    io.write_columns_csv(new, truth_columns, cols)
+    _rowwise_csv(ref, truth_columns, [[col[i] for col in cols] for i in range(len(truth))])
+    assert new.read_bytes() == ref.read_bytes()
 
     depths, speeds = np.linspace(0.0, 0.05, 7), np.array([0.1, 0.5, 1.1])
     surface = force_map(terrain, depths, speeds)
@@ -764,7 +956,7 @@ def test_intrusion_writer_rejects_ragged_log(tmp_path):
         [log, IntrusionLog(speed=0.6, force=np.zeros((3, 3)))],
     ):
         with pytest.raises(ValueError):
-            io.write_intrusion_csv(tmp_path / "x.csv", logs)
+            io.write_intrusion_npy(tmp_path / "x.npy", logs)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -772,7 +964,7 @@ def test_intrusion_writer_rejects_ragged_log(tmp_path):
 def default_grid(tmp_path_factory):
     """The default config's intrusion grid: its logs and the file written."""
     config = ExperimentConfig()
-    path = tmp_path_factory.mktemp("grid") / "intrusion_grid.csv"
+    path = tmp_path_factory.mktemp("grid") / "intrusion_grid.npy"
     return config, experiments.write_intrusion_grid(config, path)[0], path
 
 
@@ -781,8 +973,8 @@ def test_intrusion_grid_reads_back_as_the_rig_ran_it(tmp_path, repeats):
     # every speed's record, in the order the fit takes them, bit for bit
     config = with_values(ExperimentConfig(), "sweep", intrusion_repeats=repeats)
     sweep = config.sweep
-    experiments.write_intrusion_grid(config, tmp_path / "intrusion_grid.csv")
-    logs = io.read_intrusion_csv(tmp_path / "intrusion_grid.csv")
+    experiments.write_intrusion_grid(config, tmp_path / "intrusion_grid.npy")
+    logs = io.read_intrusion_npy(tmp_path / "intrusion_grid.npy")
     expected = [
         run_constant_speed_intrusion(speed, sweep.intrusion_z_max, config.terrain, noise_config=config.noise,
                                      seeds=[[repeat, int(round(speed * 1e6))] for repeat in range(repeats)])
@@ -817,9 +1009,9 @@ def test_intrusion_grid_rebuilds_the_rig_bit_for_bit(speeds, repeats, z_max, noi
         for i, speed in enumerate(speeds)
     ]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "intrusion_grid.csv"
-        assert io.write_intrusion_csv(path, logs) == io.file_sha256(path)
-        back = io.read_intrusion_csv(path)
+        path = Path(tmp) / "intrusion_grid.npy"
+        assert io.write_intrusion_npy(path, logs) == io.file_sha256(path)
+        back = io.read_intrusion_npy(path)
     assert len(back) == len(logs)
     for got, want in zip(back, logs):
         assert got.speed == want.speed
@@ -839,37 +1031,42 @@ def test_rig_depth_at_a_whole_number_of_steps_is_1_ulp_above_z_max(terrain):
 
 
 def test_intrusion_grid_cells_are_each_logs_cells(default_grid):
+    # the streamed writer writes the bytes np.save writes for the whole
+    # array: each record's rows, its speed then each repeat's force
     config, logs, path = default_grid
-    with open(path, newline="", encoding="utf-8") as handle:
-        header, *rows = list(csv.reader(handle))
-    assert tuple(header) == io.intrusion_columns(config.sweep.intrusion_repeats)
+    rows = np.load(path, allow_pickle=False)
+    assert rows.shape == (sum(log.t.size for log in logs), 1 + config.sweep.intrusion_repeats)
+    whole = []
     for log in logs:
         n = log.t.size
-        cells, rows = list(zip(*rows[:n])), rows[n:]
-        assert set(cells[0]) == {repr(log.speed)}
-        for force, column in zip(log.force, cells[1:], strict=True):
-            assert list(column) == io._cells(force)
-    assert rows == []
+        block, rows = rows[:n], rows[n:]
+        assert set(block[:, 0].tolist()) == {log.speed}
+        assert np.array_equal(block[:, 1:].view(np.int64), log.force.T.view(np.int64))
+        whole.append(np.column_stack([np.full(n, log.speed), log.force.T]))
+    assert rows.size == 0
+    assert path.read_bytes() == _npy_bytes(np.ascontiguousarray(np.concatenate(whole)))
 
 
-_GRID_MEMORY_BOUND = 0.5e6   # bytes; 512-row writer 0.19 MB, per-block reader 0.16 MB, whole-file reader 2.2 MB
+_GRID_MEMORY_BOUND = 0.5e6   # bytes; per-block writer 0.12 MB, loader 0.07 MB beyond its array (the text grid's whole-file reader: 2.2 MB)
 
 
 def test_intrusion_grid_is_streamed(default_grid):
-    # the writer never holds the grid's text, and the reader never holds the
-    # file's lines, beyond the arrays it returns
+    # the writer never holds the grid's array, only one record's block, and
+    # the reader holds nothing beyond the array it loads, of which each
+    # record's force rows are views
     _, logs, path = default_grid
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        io.write_intrusion_csv(path, logs)
+        io.write_intrusion_npy(path, logs)
         write_peak = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
-        back = io.read_intrusion_csv(path)
+        back = io.read_intrusion_npy(path)
         kept, read_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(back) == len(logs)
+    assert len({id(log.force.base) for log in back}) == 1
     assert write_peak <= _GRID_MEMORY_BOUND, write_peak
     assert read_peak - kept <= _GRID_MEMORY_BOUND, read_peak - kept
 
@@ -906,43 +1103,40 @@ def tiny_sweep(tmp_path_factory):
 
 def _speed_of_row_5(rows):
     # a speed that is not the grid's next one, then the first speed again
-    rows[6][0] = "0.9"
+    rows[5, 0] = 0.9
+    return rows
 
 
 def _first_speed_again(rows):
-    first = [row for row in rows[1:] if row[0] == rows[1][0]]
-    rows.extend(first)
+    return np.concatenate([rows, rows[rows[:, 0] == rows[0, 0]]])
 
 
 def _nan_force(rows):
-    rows[3][1] = "nan"
-
-
-def _blank_last_line(rows):
-    rows.append([])
+    rows[2, 1] = np.nan
+    return rows
 
 
 @pytest.mark.parametrize(
     "edit",
-    [_speed_of_row_5, _first_speed_again, _nan_force, _blank_last_line],
+    [_speed_of_row_5, _first_speed_again, _nan_force, None],
     ids=["speed varies", "speed block repeated", "nan force", "blank line"],
 )
 def test_identify_rejects_inconsistent_intrusion_log(tiny_sweep, tmp_path, edit):
     # a block's speed that falls or comes back would merge two speeds' rows,
     # and a nan made the fit "skip" and delete depth_speed_fit.json: all
-    # are bad input; numpy's parser skips a blank line, which must stay bad
-    # input too
+    # are bad input; so is a blank line after the array, which np.load
+    # would not read
     cfg, sweep = tiny_sweep
     out = tmp_path / "out"
     shutil.copytree(sweep, out)
     fit_before = (out / "depth_speed_fit.json").read_bytes()
-    log = out / "intrusion_grid.csv"
-    with open(log, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    edit(rows)
-    io.write_csv(log, rows[0], rows[1:])
-    with pytest.raises(MissingInputError):
-        io.read_intrusion_csv(log)
+    log = out / "intrusion_grid.npy"
+    if edit is None:
+        log.write_bytes(log.read_bytes() + b"\r\n")
+    else:
+        log.write_bytes(_npy_bytes(edit(np.load(log, allow_pickle=False))))
+    with pytest.raises(MissingInputError, match=str(log)):
+        io.read_intrusion_npy(log)
     assert main(["identify", "--config", str(cfg), "--out", str(out)]) == 4
     assert (out / "depth_speed_fit.json").read_bytes() == fit_before
 
@@ -982,17 +1176,16 @@ def test_identify_rejects_a_manifest_without_the_intrusion_entry(tiny_sweep, tmp
 @settings(max_examples=20, deadline=None)
 @given(data=st.data(), end=st.sampled_from(["\n", "\r\n"]))
 def test_a_blank_line_anywhere_in_the_grid_is_bad_input(tmp_path_factory, tiny_sweep, data, end):
-    # the reader parses chunks of lines with their ends; a blank line in any
-    # chunk, at its start or at the end of the file, is bad input, not a row
-    # numpy skips
+    # a line end put anywhere in the array's bytes, in its header or its
+    # body or after it, is bad input
     cfg, sweep = tiny_sweep
-    lines = (sweep / "intrusion_grid.csv").read_bytes().decode("utf-8").split("\r\n")
-    lines.insert(data.draw(st.integers(1, len(lines) - 1), label="at"), "")
+    blob = (sweep / "intrusion_grid.npy").read_bytes()
+    at = data.draw(st.integers(0, len(blob)), label="at")
     out = tmp_path_factory.mktemp("blank")
     shutil.copytree(sweep, out, dirs_exist_ok=True)
-    (out / "intrusion_grid.csv").write_bytes(end.join(lines).encode("utf-8"))
-    with pytest.raises(MissingInputError, match="blank line"):
-        io.read_intrusion_csv(out / "intrusion_grid.csv")
+    (out / "intrusion_grid.npy").write_bytes(blob[:at] + end.encode() + blob[at:])
+    with pytest.raises(MissingInputError, match="intrusion_grid.npy"):
+        io.read_intrusion_npy(out / "intrusion_grid.npy")
     assert main(["identify", "--config", str(cfg), "--out", str(out)]) == 4
 
 
