@@ -17,26 +17,25 @@ Commands
     report     summary JSON + plot-ready CSVs, the force map drawn from the
                rig fit
 
-A hop runs only as a condition of the `[sweep]` grid.  `--seeds`, `--jobs`
-and `--resume` are read by sweep only; any other command given one exits
-2 before it reads or writes anything, as it does for an empty seed list.  Exit codes: 0
-success, 2 config or usage error, 3 runtime/integration or numeric
-error (an intrusion grid that cannot be fitted), 4 missing-input error.  Output directory precedence: --out, then
-HOPPERLAB_OUT, then the config's [output] dir; one that exists as a file
-is a usage error (exit 2).
+Every command needs `--config`, the one source of the run's settings (the
+seeds included), and `--out`, the one source of its output directory.
+`--jobs` and `--resume` are read by sweep only; any other command given
+one exits 2 before it reads or writes anything, as does a missing `--out`
+or one that is not a directory.  Exit codes: 0 success, 2 config or usage
+error, 3 runtime/integration or numeric error (an intrusion grid that
+cannot be fitted), 4 missing-input error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import io
-from .config import ExperimentConfig, load_config, with_values
+from .config import ExperimentConfig, load_config
 from .errors import ConfigError, HopperlabError, MissingInputError
 from .experiments import (
     estimate_from_frames,
@@ -47,18 +46,16 @@ from .experiments import (
 )
 
 
-def _resolve_out(config: ExperimentConfig, args) -> Path:
-    """The output directory by the precedence above; one that exists as
-    anything but a directory is a usage error, raised before the command
-    reads or writes anything."""
-    out = Path(args.out or os.environ.get("HOPPERLAB_OUT") or config.output_dir)
+def _resolve_out(args) -> Path:
+    """`--out`; anything but a directory there is a usage error, raised first."""
+    out = Path(args.out)
     if out.exists() and not out.is_dir():
         raise ConfigError(f"output directory {out} exists and is not a directory")
     return out
 
 
 def cmd_estimate(config: ExperimentConfig, args) -> int:
-    out = _resolve_out(config, args)
+    out = _resolve_out(args)
     frame_files = sorted(out.glob("*_frames.npy"))
     if not frame_files:
         raise MissingInputError(f"no *_frames.npy files in {out}")
@@ -72,16 +69,14 @@ def cmd_estimate(config: ExperimentConfig, args) -> int:
 
 
 def cmd_identify(config: ExperimentConfig, args) -> int:
-    out = _resolve_out(config, args)
+    out = _resolve_out(args)
     identify_outputs(config, out, *identify_inputs(out))
     print(f"wrote treatment_report.json and fits.csv to {out}")
     return 0
 
 
 def cmd_sweep(config: ExperimentConfig, args) -> int:
-    out = _resolve_out(config, args)
-    if args.seeds is not None:
-        config = with_values(config, "sweep", seeds=tuple(args.seeds))
+    out = _resolve_out(args)
     manifest = run_sweep(config, out, jobs=1 if args.jobs is None else args.jobs, resume=bool(args.resume))
     n_hop = sum(1 for e in manifest["entries"] if e["kind"] == "hop")
     grid = f"{config.sweep.intrusion_speed_count} speeds x {config.sweep.intrusion_repeats} repeats"
@@ -90,7 +85,7 @@ def cmd_sweep(config: ExperimentConfig, args) -> int:
 
 
 def cmd_report(config: ExperimentConfig, args) -> int:
-    out = _resolve_out(config, args)
+    out = _resolve_out(args)
     write_report(config, out)
     print(f"wrote summary.json and plot CSVs to {out}")
     return 0
@@ -105,17 +100,7 @@ _COMMANDS = {
 
 
 # the flags beyond --config and --out, all read by sweep only
-_SWEEP_FLAGS = ("seeds", "jobs", "resume")
-
-
-def _parse_seeds(text: str) -> list[int]:
-    try:
-        seeds = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        seeds = []
-    if not seeds:
-        raise argparse.ArgumentTypeError(f"bad seed list: {text!r}, need comma-separated integers")
-    return seeds
+_SWEEP_FLAGS = ("jobs", "resume")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,8 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=_COMMANDS, help="what to run")
     parser.add_argument("--config", required=True, help="experiment config file")
-    parser.add_argument("--out", default=None, help="output directory (overrides HOPPERLAB_OUT and the config)")
-    parser.add_argument("--seeds", type=_parse_seeds, help="comma-separated seed list (sweep)")
+    parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--jobs", type=int, help="parallel workers for the hop grid (sweep; default 1)")
     parser.add_argument(
         "--resume", action="store_true", default=None, help="skip hop trials whose outputs read back (sweep)"

@@ -2,7 +2,8 @@
 
 Each section fills one dataclass and its keys are that dataclass's
 fields, so every key has a documented default and an empty file is a
-valid config.  Unknown sections or keys are rejected.  Stiffnesses are
+valid config.  Unknown sections or keys are rejected, `[output]` among
+them: the output directory comes only from `--out`.  Stiffnesses are
 given in N/cm (the convention of the hardware protocol this mirrors): the
 controller's `k_extend` is converted to N/m at parse time, and the sweep
 grid is kept in N/cm as `stiffnesses_n_per_cm`.  A hop's touchdown speed,
@@ -108,7 +109,6 @@ class ExperimentConfig:
     weight: WeightConfig = field(default_factory=WeightConfig)
     estimation: EstimationConfig = field(default_factory=EstimationConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
-    output_dir: str = "runs"
 
 
 def _parse_bool(text: str) -> bool:
@@ -143,9 +143,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         for f in fields(section.default_factory)
     }
     for section in fields(ExperimentConfig)
-    if section.name != "output_dir"
 }
-_SCHEMA["output"] = {"dir": ("output_dir", str, str)}
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -205,8 +203,6 @@ def with_values(config: ExperimentConfig, section: str, **values) -> ExperimentC
     ConfigError in which each key of the section that the message names
     reads `[section] key`, so a rule across two keys names both."""
     try:
-        if section == "output":
-            return replace(config, **values)
         return replace(config, **{section: replace(getattr(config, section), **values)})
     except ValueError as exc:
         keys = {name: key for key, (target, _, _) in _SCHEMA[section].items() for name in (key, target)}
@@ -219,9 +215,8 @@ def config_to_text(config: ExperimentConfig) -> str:
     """Render a config back to the file format (SI values; stiffness in N/cm)."""
     lines: list[str] = []
     for section, schema in _SCHEMA.items():
-        values = config if section == "output" else getattr(config, section)
         lines.append(f"[{section}]")
         for key, (target, _, render) in schema.items():
-            lines.append(f"{key} = {render(getattr(values, target))}")
+            lines.append(f"{key} = {render(getattr(getattr(config, section), target))}")
         lines.append("")
     return "\n".join(lines)

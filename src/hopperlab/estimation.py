@@ -301,14 +301,14 @@ def kalman_x0(frames: Frames, linkage_params: LinkageParams) -> np.ndarray:
 def run_estimation(
     frames: Frames,
     linkage_params: LinkageParams,
-    noise: NoiseConfig | None = None,
-    settings: EstimationConfig = EstimationConfig(),
+    noise: NoiseConfig,
+    settings: EstimationConfig,
 ) -> EstimationSeries:
     """Full onboard pipeline over one trial's frames.
 
     The encoder angle and rate are taken as the frames report them; the
-    Kalman filter, with covariances from the sensor model `noise` (default
-    `NoiseConfig()`) and `settings.p0_scale`, runs at the frame rate over
+    Kalman filter, with covariances from the sensor model `noise` and
+    `settings.p0_scale`, runs at the frame rate over
     the cached gain sequence (see `_gain_sequence`); the momentum observer
     (bandwidth `settings.k_obs`) consumes raw encoder kinematics plus the
     filtered foot velocity.
@@ -324,7 +324,7 @@ def run_estimation(
     disp = length + lk.mount_offset
     rate = jac * theta_dot
 
-    constants = _filter_constants(noise if noise is not None else NoiseConfig(), lk, dt, settings.p0_scale)
+    constants = _filter_constants(noise, lk, dt, settings.p0_scale)
     x0 = kalman_x0(frames, lk)
     n = len(frames)
     x_hat = np.empty((n, 4))

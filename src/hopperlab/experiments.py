@@ -31,7 +31,8 @@ What each command reads:
               writes them, fits the intrusion records it holds in
               memory as soon as the grid is written, before any hop runs,
               and holds every hop's stance samples.  `--resume` first reads
-              the manifest's config and refuses another (ConfigError, with
+              the manifest and refuses another config, or entries that
+              name other files than this config writes (ConfigError, with
               nothing written), then reads each hop back once, skips a hop
               that reads back, identifying it from what was read, and runs
               any other hop again.
@@ -47,7 +48,7 @@ What each command reads:
               it writes anything; the force map's axes, the `[sweep]`
               intrusion grid, must be the manifest's (else ConfigError).
 
-The manifest records the config the sweep ran under, as
+The manifest records the config the sweep ran under, every key of it, as
 `config_to_text` renders it (`config`), and lists each trial's files by
 name; `trial_paths` resolves them against the output directory, so a
 sweep directory can be copied or moved.  A manifest without the config
@@ -171,14 +172,23 @@ def _config_values(text: str) -> dict[str, str]:
 
 def _check_recorded_config(recorded: str, config: ExperimentConfig, keys=None) -> None:
     """ConfigError, naming each key that differs, unless `config` renders
-    each of `keys` (`[section] key`; by default every key of either config
-    but `[output]`'s) as the recorded config text does."""
+    each of `keys` (`[section] key`; by default every key of either config)
+    as the recorded config text does."""
     now, then = _config_values(config_to_text(config)), _config_values(recorded)
-    if keys is None:
-        keys = [key for key in dict.fromkeys([*now, *then]) if not key.startswith("[output] ")]
+    keys = keys or dict.fromkeys([*now, *then])
     differ = [f"{key} = {now.get(key)}, recorded {then.get(key)}" for key in keys if now.get(key) != then.get(key)]
     if differ:
         raise ConfigError("the config differs from the one the sweep's manifest.json records: " + "; ".join(differ))
+
+
+def _check_recorded_entries(recorded: list[dict], entries: list[dict]) -> None:
+    """ConfigError, naming the files that differ, unless the recorded
+    manifest entries are `entries`, their `status` aside."""
+    then, now = ([{k: v for k, v in e.items() if k != "status"} for e in trials] for trials in (recorded, entries))
+    if then != now:
+        old, new = ({name for e in trials for name in e["paths"].values()} for trials in (then, now))
+        raise ConfigError(f"the sweep's manifest.json lists other trials than this config writes: "
+                          f"recorded {sorted(old - new)}, this config writes {sorted(new - old)}")
 
 
 def run_single_hop(config: ExperimentConfig, speed: float, kc_n_per_cm: float, seed: int):
@@ -307,19 +317,21 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, jobs: int = 1, resume: bo
     """Intrusion grid and its fit, then hop grid + estimation +
     identification, from the intrusion records and stance samples held in
     memory.  Under `resume`, a manifest that does not read back
-    (`manifest_trials`) or records another config (`[output]` aside) is
-    refused before anything is written, and a
-    hop that reads back (`_finished_hop`) is skipped and identified from
-    what was read; the intrusion grid always runs, and is fitted before any
-    hop runs."""
+    (`manifest_trials`), records another config, or lists other entries
+    than `build_manifest` gives (their `status` aside) is refused before
+    anything is written, and a hop that reads back (`_finished_hop`) is
+    skipped and identified from what was read; the intrusion grid always
+    runs, and is fitted before any hop runs."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     out_dir = Path(out_dir)
     manifest_path = out_dir / "manifest.json"
-    if resume and manifest_path.exists():
-        _check_recorded_config(manifest_trials(out_dir)[0], config)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = build_manifest(config)
+    if resume and manifest_path.exists():
+        recorded, trials = manifest_trials(out_dir)
+        _check_recorded_config(recorded, config)
+        _check_recorded_entries([entry for entry, _ in trials], manifest["entries"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     io.write_json(manifest_path, manifest)
 
     # trial id -> stance samples, of every hop skipped or run here

@@ -386,12 +386,11 @@ def fit_treatments(trial: TrialSamples, weights: WeightConfig) -> dict[str, FitR
 def treatment_comparison(
     trials: list[TrialSamples],
     k_gt: float,
-    weights: WeightConfig | None = None,
+    weights: WeightConfig,
 ) -> TreatmentReport:
     """Per-condition mean +/- SEM of the stiffness estimate for each treatment."""
     if not trials:
         raise InsufficientDataError("no trials to compare")
-    weights = weights if weights is not None else WeightConfig()
     by_condition: dict[tuple[float, float], list[TrialSamples]] = {}
     for trial in trials:
         by_condition.setdefault((trial.v_td, trial.k_c_n_per_cm), []).append(trial)

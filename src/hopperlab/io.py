@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 from io import BytesIO
@@ -199,12 +200,14 @@ def _read_npy(path, kind: str, width: int | None = None, load: bool = True) -> n
     with two axes, at least one row and `width` columns (None: at least
     two), and the file hold exactly the bytes of that shape.  The header is
     checked before the array is loaded, so a damaged shape allocates
-    nothing.  Anything else, a missing file too, is bad input
-    (MissingInputError) naming the file."""
+    nothing.  Anything else, a missing file too, or a header numpy reads
+    only as a Python 2 one, is bad input (MissingInputError) in one line
+    naming the file."""
     if not Path(path).exists():
         raise MissingInputError(f"missing input file: {path}")
     try:
-        with open(path, "rb") as handle:
+        with open(path, "rb") as handle, warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
             if np.lib.format.read_magic(handle) != (1, 0):
                 raise ValueError("not a version 1.0 .npy file")
             shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
@@ -219,8 +222,10 @@ def _read_npy(path, kind: str, width: int | None = None, load: bool = True) -> n
                 raise ValueError(f"{body} bytes after the header, where shape {shape} needs {need}")
             handle.seek(0)
             return np.load(handle, allow_pickle=False) if load else None
-    except (OSError, ValueError, TokenError) as exc:  # TokenError: numpy's retry of a Python 2 header
-        raise MissingInputError(f"malformed {kind} file {path}: {exc}") from exc
+    # a damaged header: SyntaxError, TypeError (a bytes key), or from numpy's
+    # retry of a Python 2 header a TokenError or its warning
+    except (OSError, ValueError, SyntaxError, TypeError, TokenError, UserWarning) as exc:
+        raise MissingInputError(f"malformed {kind} file {path}: {' '.join(str(exc).split())}") from exc
 
 
 def write_frames_npy(path, frames: Frames) -> None:

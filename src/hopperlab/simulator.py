@@ -386,7 +386,7 @@ def run_hop_trial(
     drop_speed: float,
     k_compress: float,
     seed,
-    noise_config: NoiseConfig | None = None,
+    noise_config: NoiseConfig,
 ) -> TrialLog:
     """Integrate one drop-release hop, one RK4 step per sensor period, then
     synthesize its sensor frames from the truth rows in one pass
@@ -415,7 +415,6 @@ def run_hop_trial(
         raise ValueError(f"drop_speed = {drop_speed!r} is outside [0, inf)")
     if not 0.0 < k_compress <= controller_config.k_extend:
         raise ValueError(f"k_compress = {k_compress!r} is outside (0, k_extend = {controller_config.k_extend!r}]")
-    noise = noise_config if noise_config is not None else NoiseConfig()
     rng = np.random.default_rng(seed)
 
     lk = linkage_params
@@ -574,7 +573,7 @@ def run_hop_trial(
     events = detect_events(truth)
     frames = sensor_frames(
         truth.t, truth.theta, truth.theta_dot, truth.acc_b, truth.acc_f,
-        truth.x_b, truth.tau, truth.f_total, noise, lk, rng, dt,
+        truth.x_b, truth.tau, truth.f_total, noise_config, lk, rng, dt,
     )
     return TrialLog(
         frames=frames,
@@ -589,8 +588,8 @@ def run_constant_speed_intrusion(
     speed: float,
     z_max: float,
     terrain_params: TerrainParams,
-    noise_config: NoiseConfig | None = None,
-    seeds=(0,),
+    noise_config: NoiseConfig,
+    seeds,
 ) -> IntrusionLog:
     """Drive the foot kinematically at constant speed down to z_max, once
     per seed, at `IntrusionLog.depth`, unclamped: where z_max is a whole
@@ -604,11 +603,10 @@ def run_constant_speed_intrusion(
         raise ValueError("speed must be positive")
     if z_max <= 0.0:
         raise ValueError("z_max must be positive")
-    noise = noise_config if noise_config is not None else NoiseConfig.noiseless()
     n = int(math.floor(z_max / (speed * (1.0 / INTRUSION_RATE_HZ)))) + 1
     log = IntrusionLog(speed=float(speed), force=np.empty((len(seeds), n)))
     log.force[:] = constant_speed_force(log.depth, speed, terrain_params)
-    if noise.enabled and noise.loadcell_sigma > 0.0:
+    if noise_config.enabled and noise_config.loadcell_sigma > 0.0:
         for row, seed in zip(log.force, seeds):
-            row += np.random.default_rng(seed).normal(0.0, noise.loadcell_sigma, size=n)
+            row += np.random.default_rng(seed).normal(0.0, noise_config.loadcell_sigma, size=n)
     return log

@@ -40,7 +40,7 @@ def noiseless_trial(linkage, terrain, controller, k_compress):
 @pytest.fixture(scope="session")
 def noisy_trial(linkage, terrain, controller, k_compress):
     """One default-noise hop at 0.8 m/s; shared across tests."""
-    return run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, k_compress, seed=0)
+    return run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, k_compress, seed=0, noise_config=NoiseConfig())
 
 
 @pytest.fixture(scope="session")

@@ -65,8 +65,9 @@ def sweep(linkage, terrain):
                 v,
                 kc * 100.0,
                 seed=[seed, int(v * 1000), int(kc * 100)],
+                noise_config=NoiseConfig(),
             )
-            est = run_estimation(log.frames, linkage)
+            est = run_estimation(log.frames, linkage, NoiseConfig(), EstimationConfig())
             trials.append(
                 TrialSamples(
                     v_td=v,
@@ -77,7 +78,7 @@ def sweep(linkage, terrain):
                 )
             )
     elapsed = time.time() - start
-    report = treatment_comparison(trials, k_gt=terrain.k_stiff)
+    report = treatment_comparison(trials, k_gt=terrain.k_stiff, weights=WeightConfig())
     errs = {(c.v_td, c.k_c_n_per_cm, c.treatment): c.rel_err for c in report.conditions}
     means = {(c.v_td, c.k_c_n_per_cm, c.treatment): c.mean_k for c in report.conditions}
     return {"errs": errs, "means": means, "elapsed": elapsed, "k_gt": terrain.k_stiff}
@@ -86,7 +87,7 @@ def sweep(linkage, terrain):
 @pytest.fixture(scope="module")
 def intrusion_fit(terrain):
     speeds = np.linspace(0.022, 1.1, 50)
-    logs = [run_constant_speed_intrusion(v, 0.05, terrain) for v in speeds]
+    logs = [run_constant_speed_intrusion(v, 0.05, terrain, NoiseConfig.noiseless(), seeds=[0]) for v in speeds]
     return fit_depth_speed_model(logs)
 
 
@@ -161,7 +162,7 @@ def test_criterion_05_added_mass_residual(intrusion_fit, linkage, terrain, contr
     # acceleration, the same construction as the hardware analysis
     cors = []
     for seed in SEEDS:
-        log = run_hop_trial(SimConfig(), controller, terrain, linkage, 1.2, k_compress, seed=seed)
+        log = run_hop_trial(SimConfig(), controller, terrain, linkage, 1.2, k_compress, seed=seed, noise_config=NoiseConfig())
         frames = log.frames
         z = -log.truth.x_f
         zd = -log.truth.v_f
@@ -230,9 +231,9 @@ def test_criterion_07_kalman_filter(linkage, terrain, controller, k_compress):
     noise = NoiseConfig()
     sq = []
     for seed in SEEDS:
-        log = run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, k_compress, seed=seed)
+        log = run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, k_compress, seed=seed, noise_config=NoiseConfig())
         frames = log.frames
-        est = run_estimation(frames, linkage, noise=noise)
+        est = run_estimation(frames, linkage, noise, EstimationConfig())
         sq.append((est.x_b_hat[100:] - log.truth.x_b[100:]) ** 2)
     rmse = math.sqrt(float(np.concatenate(sq).mean()))
 
@@ -375,8 +376,8 @@ def test_criterion_10_determinism(tmp_path):
     outs = []
     for run in ("a", "b"):
         out = tmp_path / run
-        cfg_path.write_text(cfg_text + f"[output]\ndir = {out}\n")
-        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        cfg_path.write_text(cfg_text)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
         outs.append(out)
     mismatches = []
     names = sorted(p.name for p in outs[0].glob("*.csv"))
@@ -418,7 +419,7 @@ def test_recovery_holds_on_a_grid_of_beds(bed, tmp_path):
             entry = {"speed": v, "k_c_n_per_cm": 3.75, "seed": seed}
             trials.append(experiments._trial_samples(entry, est, log.events))
     terrain = config.terrain
-    report = treatment_comparison(trials, k_gt=terrain.k_stiff)
+    report = treatment_comparison(trials, k_gt=terrain.k_stiff, weights=WeightConfig())
     errs = {(c.v_td, c.treatment): c.rel_err for c in report.conditions}
     fit = fit_depth_speed_model(experiments.write_intrusion_grid(config, tmp_path / "intrusion_grid.npy")[0])
     fit_errs = (

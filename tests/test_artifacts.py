@@ -71,7 +71,8 @@ def sweep_dir(tmp_path_factory, config_path):
 def one_condition_dir(tmp_path_factory, config_path):
     """A sweep of TRIAL's condition alone."""
     out = tmp_path_factory.mktemp("one_condition")
-    assert main(["sweep", "--config", config_path, "--seeds", "1", "--out", str(out)]) == 0
+    config = _other_config(config_path, tmp_path_factory.mktemp("seed1"), sweep="seeds = 1\n")
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 0
     return out
 
 
@@ -372,11 +373,13 @@ def _other_config(config_path, tmp_path, sweep="", extra=""):
 
 
 def test_manifest_records_the_config_the_sweep_ran_under(config_path, tmp_path):
-    # --seeds is part of it: the seeds are the [sweep] seeds it ran
+    # the whole config, every key of it: the output directory is not one
     out = tmp_path / "seed1"
-    assert main(["sweep", "--config", config_path, "--seeds", "1", "--out", str(out)]) == 0
+    config = _other_config(config_path, tmp_path, sweep="seeds = 1\n")
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 0
     recorded = json.loads((out / "manifest.json").read_text())["config"]
     assert recorded == config_to_text(with_values(load_config(config_path), "sweep", seeds=(1,)))
+    assert "[output]" not in recorded
 
 
 def test_resume_under_another_config_writes_nothing(sweep_dir, config_path, tmp_path, capsys):
@@ -390,9 +393,9 @@ def test_resume_under_another_config_writes_nothing(sweep_dir, config_path, tmp_
     assert main(["sweep", "--config", other, "--out", str(out), "--resume"]) == 2
     assert "[terrain] k_stiff = 1600.0, recorded 800.0" in capsys.readouterr().err
     assert _files(out) == before
-    # the output directory is where the files go, not how they were made
-    moved = _other_config(config_path, tmp_path, extra="[output]\ndir = elsewhere\n")
-    assert main(["sweep", "--config", moved, "--out", str(out), "--resume"]) == 0
+    # the output directory is where the files go, not how they were made:
+    # the sweep resumes into its moved copy
+    assert main(["sweep", "--config", config_path, "--out", str(out), "--resume"]) == 0
     resumed, clean = _files(out), _files(sweep_dir)
     del resumed["manifest.json"], clean["manifest.json"]
     assert resumed == clean
@@ -420,6 +423,49 @@ def test_resume_on_a_directory_recorded_with_the_removed_condition_keys_writes_n
     # identify and report read it as before
     for command in ("identify", "report"):
         assert main([command, "--config", config_path, "--out", str(out)]) == 0
+
+
+def test_resume_on_a_directory_recorded_with_an_output_section_writes_nothing(
+    sweep_dir, config_path, tmp_path, capsys
+):
+    # a sweep recorded while the config held the output directory renders
+    # `[output] dir` in its config text: --resume compares every key, and
+    # the config no longer has that one
+    out = _copy(sweep_dir, tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"] += "[output]\ndir = runs\n"
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    before = _files(out)
+    assert main(["sweep", "--config", config_path, "--out", str(out), "--resume"]) == 2
+    assert "[output] dir = None, recorded runs" in capsys.readouterr().err
+    assert _files(out) == before
+    # identify and report read it as before
+    for command in ("identify", "report"):
+        assert main([command, "--config", config_path, "--out", str(out)]) == 0
+
+
+def test_resume_on_a_directory_whose_manifest_names_other_files_writes_nothing(
+    sweep_dir, config_path, tmp_path, capsys
+):
+    # a sweep written before frames and the grid were arrays lists text
+    # files under today's config: resuming it would leave them beside the
+    # arrays, read by no command, so it is refused before anything is written
+    out = _copy(sweep_dir, tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    for entry in manifest["entries"]:
+        entry["paths"] = {key: name.replace(".npy", ".csv") for key, name in entry["paths"].items()}
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    before = _files(out)
+    assert main(["sweep", "--config", config_path, "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert f"'{TRIAL}_frames.csv'" in err and "'intrusion_grid.csv'" in err
+    assert f"'{TRIAL}_frames.npy'" in err and "'intrusion_grid.npy'" in err
+    assert _files(out) == before
+    # the entries' status is not compared: a manifest of done trials resumes
+    manifest = json.loads((sweep_dir / "manifest.json").read_text())
+    assert {entry["status"] for entry in manifest["entries"]} == {"done"}
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["sweep", "--config", config_path, "--out", str(out), "--resume"]) == 0
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -102,10 +103,7 @@ def _other_value(value):
 
 
 _SECTION_FIELDS = [
-    (section.name, f.name)
-    for section in fields(ExperimentConfig)
-    if section.name != "output_dir"
-    for f in fields(section.default_factory)
+    (section.name, f.name) for section in fields(ExperimentConfig) for f in fields(section.default_factory)
 ]
 
 
@@ -122,10 +120,17 @@ def test_every_section_field_is_a_config_key(tmp_path, section, name):
     assert load_config(_write(tmp_path, config_to_text(cfg), "again.ini")) == cfg
 
 
-def test_output_dir_is_a_config_key(tmp_path):
-    cfg = load_config(_write(tmp_path, "[output]\ndir = elsewhere/runs\n"))
-    assert cfg.output_dir == "elsewhere/runs"
-    assert load_config(_write(tmp_path, config_to_text(cfg), "again.ini")) == cfg
+def test_an_output_section_is_a_config_error(tmp_path, capsys):
+    # the output directory comes only from --out
+    out = tmp_path / "runs"
+    cfg = _write(tmp_path, TINY_SWEEP + f"[output]\ndir = {out}\n")
+    with pytest.raises(ConfigError, match=r"\[output\]"):
+        load_config(cfg)
+    for command in ("estimate", "identify", "sweep", "report"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown config section [output]" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini"]
+    assert "[output]" not in config_to_text(ExperimentConfig())
 
 
 def test_default_sweep_matches_protocol():
@@ -152,9 +157,9 @@ def test_linspace_is_numpy_linspace_bit_for_bit(low, span, n):
 
 
 def test_cli_config_error_exit_code(tmp_path):
-    rc = main(["sweep", "--config", str(tmp_path / "missing.ini")])
+    rc = main(["sweep", "--config", str(tmp_path / "missing.ini"), "--out", str(tmp_path / "runs")])
     assert rc == 2
-    rc = main(["sweep", "--config", _write(tmp_path, "[controller]\nbogus = 1\n")])
+    rc = main(["sweep", "--config", _write(tmp_path, "[controller]\nbogus = 1\n"), "--out", str(tmp_path / "runs")])
     assert rc == 2
     # the bed surface is the height datum, not a setting
     cfg = _write(tmp_path, "[terrain]\nsurface_height = 0.1\n")
@@ -272,16 +277,16 @@ def test_a_trial_above_a_million_samples_is_a_config_error(tmp_path, capsys, tex
 
 
 def test_cli_missing_input_exit_code(tmp_path):
-    cfg = _write(tmp_path, f"[output]\ndir = {tmp_path}/empty\n")
-    assert main(["estimate", "--config", cfg]) == 4
-    assert main(["identify", "--config", cfg]) == 4
-    assert main(["report", "--config", cfg]) == 4
+    cfg, out = _write(tmp_path, ""), str(tmp_path / "empty")
+    assert main(["estimate", "--config", cfg, "--out", out]) == 4
+    assert main(["identify", "--config", cfg, "--out", out]) == 4
+    assert main(["report", "--config", cfg, "--out", out]) == 4
 
 
 def test_cli_one_condition_sweep_writes_artifacts(tmp_path):
-    cfg = _write(tmp_path, TINY_SWEEP.replace("seeds = 0, 1", "seeds = 0") + f"[output]\ndir = {tmp_path}/out\n")
-    assert main(["sweep", "--config", cfg]) == 0
+    cfg = _write(tmp_path, TINY_SWEEP.replace("seeds = 0, 1", "seeds = 0"))
     out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     hop = "hop_v0.80_kc3.75_s0"
     assert {p.name for p in out.iterdir()} == {
         f"{hop}_frames.npy", f"{hop}_events.json", f"{hop}_estimation.csv", "intrusion_grid.npy",
@@ -291,20 +296,26 @@ def test_cli_one_condition_sweep_writes_artifacts(tmp_path):
     assert frames.t[1] - frames.t[0] == pytest.approx(1e-3)
 
 
-def test_cli_out_precedence(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, TINY_SWEEP.replace("seeds = 0, 1", "seeds = 0") + f"[output]\ndir = {tmp_path}/from_config\n")
+def test_cli_out_precedence(tmp_path, monkeypatch, capsys):
+    # --out is the one source of the output directory: HOPPERLAB_OUT is not
+    # read, so without --out every command is a usage error that writes nothing
+    cfg = _write(tmp_path, TINY_SWEEP.replace("seeds = 0, 1", "seeds = 0"))
     monkeypatch.setenv("HOPPERLAB_OUT", str(tmp_path / "from_env"))
-    assert main(["sweep", "--config", cfg]) == 0
-    assert (tmp_path / "from_env").exists()
-    assert not (tmp_path / "from_config").exists()
+    for command in ("estimate", "identify", "sweep", "report"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini"]
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "from_flag")]) == 0
     assert (tmp_path / "from_flag").exists()
+    assert not (tmp_path / "from_env").exists()
 
 
 def test_cli_sweep_manifest_and_resume(tmp_path):
     out = tmp_path / "runs"
-    cfg = _write(tmp_path, TINY_SWEEP + f"[output]\ndir = {out}\n")
-    assert main(["sweep", "--config", cfg]) == 0
+    cfg = _write(tmp_path, TINY_SWEEP)
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     hop_entries = [e for e in manifest["entries"] if e["kind"] == "hop"]
     intr_entries = [e for e in manifest["entries"] if e["kind"] == "intrusion"]
@@ -318,7 +329,7 @@ def test_cli_sweep_manifest_and_resume(tmp_path):
     victim = hop_entries[0]
     for name in victim["paths"].values():
         os.remove(out / name)
-    assert main(["sweep", "--config", cfg, "--resume"]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--resume"]) == 0
     manifest2 = json.loads((out / "manifest.json").read_text())
     statuses = {e["trial_id"]: e["status"] for e in manifest2["entries"]}
     assert statuses[victim["trial_id"]] == statuses["intrusion_grid"] == "done"
@@ -327,9 +338,14 @@ def test_cli_sweep_manifest_and_resume(tmp_path):
 
 
 def test_cli_seeds_override(tmp_path):
+    # the seeds run are the config's [sweep] seeds, which no flag overrides
     out = tmp_path / "runs"
-    cfg = _write(tmp_path, TINY_SWEEP + f"[output]\ndir = {out}\n")
-    assert main(["sweep", "--config", cfg, "--seeds", "7"]) == 0
+    cfg = _write(tmp_path, TINY_SWEEP.replace("seeds = 0, 1", "seeds = 7"))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", cfg, "--out", str(out), "--seeds", "0"])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     hop_entries = [e for e in manifest["entries"] if e["kind"] == "hop"]
     assert [e["seed"] for e in hop_entries] == [7]
@@ -337,9 +353,9 @@ def test_cli_seeds_override(tmp_path):
 
 def test_cli_report_outputs(tmp_path):
     out = tmp_path / "runs"
-    cfg = _write(tmp_path, TINY_SWEEP + f"[output]\ndir = {out}\n")
-    assert main(["sweep", "--config", cfg]) == 0
-    assert main(["report", "--config", cfg]) == 0
+    cfg = _write(tmp_path, TINY_SWEEP)
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     # the ground truth is the rig fit's stiffness, not the plant's 800 N/m
     k_fit = json.loads((out / "depth_speed_fit.json").read_text())["k_fit"]
@@ -354,8 +370,8 @@ def test_cli_report_outputs(tmp_path):
 
 def test_report_sem_against_direct_formula(tmp_path):
     out = tmp_path / "runs"
-    cfg = _write(tmp_path, TINY_SWEEP + f"[output]\ndir = {out}\n")
-    assert main(["sweep", "--config", cfg]) == 0
+    cfg = _write(tmp_path, TINY_SWEEP)
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "treatment_report.json").read_text())
     fits = {}
     with open(out / "fits.csv") as handle:
@@ -441,13 +457,13 @@ def test_sweep_rejects_jobs_below_one(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["estimate", "--seeds", "1"],
+        ["estimate", "--jobs", "1"],
         ["estimate", "--resume"],
-        ["identify", "--seeds", "1"],
+        ["identify", "--jobs", "1"],
         ["report", "--jobs", "0"],
         ["estimate", "--jobs", "2"],
         ["identify", "--resume"],
-        ["report", "--seeds", "1"],
+        ["report", "--resume"],
     ],
 )
 def test_flags_belong_to_the_commands_that_read_them(tmp_path, argv):
@@ -467,11 +483,15 @@ def test_help_names_every_command(capsys):
     for command in ("estimate", "identify", "sweep", "report"):
         assert command in usage
     assert "intrude" not in usage and "simulate" not in usage
+    # --config and --out, both required, then the sweep's two flags
+    assert re.findall(r"--\w+", usage) == ["--config", "--out", "--jobs", "--resume", "--help", "--config", "--out",
+                                            "--jobs", "--resume"]
+    assert "[--config" not in usage and "[--out" not in usage
 
 
 @pytest.mark.parametrize("command,seeds", [("sweep", ","), ("sweep", ""), ("sweep", " "), ("sweep", " , ,")])
 def test_a_seed_list_without_a_seed_is_a_usage_error(tmp_path, command, seeds):
-    # not the config's seeds run silently
+    # not the config's seeds run silently: --seeds is no flag, whatever its list
     out = tmp_path / "runs"
     cfg = _write(tmp_path, TINY_SWEEP)
     with pytest.raises(SystemExit) as exc:
@@ -483,16 +503,23 @@ def test_a_seed_list_without_a_seed_is_a_usage_error(tmp_path, command, seeds):
 @pytest.mark.parametrize("source", ["--out", "HOPPERLAB_OUT", "[output] dir"])
 @pytest.mark.parametrize("command", ["estimate", "identify", "sweep", "report"])
 def test_an_output_directory_that_is_a_file_is_a_usage_error(tmp_path, monkeypatch, capsys, command, source):
+    # only --out names the output directory: a file named by the
+    # environment or an [output] section is no output directory, and the
+    # command is a usage error (a missing --out, an unknown section) as well
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
     cfg = _write(tmp_path, TINY_SWEEP + (f"[output]\ndir = {taken}\n" if source == "[output] dir" else ""))
     argv = [command, "--config", cfg]
-    if source == "--out":
-        argv += ["--out", str(taken)]
-    elif source == "HOPPERLAB_OUT":
+    if source == "HOPPERLAB_OUT":
         monkeypatch.setenv("HOPPERLAB_OUT", str(taken))
-    assert main(argv) == 2
-    assert "not a directory" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+    else:
+        out = taken if source == "--out" else tmp_path / "runs"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert ("not a directory" if source == "--out" else "[output]") in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini", "taken"]
     assert taken.read_text() == "not a directory\n"
 
@@ -544,8 +571,6 @@ def _schema_defaults():
     """(section, key, field name, default) of every numeric key, from the schema."""
     defaults = ExperimentConfig()
     for section, schema in _SCHEMA.items():
-        if section == "output":
-            continue
         for key, (target, _, _) in schema.items():
             value = getattr(getattr(defaults, section), target)
             if not isinstance(value, bool):
@@ -631,10 +656,11 @@ def test_direct_construction_rejects_a_value_outside_the_domain(section, name, d
     "command,seeds,names",
     [("sweep", "1,1", "[sweep] seeds"), ("sweep", "-1", "[sweep] seeds"), ("sweep", "0,-1", "[sweep] seeds")],
 )
-def test_seeds_flag_outside_the_domain_is_a_config_error(tmp_path, capsys, command, seeds, names):
-    # --seeds goes through the domain of [sweep] seeds, before any trial runs
+def test_seeds_outside_the_domain_are_a_config_error(tmp_path, capsys, command, seeds, names):
+    # the seeds come only from [sweep] seeds, whose domain is checked when
+    # the file is read, before any trial runs
     out = tmp_path / "runs"
-    cfg = _write(tmp_path, TINY_SWEEP)
-    assert main([command, "--config", cfg, "--out", str(out), "--seeds", seeds]) == 2
+    cfg = _write(tmp_path, TINY_SWEEP.replace("seeds = 0, 1", f"seeds = {seeds}"))
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert names in capsys.readouterr().err
     assert not out.exists()

@@ -87,9 +87,9 @@ def test_kf_noisy_hop_accuracy(linkage, terrain, controller, k_compress):
     sq_err_pos, sq_err_vel, sq_err_fd = [], [], []
     noise = NoiseConfig()
     for seed in range(3):
-        log = run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, k_compress, seed=seed)
+        log = run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, k_compress, seed=seed, noise_config=NoiseConfig())
         frames = log.frames
-        est = run_estimation(frames, linkage, noise=noise)
+        est = run_estimation(frames, linkage, noise, EstimationConfig())
         truth = vars(log.truth)
         skip = 100
         sq_err_pos.append((est.x_b_hat[skip:] - truth["x_b"][skip:]) ** 2)
@@ -263,7 +263,7 @@ def test_mo_with_kf_inputs_degrades_gracefully(noisy_trial, noisy_frames, linkag
         truth["t"], truth["theta"], truth["theta_dot"], truth["v_f"], truth["tau"], linkage, k_obs=800.0
     )
     rmse_truth = math.sqrt(np.mean((r_truth[stance] - truth["f_total"][stance]) ** 2))
-    est = run_estimation(noisy_frames, linkage)
+    est = run_estimation(noisy_frames, linkage, NoiseConfig(), EstimationConfig())
     rmse_kf = math.sqrt(np.mean((est.f_mo[: len(truth["t"])][stance] - truth["f_total"][stance]) ** 2))
     assert rmse_kf <= 2.0 * rmse_truth
 
@@ -355,7 +355,7 @@ def test_mo_beats_qs_on_every_noiseless_sweep_speed(linkage, terrain, controller
 
 
 def test_pipeline_noiseless_tracks_truth(noiseless_frames, noiseless_trial, linkage):
-    est = run_estimation(noiseless_frames, linkage, noise=NoiseConfig.noiseless())
+    est = run_estimation(noiseless_frames, linkage, NoiseConfig.noiseless(), EstimationConfig())
     truth = vars(noiseless_trial.truth)
     assert np.abs(est.x_b_hat - truth["x_b"]).max() < 2e-3
     assert np.abs(est.v_f_hat[50:] - truth["v_f"][50:]).max() < 0.05
@@ -365,8 +365,8 @@ def test_pipeline_takes_encoder_rate_from_frames(noisy_frames, linkage):
     # the reported rate drives the KF rate channel and the observer; the
     # estimator does not re-derive it from the encoder angle
     still = Frames(**{**vars(noisy_frames), "encoder_theta_dot": np.zeros(len(noisy_frames))})
-    est = run_estimation(noisy_frames, linkage)
-    est_still = run_estimation(still, linkage)
+    est = run_estimation(noisy_frames, linkage, NoiseConfig(), EstimationConfig())
+    est_still = run_estimation(still, linkage, NoiseConfig(), EstimationConfig())
     assert not np.allclose(est.v_b_hat, est_still.v_b_hat)
     assert not np.allclose(est.f_mo, est_still.f_mo)
 
@@ -376,7 +376,7 @@ def test_pipeline_requires_two_frames(noiseless_frames, linkage):
         "t", "encoder_theta", "encoder_theta_dot", "imu_body_acc", "imu_foot_acc",
         "tof_height", "motor_current", "loadcell_force")})
     with pytest.raises(InsufficientDataError, match="need at least two frames, got 1"):
-        run_estimation(short, linkage)
+        run_estimation(short, linkage, NoiseConfig(), EstimationConfig())
 
 
 # ------------------------------------------- cached gains, array observer
@@ -445,23 +445,23 @@ def test_gain_cache_cold_and_warm_runs_are_bit_identical(noisy_frames, noiseless
     n_short = len(noisy_frames) // 3
     short = Frames(**{k: v[:n_short] for k, v in vars(noisy_frames).items()})
     estimation._GAIN_CACHE.clear()
-    cold = _estimation_arrays(run_estimation(noisy_frames, linkage))
-    warm = _estimation_arrays(run_estimation(noisy_frames, linkage))
+    cold = _estimation_arrays(run_estimation(noisy_frames, linkage, NoiseConfig(), EstimationConfig()))
+    warm = _estimation_arrays(run_estimation(noisy_frames, linkage, NoiseConfig(), EstimationConfig()))
     assert cold.tobytes() == warm.tobytes()
     # a cache first filled by a shorter trial is extended, not restarted
     estimation._GAIN_CACHE.clear()
-    run_estimation(short, linkage)
-    extended = _estimation_arrays(run_estimation(noisy_frames, linkage))
+    run_estimation(short, linkage, NoiseConfig(), EstimationConfig())
+    extended = _estimation_arrays(run_estimation(noisy_frames, linkage, NoiseConfig(), EstimationConfig()))
     assert cold.tobytes() == extended.tobytes()
     # a different noise model keys a different gain sequence
-    ideal = run_estimation(noiseless_frames, linkage, noise=NoiseConfig.noiseless())
+    ideal = run_estimation(noiseless_frames, linkage, NoiseConfig.noiseless(), EstimationConfig())
     assert len(estimation._GAIN_CACHE) == 2
     assert np.isfinite(ideal.x_b_hat).all()
 
 
 def test_unstable_observer_gain_rejected_by_pipeline(noisy_frames, noiseless_trial, linkage):
     with pytest.raises(ConfigError):
-        run_estimation(noisy_frames, linkage, settings=EstimationConfig(k_obs=1000.0))
+        run_estimation(noisy_frames, linkage, NoiseConfig(), EstimationConfig(k_obs=1000.0))
     truth = vars(noiseless_trial.truth)
     with pytest.raises(ConfigError):
         run_momentum_observer(

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from hopperlab import experiments, identification, io, signals
 from hopperlab.config import ExperimentConfig
 from hopperlab.errors import DegenerateFitError, InsufficientDataError
-from hopperlab.estimation import run_estimation
+from hopperlab.estimation import EstimationConfig, run_estimation
 from hopperlab.identification import (
     TREATMENTS,
     DepthSpeedFit,
@@ -50,7 +50,7 @@ def _samples(z, f, zdd=None, zd=None):
 
 
 def test_extract_samples_stance_window(noiseless_trial, noiseless_frames, linkage):
-    est = run_estimation(noiseless_frames, linkage, noise=NoiseConfig.noiseless())
+    est = run_estimation(noiseless_frames, linkage, NoiseConfig.noiseless(), EstimationConfig())
     ev = noiseless_trial.events
     samples = extract_samples(est, ev, "mo")
     assert all(ev.t_td <= t <= ev.t_lo for t in samples.t.tolist())
@@ -87,7 +87,7 @@ def _per_index_samples(est, events, force):
 @pytest.mark.parametrize("trial", ["noisy", "noiseless"])
 def test_extract_samples_columns_match_per_index_reference(request, trial, source, linkage):
     log = request.getfixturevalue(f"{trial}_trial")
-    est = run_estimation(log.frames, linkage)
+    est = run_estimation(log.frames, linkage, NoiseConfig(), EstimationConfig())
     force = {"qs": est.f_qs, "mo": est.f_mo}[source]
     samples = extract_samples(est, log.events, source)
     rows = _per_index_samples(est, log.events, force)
@@ -99,14 +99,14 @@ def test_extract_samples_columns_match_per_index_reference(request, trial, sourc
 def test_extract_samples_empty_window(noiseless_frames, noiseless_trial, linkage):
     import dataclasses
 
-    est = run_estimation(noiseless_frames, linkage, noise=NoiseConfig.noiseless())
+    est = run_estimation(noiseless_frames, linkage, NoiseConfig.noiseless(), EstimationConfig())
     flight_events = dataclasses.replace(noiseless_trial.events, t_td=0.0, t_ce=0.005, t_lo=0.01)
     with pytest.raises(InsufficientDataError):
         extract_samples(est, flight_events, "mo")
 
 
 def test_extract_samples_bad_source(noiseless_frames, noiseless_trial, linkage):
-    est = run_estimation(noiseless_frames, linkage, noise=NoiseConfig.noiseless())
+    est = run_estimation(noiseless_frames, linkage, NoiseConfig.noiseless(), EstimationConfig())
     with pytest.raises(ValueError):
         extract_samples(est, noiseless_trial.events, "mocap")
     with pytest.raises(ValueError):
@@ -325,7 +325,7 @@ def test_wls_drag_subtraction_flag():
 
 def test_depth_speed_fit_exact_on_clean_sweep(terrain):
     speeds = np.linspace(0.022, 1.1, 50)
-    logs = [run_constant_speed_intrusion(v, 0.05, terrain) for v in speeds]
+    logs = [run_constant_speed_intrusion(v, 0.05, terrain, NoiseConfig.noiseless(), seeds=[0]) for v in speeds]
     fit = fit_depth_speed_model(logs)
     assert abs(fit.k_fit - terrain.k_stiff) / terrain.k_stiff < 1e-6
     assert abs(fit.m_a_inf_fit - terrain.m_a_inf) / terrain.m_a_inf < 1e-6
@@ -333,14 +333,14 @@ def test_depth_speed_fit_exact_on_clean_sweep(terrain):
 
 
 def test_depth_speed_fit_single_speed_rejected(terrain):
-    logs = [run_constant_speed_intrusion(0.5, 0.05, terrain) for _ in range(3)]
+    logs = [run_constant_speed_intrusion(0.5, 0.05, terrain, NoiseConfig.noiseless(), seeds=[0]) for _ in range(3)]
     with pytest.raises(InsufficientDataError):
         fit_depth_speed_model(logs)
 
 
 def test_near_zero_speed_sweep_slope_is_stiffness(terrain):
     # at negligible speed the force-depth slope is the depth stiffness
-    log = run_constant_speed_intrusion(1e-4, 0.05, terrain)
+    log = run_constant_speed_intrusion(1e-4, 0.05, terrain, NoiseConfig.noiseless(), seeds=[0])
     keep = log.depth > 0
     slope = np.polyfit(log.depth[keep], log.force[0, keep], 1)[0]
     assert slope == pytest.approx(terrain.k_stiff, rel=1e-6)
@@ -489,7 +489,7 @@ def test_brent_search_keeps_to_golden_sections_minimum_where_the_cost_has_two():
 
 def test_reconstruction_matches_added_mass_term_noiseless(noiseless_trial, terrain):
     speeds = np.linspace(0.022, 1.1, 50)
-    fit = fit_depth_speed_model([run_constant_speed_intrusion(v, 0.05, terrain) for v in speeds])
+    fit = fit_depth_speed_model([run_constant_speed_intrusion(v, 0.05, terrain, NoiseConfig.noiseless(), seeds=[0]) for v in speeds])
     truth = noiseless_trial.truth
     ev = noiseless_trial.events
     stance = (truth.t >= ev.t_td) & (truth.t <= ev.t_lo)
@@ -502,8 +502,8 @@ def test_reconstruction_matches_added_mass_term_noiseless(noiseless_trial, terra
 
 def test_reconstruction_constant_speed_predicts_zero(terrain):
     speeds = np.linspace(0.022, 1.1, 50)
-    fit = fit_depth_speed_model([run_constant_speed_intrusion(v, 0.05, terrain) for v in speeds])
-    log = run_constant_speed_intrusion(0.5, 0.05, terrain)
+    fit = fit_depth_speed_model([run_constant_speed_intrusion(v, 0.05, terrain, NoiseConfig.noiseless(), seeds=[0]) for v in speeds])
+    log = run_constant_speed_intrusion(0.5, 0.05, terrain, NoiseConfig.noiseless(), seeds=[0])
     keep = log.depth > 0
     predicted, residual = added_mass_reconstruction(
         fit, log.depth[keep], np.full(keep.sum(), 0.5), np.zeros(keep.sum()), log.force[0, keep]
@@ -531,7 +531,7 @@ def test_sem_formula():
 
 
 def test_treatment_comparison_identical_trials_zero_sem(noiseless_trial, noiseless_frames, linkage, terrain):
-    est = run_estimation(noiseless_frames, linkage, noise=NoiseConfig.noiseless())
+    est = run_estimation(noiseless_frames, linkage, NoiseConfig.noiseless(), EstimationConfig())
     trial = TrialSamples(
         v_td=0.8,
         k_c_n_per_cm=3.75,
@@ -543,7 +543,7 @@ def test_treatment_comparison_identical_trials_zero_sem(noiseless_trial, noisele
         TrialSamples(trial.v_td, trial.k_c_n_per_cm, s, trial.samples_qs, trial.samples_mo)
         for s in range(5)
     ]
-    report = treatment_comparison(trials, k_gt=terrain.k_stiff)
+    report = treatment_comparison(trials, k_gt=terrain.k_stiff, weights=WeightConfig())
     assert all(c.n == 5 for c in report.conditions)
     assert all(c.sem_k == 0.0 for c in report.conditions)
     assert {c.treatment for c in report.conditions} == {"noMO_noGD", "MO_noGD", "MO_GD"}
@@ -551,11 +551,11 @@ def test_treatment_comparison_identical_trials_zero_sem(noiseless_trial, noisele
 
 def test_treatment_comparison_requires_trials():
     with pytest.raises(InsufficientDataError):
-        treatment_comparison([], k_gt=800.0)
+        treatment_comparison([], k_gt=800.0, weights=WeightConfig())
 
 
 def test_fit_treatments_labels(noiseless_trial, noiseless_frames, linkage):
-    est = run_estimation(noiseless_frames, linkage, noise=NoiseConfig.noiseless())
+    est = run_estimation(noiseless_frames, linkage, NoiseConfig.noiseless(), EstimationConfig())
     trial = TrialSamples(
         v_td=0.8,
         k_c_n_per_cm=3.75,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hopperlab.identification import fit_depth_speed_model
-from hopperlab.simulator import run_constant_speed_intrusion
+from hopperlab.simulator import NoiseConfig, run_constant_speed_intrusion
 from hopperlab.terrain import TerrainParams
 
 
@@ -25,7 +25,7 @@ def test_drag_subtracted_twice_holds_added_mass_at_zero():
     terrain = TerrainParams()
     logs = []
     for v in np.linspace(0.05, 1.1, 12):
-        log = run_constant_speed_intrusion(v, 0.05, terrain)
+        log = run_constant_speed_intrusion(v, 0.05, terrain, NoiseConfig.noiseless(), seeds=[0])
         drag = log.force - terrain.k_stiff * log.depth
         logs.append(dataclasses.replace(log, force=log.force - 2.0 * drag))
     fit = fit_depth_speed_model(logs)
@@ -42,9 +42,9 @@ def test_fit_imports_no_numpy_ma():
     code = (
         "import sys, numpy as np\n"
         "from hopperlab.identification import fit_depth_speed_model\n"
-        "from hopperlab.simulator import run_constant_speed_intrusion\n"
+        "from hopperlab.simulator import NoiseConfig, run_constant_speed_intrusion\n"
         "from hopperlab.terrain import TerrainParams\n"
-        "logs = [run_constant_speed_intrusion(v, 0.05, TerrainParams()) for v in (0.2, 0.6, 1.0)]\n"
+        "logs = [run_constant_speed_intrusion(v, 0.05, TerrainParams(), NoiseConfig.noiseless(), seeds=[0]) for v in (0.2, 0.6, 1.0)]\n"
         "fit_depth_speed_model(logs)\n"
         "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
     )

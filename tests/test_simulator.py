@@ -126,8 +126,8 @@ def test_low_release_touchdown_speed(linkage, terrain, controller, k_compress):
 
 
 def test_trial_determinism(linkage, terrain, controller, k_compress):
-    a = run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, k_compress, seed=42)
-    b = run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, k_compress, seed=42)
+    a = run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, k_compress, seed=42, noise_config=NoiseConfig())
+    b = run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, k_compress, seed=42, noise_config=NoiseConfig())
     assert np.array_equal(a.truth.x_f, b.truth.x_f)
     assert np.array_equal(a.truth.f_total, b.truth.f_total)
     fa = a.frames
@@ -313,7 +313,7 @@ def test_detect_events_pure_flight_raises(noiseless_trial):
 
 def test_intrusion_constant_speed_force(terrain):
     # slowest rig condition: force at 5 cm equals k*z + g_a(z)*v^2, noise-free
-    log = run_constant_speed_intrusion(0.022, 0.05, terrain)
+    log = run_constant_speed_intrusion(0.022, 0.05, terrain, NoiseConfig.noiseless(), seeds=[0])
     assert log.depth[-1] == pytest.approx(0.05, abs=1e-4)
     _, grad = added_mass_profile(log.depth[-1], terrain)
     expected = terrain.k_stiff * log.depth[-1] + grad * 0.022**2
@@ -353,9 +353,9 @@ def test_intrusion_repeats_are_each_reproducible_on_their_own(terrain):
 
 def test_intrusion_validation(terrain):
     with pytest.raises(ValueError):
-        run_constant_speed_intrusion(0.0, 0.05, terrain)
+        run_constant_speed_intrusion(0.0, 0.05, terrain, NoiseConfig.noiseless(), seeds=[0])
     with pytest.raises(ValueError):
-        run_constant_speed_intrusion(0.5, -0.01, terrain)
+        run_constant_speed_intrusion(0.5, -0.01, terrain, NoiseConfig.noiseless(), seeds=[0])
 
 
 def test_sim_config_validation():
@@ -371,7 +371,7 @@ def test_blowup_reported_with_time(linkage, terrain, controller, k_compress):
     from hopperlab.errors import SimulationError
 
     with pytest.raises(SimulationError, match=r"t="):
-        run_hop_trial(SimConfig(), controller, terrain, linkage, 3.0, k_compress, seed=0)
+        run_hop_trial(SimConfig(), controller, terrain, linkage, 3.0, k_compress, seed=0, noise_config=NoiseConfig())
 
 
 @pytest.mark.parametrize(
@@ -386,11 +386,11 @@ def test_a_hop_condition_outside_its_domain_is_refused(linkage, terrain, control
     # the touchdown speed lies in [0, inf) and the compression stiffness in
     # (0, k_extend]: the default extension spring is 5 N/cm
     with pytest.raises(ValueError, match=f"^{name} = "):
-        run_hop_trial(SimConfig(), controller, terrain, linkage, drop_speed, k_c * 100.0, seed=0)
+        run_hop_trial(SimConfig(), controller, terrain, linkage, drop_speed, k_c * 100.0, seed=0, noise_config=NoiseConfig())
 
 
 def test_a_hop_at_the_extension_stiffness_runs(linkage, terrain, controller):
-    log = run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, controller.k_extend, seed=0)
+    log = run_hop_trial(SimConfig(), controller, terrain, linkage, 0.8, controller.k_extend, seed=0, noise_config=NoiseConfig())
     assert log.events.t_td < log.events.t_ce < log.events.t_lo
 
 

@@ -1,8 +1,11 @@
 """`src/` holds only what the program runs: reference versions of its laws
 and helpers only tests call live in `tests/reference.py`, and every
-function reads each parameter it is passed."""
+function reads each parameter it is passed.  Every run setting has one
+source: a config parameter has no default, and no environment variable is
+read."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hopperlab"
@@ -71,3 +74,34 @@ def test_every_function_in_src_reads_each_of_its_parameters():
             name = getattr(node, "name", "<lambda>")
             unread += [f"{path.name}: {name}({param})" for param in _parameters(node) if param not in read]
     assert not unread, "parameters their function never reads: " + ", ".join(unread)
+
+
+def test_no_function_in_src_defaults_a_config_parameter():
+    # the caller passes each config: a default would be a second source of
+    # the setting, and one that can disagree with the file the run read
+    defaulted = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            with_default = positional[len(positional) - len(args.defaults):]
+            with_default += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            defaulted += [
+                f"{path.name}: {node.name}({arg.arg})"
+                for arg in with_default
+                if arg.annotation is not None and re.search(r"\w(Config|Params)\b", ast.unparse(arg.annotation))
+            ]
+    assert not defaulted, "config parameters with a default: " + ", ".join(defaulted)
+
+
+def test_src_reads_no_environment_variable():
+    # the output directory comes from --out alone, not from HOPPERLAB_OUT
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name) else None
+            if name in ("environ", "getenv", "environb"):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert not readers, "environment read at " + ", ".join(readers)
