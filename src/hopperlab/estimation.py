@@ -6,7 +6,10 @@ four-state estimate (x_b, v_b, x_f, v_f).  A momentum observer on the
 reduced foot channel then reconstructs the terrain contact force as the
 residual of an internal momentum estimate, compensating inertia, gravity
 and centrifugal effects without ever differentiating the velocity
-estimate.
+estimate; the quasi-static baseline maps motor torque through the leg
+Jacobian alone.  All three read one clip of each trial's encoder angle to
+the workspace (the one workspace policy) and one evaluation of its leg
+geometry and motor torque (`run_estimation`).
 
 The filter's gains do not depend on the measurements.  They come from a
 covariance recursion written out in scalars over the filter's known
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import GRAVITY, JACOBIAN_EPSILON
-from .errors import POSITIVE, ConfigError, InsufficientDataError, WorkspaceError, check_domains
+from .errors import POSITIVE, ConfigError, InsufficientDataError, check_domains
 from .linkage import LinkageParams, _foot_channel_coeffs, _geometry, leg_jacobian, leg_length
 from .signals import ENCODER_RATE_WINDOW
 from .simulator import Frames, NoiseConfig
@@ -207,15 +210,17 @@ def _kf_filter(x, u_body, u_foot, z_tof, z_disp, z_rate, gains, dt: float) -> li
 
 def run_momentum_observer(
     t: np.ndarray,
-    theta: np.ndarray,
+    jac: np.ndarray,
+    curv: np.ndarray,
     theta_dot: np.ndarray,
     v_f: np.ndarray,
     tau: np.ndarray,
     linkage_params: LinkageParams,
     k_obs: float,
 ) -> np.ndarray:
-    """Run the momentum observer over aligned signal arrays; returns the
-    force residual [N].
+    """Run the momentum observer over aligned signal arrays, `jac`, `curv`
+    and `tau` the trial's leg Jacobian, curvature and motor torque; returns
+    the force residual [N].
 
     The foot momentum obeys d(M_f * v_f)/dt = F_c + psi, where the drift
     psi collects the inertia-gradient, gravity, torque and centrifugal
@@ -227,14 +232,7 @@ def run_momentum_observer(
     arrays up front; the oracle `mo_step` in `tests/reference.py` is the
     same recursion one sample at a time.
     """
-    theta = np.asarray(theta, dtype=float)
     n = len(t)
-    lk = linkage_params
-    outside = ~((theta >= lk.theta_min) & (theta <= lk.theta_max))
-    if np.any(outside):
-        raise WorkspaceError(
-            f"theta={theta[outside][0]:.6g} outside workspace [{lk.theta_min:.6g}, {lk.theta_max:.6g}]"
-        )
     if not 0.0 < k_obs < math.inf:
         raise ValueError(f"k_obs = {k_obs!r} is outside (0, inf)")
     dt = np.diff(t)
@@ -244,8 +242,7 @@ def run_momentum_observer(
         raise ConfigError(
             f"unstable observer discretization: dt*k_obs = {np.max(dt) * k_obs:.3g} >= 1"
         )
-    _, jac, curv = _geometry(theta, lk.l_upper, lk.l_lower**2, xp=np)
-    m_f, d_mf, beta, c_coef = _foot_channel_coeffs(jac, curv, lk)
+    m_f, d_mf, beta, c_coef = _foot_channel_coeffs(jac, curv, linkage_params)
     drift = d_mf * theta_dot * v_f - m_f * GRAVITY - beta * tau - c_coef * theta_dot * theta_dot
     momentum = m_f * v_f
     gain = (1.0 - np.exp(-k_obs * dt)) / dt
@@ -261,13 +258,11 @@ def run_momentum_observer(
     return r_series
 
 
-def quasi_static_series(frames: Frames, linkage_params: LinkageParams) -> np.ndarray:
-    """Per-frame Jacobian-transpose force estimate [N] from motor current;
-    NaN at frames whose encoder angle sits at the extension singularity."""
-    lk = linkage_params
-    theta = np.clip(frames.encoder_theta, lk.theta_min, lk.theta_max)
-    tau = lk.torque_constant * frames.motor_current
-    jac_abs = np.abs(_geometry(theta, lk.l_upper, lk.l_lower**2, xp=np)[1])
+def quasi_static_series(jac: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Per-frame Jacobian-transpose force estimate [N] from the leg
+    Jacobian and the motor torque; NaN where the Jacobian sits at the
+    extension singularity."""
+    jac_abs = np.abs(jac)
     singular = jac_abs < JACOBIAN_EPSILON
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(singular, np.nan, 2.0 * tau / jac_abs)
@@ -306,12 +301,14 @@ def run_estimation(
 ) -> EstimationSeries:
     """Full onboard pipeline over one trial's frames.
 
-    The encoder angle and rate are taken as the frames report them; the
-    Kalman filter, with covariances from the sensor model `noise` and
-    `settings.p0_scale`, runs at the frame rate over
-    the cached gain sequence (see `_gain_sequence`); the momentum observer
-    (bandwidth `settings.k_obs`) consumes raw encoder kinematics plus the
-    filtered foot velocity.
+    The encoder rate is taken as the frames report it and the angle
+    clipped to the workspace, the one workspace policy; the leg geometry
+    over it and the motor torque are evaluated once, for every estimator.
+    The Kalman filter, with covariances from the sensor model `noise` and
+    `settings.p0_scale`, runs at the frame rate over the cached gain
+    sequence (`_gain_sequence`); the momentum observer (bandwidth
+    `settings.k_obs`) consumes raw encoder kinematics plus the filtered
+    foot velocity.
     """
     if len(frames) < 2:
         raise InsufficientDataError(f"need at least two frames, got {len(frames)}")
@@ -319,8 +316,7 @@ def run_estimation(
     lk = linkage_params
     theta = np.clip(frames.encoder_theta, lk.theta_min, lk.theta_max)
     theta_dot = frames.encoder_theta_dot
-
-    length, jac, _ = _geometry(theta, lk.l_upper, lk.l_lower**2, xp=np)
+    length, jac, curv = _geometry(theta, lk.l_upper, lk.l_lower**2, xp=np)
     disp = length + lk.mount_offset
     rate = jac * theta_dot
 
@@ -341,13 +337,12 @@ def run_estimation(
     )
 
     tau = lk.torque_constant * frames.motor_current
-    f_mo = run_momentum_observer(frames.t, theta, theta_dot, x_hat[:, 3], tau, lk, settings.k_obs)
     return EstimationSeries(
         t=frames.t.copy(),
         x_b_hat=x_hat[:, 0],
         v_b_hat=x_hat[:, 1],
         x_f_hat=x_hat[:, 2],
         v_f_hat=x_hat[:, 3],
-        f_qs=quasi_static_series(frames, lk),
-        f_mo=f_mo,
+        f_qs=quasi_static_series(jac, tau),
+        f_mo=run_momentum_observer(frames.t, jac, curv, theta_dot, x_hat[:, 3], tau, lk, settings.k_obs),
     )

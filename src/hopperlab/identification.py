@@ -159,6 +159,7 @@ _FIT_UPPER = np.array([np.inf, np.inf, 1.0])
 _ZC_GRID = 6        # log-spaced z_c values; the best one brackets the search
 _ZC_TOL = 1e-8      # the search stops once its bracket in log z_c ends this close to its best point
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_NOT_FINITE = "intrusion model is not finite on these samples"
 
 
 def _search_log_zc(solve) -> tuple:
@@ -265,6 +266,8 @@ def fit_depth_speed_model(logs: list[IntrusionLog]) -> DepthSpeedFit:
         stop += count
         root = math.sqrt(len(log.force))
         forces = log.force[:, keep]
+        if not np.isfinite(forces).all():
+            raise DegenerateFitError(_NOT_FINITE)
         total = sum(forces[1:], forces[0])
         mean = total / len(forces)
         spread += sum(float(np.einsum("i,i", d, d)) for d in (force - mean for force in forces))
@@ -309,7 +312,7 @@ def fit_depth_speed_model(logs: list[IntrusionLog]) -> DepthSpeedFit:
     cost, k_fit, ma_fit, zc_fit = _search_log_zc(solve)
     cost += spread
     if not math.isfinite(cost):
-        raise DegenerateFitError("intrusion model is not finite on these samples")
+        raise DegenerateFitError(_NOT_FINITE)
     return DepthSpeedFit(
         k_fit=k_fit, m_a_inf_fit=ma_fit, z_c_fit=zc_fit, rmse=math.sqrt(cost / n_samples), n_samples=n_samples
     )

@@ -20,14 +20,19 @@ Each oracle carries its own copy of the arithmetic it checks, so a fault
 in the program's copy (`linkage._foot_channel_coeffs`,
 `estimation._filter_constants`, `estimation._extend_gains`,
 `estimation._kf_filter`, the observer loop in
-`estimation.run_momentum_observer`, the repeat collapse in
+`estimation.run_momentum_observer`, the torque map in
+`estimation.quasi_static_series`, the repeat collapse in
 `identification.fit_depth_speed_model`, the branch test inline in
 `simulator.run_hop_trial`, `signals._slope_operator`) fails a test.  They
 share only the leg geometry (`_geometry`, `leg_length`, `leg_jacobian`),
 which `test_linkage.py` and the plant-kernel geometry test pin on their
 own, the encoder-rate window (`signals.ENCODER_RATE_WINDOW`), and the
 fit's search over log z_c (`identification._search_log_zc`), which
-`golden_search_log_zc` pins.
+`golden_search_log_zc` pins.  The program's observer and torque map read
+the geometry and torque that `estimation.run_estimation` evaluates once
+per trial at the clipped encoder angle; their oracles (`mo_step`,
+`quasi_static_force`) evaluate both per sample and refuse an angle
+outside the workspace.
 """
 
 import csv

@@ -26,7 +26,7 @@ from hopperlab.identification import (
     treatment_comparison,
     wls_linear_fit,
 )
-from hopperlab.linkage import LinkageParams, leg_jacobian, leg_length
+from hopperlab.linkage import LinkageParams, _geometry, leg_jacobian, leg_length
 from hopperlab.simulator import NoiseConfig, SimConfig, run_constant_speed_intrusion, run_hop_trial
 from hopperlab.terrain import inertial_threshold
 from reference import (
@@ -198,7 +198,8 @@ def test_criterion_06_momentum_observer(linkage, terrain, controller, k_compress
         )
         truth = log.truth
         t = truth.t
-        r = run_momentum_observer(t, truth.theta, truth.theta_dot, truth.v_f, truth.tau, linkage, k_obs=800.0)
+        _, jac, curv = _geometry(truth.theta, linkage.l_upper, linkage.l_lower**2, xp=np)
+        r = run_momentum_observer(t, jac, curv, truth.theta_dot, truth.v_f, truth.tau, linkage, k_obs=800.0)
         ev = log.events
         stance = (t >= ev.t_td) & (t <= ev.t_lo)
         f = truth.f_total

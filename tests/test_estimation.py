@@ -11,10 +11,10 @@ from hopperlab.errors import ConfigError, InsufficientDataError
 from hopperlab.estimation import (
     EstimationConfig,
     EstimationSeries,
-    quasi_static_series,
     run_estimation,
     run_momentum_observer,
 )
+from hopperlab.linkage import _geometry
 from hopperlab.simulator import Frames, NoiseConfig, SimConfig, run_hop_trial
 
 from reference import (
@@ -29,6 +29,14 @@ from reference import (
     reduced_dynamics_coeffs,
     weight_holding_torque,
 )
+
+
+def _truth_observer(truth, linkage, k_obs, n=None):
+    """The momentum observer over the first n samples of a trial's truth
+    kinematics and torque, its geometry evaluated at the truth angle."""
+    t, theta, theta_dot, v_f, tau = (truth[key][:n] for key in ("t", "theta", "theta_dot", "v_f", "tau"))
+    _, jac, curv = _geometry(theta, linkage.l_upper, linkage.l_lower**2, xp=np)
+    return run_momentum_observer(t, jac, curv, theta_dot, v_f, tau, linkage, k_obs)
 
 
 def _default_kconfig(linkage, x0):
@@ -239,15 +247,14 @@ def test_mo_unstable_discretization_rejected(linkage):
     with pytest.raises(ConfigError):
         mo_step(obs, 0.8, 0.0, 0.0, 0.0, 1e-3, linkage)
     t = np.arange(3) * 1e-3
+    _, jac, curv = _geometry(np.full(3, 0.8), linkage.l_upper, linkage.l_lower**2, xp=np)
     with pytest.raises(ValueError):
-        run_momentum_observer(t, np.full(3, 0.8), np.zeros(3), np.zeros(3), np.zeros(3), linkage, k_obs=-5.0)
+        run_momentum_observer(t, jac, curv, np.zeros(3), np.zeros(3), np.zeros(3), linkage, k_obs=-5.0)
 
 
 def test_mo_truth_kinematics_stance_rmse(noiseless_trial, linkage):
     truth = vars(noiseless_trial.truth)
-    r = run_momentum_observer(
-        truth["t"], truth["theta"], truth["theta_dot"], truth["v_f"], truth["tau"], linkage, k_obs=800.0
-    )
+    r = _truth_observer(truth, linkage, 800.0)
     ev = noiseless_trial.events
     stance = (truth["t"] >= ev.t_td) & (truth["t"] <= ev.t_lo)
     rmse = math.sqrt(np.mean((r[stance] - truth["f_total"][stance]) ** 2))
@@ -259,9 +266,7 @@ def test_mo_with_kf_inputs_degrades_gracefully(noisy_trial, noisy_frames, linkag
     truth = vars(noisy_trial.truth)
     ev = noisy_trial.events
     stance = (truth["t"] >= ev.t_td) & (truth["t"] <= ev.t_lo)
-    r_truth = run_momentum_observer(
-        truth["t"], truth["theta"], truth["theta_dot"], truth["v_f"], truth["tau"], linkage, k_obs=800.0
-    )
+    r_truth = _truth_observer(truth, linkage, 800.0)
     rmse_truth = math.sqrt(np.mean((r_truth[stance] - truth["f_total"][stance]) ** 2))
     est = run_estimation(noisy_frames, linkage, NoiseConfig(), EstimationConfig())
     rmse_kf = math.sqrt(np.mean((est.f_mo[: len(truth["t"])][stance] - truth["f_total"][stance]) ** 2))
@@ -282,7 +287,7 @@ def test_qs_series_zero_current(noiseless_frames, linkage):
         motor_current=np.zeros_like(noiseless_frames.motor_current),
         loadcell_force=noiseless_frames.loadcell_force,
     )
-    f_qs = quasi_static_series(frames, linkage)
+    f_qs = run_estimation(frames, linkage, NoiseConfig.noiseless(), EstimationConfig()).f_qs
     assert np.all(f_qs[np.isfinite(f_qs)] == 0.0)
 
 
@@ -303,7 +308,7 @@ def test_qs_matches_loadcell_in_statics(linkage):
         motor_current=np.full(n, tau / linkage.torque_constant),
         loadcell_force=np.full(n, (linkage.m_body + linkage.m_foot) * GRAVITY),
     )
-    f_qs = quasi_static_series(frames, linkage)
+    f_qs = run_estimation(frames, linkage, NoiseConfig.noiseless(), EstimationConfig()).f_qs
     foot_weight = linkage.m_foot * GRAVITY
     assert np.allclose(f_qs, linkage.m_body * GRAVITY, rtol=1e-9)
     assert np.abs(f_qs - frames.loadcell_force).max() == pytest.approx(foot_weight, rel=1e-9)
@@ -319,10 +324,8 @@ def test_qs_worse_than_mo_at_touchdown(linkage, terrain, controller, k_compress)
     frames = log.frames
     n = len(frames.t)
     stance = (truth["t"][:n] >= ev.t_td) & (truth["t"][:n] <= ev.t_lo)
-    f_qs = quasi_static_series(frames, linkage)
-    r = run_momentum_observer(
-        truth["t"][:n], truth["theta"][:n], truth["theta_dot"][:n], truth["v_f"][:n], truth["tau"][:n], linkage, 800.0
-    )
+    f_qs = run_estimation(frames, linkage, NoiseConfig.noiseless(), EstimationConfig()).f_qs
+    r = _truth_observer(truth, linkage, 800.0, n)
     f_true = truth["f_total"][:n]
     rmse_qs = math.sqrt(np.mean((f_qs[stance] - f_true[stance]) ** 2))
     rmse_mo = math.sqrt(np.mean((r[stance] - f_true[stance]) ** 2))
@@ -344,10 +347,8 @@ def test_mo_beats_qs_on_every_noiseless_sweep_speed(linkage, terrain, controller
         n = len(frames.t)
         ev = log.events
         stance = (truth["t"][:n] >= ev.t_td) & (truth["t"][:n] <= ev.t_lo)
-        f_qs = quasi_static_series(frames, linkage)
-        r = run_momentum_observer(
-            truth["t"][:n], truth["theta"][:n], truth["theta_dot"][:n], truth["v_f"][:n], truth["tau"][:n], linkage, 800.0
-        )
+        f_qs = run_estimation(frames, linkage, NoiseConfig.noiseless(), EstimationConfig()).f_qs
+        r = _truth_observer(truth, linkage, 800.0, n)
         f_true = truth["f_total"][:n]
         rmse_qs = math.sqrt(np.mean((f_qs[stance] - f_true[stance]) ** 2))
         rmse_mo = math.sqrt(np.mean((r[stance] - f_true[stance]) ** 2))
@@ -464,16 +465,36 @@ def test_unstable_observer_gain_rejected_by_pipeline(noisy_frames, noiseless_tri
         run_estimation(noisy_frames, linkage, NoiseConfig(), EstimationConfig(k_obs=1000.0))
     truth = vars(noiseless_trial.truth)
     with pytest.raises(ConfigError):
-        run_momentum_observer(
-            truth["t"], truth["theta"], truth["theta_dot"], truth["v_f"], truth["tau"], linkage, k_obs=1500.0
-        )
+        _truth_observer(truth, linkage, 1500.0)
 
 
-def test_observer_rejects_out_of_workspace_angle(noiseless_trial, linkage):
-    from hopperlab.errors import WorkspaceError
+@pytest.mark.parametrize("side", ["above theta_max", "below theta_min"])
+def test_pipeline_clips_the_encoder_angle_to_the_workspace(noisy_frames, linkage, side):
+    # the clip is the pipeline's one workspace policy: an encoder angle
+    # outside the workspace estimates as the workspace bound it lies beyond
+    bound, step = (linkage.theta_max, 0.1) if side == "above theta_max" else (linkage.theta_min, -0.1)
 
-    truth = vars(noiseless_trial.truth)
-    theta = truth["theta"].copy()
-    theta[10] = linkage.theta_max + 0.1
-    with pytest.raises(WorkspaceError):
-        run_momentum_observer(truth["t"], theta, truth["theta_dot"], truth["v_f"], truth["tau"], linkage, 800.0)
+    def estimate(theta_10):
+        theta = noisy_frames.encoder_theta.copy()
+        if theta_10 is not None:
+            theta[10] = theta_10
+        frames = Frames(**{**vars(noisy_frames), "encoder_theta": theta})
+        return _estimation_arrays(run_estimation(frames, linkage, NoiseConfig(), EstimationConfig()))
+
+    assert estimate(bound + step).tobytes() == estimate(bound).tobytes()
+    assert estimate(bound).tobytes() != estimate(None).tobytes()
+
+
+def test_pipeline_evaluates_the_geometry_once_per_trial(monkeypatch, noisy_frames, noiseless_frames, linkage):
+    # the filter, the observer and the quasi-static baseline read one
+    # evaluation of the leg geometry over the trial's clipped angles
+    calls = []
+
+    def counting(theta, *args, **kwargs):
+        calls.append(len(theta))
+        return _geometry(theta, *args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_geometry", counting)
+    run_estimation(noisy_frames, linkage, NoiseConfig(), EstimationConfig())
+    run_estimation(noiseless_frames, linkage, NoiseConfig.noiseless(), EstimationConfig())
+    assert calls == [len(noisy_frames), len(noiseless_frames)]
