@@ -18,8 +18,10 @@ row give t and depth: `simulator.IntrusionLog`).  Its fit,
 `depth_speed_fit.json`, records the grid's sha256 (`grid_sha256`).
 
 The rig fit is the ground truth, as the paper's linear actuator is:
-`identify` scores against its `k_fit` (`k_gt`) and `report` draws
-`force_map.csv` from it; neither reads `[terrain]`.  A grid that cannot
+`identify` scores against its `k_fit` (`k_gt`), and `report` evaluates
+the reaction law (`terrain.reaction_terms`) on its bed,
+`TerrainParams(k_fit, m_a_inf_fit, z_c_fit)`, for `force_map.csv` and
+the added-mass residual; neither reads `[terrain]`.  A grid that cannot
 be fitted leaves none (`_fit_grid`).
 
 A hop reads back (`_read_hop`) when its estimation, events and frames
@@ -52,7 +54,7 @@ The manifest records the config the sweep ran under, every key of it, as
 `config_to_text` renders it (`config`), and lists each trial's files by
 name; `trial_paths` resolves them against the output directory, so a
 sweep directory can be copied or moved.  A manifest without the config
-text is bad input.
+text, or without a hop entry, is bad input.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from .identification import (
     ConditionStats,
     DepthSpeedFit,
     TrialSamples,
-    added_mass_reconstruction,
     extract_samples,
     fit_depth_speed_model,
     treatment_comparison,
@@ -82,7 +83,7 @@ from .simulator import (
     run_constant_speed_intrusion,
     run_hop_trial,
 )
-from .terrain import TerrainParams, force_map
+from .terrain import TerrainParams, force_map, reaction_terms
 
 # kind of manifest entry: (its fields besides trial_id, each with the check of
 # its value; the keys of its files)
@@ -135,8 +136,9 @@ def manifest_trials(out_dir: Path) -> tuple[str, list[tuple[dict, dict[str, Path
     """The text of the config the sweep ran under, and (entry, resolved
     files) of every trial in the sweep's manifest.  A manifest without the
     config text is bad input; so is a trial id listed twice, since its trial
-    would count twice, and a manifest without exactly one intrusion entry,
-    the grid whose fit is the ground truth."""
+    would count twice, a manifest without exactly one intrusion entry, the
+    grid whose fit is the ground truth, and one without a hop entry, which
+    has nothing to identify or report."""
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
         raise MissingInputError(f"no manifest at {manifest_path}; run sweep first")
@@ -154,6 +156,8 @@ def manifest_trials(out_dir: Path) -> tuple[str, list[tuple[dict, dict[str, Path
         seen.add(entry["trial_id"])
     if sum(entry["kind"] == "intrusion" for entry in entries) != 1:
         raise MissingInputError(f"malformed manifest {manifest_path}: need exactly one intrusion entry")
+    if not any(entry["kind"] == "hop" for entry in entries):
+        raise MissingInputError(f"malformed manifest {manifest_path}: no hop entry")
     return manifest["config"], trials
 
 
@@ -441,9 +445,9 @@ def identify_outputs(config: ExperimentConfig, out_dir: Path, trials: list[Trial
 
 def write_report(config: ExperimentConfig, out_dir: Path) -> None:
     """Summary JSON plus plot-ready CSVs for the force-depth, force-map,
-    added-mass and stiffness-recovery figures, the map and the residual
-    from the rig fit.  The fit, the manifest and the representative hop are
-    read (`_read_fit`, `manifest_trials`, `_representative_trial_figs`)
+    added-mass and stiffness-recovery figures, the map and the residual on
+    the rig fit's bed.  The fit, the manifest and the representative hop
+    are read (`_read_fit`, `manifest_trials`, `_representative_trial_figs`)
     before any write, and the force map's axes, the config's `[sweep]`
     intrusion grid, must be the recorded config's."""
     out_dir = Path(out_dir)
@@ -468,9 +472,10 @@ def write_report(config: ExperimentConfig, out_dir: Path) -> None:
     if not conditions:
         raise InsufficientDataError("treatment report is empty")
     fit, _ = _read_fit(out_dir / DEPTH_SPEED_FIT)
+    bed = TerrainParams(fit.k_fit, fit.m_a_inf_fit, fit.z_c_fit)
     recorded, trials = manifest_trials(out_dir)
     _check_recorded_config(recorded, config, _FORCE_MAP_KEYS)
-    trial_figs = _representative_trial_figs(trials, fit)
+    trial_figs = _representative_trial_figs(trials, bed)
 
     io.write_json(
         out_dir / "summary.json",
@@ -501,20 +506,19 @@ def write_report(config: ExperimentConfig, out_dir: Path) -> None:
 
     depths = np.linspace(0.0, config.sweep.intrusion_z_max, 51)
     speeds_grid = np.asarray(config.sweep.intrusion_speeds())
-    surface = force_map(TerrainParams(fit.k_fit, fit.m_a_inf_fit, fit.z_c_fit), depths, speeds_grid)
+    surface = force_map(bed, depths, speeds_grid)
     io.write_force_map_csv(out_dir / "force_map.csv", depths, speeds_grid, surface)
     for name, (header, columns) in trial_figs.items():
         io.write_columns_csv(out_dir / name, header, columns)
 
 
-def _representative_trial_figs(trials: list[tuple[dict, dict[str, Path]]], fit: DepthSpeedFit) -> dict:
-    """Force-depth scatter and the added-mass residual series of the rig
-    fit over the stance of one of the manifest's hops, read back by
-    `_read_hop`, as {file name: (header, columns)}; none for a manifest
-    without hops."""
+def _representative_trial_figs(trials: list[tuple[dict, dict[str, Path]]], bed: TerrainParams) -> dict:
+    """Force-depth scatter and the added-mass residual series over the
+    stance of one of the manifest's hops, read back by `_read_hop`, as
+    {file name: (header, columns)}.  On the rig fit's bed, the residual is
+    the load cell less the law's depth and drag terms, and the prediction
+    is its added-mass term."""
     hops = [(entry, paths) for entry, paths in trials if entry["kind"] == "hop"]
-    if not hops:
-        return {}
     # fastest condition, first seed: the regime where dynamics matter most
     _, paths = max(hops, key=lambda hop: (hop[0]["speed"], -hop[0]["seed"]))
     frames, est, truth, events = _read_hop(paths)
@@ -523,9 +527,8 @@ def _representative_trial_figs(trials: list[tuple[dict, dict[str, Path]]], fit: 
     z_t = np.maximum(0.0, -truth["x_f"])
     zd_t = -truth["v_f"]
     zdd = -frames.imu_foot_acc
-    predicted, residual = added_mass_reconstruction(
-        fit, z_t[mask], zd_t[mask], zdd[mask], frames.loadcell_force[mask]
-    )
+    f_static, f_drag, predicted = reaction_terms(z_t[mask], zd_t[mask], zdd[mask], bed)
+    residual = frames.loadcell_force[mask] - f_static - f_drag
     return {
         "force_depth_trial.csv": (
             ("t", "depth", "f_loadcell", "f_qs", "f_mo"),

@@ -9,9 +9,10 @@ whose sigma ramps from sigma_good to sigma_bad through a sigmoid in
 are retained but barely influence the depth-stiffness slope.
 
 The constant-speed intrusion sweeps feed a separate parametric fit
-F = k*z + g_a(z)*v^2 with g_a the exponential added-mass gradient; its
-closed-form integral m_a(z) is the added-mass profile used to explain
-the residual force transients during hopping.
+F = k*z + g_a(z)*v^2 with g_a the exponential added-mass gradient.  Its
+(k, m_a_inf, z_c) are a bed, `TerrainParams(k_fit, m_a_inf_fit, z_c_fit)`,
+on which `terrain.reaction_terms` gives the added-mass term m_a(z)*zdd
+that explains the residual force transients during hopping.
 """
 
 from __future__ import annotations
@@ -75,15 +76,6 @@ class DepthSpeedFit:
     z_c_fit: float
     rmse: float
     n_samples: int
-
-    def gradient(self, z) -> np.ndarray:
-        """Fitted added-mass depth gradient g_a(z) [kg/m]."""
-        return self.m_a_inf_fit / self.z_c_fit * np.exp(-np.asarray(z, dtype=float) / self.z_c_fit)
-
-    def added_mass(self, z) -> np.ndarray:
-        """Fitted added mass m_a(z) = m_a_inf*(1 - exp(-z/z_c)) [kg], the
-        integral of `gradient` from the surface."""
-        return self.m_a_inf_fit * (1.0 - np.exp(-np.asarray(z, dtype=float) / self.z_c_fit))
 
     def in_box(self) -> bool:
         """Whether (k, m_a_inf, z_c) lie in the box the fit searches."""
@@ -316,28 +308,6 @@ def fit_depth_speed_model(logs: list[IntrusionLog]) -> DepthSpeedFit:
     return DepthSpeedFit(
         k_fit=k_fit, m_a_inf_fit=ma_fit, z_c_fit=zc_fit, rmse=math.sqrt(cost / n_samples), n_samples=n_samples
     )
-
-
-def added_mass_reconstruction(
-    fit: DepthSpeedFit,
-    z: np.ndarray,
-    z_dot: np.ndarray,
-    z_ddot: np.ndarray,
-    f_measured: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted added-mass force and the measured residual it should explain.
-
-    Residual = F - k_fit*z - g_a(z)*zd^2; prediction = m_a(z)*zdd, both with
-    the momentum-flux terms active only while penetrating (zd >= 0).
-    """
-    z = np.asarray(z, dtype=float)
-    zd = np.asarray(z_dot, dtype=float)
-    zdd = np.asarray(z_ddot, dtype=float)
-    f = np.asarray(f_measured, dtype=float)
-    pen = (zd >= 0.0) & (z > 0.0)
-    residual = f - fit.k_fit * z - np.where(pen, fit.gradient(z) * zd * zd, 0.0)
-    predicted = np.where(pen, fit.added_mass(z) * zdd, 0.0)
-    return predicted, residual
 
 
 @dataclass(frozen=True)

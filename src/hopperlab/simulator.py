@@ -35,7 +35,7 @@ from .controller import FLIGHT, ControllerConfig, PhaseName, next_phase, spring_
 from .errors import NONNEGATIVE, POSITIVE, SimulationError, TrialMalformedError, check_domains
 from .linkage import LinkageParams, _geometry, solve_theta_for_length
 from .signals import ENCODER_RATE_WINDOW, smoothed_backward_difference
-from .terrain import TerrainParams, constant_speed_force
+from .terrain import TerrainParams, reaction_terms
 
 
 MAX_TRIAL_SAMPLES = 1_000_000   # RK4 steps (frames) of a hop, or load-cell samples of an intrusion
@@ -595,9 +595,10 @@ def run_constant_speed_intrusion(
     per seed, at `IntrusionLog.depth`, unclamped: where z_max is a whole
     number of sample steps the last depth may round 1 ulp above it.
 
-    The reaction law at (z, v, 0) is evaluated once; each repeat's force row
-    adds load-cell noise from `default_rng(seed)` when enabled, so a row is
-    the same for its seed whatever the other seeds are.
+    The reaction law's terms at (z, v, 0) (`terrain.reaction_terms`) are
+    summed once; each repeat's force row adds load-cell noise from
+    `default_rng(seed)` when enabled, so a row is the same for its seed
+    whatever the other seeds are.
     """
     if speed <= 0.0:
         raise ValueError("speed must be positive")
@@ -605,7 +606,8 @@ def run_constant_speed_intrusion(
         raise ValueError("z_max must be positive")
     n = int(math.floor(z_max / (speed * (1.0 / INTRUSION_RATE_HZ)))) + 1
     log = IntrusionLog(speed=float(speed), force=np.empty((len(seeds), n)))
-    log.force[:] = constant_speed_force(log.depth, speed, terrain_params)
+    f_static, f_drag, f_added = reaction_terms(log.depth, speed, 0.0, terrain_params)
+    log.force[:] = f_static + f_drag + f_added
     if noise_config.enabled and noise_config.loadcell_sigma > 0.0:
         for row, seed in zip(log.force, seeds):
             row += np.random.default_rng(seed).normal(0.0, noise_config.loadcell_sigma, size=n)

@@ -14,9 +14,11 @@ are abandoned on withdrawal, and the bed can never pull the foot down, so
 the total is clamped at zero from below.
 
 The program evaluates the law in two places: the truth plant's inline
-copy (`simulator.plant_kernel`) and its constant-speed form here
-(`constant_speed_force`).  The scalar reference version that the tests
-pin both against lives in `tests/reference.py`.
+copy (`simulator.plant_kernel`), which also applies the clamp, and
+`reaction_terms` here, the one vectorised form, which the intrusion rig,
+the force map and the report's added-mass residual call.  The scalar
+reference version that the tests pin both against lives in
+`tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -42,11 +44,18 @@ class TerrainParams:
     __post_init__ = check_domains
 
 
-def constant_speed_force(z, v, params: TerrainParams) -> np.ndarray:
-    """Total reaction at depths z >= 0 under constant penetration rates
-    v >= 0 (zdd = 0), broadcast over numpy arrays; zero out of contact."""
-    grad = params.m_a_inf / params.z_c * np.exp(-z / params.z_c)
-    return np.where(z > 0.0, params.k_stiff * z + grad * v * v, 0.0)
+def reaction_terms(z, z_dot, z_ddot, params: TerrainParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f_static, f_drag, f_added) of the reaction law at depth z, rate
+    z_dot and acceleration z_ddot (positive downward), broadcast over numpy
+    arrays.  The depth term acts while z > 0, the momentum-flux terms only
+    while penetrating (z > 0 and z_dot >= 0); no term is clamped, since
+    the no-tension clamp belongs to the plant's coupled dynamics."""
+    decay = np.exp(-z / params.z_c)
+    penetrating = (z > 0.0) & (z_dot >= 0.0)
+    f_drag = np.where(penetrating, params.m_a_inf / params.z_c * decay * z_dot * z_dot, 0.0)
+    f_added = np.where(penetrating, params.m_a_inf * (1.0 - decay) * z_ddot, 0.0)
+    del decay, penetrating  # freed before the depth term: two fewer arrays live at a long grid's peak
+    return np.where(z > 0.0, params.k_stiff * z, 0.0), f_drag, f_added
 
 
 def inertial_threshold(d_grain: float) -> float:
@@ -70,4 +79,5 @@ def force_map(params: TerrainParams, depth_grid, speed_grid) -> np.ndarray:
         raise ValueError("grids must be sorted ascending")
     if depths[0] < 0.0 or speeds[0] < 0.0:
         raise ValueError("depths and speeds must be nonnegative")
-    return constant_speed_force(depths[:, None], speeds[None, :], params)
+    f_static, f_drag, f_added = reaction_terms(depths[:, None], speeds[None, :], 0.0, params)
+    return f_static + f_drag + f_added

@@ -21,7 +21,9 @@ in the program's copy (`linkage._foot_channel_coeffs`,
 `estimation._filter_constants`, `estimation._extend_gains`,
 `estimation._kf_filter`, the observer loop in
 `estimation.run_momentum_observer`, the torque map in
-`estimation.quasi_static_series`, the repeat collapse in
+`estimation.quasi_static_series`, the reaction law in
+`terrain.reaction_terms` and inline in `simulator.plant_kernel`, the
+repeat collapse in
 `identification.fit_depth_speed_model`, the branch test inline in
 `simulator.run_hop_trial`, `signals._slope_operator`) fails a test.  They
 share only the leg geometry (`_geometry`, `leg_length`, `leg_jacobian`),
@@ -39,6 +41,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -467,7 +470,10 @@ def pooled_depth_speed_fit(logs) -> DepthSpeedFit:
 
 
 def pooled_cost(logs, fit: DepthSpeedFit) -> float:
-    """The sum of squared residuals of `fit` over every log's in-contact samples."""
+    """The sum of squared residuals of `fit` over every log's in-contact
+    samples, its drag gradient from `added_mass_profile`."""
     z, v2, f = _pooled_samples(logs)
-    r = fit.k_fit * z + fit.gradient(z) * v2 - f
+    profile = SimpleNamespace(m_a_inf=fit.m_a_inf_fit, z_c=fit.z_c_fit)
+    grad = np.array([added_mass_profile(zi, profile)[1] for zi in z.tolist()])
+    r = fit.k_fit * z + grad * v2 - f
     return float(np.dot(r, r))

@@ -11,12 +11,10 @@ from hopperlab.errors import DegenerateFitError, InsufficientDataError
 from hopperlab.estimation import EstimationConfig, run_estimation
 from hopperlab.identification import (
     TREATMENTS,
-    DepthSpeedFit,
     StanceSamples,
     TrialSamples,
     WeightConfig,
     acceleration_weight,
-    added_mass_reconstruction,
     extract_samples,
     fit_depth_speed_model,
     fit_treatments,
@@ -27,7 +25,7 @@ from hopperlab.identification import (
 )
 from hopperlab.signals import smoothed_derivative
 from hopperlab.simulator import Frames, NoiseConfig, run_constant_speed_intrusion
-from hopperlab.terrain import TerrainParams
+from hopperlab.terrain import TerrainParams, reaction_terms
 from reference import (
     added_mass_profile,
     golden_search_log_zc,
@@ -487,38 +485,41 @@ def test_brent_search_keeps_to_golden_sections_minimum_where_the_cost_has_two():
 # ------------------------------------------------- added-mass reconstruction
 
 
-def test_reconstruction_matches_added_mass_term_noiseless(noiseless_trial, terrain):
+def _rig_bed(terrain):
+    """The bed of the depth-speed fit to a noiseless 50-speed intrusion grid."""
     speeds = np.linspace(0.022, 1.1, 50)
     fit = fit_depth_speed_model([run_constant_speed_intrusion(v, 0.05, terrain, NoiseConfig.noiseless(), seeds=[0]) for v in speeds])
+    return TerrainParams(fit.k_fit, fit.m_a_inf_fit, fit.z_c_fit)
+
+
+def test_reconstruction_matches_added_mass_term_noiseless(noiseless_trial, terrain):
+    # the force less the fitted law's depth and drag terms is its added-mass term
     truth = noiseless_trial.truth
     ev = noiseless_trial.events
     stance = (truth.t >= ev.t_td) & (truth.t <= ev.t_lo)
     z = -truth.x_f[stance]
-    predicted, residual = added_mass_reconstruction(
-        fit, z, -truth.v_f[stance], -truth.acc_f[stance], truth.f_total[stance]
-    )
+    f_static, f_drag, predicted = reaction_terms(z, -truth.v_f[stance], -truth.acc_f[stance], _rig_bed(terrain))
+    residual = truth.f_total[stance] - f_static - f_drag
     assert np.abs(residual - predicted).max() < 0.1
 
 
 def test_reconstruction_constant_speed_predicts_zero(terrain):
-    speeds = np.linspace(0.022, 1.1, 50)
-    fit = fit_depth_speed_model([run_constant_speed_intrusion(v, 0.05, terrain, NoiseConfig.noiseless(), seeds=[0]) for v in speeds])
     log = run_constant_speed_intrusion(0.5, 0.05, terrain, NoiseConfig.noiseless(), seeds=[0])
     keep = log.depth > 0
-    predicted, residual = added_mass_reconstruction(
-        fit, log.depth[keep], np.full(keep.sum(), 0.5), np.zeros(keep.sum()), log.force[0, keep]
+    f_static, f_drag, predicted = reaction_terms(
+        log.depth[keep], np.full(keep.sum(), 0.5), np.zeros(keep.sum()), _rig_bed(terrain)
     )
+    residual = log.force[0, keep] - f_static - f_drag
     assert np.abs(predicted).max() == 0.0
     assert np.abs(residual).max() < 1e-6
 
 
 def test_added_mass_integral_matches_profile(terrain):
-    fit = DepthSpeedFit(
-        k_fit=terrain.k_stiff, m_a_inf_fit=terrain.m_a_inf, z_c_fit=terrain.z_c, rmse=0.0, n_samples=1
-    )
+    # at unit penetration acceleration the added-mass term is m_a(z)
     zs = np.linspace(0.0, 0.06, 30)
+    _, _, f_added = reaction_terms(zs, np.zeros_like(zs), np.ones_like(zs), terrain)
     m_true = np.array([added_mass_profile(z, terrain)[0] for z in zs])
-    np.testing.assert_allclose(fit.added_mass(zs), m_true, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(f_added, m_true, rtol=1e-14, atol=0.0)
 
 
 # ------------------------------------------------------------- treatments

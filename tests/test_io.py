@@ -1186,6 +1186,22 @@ def test_identify_rejects_a_manifest_without_the_intrusion_entry(tiny_sweep, tmp
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_identify_and_report_reject_a_manifest_without_a_hop_entry(tiny_sweep, tmp_path):
+    # there is nothing to identify or report: report would rewrite the
+    # summary and leave an earlier hop's trial CSVs beside it
+    cfg, sweep = tiny_sweep
+    out = tmp_path / "out"
+    shutil.copytree(sweep, out)
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    grid = [e for e in manifest["entries"] if e["kind"] == "intrusion"]
+    (out / "manifest.json").write_text(json.dumps({**manifest, "entries": grid}))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    for command in ("identify", "report"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 4, command
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before, command
+
+
 @settings(max_examples=20, deadline=None)
 @given(data=st.data(), end=st.sampled_from(["\n", "\r\n"]))
 def test_a_blank_line_anywhere_in_the_grid_is_bad_input(tmp_path_factory, tiny_sweep, data, end):

@@ -1029,3 +1029,23 @@ def test_a_hops_truth_and_events_do_not_depend_on_its_seed(condition, seed):
         other = getattr(zero.truth, name)
         assert column.dtype == other.dtype and column.tobytes() == other.tobytes(), name
     assert not np.array_equal(log.frames.loadcell_force, zero.frames.loadcell_force)
+
+
+# ------------------------------------------------- the plant's reaction is the law's
+
+from hopperlab.terrain import reaction_terms
+
+
+@pytest.mark.parametrize("speed", _SWEEP.speeds)
+@pytest.mark.parametrize("kc", _SWEEP.stiffnesses_n_per_cm)
+def test_the_plants_reaction_terms_are_the_laws(speed, kc):
+    # the plant's inline copy of the law logs, row by row, the terms that
+    # `reaction_terms` gives at the logged (z, zd, zdd), to the last bits
+    # of exp; a row whose force the no-tension clamp dropped logs none
+    log = _seed_zero_hop(speed, kc)
+    truth = log.truth
+    clamped = (truth.f_total == 0.0) & (truth.x_f < 0.0)
+    assert np.count_nonzero(clamped) == log.clamp_events
+    law = reaction_terms(-truth.x_f, -truth.v_f, -truth.acc_f, ExperimentConfig().terrain)
+    for name, terms in zip(("f_static", "f_drag", "f_added"), law):
+        np.testing.assert_allclose(getattr(truth, name)[~clamped], terms[~clamped], rtol=1e-14, atol=0.0, err_msg=name)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hopperlab.terrain import TerrainParams, force_map, inertial_threshold
+from hopperlab.terrain import TerrainParams, force_map, inertial_threshold, reaction_terms
 from reference import added_mass_profile, terrain_force
 
 
@@ -86,6 +87,33 @@ def test_terrain_force_additivity_when_unclamped():
 def test_constant_speed_degeneracy():
     d = terrain_force(0.03, 0.7, 0.0, TerrainParams())
     assert d.f_added == 0.0
+
+
+_ROW = st.tuples(
+    st.floats(-0.05, 0.1),      # z: free at or above the surface, else in the bed
+    st.floats(-2.0, 2.0),       # z_dot: withdrawing or penetrating
+    st.floats(-500.0, 500.0),   # z_ddot of either sign
+)
+_BED = st.builds(
+    TerrainParams, k_stiff=st.floats(1.0, 1e4), m_a_inf=st.floats(0.0, 1.0), z_c=st.floats(1e-3, 0.1)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=16), params=_BED)
+@example(rows=[(-0.01, 1.0, 5.0), (0.0, 0.5, -3.0), (0.02, -0.5, 3.0), (0.02, 0.0, -50.0), (0.01, 1.0, 50.0)], params=TerrainParams())
+def test_reaction_terms_are_the_scalar_law(rows, params):
+    # element for element: the terms of the scalar reference law, on each
+    # branch, with no clamp; a term is zero where the reference's is, and
+    # otherwise equal to the last bits of exp
+    z, z_dot, z_ddot = (np.array(column) for column in zip(*rows))
+    terms = reaction_terms(z, z_dot, z_ddot, params)
+    for i, row in enumerate(rows):
+        law = terrain_force(*row, params)
+        want = (law.f_static, law.f_drag, law.f_added)
+        got = tuple(float(term[i]) for term in terms)
+        assert [g == 0.0 for g in got] == [w == 0.0 for w in want], row
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), row
 
 
 def test_inertial_threshold_glass_beads():
