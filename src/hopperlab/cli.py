@@ -9,19 +9,21 @@ Commands
                bad input.  The rewrites replace their files together, once
                the last succeeds: on any failure every file is left as it was.
     identify   intrusion-model (rig) fit + treatment report scored against
-               the fit's k, from existing hop artifacts and intrusion grid;
-               the grid is loaded and fitted only when its sha256 differs
-               from the one the fit records
+               the fit's k, with fits.csv, summary.json and the stiffness
+               CSVs drawn from it, from existing hop artifacts and intrusion
+               grid; the grid is loaded and fitted only when its sha256
+               differs from the one the fit records
     sweep      full grid: intrusions and their fit, then hops + estimation
                + identification
-    report     summary JSON + plot-ready CSVs, the force map drawn from the
-               rig fit
+    report     the force-map, force-depth and added-mass CSVs, drawn from
+               the rig fit and one hop; it reads no treatment report
 
 Every command needs `--config`, the one source of the run's settings (the
 seeds included), and `--out`, the one source of its output directory.
 `--jobs` and `--resume` are read by sweep only; any other command given
-one exits 2 before it reads or writes anything, as does a missing `--out`
-or one that is not a directory.  Exit codes: 0 success, 2 config or usage
+one exits 2 before it reads or writes anything, as does a missing `--out`,
+one that is not a directory or lies under a file, and a `--config` that
+cannot be read as UTF-8 text.  Exit codes: 0 success, 2 config or usage
 error, 3 runtime/integration or numeric error (an intrusion grid that
 cannot be fitted), 4 missing-input error.
 """
@@ -47,10 +49,12 @@ from .experiments import (
 
 
 def _resolve_out(args) -> Path:
-    """`--out`; anything but a directory there is a usage error, raised first."""
+    """`--out`; a path whose nearest existing ancestor (or itself) is anything
+    but a directory is a usage error, raised first."""
     out = Path(args.out)
-    if out.exists() and not out.is_dir():
-        raise ConfigError(f"output directory {out} exists and is not a directory")
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"output directory {out}: {nearest} exists and is not a directory")
     return out
 
 
@@ -71,7 +75,7 @@ def cmd_estimate(config: ExperimentConfig, args) -> int:
 def cmd_identify(config: ExperimentConfig, args) -> int:
     out = _resolve_out(args)
     identify_outputs(config, out, *identify_inputs(out))
-    print(f"wrote treatment_report.json and fits.csv to {out}")
+    print(f"wrote treatment_report.json, fits.csv, summary.json and the stiffness CSVs to {out}")
     return 0
 
 
@@ -87,7 +91,7 @@ def cmd_sweep(config: ExperimentConfig, args) -> int:
 def cmd_report(config: ExperimentConfig, args) -> int:
     out = _resolve_out(args)
     write_report(config, out)
-    print(f"wrote summary.json and plot CSVs to {out}")
+    print(f"wrote force_map.csv, force_depth_trial.csv and added_mass_residual.csv to {out}")
     return 0
 
 

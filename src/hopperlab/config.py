@@ -149,8 +149,9 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an experiment config file.
 
-    Raises ConfigError with the offending line/section/key on any parse
-    or validation problem.
+    Raises ConfigError naming the file when it cannot be read as UTF-8
+    text, and the offending line/section/key on any parse or validation
+    problem.
     """
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";")
@@ -158,8 +159,8 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle, source=path)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, or not UTF-8
+        raise ConfigError(f"cannot read config file {path}: {exc}")
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}")
 

@@ -44,10 +44,11 @@ What each command reads:
               `depth_speed_fit.json` does not record that sha256 or does
               not read back as `report` reads it; else it keeps the fit
               (`_kept_fit`).  It writes what a sweep writes, byte for
-              byte, through the same `identify_outputs`.
-    report    the treatment report, `depth_speed_fit.json`, the manifest
-              and one hop, which must read back (else exit 4), all before
-              it writes anything; the force map's axes, the `[sweep]`
+              byte, through the same `identify_outputs`: the treatment
+              report, `fits.csv`, `summary.json` and the stiffness CSVs.
+    report    `depth_speed_fit.json`, the manifest and one hop, which must
+              read back (else exit 4), all before it writes anything; no
+              treatment report.  The force map's axes, the `[sweep]`
               intrusion grid, must be the manifest's (else ConfigError).
 
 The manifest records the config the sweep ran under, every key of it, as
@@ -66,16 +67,9 @@ import numpy as np
 
 from . import io
 from .config import ExperimentConfig, config_to_text, hop_trial_id
-from .errors import ConfigError, DegenerateFitError, InsufficientDataError, MissingInputError
+from .errors import ConfigError, DegenerateFitError, MissingInputError
 from .estimation import EstimationSeries, run_estimation
-from .identification import (
-    ConditionStats,
-    DepthSpeedFit,
-    TrialSamples,
-    extract_samples,
-    fit_depth_speed_model,
-    treatment_comparison,
-)
+from .identification import DepthSpeedFit, TrialSamples, extract_samples, fit_depth_speed_model, treatment_comparison
 from .simulator import (
     Frames,
     IntrusionLog,
@@ -98,7 +92,6 @@ DEPTH_SPEED_FIT = "depth_speed_fit.json"
 _FORCE_MAP_KEYS = tuple(
     f"[sweep] {key}" for key in ("intrusion_speed_min", "intrusion_speed_max", "intrusion_speed_count", "intrusion_z_max")
 )
-_CONDITION_NUMBERS = [f.name for f in dataclasses.fields(ConditionStats) if f.name != "treatment"]
 
 
 def _hop_files(trial_id: str) -> dict[str, str]:
@@ -426,83 +419,52 @@ def identify_inputs(out_dir: Path) -> tuple[list[TrialSamples], DepthSpeedFit]:
 
 def identify_outputs(config: ExperimentConfig, out_dir: Path, trials: list[TrialSamples], fit: DepthSpeedFit) -> None:
     """Treatment report from the hops' stance samples, scored against the
-    rig fit's `k_fit` (the report's `k_gt`)."""
+    rig fit's `k_fit` (the report's `k_gt`), and every artifact drawn from
+    it: `treatment_report.json`, `fits.csv`, `summary.json`, and the
+    stiffness recovery across speeds at the middle stiffness
+    (`stiffness_vs_speed.csv`) and across stiffnesses at 1.0 m/s, or the
+    fastest speed when 1.0 is not swept (`stiffness_vs_kc.csv`)."""
     out_dir = Path(out_dir)
     report = treatment_comparison(trials, k_gt=fit.k_fit, weights=config.weight)
-    io.write_json(
-        out_dir / "treatment_report.json",
-        {
-            "k_gt": report.k_gt,
-            "conditions": [dataclasses.asdict(c) for c in report.conditions],
-        },
-    )
+    k_gt, conditions = report.k_gt, [dataclasses.asdict(c) for c in report.conditions]
+    io.write_json(out_dir / "treatment_report.json", {"k_gt": k_gt, "conditions": conditions})
     rows = [
         [io.fmt_float(f["v_td"]), io.fmt_float(f["k_c_n_per_cm"]), f["treatment"], io.fmt_float(f["k_est"]), str(f["seed"])]
         for f in report.fits
     ]
     io.write_csv(out_dir / "fits.csv", ("v_td", "k_c", "treatment", "k_est", "seed"), rows)
+    n_conditions = len({(c["v_td"], c["k_c_n_per_cm"]) for c in conditions})
+    io.write_json(out_dir / "summary.json", {"k_gt": k_gt, "n_conditions": n_conditions, "conditions": conditions})
+
+    kcs = sorted({c["k_c_n_per_cm"] for c in conditions})
+    speeds = sorted({c["v_td"] for c in conditions})
+    # (file, its axis column, the condition field on that axis, the field held, its value)
+    for name, axis, field, held, value in (
+        ("stiffness_vs_speed.csv", "v_td", "v_td", "k_c_n_per_cm", kcs[len(kcs) // 2]),
+        ("stiffness_vs_kc.csv", "k_c", "k_c_n_per_cm", "v_td", 1.0 if 1.0 in speeds else speeds[-1]),
+    ):
+        rows = [
+            [io.fmt_float(c[field]), c["treatment"], io.fmt_float(c["mean_k"]), io.fmt_float(c["sem_k"]), io.fmt_float(k_gt)]
+            for c in conditions
+            if c[held] == value
+        ]
+        io.write_csv(out_dir / name, (axis, "treatment", "mean_k", "sem_k", "k_gt"), rows)
 
 
 def write_report(config: ExperimentConfig, out_dir: Path) -> None:
-    """Summary JSON plus plot-ready CSVs for the force-depth, force-map,
-    added-mass and stiffness-recovery figures, the map and the residual on
-    the rig fit's bed.  The fit, the manifest and the representative hop
-    are read (`_read_fit`, `manifest_trials`, `_representative_trial_figs`)
-    before any write, and the force map's axes, the config's `[sweep]`
-    intrusion grid, must be the recorded config's."""
+    """Plot-ready CSVs for the force-map, force-depth and added-mass
+    figures, the map and the residual on the rig fit's bed; the treatment
+    report and what is drawn from it are `identify_outputs`'.  The fit, the
+    manifest and the representative hop are read (`_read_fit`,
+    `manifest_trials`, `_representative_trial_figs`) before any write, and
+    the force map's axes, the config's `[sweep]` intrusion grid, must be
+    the recorded config's."""
     out_dir = Path(out_dir)
-    treatment_path = out_dir / "treatment_report.json"
-    if not treatment_path.exists():
-        raise MissingInputError(f"no treatment report at {treatment_path}; run identify first")
-    report = io.read_json(treatment_path)
-    conditions = report.get("conditions") if isinstance(report, dict) else None
-    if not (
-        isinstance(conditions, list)
-        and io.is_finite_number(report.get("k_gt"))
-        and all(
-            isinstance(c, dict)
-            and isinstance(c.get("treatment"), str)
-            and all(io.is_finite_number(c.get(name)) for name in _CONDITION_NUMBERS)
-            for c in conditions
-        )
-    ):
-        raise MissingInputError(
-            f"malformed treatment report {treatment_path}: need a finite k_gt and a list of condition objects of finite numbers"
-        )
-    if not conditions:
-        raise InsufficientDataError("treatment report is empty")
     fit, _ = _read_fit(out_dir / DEPTH_SPEED_FIT)
     bed = TerrainParams(fit.k_fit, fit.m_a_inf_fit, fit.z_c_fit)
     recorded, trials = manifest_trials(out_dir)
     _check_recorded_config(recorded, config, _FORCE_MAP_KEYS)
     trial_figs = _representative_trial_figs(trials, bed)
-
-    io.write_json(
-        out_dir / "summary.json",
-        {
-            "k_gt": report["k_gt"],
-            "n_conditions": len({(c["v_td"], c["k_c_n_per_cm"]) for c in conditions}),
-            "conditions": conditions,
-        },
-    )
-
-    kc_values = sorted({c["k_c_n_per_cm"] for c in conditions})
-    kc_mid = kc_values[len(kc_values) // 2]
-    rows_c = [
-        [io.fmt_float(c["v_td"]), c["treatment"], io.fmt_float(c["mean_k"]), io.fmt_float(c["sem_k"]), io.fmt_float(report["k_gt"])]
-        for c in conditions
-        if c["k_c_n_per_cm"] == kc_mid
-    ]
-    io.write_csv(out_dir / "stiffness_vs_speed.csv", ("v_td", "treatment", "mean_k", "sem_k", "k_gt"), rows_c)
-
-    speeds = sorted({c["v_td"] for c in conditions})
-    target = 1.0 if 1.0 in speeds else speeds[-1]
-    rows_d = [
-        [io.fmt_float(c["k_c_n_per_cm"]), c["treatment"], io.fmt_float(c["mean_k"]), io.fmt_float(c["sem_k"]), io.fmt_float(report["k_gt"])]
-        for c in conditions
-        if c["v_td"] == target
-    ]
-    io.write_csv(out_dir / "stiffness_vs_kc.csv", ("k_c", "treatment", "mean_k", "sem_k", "k_gt"), rows_d)
 
     depths = np.linspace(0.0, config.sweep.intrusion_z_max, 51)
     speeds_grid = np.asarray(config.sweep.intrusion_speeds())

@@ -8,7 +8,9 @@ without an estimation CSV, or with a truth cell that is not a finite
 number, is bad input.  A directory name is not part of a trial's file
 names.
 The intrusion (rig) fit is the ground truth that `identify` scores against
-and `report` draws from, so neither reads `[terrain]`.  When the fit
+and `report` draws from, so neither reads `[terrain]`.  `identify` writes
+the treatment report and every file drawn from it; `report` reads none of
+them.  When the fit
 cannot run, `sweep` and `identify` exit 3 and remove the fit an earlier
 run left, and `report` writes nothing without a usable fit, or without a
 representative hop that reads back.
@@ -268,7 +270,7 @@ def test_intrusion_fit_of_an_earlier_run_is_removed(sweep_dir, config_path, tmp_
         assert main(["identify", "--config", config_path, "--out", str(out)]) == 3
     assert not (out / "depth_speed_fit.json").exists()
     # no treatment report is written: the earlier one is left as it was
-    for name in ("treatment_report.json", "fits.csv"):
+    for name in TREATMENT_FILES:
         assert (out / name).read_bytes() == before[name], name
     after = _files(out)
     assert main(["report", "--config", config_path, "--out", str(out)]) == 4
@@ -332,11 +334,31 @@ def test_identify_reads_no_frames(sweep_dir, config_path, tmp_path):
     for path in frames:
         path.unlink()
     assert main(["identify", "--config", config_path, "--out", str(out)]) == 0
-    for name in ("treatment_report.json", "fits.csv", "depth_speed_fit.json"):
+    for name in IDENTIFY_FILES:
         assert (out / name).read_bytes() == (sweep_dir / name).read_bytes(), name
     # the report's representative trial still needs its frames
     assert main(["report", "--config", config_path, "--out", str(out)]) == 4
 
+
+
+def test_report_reads_no_treatment_report(sweep_dir, config_path, tmp_path):
+    # report draws its files from the rig fit and one hop alone
+    reported = shutil.copytree(sweep_dir, tmp_path / "reported")
+    assert main(["report", "--config", config_path, "--out", str(reported)]) == 0
+    out = shutil.copytree(sweep_dir, tmp_path / "no_treatment_report")
+    (out / "treatment_report.json").unlink()
+    assert main(["report", "--config", config_path, "--out", str(out)]) == 0
+    for name in REPORT_FILES:
+        assert (out / name).read_bytes() == (reported / name).read_bytes(), name
+    assert not (out / "treatment_report.json").exists()
+
+
+def test_identify_writes_the_summary_and_stiffness_csvs(sweep_dir, config_path, tmp_path):
+    out = _copy(sweep_dir, tmp_path)
+    for name in ("summary.json", "stiffness_vs_speed.csv", "stiffness_vs_kc.csv"):
+        (out / name).unlink()
+    assert main(["identify", "--config", config_path, "--out", str(out)]) == 0
+    assert _files(out) == _files(sweep_dir)
 
 def test_sweep_directory_works_after_a_move(sweep_dir, config_path, tmp_path, monkeypatch):
     first = tmp_path / "first"
@@ -506,7 +528,10 @@ def test_estimate_replaces_every_estimation_file_or_none(sweep_dir, config_path,
     assert _files(out) == before
 
 
-IDENTIFY_FILES = ("treatment_report.json", "fits.csv", "depth_speed_fit.json")
+# what `identify_outputs` writes: the treatment report and the files drawn from it
+TREATMENT_FILES = ("treatment_report.json", "fits.csv", "summary.json", "stiffness_vs_speed.csv", "stiffness_vs_kc.csv")
+IDENTIFY_FILES = (*TREATMENT_FILES, "depth_speed_fit.json")
+REPORT_FILES = ("force_map.csv", "force_depth_trial.csv", "added_mass_residual.csv")
 
 
 def _no_read(path, *args, **kwargs):
@@ -696,8 +721,8 @@ def test_report_rejects_estimates_of_other_frames(sweep_dir, config_path, tmp_pa
 
 @pytest.mark.parametrize("cut", [_cut_at_byte, _cut_at_row])
 def test_report_reads_its_representative_hop_before_writing(sweep_dir, config_path, tmp_path, cut):
-    # a cut frames file is refused before summary.json, the stiffness CSVs
-    # or the force map are written
+    # a cut frames file is refused before the force map or the hop's CSVs
+    # are written
     out = _copy(sweep_dir, tmp_path)
     cut(out / f"{REPRESENTATIVE}_frames.npy")
     before = _files(out)

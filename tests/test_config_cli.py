@@ -290,7 +290,8 @@ def test_cli_one_condition_sweep_writes_artifacts(tmp_path):
     hop = "hop_v0.80_kc3.75_s0"
     assert {p.name for p in out.iterdir()} == {
         f"{hop}_frames.npy", f"{hop}_events.json", f"{hop}_estimation.csv", "intrusion_grid.npy",
-        "depth_speed_fit.json", "manifest.json", "treatment_report.json", "fits.csv",
+        "depth_speed_fit.json", "manifest.json", "treatment_report.json", "fits.csv", "summary.json",
+        "stiffness_vs_speed.csv", "stiffness_vs_kc.csv",
     }
     frames = io.read_frames_npy(out / f"{hop}_frames.npy")
     assert frames.t[1] - frames.t[0] == pytest.approx(1e-3)
@@ -500,12 +501,13 @@ def test_a_seed_list_without_a_seed_is_a_usage_error(tmp_path, command, seeds):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", ["--out", "HOPPERLAB_OUT", "[output] dir"])
+@pytest.mark.parametrize("source", ["--out", "HOPPERLAB_OUT", "[output] dir", "--out <file>/sub"])
 @pytest.mark.parametrize("command", ["estimate", "identify", "sweep", "report"])
 def test_an_output_directory_that_is_a_file_is_a_usage_error(tmp_path, monkeypatch, capsys, command, source):
     # only --out names the output directory: a file named by the
     # environment or an [output] section is no output directory, and the
-    # command is a usage error (a missing --out, an unknown section) as well
+    # command is a usage error (a missing --out, an unknown section) as well,
+    # and no directory can be made under a file
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
     cfg = _write(tmp_path, TINY_SWEEP + (f"[output]\ndir = {taken}\n" if source == "[output] dir" else ""))
@@ -517,12 +519,27 @@ def test_an_output_directory_that_is_a_file_is_a_usage_error(tmp_path, monkeypat
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
     else:
-        out = taken if source == "--out" else tmp_path / "runs"
+        out = {"--out": taken, "--out <file>/sub": taken / "sub"}.get(source, tmp_path / "runs")
         assert main([*argv, "--out", str(out)]) == 2
-        assert ("not a directory" if source == "--out" else "[output]") in capsys.readouterr().err
+        assert ("[output]" if source == "[output] dir" else "not a directory") in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini", "taken"]
     assert taken.read_text() == "not a directory\n"
 
+
+
+@pytest.mark.parametrize("config", ["a directory", "not UTF-8"])
+@pytest.mark.parametrize("command", ["estimate", "identify", "sweep", "report"])
+def test_a_config_that_cannot_be_read_is_a_usage_error(tmp_path, capsys, command, config):
+    if config == "a directory":
+        path = tmp_path / "configs"
+        path.mkdir()
+    else:
+        path = tmp_path / "config.ini"
+        path.write_bytes(TINY_SWEEP.encode() + b"# \xff\n")
+    out = tmp_path / "runs"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not out.exists()
 
 def test_sweep_with_two_jobs_matches_serial_bytes(tmp_path):
     cfg = _write(tmp_path, TINY_SWEEP)

@@ -404,7 +404,7 @@ def test_numeric_csv_matches_csv_writer_and_reads_back_bit_for_bit(data):
 
 
 def test_string_table_matches_csv_writer(tmp_path):
-    # the report's string tables (fits.csv, stiffness_vs_*.csv): no treatment
+    # identify's string tables (fits.csv, stiffness_vs_*.csv): no treatment
     # name or seed needs quoting, so joining the cells is what csv.writer writes
     header = ("v_td", "k_c", "treatment", "k_est", "seed")
     rows = [[io.fmt_float(1.2), io.fmt_float(3.75), name, io.fmt_float(801.5), str(seed)]
@@ -720,17 +720,14 @@ def _estimation_cell(column, cell):
     return "\n".join(lines)
 
 
-_CONDITION = {"v_td": 0.8, "k_c_n_per_cm": 3.75, "treatment": "MO_GD", "mean_k": 1.0, "sem_k": 1.0, "rel_err": 0.1, "n": 2}
 _FIT = {"k_fit": 800.0, "m_a_inf_fit": 0.15, "z_c_fit": 0.015, "rmse": 0.1, "n_samples": 10}
 
 
-def _report_inputs(fit, **report):
-    """A hop trial and a treatment report that `report` can use, with the
-    report's keys changed as given, and `fit` as its depth_speed_fit.json."""
+def _report_inputs(fit):
+    """A hop trial that `report` can use, and `fit` as its depth_speed_fit.json."""
     return {
         **_hop_trial(),
         _HOP_FILES["frames"]: _npy_bytes(_frames_array()),
-        "treatment_report.json": json.dumps({"k_gt": 800.0, "conditions": [_CONDITION], **report}),
         "depth_speed_fit.json": json.dumps(fit),
     }
 
@@ -746,16 +743,6 @@ _DEGENERATE = {
     "one-row estimation": ("identify", _hop_trial(estimation_times=[0.0])),
     "non-numeric event time": ("identify", _hop_trial(t_td="x")),
     "infinite event time": ("identify", _hop_trial(t_lo=float("inf"))),
-    "conditions not objects": (
-        "report", {"treatment_report.json": json.dumps({"k_gt": 800.0, "conditions": [1, 2]})}
-    ),
-    "condition value not a number": ("report", {"treatment_report.json": json.dumps({"k_gt": 800.0, "conditions": [
-        {**_CONDITION, "mean_k": "x"}
-    ]})}),
-    # report would write k_gt and the conditions into summary.json and its CSVs
-    "k_gt a bool": ("report", _report_inputs(_FIT, k_gt=True)),
-    "k_gt NaN": ("report", _report_inputs(_FIT, k_gt=math.nan)),
-    "condition value a bool": ("report", _report_inputs(_FIT, conditions=[{**_CONDITION, "sem_k": False}])),
     "entry without kind": ("identify", _manifest(kind=None)),
     "entry with a list for kind": ("identify", _manifest(kind=["hop"])),
     "entry without paths": ("identify", _manifest(paths=None)),
@@ -807,7 +794,7 @@ _DEGENERATE = {
 }
 
 
-_TREATMENT_REPORT, _FIT_FILE, _ENTRY = "treatment_report.json", "depth_speed_fit.json", "manifest entry"
+_FIT_FILE, _ENTRY = "depth_speed_fit.json", "manifest entry"
 # what each case breaks, which stderr must name: the exit code alone does
 # not show which check refused the input
 _BROKEN = {
@@ -818,11 +805,6 @@ _BROKEN = {
     "one-row estimation": _HOP_FILES["estimation"],
     "non-numeric event time": _HOP_FILES["events"],
     "infinite event time": _HOP_FILES["events"],
-    "conditions not objects": _TREATMENT_REPORT,
-    "condition value not a number": _TREATMENT_REPORT,
-    "k_gt a bool": _TREATMENT_REPORT,
-    "k_gt NaN": _TREATMENT_REPORT,
-    "condition value a bool": _TREATMENT_REPORT,
     "entry without kind": _ENTRY,
     "entry with a list for kind": _ENTRY,
     "entry without paths": _ENTRY,
@@ -866,7 +848,7 @@ def test_cli_degenerate_artifact_exit_code(tmp_path, case, capsys):
 def test_report_on_unusable_fit_leaves_no_stale_residual(tmp_path, case):
     # the rig fit is the report's ground truth: without a usable one, report
     # writes nothing, so it neither rewrites the residual of an earlier fit
-    # nor writes a summary beside it
+    # nor writes a force map beside it
     _, files = _DEGENERATE[case]
     _write_files(tmp_path, {**files, "added_mass_residual.csv": "t,residual,predicted\n0.0,1.0,1.0\n"})
     cfg = tmp_path / "c.ini"
@@ -884,16 +866,6 @@ def test_identify_rejects_a_mistyped_entry_before_writing(tmp_path, case):
     cfg.write_text("", encoding="utf-8")
     assert main(["identify", "--config", str(cfg), "--out", str(tmp_path)]) == 4
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*files, "c.ini"])
-
-
-@pytest.mark.parametrize("case", ["k_gt a bool", "k_gt NaN", "condition value a bool"])
-def test_report_rejects_a_value_that_is_not_a_finite_number_before_writing(tmp_path, case):
-    _, files = _DEGENERATE[case]
-    _write_files(tmp_path, files)
-    cfg = tmp_path / "c.ini"
-    cfg.write_text("", encoding="utf-8")
-    assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 4
-    assert not (tmp_path / "summary.json").exists()
 
 
 def test_a_1500_hz_time_base_reads(tmp_path):
@@ -1187,8 +1159,8 @@ def test_identify_rejects_a_manifest_without_the_intrusion_entry(tiny_sweep, tmp
 
 
 def test_identify_and_report_reject_a_manifest_without_a_hop_entry(tiny_sweep, tmp_path):
-    # there is nothing to identify or report: report would rewrite the
-    # summary and leave an earlier hop's trial CSVs beside it
+    # there is nothing to identify or report: identify would rewrite the
+    # summary, and report the force map beside an earlier hop's trial CSVs
     cfg, sweep = tiny_sweep
     out = tmp_path / "out"
     shutil.copytree(sweep, out)
